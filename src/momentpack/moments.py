@@ -27,6 +27,12 @@ Two variable conventions:
 
 Powers are computed by iterative multiplication (never a transcendental pow)
 so results are reproducible bit for bit.
+
+Evaluation is batched over K points.  power_table builds one (K,
+max_order + 1, 4n) table of corner powers; batch_residual and
+batch_jacobian both read it, so a Jacobian at a point whose residual is
+known reuses that table.  Every row of a batched result is bit for bit what
+the point gives alone; residual and jacobian are the one-point views.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ __all__ = [
     "build_system",
     "residual",
     "jacobian",
+    "power_table",
+    "batch_residual",
+    "batch_jacobian",
     "layout_to_vars",
     "vars_to_layout",
 ]
@@ -152,15 +161,6 @@ def _scalar_powers(value: float, max_order: int) -> np.ndarray:
     return out
 
 
-def _power_table(values: np.ndarray, max_order: int) -> np.ndarray:
-    """Rows 0..max_order of elementwise powers, built by repeated multiply."""
-    table = np.empty((max_order + 1, values.shape[0]))
-    table[0] = 1.0
-    for s in range(1, max_order + 1):
-        table[s] = table[s - 1] * values
-    return table
-
-
 def _check_vars(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
     arr = np.asarray(vars, dtype=float)
     if arr.shape != (sys.var_count,):
@@ -172,77 +172,111 @@ def _check_vars(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _corners(
-    sys: MomentSystem, arr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _corners(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
+    """(K, 4n) corners of each row of a (K, var_count) variable array, laid
+    out like the rotatable variables: x_lo, y_lo, x_hi, y_hi per rectangle.
+    Fixed mode reconstructs the upper corners from the given sides."""
+    if sys.mode == ROTATABLE:
+        return vars
+    corners = np.empty((len(vars), sys.n_rects, 4))
+    corners[..., :2] = vars.reshape(len(vars), sys.n_rects, 2)
+    corners[..., 2] = corners[..., 0] + sys.widths
+    corners[..., 3] = corners[..., 1] + sys.heights
+    return corners.reshape(len(vars), 4 * sys.n_rects)
+
+
+def power_table(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
+    """(K, max_order + 1, 4n) elementwise powers 0..max_order of the corners
+    of each row of a (K, var_count) variable array, built by repeated
+    multiply.  Row 1 holds the corners themselves.  Residual and Jacobian
+    at one point share this table."""
+    corners = _corners(sys, vars)
+    table = np.empty((len(corners), sys.max_order + 1, corners.shape[1]))
+    table[:, 0] = 1.0
+    # table[s] = table[s - 1] * corners, one multiply per order
+    repeated = np.broadcast_to(corners[:, None, :], table[:, 1:].shape)
+    np.multiply.accumulate(repeated, axis=1, out=table[:, 1:])
+    return table
+
+
+def batch_residual(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
+    """(K, equation_count) stacked residuals, one row per point of the
+    table: moment rows, then in rotatable mode the (c1, c2) pair of each
+    rectangle."""
+    k = len(table)
+    # Contiguous extents, so the moment product is one BLAS matmul per row.
+    px = table[:, 1:, 2::4] - table[:, 1:, 0::4]
+    qy = table[:, 1:, 3::4] - table[:, 1:, 1::4]
+    moments = ((px @ qy.transpose(0, 2, 1)) / sys.denom - 1.0).reshape(k, -1)
     if sys.mode == FIXED:
-        x_lo = arr[0::2]
-        y_lo = arr[1::2]
-        return x_lo, y_lo, x_lo + sys.widths, y_lo + sys.heights
-    return arr[0::4], arr[1::4], arr[2::4], arr[3::4]
+        return moments
+    dx, dy = px[:, 0], qy[:, 0]
+    c1 = dx + dy - (sys.widths + sys.heights)
+    c2 = dx * dy - sys.widths * sys.heights
+    return np.concatenate([moments, np.stack([c1, c2], axis=2).reshape(k, -1)], axis=1)
+
+
+def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
+    """(K, equation_count, var_count) analytic Jacobians, one per point of
+    the table, rows in residual order.
+
+    Moment row (a, b) is sum_n X_a,n * Y_b,n, with X_a,n = x_hi^a - x_lo^a
+    and Y_b,n = y_hi^b - y_lo^b.  Its derivative by a variable of rectangle
+    n is first_a * second_b: (dX_a, Y_b) for an x variable and (X_a, dY_b)
+    for a y variable.
+    """
+    k = len(table)
+    m = sys.max_order
+    n = sys.n_rects
+    orders = np.arange(1, m + 1, dtype=float)[:, None, None]
+    corners = table.reshape(k, m + 1, n, 4)  # x_lo, y_lo, x_hi, y_hi
+    extents = corners[..., 2:] - corners[..., :2]  # X, Y by order 0..m
+    if sys.mode == FIXED:
+        # x_hi = x_lo + w, so dX_a = a * X_(a-1); likewise for y.
+        deriv = orders * extents[:, :m]
+        first = deriv.copy()
+        first[..., 1] = extents[:, 1:, :, 0]
+        second = deriv
+        second[..., 0] = extents[:, 1:, :, 1]
+    else:
+        deriv = orders * np.array([-1.0, -1.0, 1.0, 1.0]) * corners[:, :m]
+        first = deriv.copy()
+        first[..., 1::2] = extents[:, 1:, :, 0:1]
+        second = deriv
+        second[..., 0::2] = extents[:, 1:, :, 1:2]
+    out = np.empty((k, sys.equation_count, sys.var_count))
+    moments = out[:, : m * m].reshape(k, m, m, -1)
+    np.multiply(first.reshape(k, m, 1, -1), second.reshape(k, 1, m, -1), out=moments)
+    moments /= sys.denom[:, :, None]
+    if sys.mode == FIXED:
+        return out
+    # Constraint rows: d c1 = (-1, -1, 1, 1), d c2 = (-dy, -dx, dy, dx).
+    constraints = out[:, m * m :].reshape(k, n, 2, n, 4)
+    constraints[...] = 0.0
+    rect = np.arange(n)
+    block = np.empty((n, k, 2, 4))  # the shape constraints[:, rect, :, rect, :] has
+    block[:, :, 0] = (-1.0, -1.0, 1.0, 1.0)
+    sides = extents[:, 1, :, ::-1].transpose(1, 0, 2)  # (n, k, [dy, dx])
+    block[:, :, 1, :2] = -sides
+    block[:, :, 1, 2:] = sides
+    constraints[:, rect, :, rect, :] = block
+    return out
 
 
 def residual(sys: MomentSystem, vars: np.ndarray) -> ResidualVector:
     """Evaluate all moment rows (and constraint rows in rotatable mode)."""
     arr = _check_vars(sys, vars)
-    x_lo, y_lo, x_hi, y_hi = _corners(sys, arr)
-    m = sys.max_order
     with np.errstate(over="ignore", invalid="ignore"):
-        px = _power_table(x_hi, m)[1:] - _power_table(x_lo, m)[1:]
-        qy = _power_table(y_hi, m)[1:] - _power_table(y_lo, m)[1:]
-        moments = (px @ qy.T) / sys.denom - 1.0
-        moment_part = moments.ravel()
-        if sys.mode == FIXED:
-            constraint_part = np.empty(0)
-        else:
-            dx = x_hi - x_lo
-            dy = y_hi - y_lo
-            c1 = dx + dy - (sys.widths + sys.heights)
-            c2 = dx * dy - sys.widths * sys.heights
-            constraint_part = np.empty(2 * sys.n_rects)
-            constraint_part[0::2] = c1
-            constraint_part[1::2] = c2
-    return ResidualVector(moment_part, constraint_part)
+        stacked = batch_residual(sys, power_table(sys, arr[None]))[0]
+    mm = sys.max_order**2
+    return ResidualVector(stacked[:mm], stacked[mm:])
 
 
 def jacobian(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the stacked residual, rows in residual order."""
     arr = _check_vars(sys, vars)
-    x_lo, y_lo, x_hi, y_hi = _corners(sys, arr)
-    m = sys.max_order
-    n = sys.n_rects
-    orders = np.arange(1, m + 1, dtype=float)[:, None]
-    dflat = sys.denom.ravel()[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        pow_xlo = _power_table(x_lo, m)
-        pow_xhi = _power_table(x_hi, m)
-        pow_ylo = _power_table(y_lo, m)
-        pow_yhi = _power_table(y_hi, m)
-        px = pow_xhi[1:] - pow_xlo[1:]
-        qy = pow_yhi[1:] - pow_ylo[1:]
-        if sys.mode == FIXED:
-            dpx = orders * (pow_xhi[:m] - pow_xlo[:m])
-            dqy = orders * (pow_yhi[:m] - pow_ylo[:m])
-            jac = np.zeros((m * m, 2 * n))
-            jac[:, 0::2] = np.einsum("an,bn->abn", dpx, qy).reshape(m * m, n) / dflat
-            jac[:, 1::2] = np.einsum("an,bn->abn", px, dqy).reshape(m * m, n) / dflat
-            return jac
-        d_xlo = -orders * pow_xlo[:m]
-        d_xhi = orders * pow_xhi[:m]
-        d_ylo = -orders * pow_ylo[:m]
-        d_yhi = orders * pow_yhi[:m]
-        jac_m = np.zeros((m * m, 4 * n))
-        jac_m[:, 0::4] = np.einsum("an,bn->abn", d_xlo, qy).reshape(m * m, n) / dflat
-        jac_m[:, 2::4] = np.einsum("an,bn->abn", d_xhi, qy).reshape(m * m, n) / dflat
-        jac_m[:, 1::4] = np.einsum("an,bn->abn", px, d_ylo).reshape(m * m, n) / dflat
-        jac_m[:, 3::4] = np.einsum("an,bn->abn", px, d_yhi).reshape(m * m, n) / dflat
-        dx = x_hi - x_lo
-        dy = y_hi - y_lo
-        jac_c = np.zeros((2 * n, 4 * n))
-        for i in range(n):
-            jac_c[2 * i, 4 * i : 4 * i + 4] = (-1.0, -1.0, 1.0, 1.0)
-            jac_c[2 * i + 1, 4 * i : 4 * i + 4] = (-dy[i], -dx[i], dy[i], dx[i])
-    return np.vstack([jac_m, jac_c])
+        return batch_jacobian(sys, power_table(sys, arr[None]))[0]
 
 
 def layout_to_vars(sys: MomentSystem, layout: Layout) -> np.ndarray:
@@ -268,8 +302,8 @@ def layout_to_vars(sys: MomentSystem, layout: Layout) -> np.ndarray:
 def vars_to_layout(sys: MomentSystem, vars: np.ndarray) -> Layout:
     """De-normalize a variable vector back into a layout.  Fixed mode
     reconstructs the upper corners from the given sides."""
-    arr = _check_vars(sys, vars)
-    x_lo, y_lo, x_hi, y_hi = _corners(sys, arr)
+    corners = _corners(sys, _check_vars(sys, vars)[None])[0]
+    x_lo, y_lo, x_hi, y_hi = (corners[c::4] for c in range(4))
     s = sys.scale
     placements = []
     for i in range(sys.n_rects):

@@ -13,6 +13,14 @@ converged candidate is polished, optionally snapped (coincident corner
 coordinates merged to a common value), and handed to verify_layout; the
 first verified start wins.  Reports are bitwise deterministic for a fixed
 (instance, config, max_order, mode).
+
+Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
+share one batched Jacobian and one stacked linear solve per damping
+attempt, while each start keeps its own lambda and stop rule, so its
+trajectory is bit for bit the one solve_single gives it.  Converged starts
+of a chunk are then polished together and verified in index order.  Later
+starts of the winning chunk may be computed but are never reported: the
+report, iterations_total included, is the one a start-by-start loop gives.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ LAMBDA_INCREASE = 4.0
 LAMBDA_MIN = 1e-14
 LAMBDA_MAX = 1e12
 POLISH_MAX_ITERS = 40
+LOCKSTEP_CHUNK = 8  # starts run together by solve_multistart
 _SEED_STRIDE = 1_000_003
 
 _STRATEGIES = ("uniform_random", "shelf_greedy", "user_layout")
@@ -157,14 +166,15 @@ def _bounds(sys: mo.MomentSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _project(sys: mo.MomentSystem, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Clip (..., var_count) variables into the box; in rotatable mode also
+    order each rectangle's corners so x_lo <= x_hi and y_lo <= y_hi."""
     out = np.clip(x, lb, ub)
     if sys.mode == mo.ROTATABLE:
-        x_lo = np.minimum(out[0::4], out[2::4])
-        x_hi = np.maximum(out[0::4], out[2::4])
-        y_lo = np.minimum(out[1::4], out[3::4])
-        y_hi = np.maximum(out[1::4], out[3::4])
-        out[0::4], out[2::4] = x_lo, x_hi
-        out[1::4], out[3::4] = y_lo, y_hi
+        pairs = out.reshape(out.shape[:-1] + (sys.n_rects, 2, 2))
+        lo = np.minimum(pairs[..., 0, :], pairs[..., 1, :])
+        hi = np.maximum(pairs[..., 0, :], pairs[..., 1, :])
+        pairs[..., 0, :] = lo
+        pairs[..., 1, :] = hi
     return out
 
 
@@ -197,12 +207,101 @@ def _start_vector(
 # -- Core iteration ----------------------------------------------------------
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of each row, computed like np.linalg.norm of the row alone
+    (one dot product per row), so batched and single costs agree bitwise."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _costs(r: np.ndarray) -> np.ndarray:
+    """Residual 2-norm of each row; inf where a residual is not finite."""
+    return np.where(np.all(np.isfinite(r), axis=1), _norms(r), np.inf)
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a_k x_k = b_k for every k at once.  One singular a_k makes the
+    stacked solve raise for all of them, so the stack is then re-solved one
+    system at a time, falling back to lstsq only for the singular ones."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(b)
+    for k, (a_k, b_k) in enumerate(zip(a, b)):
+        try:
+            out[k] = np.linalg.solve(a_k, b_k)
+        except np.linalg.LinAlgError:
+            out[k] = np.linalg.lstsq(a_k, b_k, rcond=None)[0]
+    return out
+
+
+def _lockstep(
+    sys: mo.MomentSystem, x0: np.ndarray, cfg: SolveConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
+
+    Each iteration evaluates one Jacobian for all live rows, then retries
+    one stacked damped solve for the rows that have not yet stepped.  Each
+    row keeps its own lambda, accept/reject decision and stop rule
+    (residual_tol, step_tol, lambda above LAMBDA_MAX, max_iters), so a row
+    follows the same trajectory whatever else is in the batch.  Returns
+    the final variables (K, V), the accepted step count of each row (K,)
+    and the accepted costs (K, max_iters + 1); row k's history is
+    costs[k, : steps[k] + 1].
+    """
+    lb, ub = _bounds(sys)
+    eye = np.eye(sys.var_count)
+    x = _project(sys, x0, lb, ub)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = mo.power_table(sys, x)
+        r = mo.batch_residual(sys, table)
+        cost = _costs(r)
+        costs = np.empty((len(x), cfg.max_iters + 1))
+        costs[:, 0] = cost
+        steps = np.zeros(len(x), dtype=int)
+        lam = np.full(len(x), cfg.lm_lambda0)
+        live = np.all(np.isfinite(r), axis=1) & (np.max(np.abs(r), axis=1) > cfg.residual_tol)
+        while np.any(live):
+            rows = np.flatnonzero(live)
+            jac = mo.batch_jacobian(sys, table[rows])
+            jac_t = jac.transpose(0, 2, 1)
+            neg_grad = -(jac_t @ r[rows, :, None])[:, :, 0]
+            hess = jac_t @ jac
+            while len(rows):  # rows that have not stepped this iteration
+                delta = _solve_rows(hess + lam[rows, None, None] * eye, neg_grad)
+                cand = _project(sys, x[rows] + delta, lb, ub)
+                cand_table = mo.power_table(sys, cand)
+                r_new = mo.batch_residual(sys, cand_table)
+                cost_new = _costs(r_new)
+                ok = cost_new < cost[rows]
+                if np.any(ok):
+                    won = rows[ok]
+                    step_norm = _norms(cand[ok] - x[won])
+                    x[won], r[won], table[won] = cand[ok], r_new[ok], cand_table[ok]
+                    cost[won] = cost_new[ok]
+                    lam[won] = np.maximum(lam[won] * LAMBDA_DECREASE, LAMBDA_MIN)
+                    steps[won] += 1
+                    costs[won, steps[won]] = cost_new[ok]
+                    live[won] = (
+                        (np.max(np.abs(r_new[ok]), axis=1) > cfg.residual_tol)
+                        & (step_norm > cfg.step_tol)
+                        & (steps[won] < cfg.max_iters)
+                    )
+                    rows, hess, neg_grad = rows[~ok], hess[~ok], neg_grad[~ok]
+                lam[rows] *= LAMBDA_INCREASE
+                retry = lam[rows] <= LAMBDA_MAX
+                live[rows[~retry]] = False
+                rows, hess, neg_grad = rows[retry], hess[retry], neg_grad[retry]
+    return x, steps, costs
+
+
 def solve_single(
     sys: mo.MomentSystem, x0: np.ndarray, cfg: SolveConfig | None = None
 ) -> tuple[np.ndarray, list[float]]:
     """Levenberg-Marquardt from one start; returns the final variable vector
     and the history of accepted residual 2-norms (monotone decreasing,
-    starting at the initial cost)."""
+    starting at the initial cost).  Each step solves
+    (J^T J + lambda I) delta = -J^T r; the lockstep core with one row."""
     cfg = cfg or SolveConfig()
     cfg.validate()
     arr = np.asarray(x0, dtype=float)
@@ -210,51 +309,10 @@ def solve_single(
         raise ValueError(
             f"start vector has shape {arr.shape}, expected ({sys.var_count},)"
         )
-    lb, ub = _bounds(sys)
-    x = _project(sys, arr.copy(), lb, ub)
-    r = mo.residual(sys, x).stacked
-    if not np.all(np.isfinite(r)):
-        return x, [float("inf")]
-    cost = float(np.linalg.norm(r))
-    history = [cost]
-    if float(np.max(np.abs(r))) <= cfg.residual_tol:
-        return x, history
-    lam = cfg.lm_lambda0
-    eye = np.eye(sys.var_count)
-    for _ in range(cfg.max_iters):
-        jac = mo.jacobian(sys, x)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        stepped = False
-        step_norm = 0.0
-        while True:
-            try:
-                delta = np.linalg.solve(hess + lam * eye, -grad)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(hess + lam * eye, -grad, rcond=None)[0]
-            cand = _project(sys, x + delta, lb, ub)
-            r_new = mo.residual(sys, cand).stacked
-            if np.all(np.isfinite(r_new)):
-                cost_new = float(np.linalg.norm(r_new))
-            else:
-                cost_new = float("inf")
-            if cost_new < cost:
-                step_norm = float(np.linalg.norm(cand - x))
-                x, r, cost = cand, r_new, cost_new
-                lam = max(lam * LAMBDA_DECREASE, LAMBDA_MIN)
-                history.append(cost)
-                stepped = True
-                break
-            lam *= LAMBDA_INCREASE
-            if lam > LAMBDA_MAX:
-                break
-        if not stepped:
-            break
-        if float(np.max(np.abs(r))) <= cfg.residual_tol:
-            break
-        if step_norm <= cfg.step_tol:
-            break
-    return x, history
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("start vector contains non-finite entries")
+    x, steps, costs = _lockstep(sys, arr[None], cfg)
+    return x[0], costs[0, : steps[0] + 1].tolist()
 
 
 # -- Layout cleanup ----------------------------------------------------------
@@ -354,32 +412,36 @@ def solve_multistart(
     best_layout: Layout | None = None
     any_converged = False
     iterations = 0
-    for k in range(cfg.restarts):
-        x0 = _start_vector(sys, inst, cfg, k, lb, ub)
-        x, hist = solve_single(sys, x0, cfg)
-        iterations += max(0, len(hist) - 1)
-        r_inf = mo.residual(sys, x).max_abs
-        if r_inf <= cfg.residual_tol:
-            any_converged = True
-            x, hist = solve_single(sys, x, polish_cfg)
-            iterations += max(0, len(hist) - 1)
-            raw = mo.vars_to_layout(sys, x)
-            for cand in (raw, snap_layout(inst, raw, eps=0.3 * cfg.verify_tol * sys.scale)):
-                if verify_layout(inst, cand, tol=cfg.verify_tol).passed:
-                    final_r = mo.residual(sys, mo.layout_to_vars(sys, cand)).max_abs
-                    return SolveReport(
-                        status="converged_verified",
-                        best_layout=cand,
-                        final_residual_inf=final_r,
-                        iterations_total=iterations,
-                        start_index=k,
-                        wall_time_s=time.perf_counter() - t0,
-                    )
-            r_inf = mo.residual(sys, x).max_abs
-            if r_inf < best_r:
-                best_r, best_idx, best_layout = r_inf, k, raw
-        elif r_inf < best_r:
-            best_r, best_idx, best_layout = r_inf, k, mo.vars_to_layout(sys, x)
+    for first in range(0, cfg.restarts, LOCKSTEP_CHUNK):
+        starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
+        x0 = np.stack([_start_vector(sys, inst, cfg, k, lb, ub) for k in starts])
+        x, steps, _ = _lockstep(sys, x0, cfg)
+        r_inf = np.array([mo.residual(sys, row).max_abs for row in x])
+        converged = r_inf <= cfg.residual_tol
+        if np.any(converged):
+            # Every converged row is polished; rows past the winner are
+            # computed but never reported.
+            x[converged], polish_steps, _ = _lockstep(sys, x[converged], polish_cfg)
+            steps[converged] += polish_steps
+            r_inf[converged] = [mo.residual(sys, row).max_abs for row in x[converged]]
+        for j, k in enumerate(starts):
+            iterations += int(steps[j])
+            raw = mo.vars_to_layout(sys, x[j])
+            if converged[j]:
+                any_converged = True
+                for cand in (raw, snap_layout(inst, raw, eps=0.3 * cfg.verify_tol * sys.scale)):
+                    if verify_layout(inst, cand, tol=cfg.verify_tol).passed:
+                        final_r = mo.residual(sys, mo.layout_to_vars(sys, cand)).max_abs
+                        return SolveReport(
+                            status="converged_verified",
+                            best_layout=cand,
+                            final_residual_inf=final_r,
+                            iterations_total=iterations,
+                            start_index=k,
+                            wall_time_s=time.perf_counter() - t0,
+                        )
+            if r_inf[j] < best_r:
+                best_r, best_idx, best_layout = float(r_inf[j]), k, raw
     return SolveReport(
         status="converged_unverified" if any_converged else "exhausted",
         best_layout=best_layout,

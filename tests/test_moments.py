@@ -241,6 +241,29 @@ def test_jacobian_matches_central_differences(mode, fd_jac):
             assert float(np.max(np.abs(jac - ref))) / scale <= 1e-6
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(0, 12),
+    rows=st.integers(1, 8),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+)
+def test_batched_rows_equal_single_evaluation_bitwise(seed, cuts, rows, mode):
+    # Each row of a batched evaluation must be exactly what the point gives
+    # alone, whatever else is in the batch; multistart relies on it.
+    inst, _ = gen_guillotine(seed, cuts, BoxSpec(1.0 + seed % 7, 2.5))
+    sys = mo.build_system(inst, mode=mode)
+    points = np.random.default_rng(seed).uniform(0, 1, (rows, sys.var_count))
+    table = mo.power_table(sys, points)
+    res = mo.batch_residual(sys, table)
+    jac = mo.batch_jacobian(sys, table)
+    assert res.shape == (rows, sys.equation_count)
+    assert jac.shape == (rows, sys.equation_count, sys.var_count)
+    for k, x in enumerate(points):
+        assert res[k].tobytes() == mo.residual(sys, x).stacked.tobytes()
+        assert jac[k].tobytes() == mo.jacobian(sys, x).tobytes()
+
+
 def test_jacobian_shape():
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(2, 2))
     sys_f = mo.build_system(inst, 3, mo.FIXED)

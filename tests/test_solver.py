@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpack import (
     BoxSpec,
@@ -194,3 +198,119 @@ def test_report_to_dict_serializes_infinite_residual():
     doc = solve_multistart(inst, SolveConfig(restarts=2)).to_dict()
     assert doc["final_residual_inf"] is None
     assert doc["status"] == "exhausted"
+
+
+# -- Lockstep multistart ------------------------------------------------------
+
+
+def assert_rows_run_as_alone(sys, x0, cfg):
+    """Every row of one lockstep run equals, bit for bit, the run of that
+    row by itself; returns the batched result."""
+    batched = solver._lockstep(sys, x0, cfg)
+    x, steps, costs = batched
+    for k, row in enumerate(x0):
+        x1, steps1, costs1 = solver._lockstep(sys, row[None], cfg)
+        assert x[k].tobytes() == x1[0].tobytes()
+        assert steps[k] == steps1[0]
+        assert costs[k, : steps[k] + 1].tobytes() == costs1[0, : steps1[0] + 1].tobytes()
+    return batched
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(0, 6),
+    rows=st.integers(1, 8),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+)
+def test_lockstep_rows_are_independent(seed, cuts, rows, mode):
+    inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
+    sys = mo.build_system(inst, mode=mode)
+    lb, ub = solver._bounds(sys)
+    x0 = lb + np.random.default_rng(seed).uniform(size=(rows, sys.var_count)) * (ub - lb)
+    assert_rows_run_as_alone(sys, x0, SolveConfig(max_iters=15))
+
+
+def test_lockstep_singular_and_stopped_rows_leave_others_unchanged():
+    inst = Instance.from_sides([(1, 1), (1, 1), (2, 1)], BoxSpec(2, 2), rotation_allowed=False)
+    sys = mo.build_system(inst, mode=mo.FIXED)
+    # A damping this small vanishes next to J^T J, so a rank-deficient
+    # J^T J stays exactly singular.
+    cfg = SolveConfig(max_iters=30, lm_lambda0=1e-30)
+    coincident = np.array([0.3, 0.4, 0.3, 0.4, 0.0, 0.5])  # the squares overlap exactly
+    jac = mo.jacobian(sys, coincident)
+    grad = jac.T @ mo.residual(sys, coincident).stacked
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac.T @ jac + cfg.lm_lambda0 * np.eye(sys.var_count), -grad)
+    solved = mo.layout_to_vars(
+        sys, Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 1), Placement(0, 1, 2, 2)))
+    )
+    non_finite = np.full(sys.var_count, np.nan)
+    normal = np.array([[0.1, 0.7, 0.8, 0.2, 0.0, 0.6], [0.6, 0.1, 0.2, 0.5, 0.0, 0.3]])
+    x0 = np.stack([normal[0], coincident, solved, non_finite, normal[1]])
+    x, steps, costs = assert_rows_run_as_alone(sys, x0, cfg)
+    assert steps[1] > 0  # the singular row moved on through lstsq
+    assert steps[2] == 0 and x[2].tobytes() == solved.tobytes()
+    assert steps[3] == 0 and costs[3, 0] == float("inf")
+    assert steps[0] > 0 and steps[4] > 0
+
+
+def sequential_multistart(inst, cfg, mode):
+    """Reference: the multistart loop one start at a time through
+    solve_single, as (status, start_index, iterations_total, best_layout,
+    final_residual_inf)."""
+    sys = mo.build_system(inst, mode=mode)
+    lb, ub = solver._bounds(sys)
+    polish = replace(
+        cfg, residual_tol=0.0, step_tol=1e-15, max_iters=solver.POLISH_MAX_ITERS, lm_lambda0=1e-6
+    )
+    best = (float("inf"), -1, None)
+    iterations = 0
+    any_converged = False
+    for k in range(cfg.restarts):
+        x, hist = solve_single(sys, solver._start_vector(sys, inst, cfg, k, lb, ub), cfg)
+        iterations += len(hist) - 1
+        r_inf = mo.residual(sys, x).max_abs
+        if r_inf <= cfg.residual_tol:
+            any_converged = True
+            x, hist = solve_single(sys, x, polish)
+            iterations += len(hist) - 1
+            raw = mo.vars_to_layout(sys, x)
+            for cand in (raw, snap_layout(inst, raw, eps=0.3 * cfg.verify_tol * sys.scale)):
+                if verify_layout(inst, cand, tol=cfg.verify_tol).passed:
+                    final = mo.residual(sys, mo.layout_to_vars(sys, cand)).max_abs
+                    return "converged_verified", k, iterations, cand, final
+            r_inf = mo.residual(sys, x).max_abs
+        if r_inf < best[0]:
+            best = (r_inf, k, mo.vars_to_layout(sys, x))
+    status = "converged_unverified" if any_converged else "exhausted"
+    return status, best[1], iterations, best[2], best[0]
+
+
+def second_chunk_winner():
+    # Fixed mode at these settings: starts 0-7 fail, start 8 verifies.
+    inst, _ = gen_guillotine(44, 3, BoxSpec(3.0, 2.0))
+    return inst, SolveConfig(max_iters=40, seed=44), mo.FIXED
+
+
+def rotatable_dominoes():
+    # Start 1 verifies; later starts in its chunk converge too.
+    cfg = SolveConfig(max_iters=40, seed=1, init_strategy="uniform_random")
+    return dominoes(), cfg, mo.ROTATABLE
+
+
+@pytest.mark.parametrize("case", [second_chunk_winner, rotatable_dominoes])
+@pytest.mark.parametrize("restarts", [1, 8, 9, 11])
+def test_multistart_matches_sequential_across_chunks(case, restarts):
+    assert solver.LOCKSTEP_CHUNK == 8
+    inst, cfg, mode = case()
+    cfg = replace(cfg, restarts=restarts)
+    report = solve_multistart(inst, cfg, mode=mode)
+    status, start, iterations, layout, final = sequential_multistart(inst, cfg, mode)
+    assert report.status == status
+    assert report.start_index == start
+    assert report.iterations_total == iterations
+    assert serialize_layout(report.best_layout) == serialize_layout(layout)
+    assert report.final_residual_inf == final
+    if case is second_chunk_winner:
+        assert report.status == ("converged_verified" if restarts > 8 else "exhausted")
