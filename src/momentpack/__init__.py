@@ -37,7 +37,6 @@ from .moments import (
     FIXED,
     ROTATABLE,
     MomentSystem,
-    ResidualVector,
     build_system,
     default_max_order,
     jacobian,
@@ -45,7 +44,7 @@ from .moments import (
     residual,
     vars_to_layout,
 )
-from .oracle import GridState, enumerate_small_family, oracle_feasible
+from .oracle import enumerate_small_family, oracle_feasible
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -68,7 +67,6 @@ __all__ = [
     "AreaVerdict",
     "BoxSpec",
     "FIXED",
-    "GridState",
     "IdentityEval",
     "IdentityId",
     "Instance",
@@ -76,7 +74,6 @@ __all__ = [
     "MomentSystem",
     "Placement",
     "RectSpec",
-    "ResidualVector",
     "ROTATABLE",
     "SolveConfig",
     "SolveReport",

@@ -30,7 +30,13 @@ from .instances import (
 )
 from .oracle import enumerate_small_family
 from .solver import SolveConfig, solve_multistart
-from .verify import corner_cancellation, moment_residual_of_layout, verify_exact, verify_layout
+from .verify import (
+    DEFAULT_TOL,
+    corner_cancellation,
+    moment_residual_of_layout,
+    verify_exact,
+    verify_layout,
+)
 
 __all__ = ["main", "run", "render_svg"]
 
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("instance")
     p_verify.add_argument("layout")
     p_verify.add_argument("--exact", action="store_true")
-    p_verify.add_argument("--tol", type=float, default=1e-7)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--smax", type=int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -78,6 +78,16 @@ _CORRECTION_COEFF = {
     IdentityId.DIFF_SQ: 1.0,
 }
 
+# Per-rectangle summand of each identity's left-hand side, in centroid terms.
+_TERMS = {
+    IdentityId.X_FIRST: lambda cx, cy: cx,
+    IdentityId.Y_FIRST: lambda cx, cy: cy,
+    IdentityId.XY_CROSS: lambda cx, cy: cx * cy,
+    IdentityId.SUM_SQUARES: lambda cx, cy: cx * cx + cy * cy,
+    IdentityId.SUM_OF_SUM_SQ: lambda cx, cy: (cx + cy) * (cx + cy),
+    IdentityId.DIFF_SQ: lambda cx, cy: (cx - cy) * (cx - cy),
+}
+
 
 def rhs_constant(ident: IdentityId) -> float:
     """Closed-form right-hand side of the identity."""
@@ -155,6 +165,7 @@ def identity_partial(
     Placement k (0-based) must have sides {1/(k+1), 1/(k+2)} up to size_tol
     in either orientation; anything else is a size mismatch error.
     """
+    term = _TERMS[ident]
     total = 0.0
     n_rects = len(layout.placements)
     for k, p in enumerate(layout.placements):
@@ -171,17 +182,5 @@ def identity_partial(
         weight = 1.0 / (n * (n + 1))
         cx = float(p.cx)
         cy = float(p.cy)
-        if ident is IdentityId.X_FIRST:
-            term = cx
-        elif ident is IdentityId.Y_FIRST:
-            term = cy
-        elif ident is IdentityId.XY_CROSS:
-            term = cx * cy
-        elif ident is IdentityId.SUM_SQUARES:
-            term = cx * cx + cy * cy
-        elif ident is IdentityId.SUM_OF_SUM_SQ:
-            term = (cx + cy) * (cx + cy)
-        else:
-            term = (cx - cy) * (cx - cy)
-        total += weight * term
+        total += weight * term(cx, cy)
     return IdentityEval(ident, total, rhs_constant(ident), n_rects)

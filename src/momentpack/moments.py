@@ -52,7 +52,6 @@ __all__ = [
     "FIXED",
     "ROTATABLE",
     "MomentSystem",
-    "ResidualVector",
     "default_max_order",
     "build_system",
     "residual",
@@ -80,7 +79,6 @@ class MomentSystem:
     max_order: int
     mode: str
     scale: float
-    exponents: tuple[tuple[int, int], ...]
     var_count: int
     constraint_count: int
     widths: np.ndarray  # normalized given sides
@@ -95,21 +93,7 @@ class MomentSystem:
 
     @property
     def equation_count(self) -> int:
-        return len(self.exponents) + self.constraint_count
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualVector:
-    moment_part: np.ndarray
-    constraint_part: np.ndarray
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.moment_part, self.constraint_part])
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.stacked)))
+        return self.max_order**2 + self.constraint_count
 
 
 def build_system(
@@ -132,9 +116,6 @@ def build_system(
     pow_a = _scalar_powers(box_w, max_order)
     pow_b = _scalar_powers(box_h, max_order)
     denom = np.outer(pow_a[1:], pow_b[1:])
-    exponents = tuple(
-        (s1, s2) for s1 in range(1, max_order + 1) for s2 in range(1, max_order + 1)
-    )
     var_count = (2 if mode == FIXED else 4) * n
     constraint_count = 0 if mode == FIXED else 2 * n
     return MomentSystem(
@@ -142,7 +123,6 @@ def build_system(
         max_order=max_order,
         mode=mode,
         scale=scale,
-        exponents=exponents,
         var_count=var_count,
         constraint_count=constraint_count,
         widths=widths,
@@ -263,13 +243,13 @@ def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def residual(sys: MomentSystem, vars: np.ndarray) -> ResidualVector:
-    """Evaluate all moment rows (and constraint rows in rotatable mode)."""
+def residual(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
+    """(equation_count,) stacked residual: the moment rows (s1, s2) in
+    row-major order, then in rotatable mode the (c1, c2) pair of each
+    rectangle."""
     arr = _check_vars(sys, vars)
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = batch_residual(sys, power_table(sys, arr[None]))[0]
-    mm = sys.max_order**2
-    return ResidualVector(stacked[:mm], stacked[mm:])
+        return batch_residual(sys, power_table(sys, arr[None]))[0]
 
 
 def jacobian(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:

@@ -13,11 +13,9 @@ return identical layouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .instances import BoxSpec, Instance, Layout, Number, Placement, RectSpec
 
-__all__ = ["GridState", "oracle_feasible", "enumerate_small_family"]
+__all__ = ["oracle_feasible", "enumerate_small_family"]
 
 CELL_BUDGET = 64
 FAMILY_CAP = 4
@@ -39,29 +37,6 @@ def _as_int(value: Number, what: str) -> int:
     return out
 
 
-@dataclass
-class GridState:
-    """Occupancy bitmask over box cells, row-major from the bottom-left."""
-
-    width: int
-    height: int
-    occupancy: int = 0
-    placed: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << (self.width * self.height)) - 1
-
-    def rect_mask(self, w: int, h: int, x: int, y: int) -> int | None:
-        if x + w > self.width or y + h > self.height:
-            return None
-        row = ((1 << w) - 1) << x
-        mask = 0
-        for r in range(y, y + h):
-            mask |= row << (r * self.width)
-        return mask
-
-
 def oracle_feasible(inst: Instance) -> tuple[bool, Layout | None]:
     """Decide perfect packability of a small integer instance by exhaustive
     search; on success the returned witness layout has integer coordinates
@@ -78,8 +53,17 @@ def oracle_feasible(inst: Instance) -> tuple[bool, Layout | None]:
         return False, None
 
     n = len(sides)
-    grid = GridState(a, b)
-    full = grid.full_mask
+    full = (1 << (a * b)) - 1  # cells row-major from the bottom-left
+
+    def rect_mask(w: int, h: int, x: int, y: int) -> int | None:
+        if x + w > a or y + h > b:
+            return None
+        row = ((1 << w) - 1) << x
+        mask = 0
+        for r in range(y, y + h):
+            mask |= row << (r * a)
+        return mask
+
     used = [False] * n
     witness: list[tuple[int, int, int, int] | None] = [None] * n
 
@@ -101,7 +85,7 @@ def oracle_feasible(inst: Instance) -> tuple[bool, Layout | None]:
                 if (ow, oh) in tried:
                     continue
                 tried.add((ow, oh))
-                mask = grid.rect_mask(ow, oh, x, y)
+                mask = rect_mask(ow, oh, x, y)
                 if mask is None or mask & occ:
                     continue
                 used[i] = True

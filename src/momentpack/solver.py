@@ -33,7 +33,7 @@ import numpy as np
 
 from . import moments as mo
 from .instances import Instance, Layout, Placement, check_area
-from .verify import verify_layout
+from .verify import DEFAULT_TOL, _snap_values, verify_layout
 
 __all__ = [
     "SolveConfig",
@@ -50,6 +50,7 @@ LAMBDA_MIN = 1e-14
 LAMBDA_MAX = 1e12
 POLISH_MAX_ITERS = 40
 LOCKSTEP_CHUNK = 8  # starts run together by solve_multistart
+SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
 
 _STRATEGIES = ("uniform_random", "shelf_greedy", "user_layout")
@@ -65,7 +66,7 @@ class SolveConfig:
     lm_lambda0: float = 1e-3
     init_strategy: str = "shelf_greedy"
     initial_layout: Layout | None = None
-    verify_tol: float = 1e-7
+    verify_tol: float = DEFAULT_TOL
 
     def validate(self) -> None:
         if self.max_iters < 1:
@@ -315,46 +316,23 @@ def solve_single(
     return x[0], costs[0, : steps[0] + 1].tolist()
 
 
+def _residual_inf(sys: mo.MomentSystem, vars: np.ndarray) -> float:
+    return float(np.max(np.abs(mo.residual(sys, vars))))
+
+
 # -- Layout cleanup ----------------------------------------------------------
-
-
-def _snap_values(values: list[float], anchors: tuple[float, ...], eps: float) -> dict[float, float]:
-    mapping: dict[float, float] = {}
-    ordered = sorted(set(values))
-    group: list[float] = []
-
-    def flush() -> None:
-        if not group:
-            return
-        rep = None
-        for anchor in anchors:
-            if any(abs(v - anchor) <= eps for v in group):
-                rep = anchor
-                break
-        if rep is None:
-            rep = sum(group) / len(group)
-        for v in group:
-            mapping[v] = rep
-        group.clear()
-
-    for v in ordered:
-        if group and v - group[-1] > eps:
-            flush()
-        group.append(v)
-    flush()
-    return mapping
 
 
 def snap_layout(inst: Instance, layout: Layout, eps: float | None = None) -> Layout:
     """Merge corner coordinates that agree within eps (default
-    0.3 * DEFAULT_TOL * scale) to a shared value, anchoring clusters that
-    touch 0 or the box sides to those exact values.  Returns the input
-    unchanged if snapping would collapse a rectangle."""
+    SNAP_FRACTION * DEFAULT_TOL * scale) to a shared value, anchoring
+    clusters that touch 0 or the box sides to those exact values.  Returns
+    the input unchanged if snapping would collapse a rectangle."""
     a = float(inst.box.width)
     b = float(inst.box.height)
     scale = max(a, b)
     if eps is None:
-        eps = 0.3 * 1e-7 * scale
+        eps = SNAP_FRACTION * DEFAULT_TOL * scale
     xs: list[float] = []
     ys: list[float] = []
     for p in layout.placements:
@@ -407,6 +385,7 @@ def solve_multistart(
     polish_cfg = replace(
         cfg, residual_tol=0.0, step_tol=1e-15, max_iters=POLISH_MAX_ITERS, lm_lambda0=1e-6
     )
+    snap_eps = SNAP_FRACTION * cfg.verify_tol * sys.scale
     best_r = float("inf")
     best_idx = -1
     best_layout: Layout | None = None
@@ -416,22 +395,22 @@ def solve_multistart(
         starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
         x0 = np.stack([_start_vector(sys, inst, cfg, k, lb, ub) for k in starts])
         x, steps, _ = _lockstep(sys, x0, cfg)
-        r_inf = np.array([mo.residual(sys, row).max_abs for row in x])
+        r_inf = np.array([_residual_inf(sys, row) for row in x])
         converged = r_inf <= cfg.residual_tol
         if np.any(converged):
             # Every converged row is polished; rows past the winner are
             # computed but never reported.
             x[converged], polish_steps, _ = _lockstep(sys, x[converged], polish_cfg)
             steps[converged] += polish_steps
-            r_inf[converged] = [mo.residual(sys, row).max_abs for row in x[converged]]
+            r_inf[converged] = [_residual_inf(sys, row) for row in x[converged]]
         for j, k in enumerate(starts):
             iterations += int(steps[j])
             raw = mo.vars_to_layout(sys, x[j])
             if converged[j]:
                 any_converged = True
-                for cand in (raw, snap_layout(inst, raw, eps=0.3 * cfg.verify_tol * sys.scale)):
+                for cand in (raw, snap_layout(inst, raw, eps=snap_eps)):
                     if verify_layout(inst, cand, tol=cfg.verify_tol).passed:
-                        final_r = mo.residual(sys, mo.layout_to_vars(sys, cand)).max_abs
+                        final_r = _residual_inf(sys, mo.layout_to_vars(sys, cand))
                         return SolveReport(
                             status="converged_verified",
                             best_layout=cand,

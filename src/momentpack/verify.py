@@ -1,16 +1,27 @@
 """Geometric verification of layouts, independent of the moment machinery.
 
-Three views of the same question "does this layout pack the box perfectly":
+One check core, _check, answers "does this layout pack the box perfectly"
+at a tolerance tol (relative to scale = max(A, B)) over some number type:
+containment, side fidelity and total area per rectangle, then the
+interior-disjointness of every pair, produced lazily.
 
-* verify_layout: floating point with a relative tolerance; reports every
-  violation it finds rather than stopping at the first.
-* verify_exact: zero-tolerance arithmetic over fractions.Fraction; boundary
-  contact is legal, interior overlap is not.
+* verify_layout: the core over floats; reports every violation it finds.
+* verify_exact: the same checks at tol 0 over fractions.Fraction, stopping
+  at the first failure.  At tol 0 every float test becomes the exact one:
+  overhang > 0, side mismatch != 0, overlap area > 0, area gap = 0, so
+  boundary contact is legal and interior overlap is not.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
-  other two corners; in a perfect packing every coincidence cluster nets 0
-  except the four box corners, which net +1/-1/-1/+1 against the box's own
-  signed corners.
+  other two corners.  Every x and every y is snapped with _snap_values
+  (anchored at 0 and the box side), then signs are counted exactly at the
+  snapped points: in a perfect packing every point nets 0 except the four
+  box corners, which net +1/-1/-1/+1 against the box's own signed corners.
+  Snapping each axis differs from clustering the points within L-inf
+  distance eps only when a chain of coordinates, each within eps of the
+  next, spans more than eps.
+
+_snap_values is the package's one coordinate-clustering helper; the
+solver's snap_layout uses it too.
 
 moment_residual_of_layout bridges back to the equation side: the largest
 normalized residual of the truncated moment system evaluated at the layout.
@@ -20,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -62,15 +74,18 @@ class VerificationReport:
         }
 
 
-def verify_layout(
-    inst: Instance, layout: Layout, tol: float = DEFAULT_TOL
-) -> VerificationReport:
-    """Check containment, pairwise interior-disjointness, side fidelity, and
-    total area against the box.
+def _check(inst: Instance, layout: Layout, tol: float, num: Callable[[Number, str], object]):
+    """Run the checks shared by verify_layout and verify_exact.
+
+    Every number is converted with num before any check, so malformed input
+    raises the same error whatever else is wrong.  Returns (containment,
+    sizes, area_gap, area_ok, overlaps): the violation rows of the O(n)
+    checks, the total area minus the box area and whether it is within
+    tol, and a lazy iterator of ((id_i, id_j), area) overlap rows.
 
     Side fidelity uses the symmetric functions |dx+dy - (w+h)| and
     |dx*dy - w*h| (admitting the w/h swap) when the instance allows rotation,
-    and direct |dx - w|, |dy - h| comparison when it does not; the report rows
+    and direct |dx - w|, |dy - h| comparison when it does not; the size rows
     carry the two symmetric residuals either way.
     """
     if tol < 0:
@@ -78,59 +93,54 @@ def verify_layout(
     n = len(layout.placements)
     if n != inst.n_rects:
         raise ValueError(f"layout has {n} placements, instance has {inst.n_rects}")
-    a = float(inst.box.width)
-    b = float(inst.box.height)
+    a = num(inst.box.width, "box width")
+    b = num(inst.box.height, "box height")
+    boxes = [
+        tuple(num(v, f"placement {i}") for v in p.as_tuple())
+        for i, p in enumerate(layout.placements, start=1)
+    ]
+    sides = [
+        (num(r.width, f"rect {r.id} width"), num(r.height, f"rect {r.id} height"))
+        for r in inst.rects
+    ]
+    ids = [r.id for r in inst.rects]
     scale = max(a, b)
-    x_lo = np.array([float(p.x_lo) for p in layout.placements])
-    y_lo = np.array([float(p.y_lo) for p in layout.placements])
-    x_hi = np.array([float(p.x_hi) for p in layout.placements])
-    y_hi = np.array([float(p.y_hi) for p in layout.placements])
-    dx = x_hi - x_lo
-    dy = y_hi - y_lo
+    eps = tol * scale
 
     containment = []
-    for i in range(n):
-        overhang = max(-x_lo[i], x_hi[i] - a, -y_lo[i], y_hi[i] - b, 0.0)
-        if overhang > tol * scale:
-            containment.append((inst.rects[i].id, float(overhang)))
-
-    overlaps = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            ow = min(x_hi[i], x_hi[j]) - max(x_lo[i], x_lo[j])
-            oh = min(y_hi[i], y_hi[j]) - max(y_lo[i], y_lo[j])
-            area = max(0.0, ow) * max(0.0, oh)
-            if area > (tol * scale) ** 2:
-                overlaps.append(((inst.rects[i].id, inst.rects[j].id), float(area)))
-
     sizes = []
-    for i, rect in enumerate(inst.rects):
-        w = float(rect.width)
-        h = float(rect.height)
-        e_sum = abs(dx[i] + dy[i] - (w + h))
-        e_prod = abs(dx[i] * dy[i] - w * h)
+    areas = []
+    for rid, (xl, yl, xh, yh), (w, h) in zip(ids, boxes, sides):
+        overhang = max(-xl, xh - a, -yl, yh - b, 0)
+        if overhang > eps:
+            containment.append((rid, overhang))
+        dx = xh - xl
+        dy = yh - yl
+        e_sum = abs(dx + dy - (w + h))
+        e_prod = abs(dx * dy - w * h)
         if inst.rotation_allowed:
-            bad = e_sum > tol * scale or e_prod > tol * scale * scale
+            bad = e_sum > eps or e_prod > eps * scale
         else:
-            bad = abs(dx[i] - w) > tol * scale or abs(dy[i] - h) > tol * scale
+            bad = abs(dx - w) > eps or abs(dy - h) > eps
         if bad:
-            sizes.append((rect.id, float(e_sum), float(e_prod)))
+            sizes.append((rid, e_sum, e_prod))
+        areas.append(dx * dy)
+    # np.sum: pairwise over floats, exact over Fractions
+    area_gap = np.sum(areas) - a * b
+    area_ok = bool(abs(area_gap) <= tol * a * b)
 
-    area_gap = float(np.sum(dx * dy) - a * b)
-    passed = (
-        not containment
-        and not overlaps
-        and not sizes
-        and abs(area_gap) <= tol * a * b
-    )
-    return VerificationReport(
-        passed=passed,
-        containment_violations=tuple(containment),
-        overlap_violations=tuple(overlaps),
-        size_violations=tuple(sizes),
-        area_gap=area_gap,
-        tol=tol,
-    )
+    def overlaps():
+        min_area = eps**2
+        for i, (xl_i, yl_i, xh_i, yh_i) in enumerate(boxes):
+            for j in range(i + 1, n):
+                xl_j, yl_j, xh_j, yh_j = boxes[j]
+                ow = min(xh_i, xh_j) - max(xl_i, xl_j)
+                if ow > 0:
+                    oh = min(yh_i, yh_j) - max(yl_i, yl_j)
+                    if oh > 0 and ow * oh > min_area:
+                        yield (ids[i], ids[j]), ow * oh
+
+    return containment, sizes, area_gap, area_ok, overlaps()
 
 
 def _as_fraction(value: Number, what: str) -> Fraction:
@@ -147,133 +157,91 @@ def _as_fraction(value: Number, what: str) -> Fraction:
     raise ValueError(f"{what}: expected a rational number, got {value!r}")
 
 
+def verify_layout(
+    inst: Instance, layout: Layout, tol: float = DEFAULT_TOL
+) -> VerificationReport:
+    """Check containment, pairwise interior-disjointness, side fidelity, and
+    total area against the box in floats, reporting every violation."""
+    containment, sizes, area_gap, area_ok, overlaps = _check(
+        inst, layout, tol, lambda v, _: float(v)
+    )
+    overlaps = tuple(overlaps)
+    return VerificationReport(
+        passed=not containment and not overlaps and not sizes and area_ok,
+        containment_violations=tuple(containment),
+        overlap_violations=overlaps,
+        size_violations=tuple(sizes),
+        area_gap=float(area_gap),
+        tol=tol,
+    )
+
+
 def verify_exact(inst: Instance, layout: Layout) -> bool:
-    """Zero-tolerance verification over exact rationals.
+    """verify_layout's checks at zero tolerance over exact rationals.
 
     All sides and coordinates must be ints, Fractions, or integer-valued
-    floats.  Boundary contact between rectangles is legal; any interior
-    overlap, overhang, side mismatch, or area gap fails.
+    floats; anything else raises ValueError, whatever else is wrong.
+    Boundary contact between rectangles is legal; any interior overlap,
+    overhang, side mismatch, or area gap fails.
     """
-    n = len(layout.placements)
-    if n != inst.n_rects:
-        raise ValueError(f"layout has {n} placements, instance has {inst.n_rects}")
-    a = _as_fraction(inst.box.width, "box width")
-    b = _as_fraction(inst.box.height, "box height")
-    corners = []
-    for i, p in enumerate(layout.placements, start=1):
-        corners.append(tuple(_as_fraction(v, f"placement {i}") for v in p.as_tuple()))
+    containment, sizes, _, area_ok, overlaps = _check(inst, layout, 0, _as_fraction)
+    return not containment and not sizes and area_ok and next(overlaps, None) is None
 
-    total = Fraction(0)
-    for i, (xl, yl, xh, yh) in enumerate(corners):
-        rect = inst.rects[i]
-        w = _as_fraction(rect.width, f"rect {rect.id} width")
-        h = _as_fraction(rect.height, f"rect {rect.id} height")
-        if xl < 0 or yl < 0 or xh > a or yh > b:
-            return False
-        dx = xh - xl
-        dy = yh - yl
-        if inst.rotation_allowed:
-            if dx + dy != w + h or dx * dy != w * h:
-                return False
-        else:
-            if dx != w or dy != h:
-                return False
-        total += dx * dy
-    if total != a * b:
-        return False
-    for i in range(n):
-        xl_i, yl_i, xh_i, yh_i = corners[i]
-        for j in range(i + 1, n):
-            xl_j, yl_j, xh_j, yh_j = corners[j]
-            ow = min(xh_i, xh_j) - max(xl_i, xl_j)
-            oh = min(yh_i, yh_j) - max(yl_i, yl_j)
-            if ow > 0 and oh > 0:
-                return False
-    return True
+
+def _snap_values(values: list[float], anchors: tuple[float, ...], eps: float) -> dict[float, float]:
+    """Map each value to its cluster's representative.  Sorted values chain
+    into one cluster while consecutive gaps are <= eps; a cluster with a
+    member within eps of an anchor maps to the first such anchor, any other
+    to its mean.  eps = 0 clusters equal values only."""
+    mapping: dict[float, float] = {}
+    ordered = sorted(set(values))
+    group: list[float] = []
+
+    def flush() -> None:
+        if not group:
+            return
+        rep = None
+        for anchor in anchors:
+            if any(abs(v - anchor) <= eps for v in group):
+                rep = anchor
+                break
+        if rep is None:
+            rep = sum(group) / len(group)
+        for v in group:
+            mapping[v] = rep
+        group.clear()
+
+    for v in ordered:
+        if group and v - group[-1] > eps:
+            flush()
+        group.append(v)
+    flush()
+    return mapping
 
 
 def corner_cancellation(layout: Layout, box: BoxSpec, tol: float = DEFAULT_TOL) -> bool:
-    """Signed corner test: cluster all placement corners that coincide within
-    tol*scale and check each cluster's net sign.
+    """Signed corner test: snap every corner coordinate within tol*scale
+    and check the net sign at each snapped point.
 
-    Interior and edge clusters must sum to 0; the clusters at the box corners
-    must net +1 at (0,0), -1 at (A,0), -1 at (0,B), +1 at (A,B).
+    Interior and edge points must sum to 0; the box corners must net +1 at
+    (0,0), -1 at (A,0), -1 at (0,B), +1 at (A,B).
     """
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     a = float(box.width)
     b = float(box.height)
-    scale = max(a, b)
-    eps = tol * scale
-    points: list[tuple[float, float, int]] = []
-    for p in layout.placements:
-        xl, yl, xh, yh = (float(v) for v in p.as_tuple())
-        points.extend(
-            [(xl, yl, +1), (xh, yh, +1), (xl, yh, -1), (xh, yl, -1)]
-        )
-
-    # Union-find over points bucketed on a grid of cell size eps; points in
-    # the same or adjacent cells within L-inf distance eps get merged.
-    parent = list(range(len(points)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    if eps > 0:
-        cells: dict[tuple[int, int], list[int]] = {}
-        for idx, (x, y, _) in enumerate(points):
-            cells.setdefault((int(x // eps), int(y // eps)), []).append(idx)
-        for (cx, cy), members in cells.items():
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    other = cells.get((cx + ox, cy + oy))
-                    if other is None:
-                        continue
-                    for i in members:
-                        xi, yi, _ = points[i]
-                        for j in other:
-                            if j <= i:
-                                continue
-                            xj, yj, _ = points[j]
-                            if abs(xi - xj) <= eps and abs(yi - yj) <= eps:
-                                union(i, j)
-    else:
-        seen: dict[tuple[float, float], int] = {}
-        for idx, (x, y, _) in enumerate(points):
-            key = (x, y)
-            if key in seen:
-                union(seen[key], idx)
-            else:
-                seen[key] = idx
-
-    sums: dict[int, int] = {}
-    reps: dict[int, tuple[float, float]] = {}
-    for idx, (x, y, sign) in enumerate(points):
-        root = find(idx)
-        sums[root] = sums.get(root, 0) + sign
-        reps.setdefault(root, (x, y))
+    eps = tol * max(a, b)
+    corners = [tuple(float(v) for v in p.as_tuple()) for p in layout.placements]
+    x_map = _snap_values([v for c in corners for v in (c[0], c[2])], (0.0, a), eps)
+    y_map = _snap_values([v for c in corners for v in (c[1], c[3])], (0.0, b), eps)
 
     expected = {(0.0, 0.0): 1, (a, 0.0): -1, (0.0, b): -1, (a, b): 1}
-    matched: set[tuple[float, float]] = set()
-    for root, total in sums.items():
-        rx, ry = reps[root]
-        target = 0
-        for (ex, ey), want in expected.items():
-            if abs(rx - ex) <= eps and abs(ry - ey) <= eps:
-                target = want
-                matched.add((ex, ey))
-                break
-        if total != target:
-            return False
-    return len(matched) == len(expected)
+    sums = dict.fromkeys(expected, 0)  # a missing box corner nets 0
+    for xl, yl, xh, yh in corners:
+        xl, xh, yl, yh = x_map[xl], x_map[xh], y_map[yl], y_map[yh]
+        for point, sign in (((xl, yl), 1), ((xh, yh), 1), ((xl, yh), -1), ((xh, yl), -1)):
+            sums[point] = sums.get(point, 0) + sign
+    return all(total == expected.get(point, 0) for point, total in sums.items())
 
 
 def moment_residual_of_layout(
@@ -290,4 +258,4 @@ def moment_residual_of_layout(
     mode = mo.ROTATABLE if inst.rotation_allowed else mo.FIXED
     sys = mo.build_system(inst, max_order, mode)
     vars = mo.layout_to_vars(sys, layout)
-    return mo.residual(sys, vars).max_abs
+    return float(np.max(np.abs(mo.residual(sys, vars))))

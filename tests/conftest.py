@@ -44,7 +44,7 @@ def fd_jacobian(sys: mo.MomentSystem, x: np.ndarray, step: float = 1e-6) -> np.n
         hi[j] += step
         lo[j] -= step
         jac[:, j] = (
-            mo.residual(sys, hi).stacked - mo.residual(sys, lo).stacked
+            mo.residual(sys, hi) - mo.residual(sys, lo)
         ) / (2 * step)
     return jac
 

@@ -207,6 +207,19 @@ def test_verify_exact_mode(capsys, tmp_path):
     assert json.loads(out) == {"pass": True, "mode": "exact"}
 
 
+def test_verify_exact_non_rational_input_exits_two(capsys, tmp_path):
+    # Rect 1 already fails its sides; the non-rational side of rect 2 is
+    # still an input error, not a failing layout.
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text('{"box": [2, 1], "rects": [[1, 1], [0.5, 2]], "rotation": false}\n')
+    lay_path = tmp_path / "layout.json"
+    lay_path.write_text('{"placements": [[0, 0, 2, 1], [1, 0, 2, 1]]}\n')
+    code, out, err = run_cli(capsys, "verify", "--exact", str(inst_path), str(lay_path))
+    assert code == 2
+    assert out == ""
+    assert "non-rational" in err
+
+
 # -- identities ---------------------------------------------------------------
 
 

@@ -3,9 +3,12 @@ corner-sign cancellation, and the bridge back to moment residuals."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpack import (
     BoxSpec,
@@ -13,7 +16,10 @@ from momentpack import (
     Layout,
     Placement,
     corner_cancellation,
+    enumerate_small_family,
+    gen_guillotine,
     moment_residual_of_layout,
+    oracle_feasible,
     verify_exact,
     verify_layout,
 )
@@ -129,6 +135,15 @@ def test_verify_exact_rejects_non_rational_floats():
         verify_exact(inst, Layout((Placement(0, 0, 0.5, 1),)))
 
 
+def test_verify_exact_checks_every_number_before_any_check():
+    # Rect 1 is placed 2 x 1 against its 1 x 1 sides, so it fails first;
+    # rect 2's non-rational side must still raise, not read as a failure.
+    inst = Instance.from_sides([(1, 1), (0.5, 2)], BoxSpec(2, 1), False)
+    layout = Layout((Placement(0, 0, 2, 1), Placement(1, 0, 2, 1)))
+    with pytest.raises(ValueError, match="rect 2 width: non-rational"):
+        verify_exact(inst, layout)
+
+
 def test_verify_exact_accepts_integer_valued_floats():
     inst, layout = two_dominoes()
     as_floats = Layout(
@@ -168,6 +183,62 @@ def test_verify_exact_squared_rectangle(squared32):
     assert not verify_exact(inst, Layout(tuple(moved)))
 
 
+def integer_layouts():
+    """Oracle witnesses of the small family, and gen_guillotine dissections
+    of a 40 x 30 box rounded to integers (cuts shared by neighbours round
+    alike, so the result still tiles)."""
+    out = []
+    for inst in enumerate_small_family(3, 3):
+        feasible, witness = oracle_feasible(inst)
+        if feasible:
+            out.append((inst, witness))
+    box = BoxSpec(40, 30)
+    for seed in range(12):
+        _, floats = gen_guillotine(seed, 2 + seed, box)
+        placements = tuple(
+            Placement(*(round(v) for v in p.as_tuple())) for p in floats.placements
+        )
+        if all(p.dx > 0 and p.dy > 0 for p in placements):
+            sides = [(p.dx, p.dy) for p in placements]
+            out.append((Instance.from_sides(sides, box, seed % 2 == 0), Layout(placements)))
+    return out
+
+
+INTEGER_LAYOUTS = integer_layouts()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pick=st.integers(0, len(INTEGER_LAYOUTS) - 1),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["shift_x", "shift_y", "swap", "duplicate"]),
+            st.integers(0, 10**6),
+            st.sampled_from([-1, 1]),
+        ),
+        max_size=2,
+    ),
+)
+def test_verify_exact_is_verify_layout_at_zero_tol(pick, edits):
+    # On integer layouts floats are exact, so the float checks at tol 0 and
+    # the rational checks must agree on every edited layout.
+    inst, layout = INTEGER_LAYOUTS[pick]
+    placements = list(layout.placements)
+    for kind, index, sign in edits:
+        i = index % len(placements)
+        p = placements[i]
+        if kind == "shift_x":
+            placements[i] = Placement(p.x_lo + sign, p.y_lo, p.x_hi + sign, p.y_hi)
+        elif kind == "shift_y":
+            placements[i] = Placement(p.x_lo, p.y_lo + sign, p.x_hi, p.y_hi + sign)
+        elif kind == "swap":
+            placements[i] = Placement(p.x_lo, p.y_lo, p.x_lo + p.dy, p.y_lo + p.dx)
+        else:
+            placements[i] = placements[(i + 1) % len(placements)]
+    edited = Layout(tuple(placements))
+    assert verify_exact(inst, edited) == verify_layout(inst, edited, tol=0).passed
+
+
 # -- Corner cancellation ------------------------------------------------------
 
 
@@ -181,15 +252,30 @@ def test_corner_cancellation_exact_mode(squared32):
     assert corner_cancellation(layout, inst.box, tol=0.0)
 
 
-def test_corner_cancellation_survives_jitter(small_corpus):
-    inst, layout = small_corpus[2]
-    jittered = Layout(
-        tuple(
-            Placement(*(float(v) + 1e-12 * ((i * 7 + j) % 3 - 1) for j, v in enumerate(p.as_tuple())))
-            for i, p in enumerate(layout.placements)
-        )
-    )
-    assert corner_cancellation(jittered, inst.box)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    cuts=st.integers(0, 30),
+    jitter_seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-9, 1e-7, 1e-5]),
+)
+def test_corner_cancellation_survives_jitter(seed, cuts, jitter_seed, tol):
+    # Every coordinate moves by up to 0.2 * tol * scale, so copies of one
+    # coordinate stay within 0.4 * tol * scale of each other.
+    box = BoxSpec(10.0, 7.0)
+    _, layout = gen_guillotine(seed, cuts, box)
+    rng = random.Random(jitter_seed)
+    reach = 0.2 * tol * 10.0
+
+    def moved(v):
+        return float(v) + rng.uniform(-reach, reach)
+
+    jittered = []
+    for p in layout.placements:
+        xs = sorted((moved(p.x_lo), moved(p.x_hi)))
+        ys = sorted((moved(p.y_lo), moved(p.y_hi)))
+        jittered.append(Placement(xs[0], ys[0], xs[1], ys[1]))
+    assert corner_cancellation(Layout(tuple(jittered)), box, tol=tol)
 
 
 def test_corner_cancellation_detects_shifted_rect():
