@@ -9,10 +9,10 @@ territory.
 
 solve_multistart layers deterministic restarts on top and treats geometric
 verification, not the residual, as the definition of success: every
-converged candidate is polished, optionally snapped (coincident corner
-coordinates merged to a common value), and handed to verify_layout; the
-first verified start wins.  Reports are bitwise deterministic for a fixed
-(instance, config, max_order, mode).
+converged candidate is polished and handed to verify_layout; only when it
+fails is it snapped (coincident corner coordinates merged to a common
+value) and verified again.  The first verified start wins.  Reports are
+bitwise deterministic for a fixed (instance, config, max_order, mode).
 
 Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
 share one batched Jacobian and one stacked linear solve per damping
@@ -408,17 +408,21 @@ def solve_multistart(
             raw = mo.vars_to_layout(sys, x[j])
             if converged[j]:
                 any_converged = True
-                for cand in (raw, snap_layout(inst, raw, eps=snap_eps)):
-                    if verify_layout(inst, cand, tol=cfg.verify_tol).passed:
-                        final_r = _residual_inf(sys, mo.layout_to_vars(sys, cand))
-                        return SolveReport(
-                            status="converged_verified",
-                            best_layout=cand,
-                            final_residual_inf=final_r,
-                            iterations_total=iterations,
-                            start_index=k,
-                            wall_time_s=time.perf_counter() - t0,
-                        )
+                cand = raw
+                passed = verify_layout(inst, cand, tol=cfg.verify_tol).passed
+                if not passed:
+                    cand = snap_layout(inst, raw, eps=snap_eps)
+                    passed = verify_layout(inst, cand, tol=cfg.verify_tol).passed
+                if passed:
+                    final_r = _residual_inf(sys, mo.layout_to_vars(sys, cand))
+                    return SolveReport(
+                        status="converged_verified",
+                        best_layout=cand,
+                        final_residual_inf=final_r,
+                        iterations_total=iterations,
+                        start_index=k,
+                        wall_time_s=time.perf_counter() - t0,
+                    )
             if r_inf[j] < best_r:
                 best_r, best_idx, best_layout = float(r_inf[j]), k, raw
     return SolveReport(

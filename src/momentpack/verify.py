@@ -3,13 +3,22 @@
 One check core, _check, answers "does this layout pack the box perfectly"
 at a tolerance tol (relative to scale = max(A, B)) over some number type:
 containment, side fidelity and total area per rectangle, then the
-interior-disjointness of every pair, produced lazily.
+interior-disjointness of every pair, produced lazily by a sort and sweep
+on x (Bentley & Wood 1980): placements are taken in x_lo order, and each
+is tested only against the later ones whose x_lo lies below its x_hi, since
+no other pair can overlap in x.  A tiling by n full-width strips still
+tests all n(n-1)/2 pairs; guillotine-like layouts test a few per rectangle.
 
-* verify_layout: the core over floats; reports every violation it finds.
-* verify_exact: the same checks at tol 0 over fractions.Fraction, stopping
+* verify_layout: the core over floats; reports every violation it finds,
+  overlap rows ordered by placement position as (i, j), i < j.
+* verify_exact: the same checks at tol 0 over exact rationals, stopping
   at the first failure.  At tol 0 every float test becomes the exact one:
   overhang > 0, side mismatch != 0, overlap area > 0, area gap = 0, so
-  boundary contact is legal and interior overlap is not.
+  boundary contact is legal and interior overlap is not.  These tests are
+  invariant under a positive scale, so every number is converted to a
+  Fraction first and the checks then run over Python ints on the common
+  grid (the lcm of all denominators); areas are summed in Python ints,
+  which never overflow.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
   other two corners.  Every x and every y is snapped with _snap_values
@@ -29,6 +38,7 @@ normalized residual of the truncated moment system evaluated at the layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -74,22 +84,10 @@ class VerificationReport:
         }
 
 
-def _check(inst: Instance, layout: Layout, tol: float, num: Callable[[Number, str], object]):
-    """Run the checks shared by verify_layout and verify_exact.
-
-    Every number is converted with num before any check, so malformed input
-    raises the same error whatever else is wrong.  Returns (containment,
-    sizes, area_gap, area_ok, overlaps): the violation rows of the O(n)
-    checks, the total area minus the box area and whether it is within
-    tol, and a lazy iterator of ((id_i, id_j), area) overlap rows.
-
-    Side fidelity uses the symmetric functions |dx+dy - (w+h)| and
-    |dx*dy - w*h| (admitting the w/h swap) when the instance allows rotation,
-    and direct |dx - w|, |dy - h| comparison when it does not; the size rows
-    carry the two symmetric residuals either way.
-    """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+def _numbers(inst: Instance, layout: Layout, num: Callable[[Number, str], object]):
+    """Every number the checks read, converted with num in one fixed order
+    (box, placements, rect sides), so malformed input raises the same error
+    whatever else is wrong.  Returns (a, b, boxes, sides)."""
     n = len(layout.placements)
     if n != inst.n_rects:
         raise ValueError(f"layout has {n} placements, instance has {inst.n_rects}")
@@ -103,17 +101,41 @@ def _check(inst: Instance, layout: Layout, tol: float, num: Callable[[Number, st
         (num(r.width, f"rect {r.id} width"), num(r.height, f"rect {r.id} height"))
         for r in inst.rects
     ]
-    ids = [r.id for r in inst.rects]
+    return a, b, boxes, sides
+
+
+def _check(
+    inst: Instance,
+    a,
+    b,
+    boxes: list,
+    sides: list,
+    tol: float,
+    total: Callable[[list], object],
+):
+    """Run the checks shared by verify_layout and verify_exact on converted
+    numbers (see _numbers); total sums the rectangle areas.
+
+    Returns (containment, sizes, area_gap, area_ok, overlaps): the violation
+    rows of the O(n) checks, the total area minus the box area and whether
+    it is within tol, and a lazy iterator of ((i, j), area) overlap rows
+    over placement positions i < j, in sweep order.
+
+    Side fidelity uses the symmetric functions |dx+dy - (w+h)| and
+    |dx*dy - w*h| (admitting the w/h swap) when the instance allows rotation,
+    and direct |dx - w|, |dy - h| comparison when it does not; the size rows
+    carry the two symmetric residuals either way.
+    """
     scale = max(a, b)
     eps = tol * scale
 
     containment = []
     sizes = []
     areas = []
-    for rid, (xl, yl, xh, yh), (w, h) in zip(ids, boxes, sides):
+    for r, (xl, yl, xh, yh), (w, h) in zip(inst.rects, boxes, sides):
         overhang = max(-xl, xh - a, -yl, yh - b, 0)
         if overhang > eps:
-            containment.append((rid, overhang))
+            containment.append((r.id, overhang))
         dx = xh - xl
         dy = yh - yl
         e_sum = abs(dx + dy - (w + h))
@@ -123,22 +145,28 @@ def _check(inst: Instance, layout: Layout, tol: float, num: Callable[[Number, st
         else:
             bad = abs(dx - w) > eps or abs(dy - h) > eps
         if bad:
-            sizes.append((rid, e_sum, e_prod))
+            sizes.append((r.id, e_sum, e_prod))
         areas.append(dx * dy)
-    # np.sum: pairwise over floats, exact over Fractions
-    area_gap = np.sum(areas) - a * b
+    area_gap = total(areas) - a * b
     area_ok = bool(abs(area_gap) <= tol * a * b)
 
     def overlaps():
+        # Sort and sweep on x: once x_lo_j >= x_hi_i, ow <= 0 for j and for
+        # every later j in x_lo order, so the scan from i stops there.
         min_area = eps**2
-        for i, (xl_i, yl_i, xh_i, yh_i) in enumerate(boxes):
-            for j in range(i + 1, n):
+        order = sorted(range(len(boxes)), key=lambda k: boxes[k][0])
+        for s, i in enumerate(order):
+            xl_i, yl_i, xh_i, yh_i = boxes[i]
+            for t in range(s + 1, len(order)):
+                j = order[t]
                 xl_j, yl_j, xh_j, yh_j = boxes[j]
+                if xl_j >= xh_i:
+                    break
                 ow = min(xh_i, xh_j) - max(xl_i, xl_j)
                 if ow > 0:
                     oh = min(yh_i, yh_j) - max(yl_i, yl_j)
                     if oh > 0 and ow * oh > min_area:
-                        yield (ids[i], ids[j]), ow * oh
+                        yield (min(i, j), max(i, j)), ow * oh
 
     return containment, sizes, area_gap, area_ok, overlaps()
 
@@ -162,10 +190,13 @@ def verify_layout(
 ) -> VerificationReport:
     """Check containment, pairwise interior-disjointness, side fidelity, and
     total area against the box in floats, reporting every violation."""
-    containment, sizes, area_gap, area_ok, overlaps = _check(
-        inst, layout, tol, lambda v, _: float(v)
-    )
-    overlaps = tuple(overlaps)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    numbers = _numbers(inst, layout, lambda v, _: float(v))
+    # np.sum sums floats pairwise, so area_gap keeps its bits
+    containment, sizes, area_gap, area_ok, overlaps = _check(inst, *numbers, tol, np.sum)
+    rects = inst.rects
+    overlaps = tuple(((rects[i].id, rects[j].id), area) for (i, j), area in sorted(overlaps))
     return VerificationReport(
         passed=not containment and not overlaps and not sizes and area_ok,
         containment_violations=tuple(containment),
@@ -184,7 +215,17 @@ def verify_exact(inst: Instance, layout: Layout) -> bool:
     Boundary contact between rectangles is legal; any interior overlap,
     overhang, side mismatch, or area gap fails.
     """
-    containment, sizes, _, area_ok, overlaps = _check(inst, layout, 0, _as_fraction)
+    a, b, boxes, sides = _numbers(inst, layout, _as_fraction)
+    # Every tol-0 test is invariant under a positive scale, so run them over
+    # Python ints on the common grid of all denominators.
+    grid = math.lcm(*(v.denominator for row in [(a, b), *boxes, *sides] for v in row))
+
+    def on_grid(row):
+        return tuple(v.numerator * (grid // v.denominator) for v in row)
+
+    containment, sizes, _, area_ok, overlaps = _check(
+        inst, *on_grid((a, b)), list(map(on_grid, boxes)), list(map(on_grid, sides)), 0, sum
+    )
     return not containment and not sizes and area_ok and next(overlaps, None) is None
 
 

@@ -154,6 +154,19 @@ def test_multistart_respects_seed_determinism():
     assert da == db
 
 
+def test_multistart_snaps_only_layouts_that_fail_as_solved(monkeypatch):
+    snapped = []
+
+    def counting_snap(inst, layout, eps=None):
+        snapped.append(layout)
+        return snap_layout(inst, layout, eps=eps)
+
+    monkeypatch.setattr(solver, "snap_layout", counting_snap)
+    report = solve_multistart(dominoes(), SolveConfig(restarts=32))
+    assert report.status == "converged_verified"
+    assert all(not verify_layout(dominoes(), raw).passed for raw in snapped)
+
+
 def test_multistart_area_fast_reject():
     inst = Instance.from_sides([(1, 1)], BoxSpec(2, 2))
     report = solve_multistart(inst, SolveConfig(restarts=8))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from momentpack import (
     verify_exact,
     verify_layout,
 )
+from momentpack.verify import DEFAULT_TOL, VerificationReport
 
 
 def two_dominoes():
@@ -237,6 +239,139 @@ def test_verify_exact_is_verify_layout_at_zero_tol(pick, edits):
             placements[i] = placements[(i + 1) % len(placements)]
     edited = Layout(tuple(placements))
     assert verify_exact(inst, edited) == verify_layout(inst, edited, tol=0).passed
+
+
+def test_verify_exact_sums_areas_past_int64():
+    # Two 2**31 squares fill a 2**32 x 2**31 box; their areas sum to 2**63,
+    # one past the int64 range.
+    s = 2**31
+    inst = Instance.from_sides([(s, s), (s, s)], BoxSpec(2 * s, s))
+    layout = Layout((Placement(0, 0, s, s), Placement(s, 0, 2 * s, s)))
+    assert verify_exact(inst, layout) is True
+
+
+@pytest.mark.parametrize("move", [None, "corner", "translate"])
+def test_verify_exact_on_a_fine_rational_grid(move):
+    # Denominators 3 * 2**40 and 3**30: the box holds about 5e52 cells of
+    # their common grid, far past int64.  Moving one corner by one cell
+    # breaks the side; moving the whole rectangle makes a one-cell overlap.
+    p = Fraction(1, 3) + Fraction(1, 2**40)
+    q = Fraction(1, 3**30)
+    cell = Fraction(1, 3**30 * 2**40)
+    sides = [(p, 1), (1 - p, q), (1 - p, 1 - q)]
+    left = {
+        None: Placement(0, 0, p, 1),
+        "corner": Placement(0, 0, p + cell, 1),
+        "translate": Placement(cell, 0, p + cell, 1),
+    }[move]
+    inst = Instance.from_sides(sides, BoxSpec(1, 1), False)
+    layout = Layout((left, Placement(p, 0, 1, q), Placement(p, q, 1, 1)))
+    assert verify_exact(inst, layout) is (move is None)
+
+
+def all_pairs_check(inst, layout, tol, num, total):
+    """The verifier's checks with the overlap test run on every pair i < j:
+    the reference the swept core must match row for row and bit for bit."""
+    a, b = num(inst.box.width), num(inst.box.height)
+    boxes = [tuple(num(v) for v in p.as_tuple()) for p in layout.placements]
+    scale = max(a, b)
+    eps = tol * scale
+    containment, sizes, areas = [], [], []
+    for r, (xl, yl, xh, yh) in zip(inst.rects, boxes):
+        w, h = num(r.width), num(r.height)
+        overhang = max(-xl, xh - a, -yl, yh - b, 0)
+        if overhang > eps:
+            containment.append((r.id, overhang))
+        dx, dy = xh - xl, yh - yl
+        e_sum = abs(dx + dy - (w + h))
+        e_prod = abs(dx * dy - w * h)
+        if inst.rotation_allowed:
+            bad = e_sum > eps or e_prod > eps * scale
+        else:
+            bad = abs(dx - w) > eps or abs(dy - h) > eps
+        if bad:
+            sizes.append((r.id, e_sum, e_prod))
+        areas.append(dx * dy)
+    overlaps = []
+    for i, (xl_i, yl_i, xh_i, yh_i) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            xl_j, yl_j, xh_j, yh_j = boxes[j]
+            ow = min(xh_i, xh_j) - max(xl_i, xl_j)
+            if ow > 0:
+                oh = min(yh_i, yh_j) - max(yl_i, yl_j)
+                if oh > 0 and ow * oh > eps**2:
+                    overlaps.append(((i + 1, j + 1), ow * oh))
+    area_gap = total(areas) - a * b
+    return VerificationReport(
+        passed=not containment and not overlaps and not sizes and abs(area_gap) <= tol * a * b,
+        containment_violations=tuple(containment),
+        overlap_violations=tuple(overlaps),
+        size_violations=tuple(sizes),
+        area_gap=float(area_gap),
+        tol=tol,
+    )
+
+
+@st.composite
+def sweep_layouts(draw):
+    """Rational layouts in a small box: an optional tiling by full-width
+    strips (every x_lo ties, the sweep's worst case), plus extra placements
+    on a grid of sixths (inexact in floats): boxes, full-width strips,
+    zero-width ones, duplicates, copies nudged by a multiple of 1e-4, 1e-9
+    or 1e-12, and right neighbours that touch an earlier placement or
+    overlap it by such a nudge."""
+    a, b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    xs = st.integers(-1, 6 * a + 1).map(lambda k: Fraction(k, 6))
+    ys = st.integers(-1, 6 * b + 1).map(lambda k: Fraction(k, 6))
+    nudges = st.builds(
+        lambda k, e: Fraction(k, 10**e), st.integers(-9, 9), st.sampled_from([4, 9, 12])
+    )
+    placements = []
+    if draw(st.booleans()):
+        cuts = draw(st.lists(st.integers(1, 6 * b - 1), unique=True, max_size=12))
+        levels = [0, *sorted(Fraction(c, 6) for c in cuts), b]
+        strips = [Placement(0, lo, a, hi) for lo, hi in zip(levels, levels[1:])]
+        placements = draw(st.permutations(strips))
+    for _ in range(draw(st.integers(0 if placements else 1, 10))):
+        kinds = ["box", "strip", "zero_width"]
+        if placements:
+            kinds += ["duplicate", "nudge", "neighbour"]
+        kind = draw(st.sampled_from(kinds))
+        y0, y1 = sorted((draw(ys), draw(ys)))
+        if kind == "box":
+            x0, x1 = sorted((draw(xs), draw(xs)))
+        elif kind == "strip":
+            x0, x1 = 0, a
+        elif kind == "zero_width":
+            x0 = x1 = draw(xs)
+        else:
+            p = placements[draw(st.integers(0, len(placements) - 1))]
+            x0, y0, x1, y1 = p.as_tuple()
+            d = draw(nudges) if kind == "nudge" else 0
+            if kind == "neighbour":
+                x0 = p.x_hi - draw(st.just(0) | nudges.map(abs))
+                x1 = x0 + Fraction(draw(st.integers(0, 6 * a)), 6)
+            elif draw(st.booleans()):
+                x0, x1 = x0 + d, x1 + d
+            else:
+                y0, y1 = y0 + d, y1 + d
+        placements.insert(draw(st.integers(0, len(placements))), Placement(x0, y0, x1, y1))
+    sides = []
+    for p in placements:
+        w, h = p.dx or Fraction(1, 4), p.dy or Fraction(1, 4)
+        sides.append((h, w) if draw(st.booleans()) else (w, h))
+    inst = Instance.from_sides(sides, BoxSpec(a, b), draw(st.booleans()))
+    return inst, Layout(tuple(placements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sweep_layouts())
+def test_swept_checks_match_all_pairs_reference(case):
+    inst, layout = case
+    for tol in (0, DEFAULT_TOL, 1e-4):
+        expected = all_pairs_check(inst, layout, tol, float, np.sum)
+        assert verify_layout(inst, layout, tol=tol) == expected
+    assert verify_exact(inst, layout) == all_pairs_check(inst, layout, 0, Fraction, sum).passed
 
 
 # -- Corner cancellation ------------------------------------------------------
