@@ -12,18 +12,22 @@ normalized coordinates (divided by scale = max(A, B)) so high-order moments
 stay well conditioned; each equation is additionally divided by the box's own
 moment A^s1 * B^s2, making every row O(1).
 
-Two variable conventions:
+One variable model: build_system sets, per rectangle, which corners are
+unknowns.  An upright rectangle has two, (x_lo, y_lo); its upper corners
+are x_lo + w and y_lo + h.  A free one has four, (x_lo, y_lo, x_hi, y_hi),
+and two side rows
 
-* fixed_orientation: two variables per rectangle, (x_lo, y_lo); the upper
-  corners are reconstructed from the given sides (x_hi = x_lo + w).
-* rotatable: four variables per rectangle, (x_lo, y_lo, x_hi, y_hi), plus two
-  constraint rows per rectangle,
+    c1 = (dx + dy - w - h) / scale
+    c2 = (dx*dy - w*h) / scale^2
 
-      c1 = (dx + dy - w - h) / scale
-      c2 = (dx*dy - w*h) / scale^2
-
-  whose joint zero forces {dx, dy} = {w, h}, i.e. the placed sides match the
-  given ones up to a 90-degree rotation.
+whose joint zero forces {dx, dy} = {w, h}: the placed sides match the
+given ones up to a 90-degree rotation.  fixed_orientation keeps every
+rectangle upright; rotatable frees all but squares, since turning a square
+changes nothing and for w = h the side rows share a double root at
+dx = dy, where Newton steps reach only square-root accuracy.  Unknowns,
+corner tables and side rows list the upright rectangles first, then the
+free ones, so kernels read each group through a view.  The truncation
+default comes from the unknown count.
 
 Powers are computed by iterative multiplication (never a transcendental pow)
 so results are reproducible bit for bit.
@@ -47,6 +51,7 @@ from .instances import Instance, Layout, Placement
 FIXED = "fixed_orientation"
 ROTATABLE = "rotatable"
 _MODES = (FIXED, ROTATABLE)
+_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])  # d(corner^a) signs of x_lo, y_lo, x_hi, y_hi
 
 __all__ = [
     "FIXED",
@@ -59,16 +64,16 @@ __all__ = [
     "power_table",
     "batch_residual",
     "batch_jacobian",
+    "corners_to_vars",
     "layout_to_vars",
     "vars_to_layout",
 ]
 
 
-def default_max_order(n_rects: int, mode: str) -> int:
+def default_max_order(var_count: int) -> int:
     """Truncation default: max(3, ceil(sqrt(var_count)) + 1), which keeps the
     equation count (max_order^2) at or above the unknown count."""
-    var_count = (2 if mode == FIXED else 4) * n_rects
-    return max(3, math.isqrt(max(var_count - 1, 0)) + 2) if var_count else 3
+    return max(3, math.isqrt(max(var_count - 1, 0)) + 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +86,15 @@ class MomentSystem:
     scale: float
     var_count: int
     constraint_count: int
-    widths: np.ndarray  # normalized given sides
+    widths: np.ndarray  # normalized given sides, instance order
     heights: np.ndarray
     box_w: float  # normalized box sides
     box_h: float
     denom: np.ndarray  # (max_order, max_order) box moments A^s1 * B^s2
+    free: np.ndarray  # (n,) bool, instance order: four unknowns and a side-row pair
+    order: np.ndarray  # (n,) instance indices, upright first: the rectangle order of the model
+    n_upright: int
+    sides: np.ndarray  # (n, 2) normalized (w, h) in model order
 
     @property
     def n_rects(self) -> int:
@@ -103,9 +112,11 @@ def build_system(
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     if mode == ROTATABLE and not inst.rotation_allowed:
         raise ValueError("rotatable mode requires an instance with rotation allowed")
-    n = inst.n_rects
+    free = np.array([mode == ROTATABLE and r.width != r.height for r in inst.rects], dtype=bool)
+    n_free = int(np.count_nonzero(free))
+    var_count = 2 * inst.n_rects + 2 * n_free
     if max_order is None:
-        max_order = default_max_order(n, mode)
+        max_order = default_max_order(var_count)
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     scale = float(max(inst.box.width, inst.box.height))
@@ -113,32 +124,26 @@ def build_system(
     heights = np.array([float(r.height) for r in inst.rects]) / scale
     box_w = float(inst.box.width) / scale
     box_h = float(inst.box.height) / scale
-    pow_a = _scalar_powers(box_w, max_order)
-    pow_b = _scalar_powers(box_h, max_order)
-    denom = np.outer(pow_a[1:], pow_b[1:])
-    var_count = (2 if mode == FIXED else 4) * n
-    constraint_count = 0 if mode == FIXED else 2 * n
+    pow_a, pow_b = (np.multiply.accumulate(np.full(max_order, v)) for v in (box_w, box_h))
+    denom = np.outer(pow_a, pow_b)
+    order = np.concatenate([np.flatnonzero(~free), np.flatnonzero(free)])
     return MomentSystem(
         instance=inst,
         max_order=max_order,
         mode=mode,
         scale=scale,
         var_count=var_count,
-        constraint_count=constraint_count,
+        constraint_count=2 * n_free,
         widths=widths,
         heights=heights,
         box_w=box_w,
         box_h=box_h,
         denom=denom,
+        free=free,
+        order=order,
+        n_upright=inst.n_rects - n_free,
+        sides=np.stack([widths, heights], axis=1)[order],
     )
-
-
-def _scalar_powers(value: float, max_order: int) -> np.ndarray:
-    out = np.empty(max_order + 1)
-    out[0] = 1.0
-    for s in range(1, max_order + 1):
-        out[s] = out[s - 1] * value
-    return out
 
 
 def _check_vars(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
@@ -153,16 +158,18 @@ def _check_vars(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
 
 
 def _corners(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
-    """(K, 4n) corners of each row of a (K, var_count) variable array, laid
-    out like the rotatable variables: x_lo, y_lo, x_hi, y_hi per rectangle.
-    Fixed mode reconstructs the upper corners from the given sides."""
-    if sys.mode == ROTATABLE:
+    """(K, 4n) corners of each row of a (K, var_count) variable array:
+    x_lo, y_lo, x_hi, y_hi per rectangle in model order.  An upright
+    rectangle's upper corners are its lower ones plus its sides; with no
+    upright rectangle the unknowns are the corners."""
+    k, n, u = len(vars), sys.n_rects, sys.n_upright
+    if not u:
         return vars
-    corners = np.empty((len(vars), sys.n_rects, 4))
-    corners[..., :2] = vars.reshape(len(vars), sys.n_rects, 2)
-    corners[..., 2] = corners[..., 0] + sys.widths
-    corners[..., 3] = corners[..., 1] + sys.heights
-    return corners.reshape(len(vars), 4 * sys.n_rects)
+    corners = np.empty((k, n, 4))
+    corners[:, u:] = vars[:, 2 * u :].reshape(k, n - u, 4)
+    corners[:, :u, :2] = vars[:, : 2 * u].reshape(k, u, 2)
+    corners[:, :u, 2:] = corners[:, :u, :2] + sys.sides[:u]
+    return corners.reshape(k, 4 * n)
 
 
 def power_table(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
@@ -181,19 +188,29 @@ def power_table(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
 
 def batch_residual(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
     """(K, equation_count) stacked residuals, one row per point of the
-    table: moment rows, then in rotatable mode the (c1, c2) pair of each
-    rectangle."""
-    k = len(table)
+    table: moment rows, then the (c1, c2) pair of each free rectangle."""
+    k, u = len(table), sys.n_upright
     # Contiguous extents, so the moment product is one BLAS matmul per row.
     px = table[:, 1:, 2::4] - table[:, 1:, 0::4]
     qy = table[:, 1:, 3::4] - table[:, 1:, 1::4]
     moments = ((px @ qy.transpose(0, 2, 1)) / sys.denom - 1.0).reshape(k, -1)
-    if sys.mode == FIXED:
+    if not sys.constraint_count:
         return moments
-    dx, dy = px[:, 0], qy[:, 0]
-    c1 = dx + dy - (sys.widths + sys.heights)
-    c2 = dx * dy - sys.widths * sys.heights
-    return np.concatenate([moments, np.stack([c1, c2], axis=2).reshape(k, -1)], axis=1)
+    dx, dy, w, h = px[:, 0, u:], qy[:, 0, u:], sys.sides[u:, 0], sys.sides[u:, 1]
+    sides = np.stack([dx + dy - (w + h), dx * dy - w * h], axis=2)  # c1, c2
+    return np.concatenate([moments, sides.reshape(k, -1)], axis=1)
+
+
+def _moment_columns(deriv: np.ndarray, extents: np.ndarray, out: np.ndarray) -> None:
+    """Write d(moment row (a, b)) by one group's unknowns, x and y
+    alternating, into out (K, m, m, columns): (dX_a, Y_b) for an x unknown,
+    (X_a, dY_b) for a y one.  deriv holds dX_a or dY_b, extents X_a, Y_b."""
+    k, m = deriv.shape[:2]
+    first = deriv.copy()
+    first[..., 1::2] = extents[..., 0:1]
+    second = deriv
+    second[..., 0::2] = extents[..., 1:2]
+    np.multiply(first.reshape(k, m, 1, -1), second.reshape(k, 1, m, -1), out=out)
 
 
 def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
@@ -201,52 +218,41 @@ def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
     the table, rows in residual order.
 
     Moment row (a, b) is sum_n X_a,n * Y_b,n, with X_a,n = x_hi^a - x_lo^a
-    and Y_b,n = y_hi^b - y_lo^b.  Its derivative by a variable of rectangle
-    n is first_a * second_b: (dX_a, Y_b) for an x variable and (X_a, dY_b)
-    for a y variable.
+    and Y_b,n = y_hi^b - y_lo^b.  Moving an upright rectangle moves both
+    of its x corners, so dX_a = a * X_(a-1); a free corner moves alone, so
+    dX_a = a * x_hi^(a-1) or -a * x_lo^(a-1).  Likewise for y.
     """
     k = len(table)
     m = sys.max_order
-    n = sys.n_rects
+    n, u = sys.n_rects, sys.n_upright
     orders = np.arange(1, m + 1, dtype=float)[:, None, None]
     corners = table.reshape(k, m + 1, n, 4)  # x_lo, y_lo, x_hi, y_hi
     extents = corners[..., 2:] - corners[..., :2]  # X, Y by order 0..m
-    if sys.mode == FIXED:
-        # x_hi = x_lo + w, so dX_a = a * X_(a-1); likewise for y.
-        deriv = orders * extents[:, :m]
-        first = deriv.copy()
-        first[..., 1] = extents[:, 1:, :, 0]
-        second = deriv
-        second[..., 0] = extents[:, 1:, :, 1]
-    else:
-        deriv = orders * np.array([-1.0, -1.0, 1.0, 1.0]) * corners[:, :m]
-        first = deriv.copy()
-        first[..., 1::2] = extents[:, 1:, :, 0:1]
-        second = deriv
-        second[..., 0::2] = extents[:, 1:, :, 1:2]
     out = np.empty((k, sys.equation_count, sys.var_count))
     moments = out[:, : m * m].reshape(k, m, m, -1)
-    np.multiply(first.reshape(k, m, 1, -1), second.reshape(k, 1, m, -1), out=moments)
+    if u:
+        deriv = orders * extents[:, :m, :u]
+        _moment_columns(deriv, extents[:, 1:, :u], moments[..., : 2 * u])
+    if u < n:
+        deriv = orders * _SIGNS * corners[:, :m, u:]
+        _moment_columns(deriv, extents[:, 1:, u:], moments[..., 2 * u :])
+        # Side rows: d c1 = (-1, -1, 1, 1), d c2 = (-dy, -dx, dy, dx) on the
+        # rectangle's own four unknowns, zero elsewhere.
+        sides = out[:, m * m :]
+        sides[...] = 0.0
+        own = sides[..., 2 * u :].reshape(k, n - u, 2, n - u, 4)
+        rect = np.arange(n - u)
+        dy_dx = extents[:, 1, u:, ::-1]
+        own[:, rect, 0, rect] = _SIGNS
+        own[:, rect, 1, rect, :2] = -dy_dx
+        own[:, rect, 1, rect, 2:] = dy_dx
     moments /= sys.denom[:, :, None]
-    if sys.mode == FIXED:
-        return out
-    # Constraint rows: d c1 = (-1, -1, 1, 1), d c2 = (-dy, -dx, dy, dx).
-    constraints = out[:, m * m :].reshape(k, n, 2, n, 4)
-    constraints[...] = 0.0
-    rect = np.arange(n)
-    block = np.empty((n, k, 2, 4))  # the shape constraints[:, rect, :, rect, :] has
-    block[:, :, 0] = (-1.0, -1.0, 1.0, 1.0)
-    sides = extents[:, 1, :, ::-1].transpose(1, 0, 2)  # (n, k, [dy, dx])
-    block[:, :, 1, :2] = -sides
-    block[:, :, 1, 2:] = sides
-    constraints[:, rect, :, rect, :] = block
     return out
 
 
 def residual(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
     """(equation_count,) stacked residual: the moment rows (s1, s2) in
-    row-major order, then in rotatable mode the (c1, c2) pair of each
-    rectangle."""
+    row-major order, then the (c1, c2) pair of each free rectangle."""
     arr = _check_vars(sys, vars)
     with np.errstate(over="ignore", invalid="ignore"):
         return batch_residual(sys, power_table(sys, arr[None]))[0]
@@ -259,6 +265,15 @@ def jacobian(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
         return batch_jacobian(sys, power_table(sys, arr[None]))[0]
 
 
+def corners_to_vars(sys: MomentSystem, corners: np.ndarray) -> np.ndarray:
+    """The unknowns of an (n, 4) normalized corner array in instance order:
+    the lower corners of each upright rectangle, then all four of each free
+    one."""
+    grouped = corners[sys.order]
+    u = sys.n_upright
+    return np.concatenate([grouped[:u, :2].ravel(), grouped[u:].ravel()])
+
+
 def layout_to_vars(sys: MomentSystem, layout: Layout) -> np.ndarray:
     """Flatten a layout into the system's normalized variable vector."""
     if len(layout.placements) != sys.n_rects:
@@ -266,28 +281,19 @@ def layout_to_vars(sys: MomentSystem, layout: Layout) -> np.ndarray:
             f"layout has {len(layout.placements)} placements, instance has {sys.n_rects}"
         )
     s = sys.scale
-    if sys.mode == FIXED:
-        out = np.empty(2 * sys.n_rects)
-        out[0::2] = [float(p.x_lo) / s for p in layout.placements]
-        out[1::2] = [float(p.y_lo) / s for p in layout.placements]
-        return out
-    out = np.empty(4 * sys.n_rects)
-    out[0::4] = [float(p.x_lo) / s for p in layout.placements]
-    out[1::4] = [float(p.y_lo) / s for p in layout.placements]
-    out[2::4] = [float(p.x_hi) / s for p in layout.placements]
-    out[3::4] = [float(p.y_hi) / s for p in layout.placements]
-    return out
+    corners = [[float(v) / s for v in p.as_tuple()] for p in layout.placements]
+    return corners_to_vars(sys, np.array(corners).reshape(sys.n_rects, 4))
 
 
 def vars_to_layout(sys: MomentSystem, vars: np.ndarray) -> Layout:
-    """De-normalize a variable vector back into a layout.  Fixed mode
-    reconstructs the upper corners from the given sides."""
-    corners = _corners(sys, _check_vars(sys, vars)[None])[0]
-    x_lo, y_lo, x_hi, y_hi = (corners[c::4] for c in range(4))
+    """De-normalize a variable vector back into a layout.  Upright
+    rectangles get their upper corners from the given sides."""
+    grouped = _corners(sys, _check_vars(sys, vars)[None]).reshape(-1, 4)
+    corners = grouped[np.argsort(sys.order)]  # instance order
     s = sys.scale
     placements = []
-    for i in range(sys.n_rects):
-        xa, xb = sorted((float(x_lo[i]) * s, float(x_hi[i]) * s))
-        ya, yb = sorted((float(y_lo[i]) * s, float(y_hi[i]) * s))
+    for x_lo, y_lo, x_hi, y_hi in corners.tolist():
+        xa, xb = sorted((x_lo * s, x_hi * s))
+        ya, yb = sorted((y_lo * s, y_hi * s))
         placements.append(Placement(xa, ya, xb, yb))
     return Layout(tuple(placements))

@@ -73,8 +73,8 @@ class SolveConfig:
             raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.residual_tol < 0 or self.step_tol < 0:
-            raise ValueError("tolerances must be >= 0")
+        if min(self.residual_tol, self.step_tol, self.verify_tol) < 0:
+            raise ValueError("tolerances (residual_tol, step_tol, verify_tol) must be >= 0")
         if self.lm_lambda0 <= 0:
             raise ValueError("lm_lambda0 must be > 0")
         if self.init_strategy not in _STRATEGIES:
@@ -153,29 +153,24 @@ def init_shelf_greedy(inst: Instance) -> Layout:
 
 
 def _bounds(sys: mo.MomentSystem) -> tuple[np.ndarray, np.ndarray]:
-    if sys.mode == mo.FIXED:
-        ub = np.empty(sys.var_count)
-        ub[0::2] = np.maximum(0.0, sys.box_w - sys.widths)
-        ub[1::2] = np.maximum(0.0, sys.box_h - sys.heights)
-    else:
-        ub = np.empty(sys.var_count)
-        ub[0::4] = sys.box_w
-        ub[2::4] = sys.box_w
-        ub[1::4] = sys.box_h
-        ub[3::4] = sys.box_h
-    return np.zeros(sys.var_count), ub
+    """Bounds of the unknowns: 0 and the box sides, but an upright
+    rectangle's lower corner stays a side away from the far walls."""
+    ub = np.tile([sys.box_w, sys.box_h], (sys.n_rects, 2))
+    upright = ~sys.free
+    ub[upright, :2] -= np.stack([sys.widths, sys.heights], axis=1)[upright]
+    return np.zeros(sys.var_count), mo.corners_to_vars(sys, np.maximum(ub, 0.0))
 
 
 def _project(sys: mo.MomentSystem, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Clip (..., var_count) variables into the box; in rotatable mode also
-    order each rectangle's corners so x_lo <= x_hi and y_lo <= y_hi."""
+    """Clip (..., var_count) variables into the box and order each free
+    rectangle's corners so x_lo <= x_hi and y_lo <= y_hi."""
     out = np.clip(x, lb, ub)
-    if sys.mode == mo.ROTATABLE:
-        pairs = out.reshape(out.shape[:-1] + (sys.n_rects, 2, 2))
-        lo = np.minimum(pairs[..., 0, :], pairs[..., 1, :])
-        hi = np.maximum(pairs[..., 0, :], pairs[..., 1, :])
-        pairs[..., 0, :] = lo
-        pairs[..., 1, :] = hi
+    if not sys.constraint_count:
+        return out
+    pairs = out[..., 2 * sys.n_upright :].reshape(out.shape[:-1] + (-1, 2, 2))
+    lo = np.minimum(pairs[..., 0, :], pairs[..., 1, :])
+    pairs[..., 1, :] = np.maximum(pairs[..., 0, :], pairs[..., 1, :])
+    pairs[..., 0, :] = lo
     return out
 
 
@@ -191,18 +186,23 @@ def _start_vector(
         return _project(sys, mo.layout_to_vars(sys, init_shelf_greedy(inst)), lb, ub)
     if start_index == 0 and cfg.init_strategy == "user_layout":
         return _project(sys, mo.layout_to_vars(sys, cfg.initial_layout), lb, ub)
+    # Rectangles draw in instance order: an upright one its lower corner
+    # uniformly in its bounds, a free one an orientation and a centre.
     rng = np.random.default_rng(cfg.seed * _SEED_STRIDE + start_index)
-    if sys.mode == mo.FIXED:
-        return lb + rng.uniform(size=sys.var_count) * (ub - lb)
-    out = np.empty(sys.var_count)
+    out = np.zeros((sys.n_rects, 4))
     for i in range(sys.n_rects):
+        if not sys.free[i]:
+            out[i, :2] = rng.uniform(size=2)  # scaled into [0, ub] below
+            continue
         w, h = sys.widths[i], sys.heights[i]
         if rng.integers(0, 2):
             w, h = h, w
         cx = rng.uniform(w / 2, sys.box_w - w / 2) if sys.box_w > w else sys.box_w / 2
         cy = rng.uniform(h / 2, sys.box_h - h / 2) if sys.box_h > h else sys.box_h / 2
-        out[4 * i : 4 * i + 4] = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-    return _project(sys, out, lb, ub)
+        out[i] = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+    x = mo.corners_to_vars(sys, out)
+    x[: 2 * sys.n_upright] *= ub[: 2 * sys.n_upright]  # upright unknowns come first
+    return _project(sys, x, lb, ub)
 
 
 # -- Core iteration ----------------------------------------------------------
@@ -305,14 +305,7 @@ def solve_single(
     (J^T J + lambda I) delta = -J^T r; the lockstep core with one row."""
     cfg = cfg or SolveConfig()
     cfg.validate()
-    arr = np.asarray(x0, dtype=float)
-    if arr.shape != (sys.var_count,):
-        raise ValueError(
-            f"start vector has shape {arr.shape}, expected ({sys.var_count},)"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("start vector contains non-finite entries")
-    x, steps, costs = _lockstep(sys, arr[None], cfg)
+    x, steps, costs = _lockstep(sys, mo._check_vars(sys, x0)[None], cfg)
     return x[0], costs[0, : steps[0] + 1].tolist()
 
 

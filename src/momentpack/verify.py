@@ -288,15 +288,15 @@ def corner_cancellation(layout: Layout, box: BoxSpec, tol: float = DEFAULT_TOL) 
 def moment_residual_of_layout(
     inst: Instance, layout: Layout, max_order: int | None = None
 ) -> float:
-    """Largest absolute normalized residual of the truncated moment system at
-    the given layout.
-
-    Rotation-allowed instances evaluate in rotatable form (all four corners
-    are inputs, size-constraint rows included) so every coordinate of the
-    layout influences the result; otherwise the fixed-orientation system is
-    used and upper corners are reconstructed from the given sides.
-    """
+    """Largest absolute normalized residual of the truncated moment system
+    (rotatable if the instance allows rotation, else fixed-orientation) at
+    the given layout.  The system reads only the lower corners of an
+    upright rectangle, so its side errors |dx - w| and |dy - h| over the
+    scale count too: every coordinate of the layout moves the result."""
     mode = mo.ROTATABLE if inst.rotation_allowed else mo.FIXED
     sys = mo.build_system(inst, max_order, mode)
-    vars = mo.layout_to_vars(sys, layout)
-    return float(np.max(np.abs(mo.residual(sys, vars))))
+    residual = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, layout))))
+    placed = np.array([p.as_tuple() for p in layout.placements], dtype=float).reshape(-1, 2, 2)
+    sides = np.stack([sys.widths, sys.heights], axis=1)
+    off = np.abs((placed[:, 1] - placed[:, 0]) / sys.scale - sides)[~sys.free]
+    return float(max(residual, np.max(off, initial=0.0)))

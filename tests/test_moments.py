@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentpack import BoxSpec, Instance, Layout, Placement, gen_guillotine
+from momentpack import BoxSpec, Instance, Layout, Placement, gen_guillotine, oracle_feasible
 from momentpack import moments as mo
 
 
@@ -58,26 +58,26 @@ def random_corners(inst, rng):
 
 
 def test_default_max_order_matches_ceil_sqrt_formula():
-    for n in range(1, 60):
-        for mode in (mo.FIXED, mo.ROTATABLE):
-            var_count = (2 if mode == mo.FIXED else 4) * n
-            expected = max(3, math.ceil(math.sqrt(var_count)) + 1)
-            assert mo.default_max_order(n, mode) == expected
+    for var_count in range(1, 240):
+        expected = max(3, math.ceil(math.sqrt(var_count)) + 1)
+        assert mo.default_max_order(var_count) == expected
 
 
 def test_default_max_order_spot_values():
-    assert mo.default_max_order(1, mo.FIXED) == 3
-    assert mo.default_max_order(5, mo.FIXED) == 5
-    assert mo.default_max_order(5, mo.ROTATABLE) == 6
-    assert mo.default_max_order(12, mo.ROTATABLE) == 8
+    assert mo.default_max_order(0) == 3
+    assert mo.default_max_order(2) == 3
+    assert mo.default_max_order(10) == 5
+    assert mo.default_max_order(20) == 6
+    assert mo.default_max_order(48) == 8
 
 
 def test_default_keeps_equations_at_or_above_unknowns():
     for n in range(1, 40):
         for mode in (mo.FIXED, mo.ROTATABLE):
-            var_count = (2 if mode == mo.FIXED else 4) * n
-            smax = mo.default_max_order(n, mode)
-            assert smax * smax >= var_count
+            inst = Instance.from_sides([(1, 2)] * n, BoxSpec(2, n))
+            sys = mo.build_system(inst, mode=mode)
+            assert sys.max_order == mo.default_max_order(sys.var_count)
+            assert sys.max_order**2 >= sys.var_count
 
 
 # -- System construction ------------------------------------------------------
@@ -113,6 +113,34 @@ def test_build_system_rotatable_counts():
     assert sys.var_count == 12
     assert sys.constraint_count == 6
     assert sys.equation_count == 16 + 6
+
+
+def test_corner_map_frees_only_turnable_non_squares():
+    inst = Instance.from_sides([(1, 2), (1, 1), (2, 1), (3, 3)], BoxSpec(4, 4))
+    fixed = mo.build_system(inst, mode=mo.FIXED)
+    rot = mo.build_system(inst, mode=mo.ROTATABLE)
+    assert not fixed.free.any()
+    assert (fixed.var_count, fixed.constraint_count) == (8, 0)
+    assert rot.free.tolist() == [True, False, True, False]
+    assert (rot.var_count, rot.constraint_count) == (12, 4)
+    assert rot.max_order == mo.default_max_order(12)
+    assert rot.order.tolist() == [1, 3, 0, 2]  # upright first, then free
+
+
+def test_squares_never_turn_so_the_jacobian_stays_regular():
+    # 14 unit squares and a domino in a 4x4 box.  As free rectangles the
+    # squares' side rows share a double root at dx = dy, which left the
+    # Jacobian at a solution numerically singular (sigma ratio about 3e-19).
+    inst = Instance.from_sides([(1, 1)] * 14 + [(1, 2)], BoxSpec(4, 4))
+    sys = mo.build_system(inst, mode=mo.ROTATABLE)
+    assert sys.var_count == 32
+    assert sys.constraint_count == 2
+    ok, witness = oracle_feasible(inst)
+    assert ok
+    x = mo.layout_to_vars(sys, witness)
+    assert np.max(np.abs(mo.residual(sys, x))) <= 1e-12
+    sigma = np.linalg.svd(mo.jacobian(sys, x), compute_uv=False)
+    assert sigma[-1] / sigma[0] > 1e-8
 
 
 def test_build_system_validation():
@@ -237,6 +265,31 @@ def test_residual_invariant_under_power_of_two_scaling(k, seed):
 # -- Jacobian correctness -----------------------------------------------------
 
 
+def test_mixed_system_matches_naive_evaluation_and_central_differences(fd_jac):
+    # Squares stay upright in rotatable mode, so one system holds both kinds
+    # of rectangle; its rows must still be the defining equations.
+    inst = Instance.from_sides([(1, 1), (2, 1), (1, 3), (2, 2), (1, 2)], BoxSpec(5, 3))
+    sys = mo.build_system(inst, max_order=4, mode=mo.ROTATABLE)
+    assert sys.free.tolist() == [False, True, True, False, True]
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        x_lo, y_lo, x_hi, y_hi = random_corners(inst, rng)
+        upright = ~sys.free
+        x_hi[upright] = x_lo[upright] + [1.0, 2.0]
+        y_hi[upright] = y_lo[upright] + [1.0, 2.0]
+        corners = np.stack([x_lo, y_lo, x_hi, y_hi], axis=1) / sys.scale
+        vars = mo.corners_to_vars(sys, corners)
+        placed = [p.as_tuple() for p in mo.vars_to_layout(sys, vars).placements]
+        np.testing.assert_allclose(np.array(placed) / sys.scale, corners, rtol=0, atol=1e-15)
+        want = naive_residual(inst, x_lo, y_lo, x_hi, y_hi, 4, mo.FIXED)
+        free = np.flatnonzero(sys.free)
+        sides = naive_residual(inst, x_lo, y_lo, x_hi, y_hi, 4, mo.ROTATABLE)[16:]
+        want = np.concatenate([want, sides.reshape(-1, 2)[free].ravel()])
+        np.testing.assert_allclose(mo.residual(sys, vars), want, rtol=0, atol=1e-9)
+        jac = mo.jacobian(sys, vars)
+        assert np.max(np.abs(jac - fd_jac(sys, vars))) / max(1.0, np.max(np.abs(jac))) <= 1e-6
+
+
 @pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
 def test_jacobian_matches_central_differences(mode, fd_jac):
     rng = np.random.default_rng(23)
@@ -305,7 +358,7 @@ def test_layout_vars_roundtrip_rotatable(small_corpus):
 
 
 def test_vars_to_layout_sorts_swapped_corners():
-    inst = Instance.from_sides([(1, 1)], BoxSpec(2, 2))
+    inst = Instance.from_sides([(1, 2)], BoxSpec(2, 2))  # a square would be upright
     sys = mo.build_system(inst, 3, mo.ROTATABLE)
     layout = mo.vars_to_layout(sys, np.array([0.75, 0.1, 0.25, 0.6]))
     p = layout.placements[0]

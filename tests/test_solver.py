@@ -51,6 +51,18 @@ def test_config_validation_rejects(kwargs):
         SolveConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        Instance.from_sides([(1, 1)], BoxSpec(2, 2)),  # fails the area gate
+        Instance.from_sides([(1, 2), (1, 2)], BoxSpec(2, 2)),  # converges
+    ],
+)
+def test_negative_verify_tol_is_rejected_before_solving(inst):
+    with pytest.raises(ValueError, match="verify_tol"):
+        solve_multistart(inst, SolveConfig(restarts=2, verify_tol=-1.0))
+
+
 def test_damping_schedule_constants():
     assert solver.LAMBDA_DECREASE == 0.5
     assert solver.LAMBDA_INCREASE == 4.0

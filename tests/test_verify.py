@@ -451,3 +451,13 @@ def test_moment_residual_grows_with_perturbation(small_corpus):
     scale = float(max(inst.box.width, inst.box.height))
     moved[0] = Placement(p.x_lo, p.y_lo, p.x_hi + 1e-3 * scale, p.y_hi)
     assert moment_residual_of_layout(inst, Layout(tuple(moved)), 3) > 1e-5
+
+
+def test_moment_residual_reads_every_corner_of_a_square(squared32):
+    # Squares are upright unknowns, yet a placed upper corner still counts.
+    inst, layout = squared32
+    moved = list(layout.placements)
+    p = moved[0]
+    moved[0] = Placement(p.x_lo, p.y_lo, p.x_hi + 0.033, p.y_hi)
+    assert moment_residual_of_layout(inst, Layout(tuple(moved))) > 1e-5
+    assert moment_residual_of_layout(inst, Layout(tuple(moved)), 3) > 1e-5
