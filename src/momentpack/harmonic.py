@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import Layout
+from .verify import _side_error
 
 __all__ = [
     "IdentityId",
@@ -162,8 +163,9 @@ def identity_partial(
     """Evaluate the weighted centroid sum over a layout of the first N
     harmonic rectangles.
 
-    Placement k (0-based) must have sides {1/(k+1), 1/(k+2)} up to size_tol
-    in either orientation; anything else is a size mismatch error.
+    Placement k (0-based) must have sides {1/(k+1), 1/(k+2)} in either
+    orientation, each side within size_tol (the verifier's side test);
+    anything else is a size mismatch error.
     """
     term = _TERMS[ident]
     total = 0.0
@@ -174,7 +176,7 @@ def identity_partial(
         h = 1.0 / (n + 1)
         dx = float(p.dx)
         dy = float(p.dy)
-        if abs(dx + dy - (w + h)) > size_tol or abs(dx * dy - w * h) > size_tol:
+        if _side_error(dx, dy, w, h, True) > size_tol:
             raise ValueError(
                 f"placement {n} has sides {dx} x {dy}; harmonic rect {n} needs "
                 f"{{1/{n}, 1/{n + 1}}}"

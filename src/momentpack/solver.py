@@ -9,10 +9,10 @@ territory.
 
 solve_multistart layers deterministic restarts on top and treats geometric
 verification, not the residual, as the definition of success: every
-converged candidate is polished and handed to verify_layout; only when it
-fails is it snapped (coincident corner coordinates merged to a common
-value) and verified again.  The first verified start wins.  Reports are
-bitwise deterministic for a fixed (instance, config, max_order, mode).
+converged candidate is polished and handed once to verify_layout at its
+default tolerance, the one `momentpack verify` uses.  The first verified
+start wins.  Reports are bitwise deterministic for a fixed (instance,
+config, max_order, mode).
 
 Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
 share one batched Jacobian and one stacked linear solve per damping
@@ -66,15 +66,14 @@ class SolveConfig:
     lm_lambda0: float = 1e-3
     init_strategy: str = "shelf_greedy"
     initial_layout: Layout | None = None
-    verify_tol: float = DEFAULT_TOL
 
     def validate(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if min(self.residual_tol, self.step_tol, self.verify_tol) < 0:
-            raise ValueError("tolerances (residual_tol, step_tol, verify_tol) must be >= 0")
+        if min(self.residual_tol, self.step_tol) < 0:
+            raise ValueError("tolerances (residual_tol, step_tol) must be >= 0")
         if self.lm_lambda0 <= 0:
             raise ValueError("lm_lambda0 must be > 0")
         if self.init_strategy not in _STRATEGIES:
@@ -320,7 +319,8 @@ def snap_layout(inst: Instance, layout: Layout, eps: float | None = None) -> Lay
     """Merge corner coordinates that agree within eps (default
     SNAP_FRACTION * DEFAULT_TOL * scale) to a shared value, anchoring
     clusters that touch 0 or the box sides to those exact values.  Returns
-    the input unchanged if snapping would collapse a rectangle."""
+    the input unchanged if snapping would collapse a rectangle.  A public
+    helper only: solve_multistart reports layouts as polished."""
     a = float(inst.box.width)
     b = float(inst.box.height)
     scale = max(a, b)
@@ -378,7 +378,6 @@ def solve_multistart(
     polish_cfg = replace(
         cfg, residual_tol=0.0, step_tol=1e-15, max_iters=POLISH_MAX_ITERS, lm_lambda0=1e-6
     )
-    snap_eps = SNAP_FRACTION * cfg.verify_tol * sys.scale
     best_r = float("inf")
     best_idx = -1
     best_layout: Layout | None = None
@@ -401,16 +400,11 @@ def solve_multistart(
             raw = mo.vars_to_layout(sys, x[j])
             if converged[j]:
                 any_converged = True
-                cand = raw
-                passed = verify_layout(inst, cand, tol=cfg.verify_tol).passed
-                if not passed:
-                    cand = snap_layout(inst, raw, eps=snap_eps)
-                    passed = verify_layout(inst, cand, tol=cfg.verify_tol).passed
-                if passed:
-                    final_r = _residual_inf(sys, mo.layout_to_vars(sys, cand))
+                if verify_layout(inst, raw).passed:
+                    final_r = _residual_inf(sys, mo.layout_to_vars(sys, raw))
                     return SolveReport(
                         status="converged_verified",
-                        best_layout=cand,
+                        best_layout=raw,
                         final_residual_inf=final_r,
                         iterations_total=iterations,
                         start_index=k,

@@ -1,9 +1,12 @@
 """Geometric verification of layouts, independent of the moment machinery.
 
 One check core, _check, answers "does this layout pack the box perfectly"
-at a tolerance tol (relative to scale = max(A, B)) over some number type:
-containment, side fidelity and total area per rectangle, then the
-interior-disjointness of every pair, produced lazily by a sort and sweep
+at a tolerance tol over some number type: containment, side fidelity and
+total area per rectangle, then the interior-disjointness of every pair.
+tol has one meaning: every per-rectangle and per-pair test compares a
+length (overhang, side error, penetration depth min(ow, oh) of a pair)
+with eps = tol * scale, scale = max(A, B); only the total area gap is
+compared with tol * A * B.  Pairs are produced lazily by a sort and sweep
 on x (Bentley & Wood 1980): placements are taken in x_lo order, and each
 is tested only against the later ones whose x_lo lies below its x_hi, since
 no other pair can overlap in x.  A tiling by n full-width strips still
@@ -13,7 +16,7 @@ tests all n(n-1)/2 pairs; guillotine-like layouts test a few per rectangle.
   overlap rows ordered by placement position as (i, j), i < j.
 * verify_exact: the same checks at tol 0 over exact rationals, stopping
   at the first failure.  At tol 0 every float test becomes the exact one:
-  overhang > 0, side mismatch != 0, overlap area > 0, area gap = 0, so
+  overhang > 0, side mismatch != 0, penetration > 0, area gap = 0, so
   boundary contact is legal and interior overlap is not.  These tests are
   invariant under a positive scale, so every number is converted to a
   Fraction first and the checks then run over Python ints on the common
@@ -29,8 +32,9 @@ tests all n(n-1)/2 pairs; guillotine-like layouts test a few per rectangle.
   distance eps only when a chain of coordinates, each within eps of the
   next, spans more than eps.
 
-_snap_values is the package's one coordinate-clustering helper; the
-solver's snap_layout uses it too.
+_snap_values is the package's one coordinate-clustering helper (the
+solver's snap_layout uses it too), and _side_error its one side test
+(harmonic.identity_partial uses it too).
 
 moment_residual_of_layout bridges back to the equation side: the largest
 normalized residual of the truncated moment system evaluated at the layout.
@@ -104,6 +108,14 @@ def _numbers(inst: Instance, layout: Layout, num: Callable[[Number, str], object
     return a, b, boxes, sides
 
 
+def _side_error(dx, dy, w, h, rotation_allowed: bool):
+    """Largest side error max(|dx - w|, |dy - h|) of a dx x dy placement of
+    a w x h rectangle; with rotation allowed, the smaller of that and the
+    error of the turned rectangle.  It is 0 exactly when the sides match."""
+    err = max(abs(dx - w), abs(dy - h))
+    return min(err, max(abs(dx - h), abs(dy - w))) if rotation_allowed else err
+
+
 def _check(
     inst: Instance,
     a,
@@ -121,13 +133,11 @@ def _check(
     it is within tol, and a lazy iterator of ((i, j), area) overlap rows
     over placement positions i < j, in sweep order.
 
-    Side fidelity uses the symmetric functions |dx+dy - (w+h)| and
-    |dx*dy - w*h| (admitting the w/h swap) when the instance allows rotation,
-    and direct |dx - w|, |dy - h| comparison when it does not; the size rows
-    carry the two symmetric residuals either way.
+    Overhang, side error and penetration min(ow, oh) are lengths judged
+    against eps = tol * scale; size rows carry the symmetric residuals
+    |dx+dy - (w+h)| and |dx*dy - w*h|, overlap rows the area ow * oh.
     """
-    scale = max(a, b)
-    eps = tol * scale
+    eps = tol * max(a, b)
 
     containment = []
     sizes = []
@@ -138,14 +148,8 @@ def _check(
             containment.append((r.id, overhang))
         dx = xh - xl
         dy = yh - yl
-        e_sum = abs(dx + dy - (w + h))
-        e_prod = abs(dx * dy - w * h)
-        if inst.rotation_allowed:
-            bad = e_sum > eps or e_prod > eps * scale
-        else:
-            bad = abs(dx - w) > eps or abs(dy - h) > eps
-        if bad:
-            sizes.append((r.id, e_sum, e_prod))
+        if _side_error(dx, dy, w, h, inst.rotation_allowed) > eps:
+            sizes.append((r.id, abs(dx + dy - (w + h)), abs(dx * dy - w * h)))
         areas.append(dx * dy)
     area_gap = total(areas) - a * b
     area_ok = bool(abs(area_gap) <= tol * a * b)
@@ -153,7 +157,6 @@ def _check(
     def overlaps():
         # Sort and sweep on x: once x_lo_j >= x_hi_i, ow <= 0 for j and for
         # every later j in x_lo order, so the scan from i stops there.
-        min_area = eps**2
         order = sorted(range(len(boxes)), key=lambda k: boxes[k][0])
         for s, i in enumerate(order):
             xl_i, yl_i, xh_i, yh_i = boxes[i]
@@ -163,9 +166,9 @@ def _check(
                 if xl_j >= xh_i:
                     break
                 ow = min(xh_i, xh_j) - max(xl_i, xl_j)
-                if ow > 0:
+                if ow > eps:
                     oh = min(yh_i, yh_j) - max(yl_i, yl_j)
-                    if oh > 0 and ow * oh > min_area:
+                    if oh > eps:
                         yield (min(i, j), max(i, j)), ow * oh
 
     return containment, sizes, area_gap, area_ok, overlaps()

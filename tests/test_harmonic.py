@@ -154,6 +154,17 @@ def test_identity_partial_rejects_wrong_sides():
         identity_partial(bad, IdentityId.X_FIRST)
 
 
+def test_identity_partial_judges_each_side():
+    # Placement 1000's sides have the right sum, and their product is off
+    # by about 1e-10, yet each side is 1e-5 away from the harmonic one.
+    placements = list(harmonic_layout(1000).placements)
+    placements[-1] = Placement(0.0, 0.0, 1 / 1000 + 1e-5, 1 / 1001 - 1e-5)
+    with pytest.raises(ValueError, match="placement 1000 has sides"):
+        identity_partial(Layout(tuple(placements)), IdentityId.X_FIRST, size_tol=1e-9)
+    placements[-1] = Placement(0.0, 0.0, 1 / 1001 + 5e-10, 1 / 1000 - 5e-10)  # turned
+    assert identity_partial(Layout(tuple(placements)), IdentityId.X_FIRST, size_tol=1e-9)
+
+
 def test_identity_partial_empty_layout():
     got = identity_partial(Layout(()), IdentityId.DIFF_SQ)
     assert got.lhs_partial == 0.0

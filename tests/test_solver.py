@@ -51,18 +51,6 @@ def test_config_validation_rejects(kwargs):
         SolveConfig(**kwargs).validate()
 
 
-@pytest.mark.parametrize(
-    "inst",
-    [
-        Instance.from_sides([(1, 1)], BoxSpec(2, 2)),  # fails the area gate
-        Instance.from_sides([(1, 2), (1, 2)], BoxSpec(2, 2)),  # converges
-    ],
-)
-def test_negative_verify_tol_is_rejected_before_solving(inst):
-    with pytest.raises(ValueError, match="verify_tol"):
-        solve_multistart(inst, SolveConfig(restarts=2, verify_tol=-1.0))
-
-
 def test_damping_schedule_constants():
     assert solver.LAMBDA_DECREASE == 0.5
     assert solver.LAMBDA_INCREASE == 4.0
@@ -166,19 +154,6 @@ def test_multistart_respects_seed_determinism():
     assert da == db
 
 
-def test_multistart_snaps_only_layouts_that_fail_as_solved(monkeypatch):
-    snapped = []
-
-    def counting_snap(inst, layout, eps=None):
-        snapped.append(layout)
-        return snap_layout(inst, layout, eps=eps)
-
-    monkeypatch.setattr(solver, "snap_layout", counting_snap)
-    report = solve_multistart(dominoes(), SolveConfig(restarts=32))
-    assert report.status == "converged_verified"
-    assert all(not verify_layout(dominoes(), raw).passed for raw in snapped)
-
-
 def test_multistart_area_fast_reject():
     inst = Instance.from_sides([(1, 1)], BoxSpec(2, 2))
     report = solve_multistart(inst, SolveConfig(restarts=8))
@@ -280,11 +255,12 @@ def test_lockstep_singular_and_stopped_rows_leave_others_unchanged():
     assert steps[0] > 0 and steps[4] > 0
 
 
-def sequential_multistart(inst, cfg, mode):
+def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
     """Reference: the multistart loop one start at a time through
     solve_single, as (status, start_index, iterations_total, best_layout,
-    final_residual_inf)."""
-    sys = mo.build_system(inst, mode=mode)
+    final_residual_inf).  Every layout it verifies is appended to checked."""
+    checked = [] if checked is None else checked
+    sys = mo.build_system(inst, max_order, mode)
     lb, ub = solver._bounds(sys)
     polish = replace(
         cfg, residual_tol=0.0, step_tol=1e-15, max_iters=solver.POLISH_MAX_ITERS, lm_lambda0=1e-6
@@ -301,10 +277,10 @@ def sequential_multistart(inst, cfg, mode):
             x, hist = solve_single(sys, x, polish)
             iterations += len(hist) - 1
             raw = mo.vars_to_layout(sys, x)
-            for cand in (raw, snap_layout(inst, raw, eps=solver.SNAP_FRACTION * cfg.verify_tol * sys.scale)):
-                if verify_layout(inst, cand, tol=cfg.verify_tol).passed:
-                    final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, cand))))
-                    return "converged_verified", k, iterations, cand, final
+            checked.append(raw)
+            if verify_layout(inst, raw).passed:
+                final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
+                return "converged_verified", k, iterations, raw, final
             r_inf = np.max(np.abs(mo.residual(sys, x)))
         if r_inf < best[0]:
             best = (r_inf, k, mo.vars_to_layout(sys, x))
@@ -339,3 +315,26 @@ def test_multistart_matches_sequential_across_chunks(case, restarts):
     assert report.final_residual_inf == final
     if case is second_chunk_winner:
         assert report.status == ("converged_verified" if restarts > 8 else "exhausted")
+
+
+def test_multistart_verifies_each_converged_start_once(monkeypatch):
+    # At order 2 most starts converge to layouts that are not packings:
+    # starts 0-27 converge and fail, start 28 verifies, and the later
+    # starts of its chunk are computed but never verified.
+    inst = Instance.from_sides([(1, 1), (1, 2)], BoxSpec(1, 3))
+    cfg = SolveConfig(restarts=64, max_iters=60, init_strategy="uniform_random")
+    verified = []
+
+    def counting_verify(inst, layout, *args, **kwargs):
+        verified.append(layout)
+        return verify_layout(inst, layout, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "verify_layout", counting_verify)
+    report = solve_multistart(inst, cfg, max_order=2, mode=mo.ROTATABLE)
+    expected = []
+    sequential_multistart(inst, cfg, mo.ROTATABLE, max_order=2, checked=expected)
+    assert report.status == "converged_verified"
+    assert report.start_index == 28
+    assert list(map(serialize_layout, verified)) == list(map(serialize_layout, expected))
+    assert len(verified) == 29
+    assert verified[-1] is report.best_layout

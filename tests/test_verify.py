@@ -66,6 +66,21 @@ def test_sub_tolerance_error_passes():
     assert verify_layout(inst, layout).passed
 
 
+@pytest.mark.parametrize("wall", [False, True])
+def test_penetration_is_a_length_like_overhang(wall):
+    # The same 1e-9 shift passes whether it pushes into the neighbour or
+    # past the wall, and a shift of 1e-6 (past tol * scale = 2e-7) fails.
+    inst, _ = two_dominoes()
+    for shift, passes in ((1e-9, True), (1e-6, False)):
+        d = shift if wall else -shift
+        report = verify_layout(inst, Layout((Placement(0, 0, 1, 2), Placement(1 + d, 0, 2 + d, 2))))
+        assert report.passed is passes
+        if not passes and wall:
+            assert report.containment_violations == ((2, pytest.approx(shift)),)
+        if not passes and not wall:
+            assert report.overlap_violations == (((1, 2), pytest.approx(2 * shift)),)
+
+
 def test_overlap_violation_reported():
     inst, _ = two_dominoes()
     layout = Layout((Placement(0, 0, 1, 2), Placement(0.5, 0, 1.5, 2)))
@@ -88,6 +103,43 @@ def test_size_violation_depends_on_rotation_flag():
     for _, e_sum, e_prod in report.size_violations:
         assert e_sum == pytest.approx(0.0)
         assert e_prod == pytest.approx(0.0)
+
+
+def test_side_error_is_judged_per_side_with_rotation_allowed():
+    # Sum and product of the sides are off by 0 and 4e-8 only, but each
+    # side is off by 2e-4, 1000 times tol * scale.
+    inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(2, 1), True)
+    layout = Layout((Placement(0, 0, 1.0002, 0.9998), Placement(1.0002, 0, 2, 1)))
+    report = verify_layout(inst, layout)
+    assert [row[0] for row in report.size_violations] == [1, 2]
+    _, e_sum, e_prod = report.size_violations[0]
+    assert e_sum == pytest.approx(0.0, abs=1e-15)
+    assert e_prod == pytest.approx(4e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    cuts=st.integers(0, 30),
+    pick=st.integers(0, 30),
+    axis=st.sampled_from(["x", "y"]),
+    sign=st.sampled_from([-1, 1]),
+    tol=st.sampled_from([1e-9, 1e-7, 1e-5]),
+)
+def test_rigid_shift_passes_below_tol_and_fails_above(seed, cuts, pick, axis, sign, tol):
+    # Moving one whole rectangle of a tiling by 0.5 * tol * scale is within
+    # tolerance; by 2 * tol * scale it overlaps a neighbour or leaves the
+    # box by twice the tolerance.
+    box = BoxSpec(10.0, 7.0)
+    inst, layout = gen_guillotine(seed, cuts, box)
+    i = pick % inst.n_rects
+    for factor, passes in ((0.5, True), (2.0, False)):
+        d = sign * factor * tol * 10.0
+        dx, dy = (d, 0.0) if axis == "x" else (0.0, d)
+        moved = list(layout.placements)
+        p = moved[i]
+        moved[i] = Placement(p.x_lo + dx, p.y_lo + dy, p.x_hi + dx, p.y_hi + dy)
+        assert verify_layout(inst, Layout(tuple(moved)), tol=tol).passed is passes
 
 
 def test_area_gap_and_size_mismatch():
@@ -274,8 +326,7 @@ def all_pairs_check(inst, layout, tol, num, total):
     the reference the swept core must match row for row and bit for bit."""
     a, b = num(inst.box.width), num(inst.box.height)
     boxes = [tuple(num(v) for v in p.as_tuple()) for p in layout.placements]
-    scale = max(a, b)
-    eps = tol * scale
+    eps = tol * max(a, b)
     containment, sizes, areas = [], [], []
     for r, (xl, yl, xh, yh) in zip(inst.rects, boxes):
         w, h = num(r.width), num(r.height)
@@ -283,24 +334,19 @@ def all_pairs_check(inst, layout, tol, num, total):
         if overhang > eps:
             containment.append((r.id, overhang))
         dx, dy = xh - xl, yh - yl
-        e_sum = abs(dx + dy - (w + h))
-        e_prod = abs(dx * dy - w * h)
-        if inst.rotation_allowed:
-            bad = e_sum > eps or e_prod > eps * scale
-        else:
-            bad = abs(dx - w) > eps or abs(dy - h) > eps
-        if bad:
-            sizes.append((r.id, e_sum, e_prod))
+        upright_ok = abs(dx - w) <= eps and abs(dy - h) <= eps
+        turned_ok = inst.rotation_allowed and abs(dx - h) <= eps and abs(dy - w) <= eps
+        if not (upright_ok or turned_ok):
+            sizes.append((r.id, abs(dx + dy - (w + h)), abs(dx * dy - w * h)))
         areas.append(dx * dy)
     overlaps = []
     for i, (xl_i, yl_i, xh_i, yh_i) in enumerate(boxes):
         for j in range(i + 1, len(boxes)):
             xl_j, yl_j, xh_j, yh_j = boxes[j]
             ow = min(xh_i, xh_j) - max(xl_i, xl_j)
-            if ow > 0:
-                oh = min(yh_i, yh_j) - max(yl_i, yl_j)
-                if oh > 0 and ow * oh > eps**2:
-                    overlaps.append(((i + 1, j + 1), ow * oh))
+            oh = min(yh_i, yh_j) - max(yl_i, yl_j)
+            if min(ow, oh) > eps:
+                overlaps.append(((i + 1, j + 1), ow * oh))
     area_gap = total(areas) - a * b
     return VerificationReport(
         passed=not containment and not overlaps and not sizes and abs(area_gap) <= tol * a * b,
@@ -319,7 +365,8 @@ def sweep_layouts(draw):
     on a grid of sixths (inexact in floats): boxes, full-width strips,
     zero-width ones, duplicates, copies nudged by a multiple of 1e-4, 1e-9
     or 1e-12, and right neighbours that touch an earlier placement or
-    overlap it by such a nudge."""
+    overlap it by such a nudge.  Some rectangles' widths differ from their
+    placements' by such a nudge."""
     a, b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     xs = st.integers(-1, 6 * a + 1).map(lambda k: Fraction(k, 6))
     ys = st.integers(-1, 6 * b + 1).map(lambda k: Fraction(k, 6))
@@ -359,6 +406,8 @@ def sweep_layouts(draw):
     sides = []
     for p in placements:
         w, h = p.dx or Fraction(1, 4), p.dy or Fraction(1, 4)
+        if draw(st.booleans()):  # a side off by a nudge: the side rule's edge
+            w += draw(nudges)
         sides.append((h, w) if draw(st.booleans()) else (w, h))
     inst = Instance.from_sides(sides, BoxSpec(a, b), draw(st.booleans()))
     return inst, Layout(tuple(placements))
