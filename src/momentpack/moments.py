@@ -180,9 +180,9 @@ def power_table(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
     corners = _corners(sys, vars)
     table = np.empty((len(corners), sys.max_order + 1, corners.shape[1]))
     table[:, 0] = 1.0
-    # table[s] = table[s - 1] * corners, one multiply per order
-    repeated = np.broadcast_to(corners[:, None, :], table[:, 1:].shape)
-    np.multiply.accumulate(repeated, axis=1, out=table[:, 1:])
+    table[:, 1] = corners
+    for s in range(2, sys.max_order + 1):
+        np.multiply(table[:, s - 1], corners, out=table[:, s])
     return table
 
 

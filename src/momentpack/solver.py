@@ -1,11 +1,11 @@
 """Damped least-squares solving of truncated moment systems with multistart.
 
 solve_single runs a Levenberg-Marquardt iteration on one start vector:
-each step solves (J^T J + lambda I) delta = -J^T r, accepts the projected
-candidate only on strict cost decrease (lambda halves), and quadruples
-lambda on rejection.  Variables are projected into the normalized box domain
-after every step, so the iteration can never wander off to non-finite
-territory.
+each attempt solves (J^T J + lambda I) delta = -J^T r and accepts the
+projected candidate only on strict cost decrease (lambda halves); a
+rejection quadruples lambda and retries.  Variables are projected into the
+normalized box domain after every step, so the iteration can never wander
+off to non-finite territory.
 
 solve_multistart layers deterministic restarts on top and treats geometric
 verification, not the residual, as the definition of success: every
@@ -15,9 +15,10 @@ start wins.  Reports are bitwise deterministic for a fixed (instance,
 config, max_order, mode).
 
 Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
-share one batched Jacobian and one stacked linear solve per damping
-attempt, while each start keeps its own lambda and stop rule, so its
-trajectory is bit for bit the one solve_single gives it.  Converged starts
+share one batched Jacobian, and its retries run as a damping ladder, one
+stacked linear solve per round of several lambdas per start.  Each start
+keeps its own lambda and stop rule, so its trajectory is bit for bit the
+one-attempt-at-a-time one, which solve_single gives it too.  Converged starts
 of a chunk are then polished together and verified in index order.  Later
 starts of the winning chunk may be computed but are never reported: the
 report, iterations_total included, is the one a start-by-start loop gives.
@@ -50,6 +51,7 @@ LAMBDA_MIN = 1e-14
 LAMBDA_MAX = 1e12
 POLISH_MAX_ITERS = 40
 LOCKSTEP_CHUNK = 8  # starts run together by solve_multistart
+LADDER_WIDTH = 2  # damping rungs each row tries in an iteration's first round
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
 
@@ -72,10 +74,10 @@ class SolveConfig:
             raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if min(self.residual_tol, self.step_tol) < 0:
-            raise ValueError("tolerances (residual_tol, step_tol) must be >= 0")
-        if self.lm_lambda0 <= 0:
-            raise ValueError("lm_lambda0 must be > 0")
+        if not all(0 <= t < math.inf for t in (self.residual_tol, self.step_tol)):
+            raise ValueError("tolerances (residual_tol, step_tol) must be finite and >= 0")
+        if not 0 < self.lm_lambda0 < math.inf:
+            raise ValueError("lm_lambda0 must be finite and > 0")
         if self.init_strategy not in _STRATEGIES:
             raise ValueError(
                 f"unknown init_strategy {self.init_strategy!r}; expected one of {_STRATEGIES}"
@@ -214,8 +216,11 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _costs(r: np.ndarray) -> np.ndarray:
-    """Residual 2-norm of each row; inf where a residual is not finite."""
-    return np.where(np.all(np.isfinite(r), axis=1), _norms(r), np.inf)
+    """Residual 2-norm of each row; inf where a residual is not finite (its
+    norm is then inf or NaN)."""
+    c = _norms(r)
+    c[np.isnan(c)] = np.inf
+    return c
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -237,17 +242,24 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _lockstep(
     sys: mo.MomentSystem, x0: np.ndarray, cfg: SolveConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
 
-    Each iteration evaluates one Jacobian for all live rows, then retries
-    one stacked damped solve for the rows that have not yet stepped.  Each
-    row keeps its own lambda, accept/reject decision and stop rule
-    (residual_tol, step_tol, lambda above LAMBDA_MAX, max_iters), so a row
-    follows the same trajectory whatever else is in the batch.  Returns
-    the final variables (K, V), the accepted step count of each row (K,)
-    and the accepted costs (K, max_iters + 1); row k's history is
-    costs[k, : steps[k] + 1].
+    Each iteration evaluates one Jacobian for all live rows.  Each row
+    follows the one-attempt damping rule on its own: solve at lambda,
+    accept the projected candidate only on strict cost decrease (lambda
+    halves, not below LAMBDA_MIN), else quadruple lambda and retry until it
+    exceeds LAMBDA_MAX.  The retries run as a ladder: a round stacks every
+    row yet to step at rungs lambda * 4**j, j < width, into one linear
+    solve and one residual evaluation, and a row takes its first rung that
+    lowers the cost.  The width starts at LADDER_WIDTH and doubles each
+    round.  Rung 0 is always tried, higher rungs up to LAMBDA_MAX, and
+    times 4 is exact, so every row tries the rule's lambdas and follows its
+    trajectory bit for bit, whatever else is in the batch.  A row stops on
+    residual_tol, step_tol, lambda above LAMBDA_MAX or max_iters.  Returns
+    the final variables (K, V), the accepted step count of each row (K,),
+    the accepted costs (K, max_iters + 1), row k's history being
+    costs[k, : steps[k] + 1], and each row's final max |r| (K,).
     """
     lb, ub = _bounds(sys)
     eye = np.eye(sys.var_count)
@@ -255,44 +267,54 @@ def _lockstep(
     with np.errstate(over="ignore", invalid="ignore"):
         table = mo.power_table(sys, x)
         r = mo.batch_residual(sys, table)
+        r_inf = np.max(np.abs(r), axis=1)
         cost = _costs(r)
         costs = np.empty((len(x), cfg.max_iters + 1))
         costs[:, 0] = cost
         steps = np.zeros(len(x), dtype=int)
         lam = np.full(len(x), cfg.lm_lambda0)
-        live = np.all(np.isfinite(r), axis=1) & (np.max(np.abs(r), axis=1) > cfg.residual_tol)
+        live = np.isfinite(r_inf) & (r_inf > cfg.residual_tol)
         while np.any(live):
             rows = np.flatnonzero(live)
             jac = mo.batch_jacobian(sys, table[rows])
             jac_t = jac.transpose(0, 2, 1)
             neg_grad = -(jac_t @ r[rows, :, None])[:, :, 0]
             hess = jac_t @ jac
+            width = LADDER_WIDTH
             while len(rows):  # rows that have not stepped this iteration
-                delta = _solve_rows(hess + lam[rows, None, None] * eye, neg_grad)
-                cand = _project(sys, x[rows] + delta, lb, ub)
+                # LAMBDA_INCREASE is a power of two: every rung is exact.
+                rungs = lam[rows, None] * LAMBDA_INCREASE ** np.arange(width)
+                tried = rungs <= LAMBDA_MAX
+                tried[:, 0] = True
+                i, j = np.nonzero(tried)  # each row's rungs, in order
+                delta = _solve_rows(hess[i] + rungs[i, j, None, None] * eye, neg_grad[i])
+                cand = _project(sys, x[rows[i]] + delta, lb, ub)
                 cand_table = mo.power_table(sys, cand)
                 r_new = mo.batch_residual(sys, cand_table)
                 cost_new = _costs(r_new)
-                ok = cost_new < cost[rows]
-                if np.any(ok):
-                    won = rows[ok]
-                    step_norm = _norms(cand[ok] - x[won])
-                    x[won], r[won], table[won] = cand[ok], r_new[ok], cand_table[ok]
-                    cost[won] = cost_new[ok]
-                    lam[won] = np.maximum(lam[won] * LAMBDA_DECREASE, LAMBDA_MIN)
-                    steps[won] += 1
-                    costs[won, steps[won]] = cost_new[ok]
-                    live[won] = (
-                        (np.max(np.abs(r_new[ok]), axis=1) > cfg.residual_tol)
-                        & (step_norm > cfg.step_tol)
-                        & (steps[won] < cfg.max_iters)
-                    )
-                    rows, hess, neg_grad = rows[~ok], hess[~ok], neg_grad[~ok]
-                lam[rows] *= LAMBDA_INCREASE
-                retry = lam[rows] <= LAMBDA_MAX
-                live[rows[~retry]] = False
+                hit = np.flatnonzero(cost_new < cost[rows[i]])
+                hit = hit[np.unique(i[hit], return_index=True)[1]]  # first win per row
+                stepped = np.zeros(len(rows), dtype=bool)
+                stepped[i[hit]] = True
+                won = rows[stepped]
+                step_norm = _norms(cand[hit] - x[won])
+                x[won], r[won], table[won] = cand[hit], r_new[hit], cand_table[hit]
+                cost[won] = cost_new[hit]
+                r_inf[won] = np.max(np.abs(r_new[hit]), axis=1)
+                lam[won] = np.maximum(rungs[stepped, j[hit]] * LAMBDA_DECREASE, LAMBDA_MIN)
+                steps[won] += 1
+                costs[won, steps[won]] = cost_new[hit]
+                live[won] = (
+                    (r_inf[won] > cfg.residual_tol)
+                    & (step_norm > cfg.step_tol)
+                    & (steps[won] < cfg.max_iters)
+                )
+                lam[rows[~stepped]] = rungs[~stepped, -1] * LAMBDA_INCREASE
+                retry = ~stepped & (lam[rows] <= LAMBDA_MAX)
+                live[rows[~stepped & ~retry]] = False
                 rows, hess, neg_grad = rows[retry], hess[retry], neg_grad[retry]
-    return x, steps, costs
+                width *= 2
+    return x, steps, costs, r_inf
 
 
 def solve_single(
@@ -304,7 +326,7 @@ def solve_single(
     (J^T J + lambda I) delta = -J^T r; the lockstep core with one row."""
     cfg = cfg or SolveConfig()
     cfg.validate()
-    x, steps, costs = _lockstep(sys, mo._check_vars(sys, x0)[None], cfg)
+    x, steps, costs, _ = _lockstep(sys, mo._check_vars(sys, x0)[None], cfg)
     return x[0], costs[0, : steps[0] + 1].tolist()
 
 
@@ -386,15 +408,15 @@ def solve_multistart(
     for first in range(0, cfg.restarts, LOCKSTEP_CHUNK):
         starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
         x0 = np.stack([_start_vector(sys, inst, cfg, k, lb, ub) for k in starts])
-        x, steps, _ = _lockstep(sys, x0, cfg)
-        r_inf = np.array([_residual_inf(sys, row) for row in x])
+        x, steps, _, r_inf = _lockstep(sys, x0, cfg)
         converged = r_inf <= cfg.residual_tol
         if np.any(converged):
             # Every converged row is polished; rows past the winner are
             # computed but never reported.
-            x[converged], polish_steps, _ = _lockstep(sys, x[converged], polish_cfg)
+            x[converged], polish_steps, _, r_inf[converged] = _lockstep(
+                sys, x[converged], polish_cfg
+            )
             steps[converged] += polish_steps
-            r_inf[converged] = [_residual_inf(sys, row) for row in x[converged]]
         for j, k in enumerate(starts):
             iterations += int(steps[j])
             raw = mo.vars_to_layout(sys, x[j])

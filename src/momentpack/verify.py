@@ -193,8 +193,8 @@ def verify_layout(
 ) -> VerificationReport:
     """Check containment, pairwise interior-disjointness, side fidelity, and
     total area against the box in floats, reporting every violation."""
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     numbers = _numbers(inst, layout, lambda v, _: float(v))
     # np.sum sums floats pairwise, so area_gap keeps its bits
     containment, sizes, area_gap, area_ok, overlaps = _check(inst, *numbers, tol, np.sum)
@@ -270,8 +270,8 @@ def corner_cancellation(layout: Layout, box: BoxSpec, tol: float = DEFAULT_TOL) 
     Interior and edge points must sum to 0; the box corners must net +1 at
     (0,0), -1 at (A,0), -1 at (0,B), +1 at (A,B).
     """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     a = float(box.width)
     b = float(box.height)
     eps = tol * max(a, b)

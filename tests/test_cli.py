@@ -174,6 +174,15 @@ def test_solve_output_is_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_solve_tol_must_be_finite_and_non_negative(capsys, tmp_path, tol):
+    inst_path = write_dominoes(tmp_path)
+    code, out, err = run_cli(capsys, "solve", str(inst_path), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "residual_tol" in json.loads(err)["error"]
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -196,6 +205,17 @@ def test_verify_failing_layout_exits_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(inst_path), str(lay_path))
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_tol_must_be_finite_and_non_negative(capsys, tmp_path, tol):
+    inst_path = write_dominoes(tmp_path)
+    lay_path = tmp_path / "layout.json"
+    lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
+    code, out, err = run_cli(capsys, "verify", str(inst_path), str(lay_path), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol" in json.loads(err)["error"]
 
 
 def test_verify_exact_mode(capsys, tmp_path):

@@ -40,8 +40,14 @@ def dominoes():
         {"max_iters": 0},
         {"restarts": 0},
         {"residual_tol": -1.0},
+        {"residual_tol": float("nan")},
+        {"residual_tol": float("inf")},
         {"step_tol": -1.0},
+        {"step_tol": float("nan")},
+        {"step_tol": float("inf")},
         {"lm_lambda0": 0.0},
+        {"lm_lambda0": float("nan")},
+        {"lm_lambda0": float("inf")},
         {"init_strategy": "random_walk"},
         {"init_strategy": "user_layout"},  # missing initial_layout
     ],
@@ -207,13 +213,62 @@ def assert_rows_run_as_alone(sys, x0, cfg):
     """Every row of one lockstep run equals, bit for bit, the run of that
     row by itself; returns the batched result."""
     batched = solver._lockstep(sys, x0, cfg)
-    x, steps, costs = batched
+    x, steps, costs, r_inf = batched
     for k, row in enumerate(x0):
-        x1, steps1, costs1 = solver._lockstep(sys, row[None], cfg)
+        x1, steps1, costs1, r_inf1 = solver._lockstep(sys, row[None], cfg)
         assert x[k].tobytes() == x1[0].tobytes()
         assert steps[k] == steps1[0]
         assert costs[k, : steps[k] + 1].tobytes() == costs1[0, : steps1[0] + 1].tobytes()
+        assert r_inf[k].tobytes() == r_inf1[0].tobytes()
     return batched
+
+
+def sequential_lm(sys, x0, cfg):
+    """Reference for _lockstep: Levenberg-Marquardt on one row with one
+    damped attempt per round, on the same batched primitives (batches of
+    one).  Returns the final variables, the accepted step count, the
+    accepted costs and the number of attempts."""
+    lb, ub = solver._bounds(sys)
+    eye = np.eye(sys.var_count)
+
+    def evaluate(x):
+        table = mo.power_table(sys, x)
+        r = mo.batch_residual(sys, table)
+        return table, r, solver._norms(r)[0] if np.all(np.isfinite(r)) else np.inf
+
+    x = solver._project(sys, x0[None], lb, ub)
+    lam = cfg.lm_lambda0
+    attempts = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        table, r, cost = evaluate(x)
+        costs = [cost]
+        live = np.all(np.isfinite(r)) and np.max(np.abs(r)) > cfg.residual_tol
+        while live:
+            jac = mo.batch_jacobian(sys, table)
+            jac_t = jac.transpose(0, 2, 1)
+            neg_grad = -(jac_t @ r[:, :, None])[:, :, 0]
+            hess = jac_t @ jac
+            while True:
+                attempts += 1
+                delta = solver._solve_rows(hess + lam * eye, neg_grad)
+                cand = solver._project(sys, x + delta, lb, ub)
+                cand_table, r_new, cost_new = evaluate(cand)
+                if cost_new < cost:
+                    step_norm = solver._norms(cand - x)[0]
+                    x, table, r, cost = cand, cand_table, r_new, cost_new
+                    lam = max(lam * solver.LAMBDA_DECREASE, solver.LAMBDA_MIN)
+                    costs.append(cost)
+                    live = (
+                        np.max(np.abs(r)) > cfg.residual_tol
+                        and step_norm > cfg.step_tol
+                        and len(costs) - 1 < cfg.max_iters
+                    )
+                    break
+                lam *= solver.LAMBDA_INCREASE
+                if lam > solver.LAMBDA_MAX:
+                    live = False
+                    break
+    return x[0], len(costs) - 1, costs, attempts
 
 
 @settings(max_examples=20, deadline=None)
@@ -248,18 +303,68 @@ def test_lockstep_singular_and_stopped_rows_leave_others_unchanged():
     non_finite = np.full(sys.var_count, np.nan)
     normal = np.array([[0.1, 0.7, 0.8, 0.2, 0.0, 0.6], [0.6, 0.1, 0.2, 0.5, 0.0, 0.3]])
     x0 = np.stack([normal[0], coincident, solved, non_finite, normal[1]])
-    x, steps, costs = assert_rows_run_as_alone(sys, x0, cfg)
+    x, steps, costs, _ = assert_rows_run_as_alone(sys, x0, cfg)
     assert steps[1] > 0  # the singular row moved on through lstsq
     assert steps[2] == 0 and x[2].tobytes() == solved.tobytes()
     assert steps[3] == 0 and costs[3, 0] == float("inf")
     assert steps[0] > 0 and steps[4] > 0
 
 
-def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(0, 5),
+    rows=st.integers(1, 4),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    lm_lambda0=st.sampled_from([1e-30, 1e-3, 1e13]),
+    lambda_max=st.sampled_from([solver.LAMBDA_MAX, 1e-2]),
+)
+def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lm_lambda0, lambda_max):
+    # At lm_lambda0 1e13 every first attempt exceeds LAMBDA_MAX.  Lowered
+    # to 1e-2, it stops many rows within 200 iterations, where a rung
+    # past it would often have lowered the cost.
+    inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
+    sys = mo.build_system(inst, mode=mode)
+    lb, ub = solver._bounds(sys)
+    x0 = lb + np.random.default_rng(seed).uniform(size=(rows, sys.var_count)) * (ub - lb)
+    cfg = SolveConfig(max_iters=200, lm_lambda0=lm_lambda0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "LAMBDA_MAX", lambda_max)
+        x, steps, costs, r_inf = solver._lockstep(sys, x0, cfg)
+        reference = [sequential_lm(sys, row, cfg) for row in x0]
+    for k, (x1, steps1, costs1, _) in enumerate(reference):
+        assert x[k].tobytes() == x1.tobytes()
+        assert steps[k] == steps1
+        assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
+        assert r_inf[k] == np.max(np.abs(mo.residual(sys, x1)))
+
+
+@pytest.mark.parametrize("lm_lambda0", [1e-30, 1e-3, 1e13])
+def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(lm_lambda0):
+    # A unit square in a 2x1 box wants to move right past its bound, so
+    # once it sits there every step is clipped back and lambda climbs
+    # past LAMBDA_MAX.  With step_tol 0 that is the only way to stop early.
+    sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)), mode=mo.FIXED)
+    lb, ub = solver._bounds(sys)
+    x0 = np.stack([lb + f * (ub - lb) for f in (0.0, 0.3, 1.0)])
+    cfg = SolveConfig(max_iters=200, step_tol=0.0, lm_lambda0=lm_lambda0)
+    x, steps, costs, r_inf = solver._lockstep(sys, x0, cfg)
+    for k in range(len(x0)):
+        x1, steps1, costs1, attempts = sequential_lm(sys, x0[k], cfg)
+        assert x[k].tobytes() == x1.tobytes() == ub.tobytes()
+        assert steps[k] == steps1 < cfg.max_iters
+        assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
+        assert r_inf[k] > cfg.residual_tol
+        assert attempts > steps1  # the last iteration only rejects
+
+
+def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempts=None):
     """Reference: the multistart loop one start at a time through
-    solve_single, as (status, start_index, iterations_total, best_layout,
-    final_residual_inf).  Every layout it verifies is appended to checked."""
+    sequential_lm, as (status, start_index, iterations_total, best_layout,
+    final_residual_inf).  Every layout it verifies is appended to checked,
+    the attempt count of every LM run to attempts."""
     checked = [] if checked is None else checked
+    attempts = [] if attempts is None else attempts
     sys = mo.build_system(inst, max_order, mode)
     lb, ub = solver._bounds(sys)
     polish = replace(
@@ -269,13 +374,16 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
     iterations = 0
     any_converged = False
     for k in range(cfg.restarts):
-        x, hist = solve_single(sys, solver._start_vector(sys, inst, cfg, k, lb, ub), cfg)
-        iterations += len(hist) - 1
+        x0 = solver._start_vector(sys, inst, cfg, k, lb, ub)
+        x, steps, _, tried = sequential_lm(sys, x0, cfg)
+        iterations += steps
+        attempts.append(tried)
         r_inf = np.max(np.abs(mo.residual(sys, x)))
         if r_inf <= cfg.residual_tol:
             any_converged = True
-            x, hist = solve_single(sys, x, polish)
-            iterations += len(hist) - 1
+            x, steps, _, tried = sequential_lm(sys, x, polish)
+            iterations += steps
+            attempts.append(tried)
             raw = mo.vars_to_layout(sys, x)
             checked.append(raw)
             if verify_layout(inst, raw).passed:
@@ -300,6 +408,15 @@ def rotatable_dominoes():
     return dominoes(), cfg, mo.ROTATABLE
 
 
+def assert_report_is(report, expected):
+    status, start, iterations, layout, final = expected
+    assert report.status == status
+    assert report.start_index == start
+    assert report.iterations_total == iterations
+    assert serialize_layout(report.best_layout) == serialize_layout(layout)
+    assert report.final_residual_inf == final
+
+
 @pytest.mark.parametrize("case", [second_chunk_winner, rotatable_dominoes])
 @pytest.mark.parametrize("restarts", [1, 8, 9, 11])
 def test_multistart_matches_sequential_across_chunks(case, restarts):
@@ -307,14 +424,30 @@ def test_multistart_matches_sequential_across_chunks(case, restarts):
     inst, cfg, mode = case()
     cfg = replace(cfg, restarts=restarts)
     report = solve_multistart(inst, cfg, mode=mode)
-    status, start, iterations, layout, final = sequential_multistart(inst, cfg, mode)
-    assert report.status == status
-    assert report.start_index == start
-    assert report.iterations_total == iterations
-    assert serialize_layout(report.best_layout) == serialize_layout(layout)
-    assert report.final_residual_inf == final
+    assert_report_is(report, sequential_multistart(inst, cfg, mode))
     if case is second_chunk_winner:
         assert report.status == ("converged_verified" if restarts > 8 else "exhausted")
+
+
+def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
+    # Both starts run in one chunk: start 0 takes all 40 steps, start 1
+    # verifies.  The one-attempt reference makes 77 attempts.
+    inst, cfg, mode = rotatable_dominoes()
+    cfg = replace(cfg, restarts=2)
+    attempts = []
+    expected = sequential_multistart(inst, cfg, mode, attempts=attempts)
+    solves = []
+    solve_rows = solver._solve_rows
+
+    def counting_solve(a, b):
+        solves.append(len(a))
+        return solve_rows(a, b)
+
+    monkeypatch.setattr(solver, "_solve_rows", counting_solve)
+    report = solve_multistart(inst, cfg, mode=mode)
+    assert_report_is(report, expected)
+    assert report.status == "converged_verified" and report.start_index == 1
+    assert len(solves) < sum(attempts)
 
 
 def test_multistart_verifies_each_converged_start_once(monkeypatch):

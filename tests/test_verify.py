@@ -66,6 +66,17 @@ def test_sub_tolerance_error_passes():
     assert verify_layout(inst, layout).passed
 
 
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+def test_tol_must_be_finite_and_non_negative(tol):
+    # At inf two squares stacked on each other would pass; at NaN every
+    # comparison is false, so a tiling would fail with no violation row.
+    inst, layout = two_dominoes()
+    with pytest.raises(ValueError, match="tol"):
+        verify_layout(inst, layout, tol)
+    with pytest.raises(ValueError, match="tol"):
+        corner_cancellation(layout, inst.box, tol)
+
+
 @pytest.mark.parametrize("wall", [False, True])
 def test_penetration_is_a_length_like_overhang(wall):
     # The same 1e-9 shift passes whether it pushes into the neighbour or
