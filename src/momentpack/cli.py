@@ -32,6 +32,7 @@ from .oracle import enumerate_small_family
 from .solver import SolveConfig, solve_multistart
 from .verify import (
     DEFAULT_TOL,
+    _check_tol,
     corner_cancellation,
     moment_residual_of_layout,
     verify_exact,
@@ -162,6 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     layout = parse_layout(_read(args.layout))
     if args.exact:
+        _check_tol(args.tol)  # exact checks run at 0, but a bad --tol is still an input error
         ok = verify_exact(inst, layout)
         _emit({"pass": ok, "mode": "exact"})
         return 0 if ok else 1

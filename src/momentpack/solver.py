@@ -18,10 +18,11 @@ Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
 share one batched Jacobian, and its retries run as a damping ladder, one
 stacked linear solve per round of several lambdas per start.  Each start
 keeps its own lambda and stop rule, so its trajectory is bit for bit the
-one-attempt-at-a-time one, which solve_single gives it too.  Converged starts
-of a chunk are then polished together and verified in index order.  Later
-starts of the winning chunk may be computed but are never reported: the
-report, iterations_total included, is the one a start-by-start loop gives.
+one-attempt-at-a-time one, which solve_single gives it too.  Starts are
+verified in index order as they finish: once every lower start is resolved,
+the stopped converged ones are polished together and verified, and later
+starts stop once a lower one verifies.  The report, iterations_total
+included, is the one a start-by-start loop gives.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -241,7 +243,10 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lockstep(
-    sys: mo.MomentSystem, x0: np.ndarray, cfg: SolveConfig
+    sys: mo.MomentSystem,
+    x0: np.ndarray,
+    cfg: SolveConfig,
+    on_stop: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
 
@@ -260,6 +265,12 @@ def _lockstep(
     the final variables (K, V), the accepted step count of each row (K,),
     the accepted costs (K, max_iters + 1), row k's history being
     costs[k, : steps[k] + 1], and each row's final max |r| (K,).
+
+    on_stop, if given, is called with the rows that stopped (ascending;
+    first those that never start, then after each iteration those that
+    stopped in it) and the arrays x, steps and r_inf as they stand.  It
+    returns the first row index to drop: every row at or past it stops at
+    once and is never passed to on_stop.
     """
     lb, ub = _bounds(sys)
     eye = np.eye(sys.var_count)
@@ -274,8 +285,13 @@ def _lockstep(
         steps = np.zeros(len(x), dtype=int)
         lam = np.full(len(x), cfg.lm_lambda0)
         live = np.isfinite(r_inf) & (r_inf > cfg.residual_tol)
-        while np.any(live):
-            rows = np.flatnonzero(live)
+        ended = np.flatnonzero(~live)
+        while True:
+            if on_stop is not None and len(ended):
+                live[on_stop(ended, x, steps, r_inf) :] = False
+            iterated = rows = np.flatnonzero(live)
+            if not len(rows):
+                break
             jac = mo.batch_jacobian(sys, table[rows])
             jac_t = jac.transpose(0, 2, 1)
             neg_grad = -(jac_t @ r[rows, :, None])[:, :, 0]
@@ -293,7 +309,10 @@ def _lockstep(
                 r_new = mo.batch_residual(sys, cand_table)
                 cost_new = _costs(r_new)
                 hit = np.flatnonzero(cost_new < cost[rows[i]])
-                hit = hit[np.unique(i[hit], return_index=True)[1]]  # first win per row
+                hit_row = i[hit]  # non-decreasing: keep each row's first win
+                first = np.ones(len(hit), dtype=bool)
+                np.not_equal(hit_row[1:], hit_row[:-1], out=first[1:])
+                hit = hit[first]
                 stepped = np.zeros(len(rows), dtype=bool)
                 stepped[i[hit]] = True
                 won = rows[stepped]
@@ -314,6 +333,7 @@ def _lockstep(
                 live[rows[~stepped & ~retry]] = False
                 rows, hess, neg_grad = rows[retry], hess[retry], neg_grad[retry]
                 width *= 2
+            ended = iterated[~live[iterated]]
     return x, steps, costs, r_inf
 
 
@@ -379,8 +399,9 @@ def solve_multistart(
     """Deterministic multistart: start 0 follows the init strategy, later
     starts draw from per-index seeded generators.  A start counts as a
     success only when its polished layout passes geometric verification;
-    ties go to the lowest start index.  Area-infeasible instances are
-    rejected before any solving."""
+    ties go to the lowest start index.  Starts are verified in index order
+    as they finish, and later starts stop once a lower one verifies.
+    Area-infeasible instances are rejected before any solving."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -400,40 +421,59 @@ def solve_multistart(
     polish_cfg = replace(
         cfg, residual_tol=0.0, step_tol=1e-15, max_iters=POLISH_MAX_ITERS, lm_lambda0=1e-6
     )
-    best_r = float("inf")
-    best_idx = -1
-    best_layout: Layout | None = None
+    best: tuple[float, int, Layout | None] = (float("inf"), -1, None)
     any_converged = False
     iterations = 0
-    for first in range(0, cfg.restarts, LOCKSTEP_CHUNK):
-        starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
-        x0 = np.stack([_start_vector(sys, inst, cfg, k, lb, ub) for k in starts])
-        x, steps, _, r_inf = _lockstep(sys, x0, cfg)
+    winner: tuple[int, Layout] | None = None
+
+    def resolve(ended: np.ndarray, x: np.ndarray, steps: np.ndarray, r_inf: np.ndarray) -> int:
+        """Take the chunk's stopped starts from the lowest unresolved one up
+        to the first still running: polish the converged ones together,
+        then verify them in index order.  Returns the row past a verified
+        start, which stops the rest of the chunk, else the chunk size."""
+        nonlocal todo, iterations, any_converged, best, winner
+        stopped[ended] = True
+        end = todo
+        while end < len(stopped) and stopped[end]:
+            end += 1
+        rows = np.arange(todo, end)
+        todo = end
+        x, steps, r_inf = x[rows], steps[rows], r_inf[rows]
         converged = r_inf <= cfg.residual_tol
         if np.any(converged):
-            # Every converged row is polished; rows past the winner are
-            # computed but never reported.
             x[converged], polish_steps, _, r_inf[converged] = _lockstep(
                 sys, x[converged], polish_cfg
             )
             steps[converged] += polish_steps
-        for j, k in enumerate(starts):
+        for j, row in enumerate(rows):
             iterations += int(steps[j])
-            raw = mo.vars_to_layout(sys, x[j])
             if converged[j]:
                 any_converged = True
+                raw = mo.vars_to_layout(sys, x[j])
                 if verify_layout(inst, raw).passed:
-                    final_r = _residual_inf(sys, mo.layout_to_vars(sys, raw))
-                    return SolveReport(
-                        status="converged_verified",
-                        best_layout=raw,
-                        final_residual_inf=final_r,
-                        iterations_total=iterations,
-                        start_index=k,
-                        wall_time_s=time.perf_counter() - t0,
-                    )
-            if r_inf[j] < best_r:
-                best_r, best_idx, best_layout = float(r_inf[j]), k, raw
+                    winner = (first + int(row), raw)
+                    return int(row) + 1
+            if r_inf[j] < best[0]:
+                best = (float(r_inf[j]), first + int(row), mo.vars_to_layout(sys, x[j]))
+        return len(stopped)
+
+    for first in range(0, cfg.restarts, LOCKSTEP_CHUNK):
+        starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
+        stopped = np.zeros(len(starts), dtype=bool)
+        todo = 0  # the chunk's lowest start not yet verified or passed over
+        x0 = np.stack([_start_vector(sys, inst, cfg, k, lb, ub) for k in starts])
+        _lockstep(sys, x0, cfg, resolve)
+        if winner is not None:
+            start_index, layout = winner
+            return SolveReport(
+                status="converged_verified",
+                best_layout=layout,
+                final_residual_inf=_residual_inf(sys, mo.layout_to_vars(sys, layout)),
+                iterations_total=iterations,
+                start_index=start_index,
+                wall_time_s=time.perf_counter() - t0,
+            )
+    best_r, best_idx, best_layout = best
     return SolveReport(
         status="converged_unverified" if any_converged else "exhausted",
         best_layout=best_layout,

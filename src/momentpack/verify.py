@@ -188,13 +188,17 @@ def _as_fraction(value: Number, what: str) -> Fraction:
     raise ValueError(f"{what}: expected a rational number, got {value!r}")
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def verify_layout(
     inst: Instance, layout: Layout, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Check containment, pairwise interior-disjointness, side fidelity, and
     total area against the box in floats, reporting every violation."""
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     numbers = _numbers(inst, layout, lambda v, _: float(v))
     # np.sum sums floats pairwise, so area_gap keeps its bits
     containment, sizes, area_gap, area_ok, overlaps = _check(inst, *numbers, tol, np.sum)
@@ -270,8 +274,7 @@ def corner_cancellation(layout: Layout, box: BoxSpec, tol: float = DEFAULT_TOL) 
     Interior and edge points must sum to 0; the box corners must net +1 at
     (0,0), -1 at (A,0), -1 at (0,B), +1 at (A,B).
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     a = float(box.width)
     b = float(box.height)
     eps = tol * max(a, b)

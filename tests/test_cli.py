@@ -212,10 +212,12 @@ def test_verify_tol_must_be_finite_and_non_negative(capsys, tmp_path, tol):
     inst_path = write_dominoes(tmp_path)
     lay_path = tmp_path / "layout.json"
     lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
-    code, out, err = run_cli(capsys, "verify", str(inst_path), str(lay_path), "--tol", tol)
-    assert code == 2
-    assert out == ""
-    assert "tol" in json.loads(err)["error"]
+    for exact in ([], ["--exact"]):
+        argv = ["verify", *exact, str(inst_path), str(lay_path), "--tol", tol]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "tol" in json.loads(err)["error"]
 
 
 def test_verify_exact_mode(capsys, tmp_path):

@@ -471,3 +471,59 @@ def test_multistart_verifies_each_converged_start_once(monkeypatch):
     assert list(map(serialize_layout, verified)) == list(map(serialize_layout, expected))
     assert len(verified) == 29
     assert verified[-1] is report.best_layout
+
+
+def test_chunk_stops_once_a_lower_start_verifies(monkeypatch):
+    # Start 0 verifies after 12 steps, polish included.  Run to their own
+    # stops, the eight starts of the chunk evaluate 64 batched Jacobians.
+    inst, _ = gen_guillotine(1, 3, BoxSpec(3.0, 2.0))
+    cfg = SolveConfig(restarts=8, max_iters=60, seed=1)
+    expected = sequential_multistart(inst, cfg, mo.FIXED)
+    calls = []
+    batch_jacobian = mo.batch_jacobian
+
+    def counting_jacobian(sys, table):
+        calls.append(len(table))
+        return batch_jacobian(sys, table)
+
+    monkeypatch.setattr(mo, "batch_jacobian", counting_jacobian)
+    report = solve_multistart(inst, cfg, mode=mo.FIXED)
+    assert_report_is(report, expected)
+    assert report.status == "converged_verified"
+    assert report.start_index == 0 and report.iterations_total == 12
+    assert len(calls) < 20
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(1, 4),
+    restarts=st.integers(1, 17),
+    max_iters=st.integers(5, 40),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    init_strategy=st.sampled_from(["shelf_greedy", "uniform_random"]),
+    max_order=st.sampled_from([None, 2]),
+)
+def test_multistart_matches_sequential(
+    seed, cuts, restarts, max_iters, mode, init_strategy, max_order
+):
+    # Across chunk boundaries, solve_multistart reports what the
+    # start-by-start loop reports and verifies the same layouts in order.
+    # Order 2 makes starts that converge but fail verification.
+    inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
+    cfg = SolveConfig(
+        restarts=restarts, max_iters=max_iters, seed=seed, init_strategy=init_strategy
+    )
+    verified = []
+
+    def recording_verify(inst, layout, *args, **kwargs):
+        verified.append(layout)
+        return verify_layout(inst, layout, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "verify_layout", recording_verify)
+        report = solve_multistart(inst, cfg, max_order, mode)
+    checked = []
+    expected = sequential_multistart(inst, cfg, mode, max_order, checked)
+    assert_report_is(report, expected)
+    assert list(map(serialize_layout, verified)) == list(map(serialize_layout, checked))
