@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from .instances import (
     BoxSpec,
     Instance,
     Layout,
+    _check_placement_count,
     gen_guillotine,
     harmonic_prefix,
     parse_instance,
@@ -60,6 +62,8 @@ def render_svg(
 ) -> str:
     """SVG picture of a layout: box outline plus one rect per placement,
     y axis flipped so the origin sits at the bottom-left."""
+    if not 0 < px_per_unit < math.inf:
+        raise ValueError(f"px_per_unit must be finite and > 0, got {px_per_unit!r}")
     a = float(inst.box.width)
     b = float(inst.box.height)
     w_px = a * px_per_unit
@@ -204,10 +208,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     layout = parse_layout(_read(args.layout))
-    if len(layout.placements) != inst.n_rects:
-        raise ValueError(
-            f"layout has {len(layout.placements)} placements, instance has {inst.n_rects}"
-        )
+    _check_placement_count(inst, layout)
     svg = render_svg(inst, layout, px_per_unit=args.scale_px, labels=args.labels)
     Path(args.out).write_text(svg + "\n")
     _emit({"out": args.out, "rect_elements": inst.n_rects + 1})

@@ -207,6 +207,13 @@ class Layout:
         return len(self.placements)
 
 
+def _check_placement_count(inst: Instance, layout: Layout) -> None:
+    """Raise ValueError unless the layout places each rectangle once."""
+    n = len(layout.placements)
+    if n != inst.n_rects:
+        raise ValueError(f"layout has {n} placements, instance has {inst.n_rects}")
+
+
 # -- JSON wire formats ------------------------------------------------------
 #
 # Instance: {"box": [A, B], "rects": [[w, h], ...], "rotation": true|false}

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import Instance, Layout, Placement
+from .instances import Instance, Layout, Placement, _check_placement_count
 
 FIXED = "fixed_orientation"
 ROTATABLE = "rotatable"
@@ -276,10 +276,7 @@ def corners_to_vars(sys: MomentSystem, corners: np.ndarray) -> np.ndarray:
 
 def layout_to_vars(sys: MomentSystem, layout: Layout) -> np.ndarray:
     """Flatten a layout into the system's normalized variable vector."""
-    if len(layout.placements) != sys.n_rects:
-        raise ValueError(
-            f"layout has {len(layout.placements)} placements, instance has {sys.n_rects}"
-        )
+    _check_placement_count(sys.instance, layout)
     s = sys.scale
     corners = [[float(v) / s for v in p.as_tuple()] for p in layout.placements]
     return corners_to_vars(sys, np.array(corners).reshape(sys.n_rects, 4))

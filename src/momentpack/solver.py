@@ -2,10 +2,11 @@
 
 solve_single runs a Levenberg-Marquardt iteration on one start vector:
 each attempt solves (J^T J + lambda I) delta = -J^T r and accepts the
-projected candidate only on strict cost decrease (lambda halves); a
-rejection quadruples lambda and retries.  Variables are projected into the
-normalized box domain after every step, so the iteration can never wander
-off to non-finite territory.
+candidate x + delta only on strict cost decrease (lambda halves); a
+rejection quadruples lambda and retries.  The unknowns are unconstrained:
+a candidate whose residual is not finite costs inf, so it is rejected like
+any other that does not lower the cost, and every accepted iterate stays
+finite.  Containment in the box is the verifier's check, not the solver's.
 
 solve_multistart layers deterministic restarts on top and treats geometric
 verification, not the residual, as the definition of success: every
@@ -76,6 +77,8 @@ class SolveConfig:
             raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(0 <= t < math.inf for t in (self.residual_tol, self.step_tol)):
             raise ValueError("tolerances (residual_tol, step_tol) must be finite and >= 0")
         if not 0 < self.lm_lambda0 < math.inf:
@@ -155,47 +158,22 @@ def init_shelf_greedy(inst: Instance) -> Layout:
     return Layout(tuple(placements))
 
 
-def _bounds(sys: mo.MomentSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the unknowns: 0 and the box sides, but an upright
-    rectangle's lower corner stays a side away from the far walls."""
-    ub = np.tile([sys.box_w, sys.box_h], (sys.n_rects, 2))
-    upright = ~sys.free
-    ub[upright, :2] -= np.stack([sys.widths, sys.heights], axis=1)[upright]
-    return np.zeros(sys.var_count), mo.corners_to_vars(sys, np.maximum(ub, 0.0))
-
-
-def _project(sys: mo.MomentSystem, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Clip (..., var_count) variables into the box and order each free
-    rectangle's corners so x_lo <= x_hi and y_lo <= y_hi."""
-    out = np.clip(x, lb, ub)
-    if not sys.constraint_count:
-        return out
-    pairs = out[..., 2 * sys.n_upright :].reshape(out.shape[:-1] + (-1, 2, 2))
-    lo = np.minimum(pairs[..., 0, :], pairs[..., 1, :])
-    pairs[..., 1, :] = np.maximum(pairs[..., 0, :], pairs[..., 1, :])
-    pairs[..., 0, :] = lo
-    return out
-
-
 def _start_vector(
-    sys: mo.MomentSystem,
-    inst: Instance,
-    cfg: SolveConfig,
-    start_index: int,
-    lb: np.ndarray,
-    ub: np.ndarray,
+    sys: mo.MomentSystem, inst: Instance, cfg: SolveConfig, start_index: int
 ) -> np.ndarray:
     if start_index == 0 and cfg.init_strategy == "shelf_greedy":
-        return _project(sys, mo.layout_to_vars(sys, init_shelf_greedy(inst)), lb, ub)
+        return mo.layout_to_vars(sys, init_shelf_greedy(inst))
     if start_index == 0 and cfg.init_strategy == "user_layout":
-        return _project(sys, mo.layout_to_vars(sys, cfg.initial_layout), lb, ub)
+        return mo.layout_to_vars(sys, cfg.initial_layout)
     # Rectangles draw in instance order: an upright one its lower corner
-    # uniformly in its bounds, a free one an orientation and a centre.
+    # uniformly where the rectangle fits in the box, a free one an
+    # orientation and a centre.
     rng = np.random.default_rng(cfg.seed * _SEED_STRIDE + start_index)
     out = np.zeros((sys.n_rects, 4))
     for i in range(sys.n_rects):
         if not sys.free[i]:
-            out[i, :2] = rng.uniform(size=2)  # scaled into [0, ub] below
+            room = (sys.box_w - sys.widths[i], sys.box_h - sys.heights[i])
+            out[i, :2] = rng.uniform(size=2) * np.maximum(room, 0.0)
             continue
         w, h = sys.widths[i], sys.heights[i]
         if rng.integers(0, 2):
@@ -203,9 +181,7 @@ def _start_vector(
         cx = rng.uniform(w / 2, sys.box_w - w / 2) if sys.box_w > w else sys.box_w / 2
         cy = rng.uniform(h / 2, sys.box_h - h / 2) if sys.box_h > h else sys.box_h / 2
         out[i] = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-    x = mo.corners_to_vars(sys, out)
-    x[: 2 * sys.n_upright] *= ub[: 2 * sys.n_upright]  # upright unknowns come first
-    return _project(sys, x, lb, ub)
+    return mo.corners_to_vars(sys, out)
 
 
 # -- Core iteration ----------------------------------------------------------
@@ -252,7 +228,7 @@ def _lockstep(
 
     Each iteration evaluates one Jacobian for all live rows.  Each row
     follows the one-attempt damping rule on its own: solve at lambda,
-    accept the projected candidate only on strict cost decrease (lambda
+    accept the candidate x + delta only on strict cost decrease (lambda
     halves, not below LAMBDA_MIN), else quadruple lambda and retry until it
     exceeds LAMBDA_MAX.  The retries run as a ladder: a round stacks every
     row yet to step at rungs lambda * 4**j, j < width, into one linear
@@ -272,9 +248,8 @@ def _lockstep(
     returns the first row index to drop: every row at or past it stops at
     once and is never passed to on_stop.
     """
-    lb, ub = _bounds(sys)
     eye = np.eye(sys.var_count)
-    x = _project(sys, x0, lb, ub)
+    x = np.array(x0, dtype=float)  # a copy: rows are updated in place
     with np.errstate(over="ignore", invalid="ignore"):
         table = mo.power_table(sys, x)
         r = mo.batch_residual(sys, table)
@@ -304,7 +279,7 @@ def _lockstep(
                 tried[:, 0] = True
                 i, j = np.nonzero(tried)  # each row's rungs, in order
                 delta = _solve_rows(hess[i] + rungs[i, j, None, None] * eye, neg_grad[i])
-                cand = _project(sys, x[rows[i]] + delta, lb, ub)
+                cand = x[rows[i]] + delta
                 cand_table = mo.power_table(sys, cand)
                 r_new = mo.batch_residual(sys, cand_table)
                 cost_new = _costs(r_new)
@@ -417,7 +392,6 @@ def solve_multistart(
             reason="area",
         )
     sys = mo.build_system(inst, max_order, mode)
-    lb, ub = _bounds(sys)
     polish_cfg = replace(
         cfg, residual_tol=0.0, step_tol=1e-15, max_iters=POLISH_MAX_ITERS, lm_lambda0=1e-6
     )
@@ -461,7 +435,7 @@ def solve_multistart(
         starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
         stopped = np.zeros(len(starts), dtype=bool)
         todo = 0  # the chunk's lowest start not yet verified or passed over
-        x0 = np.stack([_start_vector(sys, inst, cfg, k, lb, ub) for k in starts])
+        x0 = np.stack([_start_vector(sys, inst, cfg, k) for k in starts])
         _lockstep(sys, x0, cfg, resolve)
         if winner is not None:
             start_index, layout = winner

@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from . import moments as mo
-from .instances import BoxSpec, Instance, Layout, Number
+from .instances import BoxSpec, Instance, Layout, Number, _check_placement_count
 
 __all__ = [
     "VerificationReport",
@@ -92,9 +92,7 @@ def _numbers(inst: Instance, layout: Layout, num: Callable[[Number, str], object
     """Every number the checks read, converted with num in one fixed order
     (box, placements, rect sides), so malformed input raises the same error
     whatever else is wrong.  Returns (a, b, boxes, sides)."""
-    n = len(layout.placements)
-    if n != inst.n_rects:
-        raise ValueError(f"layout has {n} placements, instance has {inst.n_rects}")
+    _check_placement_count(inst, layout)
     a = num(inst.box.width, "box width")
     b = num(inst.box.height, "box height")
     boxes = [

@@ -183,6 +183,21 @@ def test_solve_tol_must_be_finite_and_non_negative(capsys, tmp_path, tol):
     assert "residual_tol" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("restarts", ["1", "2", "9"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_solve_seed_must_be_non_negative(capsys, tmp_path, monkeypatch, via_env, restarts):
+    inst_path = write_dominoes(tmp_path)
+    argv = ["solve", str(inst_path), "--restarts", restarts]
+    if via_env:
+        monkeypatch.setenv("PACK_SEED", "-1")
+    else:
+        argv += ["--seed", "-1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0, got -1" in json.loads(err)["error"]
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -294,6 +309,21 @@ def test_render_cli_writes_file(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["rect_elements"] == 3
     assert out_path.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf"])
+def test_render_scale_must_be_finite_and_positive(capsys, tmp_path, scale):
+    inst_path = write_dominoes(tmp_path)
+    lay_path = tmp_path / "layout.json"
+    lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
+    out_path = tmp_path / "picture.svg"
+    code, out, err = run_cli(
+        capsys, "render", str(inst_path), str(lay_path), str(out_path), "--scale-px", scale
+    )
+    assert code == 2
+    assert out == ""
+    assert "px_per_unit" in json.loads(err)["error"]
+    assert not out_path.exists()
 
 
 def test_render_count_mismatch_is_input_error(capsys, tmp_path):

@@ -39,6 +39,7 @@ def dominoes():
     [
         {"max_iters": 0},
         {"restarts": 0},
+        {"seed": -1},
         {"residual_tol": -1.0},
         {"residual_tol": float("nan")},
         {"residual_tol": float("inf")},
@@ -93,7 +94,9 @@ def test_solve_single_shape_check():
 def test_solve_single_reduces_residual():
     sys = mo.build_system(dominoes(), max_order=3, mode=mo.FIXED)
     x0 = np.array([0.1, 0.3, 0.6, 0.2])
+    kept = x0.copy()
     x, history = solve_single(sys, x0)
+    assert x0.tobytes() == kept.tobytes()  # the caller's start is not written to
     assert history[-1] < history[0]
     assert np.max(np.abs(mo.residual(sys, x))) < np.max(np.abs(mo.residual(sys, x0)))
 
@@ -228,7 +231,6 @@ def sequential_lm(sys, x0, cfg):
     damped attempt per round, on the same batched primitives (batches of
     one).  Returns the final variables, the accepted step count, the
     accepted costs and the number of attempts."""
-    lb, ub = solver._bounds(sys)
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
@@ -236,7 +238,7 @@ def sequential_lm(sys, x0, cfg):
         r = mo.batch_residual(sys, table)
         return table, r, solver._norms(r)[0] if np.all(np.isfinite(r)) else np.inf
 
-    x = solver._project(sys, x0[None], lb, ub)
+    x = x0[None]
     lam = cfg.lm_lambda0
     attempts = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,7 +253,7 @@ def sequential_lm(sys, x0, cfg):
             while True:
                 attempts += 1
                 delta = solver._solve_rows(hess + lam * eye, neg_grad)
-                cand = solver._project(sys, x + delta, lb, ub)
+                cand = x + delta
                 cand_table, r_new, cost_new = evaluate(cand)
                 if cost_new < cost:
                     step_norm = solver._norms(cand - x)[0]
@@ -271,6 +273,13 @@ def sequential_lm(sys, x0, cfg):
     return x[0], len(costs) - 1, costs, attempts
 
 
+def box_starts(sys, seed, rows):
+    """rows start vectors drawing each unknown uniformly between 0 and its
+    box side (the unknowns alternate x and y)."""
+    sides = np.tile([sys.box_w, sys.box_h], sys.var_count // 2)
+    return np.random.default_rng(seed).uniform(size=(rows, sys.var_count)) * sides
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -281,8 +290,7 @@ def sequential_lm(sys, x0, cfg):
 def test_lockstep_rows_are_independent(seed, cuts, rows, mode):
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst, mode=mode)
-    lb, ub = solver._bounds(sys)
-    x0 = lb + np.random.default_rng(seed).uniform(size=(rows, sys.var_count)) * (ub - lb)
+    x0 = box_starts(sys, seed, rows)
     assert_rows_run_as_alone(sys, x0, SolveConfig(max_iters=15))
 
 
@@ -310,6 +318,23 @@ def test_lockstep_singular_and_stopped_rows_leave_others_unchanged():
     assert steps[0] > 0 and steps[4] > 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
+def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
+    # No clip pulls a far start back: its residual overflows, or no step
+    # lowers its cost.  Either way no row may turn non-finite.
+    inst, _ = gen_guillotine(3, 19, BoxSpec(10.0, 8.0))
+    sys = mo.build_system(inst, mode=mode)
+    inside = box_starts(sys, 3, 1)[0]
+    far = [inside + v for v in (1e3, -1e3, 1e18, 1e40)]
+    x0 = np.stack(far + [np.full(sys.var_count, np.nan)])
+    x, steps, costs, r_inf = assert_rows_run_as_alone(sys, x0, SolveConfig(max_iters=20))
+    assert np.all(np.isfinite(x) | ~np.isfinite(x0))
+    for k in range(len(x0)):
+        assert np.all(np.isfinite(costs[k, 1 : steps[k] + 1]))
+    assert np.array_equal(np.isfinite(r_inf), np.isfinite(costs[:, 0]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -325,8 +350,7 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lm_lambda
     # past it would often have lowered the cost.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst, mode=mode)
-    lb, ub = solver._bounds(sys)
-    x0 = lb + np.random.default_rng(seed).uniform(size=(rows, sys.var_count)) * (ub - lb)
+    x0 = box_starts(sys, seed, rows)
     cfg = SolveConfig(max_iters=200, lm_lambda0=lm_lambda0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "LAMBDA_MAX", lambda_max)
@@ -341,21 +365,37 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lm_lambda
 
 @pytest.mark.parametrize("lm_lambda0", [1e-30, 1e-3, 1e13])
 def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(lm_lambda0):
-    # A unit square in a 2x1 box wants to move right past its bound, so
-    # once it sits there every step is clipped back and lambda climbs
-    # past LAMBDA_MAX.  With step_tol 0 that is the only way to stop early.
+    # A unit square in a 2x1 box has no root: the rows run to a
+    # stationary point (max |r| 0.5), where no step lowers the cost and
+    # lambda climbs past LAMBDA_MAX.  With step_tol 0 that is the only way
+    # to stop early.
     sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)), mode=mo.FIXED)
-    lb, ub = solver._bounds(sys)
-    x0 = np.stack([lb + f * (ub - lb) for f in (0.0, 0.3, 1.0)])
+    x0 = np.array([[0.0, 0.0], [0.15, 0.0], [0.5, 0.0]])  # left, inside, right wall
     cfg = SolveConfig(max_iters=200, step_tol=0.0, lm_lambda0=lm_lambda0)
     x, steps, costs, r_inf = solver._lockstep(sys, x0, cfg)
     for k in range(len(x0)):
         x1, steps1, costs1, attempts = sequential_lm(sys, x0[k], cfg)
-        assert x[k].tobytes() == x1.tobytes() == ub.tobytes()
+        assert x[k].tobytes() == x1.tobytes()
         assert steps[k] == steps1 < cfg.max_iters
         assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
         assert r_inf[k] > cfg.residual_tol
         assert attempts > steps1  # the last iteration only rejects
+
+
+def test_multistart_verifies_starts_near_a_wall_touching_witness():
+    # A guillotine tiling of 15 rectangles puts many unknowns on a wall.
+    # Each rectangle is shifted by up to 1e-3 of the box's longer side.
+    for seed in range(8):
+        inst, witness = gen_guillotine(seed, 14, BoxSpec(10.0, 8.0))
+        rng = np.random.default_rng(seed)
+        placements = []
+        for p in witness.placements:
+            dx, dy = rng.uniform(-1e-2, 1e-2, size=2)
+            placements.append(Placement(p.x_lo + dx, p.y_lo + dy, p.x_hi + dx, p.y_hi + dy))
+        start = Layout(tuple(placements))
+        cfg = SolveConfig(restarts=1, init_strategy="user_layout", initial_layout=start)
+        report = solve_multistart(inst, cfg, mode=mo.FIXED)
+        assert report.status == "converged_verified" and report.start_index == 0, seed
 
 
 def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempts=None):
@@ -366,7 +406,6 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
     checked = [] if checked is None else checked
     attempts = [] if attempts is None else attempts
     sys = mo.build_system(inst, max_order, mode)
-    lb, ub = solver._bounds(sys)
     polish = replace(
         cfg, residual_tol=0.0, step_tol=1e-15, max_iters=solver.POLISH_MAX_ITERS, lm_lambda0=1e-6
     )
@@ -374,7 +413,7 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
     iterations = 0
     any_converged = False
     for k in range(cfg.restarts):
-        x0 = solver._start_vector(sys, inst, cfg, k, lb, ub)
+        x0 = solver._start_vector(sys, inst, cfg, k)
         x, steps, _, tried = sequential_lm(sys, x0, cfg)
         iterations += steps
         attempts.append(tried)
@@ -398,14 +437,16 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
 
 def second_chunk_winner():
     # Fixed mode at these settings: starts 0-7 fail, start 8 verifies.
-    inst, _ = gen_guillotine(44, 3, BoxSpec(3.0, 2.0))
-    return inst, SolveConfig(max_iters=40, seed=44), mo.FIXED
+    inst, _ = gen_guillotine(46, 3, BoxSpec(3.0, 2.0))
+    return inst, SolveConfig(max_iters=40, seed=46), mo.FIXED
 
 
 def rotatable_dominoes():
-    # Start 1 verifies; later starts in its chunk converge too.
+    # Three dominoes in a 3x2 box: start 0 fails, start 1 verifies, and
+    # later starts in its chunk converge too.
+    inst = Instance.from_sides([(1, 2)] * 3, BoxSpec(3, 2))
     cfg = SolveConfig(max_iters=40, seed=1, init_strategy="uniform_random")
-    return dominoes(), cfg, mo.ROTATABLE
+    return inst, cfg, mo.ROTATABLE
 
 
 def assert_report_is(report, expected):
@@ -431,7 +472,7 @@ def test_multistart_matches_sequential_across_chunks(case, restarts):
 
 def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
     # Both starts run in one chunk: start 0 takes all 40 steps, start 1
-    # verifies.  The one-attempt reference makes 77 attempts.
+    # verifies.  The one-attempt reference makes 76 attempts.
     inst, cfg, mode = rotatable_dominoes()
     cfg = replace(cfg, restarts=2)
     attempts = []
@@ -451,10 +492,10 @@ def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
 
 
 def test_multistart_verifies_each_converged_start_once(monkeypatch):
-    # At order 2 most starts converge to layouts that are not packings:
-    # starts 0-27 converge and fail, start 28 verifies, and the later
-    # starts of its chunk are computed but never verified.
-    inst = Instance.from_sides([(1, 1), (1, 2)], BoxSpec(1, 3))
+    # At order 3 many starts converge to layouts that are not packings:
+    # starts 0-5 converge and fail, start 6 verifies, and the later start
+    # of its chunk converges but is never verified.
+    inst = Instance.from_sides([(1, 1), (1, 2), (1, 2), (2, 2)], BoxSpec(3, 3))
     cfg = SolveConfig(restarts=64, max_iters=60, init_strategy="uniform_random")
     verified = []
 
@@ -463,21 +504,21 @@ def test_multistart_verifies_each_converged_start_once(monkeypatch):
         return verify_layout(inst, layout, *args, **kwargs)
 
     monkeypatch.setattr(solver, "verify_layout", counting_verify)
-    report = solve_multistart(inst, cfg, max_order=2, mode=mo.ROTATABLE)
+    report = solve_multistart(inst, cfg, max_order=3, mode=mo.ROTATABLE)
     expected = []
-    sequential_multistart(inst, cfg, mo.ROTATABLE, max_order=2, checked=expected)
+    sequential_multistart(inst, cfg, mo.ROTATABLE, max_order=3, checked=expected)
     assert report.status == "converged_verified"
-    assert report.start_index == 28
+    assert report.start_index == 6
     assert list(map(serialize_layout, verified)) == list(map(serialize_layout, expected))
-    assert len(verified) == 29
+    assert len(verified) == 7
     assert verified[-1] is report.best_layout
 
 
 def test_chunk_stops_once_a_lower_start_verifies(monkeypatch):
-    # Start 0 verifies after 12 steps, polish included.  Run to their own
+    # Start 0 verifies after 14 steps, polish included.  Run to their own
     # stops, the eight starts of the chunk evaluate 64 batched Jacobians.
-    inst, _ = gen_guillotine(1, 3, BoxSpec(3.0, 2.0))
-    cfg = SolveConfig(restarts=8, max_iters=60, seed=1)
+    inst, _ = gen_guillotine(0, 3, BoxSpec(3.0, 2.0))
+    cfg = SolveConfig(restarts=8, max_iters=60, seed=0)
     expected = sequential_multistart(inst, cfg, mo.FIXED)
     calls = []
     batch_jacobian = mo.batch_jacobian
@@ -490,7 +531,7 @@ def test_chunk_stops_once_a_lower_start_verifies(monkeypatch):
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
     assert_report_is(report, expected)
     assert report.status == "converged_verified"
-    assert report.start_index == 0 and report.iterations_total == 12
+    assert report.start_index == 0 and report.iterations_total == 14
     assert len(calls) < 20
 
 
