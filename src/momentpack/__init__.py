@@ -18,13 +18,11 @@ from .harmonic import (
     rhs_derive,
 )
 from .instances import (
-    AreaVerdict,
     BoxSpec,
     Instance,
     Layout,
     Placement,
     RectSpec,
-    check_area,
     gen_guillotine,
     harmonic_prefix,
     parse_instance,
@@ -55,6 +53,7 @@ from .solver import (
 )
 from .verify import (
     VerificationReport,
+    area_can_pass,
     corner_cancellation,
     moment_residual_of_layout,
     verify_exact,
@@ -64,7 +63,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaVerdict",
     "BoxSpec",
     "FIXED",
     "IdentityEval",
@@ -78,8 +76,8 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "VerificationReport",
+    "area_can_pass",
     "build_system",
-    "check_area",
     "corner_cancellation",
     "default_max_order",
     "enumerate_small_family",

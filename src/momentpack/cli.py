@@ -146,11 +146,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     mode = mo.ROTATABLE if args.mode == "rotatable" else mo.FIXED
-    cfg = SolveConfig(
-        restarts=args.restarts,
-        seed=_seed_from_env(args.seed),
-        residual_tol=args.tol,
-    )
+    cfg = SolveConfig(restarts=args.restarts, seed=_seed_from_env(args.seed))
     report = solve_multistart(inst, cfg, max_order=args.smax, mode=mode)
     doc = report.to_dict()
     # Timing is run-dependent; identical inputs must print identical output.
@@ -250,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", choices=["fixed", "rotatable"], default="fixed")
     p_solve.add_argument("--restarts", type=int, default=64)
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--tol", type=float, default=1e-10)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 

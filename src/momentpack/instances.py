@@ -18,10 +18,6 @@ from typing import Union
 
 Number = Union[int, float, Fraction]
 
-# Non-exact instances are "near" when the area gap stays below this fraction
-# of the box area, "infeasible" beyond it.
-NEAR_GAP_FRACTION = 0.1
-
 # Guillotine cuts stay inside this fraction band of the split side so no
 # near-degenerate sliver rectangles appear.
 CUT_FRACTION_LO = 0.2
@@ -34,12 +30,10 @@ __all__ = [
     "Instance",
     "Placement",
     "Layout",
-    "AreaVerdict",
     "parse_instance",
     "serialize_instance",
     "parse_layout",
     "serialize_layout",
-    "check_area",
     "harmonic_prefix",
     "gen_guillotine",
     "squared_rectangle_32x33",
@@ -291,41 +285,6 @@ def serialize_layout(layout: Layout) -> str:
         ]
     }
     return json.dumps(doc)
-
-
-# -- Area feasibility gate ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AreaVerdict:
-    """kind is "exact", "near", or "infeasible"; delta = rect area sum minus
-    box area (signed)."""
-
-    kind: str
-    delta: Number
-    tol: float
-
-
-def check_area(inst: Instance, tol_area: float | None = None) -> AreaVerdict:
-    """Compare total rectangle area against the box area.
-
-    A perfect packing needs |delta| <= tol_area (default 1e-9 * box area).
-    Larger gaps are classified "near" while below NEAR_GAP_FRACTION of the
-    box area (e.g. a truncated prefix of an infinite family), "infeasible"
-    beyond that.
-    """
-    box_area = inst.box.area
-    if tol_area is None:
-        tol_area = 1e-9 * float(box_area)
-    delta = inst.area_sum - box_area
-    gap = abs(delta)
-    if gap <= tol_area:
-        kind = "exact"
-    elif gap <= NEAR_GAP_FRACTION * float(box_area):
-        kind = "near"
-    else:
-        kind = "infeasible"
-    return AreaVerdict(kind, delta, float(tol_area))
 
 
 # -- Fixture generators ------------------------------------------------------

@@ -8,12 +8,12 @@ a candidate whose residual is not finite costs inf, so it is rejected like
 any other that does not lower the cost, and every accepted iterate stays
 finite.  Containment in the box is the verifier's check, not the solver's.
 
-solve_multistart layers deterministic restarts on top and treats geometric
-verification, not the residual, as the definition of success: every
-converged candidate is polished and handed once to verify_layout at its
-default tolerance, the one `momentpack verify` uses.  The first verified
-start wins.  Reports are bitwise deterministic for a fixed (instance,
-config, max_order, mode).
+solve_multistart layers deterministic restarts on top (start 0 is the shelf
+layout, later starts are seeded draws) and treats geometric verification,
+not the residual, as the definition of success: every converged candidate
+is polished and handed once to verify_layout at its default tolerance, the
+one `momentpack verify` uses.  The first verified start wins.  Reports are
+bitwise deterministic for a fixed (instance, config, max_order, mode).
 
 Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
 share one batched Jacobian, and its retries run as a damping ladder, one
@@ -24,20 +24,25 @@ verified in index order as they finish: once every lower start is resolved,
 the stopped converged ones are polished together and verified, and later
 starts stop once a lower one verifies.  The report, iterations_total
 included, is the one a start-by-start loop gives.
+
+The stop rules are module constants.  A start runs from lambda LAMBDA0
+until max |r| <= RESIDUAL_TOL (converged), a step below STEP_TOL, lambda
+above LAMBDA_MAX or max_iters; the polish runs from POLISH_LAMBDA0 for up
+to POLISH_MAX_ITERS steps, until a step below POLISH_STEP_TOL.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import moments as mo
-from .instances import Instance, Layout, Placement, check_area
-from .verify import DEFAULT_TOL, _snap_values, verify_layout
+from .instances import Instance, Layout, Placement
+from .verify import DEFAULT_TOL, _snap_values, area_can_pass, verify_layout
 
 __all__ = [
     "SolveConfig",
@@ -52,13 +57,16 @@ LAMBDA_DECREASE = 0.5
 LAMBDA_INCREASE = 4.0
 LAMBDA_MIN = 1e-14
 LAMBDA_MAX = 1e12
+LAMBDA0 = 1e-3
+RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
+STEP_TOL = 1e-12
 POLISH_MAX_ITERS = 40
+POLISH_STEP_TOL = 1e-15
+POLISH_LAMBDA0 = 1e-6
 LOCKSTEP_CHUNK = 8  # starts run together by solve_multistart
 LADDER_WIDTH = 2  # damping rungs each row tries in an iteration's first round
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
-
-_STRATEGIES = ("uniform_random", "shelf_greedy", "user_layout")
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,6 @@ class SolveConfig:
     max_iters: int = 500
     restarts: int = 64
     seed: int = 0
-    residual_tol: float = 1e-10
-    step_tol: float = 1e-12
-    lm_lambda0: float = 1e-3
-    init_strategy: str = "shelf_greedy"
-    initial_layout: Layout | None = None
 
     def validate(self) -> None:
         if self.max_iters < 1:
@@ -79,16 +82,6 @@ class SolveConfig:
             raise ValueError("restarts must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not all(0 <= t < math.inf for t in (self.residual_tol, self.step_tol)):
-            raise ValueError("tolerances (residual_tol, step_tol) must be finite and >= 0")
-        if not 0 < self.lm_lambda0 < math.inf:
-            raise ValueError("lm_lambda0 must be finite and > 0")
-        if self.init_strategy not in _STRATEGIES:
-            raise ValueError(
-                f"unknown init_strategy {self.init_strategy!r}; expected one of {_STRATEGIES}"
-            )
-        if self.init_strategy == "user_layout" and self.initial_layout is None:
-            raise ValueError("init_strategy 'user_layout' needs initial_layout")
 
 
 @dataclass(frozen=True)
@@ -159,16 +152,14 @@ def init_shelf_greedy(inst: Instance) -> Layout:
 
 
 def _start_vector(
-    sys: mo.MomentSystem, inst: Instance, cfg: SolveConfig, start_index: int
+    sys: mo.MomentSystem, inst: Instance, seed: int, start_index: int
 ) -> np.ndarray:
-    if start_index == 0 and cfg.init_strategy == "shelf_greedy":
+    if start_index == 0:
         return mo.layout_to_vars(sys, init_shelf_greedy(inst))
-    if start_index == 0 and cfg.init_strategy == "user_layout":
-        return mo.layout_to_vars(sys, cfg.initial_layout)
     # Rectangles draw in instance order: an upright one its lower corner
     # uniformly where the rectangle fits in the box, a free one an
     # orientation and a centre.
-    rng = np.random.default_rng(cfg.seed * _SEED_STRIDE + start_index)
+    rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
     out = np.zeros((sys.n_rects, 4))
     for i in range(sys.n_rects):
         if not sys.free[i]:
@@ -221,19 +212,23 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lockstep(
     sys: mo.MomentSystem,
     x0: np.ndarray,
-    cfg: SolveConfig,
+    max_iters: int,
     on_stop: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int] | None = None,
+    *,
+    residual_tol: float = RESIDUAL_TOL,
+    step_tol: float = STEP_TOL,
+    lambda0: float = LAMBDA0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
 
     Each iteration evaluates one Jacobian for all live rows.  Each row
-    follows the one-attempt damping rule on its own: solve at lambda,
-    accept the candidate x + delta only on strict cost decrease (lambda
-    halves, not below LAMBDA_MIN), else quadruple lambda and retry until it
-    exceeds LAMBDA_MAX.  The retries run as a ladder: a round stacks every
-    row yet to step at rungs lambda * 4**j, j < width, into one linear
-    solve and one residual evaluation, and a row takes its first rung that
-    lowers the cost.  The width starts at LADDER_WIDTH and doubles each
+    starts at lambda0 and follows the one-attempt damping rule on its own:
+    solve at lambda, accept the candidate x + delta only on strict cost
+    decrease (lambda halves, not below LAMBDA_MIN), else quadruple lambda
+    and retry until it exceeds LAMBDA_MAX.  The retries run as a ladder: a
+    round stacks every row yet to step at rungs lambda * 4**j, j < width,
+    into one linear solve and one residual evaluation, and a row takes its
+    first rung that lowers the cost.  The width starts at LADDER_WIDTH and doubles each
     round.  Rung 0 is always tried, higher rungs up to LAMBDA_MAX, and
     times 4 is exact, so every row tries the rule's lambdas and follows its
     trajectory bit for bit, whatever else is in the batch.  A row stops on
@@ -255,11 +250,11 @@ def _lockstep(
         r = mo.batch_residual(sys, table)
         r_inf = np.max(np.abs(r), axis=1)
         cost = _costs(r)
-        costs = np.empty((len(x), cfg.max_iters + 1))
+        costs = np.empty((len(x), max_iters + 1))
         costs[:, 0] = cost
         steps = np.zeros(len(x), dtype=int)
-        lam = np.full(len(x), cfg.lm_lambda0)
-        live = np.isfinite(r_inf) & (r_inf > cfg.residual_tol)
+        lam = np.full(len(x), lambda0)
+        live = np.isfinite(r_inf) & (r_inf > residual_tol)
         ended = np.flatnonzero(~live)
         while True:
             if on_stop is not None and len(ended):
@@ -299,9 +294,9 @@ def _lockstep(
                 steps[won] += 1
                 costs[won, steps[won]] = cost_new[hit]
                 live[won] = (
-                    (r_inf[won] > cfg.residual_tol)
-                    & (step_norm > cfg.step_tol)
-                    & (steps[won] < cfg.max_iters)
+                    (r_inf[won] > residual_tol)
+                    & (step_norm > step_tol)
+                    & (steps[won] < max_iters)
                 )
                 lam[rows[~stepped]] = rungs[~stepped, -1] * LAMBDA_INCREASE
                 retry = ~stepped & (lam[rows] <= LAMBDA_MAX)
@@ -321,12 +316,8 @@ def solve_single(
     (J^T J + lambda I) delta = -J^T r; the lockstep core with one row."""
     cfg = cfg or SolveConfig()
     cfg.validate()
-    x, steps, costs, _ = _lockstep(sys, mo._check_vars(sys, x0)[None], cfg)
+    x, steps, costs, _ = _lockstep(sys, mo._check_vars(sys, x0)[None], cfg.max_iters)
     return x[0], costs[0, : steps[0] + 1].tolist()
-
-
-def _residual_inf(sys: mo.MomentSystem, vars: np.ndarray) -> float:
-    return float(np.max(np.abs(mo.residual(sys, vars))))
 
 
 # -- Layout cleanup ----------------------------------------------------------
@@ -371,17 +362,17 @@ def solve_multistart(
     max_order: int | None = None,
     mode: str = mo.FIXED,
 ) -> SolveReport:
-    """Deterministic multistart: start 0 follows the init strategy, later
-    starts draw from per-index seeded generators.  A start counts as a
-    success only when its polished layout passes geometric verification;
-    ties go to the lowest start index.  Starts are verified in index order
-    as they finish, and later starts stop once a lower one verifies.
-    Area-infeasible instances are rejected before any solving."""
+    """Deterministic multistart: start 0 is the shelf layout, later starts
+    draw from per-index seeded generators.  A start counts as a success
+    only when its polished layout passes geometric verification; ties go
+    to the lowest start index.  Starts are verified in index order as they
+    finish, and later starts stop once a lower one verifies.  An instance
+    whose area no layout could pass verify_layout with (area_can_pass) is
+    rejected before any solving."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     cfg.validate()
-    verdict = check_area(inst)
-    if verdict.kind == "infeasible":
+    if not area_can_pass(inst):
         return SolveReport(
             status="exhausted",
             best_layout=None,
@@ -392,9 +383,6 @@ def solve_multistart(
             reason="area",
         )
     sys = mo.build_system(inst, max_order, mode)
-    polish_cfg = replace(
-        cfg, residual_tol=0.0, step_tol=1e-15, max_iters=POLISH_MAX_ITERS, lm_lambda0=1e-6
-    )
     best: tuple[float, int, Layout | None] = (float("inf"), -1, None)
     any_converged = False
     iterations = 0
@@ -413,10 +401,15 @@ def solve_multistart(
         rows = np.arange(todo, end)
         todo = end
         x, steps, r_inf = x[rows], steps[rows], r_inf[rows]
-        converged = r_inf <= cfg.residual_tol
+        converged = r_inf <= RESIDUAL_TOL
         if np.any(converged):
             x[converged], polish_steps, _, r_inf[converged] = _lockstep(
-                sys, x[converged], polish_cfg
+                sys,
+                x[converged],
+                POLISH_MAX_ITERS,
+                residual_tol=0.0,
+                step_tol=POLISH_STEP_TOL,
+                lambda0=POLISH_LAMBDA0,
             )
             steps[converged] += polish_steps
         for j, row in enumerate(rows):
@@ -435,14 +428,15 @@ def solve_multistart(
         starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
         stopped = np.zeros(len(starts), dtype=bool)
         todo = 0  # the chunk's lowest start not yet verified or passed over
-        x0 = np.stack([_start_vector(sys, inst, cfg, k) for k in starts])
-        _lockstep(sys, x0, cfg, resolve)
+        x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in starts])
+        _lockstep(sys, x0, cfg.max_iters, resolve)
         if winner is not None:
             start_index, layout = winner
+            final = mo.residual(sys, mo.layout_to_vars(sys, layout))
             return SolveReport(
                 status="converged_verified",
                 best_layout=layout,
-                final_residual_inf=_residual_inf(sys, mo.layout_to_vars(sys, layout)),
+                final_residual_inf=float(np.max(np.abs(final))),
                 iterations_total=iterations,
                 start_index=start_index,
                 wall_time_s=time.perf_counter() - t0,

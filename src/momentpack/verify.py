@@ -54,6 +54,7 @@ from .instances import BoxSpec, Instance, Layout, Number, _check_placement_count
 
 __all__ = [
     "VerificationReport",
+    "area_can_pass",
     "verify_layout",
     "verify_exact",
     "corner_cancellation",
@@ -170,6 +171,19 @@ def _check(
                         yield (min(i, j), max(i, j)), ow * oh
 
     return containment, sizes, area_gap, area_ok, overlaps()
+
+
+def area_can_pass(inst: Instance, tol: float = DEFAULT_TOL) -> bool:
+    """Whether some layout of inst could pass verify_layout at tol by area:
+    its sides are within eps = tol * scale, so each placed area is within
+    eps * (w + h) + eps**2 of w * h, and its areas sum to within tol * A * B
+    of the box area.  So |sum w * h - A * B| <= tol * A * B + that slack."""
+    _check_tol(tol)
+    a = float(inst.box.width)
+    b = float(inst.box.height)
+    eps = tol * max(a, b)
+    slack = sum(eps * (float(r.width) + float(r.height)) + eps * eps for r in inst.rects)
+    return abs(float(inst.area_sum - inst.box.area)) <= tol * a * b + slack
 
 
 def _as_fraction(value: Number, what: str) -> Fraction:

@@ -174,15 +174,6 @@ def test_solve_output_is_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_solve_tol_must_be_finite_and_non_negative(capsys, tmp_path, tol):
-    inst_path = write_dominoes(tmp_path)
-    code, out, err = run_cli(capsys, "solve", str(inst_path), "--tol", tol)
-    assert code == 2
-    assert out == ""
-    assert "residual_tol" in json.loads(err)["error"]
-
-
 @pytest.mark.parametrize("restarts", ["1", "2", "9"])
 @pytest.mark.parametrize("via_env", [False, True])
 def test_solve_seed_must_be_non_negative(capsys, tmp_path, monkeypatch, via_env, restarts):

@@ -1,4 +1,4 @@
-"""Domain types, JSON wire formats, the area gate, and fixture generators."""
+"""Domain types, JSON wire formats, and fixture generators."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from momentpack import (
     Layout,
     Placement,
     RectSpec,
-    check_area,
+    area_can_pass,
     gen_guillotine,
     harmonic_prefix,
     parse_instance,
@@ -143,34 +143,6 @@ def test_parse_layout_rejects_malformed(text):
         parse_layout(text)
 
 
-# -- Area gate ----------------------------------------------------------------
-
-
-def test_check_area_exact():
-    verdict = check_area(Instance.from_sides([(1, 2), (1, 2)], BoxSpec(2, 2)))
-    assert verdict.kind == "exact"
-    assert verdict.delta == 0
-
-
-def test_check_area_near_small_gap():
-    # 3.9 of 4.0 covered: within the near band (10% of box area).
-    inst = Instance.from_sides([(1, Fraction(39, 10))], BoxSpec(2, 2))
-    verdict = check_area(inst)
-    assert verdict.kind == "near"
-    assert verdict.delta == Fraction(-1, 10)
-
-
-def test_check_area_infeasible_large_gap():
-    verdict = check_area(Instance.from_sides([(1, 2)], BoxSpec(2, 2)))
-    assert verdict.kind == "infeasible"
-    assert verdict.delta == -2
-
-
-def test_check_area_tol_override():
-    inst = Instance.from_sides([(1, 2)], BoxSpec(2, 2))
-    assert check_area(inst, tol_area=3.0).kind == "exact"
-
-
 # -- Harmonic family prefix ---------------------------------------------------
 
 
@@ -190,7 +162,7 @@ def test_harmonic_prefix_area_telescopes():
     inst = harmonic_prefix(100)
     direct = sum(Fraction(1, n * (n + 1)) for n in range(1, 101))
     assert inst.area_sum == direct == 1 - Fraction(1, 101)
-    assert check_area(inst).kind == "near"
+    assert not area_can_pass(inst)  # a gap of 1/101 of the box: no layout can pass
 
 
 def test_harmonic_prefix_rejects_zero():

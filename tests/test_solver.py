@@ -16,6 +16,7 @@ from momentpack import (
     Placement,
     SolveConfig,
     gen_guillotine,
+    harmonic_prefix,
     init_shelf_greedy,
     serialize_layout,
     snap_layout,
@@ -40,17 +41,6 @@ def dominoes():
         {"max_iters": 0},
         {"restarts": 0},
         {"seed": -1},
-        {"residual_tol": -1.0},
-        {"residual_tol": float("nan")},
-        {"residual_tol": float("inf")},
-        {"step_tol": -1.0},
-        {"step_tol": float("nan")},
-        {"step_tol": float("inf")},
-        {"lm_lambda0": 0.0},
-        {"lm_lambda0": float("nan")},
-        {"lm_lambda0": float("inf")},
-        {"init_strategy": "random_walk"},
-        {"init_strategy": "user_layout"},  # missing initial_layout
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -173,6 +163,24 @@ def test_multistart_area_fast_reject():
     assert report.start_index == -1
 
 
+def test_multistart_rejects_harmonic_prefix_by_area():
+    # The first 20 harmonic rectangles leave 1/21 of the unit box empty:
+    # no layout of them can pass verify_layout, so no start is run.
+    report = solve_multistart(harmonic_prefix(20), SolveConfig(), mode=mo.ROTATABLE)
+    assert report.status == "exhausted"
+    assert report.reason == "area"
+    assert report.iterations_total == 0
+
+
+def test_multistart_runs_starts_past_an_area_gap_within_tolerance():
+    # Rectangle areas 4e-8 = 1e-8 * A * B over the box: a gap the verifier
+    # accepts, so the starts run.
+    inst = Instance.from_sides([(1, 2), (1, 2 + 4e-8)], BoxSpec(2, 2))
+    report = solve_multistart(inst, SolveConfig(restarts=8))
+    assert report.reason != "area"
+    assert report.iterations_total > 0
+
+
 def test_multistart_exhausts_on_unpackable_exact_area():
     # 1x1 + 1x3 fill a 2x2 box by area but cannot pack it
     inst = Instance.from_sides([(1, 1), (1, 3)], BoxSpec(2, 2), rotation_allowed=False)
@@ -181,16 +189,6 @@ def test_multistart_exhausts_on_unpackable_exact_area():
     assert report.reason is None
     assert report.final_residual_inf > 1e-10
     assert report.best_layout is not None  # best effort is still reported
-
-
-def test_multistart_user_layout_start():
-    inst = dominoes()
-    perfect = Layout((Placement(0, 0, 1, 2), Placement(1, 0, 2, 2)))
-    cfg = SolveConfig(init_strategy="user_layout", initial_layout=perfect, restarts=4)
-    report = solve_multistart(inst, cfg)
-    assert report.status == "converged_verified"
-    assert report.start_index == 0
-    assert report.iterations_total <= 5
 
 
 def test_multistart_rotatable_mode():
@@ -212,13 +210,13 @@ def test_report_to_dict_serializes_infinite_residual():
 # -- Lockstep multistart ------------------------------------------------------
 
 
-def assert_rows_run_as_alone(sys, x0, cfg):
+def assert_rows_run_as_alone(sys, x0, max_iters, **rule):
     """Every row of one lockstep run equals, bit for bit, the run of that
     row by itself; returns the batched result."""
-    batched = solver._lockstep(sys, x0, cfg)
+    batched = solver._lockstep(sys, x0, max_iters, **rule)
     x, steps, costs, r_inf = batched
     for k, row in enumerate(x0):
-        x1, steps1, costs1, r_inf1 = solver._lockstep(sys, row[None], cfg)
+        x1, steps1, costs1, r_inf1 = solver._lockstep(sys, row[None], max_iters, **rule)
         assert x[k].tobytes() == x1[0].tobytes()
         assert steps[k] == steps1[0]
         assert costs[k, : steps[k] + 1].tobytes() == costs1[0, : steps1[0] + 1].tobytes()
@@ -226,11 +224,19 @@ def assert_rows_run_as_alone(sys, x0, cfg):
     return batched
 
 
-def sequential_lm(sys, x0, cfg):
-    """Reference for _lockstep: Levenberg-Marquardt on one row with one
-    damped attempt per round, on the same batched primitives (batches of
-    one).  Returns the final variables, the accepted step count, the
-    accepted costs and the number of attempts."""
+def sequential_lm(
+    sys,
+    x0,
+    max_iters,
+    *,
+    residual_tol=solver.RESIDUAL_TOL,
+    step_tol=solver.STEP_TOL,
+    lambda0=solver.LAMBDA0,
+):
+    """Reference for _lockstep, taking its stop rule: Levenberg-Marquardt
+    on one row with one damped attempt per round, on the same batched
+    primitives (batches of one).  Returns the final variables, the accepted
+    step count, the accepted costs and the number of attempts."""
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
@@ -239,12 +245,12 @@ def sequential_lm(sys, x0, cfg):
         return table, r, solver._norms(r)[0] if np.all(np.isfinite(r)) else np.inf
 
     x = x0[None]
-    lam = cfg.lm_lambda0
+    lam = lambda0
     attempts = 0
     with np.errstate(over="ignore", invalid="ignore"):
         table, r, cost = evaluate(x)
         costs = [cost]
-        live = np.all(np.isfinite(r)) and np.max(np.abs(r)) > cfg.residual_tol
+        live = np.all(np.isfinite(r)) and np.max(np.abs(r)) > residual_tol
         while live:
             jac = mo.batch_jacobian(sys, table)
             jac_t = jac.transpose(0, 2, 1)
@@ -261,9 +267,9 @@ def sequential_lm(sys, x0, cfg):
                     lam = max(lam * solver.LAMBDA_DECREASE, solver.LAMBDA_MIN)
                     costs.append(cost)
                     live = (
-                        np.max(np.abs(r)) > cfg.residual_tol
-                        and step_norm > cfg.step_tol
-                        and len(costs) - 1 < cfg.max_iters
+                        np.max(np.abs(r)) > residual_tol
+                        and step_norm > step_tol
+                        and len(costs) - 1 < max_iters
                     )
                     break
                 lam *= solver.LAMBDA_INCREASE
@@ -291,7 +297,7 @@ def test_lockstep_rows_are_independent(seed, cuts, rows, mode):
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst, mode=mode)
     x0 = box_starts(sys, seed, rows)
-    assert_rows_run_as_alone(sys, x0, SolveConfig(max_iters=15))
+    assert_rows_run_as_alone(sys, x0, 15)
 
 
 def test_lockstep_singular_and_stopped_rows_leave_others_unchanged():
@@ -299,19 +305,19 @@ def test_lockstep_singular_and_stopped_rows_leave_others_unchanged():
     sys = mo.build_system(inst, mode=mo.FIXED)
     # A damping this small vanishes next to J^T J, so a rank-deficient
     # J^T J stays exactly singular.
-    cfg = SolveConfig(max_iters=30, lm_lambda0=1e-30)
+    lambda0 = 1e-30
     coincident = np.array([0.3, 0.4, 0.3, 0.4, 0.0, 0.5])  # the squares overlap exactly
     jac = mo.jacobian(sys, coincident)
     grad = jac.T @ mo.residual(sys, coincident)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(jac.T @ jac + cfg.lm_lambda0 * np.eye(sys.var_count), -grad)
+        np.linalg.solve(jac.T @ jac + lambda0 * np.eye(sys.var_count), -grad)
     solved = mo.layout_to_vars(
         sys, Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 1), Placement(0, 1, 2, 2)))
     )
     non_finite = np.full(sys.var_count, np.nan)
     normal = np.array([[0.1, 0.7, 0.8, 0.2, 0.0, 0.6], [0.6, 0.1, 0.2, 0.5, 0.0, 0.3]])
     x0 = np.stack([normal[0], coincident, solved, non_finite, normal[1]])
-    x, steps, costs, _ = assert_rows_run_as_alone(sys, x0, cfg)
+    x, steps, costs, _ = assert_rows_run_as_alone(sys, x0, 30, lambda0=lambda0)
     assert steps[1] > 0  # the singular row moved on through lstsq
     assert steps[2] == 0 and x[2].tobytes() == solved.tobytes()
     assert steps[3] == 0 and costs[3, 0] == float("inf")
@@ -328,7 +334,7 @@ def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
     inside = box_starts(sys, 3, 1)[0]
     far = [inside + v for v in (1e3, -1e3, 1e18, 1e40)]
     x0 = np.stack(far + [np.full(sys.var_count, np.nan)])
-    x, steps, costs, r_inf = assert_rows_run_as_alone(sys, x0, SolveConfig(max_iters=20))
+    x, steps, costs, r_inf = assert_rows_run_as_alone(sys, x0, 20)
     assert np.all(np.isfinite(x) | ~np.isfinite(x0))
     for k in range(len(x0)):
         assert np.all(np.isfinite(costs[k, 1 : steps[k] + 1]))
@@ -341,21 +347,20 @@ def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
     cuts=st.integers(0, 5),
     rows=st.integers(1, 4),
     mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
-    lm_lambda0=st.sampled_from([1e-30, 1e-3, 1e13]),
+    lambda0=st.sampled_from([1e-30, 1e-3, 1e13]),
     lambda_max=st.sampled_from([solver.LAMBDA_MAX, 1e-2]),
 )
-def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lm_lambda0, lambda_max):
-    # At lm_lambda0 1e13 every first attempt exceeds LAMBDA_MAX.  Lowered
+def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, lambda_max):
+    # At lambda0 1e13 every first attempt exceeds LAMBDA_MAX.  Lowered
     # to 1e-2, it stops many rows within 200 iterations, where a rung
     # past it would often have lowered the cost.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst, mode=mode)
     x0 = box_starts(sys, seed, rows)
-    cfg = SolveConfig(max_iters=200, lm_lambda0=lm_lambda0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "LAMBDA_MAX", lambda_max)
-        x, steps, costs, r_inf = solver._lockstep(sys, x0, cfg)
-        reference = [sequential_lm(sys, row, cfg) for row in x0]
+        x, steps, costs, r_inf = solver._lockstep(sys, x0, 200, lambda0=lambda0)
+        reference = [sequential_lm(sys, row, 200, lambda0=lambda0) for row in x0]
     for k, (x1, steps1, costs1, _) in enumerate(reference):
         assert x[k].tobytes() == x1.tobytes()
         assert steps[k] == steps1
@@ -363,28 +368,29 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lm_lambda
         assert r_inf[k] == np.max(np.abs(mo.residual(sys, x1)))
 
 
-@pytest.mark.parametrize("lm_lambda0", [1e-30, 1e-3, 1e13])
-def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(lm_lambda0):
+@pytest.mark.parametrize("lambda0", [1e-30, 1e-3, 1e13])
+def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(lambda0):
     # A unit square in a 2x1 box has no root: the rows run to a
     # stationary point (max |r| 0.5), where no step lowers the cost and
     # lambda climbs past LAMBDA_MAX.  With step_tol 0 that is the only way
     # to stop early.
     sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)), mode=mo.FIXED)
     x0 = np.array([[0.0, 0.0], [0.15, 0.0], [0.5, 0.0]])  # left, inside, right wall
-    cfg = SolveConfig(max_iters=200, step_tol=0.0, lm_lambda0=lm_lambda0)
-    x, steps, costs, r_inf = solver._lockstep(sys, x0, cfg)
+    rule = {"step_tol": 0.0, "lambda0": lambda0}
+    x, steps, costs, r_inf = solver._lockstep(sys, x0, 200, **rule)
     for k in range(len(x0)):
-        x1, steps1, costs1, attempts = sequential_lm(sys, x0[k], cfg)
+        x1, steps1, costs1, attempts = sequential_lm(sys, x0[k], 200, **rule)
         assert x[k].tobytes() == x1.tobytes()
-        assert steps[k] == steps1 < cfg.max_iters
+        assert steps[k] == steps1 < 200
         assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
-        assert r_inf[k] > cfg.residual_tol
+        assert r_inf[k] > solver.RESIDUAL_TOL
         assert attempts > steps1  # the last iteration only rejects
 
 
-def test_multistart_verifies_starts_near_a_wall_touching_witness():
+def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
     # A guillotine tiling of 15 rectangles puts many unknowns on a wall.
-    # Each rectangle is shifted by up to 1e-3 of the box's longer side.
+    # Each rectangle is shifted by up to 1e-3 of the box's longer side, and
+    # start 0 begins there in place of the shelf layout.
     for seed in range(8):
         inst, witness = gen_guillotine(seed, 14, BoxSpec(10.0, 8.0))
         rng = np.random.default_rng(seed)
@@ -393,8 +399,8 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness():
             dx, dy = rng.uniform(-1e-2, 1e-2, size=2)
             placements.append(Placement(p.x_lo + dx, p.y_lo + dy, p.x_hi + dx, p.y_hi + dy))
         start = Layout(tuple(placements))
-        cfg = SolveConfig(restarts=1, init_strategy="user_layout", initial_layout=start)
-        report = solve_multistart(inst, cfg, mode=mo.FIXED)
+        monkeypatch.setattr(solver, "init_shelf_greedy", lambda _: start)
+        report = solve_multistart(inst, SolveConfig(restarts=1), mode=mo.FIXED)
         assert report.status == "converged_verified" and report.start_index == 0, seed
 
 
@@ -406,21 +412,23 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
     checked = [] if checked is None else checked
     attempts = [] if attempts is None else attempts
     sys = mo.build_system(inst, max_order, mode)
-    polish = replace(
-        cfg, residual_tol=0.0, step_tol=1e-15, max_iters=solver.POLISH_MAX_ITERS, lm_lambda0=1e-6
-    )
+    polish = {
+        "residual_tol": 0.0,
+        "step_tol": solver.POLISH_STEP_TOL,
+        "lambda0": solver.POLISH_LAMBDA0,
+    }
     best = (float("inf"), -1, None)
     iterations = 0
     any_converged = False
     for k in range(cfg.restarts):
-        x0 = solver._start_vector(sys, inst, cfg, k)
-        x, steps, _, tried = sequential_lm(sys, x0, cfg)
+        x0 = solver._start_vector(sys, inst, cfg.seed, k)
+        x, steps, _, tried = sequential_lm(sys, x0, cfg.max_iters)
         iterations += steps
         attempts.append(tried)
         r_inf = np.max(np.abs(mo.residual(sys, x)))
-        if r_inf <= cfg.residual_tol:
+        if r_inf <= solver.RESIDUAL_TOL:
             any_converged = True
-            x, steps, _, tried = sequential_lm(sys, x, polish)
+            x, steps, _, tried = sequential_lm(sys, x, solver.POLISH_MAX_ITERS, **polish)
             iterations += steps
             attempts.append(tried)
             raw = mo.vars_to_layout(sys, x)
@@ -442,10 +450,10 @@ def second_chunk_winner():
 
 
 def rotatable_dominoes():
-    # Three dominoes in a 3x2 box: start 0 fails, start 1 verifies, and
-    # later starts in its chunk converge too.
-    inst = Instance.from_sides([(1, 2)] * 3, BoxSpec(3, 2))
-    cfg = SolveConfig(max_iters=40, seed=1, init_strategy="uniform_random")
+    # Two dominoes in a 4x1 box: the shelf start 0 stands them upright and
+    # fails, start 1 verifies, and later starts in its chunk converge too.
+    inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(4, 1))
+    cfg = SolveConfig(max_iters=40, seed=1)
     return inst, cfg, mo.ROTATABLE
 
 
@@ -472,7 +480,7 @@ def test_multistart_matches_sequential_across_chunks(case, restarts):
 
 def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
     # Both starts run in one chunk: start 0 takes all 40 steps, start 1
-    # verifies.  The one-attempt reference makes 76 attempts.
+    # verifies.  The one-attempt reference makes 77 attempts.
     inst, cfg, mode = rotatable_dominoes()
     cfg = replace(cfg, restarts=2)
     attempts = []
@@ -496,7 +504,7 @@ def test_multistart_verifies_each_converged_start_once(monkeypatch):
     # starts 0-5 converge and fail, start 6 verifies, and the later start
     # of its chunk converges but is never verified.
     inst = Instance.from_sides([(1, 1), (1, 2), (1, 2), (2, 2)], BoxSpec(3, 3))
-    cfg = SolveConfig(restarts=64, max_iters=60, init_strategy="uniform_random")
+    cfg = SolveConfig(restarts=64, max_iters=60)
     verified = []
 
     def counting_verify(inst, layout, *args, **kwargs):
@@ -542,19 +550,14 @@ def test_chunk_stops_once_a_lower_start_verifies(monkeypatch):
     restarts=st.integers(1, 17),
     max_iters=st.integers(5, 40),
     mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
-    init_strategy=st.sampled_from(["shelf_greedy", "uniform_random"]),
     max_order=st.sampled_from([None, 2]),
 )
-def test_multistart_matches_sequential(
-    seed, cuts, restarts, max_iters, mode, init_strategy, max_order
-):
+def test_multistart_matches_sequential(seed, cuts, restarts, max_iters, mode, max_order):
     # Across chunk boundaries, solve_multistart reports what the
     # start-by-start loop reports and verifies the same layouts in order.
     # Order 2 makes starts that converge but fail verification.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
-    cfg = SolveConfig(
-        restarts=restarts, max_iters=max_iters, seed=seed, init_strategy=init_strategy
-    )
+    cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
     verified = []
 
     def recording_verify(inst, layout, *args, **kwargs):

@@ -16,6 +16,7 @@ from momentpack import (
     Instance,
     Layout,
     Placement,
+    area_can_pass,
     corner_cancellation,
     enumerate_small_family,
     gen_guillotine,
@@ -159,6 +160,54 @@ def test_area_gap_and_size_mismatch():
     assert not report.passed
     assert report.size_violations
     assert report.area_gap == pytest.approx(-0.1)
+
+
+# -- Area gate ----------------------------------------------------------------
+
+
+def test_area_gate_on_one_square():
+    # An s x s square in a unit box at tol 1e-7 (eps 1e-7): for
+    # s = 1 + 1.4e-7 a square of side 1 + 0.45e-7 passes verify_layout (side
+    # error 0.95e-7, area gap 0.9e-7), so the gate must let s through.  For
+    # s = 1 + 1.6e-7 the area gap exceeds tol + eps * 2s + eps**2.
+    box = BoxSpec(1, 1)
+    near = Instance.from_sides([(1 + 1.4e-7, 1 + 1.4e-7)], box)
+    placed = Layout((Placement(0, 0, 1 + 0.45e-7, 1 + 0.45e-7),))
+    assert verify_layout(near, placed).passed
+    assert area_can_pass(near)
+    assert not area_can_pass(Instance.from_sides([(1 + 1.6e-7, 1 + 1.6e-7)], box))
+    with pytest.raises(ValueError):
+        area_can_pass(near, tol=float("nan"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    cuts=st.integers(0, 30),
+    jitter_seed=st.integers(0, 2**32 - 1),
+    direction=st.sampled_from([-1, 0, 1]),
+    rotation_allowed=st.booleans(),
+    tol=st.sampled_from([1e-9, 1e-7, 1e-5]),
+)
+def test_area_gate_lets_through_every_instance_with_a_passing_layout(
+    seed, cuts, jitter_seed, direction, rotation_allowed, tol
+):
+    # The witness tiles the box.  Each side of the instance moves off the
+    # witness's by under 0.5 * tol * scale: all outward (1), all inward
+    # (-1) or either way (0).  The witness still passes, while the
+    # instance's area gap can exceed tol * A * B many times over.
+    box = BoxSpec(10.0, 7.0)
+    inst, witness = gen_guillotine(seed, cuts, box)
+    rng = random.Random(jitter_seed)
+    reach = 0.5 * tol * 10.0
+
+    def moved(v):
+        return float(v) + (direction or rng.choice([-1, 1])) * reach * rng.random()
+
+    sides = [(moved(r.width), moved(r.height)) for r in inst.rects]
+    jittered = Instance.from_sides(sides, box, rotation_allowed=rotation_allowed)
+    assert verify_layout(jittered, witness, tol=tol).passed
+    assert area_can_pass(jittered, tol)
 
 
 def test_count_mismatch_raises():
