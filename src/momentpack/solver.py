@@ -12,18 +12,19 @@ solve_multistart layers deterministic restarts on top (start 0 is the shelf
 layout, later starts are seeded draws) and treats geometric verification,
 not the residual, as the definition of success: every converged candidate
 is polished and handed once to verify_layout at its default tolerance, the
-one `momentpack verify` uses.  The first verified start wins.  Reports are
+one `momentpack verify` uses.  The first start to verify wins.  Reports are
 bitwise deterministic for a fixed (instance, config, max_order, mode).
 
 Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
 share one batched Jacobian, and its retries run as a damping ladder, one
 stacked linear solve per round of several lambdas per start.  Each start
 keeps its own lambda and stop rule, so its trajectory is bit for bit the
-one-attempt-at-a-time one, which solve_single gives it too.  Starts are
-verified in index order as they finish: once every lower start is resolved,
-the stopped converged ones are polished together and verified, and later
-starts stop once a lower one verifies.  The report, iterations_total
-included, is the one a start-by-start loop gives.
+one-attempt-at-a-time one, which solve_single gives it too.  After each
+lockstep iteration the starts that stopped in it are polished together and
+verified in index order; the first that passes ends the chunk, and every
+start still running stops with it.  So the winner is the verified start
+with the fewest lockstep iterations, ties going to the lowest index, and a
+later chunk runs only when no earlier one verified.
 
 The stop rules are module constants.  A start runs from lambda LAMBDA0
 until max |r| <= RESIDUAL_TOL (converged), a step below STEP_TOL, lambda
@@ -88,7 +89,10 @@ class SolveConfig:
 class SolveReport:
     """status is converged_verified, converged_unverified, or exhausted;
     converged_verified always means the reported layout passed geometric
-    verification."""
+    verification.  iterations_total counts every accepted LM step any start
+    took, polish included, starts cut short by the win too.  start_index is
+    the winner's; without one, the start with the lowest final max |r|,
+    ties going to the lowest index."""
 
     status: str
     best_layout: Layout | None
@@ -213,7 +217,7 @@ def _lockstep(
     sys: mo.MomentSystem,
     x0: np.ndarray,
     max_iters: int,
-    on_stop: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int] | None = None,
+    on_stop: Callable[[np.ndarray, np.ndarray, np.ndarray], bool] | None = None,
     *,
     residual_tol: float = RESIDUAL_TOL,
     step_tol: float = STEP_TOL,
@@ -239,9 +243,9 @@ def _lockstep(
 
     on_stop, if given, is called with the rows that stopped (ascending;
     first those that never start, then after each iteration those that
-    stopped in it) and the arrays x, steps and r_inf as they stand.  It
-    returns the first row index to drop: every row at or past it stops at
-    once and is never passed to on_stop.
+    stopped in it) and the arrays x and r_inf as they stand.  When it
+    returns True, every row still running stops at once, with the steps it
+    has taken.
     """
     eye = np.eye(sys.var_count)
     x = np.array(x0, dtype=float)  # a copy: rows are updated in place
@@ -257,8 +261,8 @@ def _lockstep(
         live = np.isfinite(r_inf) & (r_inf > residual_tol)
         ended = np.flatnonzero(~live)
         while True:
-            if on_stop is not None and len(ended):
-                live[on_stop(ended, x, steps, r_inf) :] = False
+            if on_stop is not None and len(ended) and on_stop(ended, x, r_inf):
+                break
             iterated = rows = np.flatnonzero(live)
             if not len(rows):
                 break
@@ -364,11 +368,15 @@ def solve_multistart(
 ) -> SolveReport:
     """Deterministic multistart: start 0 is the shelf layout, later starts
     draw from per-index seeded generators.  A start counts as a success
-    only when its polished layout passes geometric verification; ties go
-    to the lowest start index.  Starts are verified in index order as they
-    finish, and later starts stop once a lower one verifies.  An instance
-    whose area no layout could pass verify_layout with (area_can_pass) is
-    rejected before any solving."""
+    only when its polished layout passes geometric verification.  Starts
+    run in lockstep chunks; after each iteration the starts that stopped in
+    it are verified in index order, and the first to pass wins and stops
+    its chunk.  So the winner is the verified start with the fewest
+    lockstep iterations, ties going to the lowest index, and it can depend
+    on which starts share a chunk.  Without a winner the report carries the
+    lowest (final max |r|, start index).  An instance whose area no layout
+    could pass verify_layout with (area_can_pass) is rejected before any
+    solving."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -388,21 +396,15 @@ def solve_multistart(
     iterations = 0
     winner: tuple[int, Layout] | None = None
 
-    def resolve(ended: np.ndarray, x: np.ndarray, steps: np.ndarray, r_inf: np.ndarray) -> int:
-        """Take the chunk's stopped starts from the lowest unresolved one up
-        to the first still running: polish the converged ones together,
-        then verify them in index order.  Returns the row past a verified
-        start, which stops the rest of the chunk, else the chunk size."""
-        nonlocal todo, iterations, any_converged, best, winner
-        stopped[ended] = True
-        end = todo
-        while end < len(stopped) and stopped[end]:
-            end += 1
-        rows = np.arange(todo, end)
-        todo = end
-        x, steps, r_inf = x[rows], steps[rows], r_inf[rows]
+    def resolve(ended: np.ndarray, x: np.ndarray, r_inf: np.ndarray) -> bool:
+        """Polish the converged starts among those that just stopped
+        together, then verify them in index order.  Returns True once one
+        passes: it wins and the chunk stops."""
+        nonlocal iterations, any_converged, best, winner
+        x, r_inf = x[ended], r_inf[ended]
         converged = r_inf <= RESIDUAL_TOL
         if np.any(converged):
+            any_converged = True
             x[converged], polish_steps, _, r_inf[converged] = _lockstep(
                 sys,
                 x[converged],
@@ -411,25 +413,23 @@ def solve_multistart(
                 step_tol=POLISH_STEP_TOL,
                 lambda0=POLISH_LAMBDA0,
             )
-            steps[converged] += polish_steps
-        for j, row in enumerate(rows):
-            iterations += int(steps[j])
+            iterations += int(polish_steps.sum())
+        for j, row in enumerate(ended):
+            k = first + int(row)
             if converged[j]:
-                any_converged = True
                 raw = mo.vars_to_layout(sys, x[j])
                 if verify_layout(inst, raw).passed:
-                    winner = (first + int(row), raw)
-                    return int(row) + 1
-            if r_inf[j] < best[0]:
-                best = (float(r_inf[j]), first + int(row), mo.vars_to_layout(sys, x[j]))
-        return len(stopped)
+                    winner = (k, raw)
+                    return True
+            if (r_inf[j], k) < best[:2]:
+                best = (float(r_inf[j]), k, mo.vars_to_layout(sys, x[j]))
+        return False
 
     for first in range(0, cfg.restarts, LOCKSTEP_CHUNK):
         starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
-        stopped = np.zeros(len(starts), dtype=bool)
-        todo = 0  # the chunk's lowest start not yet verified or passed over
         x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in starts])
-        _lockstep(sys, x0, cfg.max_iters, resolve)
+        steps = _lockstep(sys, x0, cfg.max_iters, resolve)[1]  # resolve adds polish steps
+        iterations += int(steps.sum())
         if winner is not None:
             start_index, layout = winner
             final = mo.residual(sys, mo.layout_to_vars(sys, layout))

@@ -236,7 +236,9 @@ def sequential_lm(
     """Reference for _lockstep, taking its stop rule: Levenberg-Marquardt
     on one row with one damped attempt per round, on the same batched
     primitives (batches of one).  Returns the final variables, the accepted
-    step count, the accepted costs and the number of attempts."""
+    step count, the accepted costs, the number of attempts and the
+    iteration the run stops in: its steps, plus 1 when lambda ends above
+    LAMBDA_MAX."""
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
@@ -247,6 +249,7 @@ def sequential_lm(
     x = x0[None]
     lam = lambda0
     attempts = 0
+    stalled = False
     with np.errstate(over="ignore", invalid="ignore"):
         table, r, cost = evaluate(x)
         costs = [cost]
@@ -274,9 +277,9 @@ def sequential_lm(
                     break
                 lam *= solver.LAMBDA_INCREASE
                 if lam > solver.LAMBDA_MAX:
-                    live = False
+                    live, stalled = False, True
                     break
-    return x[0], len(costs) - 1, costs, attempts
+    return x[0], len(costs) - 1, costs, attempts, len(costs) - 1 + stalled
 
 
 def box_starts(sys, seed, rows):
@@ -361,7 +364,7 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
         patch.setattr(solver, "LAMBDA_MAX", lambda_max)
         x, steps, costs, r_inf = solver._lockstep(sys, x0, 200, lambda0=lambda0)
         reference = [sequential_lm(sys, row, 200, lambda0=lambda0) for row in x0]
-    for k, (x1, steps1, costs1, _) in enumerate(reference):
+    for k, (x1, steps1, costs1, _, _) in enumerate(reference):
         assert x[k].tobytes() == x1.tobytes()
         assert steps[k] == steps1
         assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
@@ -379,12 +382,13 @@ def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(lambda0):
     rule = {"step_tol": 0.0, "lambda0": lambda0}
     x, steps, costs, r_inf = solver._lockstep(sys, x0, 200, **rule)
     for k in range(len(x0)):
-        x1, steps1, costs1, attempts = sequential_lm(sys, x0[k], 200, **rule)
+        x1, steps1, costs1, attempts, stop = sequential_lm(sys, x0[k], 200, **rule)
         assert x[k].tobytes() == x1.tobytes()
         assert steps[k] == steps1 < 200
         assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
         assert r_inf[k] > solver.RESIDUAL_TOL
         assert attempts > steps1  # the last iteration only rejects
+        assert stop == steps1 + 1
 
 
 def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
@@ -404,35 +408,91 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
         assert report.status == "converged_verified" and report.start_index == 0, seed
 
 
+POLISH = {
+    "residual_tol": 0.0,
+    "step_tol": solver.POLISH_STEP_TOL,
+    "lambda0": solver.POLISH_LAMBDA0,
+}
+
+
 def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempts=None):
-    """Reference: the multistart loop one start at a time through
+    """Reference for the first-to-verify rule: the multistart loop through
     sequential_lm, as (status, start_index, iterations_total, best_layout,
-    final_residual_inf).  Every layout it verifies is appended to checked,
-    the attempt count of every LM run to attempts."""
+    final_residual_inf).  Each start k of a chunk runs alone and stops in
+    iteration t_k.  The starts are polished and verified in (t_k, k) order,
+    and the first to pass wins at T = t_k: each start's steps count up to T,
+    with the polish steps of every start that converged at or before T.
+    Every layout it verifies is appended to checked, the attempt count of
+    every LM run, as far as its chunk runs it, to attempts."""
     checked = [] if checked is None else checked
     attempts = [] if attempts is None else attempts
     sys = mo.build_system(inst, max_order, mode)
-    polish = {
-        "residual_tol": 0.0,
-        "step_tol": solver.POLISH_STEP_TOL,
-        "lambda0": solver.POLISH_LAMBDA0,
-    }
+    best = (float("inf"), -1, None)
+    iterations = 0
+    any_converged = False
+    for first in range(0, cfg.restarts, solver.LOCKSTEP_CHUNK):
+        starts = range(first, min(first + solver.LOCKSTEP_CHUNK, cfg.restarts))
+        x0 = {k: solver._start_vector(sys, inst, cfg.seed, k) for k in starts}
+        runs = {k: sequential_lm(sys, x0[k], cfg.max_iters) for k in starts}
+        winner = None
+        for t in sorted({run[4] for run in runs.values()}):
+            ended = [k for k in starts if runs[k][4] == t]
+            polished = {}
+            for k in ended:  # every converged start of the iteration
+                if np.max(np.abs(mo.residual(sys, runs[k][0]))) <= solver.RESIDUAL_TOL:
+                    any_converged = True
+                    x, steps, _, tried, _ = sequential_lm(
+                        sys, runs[k][0], solver.POLISH_MAX_ITERS, **POLISH
+                    )
+                    polished[k] = x
+                    iterations += steps
+                    attempts.append(tried)
+            for k in ended:
+                x = polished.get(k, runs[k][0])
+                if k in polished:
+                    raw = mo.vars_to_layout(sys, x)
+                    checked.append(raw)
+                    if verify_layout(inst, raw).passed:
+                        winner = (k, raw)
+                        break
+                r_inf = np.max(np.abs(mo.residual(sys, x)))
+                if (r_inf, k) < best[:2]:
+                    best = (r_inf, k, mo.vars_to_layout(sys, x))
+            if winner is not None:
+                break
+        for k in starts:
+            _, steps, _, tried, stop = runs[k]
+            if winner is not None and stop > t:  # cut short after iteration t
+                steps, tried = t, (sequential_lm(sys, x0[k], t)[3] if t else 0)
+            iterations += steps
+            attempts.append(tried)
+        if winner is not None:
+            k, raw = winner
+            final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
+            return "converged_verified", k, iterations, raw, final
+    status = "converged_unverified" if any_converged else "exhausted"
+    return status, best[1], iterations, best[2], best[0]
+
+
+def index_order_multistart(inst, cfg, mode, max_order=None):
+    """Reference for the earlier winner rule, the lowest verified start
+    index: the multistart loop one start at a time through sequential_lm,
+    as (status, start_index, iterations_total, best_layout,
+    final_residual_inf)."""
+    sys = mo.build_system(inst, max_order, mode)
     best = (float("inf"), -1, None)
     iterations = 0
     any_converged = False
     for k in range(cfg.restarts):
         x0 = solver._start_vector(sys, inst, cfg.seed, k)
-        x, steps, _, tried = sequential_lm(sys, x0, cfg.max_iters)
+        x, steps, _, _, _ = sequential_lm(sys, x0, cfg.max_iters)
         iterations += steps
-        attempts.append(tried)
         r_inf = np.max(np.abs(mo.residual(sys, x)))
         if r_inf <= solver.RESIDUAL_TOL:
             any_converged = True
-            x, steps, _, tried = sequential_lm(sys, x, solver.POLISH_MAX_ITERS, **polish)
+            x, steps, _, _, _ = sequential_lm(sys, x, solver.POLISH_MAX_ITERS, **POLISH)
             iterations += steps
-            attempts.append(tried)
             raw = mo.vars_to_layout(sys, x)
-            checked.append(raw)
             if verify_layout(inst, raw).passed:
                 final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
                 return "converged_verified", k, iterations, raw, final
@@ -444,14 +504,17 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
 
 
 def second_chunk_winner():
-    # Fixed mode at these settings: starts 0-7 fail, start 8 verifies.
+    # Fixed mode at these settings: starts 0-7 fail and starts 8-10 verify.
+    # Start 8 stops after 16 steps, starts 9 and 10 after 14 each, so at 11
+    # restarts start 9 wins the tie.
     inst, _ = gen_guillotine(46, 3, BoxSpec(3.0, 2.0))
     return inst, SolveConfig(max_iters=40, seed=46), mo.FIXED
 
 
 def rotatable_dominoes():
     # Two dominoes in a 4x1 box: the shelf start 0 stands them upright and
-    # fails, start 1 verifies, and later starts in its chunk converge too.
+    # fails.  Starts 1-7 all verify, start 1 after 9 steps and start 4 first,
+    # after 4.
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(4, 1))
     cfg = SolveConfig(max_iters=40, seed=1)
     return inst, cfg, mo.ROTATABLE
@@ -474,13 +537,16 @@ def test_multistart_matches_sequential_across_chunks(case, restarts):
     cfg = replace(cfg, restarts=restarts)
     report = solve_multistart(inst, cfg, mode=mode)
     assert_report_is(report, sequential_multistart(inst, cfg, mode))
-    if case is second_chunk_winner:
-        assert report.status == ("converged_verified" if restarts > 8 else "exhausted")
+    winners = {second_chunk_winner: {9: 8, 11: 9}, rotatable_dominoes: {8: 4, 9: 4, 11: 4}}
+    start = winners[case].get(restarts)
+    assert report.status == ("exhausted" if start is None else "converged_verified")
+    assert start is None or report.start_index == start
 
 
 def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
-    # Both starts run in one chunk: start 0 takes all 40 steps, start 1
-    # verifies.  The one-attempt reference makes 77 attempts.
+    # Both starts run in one chunk: start 1 verifies after 9 steps, and
+    # start 0, bound for all 40, stops with it.  The one-attempt reference
+    # makes 31 attempts.
     inst, cfg, mode = rotatable_dominoes()
     cfg = replace(cfg, restarts=2)
     attempts = []
@@ -496,13 +562,35 @@ def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
     report = solve_multistart(inst, cfg, mode=mode)
     assert_report_is(report, expected)
     assert report.status == "converged_verified" and report.start_index == 1
+    assert sum(attempts) == 31
     assert len(solves) < sum(attempts)
 
 
+def test_first_start_to_verify_ends_the_chunk(monkeypatch):
+    # Start 1 verifies after 9 steps and 2 polish steps, while start 0 is
+    # bound for all 40.  Waiting for start 0 to stop first, as a lowest
+    # index rule must, takes 42 batched Jacobian evaluations.
+    inst, cfg, mode = rotatable_dominoes()
+    cfg = replace(cfg, restarts=2)
+    calls = []
+    batch_jacobian = mo.batch_jacobian
+
+    def counting_jacobian(sys, table):
+        calls.append(len(table))
+        return batch_jacobian(sys, table)
+
+    monkeypatch.setattr(mo, "batch_jacobian", counting_jacobian)
+    report = solve_multistart(inst, cfg, mode=mode)
+    assert report.status == "converged_verified" and report.start_index == 1
+    assert report.iterations_total == 9 + 9 + 2  # start 0 cut at 9, start 1, polish
+    assert len(calls) < 20
+
+
 def test_multistart_verifies_each_converged_start_once(monkeypatch):
-    # At order 3 many starts converge to layouts that are not packings:
-    # starts 0-5 converge and fail, start 6 verifies, and the later start
-    # of its chunk converges but is never verified.
+    # At order 3 many starts converge to layouts that are not packings.
+    # Every start of the first chunk converges: starts 0, 5 and 3 first (after
+    # 11, 13 and 14 steps), and they fail; start 6 verifies next, after 15.
+    # Starts 1, 2, 4 and 7 converge later and are never verified.
     inst = Instance.from_sides([(1, 1), (1, 2), (1, 2), (2, 2)], BoxSpec(3, 3))
     cfg = SolveConfig(restarts=64, max_iters=60)
     verified = []
@@ -518,13 +606,15 @@ def test_multistart_verifies_each_converged_start_once(monkeypatch):
     assert report.status == "converged_verified"
     assert report.start_index == 6
     assert list(map(serialize_layout, verified)) == list(map(serialize_layout, expected))
-    assert len(verified) == 7
+    assert len(verified) == 4
     assert verified[-1] is report.best_layout
 
 
-def test_chunk_stops_once_a_lower_start_verifies(monkeypatch):
-    # Start 0 verifies after 14 steps, polish included.  Run to their own
-    # stops, the eight starts of the chunk evaluate 64 batched Jacobians.
+def test_chunk_stops_once_a_start_verifies(monkeypatch):
+    # Start 7 verifies after 7 steps and 2 polish steps.  Starts 0, 1 and 4
+    # would verify too, but only after 12.  The chunk stops at iteration 7,
+    # with 7 steps taken by each of the other starts.  Run to their own
+    # stops, the eight starts of the chunk take 60 lockstep iterations.
     inst, _ = gen_guillotine(0, 3, BoxSpec(3.0, 2.0))
     cfg = SolveConfig(restarts=8, max_iters=60, seed=0)
     expected = sequential_multistart(inst, cfg, mo.FIXED)
@@ -539,7 +629,7 @@ def test_chunk_stops_once_a_lower_start_verifies(monkeypatch):
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
     assert_report_is(report, expected)
     assert report.status == "converged_verified"
-    assert report.start_index == 0 and report.iterations_total == 14
+    assert report.start_index == 7 and report.iterations_total == 8 * 7 + 2
     assert len(calls) < 20
 
 
@@ -554,7 +644,7 @@ def test_chunk_stops_once_a_lower_start_verifies(monkeypatch):
 )
 def test_multistart_matches_sequential(seed, cuts, restarts, max_iters, mode, max_order):
     # Across chunk boundaries, solve_multistart reports what the
-    # start-by-start loop reports and verifies the same layouts in order.
+    # start-alone reference reports and verifies the same layouts in order.
     # Order 2 makes starts that converge but fail verification.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
@@ -571,3 +661,28 @@ def test_multistart_matches_sequential(seed, cuts, restarts, max_iters, mode, ma
     expected = sequential_multistart(inst, cfg, mode, max_order, checked)
     assert_report_is(report, expected)
     assert list(map(serialize_layout, verified)) == list(map(serialize_layout, checked))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(1, 4),
+    restarts=st.integers(1, 17),
+    max_iters=st.integers(5, 40),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    max_order=st.sampled_from([None, 2]),
+)
+def test_multistart_status_and_fallback_match_index_order(
+    seed, cuts, restarts, max_iters, mode, max_order
+):
+    # Under either winner rule a chunk verifies exactly when one of its
+    # starts does, so the status is the lowest-index rule's, and a report
+    # without a winner is that rule's field for field.
+    inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
+    cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
+    report = solve_multistart(inst, cfg, max_order, mode)
+    expected = index_order_multistart(inst, cfg, mode, max_order)
+    assert report.status == expected[0]
+    if report.status != "converged_verified":
+        assert_report_is(report, expected)
+        assert report.reason == ("unverified" if report.status == "converged_unverified" else None)
