@@ -55,6 +55,7 @@ from .verify import (
     VerificationReport,
     area_can_pass,
     corner_cancellation,
+    fit_can_pass,
     moment_residual_of_layout,
     verify_exact,
     verify_layout,
@@ -81,6 +82,7 @@ __all__ = [
     "corner_cancellation",
     "default_max_order",
     "enumerate_small_family",
+    "fit_can_pass",
     "gen_guillotine",
     "harmonic_prefix",
     "identity_partial",

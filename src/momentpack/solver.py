@@ -43,7 +43,7 @@ import numpy as np
 
 from . import moments as mo
 from .instances import Instance, Layout, Placement
-from .verify import DEFAULT_TOL, _snap_values, area_can_pass, verify_layout
+from .verify import DEFAULT_TOL, _snap_values, area_can_pass, fit_can_pass, verify_layout
 
 __all__ = [
     "SolveConfig",
@@ -250,7 +250,7 @@ def _lockstep(
     eye = np.eye(sys.var_count)
     x = np.array(x0, dtype=float)  # a copy: rows are updated in place
     with np.errstate(over="ignore", invalid="ignore"):
-        table = mo.power_table(sys, x)
+        table = mo.chebyshev_table(sys, x)
         r = mo.batch_residual(sys, table)
         r_inf = np.max(np.abs(r), axis=1)
         cost = _costs(r)
@@ -279,7 +279,7 @@ def _lockstep(
                 i, j = np.nonzero(tried)  # each row's rungs, in order
                 delta = _solve_rows(hess[i] + rungs[i, j, None, None] * eye, neg_grad[i])
                 cand = x[rows[i]] + delta
-                cand_table = mo.power_table(sys, cand)
+                cand_table = mo.chebyshev_table(sys, cand)
                 r_new = mo.batch_residual(sys, cand_table)
                 cost_new = _costs(r_new)
                 hit = np.flatnonzero(cost_new < cost[rows[i]])
@@ -374,13 +374,19 @@ def solve_multistart(
     its chunk.  So the winner is the verified start with the fewest
     lockstep iterations, ties going to the lowest index, and it can depend
     on which starts share a chunk.  Without a winner the report carries the
-    lowest (final max |r|, start index).  An instance whose area no layout
-    could pass verify_layout with (area_can_pass) is rejected before any
-    solving."""
+    lowest (final max |r|, start index).  An instance that no layout could
+    pass verify_layout with is rejected before any solving: by its area
+    (area_can_pass, reason "area"), or by a rectangle that fits the box in
+    no allowed orientation (fit_can_pass, reason "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     cfg.validate()
+    gate = None
     if not area_can_pass(inst):
+        gate = "area"
+    elif not fit_can_pass(inst):
+        gate = "fit"
+    if gate is not None:
         return SolveReport(
             status="exhausted",
             best_layout=None,
@@ -388,7 +394,7 @@ def solve_multistart(
             iterations_total=0,
             start_index=-1,
             wall_time_s=time.perf_counter() - t0,
-            reason="area",
+            reason=gate,
         )
     sys = mo.build_system(inst, max_order, mode)
     best: tuple[float, int, Layout | None] = (float("inf"), -1, None)

@@ -55,6 +55,7 @@ from .instances import BoxSpec, Instance, Layout, Number, _check_placement_count
 __all__ = [
     "VerificationReport",
     "area_can_pass",
+    "fit_can_pass",
     "verify_layout",
     "verify_exact",
     "corner_cancellation",
@@ -184,6 +185,26 @@ def area_can_pass(inst: Instance, tol: float = DEFAULT_TOL) -> bool:
     eps = tol * max(a, b)
     slack = sum(eps * (float(r.width) + float(r.height)) + eps * eps for r in inst.rects)
     return abs(float(inst.area_sum - inst.box.area)) <= tol * a * b + slack
+
+
+def fit_can_pass(inst: Instance, tol: float = DEFAULT_TOL) -> bool:
+    """Whether every rectangle of inst fits the box in some orientation
+    verify_layout allows at tol: a passing placement overhangs each wall by
+    at most eps = tol * scale, so dx <= A + 2 * eps, and its side error is
+    at most eps, so w <= dx + eps <= A + 3 * eps; likewise h <= B + 3 * eps,
+    or the same with w and h swapped when rotation is allowed."""
+    _check_tol(tol)
+    a = float(inst.box.width)
+    b = float(inst.box.height)
+    eps = tol * max(a, b)
+
+    def fits(w: float, h: float) -> bool:
+        return w <= a + 3 * eps and h <= b + 3 * eps
+
+    return all(
+        fits(w, h) or (inst.rotation_allowed and fits(h, w))
+        for w, h in ((float(r.width), float(r.height)) for r in inst.rects)
+    )
 
 
 def _as_fraction(value: Number, what: str) -> Fraction:

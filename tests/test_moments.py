@@ -2,29 +2,52 @@
 layout <-> variable vector maps.
 
 The core oracle here is `naive_residual`, a nested-loop transcription of the
-defining equations in raw (unnormalized) coordinates.  The implementation
-evaluates the same quantities in normalized coordinates; the two must agree
-to floating-point roundoff on arbitrary inputs, not just near solutions.
+defining equations in raw (unnormalized) coordinates, with numpy's own
+Chebyshev series standing in for the kernel's recurrence.  The
+implementation evaluates the same quantities in normalized coordinates; the
+two must agree to floating-point roundoff on arbitrary inputs, not just near
+solutions.  `naive_monomial_residual` transcribes the paper's monomial
+equations, which the Chebyshev rows combine exactly.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev
 
 from momentpack import BoxSpec, Instance, Layout, Placement, gen_guillotine, oracle_feasible
 from momentpack import moments as mo
 
 
 def naive_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mode):
-    """Independent evaluation straight from the definition."""
+    """Independent evaluation straight from the definition: row (k, l) is
+    the integral of T_k(2x/A - 1) * T_l(2y/B - 1) over the rectangles, in
+    units of the box area, less the same integral over the box."""
     a = float(inst.box.width)
     b = float(inst.box.height)
-    scale = max(a, b)
+    fx = [Chebyshev.basis(k, domain=[0, a]).integ() for k in range(max_order)]
+    fy = [Chebyshev.basis(k, domain=[0, b]).integ() for k in range(max_order)]
+    rows = []
+    for p in fx:
+        for q in fy:
+            total = 0.0
+            for i in range(inst.n_rects):
+                total += (p(x_hi[i]) - p(x_lo[i])) * (q(y_hi[i]) - q(y_lo[i]))
+            rows.append((total - (p(a) - p(0)) * (q(b) - q(0))) / (a * b))
+    return np.concatenate([rows, _naive_side_rows(inst, x_lo, y_lo, x_hi, y_hi, mode)])
+
+
+def naive_monomial_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mode):
+    """The paper's equations: row (s1, s2), 1 <= s1, s2 <= max_order, is
+    sum_n (x_hi^s1 - x_lo^s1)(y_hi^s2 - y_lo^s2) / (A^s1 B^s2) - 1."""
+    a = float(inst.box.width)
+    b = float(inst.box.height)
     rows = []
     for s1 in range(1, max_order + 1):
         for s2 in range(1, max_order + 1):
@@ -34,6 +57,12 @@ def naive_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mode):
                     y_hi[i] ** s2 - y_lo[i] ** s2
                 )
             rows.append(total / (a**s1 * b**s2) - 1.0)
+    return np.concatenate([rows, _naive_side_rows(inst, x_lo, y_lo, x_hi, y_hi, mode)])
+
+
+def _naive_side_rows(inst, x_lo, y_lo, x_hi, y_hi, mode):
+    scale = max(float(inst.box.width), float(inst.box.height))
+    rows = []
     if mode == mo.ROTATABLE:
         for i in range(inst.n_rects):
             w = float(inst.rects[i].width)
@@ -86,14 +115,17 @@ def test_default_keeps_equations_at_or_above_unknowns():
 def test_build_system_shapes_and_exponents():
     inst = Instance.from_sides([(1, 2), (1, 2)], BoxSpec(2, 3))
     sys = mo.build_system(inst, max_order=2, mode=mo.FIXED)
-    # Moment rows run over the exponent pairs (s1, s2) in row-major order.
+    # Moment rows run over the index pairs (k, l) in row-major order.  Row
+    # (k, l) integrates T_k(2u - 1) * T_l(2v - 1) over the rectangles, with
+    # u = x / 2 and v = y / 3, less its integral over the box.  T_0 = 1 and
+    # T_1(t) = t have the antiderivatives u and u^2 - u in u.
     rects = [(0, 0, 1, 2), (1, 0, 2, 2)]
+    antider = (lambda u: u, lambda u: u * u - u)
     want = [
-        sum((xh**s1 - xl**s1) * (yh**s2 - yl**s2) for xl, yl, xh, yh in rects)
-        / (2**s1 * 3**s2)
-        - 1
-        for s1 in (1, 2)
-        for s2 in (1, 2)
+        sum((p(xh / 2) - p(xl / 2)) * (q(yh / 3) - q(yl / 3)) for xl, yl, xh, yh in rects)
+        - (p(1) - p(0)) * (q(1) - q(0))
+        for p in antider
+        for q in antider
     ]
     layout = Layout(tuple(Placement(*r) for r in rects))
     np.testing.assert_allclose(mo.residual(sys, mo.layout_to_vars(sys, layout)), want, atol=1e-12)
@@ -102,9 +134,8 @@ def test_build_system_shapes_and_exponents():
     assert sys.equation_count == 4
     assert sys.scale == 3.0
     np.testing.assert_allclose(sys.widths, [1 / 3, 1 / 3])
-    np.testing.assert_allclose(
-        sys.denom, np.outer([2 / 3, (2 / 3) ** 2], [1.0, 1.0])
-    )
+    np.testing.assert_allclose(sys.box_moments, [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(sys.to_cheb, [3.0, 2.0] * 4)
 
 
 def test_build_system_rotatable_counts():
@@ -197,6 +228,60 @@ def test_residual_zero_on_perfect_layouts(squared32, small_corpus):
                 sys = mo.build_system(inst, smax, mode)
                 r = mo.residual(sys, mo.layout_to_vars(sys, layout))
                 assert np.max(np.abs(r)) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
+def test_residual_floor_at_exact_guillotine_tilings(mode):
+    # The recurrence keeps every row at roundoff on a tiling.  Building the
+    # rows from monomial extents and the monomial-to-Chebyshev coefficient
+    # matrix cancels: that build's floor passes 1e-10 from max_order 7.
+    for n in range(6, 21):
+        for seed in range(3):
+            inst, layout = gen_guillotine(seed, n - 1, BoxSpec(10.0, 8.0))
+            sys = mo.build_system(inst, mode=mode)
+            r = mo.residual(sys, mo.layout_to_vars(sys, layout))
+            assert np.max(np.abs(r)) <= 1e-12, (n, seed)
+
+
+def shifted_chebyshev_integrals(m):
+    """(m, m) exact matrix C with Q_k = sum_j C[k, j] * (u_hi^(j+1) -
+    u_lo^(j+1)): the integer coefficients of T_k(2u - 1) in powers of u,
+    from T_(k+1) = 2(2u - 1) T_k - T_(k-1) over Python ints, each divided
+    by j + 1."""
+    coeffs = [[1], [-1, 2]]
+    while len(coeffs) < m:
+        prev, cur = coeffs[-2], coeffs[-1]
+        nxt = [0] * (len(cur) + 1)
+        for j, c in enumerate(cur):
+            nxt[j] -= 2 * c
+            nxt[j + 1] += 4 * c
+        for j, c in enumerate(prev):
+            nxt[j] -= c
+        coeffs.append(nxt)
+    return [[Fraction(row[j], j + 1) if j < len(row) else Fraction(0) for j in range(m)]
+            for row in coeffs[:m]]
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 3, 4])
+def test_rows_are_the_monomial_rows_in_the_chebyshev_basis(max_order):
+    # Row (k, l) is sum_(j, i) C[k, j] C[l, i] (monomial row (j+1, i+1) + 1)
+    # less g_k g_l, and sum_j C[k, j] = g_k, so the rows are C r C^T with r
+    # the paper's monomial rows: an invertible triangular combination, with
+    # the same roots.
+    c = np.array(shifted_chebyshev_integrals(max_order), dtype=float)
+    assert np.all(np.diag(c) != 0)
+    rng = np.random.default_rng(max_order)
+    for seed in range(4):
+        inst, _ = gen_guillotine(seed, 4, BoxSpec(5.0, 3.0))
+        sys = mo.build_system(inst, max_order=max_order, mode=mo.ROTATABLE)
+        x_lo, y_lo, x_hi, y_hi = random_corners(inst, rng)
+        corners = np.stack([x_lo, y_lo, x_hi, y_hi], axis=1) / sys.scale
+        got = mo.residual(sys, mo.corners_to_vars(sys, corners))
+        mono = naive_monomial_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mo.ROTATABLE)
+        m2 = max_order**2
+        want = c @ mono[:m2].reshape(max_order, max_order) @ c.T
+        np.testing.assert_allclose(got[:m2], want.ravel(), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got[m2:], mono[m2:], rtol=0, atol=1e-12)
 
 
 def test_residual_nonzero_off_solution():
@@ -317,7 +402,7 @@ def test_batched_rows_equal_single_evaluation_bitwise(seed, cuts, rows, mode):
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(1.0 + seed % 7, 2.5))
     sys = mo.build_system(inst, mode=mode)
     points = np.random.default_rng(seed).uniform(0, 1, (rows, sys.var_count))
-    table = mo.power_table(sys, points)
+    table = mo.chebyshev_table(sys, points)
     res = mo.batch_residual(sys, table)
     jac = mo.batch_jacobian(sys, table)
     assert res.shape == (rows, sys.equation_count)

@@ -15,6 +15,8 @@ from momentpack import (
     Layout,
     Placement,
     SolveConfig,
+    area_can_pass,
+    fit_can_pass,
     gen_guillotine,
     harmonic_prefix,
     init_shelf_greedy,
@@ -163,6 +165,26 @@ def test_multistart_area_fast_reject():
     assert report.start_index == -1
 
 
+@pytest.mark.parametrize(
+    "sides, rotation_allowed, mode",
+    [
+        ([(1, 4)], True, mo.ROTATABLE),  # too long either way
+        ([(1, 1), (1, 3)], False, mo.FIXED),  # fits only turned
+    ],
+)
+def test_multistart_fit_fast_reject(sides, rotation_allowed, mode):
+    # Each instance fills a 2x2 box by area, but a rectangle fits it in no
+    # orientation the verifier allows.
+    inst = Instance.from_sides(sides, BoxSpec(2, 2), rotation_allowed=rotation_allowed)
+    assert area_can_pass(inst) and not fit_can_pass(inst)
+    report = solve_multistart(inst, SolveConfig(restarts=8), mode=mode)
+    assert report.status == "exhausted"
+    assert report.reason == "fit"
+    assert report.best_layout is None
+    assert report.iterations_total == 0
+    assert report.start_index == -1
+
+
 def test_multistart_rejects_harmonic_prefix_by_area():
     # The first 20 harmonic rectangles leave 1/21 of the unit box empty:
     # no layout of them can pass verify_layout, so no start is run.
@@ -182,8 +204,9 @@ def test_multistart_runs_starts_past_an_area_gap_within_tolerance():
 
 
 def test_multistart_exhausts_on_unpackable_exact_area():
-    # 1x1 + 1x3 fill a 2x2 box by area but cannot pack it
-    inst = Instance.from_sides([(1, 1), (1, 3)], BoxSpec(2, 2), rotation_allowed=False)
+    # Two 2x2 squares and a unit square fill a 3x3 box by area, and each
+    # fits it, but the two 2x2 squares cannot share it.
+    inst = Instance.from_sides([(2, 2), (2, 2), (1, 1)], BoxSpec(3, 3), rotation_allowed=False)
     report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=60))
     assert report.status == "exhausted"
     assert report.reason is None
@@ -242,7 +265,7 @@ def sequential_lm(
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
-        table = mo.power_table(sys, x)
+        table = mo.chebyshev_table(sys, x)
         r = mo.batch_residual(sys, table)
         return table, r, solver._norms(r)[0] if np.all(np.isfinite(r)) else np.inf
 
@@ -504,16 +527,16 @@ def index_order_multistart(inst, cfg, mode, max_order=None):
 
 
 def second_chunk_winner():
-    # Fixed mode at these settings: starts 0-7 fail and starts 8-10 verify.
-    # Start 8 stops after 16 steps, starts 9 and 10 after 14 each, so at 11
-    # restarts start 9 wins the tie.
+    # Fixed mode at these settings: starts 0-7 and 10 fail, and starts 8 and
+    # 9 verify.  Start 8 stops after 10 steps and start 9 after 8, so at 11
+    # restarts start 9 wins.
     inst, _ = gen_guillotine(46, 3, BoxSpec(3.0, 2.0))
     return inst, SolveConfig(max_iters=40, seed=46), mo.FIXED
 
 
 def rotatable_dominoes():
     # Two dominoes in a 4x1 box: the shelf start 0 stands them upright and
-    # fails.  Starts 1-7 all verify, start 1 after 9 steps and start 4 first,
+    # fails.  Starts 1-7 all verify, start 1 after 6 steps and start 4 first,
     # after 4.
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(4, 1))
     cfg = SolveConfig(max_iters=40, seed=1)
@@ -544,9 +567,9 @@ def test_multistart_matches_sequential_across_chunks(case, restarts):
 
 
 def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
-    # Both starts run in one chunk: start 1 verifies after 9 steps, and
-    # start 0, bound for all 40, stops with it.  The one-attempt reference
-    # makes 31 attempts.
+    # Both starts run in one chunk: start 1 verifies after 6 steps, and
+    # start 0, bound for 28, stops with it.  The one-attempt reference makes
+    # 21 attempts.
     inst, cfg, mode = rotatable_dominoes()
     cfg = replace(cfg, restarts=2)
     attempts = []
@@ -562,14 +585,15 @@ def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
     report = solve_multistart(inst, cfg, mode=mode)
     assert_report_is(report, expected)
     assert report.status == "converged_verified" and report.start_index == 1
-    assert sum(attempts) == 31
+    assert sum(attempts) == 21
     assert len(solves) < sum(attempts)
 
 
 def test_first_start_to_verify_ends_the_chunk(monkeypatch):
-    # Start 1 verifies after 9 steps and 2 polish steps, while start 0 is
-    # bound for all 40.  Waiting for start 0 to stop first, as a lowest
-    # index rule must, takes 42 batched Jacobian evaluations.
+    # Start 1 verifies after 6 steps and 2 polish steps, while start 0 is
+    # bound for 28 steps and stops in iteration 29.  Waiting for start 0 to
+    # stop first, as a lowest index rule must, takes 29 batched Jacobian
+    # evaluations for start 0 alone.
     inst, cfg, mode = rotatable_dominoes()
     cfg = replace(cfg, restarts=2)
     calls = []
@@ -582,15 +606,15 @@ def test_first_start_to_verify_ends_the_chunk(monkeypatch):
     monkeypatch.setattr(mo, "batch_jacobian", counting_jacobian)
     report = solve_multistart(inst, cfg, mode=mode)
     assert report.status == "converged_verified" and report.start_index == 1
-    assert report.iterations_total == 9 + 9 + 2  # start 0 cut at 9, start 1, polish
+    assert report.iterations_total == 6 + 6 + 2  # start 0 cut at 6, start 1, polish
     assert len(calls) < 20
 
 
 def test_multistart_verifies_each_converged_start_once(monkeypatch):
     # At order 3 many starts converge to layouts that are not packings.
-    # Every start of the first chunk converges: starts 0, 5 and 3 first (after
-    # 11, 13 and 14 steps), and they fail; start 6 verifies next, after 15.
-    # Starts 1, 2, 4 and 7 converge later and are never verified.
+    # Starts 0 and 3 converge first (after 8 steps each), then start 7
+    # (after 9), and they fail; start 6 verifies next, after 10.  Starts 1,
+    # 2 and 5 converge later and are never verified; start 4 never does.
     inst = Instance.from_sides([(1, 1), (1, 2), (1, 2), (2, 2)], BoxSpec(3, 3))
     cfg = SolveConfig(restarts=64, max_iters=60)
     verified = []
@@ -611,12 +635,13 @@ def test_multistart_verifies_each_converged_start_once(monkeypatch):
 
 
 def test_chunk_stops_once_a_start_verifies(monkeypatch):
-    # Start 7 verifies after 7 steps and 2 polish steps.  Starts 0, 1 and 4
-    # would verify too, but only after 12.  The chunk stops at iteration 7,
-    # with 7 steps taken by each of the other starts.  Run to their own
-    # stops, the eight starts of the chunk take 60 lockstep iterations.
-    inst, _ = gen_guillotine(0, 3, BoxSpec(3.0, 2.0))
-    cfg = SolveConfig(restarts=8, max_iters=60, seed=0)
+    # Starts 3 and 7 converge after 6 steps, are polished in 2 steps each,
+    # and both verify: start 3 wins the tie.  Starts 2, 4, 5 and 6 would
+    # verify too, but only after 8 to 10.  The chunk stops at iteration 6,
+    # with 6 steps taken by each of the other starts.  Run to their own
+    # stops, the eight starts of the chunk take 56 lockstep iterations.
+    inst, _ = gen_guillotine(101, 3, BoxSpec(3.0, 2.0))
+    cfg = SolveConfig(restarts=8, max_iters=60, seed=101)
     expected = sequential_multistart(inst, cfg, mo.FIXED)
     calls = []
     batch_jacobian = mo.batch_jacobian
@@ -629,7 +654,7 @@ def test_chunk_stops_once_a_start_verifies(monkeypatch):
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
     assert_report_is(report, expected)
     assert report.status == "converged_verified"
-    assert report.start_index == 7 and report.iterations_total == 8 * 7 + 2
+    assert report.start_index == 3 and report.iterations_total == 8 * 6 + 2 + 2
     assert len(calls) < 20
 
 

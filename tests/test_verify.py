@@ -19,6 +19,7 @@ from momentpack import (
     area_can_pass,
     corner_cancellation,
     enumerate_small_family,
+    fit_can_pass,
     gen_guillotine,
     moment_residual_of_layout,
     oracle_feasible,
@@ -208,6 +209,65 @@ def test_area_gate_lets_through_every_instance_with_a_passing_layout(
     jittered = Instance.from_sides(sides, box, rotation_allowed=rotation_allowed)
     assert verify_layout(jittered, witness, tol=tol).passed
     assert area_can_pass(jittered, tol)
+
+
+# -- Fit gate -----------------------------------------------------------------
+
+
+def test_fit_gate_bound_is_three_eps():
+    # Box 10 x 7 at tol 1e-7, so eps = 1e-6.  A strip placed 0.95e-6 past
+    # both side walls, with a given width 0.9e-6 longer still, passes
+    # verify_layout: its width is A + 2.8e-6.  A + 3.1e-6 fits no passing
+    # placement.
+    box = BoxSpec(10.0, 7.0)
+    layout = Layout((Placement(-0.95e-6, 0, 10 + 0.95e-6, 1), Placement(0, 1, 10, 7)))
+    near = Instance.from_sides([(10 + 2.8e-6, 1), (10, 6)], box)
+    assert verify_layout(near, layout).passed
+    assert fit_can_pass(near)
+    assert not fit_can_pass(Instance.from_sides([(10 + 3.1e-6, 1), (10, 6)], box))
+    # A 1 x 10 rectangle fits the 10 x 7 box only turned.
+    tall = [(1, 10), (9, 7)]
+    assert fit_can_pass(Instance.from_sides(tall, box, rotation_allowed=True))
+    assert not fit_can_pass(Instance.from_sides(tall, box, rotation_allowed=False))
+    with pytest.raises(ValueError):
+        fit_can_pass(near, tol=-1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    box=st.sampled_from([(10.0, 7.0), (1.0, 1.0), (3.0, 8.0)]),
+    share=st.floats(0.05, 1.0),
+    overhang=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+    side_error=st.floats(-0.99, 0.99),
+    transpose=st.booleans(),
+    turned=st.booleans(),
+    rotation_allowed=st.booleans(),
+    tol=st.sampled_from([1e-9, 1e-7, 1e-5]),
+)
+def test_fit_gate_lets_through_every_instance_with_a_passing_layout(
+    box, share, overhang, side_error, transpose, turned, rotation_allowed, tol
+):
+    # A strip across the box leaves it past both walls by under eps and is
+    # given a length up to eps off its placed one, so the given length
+    # reaches up to A + 2.97 * eps.  The strip is thin enough
+    # that its overhang keeps the area gap within tol * A * B: the layout
+    # passes, and so must the gate.  A turned strip is given turned sides.
+    a, b = box
+    eps = tol * max(a, b)
+    h = share * min(a, b) / 2
+    lo, hi = -overhang[0] * eps, a + overhang[1] * eps
+    boxes = [(lo, 0.0, hi, h), (0.0, h, a, b)]
+    sides = [(hi - lo + side_error * eps, h), (a, b - h)]
+    if transpose:
+        a, b = b, a
+        boxes = [(y0, x0, y1, x1) for x0, y0, x1, y1 in boxes]
+        sides = [(h_, w_) for w_, h_ in sides]
+    if turned and rotation_allowed:
+        sides[0] = sides[0][::-1]
+    inst = Instance.from_sides(sides, BoxSpec(a, b), rotation_allowed=rotation_allowed)
+    layout = Layout(tuple(Placement(*p) for p in boxes))
+    assert verify_layout(inst, layout, tol=tol).passed
+    assert fit_can_pass(inst, tol)
 
 
 def test_count_mismatch_raises():
