@@ -187,16 +187,16 @@ def area_can_pass(inst: Instance, tol: float = DEFAULT_TOL) -> bool:
     return abs(float(inst.area_sum - inst.box.area)) <= tol * a * b + slack
 
 
-def fit_can_pass(inst: Instance, tol: float = DEFAULT_TOL) -> bool:
+def fit_can_pass(inst: Instance) -> bool:
     """Whether every rectangle of inst fits the box in some orientation
-    verify_layout allows at tol: a passing placement overhangs each wall by
-    at most eps = tol * scale, so dx <= A + 2 * eps, and its side error is
-    at most eps, so w <= dx + eps <= A + 3 * eps; likewise h <= B + 3 * eps,
-    or the same with w and h swapped when rotation is allowed."""
-    _check_tol(tol)
+    verify_layout allows at DEFAULT_TOL: a passing placement overhangs each
+    wall by at most eps = DEFAULT_TOL * scale, so dx <= A + 2 * eps, and its
+    side error is at most eps, so w <= dx + eps <= A + 3 * eps; likewise
+    h <= B + 3 * eps, or the same with w and h swapped when rotation is
+    allowed."""
     a = float(inst.box.width)
     b = float(inst.box.height)
-    eps = tol * max(a, b)
+    eps = DEFAULT_TOL * max(a, b)
 
     def fits(w: float, h: float) -> bool:
         return w <= a + 3 * eps and h <= b + 3 * eps

@@ -229,8 +229,6 @@ def test_fit_gate_bound_is_three_eps():
     tall = [(1, 10), (9, 7)]
     assert fit_can_pass(Instance.from_sides(tall, box, rotation_allowed=True))
     assert not fit_can_pass(Instance.from_sides(tall, box, rotation_allowed=False))
-    with pytest.raises(ValueError):
-        fit_can_pass(near, tol=-1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,18 +240,17 @@ def test_fit_gate_bound_is_three_eps():
     transpose=st.booleans(),
     turned=st.booleans(),
     rotation_allowed=st.booleans(),
-    tol=st.sampled_from([1e-9, 1e-7, 1e-5]),
 )
 def test_fit_gate_lets_through_every_instance_with_a_passing_layout(
-    box, share, overhang, side_error, transpose, turned, rotation_allowed, tol
+    box, share, overhang, side_error, transpose, turned, rotation_allowed
 ):
     # A strip across the box leaves it past both walls by under eps and is
     # given a length up to eps off its placed one, so the given length
-    # reaches up to A + 2.97 * eps.  The strip is thin enough
-    # that its overhang keeps the area gap within tol * A * B: the layout
+    # reaches up to A + 2.97 * eps.  The strip is thin enough that its
+    # overhang keeps the area gap within DEFAULT_TOL * A * B: the layout
     # passes, and so must the gate.  A turned strip is given turned sides.
     a, b = box
-    eps = tol * max(a, b)
+    eps = DEFAULT_TOL * max(a, b)
     h = share * min(a, b) / 2
     lo, hi = -overhang[0] * eps, a + overhang[1] * eps
     boxes = [(lo, 0.0, hi, h), (0.0, h, a, b)]
@@ -266,8 +263,8 @@ def test_fit_gate_lets_through_every_instance_with_a_passing_layout(
         sides[0] = sides[0][::-1]
     inst = Instance.from_sides(sides, BoxSpec(a, b), rotation_allowed=rotation_allowed)
     layout = Layout(tuple(Placement(*p) for p in boxes))
-    assert verify_layout(inst, layout, tol=tol).passed
-    assert fit_can_pass(inst, tol)
+    assert verify_layout(inst, layout).passed
+    assert fit_can_pass(inst)
 
 
 def test_count_mismatch_raises():
