@@ -27,9 +27,17 @@ with the fewest lockstep iterations, ties going to the lowest index, and a
 later chunk runs only when no earlier one verified.
 
 The stop rules are module constants.  A start runs from lambda LAMBDA0
-until max |r| <= RESIDUAL_TOL (converged), a step below STEP_TOL, lambda
-above LAMBDA_MAX or max_iters; the polish runs from POLISH_LAMBDA0 for up
-to POLISH_MAX_ITERS steps, until a step below POLISH_STEP_TOL.
+until max |r| <= RESIDUAL_TOL (converged), a step below STEP_TOL, a step
+that lowers the cost by less than a share STALL_TOL of it (stalled: the
+relative-reduction test of MINPACK's ftol), lambda above LAMBDA_MAX or
+max_iters.  The stall rule ends starts bound for a non-zero local minimum,
+not ones bound to converge: LM converges quadratically at a regular root
+and linearly at a singular one, so near a root each step lowers the cost
+by a large share.  Of 1,144 converging starts measured (family sweep,
+guillotine N = 6 to 20) none took a step lowering it by less than 3.9e-6
+of it, nearly 400 times STALL_TOL.  The polish runs from POLISH_LAMBDA0
+for up to POLISH_MAX_ITERS steps, until a step below POLISH_STEP_TOL,
+without the stall rule.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ LAMBDA_MAX = 1e12
 LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
 STEP_TOL = 1e-12
+STALL_TOL = 1e-8  # a start stalled once a step lowers its cost by less than this share
 POLISH_MAX_ITERS = 40
 POLISH_STEP_TOL = 1e-15
 POLISH_LAMBDA0 = 1e-6
@@ -221,6 +230,7 @@ def _lockstep(
     *,
     residual_tol: float = RESIDUAL_TOL,
     step_tol: float = STEP_TOL,
+    stall_tol: float = STALL_TOL,
     lambda0: float = LAMBDA0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
@@ -236,7 +246,11 @@ def _lockstep(
     round.  Rung 0 is always tried, higher rungs up to LAMBDA_MAX, and
     times 4 is exact, so every row tries the rule's lambdas and follows its
     trajectory bit for bit, whatever else is in the batch.  A row stops on
-    residual_tol, step_tol, lambda above LAMBDA_MAX or max_iters.  Returns
+    residual_tol, step_tol, a stall (an accepted step lowering its cost by
+    less than a share stall_tol of it; 0 turns the rule off), lambda above
+    LAMBDA_MAX or max_iters.  Near a root each step lowers the cost by a
+    large share, so a stall ends a row bound for a non-zero local minimum,
+    not one bound to converge.  Returns
     the final variables (K, V), the accepted step count of each row (K,),
     the accepted costs (K, max_iters + 1), row k's history being
     costs[k, : steps[k] + 1], and each row's final max |r| (K,).
@@ -291,6 +305,7 @@ def _lockstep(
                 stepped[i[hit]] = True
                 won = rows[stepped]
                 step_norm = _norms(cand[hit] - x[won])
+                fell = cost_new[hit] < (1.0 - stall_tol) * cost[won]
                 x[won], r[won], table[won] = cand[hit], r_new[hit], cand_table[hit]
                 cost[won] = cost_new[hit]
                 r_inf[won] = np.max(np.abs(r_new[hit]), axis=1)
@@ -300,6 +315,7 @@ def _lockstep(
                 live[won] = (
                     (r_inf[won] > residual_tol)
                     & (step_norm > step_tol)
+                    & fell
                     & (steps[won] < max_iters)
                 )
                 lam[rows[~stepped]] = rungs[~stepped, -1] * LAMBDA_INCREASE
@@ -417,6 +433,7 @@ def solve_multistart(
                 POLISH_MAX_ITERS,
                 residual_tol=0.0,
                 step_tol=POLISH_STEP_TOL,
+                stall_tol=0.0,
                 lambda0=POLISH_LAMBDA0,
             )
             iterations += int(polish_steps.sum())

@@ -254,6 +254,7 @@ def sequential_lm(
     *,
     residual_tol=solver.RESIDUAL_TOL,
     step_tol=solver.STEP_TOL,
+    stall_tol=solver.STALL_TOL,
     lambda0=solver.LAMBDA0,
 ):
     """Reference for _lockstep, taking its stop rule: Levenberg-Marquardt
@@ -289,12 +290,14 @@ def sequential_lm(
                 cand_table, r_new, cost_new = evaluate(cand)
                 if cost_new < cost:
                     step_norm = solver._norms(cand - x)[0]
+                    fell = cost_new < (1.0 - stall_tol) * cost
                     x, table, r, cost = cand, cand_table, r_new, cost_new
                     lam = max(lam * solver.LAMBDA_DECREASE, solver.LAMBDA_MIN)
                     costs.append(cost)
                     live = (
                         np.max(np.abs(r)) > residual_tol
                         and step_norm > step_tol
+                        and fell
                         and len(costs) - 1 < max_iters
                     )
                     break
@@ -398,11 +401,11 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
 def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(lambda0):
     # A unit square in a 2x1 box has no root: the rows run to a
     # stationary point (max |r| 0.5), where no step lowers the cost and
-    # lambda climbs past LAMBDA_MAX.  With step_tol 0 that is the only way
-    # to stop early.
+    # lambda climbs past LAMBDA_MAX.  With step_tol and stall_tol 0 that is
+    # the only way to stop early.
     sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)), mode=mo.FIXED)
     x0 = np.array([[0.0, 0.0], [0.15, 0.0], [0.5, 0.0]])  # left, inside, right wall
-    rule = {"step_tol": 0.0, "lambda0": lambda0}
+    rule = {"step_tol": 0.0, "stall_tol": 0.0, "lambda0": lambda0}
     x, steps, costs, r_inf = solver._lockstep(sys, x0, 200, **rule)
     for k in range(len(x0)):
         x1, steps1, costs1, attempts, stop = sequential_lm(sys, x0[k], 200, **rule)
@@ -412,6 +415,37 @@ def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(lambda0):
         assert r_inf[k] > solver.RESIDUAL_TOL
         assert attempts > steps1  # the last iteration only rejects
         assert stop == steps1 + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(0, 6),
+    rows=st.integers(1, 6),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+)
+def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode):
+    # Under the stall rule a row follows its path without the rule bit for
+    # bit, and ends at the first accepted step that lowers its cost by less
+    # than STALL_TOL of it, unless an older rule ended it first.
+    inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
+    sys = mo.build_system(inst, mode=mode)
+    x0 = box_starts(sys, seed, rows)
+    x, steps, costs, r_inf = solver._lockstep(sys, x0, 80)
+    _, steps0, costs0, _ = solver._lockstep(sys, x0, 80, stall_tol=0.0)
+    for k in range(rows):
+        path = costs0[k, : steps0[k] + 1]
+        stalled = np.flatnonzero(path[1:] >= (1.0 - solver.STALL_TOL) * path[:-1])
+        assert steps[k] == (stalled[0] + 1 if len(stalled) else steps0[k])
+        assert costs[k, : steps[k] + 1].tobytes() == path[: steps[k] + 1].tobytes()
+        # The rule-free run cut after as many steps; a row that took none
+        # stopped by an older rule, which cuts the rule-free run too.
+        x1, steps1, _, r_inf1 = solver._lockstep(
+            sys, x0[k, None], max(steps[k], 1), stall_tol=0.0
+        )
+        assert steps1[0] == steps[k]
+        assert x[k].tobytes() == x1[0].tobytes()
+        assert r_inf[k].tobytes() == r_inf1[0].tobytes()
 
 
 def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
@@ -434,6 +468,7 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
 POLISH = {
     "residual_tol": 0.0,
     "step_tol": solver.POLISH_STEP_TOL,
+    "stall_tol": 0.0,
     "lambda0": solver.POLISH_LAMBDA0,
 }
 
@@ -566,9 +601,39 @@ def test_multistart_matches_sequential_across_chunks(case, restarts):
     assert start is None or report.start_index == start
 
 
+def test_stall_rule_cuts_no_winner(monkeypatch):
+    # Guillotine N = 6 at 16 restarts, and two dominoes in rotatable mode:
+    # no start that converges takes a step lowering its cost by less than
+    # STALL_TOL of it.  So with the rule every answer keeps its status, and
+    # every verified one its winner and layout.  The rule only shortens
+    # starts that fail: fewer steps in all.
+    box = BoxSpec(10.0, 8.0)
+    cases = [
+        (gen_guillotine(seed, 5, box)[0], SolveConfig(restarts=16, seed=seed), mo.FIXED)
+        for seed in range(16)
+    ] + [rotatable_dominoes()]
+
+    def reports():
+        return [solve_multistart(inst, cfg, mode=mode) for inst, cfg, mode in cases]
+
+    with_rule = reports()
+    lockstep = solver._lockstep
+    monkeypatch.setattr(
+        solver, "_lockstep", lambda *args, **rule: lockstep(*args, **{**rule, "stall_tol": 0.0})
+    )
+    without = reports()
+    for a, b in zip(with_rule, without):
+        assert a.status == b.status
+        if b.status == "converged_verified":
+            assert a.start_index == b.start_index
+            assert serialize_layout(a.best_layout) == serialize_layout(b.best_layout)
+    assert {r.status for r in without} == {"converged_verified", "exhausted"}
+    assert sum(r.iterations_total for r in with_rule) < sum(r.iterations_total for r in without)
+
+
 def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
     # Both starts run in one chunk: start 1 verifies after 6 steps, and
-    # start 0, bound for 28, stops with it.  The one-attempt reference makes
+    # start 0, bound for 16, stops with it.  The one-attempt reference makes
     # 21 attempts.
     inst, cfg, mode = rotatable_dominoes()
     cfg = replace(cfg, restarts=2)
@@ -591,8 +656,8 @@ def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
 
 def test_first_start_to_verify_ends_the_chunk(monkeypatch):
     # Start 1 verifies after 6 steps and 2 polish steps, while start 0 is
-    # bound for 28 steps and stops in iteration 29.  Waiting for start 0 to
-    # stop first, as a lowest index rule must, takes 29 batched Jacobian
+    # bound for 16 steps and stops in iteration 16.  Waiting for start 0 to
+    # stop first, as a lowest index rule must, takes 16 batched Jacobian
     # evaluations for start 0 alone.
     inst, cfg, mode = rotatable_dominoes()
     cfg = replace(cfg, restarts=2)
@@ -607,7 +672,7 @@ def test_first_start_to_verify_ends_the_chunk(monkeypatch):
     report = solve_multistart(inst, cfg, mode=mode)
     assert report.status == "converged_verified" and report.start_index == 1
     assert report.iterations_total == 6 + 6 + 2  # start 0 cut at 6, start 1, polish
-    assert len(calls) < 20
+    assert len(calls) < 16
 
 
 def test_multistart_verifies_each_converged_start_once(monkeypatch):
@@ -639,7 +704,7 @@ def test_chunk_stops_once_a_start_verifies(monkeypatch):
     # and both verify: start 3 wins the tie.  Starts 2, 4, 5 and 6 would
     # verify too, but only after 8 to 10.  The chunk stops at iteration 6,
     # with 6 steps taken by each of the other starts.  Run to their own
-    # stops, the eight starts of the chunk take 56 lockstep iterations.
+    # stops, the eight starts of the chunk take 25 lockstep iterations.
     inst, _ = gen_guillotine(101, 3, BoxSpec(3.0, 2.0))
     cfg = SolveConfig(restarts=8, max_iters=60, seed=101)
     expected = sequential_multistart(inst, cfg, mo.FIXED)
