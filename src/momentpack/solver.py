@@ -10,8 +10,8 @@ finite.  Containment in the box is the verifier's check, not the solver's.
 
 solve_multistart layers deterministic restarts on top (start 0 is the shelf
 layout, later starts are seeded draws) and treats geometric verification,
-not the residual, as the definition of success: every converged candidate
-is polished and handed once to verify_layout at its default tolerance, the
+not the residual, as the definition of success: every converged start is
+handed once, as it stopped, to verify_layout at its default tolerance, the
 one `momentpack verify` uses.  The first start to verify wins.  Reports are
 bitwise deterministic for a fixed (instance, config, max_order, mode).
 
@@ -20,24 +20,27 @@ share one batched Jacobian, and its retries run as a damping ladder, one
 stacked linear solve per round of several lambdas per start.  Each start
 keeps its own lambda and stop rule, so its trajectory is bit for bit the
 one-attempt-at-a-time one, which solve_single gives it too.  After each
-lockstep iteration the starts that stopped in it are polished together and
-verified in index order; the first that passes ends the chunk, and every
-start still running stops with it.  So the winner is the verified start
-with the fewest lockstep iterations, ties going to the lowest index, and a
-later chunk runs only when no earlier one verified.
+lockstep iteration the starts that stopped in it are verified in index
+order; the first that passes ends the chunk, and every start still running
+stops with it.  So the winner is the verified start with the fewest
+lockstep iterations, ties going to the lowest index, and a later chunk
+runs only when no earlier one verified.
 
-The stop rules are module constants.  A start runs from lambda LAMBDA0
-until max |r| <= RESIDUAL_TOL (converged), a step below STEP_TOL, a step
-that lowers the cost by less than a share STALL_TOL of it (stalled: the
-relative-reduction test of MINPACK's ftol), lambda above LAMBDA_MAX or
-max_iters.  The stall rule ends starts bound for a non-zero local minimum,
-not ones bound to converge: LM converges quadratically at a regular root
-and linearly at a singular one, so near a root each step lowers the cost
-by a large share.  Of 1,144 converging starts measured (family sweep,
-guillotine N = 6 to 20) none took a step lowering it by less than 3.9e-6
-of it, nearly 400 times STALL_TOL.  The polish runs from POLISH_LAMBDA0
-for up to POLISH_MAX_ITERS steps, until a step below POLISH_STEP_TOL,
-without the stall rule.
+The stop rule is one set of module constants, read at call time.  A start
+runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
+below STEP_TOL, a step that lowers the cost by less than a share STALL_TOL
+of it (stalled: the relative-reduction test of MINPACK's ftol), lambda
+above LAMBDA_MAX or max_iters.  The stall rule ends starts bound for a
+non-zero local minimum, not ones bound to converge: LM converges
+quadratically at a regular root and linearly at a singular one, so near a
+root each step lowers the cost by a large share.  Of 1,144 converging
+starts measured (family sweep, guillotine N = 6 to 20) none took a step
+lowering it by less than 3.9e-6 of it, nearly 400 times STALL_TOL.  A
+converged start is not refined further: at a tiling the moment rows are
+well conditioned, so max |r| <= RESIDUAL_TOL puts the layout far inside
+the verifier's DEFAULT_TOL.  Over the family sweep and 4,450 guillotine
+solves (N = 6 to 20) the loosest tolerance a verified layout needed was
+3.3e-9, 30 times under it.
 """
 
 from __future__ import annotations
@@ -70,9 +73,6 @@ LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
 STEP_TOL = 1e-12
 STALL_TOL = 1e-8  # a start stalled once a step lowers its cost by less than this share
-POLISH_MAX_ITERS = 40
-POLISH_STEP_TOL = 1e-15
-POLISH_LAMBDA0 = 1e-6
 LOCKSTEP_CHUNK = 8  # starts run together by solve_multistart
 LADDER_WIDTH = 2  # damping rungs each row tries in an iteration's first round
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
@@ -99,9 +99,10 @@ class SolveReport:
     """status is converged_verified, converged_unverified, or exhausted;
     converged_verified always means the reported layout passed geometric
     verification.  iterations_total counts every accepted LM step any start
-    took, polish included, starts cut short by the win too.  start_index is
-    the winner's; without one, the start with the lowest final max |r|,
-    ties going to the lowest index."""
+    took, starts cut short by the win too.  best_layout is the winner's as
+    it converged, so final_residual_inf is at most about RESIDUAL_TOL, not
+    roundoff.  start_index is the winner's; without one, the start with the
+    lowest final max |r|, ties going to the lowest index."""
 
     status: str
     best_layout: Layout | None
@@ -227,32 +228,27 @@ def _lockstep(
     x0: np.ndarray,
     max_iters: int,
     on_stop: Callable[[np.ndarray, np.ndarray, np.ndarray], bool] | None = None,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    step_tol: float = STEP_TOL,
-    stall_tol: float = STALL_TOL,
-    lambda0: float = LAMBDA0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
 
     Each iteration evaluates one Jacobian for all live rows.  Each row
-    starts at lambda0 and follows the one-attempt damping rule on its own:
+    starts at LAMBDA0 and follows the one-attempt damping rule on its own:
     solve at lambda, accept the candidate x + delta only on strict cost
     decrease (lambda halves, not below LAMBDA_MIN), else quadruple lambda
     and retry until it exceeds LAMBDA_MAX.  The retries run as a ladder: a
     round stacks every row yet to step at rungs lambda * 4**j, j < width,
     into one linear solve and one residual evaluation, and a row takes its
-    first rung that lowers the cost.  The width starts at LADDER_WIDTH and doubles each
-    round.  Rung 0 is always tried, higher rungs up to LAMBDA_MAX, and
-    times 4 is exact, so every row tries the rule's lambdas and follows its
-    trajectory bit for bit, whatever else is in the batch.  A row stops on
-    residual_tol, step_tol, a stall (an accepted step lowering its cost by
-    less than a share stall_tol of it; 0 turns the rule off), lambda above
-    LAMBDA_MAX or max_iters.  Near a root each step lowers the cost by a
-    large share, so a stall ends a row bound for a non-zero local minimum,
-    not one bound to converge.  Returns
-    the final variables (K, V), the accepted step count of each row (K,),
-    the accepted costs (K, max_iters + 1), row k's history being
+    first rung that lowers the cost.  The width starts at LADDER_WIDTH and
+    doubles each round.  Rung 0 is always tried, higher rungs up to
+    LAMBDA_MAX, and times 4 is exact, so every row tries the rule's lambdas
+    and follows its trajectory bit for bit, whatever else is in the batch.
+    A row stops on RESIDUAL_TOL, STEP_TOL, a stall (an accepted step
+    lowering its cost by less than a share STALL_TOL of it; 0 turns the
+    rule off), lambda above LAMBDA_MAX or max_iters.  Near a root each step
+    lowers the cost by a large share, so a stall ends a row bound for a
+    non-zero local minimum, not one bound to converge.  Returns the final
+    variables (K, V), the accepted step count of each row (K,), the
+    accepted costs (K, max_iters + 1), row k's history being
     costs[k, : steps[k] + 1], and each row's final max |r| (K,).
 
     on_stop, if given, is called with the rows that stopped (ascending;
@@ -271,8 +267,8 @@ def _lockstep(
         costs = np.empty((len(x), max_iters + 1))
         costs[:, 0] = cost
         steps = np.zeros(len(x), dtype=int)
-        lam = np.full(len(x), lambda0)
-        live = np.isfinite(r_inf) & (r_inf > residual_tol)
+        lam = np.full(len(x), LAMBDA0)
+        live = np.isfinite(r_inf) & (r_inf > RESIDUAL_TOL)
         ended = np.flatnonzero(~live)
         while True:
             if on_stop is not None and len(ended) and on_stop(ended, x, r_inf):
@@ -305,7 +301,7 @@ def _lockstep(
                 stepped[i[hit]] = True
                 won = rows[stepped]
                 step_norm = _norms(cand[hit] - x[won])
-                fell = cost_new[hit] < (1.0 - stall_tol) * cost[won]
+                fell = cost_new[hit] < (1.0 - STALL_TOL) * cost[won]
                 x[won], r[won], table[won] = cand[hit], r_new[hit], cand_table[hit]
                 cost[won] = cost_new[hit]
                 r_inf[won] = np.max(np.abs(r_new[hit]), axis=1)
@@ -313,8 +309,8 @@ def _lockstep(
                 steps[won] += 1
                 costs[won, steps[won]] = cost_new[hit]
                 live[won] = (
-                    (r_inf[won] > residual_tol)
-                    & (step_norm > step_tol)
+                    (r_inf[won] > RESIDUAL_TOL)
+                    & (step_norm > STEP_TOL)
                     & fell
                     & (steps[won] < max_iters)
                 )
@@ -348,7 +344,7 @@ def snap_layout(inst: Instance, layout: Layout, eps: float | None = None) -> Lay
     SNAP_FRACTION * DEFAULT_TOL * scale) to a shared value, anchoring
     clusters that touch 0 or the box sides to those exact values.  Returns
     the input unchanged if snapping would collapse a rectangle.  A public
-    helper only: solve_multistart reports layouts as polished."""
+    helper only: solve_multistart reports layouts as they converged."""
     a = float(inst.box.width)
     b = float(inst.box.height)
     scale = max(a, b)
@@ -384,7 +380,7 @@ def solve_multistart(
 ) -> SolveReport:
     """Deterministic multistart: start 0 is the shelf layout, later starts
     draw from per-index seeded generators.  A start counts as a success
-    only when its polished layout passes geometric verification.  Starts
+    only when its converged layout passes geometric verification.  Starts
     run in lockstep chunks; after each iteration the starts that stopped in
     it are verified in index order, and the first to pass wins and stops
     its chunk.  So the winner is the verified start with the fewest
@@ -419,40 +415,26 @@ def solve_multistart(
     winner: tuple[int, Layout] | None = None
 
     def resolve(ended: np.ndarray, x: np.ndarray, r_inf: np.ndarray) -> bool:
-        """Polish the converged starts among those that just stopped
-        together, then verify them in index order.  Returns True once one
-        passes: it wins and the chunk stops."""
-        nonlocal iterations, any_converged, best, winner
-        x, r_inf = x[ended], r_inf[ended]
-        converged = r_inf <= RESIDUAL_TOL
-        if np.any(converged):
-            any_converged = True
-            x[converged], polish_steps, _, r_inf[converged] = _lockstep(
-                sys,
-                x[converged],
-                POLISH_MAX_ITERS,
-                residual_tol=0.0,
-                step_tol=POLISH_STEP_TOL,
-                stall_tol=0.0,
-                lambda0=POLISH_LAMBDA0,
-            )
-            iterations += int(polish_steps.sum())
-        for j, row in enumerate(ended):
+        """Verify the converged starts among those that just stopped, in
+        index order.  Returns True once one passes: it wins and the chunk
+        stops."""
+        nonlocal any_converged, best, winner
+        for row in ended:
             k = first + int(row)
-            if converged[j]:
-                raw = mo.vars_to_layout(sys, x[j])
-                if verify_layout(inst, raw).passed:
-                    winner = (k, raw)
+            if r_inf[row] <= RESIDUAL_TOL:
+                any_converged = True
+                layout = mo.vars_to_layout(sys, x[row])
+                if verify_layout(inst, layout).passed:
+                    winner = (k, layout)
                     return True
-            if (r_inf[j], k) < best[:2]:
-                best = (float(r_inf[j]), k, mo.vars_to_layout(sys, x[j]))
+            if (r_inf[row], k) < best[:2]:
+                best = (float(r_inf[row]), k, mo.vars_to_layout(sys, x[row]))
         return False
 
     for first in range(0, cfg.restarts, LOCKSTEP_CHUNK):
         starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
         x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in starts])
-        steps = _lockstep(sys, x0, cfg.max_iters, resolve)[1]  # resolve adds polish steps
-        iterations += int(steps.sum())
+        iterations += int(_lockstep(sys, x0, cfg.max_iters, resolve)[1].sum())
         if winner is not None:
             start_index, layout = winner
             final = mo.residual(sys, mo.layout_to_vars(sys, layout))

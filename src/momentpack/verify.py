@@ -174,17 +174,17 @@ def _check(
     return containment, sizes, area_gap, area_ok, overlaps()
 
 
-def area_can_pass(inst: Instance, tol: float = DEFAULT_TOL) -> bool:
-    """Whether some layout of inst could pass verify_layout at tol by area:
-    its sides are within eps = tol * scale, so each placed area is within
-    eps * (w + h) + eps**2 of w * h, and its areas sum to within tol * A * B
-    of the box area.  So |sum w * h - A * B| <= tol * A * B + that slack."""
-    _check_tol(tol)
+def area_can_pass(inst: Instance) -> bool:
+    """Whether some layout of inst could pass verify_layout at DEFAULT_TOL
+    by area: its sides are within eps = DEFAULT_TOL * scale, so each placed
+    area is within eps * (w + h) + eps**2 of w * h, and its areas sum to
+    within DEFAULT_TOL * A * B of the box area.  So
+    |sum w * h - A * B| <= DEFAULT_TOL * A * B + that slack."""
     a = float(inst.box.width)
     b = float(inst.box.height)
-    eps = tol * max(a, b)
+    eps = DEFAULT_TOL * max(a, b)
     slack = sum(eps * (float(r.width) + float(r.height)) + eps * eps for r in inst.rects)
-    return abs(float(inst.area_sum - inst.box.area)) <= tol * a * b + slack
+    return abs(float(inst.area_sum - inst.box.area)) <= DEFAULT_TOL * a * b + slack
 
 
 def fit_can_pass(inst: Instance) -> bool:
