@@ -278,13 +278,13 @@ def parse_layout(text: str) -> Layout:
     return Layout(tuple(placements))
 
 
+def _layout_doc(layout: Layout) -> dict:
+    """The layout as a JSON-ready dict, the one encoding of placements."""
+    return {"placements": [[_num_to_json(v) for v in p.as_tuple()] for p in layout.placements]}
+
+
 def serialize_layout(layout: Layout) -> str:
-    doc = {
-        "placements": [
-            [_num_to_json(v) for v in p.as_tuple()] for p in layout.placements
-        ]
-    }
-    return json.dumps(doc)
+    return json.dumps(_layout_doc(layout))
 
 
 # -- Fixture generators ------------------------------------------------------

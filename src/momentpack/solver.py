@@ -10,10 +10,13 @@ finite.  Containment in the box is the verifier's check, not the solver's.
 
 solve_multistart layers deterministic restarts on top (start 0 is the shelf
 layout, later starts are seeded draws) and treats geometric verification,
-not the residual, as the definition of success: every converged start is
-handed once, as it stopped, to verify_layout at its default tolerance, the
-one `momentpack verify` uses.  The first start to verify wins.  Reports are
-bitwise deterministic for a fixed (instance, config, max_order, mode).
+not the residual, as the definition of success: every start that stops,
+converged or not, is handed once, as it stopped, to verify_layout at its
+default tolerance, the one `momentpack verify` uses.  So an instance that
+tiles only within that tolerance, whose moment system keeps a residual
+floor above RESIDUAL_TOL, is still reported from the start that stalled
+there.  The first start to verify wins.  Reports are bitwise deterministic
+for a fixed (instance, config, max_order, mode).
 
 Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
 share one batched Jacobian, and its retries run as a damping ladder, one
@@ -28,14 +31,14 @@ runs only when no earlier one verified.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
-below STEP_TOL, a step that lowers the cost by less than a share STALL_TOL
-of it (stalled: the relative-reduction test of MINPACK's ftol), lambda
-above LAMBDA_MAX or max_iters.  The stall rule ends starts bound for a
-non-zero local minimum, not ones bound to converge: LM converges
-quadratically at a regular root and linearly at a singular one, so near a
-root each step lowers the cost by a large share.  Of 1,144 converging
-starts measured (family sweep, guillotine N = 6 to 20) none took a step
-lowering it by less than 3.9e-6 of it, nearly 400 times STALL_TOL.  A
+that lowers the cost by less than a share STALL_TOL of it (stalled: the
+relative-reduction test of MINPACK's ftol), lambda above LAMBDA_MAX or
+max_iters.  The stall rule ends starts bound for a non-zero local minimum,
+not ones bound to converge: LM converges quadratically at a regular root
+and linearly at a singular one, so near a root each step lowers the cost
+by a large share.  Of 1,144 converging starts measured (family sweep,
+guillotine N = 6 to 20) none took a step lowering it by less than 3.9e-6
+of it, nearly 400 times STALL_TOL.  A
 converged start is not refined further: at a tiling the moment rows are
 well conditioned, so max |r| <= RESIDUAL_TOL puts the layout far inside
 the verifier's DEFAULT_TOL.  Over the family sweep and 4,450 guillotine
@@ -53,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from . import moments as mo
-from .instances import Instance, Layout, Placement
+from .instances import Instance, Layout, Placement, _layout_doc
 from .verify import DEFAULT_TOL, _snap_values, area_can_pass, fit_can_pass, verify_layout
 
 __all__ = [
@@ -71,7 +74,6 @@ LAMBDA_MIN = 1e-14
 LAMBDA_MAX = 1e12
 LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
-STEP_TOL = 1e-12
 STALL_TOL = 1e-8  # a start stalled once a step lowers its cost by less than this share
 LOCKSTEP_CHUNK = 8  # starts run together by solve_multistart
 LADDER_WIDTH = 2  # damping rungs each row tries in an iteration's first round
@@ -100,9 +102,12 @@ class SolveReport:
     converged_verified always means the reported layout passed geometric
     verification.  iterations_total counts every accepted LM step any start
     took, starts cut short by the win too.  best_layout is the winner's as
-    it converged, so final_residual_inf is at most about RESIDUAL_TOL, not
-    roundoff.  start_index is the winner's; without one, the start with the
-    lowest final max |r|, ties going to the lowest index."""
+    it stopped: a winner that converged reports a final_residual_inf of at
+    most about RESIDUAL_TOL, not roundoff, and one that did not converge
+    its own, larger value.  start_index is the winner's; without one, the start with
+    the lowest final max |r|, ties going to the lowest index.
+    converged_unverified means some start reached RESIDUAL_TOL and none
+    verified."""
 
     status: str
     best_layout: Layout | None
@@ -113,21 +118,12 @@ class SolveReport:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        from .instances import _num_to_json
-
-        layout = None
-        if self.best_layout is not None:
-            layout = {
-                "placements": [
-                    [_num_to_json(v) for v in p.as_tuple()]
-                    for p in self.best_layout.placements
-                ]
-            }
+        layout = self.best_layout
         residual_inf = self.final_residual_inf
         return {
             "status": self.status,
             "reason": self.reason,
-            "best_layout": layout,
+            "best_layout": None if layout is None else _layout_doc(layout),
             "final_residual_inf": residual_inf if math.isfinite(residual_inf) else None,
             "iterations_total": self.iterations_total,
             "start_index": self.start_index,
@@ -192,16 +188,12 @@ def _start_vector(
 # -- Core iteration ----------------------------------------------------------
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """2-norm of each row, computed like np.linalg.norm of the row alone
-    (one dot product per row), so batched and single costs agree bitwise."""
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-
-
 def _costs(r: np.ndarray) -> np.ndarray:
-    """Residual 2-norm of each row; inf where a residual is not finite (its
-    norm is then inf or NaN)."""
-    c = _norms(r)
+    """Residual 2-norm of each row, computed like np.linalg.norm of the row
+    alone (one dot product per row), so batched and single costs agree
+    bitwise; inf where a residual is not finite (its norm is then inf or
+    NaN)."""
+    c = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
     c[np.isnan(c)] = np.inf
     return c
 
@@ -242,9 +234,9 @@ def _lockstep(
     doubles each round.  Rung 0 is always tried, higher rungs up to
     LAMBDA_MAX, and times 4 is exact, so every row tries the rule's lambdas
     and follows its trajectory bit for bit, whatever else is in the batch.
-    A row stops on RESIDUAL_TOL, STEP_TOL, a stall (an accepted step
-    lowering its cost by less than a share STALL_TOL of it; 0 turns the
-    rule off), lambda above LAMBDA_MAX or max_iters.  Near a root each step
+    A row stops on RESIDUAL_TOL, a stall (an accepted step lowering its
+    cost by less than a share STALL_TOL of it; 0 turns the rule off),
+    lambda above LAMBDA_MAX or max_iters.  Near a root each step
     lowers the cost by a large share, so a stall ends a row bound for a
     non-zero local minimum, not one bound to converge.  Returns the final
     variables (K, V), the accepted step count of each row (K,), the
@@ -300,7 +292,6 @@ def _lockstep(
                 stepped = np.zeros(len(rows), dtype=bool)
                 stepped[i[hit]] = True
                 won = rows[stepped]
-                step_norm = _norms(cand[hit] - x[won])
                 fell = cost_new[hit] < (1.0 - STALL_TOL) * cost[won]
                 x[won], r[won], table[won] = cand[hit], r_new[hit], cand_table[hit]
                 cost[won] = cost_new[hit]
@@ -308,12 +299,7 @@ def _lockstep(
                 lam[won] = np.maximum(rungs[stepped, j[hit]] * LAMBDA_DECREASE, LAMBDA_MIN)
                 steps[won] += 1
                 costs[won, steps[won]] = cost_new[hit]
-                live[won] = (
-                    (r_inf[won] > RESIDUAL_TOL)
-                    & (step_norm > STEP_TOL)
-                    & fell
-                    & (steps[won] < max_iters)
-                )
+                live[won] = (r_inf[won] > RESIDUAL_TOL) & fell & (steps[won] < max_iters)
                 lam[rows[~stepped]] = rungs[~stepped, -1] * LAMBDA_INCREASE
                 retry = ~stepped & (lam[rows] <= LAMBDA_MAX)
                 live[rows[~stepped & ~retry]] = False
@@ -344,7 +330,7 @@ def snap_layout(inst: Instance, layout: Layout, eps: float | None = None) -> Lay
     SNAP_FRACTION * DEFAULT_TOL * scale) to a shared value, anchoring
     clusters that touch 0 or the box sides to those exact values.  Returns
     the input unchanged if snapping would collapse a rectangle.  A public
-    helper only: solve_multistart reports layouts as they converged."""
+    helper only: solve_multistart reports layouts as they stopped."""
     a = float(inst.box.width)
     b = float(inst.box.height)
     scale = max(a, b)
@@ -380,16 +366,17 @@ def solve_multistart(
 ) -> SolveReport:
     """Deterministic multistart: start 0 is the shelf layout, later starts
     draw from per-index seeded generators.  A start counts as a success
-    only when its converged layout passes geometric verification.  Starts
-    run in lockstep chunks; after each iteration the starts that stopped in
-    it are verified in index order, and the first to pass wins and stops
-    its chunk.  So the winner is the verified start with the fewest
-    lockstep iterations, ties going to the lowest index, and it can depend
-    on which starts share a chunk.  Without a winner the report carries the
-    lowest (final max |r|, start index).  An instance that no layout could
-    pass verify_layout with is rejected before any solving: by its area
-    (area_can_pass, reason "area"), or by a rectangle that fits the box in
-    no allowed orientation (fit_can_pass, reason "fit")."""
+    only when the layout it stopped at, converged or not, passes geometric
+    verification.  Starts run in lockstep chunks; after each iteration the
+    starts that stopped in it are verified in index order, and the first to
+    pass wins and stops its chunk.  So the winner is the verified start
+    with the fewest lockstep iterations, ties going to the lowest index,
+    and it can depend on which starts share a chunk.  Without a winner the
+    report carries the lowest (final max |r|, start index).  An instance
+    that no layout could pass verify_layout with is rejected before any
+    solving: by its area (area_can_pass, reason "area"), or by a rectangle
+    that fits the box in no allowed orientation (fit_can_pass, reason
+    "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -415,20 +402,18 @@ def solve_multistart(
     winner: tuple[int, Layout] | None = None
 
     def resolve(ended: np.ndarray, x: np.ndarray, r_inf: np.ndarray) -> bool:
-        """Verify the converged starts among those that just stopped, in
-        index order.  Returns True once one passes: it wins and the chunk
-        stops."""
+        """Verify the starts that just stopped, in index order.  Returns True
+        once one passes: it wins and the chunk stops."""
         nonlocal any_converged, best, winner
         for row in ended:
             k = first + int(row)
-            if r_inf[row] <= RESIDUAL_TOL:
-                any_converged = True
-                layout = mo.vars_to_layout(sys, x[row])
-                if verify_layout(inst, layout).passed:
-                    winner = (k, layout)
-                    return True
+            any_converged |= bool(r_inf[row] <= RESIDUAL_TOL)
+            layout = mo.vars_to_layout(sys, x[row])
+            if verify_layout(inst, layout).passed:
+                winner = (k, layout)
+                return True
             if (r_inf[row], k) < best[:2]:
-                best = (float(r_inf[row]), k, mo.vars_to_layout(sys, x[row]))
+                best = (float(r_inf[row]), k, layout)
         return False
 
     for first in range(0, cfg.restarts, LOCKSTEP_CHUNK):

@@ -197,11 +197,32 @@ def test_multistart_rejects_harmonic_prefix_by_area():
 
 def test_multistart_runs_starts_past_an_area_gap_within_tolerance():
     # Rectangle areas 4e-8 = 1e-8 * A * B over the box: a gap the verifier
-    # accepts, so the starts run.
+    # accepts, so the starts run.  No layout zeroes the moment system, whose
+    # residual floor is about the gap, but the domino tiling passes the
+    # verifier: start 0 stalls there and is verified as it stopped.
     inst = Instance.from_sides([(1, 2), (1, 2 + 4e-8)], BoxSpec(2, 2))
     report = solve_multistart(inst, SolveConfig(restarts=8))
-    assert report.reason != "area"
-    assert report.iterations_total > 0
+    assert report.status == "converged_verified"
+    assert report.final_residual_inf > solver.RESIDUAL_TOL
+    assert verify_layout(inst, report.best_layout).passed
+
+
+@pytest.mark.parametrize("seed", [2, 3, 8, 13])
+def test_multistart_verifies_sides_typed_to_eight_digits(seed):
+    # A guillotine tiling's sides rounded to 8 significant digits, as a user
+    # would type them: the generator's layout still passes the verifier, but
+    # the moment system keeps a residual floor of a few 1e-9, far above
+    # RESIDUAL_TOL, so no start converges.  A start that stalls at the
+    # floor is verified as it stopped.
+    box = BoxSpec(10.0, 8.0)
+    inst, witness = gen_guillotine(seed, 5, box)
+    sides = [(float(f"{r.width:.8g}"), float(f"{r.height:.8g}")) for r in inst.rects]
+    typed = Instance.from_sides(sides, box)
+    assert verify_layout(typed, witness).passed
+    report = solve_multistart(typed, SolveConfig(seed=seed), mode=mo.FIXED)
+    assert report.status == "converged_verified"
+    assert report.final_residual_inf > solver.RESIDUAL_TOL
+    assert verify_layout(typed, report.best_layout).passed
 
 
 def test_multistart_exhausts_on_unpackable_exact_area():
@@ -255,13 +276,13 @@ def sequential_lm(sys, x0, max_iters):
     Returns the final variables, the accepted step count, the accepted
     costs, the number of attempts and the iteration the run stops in: its
     steps, plus 1 when lambda ends above LAMBDA_MAX."""
-    residual_tol, step_tol, stall_tol = solver.RESIDUAL_TOL, solver.STEP_TOL, solver.STALL_TOL
+    residual_tol, stall_tol = solver.RESIDUAL_TOL, solver.STALL_TOL
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
         table = mo.chebyshev_table(sys, x)
         r = mo.batch_residual(sys, table)
-        return table, r, solver._norms(r)[0] if np.all(np.isfinite(r)) else np.inf
+        return table, r, solver._costs(r)[0] if np.all(np.isfinite(r)) else np.inf
 
     x = x0[None]
     lam = solver.LAMBDA0
@@ -282,16 +303,12 @@ def sequential_lm(sys, x0, max_iters):
                 cand = x + delta
                 cand_table, r_new, cost_new = evaluate(cand)
                 if cost_new < cost:
-                    step_norm = solver._norms(cand - x)[0]
                     fell = cost_new < (1.0 - stall_tol) * cost
                     x, table, r, cost = cand, cand_table, r_new, cost_new
                     lam = max(lam * solver.LAMBDA_DECREASE, solver.LAMBDA_MIN)
                     costs.append(cost)
                     live = (
-                        np.max(np.abs(r)) > residual_tol
-                        and step_norm > step_tol
-                        and fell
-                        and len(costs) - 1 < max_iters
+                        np.max(np.abs(r)) > residual_tol and fell and len(costs) - 1 < max_iters
                     )
                     break
                 lam *= solver.LAMBDA_INCREASE
@@ -396,12 +413,12 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
 def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
     # A unit square in a 2x1 box has no root: the rows run to a
     # stationary point (max |r| 0.5), where no step lowers the cost and
-    # lambda climbs past LAMBDA_MAX.  With STEP_TOL and STALL_TOL 0 that is
-    # the only way to stop early.
+    # lambda climbs past LAMBDA_MAX.  With STALL_TOL 0 that is the only way
+    # to stop early.
     sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)), mode=mo.FIXED)
     x0 = np.array([[0.0, 0.0], [0.15, 0.0], [0.5, 0.0]])  # left, inside, right wall
-    for name, value in [("STEP_TOL", 0.0), ("STALL_TOL", 0.0), ("LAMBDA0", lambda0)]:
-        monkeypatch.setattr(solver, name, value)
+    monkeypatch.setattr(solver, "STALL_TOL", 0.0)
+    monkeypatch.setattr(solver, "LAMBDA0", lambda0)
     x, steps, costs, r_inf = solver._lockstep(sys, x0, 200)
     for k in range(len(x0)):
         x1, steps1, costs1, attempts, stop = sequential_lm(sys, x0[k], 200)
@@ -469,11 +486,11 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
     """Reference for the first-to-verify rule: the multistart loop through
     sequential_lm, as (status, start_index, iterations_total, best_layout,
     final_residual_inf).  Each start k of a chunk runs alone and stops in
-    iteration t_k.  The converged starts are verified as they stopped, in
-    (t_k, k) order, and the first to pass wins at T = t_k: each start's
-    steps count up to T.  Every layout it verifies is appended to checked,
-    the attempt count of every LM run, as far as its chunk runs it, to
-    attempts."""
+    iteration t_k.  Every start is verified as it stopped, converged or
+    not, in (t_k, k) order, and the first to pass wins at T = t_k: each
+    start's steps count up to T.  Every layout it verifies is appended to
+    checked, the attempt count of every LM run, as far as its chunk runs
+    it, to attempts."""
     checked = [] if checked is None else checked
     attempts = [] if attempts is None else attempts
     sys = mo.build_system(inst, max_order, mode)
@@ -489,15 +506,14 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
             for k in (k for k in starts if runs[k][4] == t):
                 x = runs[k][0]
                 r_inf = np.max(np.abs(mo.residual(sys, x)))
-                if r_inf <= solver.RESIDUAL_TOL:
-                    any_converged = True
-                    raw = mo.vars_to_layout(sys, x)
-                    checked.append(raw)
-                    if verify_layout(inst, raw).passed:
-                        winner = (k, raw)
-                        break
+                any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
+                raw = mo.vars_to_layout(sys, x)
+                checked.append(raw)
+                if verify_layout(inst, raw).passed:
+                    winner = (k, raw)
+                    break
                 if (r_inf, k) < best[:2]:
-                    best = (r_inf, k, mo.vars_to_layout(sys, x))
+                    best = (r_inf, k, raw)
             if winner is not None:
                 break
         for k in starts:
@@ -517,8 +533,8 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
 def index_order_multistart(inst, cfg, mode, max_order=None):
     """Reference for the earlier winner rule, the lowest verified start
     index: the multistart loop one start at a time through sequential_lm,
-    as (status, start_index, iterations_total, best_layout,
-    final_residual_inf)."""
+    verifying every start as it stopped, as (status, start_index,
+    iterations_total, best_layout, final_residual_inf)."""
     sys = mo.build_system(inst, max_order, mode)
     best = (float("inf"), -1, None)
     iterations = 0
@@ -528,14 +544,13 @@ def index_order_multistart(inst, cfg, mode, max_order=None):
         x, steps, _, _, _ = sequential_lm(sys, x0, cfg.max_iters)
         iterations += steps
         r_inf = np.max(np.abs(mo.residual(sys, x)))
-        if r_inf <= solver.RESIDUAL_TOL:
-            any_converged = True
-            raw = mo.vars_to_layout(sys, x)
-            if verify_layout(inst, raw).passed:
-                final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
-                return "converged_verified", k, iterations, raw, final
+        any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
+        raw = mo.vars_to_layout(sys, x)
+        if verify_layout(inst, raw).passed:
+            final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
+            return "converged_verified", k, iterations, raw, final
         if r_inf < best[0]:
-            best = (r_inf, k, mo.vars_to_layout(sys, x))
+            best = (r_inf, k, raw)
     status = "converged_unverified" if any_converged else "exhausted"
     return status, best[1], iterations, best[2], best[0]
 
@@ -671,11 +686,12 @@ def test_first_start_to_verify_ends_the_chunk(monkeypatch):
     assert len(calls) < 16
 
 
-def test_multistart_verifies_each_converged_start_once(monkeypatch):
+def test_multistart_verifies_each_stopped_start_once(monkeypatch):
     # At order 3 many starts converge to layouts that are not packings.
-    # Starts 0 and 3 converge first (after 8 steps each), then start 7
-    # (after 9), and they fail; start 6 verifies next, after 10.  Starts 1,
-    # 2 and 5 converge later and are never verified; start 4 never does.
+    # Starts 0 and 3 stop first (after 8 steps each), then start 7 (after
+    # 9), all three converged, and they fail; start 6 verifies next, after
+    # 10.  Starts 1, 2 and 5 would converge and start 4 stall, all after
+    # 12 steps or more, so none of them is verified.
     inst = Instance.from_sides([(1, 1), (1, 2), (1, 2), (2, 2)], BoxSpec(3, 3))
     cfg = SolveConfig(restarts=64, max_iters=60)
     verified = []
