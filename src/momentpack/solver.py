@@ -18,16 +18,17 @@ floor above RESIDUAL_TOL, is still reported from the start that stalled
 there.  The first start to verify wins.  Reports are bitwise deterministic
 for a fixed (instance, config, max_order, mode).
 
-Starts run in lockstep, LOCKSTEP_CHUNK at a time: the chunk's iterations
-share one batched Jacobian, and its retries run as a damping ladder, one
-stacked linear solve per round of several lambdas per start.  Each start
-keeps its own lambda and stop rule, so its trajectory is bit for bit the
+All starts of a solve run in one lockstep call: its iterations share one
+batched Jacobian, and its retries run as a damping ladder, one stacked
+linear solve per round of several lambdas per start.  Each start keeps its
+own lambda and stop rule, so its trajectory is bit for bit the
 one-attempt-at-a-time one, which solve_single gives it too.  After each
 lockstep iteration the starts that stopped in it are verified in index
-order; the first that passes ends the chunk, and every start still running
-stops with it.  So the winner is the verified start with the fewest
-lockstep iterations, ties going to the lowest index, and a later chunk
-runs only when no earlier one verified.
+order; the first that passes wins, and every start still running stops
+with it.  So the winner is the verified start with the fewest lockstep
+iterations, ties going to the lowest index.  Memory grows with the number
+of starts, about 160 KB each at 20 fixed rectangles, most of it the ladder's
+stacked systems.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
@@ -75,7 +76,6 @@ LAMBDA_MAX = 1e12
 LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
 STALL_TOL = 1e-8  # a start stalled once a step lowers its cost by less than this share
-LOCKSTEP_CHUNK = 8  # starts run together by solve_multistart
 LADDER_WIDTH = 2  # damping rungs each row tries in an iteration's first round
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
@@ -367,19 +367,21 @@ def solve_multistart(
     """Deterministic multistart: start 0 is the shelf layout, later starts
     draw from per-index seeded generators.  A start counts as a success
     only when the layout it stopped at, converged or not, passes geometric
-    verification.  Starts run in lockstep chunks; after each iteration the
-    starts that stopped in it are verified in index order, and the first to
-    pass wins and stops its chunk.  So the winner is the verified start
-    with the fewest lockstep iterations, ties going to the lowest index,
-    and it can depend on which starts share a chunk.  Without a winner the
-    report carries the lowest (final max |r|, start index).  An instance
-    that no layout could pass verify_layout with is rejected before any
+    verification.  All starts run in one lockstep call; after each
+    iteration the starts that stopped in it are verified in index order,
+    and the first to pass wins and stops the rest.  So the winner is the
+    verified start with the fewest lockstep iterations, ties going to the
+    lowest index.  Without a winner the report carries the lowest (final
+    max |r|, start index).  The arguments are checked first, so a bad mode
+    or max_order raises ValueError for every instance.  An instance that no
+    layout could pass verify_layout with is then rejected before any
     solving: by its area (area_can_pass, reason "area"), or by a rectangle
     that fits the box in no allowed orientation (fit_can_pass, reason
     "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     cfg.validate()
+    sys = mo.build_system(inst, max_order, mode)
     gate = None
     if not area_can_pass(inst):
         gate = "area"
@@ -395,42 +397,37 @@ def solve_multistart(
             wall_time_s=time.perf_counter() - t0,
             reason=gate,
         )
-    sys = mo.build_system(inst, max_order, mode)
     best: tuple[float, int, Layout | None] = (float("inf"), -1, None)
     any_converged = False
-    iterations = 0
     winner: tuple[int, Layout] | None = None
 
     def resolve(ended: np.ndarray, x: np.ndarray, r_inf: np.ndarray) -> bool:
         """Verify the starts that just stopped, in index order.  Returns True
-        once one passes: it wins and the chunk stops."""
+        once one passes: it wins and the others stop."""
         nonlocal any_converged, best, winner
-        for row in ended:
-            k = first + int(row)
-            any_converged |= bool(r_inf[row] <= RESIDUAL_TOL)
-            layout = mo.vars_to_layout(sys, x[row])
+        for k in map(int, ended):
+            any_converged |= bool(r_inf[k] <= RESIDUAL_TOL)
+            layout = mo.vars_to_layout(sys, x[k])
             if verify_layout(inst, layout).passed:
                 winner = (k, layout)
                 return True
-            if (r_inf[row], k) < best[:2]:
-                best = (float(r_inf[row]), k, layout)
+            if (r_inf[k], k) < best[:2]:
+                best = (float(r_inf[k]), k, layout)
         return False
 
-    for first in range(0, cfg.restarts, LOCKSTEP_CHUNK):
-        starts = range(first, min(first + LOCKSTEP_CHUNK, cfg.restarts))
-        x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in starts])
-        iterations += int(_lockstep(sys, x0, cfg.max_iters, resolve)[1].sum())
-        if winner is not None:
-            start_index, layout = winner
-            final = mo.residual(sys, mo.layout_to_vars(sys, layout))
-            return SolveReport(
-                status="converged_verified",
-                best_layout=layout,
-                final_residual_inf=float(np.max(np.abs(final))),
-                iterations_total=iterations,
-                start_index=start_index,
-                wall_time_s=time.perf_counter() - t0,
-            )
+    x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
+    iterations = int(_lockstep(sys, x0, cfg.max_iters, resolve)[1].sum())
+    if winner is not None:
+        start_index, layout = winner
+        final = mo.residual(sys, mo.layout_to_vars(sys, layout))
+        return SolveReport(
+            status="converged_verified",
+            best_layout=layout,
+            final_residual_inf=float(np.max(np.abs(final))),
+            iterations_total=iterations,
+            start_index=start_index,
+            wall_time_s=time.perf_counter() - t0,
+        )
     best_r, best_idx, best_layout = best
     return SolveReport(
         status="converged_unverified" if any_converged else "exhausted",

@@ -167,6 +167,15 @@ def test_solve_infeasible_area_exits_one(capsys, tmp_path):
     assert doc["final_residual_inf"] is None
 
 
+def test_solve_bad_smax_exits_two_before_the_area_gate(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"box": [2, 2], "rects": [[1, 1]]}\n')
+    code, out, err = run_cli(capsys, "solve", str(path), "--smax", "0")
+    assert code == 2
+    assert out == ""
+    assert "max_order must be >= 1" in json.loads(err)["error"]
+
+
 def test_solve_output_is_deterministic(capsys, tmp_path):
     inst_path = write_dominoes(tmp_path)
     _, out1, _ = run_cli(capsys, "solve", str(inst_path), "--seed", "5")

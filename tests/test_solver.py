@@ -186,6 +186,20 @@ def test_multistart_fit_fast_reject(sides, rotation_allowed, mode):
     assert report.start_index == -1
 
 
+@pytest.mark.parametrize(
+    "max_order, mode",
+    [(None, "bogus"), (0, mo.FIXED), (None, mo.ROTATABLE)],
+)
+def test_multistart_checks_arguments_before_the_gates(max_order, mode):
+    # Two unit squares leave most of a 3x3 box empty, so the area gate
+    # rejects them; a bad mode or order, or rotatable mode on an instance
+    # that forbids rotation, is still an error.
+    inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(3, 3), rotation_allowed=False)
+    assert not area_can_pass(inst)
+    with pytest.raises(ValueError):
+        solve_multistart(inst, SolveConfig(restarts=2), max_order, mode)
+
+
 def test_multistart_rejects_harmonic_prefix_by_area():
     # The first 20 harmonic rectangles leave 1/21 of the unit box empty:
     # no layout of them can pass verify_layout, so no start is run.
@@ -485,47 +499,43 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
 def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempts=None):
     """Reference for the first-to-verify rule: the multistart loop through
     sequential_lm, as (status, start_index, iterations_total, best_layout,
-    final_residual_inf).  Each start k of a chunk runs alone and stops in
-    iteration t_k.  Every start is verified as it stopped, converged or
-    not, in (t_k, k) order, and the first to pass wins at T = t_k: each
-    start's steps count up to T.  Every layout it verifies is appended to
-    checked, the attempt count of every LM run, as far as its chunk runs
-    it, to attempts."""
+    final_residual_inf).  Each start k runs alone and stops in iteration
+    t_k.  Every start is verified as it stopped, converged or not, in
+    (t_k, k) order, and the first to pass wins at T = t_k: each start's
+    steps count up to T.  Every layout it verifies is appended to checked,
+    the attempt count of every LM run, as far as the solve runs it, to
+    attempts."""
     checked = [] if checked is None else checked
     attempts = [] if attempts is None else attempts
     sys = mo.build_system(inst, max_order, mode)
     best = (float("inf"), -1, None)
-    iterations = 0
     any_converged = False
-    for first in range(0, cfg.restarts, solver.LOCKSTEP_CHUNK):
-        starts = range(first, min(first + solver.LOCKSTEP_CHUNK, cfg.restarts))
-        x0 = {k: solver._start_vector(sys, inst, cfg.seed, k) for k in starts}
-        runs = {k: sequential_lm(sys, x0[k], cfg.max_iters) for k in starts}
-        winner = None
-        for t in sorted({run[4] for run in runs.values()}):
-            for k in (k for k in starts if runs[k][4] == t):
-                x = runs[k][0]
-                r_inf = np.max(np.abs(mo.residual(sys, x)))
-                any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
-                raw = mo.vars_to_layout(sys, x)
-                checked.append(raw)
-                if verify_layout(inst, raw).passed:
-                    winner = (k, raw)
-                    break
-                if (r_inf, k) < best[:2]:
-                    best = (r_inf, k, raw)
-            if winner is not None:
-                break
-        for k in starts:
-            _, steps, _, tried, stop = runs[k]
-            if winner is not None and stop > t:  # cut short after iteration t
-                steps, tried = t, (sequential_lm(sys, x0[k], t)[3] if t else 0)
-            iterations += steps
-            attempts.append(tried)
-        if winner is not None:
-            k, raw = winner
-            final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
-            return "converged_verified", k, iterations, raw, final
+    starts = range(cfg.restarts)
+    x0 = [solver._start_vector(sys, inst, cfg.seed, k) for k in starts]
+    runs = [sequential_lm(sys, x0[k], cfg.max_iters) for k in starts]
+    winner = None
+    for t, k in sorted((run[4], k) for k, run in enumerate(runs)):
+        x = runs[k][0]
+        r_inf = np.max(np.abs(mo.residual(sys, x)))
+        any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
+        raw = mo.vars_to_layout(sys, x)
+        checked.append(raw)
+        if verify_layout(inst, raw).passed:
+            winner = (k, raw)
+            break
+        if (r_inf, k) < best[:2]:
+            best = (r_inf, k, raw)
+    iterations = 0
+    for k in starts:
+        _, steps, _, tried, stop = runs[k]
+        if winner is not None and stop > t:  # cut short after iteration t
+            steps, tried = t, (sequential_lm(sys, x0[k], t)[3] if t else 0)
+        iterations += steps
+        attempts.append(tried)
+    if winner is not None:
+        k, raw = winner
+        final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
+        return "converged_verified", k, iterations, raw, final
     status = "converged_unverified" if any_converged else "exhausted"
     return status, best[1], iterations, best[2], best[0]
 
@@ -557,16 +567,16 @@ def index_order_multistart(inst, cfg, mode, max_order=None):
 
 def second_chunk_winner():
     # Fixed mode at these settings: starts 0-7 and 10 fail, and starts 8 and
-    # 9 verify.  Start 8 stops after 10 steps and start 9 after 8, so at 11
-    # restarts start 9 wins.
+    # 9 verify, so no start below 8 wins.  Start 8 stops after 10 steps and
+    # start 9 after 8, so at 11 restarts start 9 wins.
     inst, _ = gen_guillotine(46, 3, BoxSpec(3.0, 2.0))
     return inst, SolveConfig(max_iters=40, seed=46), mo.FIXED
 
 
 def rotatable_dominoes():
     # Two dominoes in a 4x1 box: the shelf start 0 stands them upright and
-    # fails.  Starts 1-7 all verify, start 1 after 6 steps and start 4 first,
-    # after 4.
+    # fails.  Starts 1-9 all verify, start 1 after 6 steps and start 4 first,
+    # after 4, tied with start 9.
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(4, 1))
     cfg = SolveConfig(max_iters=40, seed=1)
     return inst, cfg, mo.ROTATABLE
@@ -584,7 +594,9 @@ def assert_report_is(report, expected):
 @pytest.mark.parametrize("case", [second_chunk_winner, rotatable_dominoes])
 @pytest.mark.parametrize("restarts", [1, 8, 9, 11])
 def test_multistart_matches_sequential_across_chunks(case, restarts):
-    assert solver.LOCKSTEP_CHUNK == 8
+    # One lockstep call races all the starts, so on either side of 8
+    # restarts the winner is the reference's: the fewest steps over all
+    # starts, a start of 8 or more included.
     inst, cfg, mode = case()
     cfg = replace(cfg, restarts=restarts)
     report = solve_multistart(inst, cfg, mode=mode)
@@ -643,7 +655,7 @@ def test_verified_layouts_pass_at_a_tenth_of_the_default_tolerance():
 
 
 def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
-    # Both starts run in one chunk: start 1 verifies after 6 steps, and
+    # Both starts run in one call: start 1 verifies after 6 steps, and
     # start 0, bound for 16, stops with it.  The one-attempt reference makes
     # 19 attempts: 13 for start 0's 6 steps, 6 for start 1's.
     inst, cfg, mode = rotatable_dominoes()
@@ -665,7 +677,7 @@ def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
     assert len(solves) < sum(attempts)
 
 
-def test_first_start_to_verify_ends_the_chunk(monkeypatch):
+def test_first_start_to_verify_ends_the_solve(monkeypatch):
     # Start 1 verifies after 6 steps, while start 0 is bound for 16 steps
     # and stops in iteration 16.  Waiting for start 0 to stop first, as a
     # lowest index rule must, takes 16 batched Jacobian evaluations for
@@ -688,10 +700,11 @@ def test_first_start_to_verify_ends_the_chunk(monkeypatch):
 
 def test_multistart_verifies_each_stopped_start_once(monkeypatch):
     # At order 3 many starts converge to layouts that are not packings.
-    # Starts 0 and 3 stop first (after 8 steps each), then start 7 (after
-    # 9), all three converged, and they fail; start 6 verifies next, after
-    # 10.  Starts 1, 2 and 5 would converge and start 4 stall, all after
-    # 12 steps or more, so none of them is verified.
+    # No start stops before 8 steps.  Starts 0, 3, 13, 23 and 28 stop after
+    # 8 and fail; start 36 stops after 8 too and verifies, ending the solve
+    # with 8 steps taken by each of the 64 starts.  Start 44, which also
+    # stops after 8 and would verify, comes after it, and the rest would stop
+    # later, so none of them is verified.
     inst = Instance.from_sides([(1, 1), (1, 2), (1, 2), (2, 2)], BoxSpec(3, 3))
     cfg = SolveConfig(restarts=64, max_iters=60)
     verified = []
@@ -705,18 +718,18 @@ def test_multistart_verifies_each_stopped_start_once(monkeypatch):
     expected = []
     sequential_multistart(inst, cfg, mo.ROTATABLE, max_order=3, checked=expected)
     assert report.status == "converged_verified"
-    assert report.start_index == 6
+    assert report.start_index == 36 and report.iterations_total == 64 * 8
     assert list(map(serialize_layout, verified)) == list(map(serialize_layout, expected))
-    assert len(verified) == 4
+    assert len(verified) == 6
     assert verified[-1] is report.best_layout
 
 
-def test_chunk_stops_once_a_start_verifies(monkeypatch):
+def test_all_starts_stop_once_one_verifies(monkeypatch):
     # Starts 3 and 7 converge after 6 steps and both verify: start 3 wins
     # the tie.  Starts 2, 4, 5 and 6 would verify too, but only after 8 to
-    # 10.  The chunk stops at iteration 6, with 6 steps taken by each of the
-    # other starts.  Run to their own stops, the eight starts of the chunk
-    # take 25 lockstep iterations.
+    # 10.  The solve stops at iteration 6, with 6 steps taken by each of the
+    # other starts.  Run to their own stops, the eight starts take 25
+    # lockstep iterations.
     inst, _ = gen_guillotine(101, 3, BoxSpec(3.0, 2.0))
     cfg = SolveConfig(restarts=8, max_iters=60, seed=101)
     expected = sequential_multistart(inst, cfg, mo.FIXED)
@@ -735,6 +748,26 @@ def test_chunk_stops_once_a_start_verifies(monkeypatch):
     assert len(calls) < 20
 
 
+def test_all_starts_race_in_one_lockstep_call(monkeypatch):
+    # Starts 2 and 7 verify after 7 steps, and start 9 after 6: the solve is
+    # one lockstep call over all 17 starts, so start 9 wins, though a lower
+    # start verifies too.
+    inst, _ = gen_guillotine(1, 3, BoxSpec(3.0, 2.0))
+    cfg = SolveConfig(restarts=17, max_iters=40, seed=1)
+    calls = []
+    lockstep = solver._lockstep
+
+    def counting_lockstep(sys, x0, *args):
+        calls.append(len(x0))
+        return lockstep(sys, x0, *args)
+
+    monkeypatch.setattr(solver, "_lockstep", counting_lockstep)
+    report = solve_multistart(inst, cfg, mode=mo.FIXED)
+    assert calls == [17]
+    assert_report_is(report, sequential_multistart(inst, cfg, mo.FIXED))
+    assert report.status == "converged_verified" and report.start_index == 9
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -745,7 +778,7 @@ def test_chunk_stops_once_a_start_verifies(monkeypatch):
     max_order=st.sampled_from([None, 2]),
 )
 def test_multistart_matches_sequential(seed, cuts, restarts, max_iters, mode, max_order):
-    # Across chunk boundaries, solve_multistart reports what the
+    # At any number of starts, solve_multistart reports what the
     # start-alone reference reports and verifies the same layouts in order.
     # Order 2 makes starts that converge but fail verification.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
@@ -777,7 +810,7 @@ def test_multistart_matches_sequential(seed, cuts, restarts, max_iters, mode, ma
 def test_multistart_status_and_fallback_match_index_order(
     seed, cuts, restarts, max_iters, mode, max_order
 ):
-    # Under either winner rule a chunk verifies exactly when one of its
+    # Under either winner rule a solve verifies exactly when one of its
     # starts does, so the status is the lowest-index rule's, and a report
     # without a winner is that rule's field for field.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
