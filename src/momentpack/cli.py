@@ -3,8 +3,7 @@
 Subcommands: gen (guillotine | harmonic | family fixtures), solve, verify,
 identities, render.  Output is JSON by default; --table prints aligned text
 where it exists.  Exit codes: 0 success / verified, 1 clean negative result
-(infeasible or unverified), 2 usage or input errors.  The PACK_SEED
-environment variable overrides --seed wherever a seed is consumed.
+(infeasible or unverified), 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -95,16 +93,6 @@ def render_svg(
     return "\n".join(parts)
 
 
-def _seed_from_env(flag_value: int) -> int:
-    raw = os.environ.get("PACK_SEED")
-    if raw is None or raw == "":
-        return flag_value
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PACK_SEED must be an integer, got {raw!r}") from exc
-
-
 def _read(path: str) -> str:
     return Path(path).read_text()
 
@@ -118,10 +106,9 @@ def _emit(doc: object) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "guillotine":
-        seed = _seed_from_env(args.seed)
-        inst, layout = gen_guillotine(seed, args.cuts, BoxSpec(args.box[0], args.box[1]))
+        inst, layout = gen_guillotine(args.seed, args.cuts, BoxSpec(args.box[0], args.box[1]))
         Path(args.out).write_text(serialize_instance(inst) + "\n")
-        summary = {"kind": "guillotine", "seed": seed, "rects": inst.n_rects, "out": args.out}
+        summary = {"kind": "guillotine", "seed": args.seed, "rects": inst.n_rects, "out": args.out}
         if args.layout_out:
             Path(args.layout_out).write_text(serialize_layout(layout) + "\n")
             summary["layout_out"] = args.layout_out
@@ -146,7 +133,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     mode = mo.ROTATABLE if args.mode == "rotatable" else mo.FIXED
-    cfg = SolveConfig(restarts=args.restarts, seed=_seed_from_env(args.seed))
+    cfg = SolveConfig(restarts=args.restarts, seed=args.seed)
     report = solve_multistart(inst, cfg, max_order=args.smax, mode=mode)
     doc = report.to_dict()
     # Timing is run-dependent; identical inputs must print identical output.
@@ -163,7 +150,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     layout = parse_layout(_read(args.layout))
     if args.exact:
-        _check_tol(args.tol)  # exact checks run at 0, but a bad --tol is still an input error
+        # The exact check reads neither --tol nor --smax, but a bad value is
+        # still an input error.  Neither check turns the instance into
+        # floats, so integers too large for a float stay checkable.
+        _check_tol(args.tol)
+        mo._check_max_order(args.smax)
         ok = verify_exact(inst, layout)
         _emit({"pass": ok, "mode": "exact"})
         return 0 if ok else 1
@@ -278,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -132,6 +132,11 @@ class MomentSystem:
         return self.max_order**2 + self.constraint_count
 
 
+def _check_max_order(max_order: int | None) -> None:
+    if max_order is not None and max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
+
+
 def build_system(
     inst: Instance, max_order: int | None = None, mode: str = FIXED
 ) -> MomentSystem:
@@ -144,8 +149,7 @@ def build_system(
     var_count = 2 * inst.n_rects + 2 * n_free
     if max_order is None:
         max_order = default_max_order(var_count)
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    _check_max_order(max_order)
     scale = float(max(inst.box.width, inst.box.height))
     widths = np.array([float(r.width) for r in inst.rects]) / scale
     heights = np.array([float(r.height) for r in inst.rects]) / scale

@@ -22,13 +22,15 @@ All starts of a solve run in one lockstep call: its iterations share one
 batched Jacobian, and its retries run as a damping ladder, one stacked
 linear solve per round of several lambdas per start.  Each start keeps its
 own lambda and stop rule, so its trajectory is bit for bit the
-one-attempt-at-a-time one, which solve_single gives it too.  After each
-lockstep iteration the starts that stopped in it are verified in index
-order; the first that passes wins, and every start still running stops
-with it.  So the winner is the verified start with the fewest lockstep
-iterations, ties going to the lowest index.  Memory grows with the number
-of starts, about 160 KB each at 20 fixed rectangles, most of it the ladder's
-stacked systems.
+one-attempt-at-a-time one, which solve_single gives it too.  The call
+takes a per-start check, here verification: after each lockstep iteration
+it checks the starts that stopped in it in index order, the first that
+passes wins, and every start still running stops with it.  It returns the
+winner with every start's final variables, steps and max |r|, and
+solve_multistart reads its report off them.  So the winner is the verified
+start with the fewest lockstep iterations, ties going to the lowest
+index.  Memory grows with the number of starts, about 160 KB each at 20
+fixed rectangles, most of it the ladder's stacked systems.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
@@ -83,11 +85,13 @@ _SEED_STRIDE = 1_000_003
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Checked when built: an invalid config raises ValueError."""
+
     max_iters: int = 500
     restarts: int = 64
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:
@@ -219,8 +223,8 @@ def _lockstep(
     sys: mo.MomentSystem,
     x0: np.ndarray,
     max_iters: int,
-    on_stop: Callable[[np.ndarray, np.ndarray, np.ndarray], bool] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    passes: Callable[[np.ndarray], bool] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
 
     Each iteration evaluates one Jacobian for all live rows.  Each row
@@ -241,13 +245,13 @@ def _lockstep(
     non-zero local minimum, not one bound to converge.  Returns the final
     variables (K, V), the accepted step count of each row (K,), the
     accepted costs (K, max_iters + 1), row k's history being
-    costs[k, : steps[k] + 1], and each row's final max |r| (K,).
+    costs[k, : steps[k] + 1], each row's final max |r| (K,) and the winner.
 
-    on_stop, if given, is called with the rows that stopped (ascending;
-    first those that never start, then after each iteration those that
-    stopped in it) and the arrays x and r_inf as they stand.  When it
-    returns True, every row still running stops at once, with the steps it
-    has taken.
+    passes, if given, is asked about each row's variables once, as the row
+    stops: first the rows that never start, then after each iteration the
+    rows that stopped in it, in index order.  The first row it passes is
+    the winner, and every row still running stops at once, with the steps
+    it has taken.  The winner is -1 when no row passes.
     """
     eye = np.eye(sys.var_count)
     x = np.array(x0, dtype=float)  # a copy: rows are updated in place
@@ -262,9 +266,12 @@ def _lockstep(
         lam = np.full(len(x), LAMBDA0)
         live = np.isfinite(r_inf) & (r_inf > RESIDUAL_TOL)
         ended = np.flatnonzero(~live)
+        winner = -1
         while True:
-            if on_stop is not None and len(ended) and on_stop(ended, x, r_inf):
-                break
+            if passes is not None and len(ended):
+                winner = next((k for k in ended.tolist() if passes(x[k])), -1)
+                if winner >= 0:
+                    break
             iterated = rows = np.flatnonzero(live)
             if not len(rows):
                 break
@@ -306,7 +313,7 @@ def _lockstep(
                 rows, hess, neg_grad = rows[retry], hess[retry], neg_grad[retry]
                 width *= 2
             ended = iterated[~live[iterated]]
-    return x, steps, costs, r_inf
+    return x, steps, costs, r_inf, winner
 
 
 def solve_single(
@@ -317,8 +324,7 @@ def solve_single(
     starting at the initial cost).  Each step solves
     (J^T J + lambda I) delta = -J^T r; the lockstep core with one row."""
     cfg = cfg or SolveConfig()
-    cfg.validate()
-    x, steps, costs, _ = _lockstep(sys, mo._check_vars(sys, x0)[None], cfg.max_iters)
+    x, steps, costs, _, _ = _lockstep(sys, mo._check_vars(sys, x0)[None], cfg.max_iters)
     return x[0], costs[0, : steps[0] + 1].tolist()
 
 
@@ -367,74 +373,44 @@ def solve_multistart(
     """Deterministic multistart: start 0 is the shelf layout, later starts
     draw from per-index seeded generators.  A start counts as a success
     only when the layout it stopped at, converged or not, passes geometric
-    verification.  All starts run in one lockstep call; after each
-    iteration the starts that stopped in it are verified in index order,
-    and the first to pass wins and stops the rest.  So the winner is the
-    verified start with the fewest lockstep iterations, ties going to the
-    lowest index.  Without a winner the report carries the lowest (final
-    max |r|, start index).  The arguments are checked first, so a bad mode
-    or max_order raises ValueError for every instance.  An instance that no
-    layout could pass verify_layout with is then rejected before any
-    solving: by its area (area_can_pass, reason "area"), or by a rectangle
-    that fits the box in no allowed orientation (fit_can_pass, reason
-    "fit")."""
+    verification.  All starts race in one lockstep call, which verifies
+    each start as it stops, in index order after each iteration; the first
+    to pass wins and stops the rest.  So the winner is the verified start
+    with the fewest lockstep iterations, ties going to the lowest index.
+    Without a winner the report carries the lowest (final max |r|, start
+    index), read off the race's per-start results.  The arguments are
+    checked first, so a bad mode or max_order raises ValueError for every
+    instance.  An instance that no layout could pass verify_layout with is
+    then rejected before any solving: by its area (area_can_pass, reason
+    "area"), or by a rectangle that fits the box in no allowed orientation
+    (fit_can_pass, reason "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
-    cfg.validate()
     sys = mo.build_system(inst, max_order, mode)
-    gate = None
-    if not area_can_pass(inst):
-        gate = "area"
-    elif not fit_can_pass(inst):
-        gate = "fit"
-    if gate is not None:
-        return SolveReport(
-            status="exhausted",
-            best_layout=None,
-            final_residual_inf=float("inf"),
-            iterations_total=0,
-            start_index=-1,
-            wall_time_s=time.perf_counter() - t0,
-            reason=gate,
+    reason = None if area_can_pass(inst) else "area"
+    if reason is None and not fit_can_pass(inst):
+        reason = "fit"
+    status, layout, final, iterations, start = "exhausted", None, float("inf"), 0, -1
+    if reason is None:
+        x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
+        x, steps, _, r_inf, winner = _lockstep(
+            sys, x0, cfg.max_iters, lambda v: verify_layout(inst, mo.vars_to_layout(sys, v)).passed
         )
-    best: tuple[float, int, Layout | None] = (float("inf"), -1, None)
-    any_converged = False
-    winner: tuple[int, Layout] | None = None
-
-    def resolve(ended: np.ndarray, x: np.ndarray, r_inf: np.ndarray) -> bool:
-        """Verify the starts that just stopped, in index order.  Returns True
-        once one passes: it wins and the others stop."""
-        nonlocal any_converged, best, winner
-        for k in map(int, ended):
-            any_converged |= bool(r_inf[k] <= RESIDUAL_TOL)
-            layout = mo.vars_to_layout(sys, x[k])
-            if verify_layout(inst, layout).passed:
-                winner = (k, layout)
-                return True
-            if (r_inf[k], k) < best[:2]:
-                best = (float(r_inf[k]), k, layout)
-        return False
-
-    x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
-    iterations = int(_lockstep(sys, x0, cfg.max_iters, resolve)[1].sum())
-    if winner is not None:
-        start_index, layout = winner
-        final = mo.residual(sys, mo.layout_to_vars(sys, layout))
-        return SolveReport(
-            status="converged_verified",
-            best_layout=layout,
-            final_residual_inf=float(np.max(np.abs(final))),
-            iterations_total=iterations,
-            start_index=start_index,
-            wall_time_s=time.perf_counter() - t0,
-        )
-    best_r, best_idx, best_layout = best
+        iterations = int(steps.sum())
+        start = winner if winner >= 0 else int(np.argmin(r_inf))
+        layout = mo.vars_to_layout(sys, x[start])
+        final = float(r_inf[start])
+        if winner >= 0:
+            status = "converged_verified"
+            final = float(np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, layout)))))
+        elif np.any(r_inf <= RESIDUAL_TOL):
+            status, reason = "converged_unverified", "unverified"
     return SolveReport(
-        status="converged_unverified" if any_converged else "exhausted",
-        best_layout=best_layout,
-        final_residual_inf=best_r,
+        status=status,
+        best_layout=layout,
+        final_residual_inf=final,
         iterations_total=iterations,
-        start_index=best_idx,
+        start_index=start,
         wall_time_s=time.perf_counter() - t0,
-        reason="unverified" if any_converged else None,
+        reason=reason,
     )

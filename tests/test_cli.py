@@ -109,29 +109,6 @@ def test_gen_harmonic(capsys, tmp_path):
     assert json.loads(path.read_text())["rects"][3] == ["1/4", "1/5"]
 
 
-def test_pack_seed_env_overrides_flag(capsys, tmp_path, monkeypatch):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    monkeypatch.setenv("PACK_SEED", "3")
-    code, out, _ = run_cli(
-        capsys, "gen", "guillotine", "--seed", "99", "--cuts", "4", "--out", str(a)
-    )
-    assert code == 0
-    assert json.loads(out)["seed"] == 3
-    monkeypatch.delenv("PACK_SEED")
-    run_cli(capsys, "gen", "guillotine", "--seed", "3", "--cuts", "4", "--out", str(b))
-    assert a.read_text() == b.read_text()
-
-
-def test_pack_seed_must_be_integer(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PACK_SEED", "many")
-    code, _, err = run_cli(
-        capsys, "gen", "guillotine", "--out", str(tmp_path / "x.json")
-    )
-    assert code == 2
-    assert "PACK_SEED" in json.loads(err)["error"]
-
-
 # -- solve --------------------------------------------------------------------
 
 
@@ -184,14 +161,9 @@ def test_solve_output_is_deterministic(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("restarts", ["1", "2", "9"])
-@pytest.mark.parametrize("via_env", [False, True])
-def test_solve_seed_must_be_non_negative(capsys, tmp_path, monkeypatch, via_env, restarts):
+def test_solve_seed_must_be_non_negative(capsys, tmp_path, restarts):
     inst_path = write_dominoes(tmp_path)
-    argv = ["solve", str(inst_path), "--restarts", restarts]
-    if via_env:
-        monkeypatch.setenv("PACK_SEED", "-1")
-    else:
-        argv += ["--seed", "-1"]
+    argv = ["solve", str(inst_path), "--restarts", restarts, "--seed", "-1"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -233,6 +205,51 @@ def test_verify_tol_must_be_finite_and_non_negative(capsys, tmp_path, tol):
         assert code == 2
         assert out == ""
         assert "tol" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("smax", ["0", "-3"])
+def test_verify_smax_must_be_positive(capsys, tmp_path, smax):
+    inst_path = write_dominoes(tmp_path)
+    lay_path = tmp_path / "layout.json"
+    lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
+    for exact in ([], ["--exact"]):
+        argv = ["verify", *exact, str(inst_path), str(lay_path), "--smax", smax]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"max_order must be >= 1, got {smax}" in json.loads(err)["error"]
+
+
+def write_huge_tiling(tmp_path):
+    # One rectangle filling a box whose width, 10**400, no float can hold.
+    inst_path = tmp_path / "huge.json"
+    inst_path.write_text(json.dumps({"box": [10**400, 1], "rects": [[10**400, 1]]}))
+    lay_path = tmp_path / "huge.layout.json"
+    lay_path.write_text(json.dumps({"placements": [[0, 0, 10**400, 1]]}))
+    return inst_path, lay_path
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "render"])
+def test_integers_too_large_for_a_float_are_input_errors(capsys, tmp_path, command):
+    inst_path, lay_path = write_huge_tiling(tmp_path)
+    svg_path = tmp_path / "huge.svg"
+    argv = {
+        "solve": ["solve", str(inst_path)],
+        "verify": ["verify", str(inst_path), str(lay_path)],
+        "render": ["render", str(inst_path), str(lay_path), str(svg_path)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "too large" in json.loads(err)["error"]
+    assert not svg_path.exists()
+
+
+def test_verify_exact_checks_integers_too_large_for_a_float(capsys, tmp_path):
+    inst_path, lay_path = write_huge_tiling(tmp_path)
+    code, out, _ = run_cli(capsys, "verify", "--exact", str(inst_path), str(lay_path))
+    assert code == 0
+    assert json.loads(out) == {"pass": True, "mode": "exact"}
 
 
 def test_verify_exact_mode(capsys, tmp_path):

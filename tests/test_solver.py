@@ -48,7 +48,7 @@ def dominoes():
 )
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
-        SolveConfig(**kwargs).validate()
+        SolveConfig(**kwargs)
 
 
 def test_damping_schedule_constants():
@@ -273,9 +273,9 @@ def assert_rows_run_as_alone(sys, x0, max_iters):
     """Every row of one lockstep run equals, bit for bit, the run of that
     row by itself; returns the batched result."""
     batched = solver._lockstep(sys, x0, max_iters)
-    x, steps, costs, r_inf = batched
+    x, steps, costs, r_inf, _ = batched
     for k, row in enumerate(x0):
-        x1, steps1, costs1, r_inf1 = solver._lockstep(sys, row[None], max_iters)
+        x1, steps1, costs1, r_inf1, _ = solver._lockstep(sys, row[None], max_iters)
         assert x[k].tobytes() == x1[0].tobytes()
         assert steps[k] == steps1[0]
         assert costs[k, : steps[k] + 1].tobytes() == costs1[0, : steps1[0] + 1].tobytes()
@@ -371,7 +371,7 @@ def test_lockstep_singular_and_stopped_rows_leave_others_unchanged(monkeypatch):
     non_finite = np.full(sys.var_count, np.nan)
     normal = np.array([[0.1, 0.7, 0.8, 0.2, 0.0, 0.6], [0.6, 0.1, 0.2, 0.5, 0.0, 0.3]])
     x0 = np.stack([normal[0], coincident, solved, non_finite, normal[1]])
-    x, steps, costs, _ = assert_rows_run_as_alone(sys, x0, 30)
+    x, steps, costs, _, _ = assert_rows_run_as_alone(sys, x0, 30)
     assert steps[1] > 0  # the singular row moved on through lstsq
     assert steps[2] == 0 and x[2].tobytes() == solved.tobytes()
     assert steps[3] == 0 and costs[3, 0] == float("inf")
@@ -388,7 +388,7 @@ def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
     inside = box_starts(sys, 3, 1)[0]
     far = [inside + v for v in (1e3, -1e3, 1e18, 1e40)]
     x0 = np.stack(far + [np.full(sys.var_count, np.nan)])
-    x, steps, costs, r_inf = assert_rows_run_as_alone(sys, x0, 20)
+    x, steps, costs, r_inf, _ = assert_rows_run_as_alone(sys, x0, 20)
     assert np.all(np.isfinite(x) | ~np.isfinite(x0))
     for k in range(len(x0)):
         assert np.all(np.isfinite(costs[k, 1 : steps[k] + 1]))
@@ -414,7 +414,7 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "LAMBDA_MAX", lambda_max)
         patch.setattr(solver, "LAMBDA0", lambda0)
-        x, steps, costs, r_inf = solver._lockstep(sys, x0, 200)
+        x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 200)
         reference = [sequential_lm(sys, row, 200) for row in x0]
     for k, (x1, steps1, costs1, _, _) in enumerate(reference):
         assert x[k].tobytes() == x1.tobytes()
@@ -433,7 +433,7 @@ def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
     x0 = np.array([[0.0, 0.0], [0.15, 0.0], [0.5, 0.0]])  # left, inside, right wall
     monkeypatch.setattr(solver, "STALL_TOL", 0.0)
     monkeypatch.setattr(solver, "LAMBDA0", lambda0)
-    x, steps, costs, r_inf = solver._lockstep(sys, x0, 200)
+    x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 200)
     for k in range(len(x0)):
         x1, steps1, costs1, attempts, stop = sequential_lm(sys, x0[k], 200)
         assert x[k].tobytes() == x1.tobytes()
@@ -458,14 +458,14 @@ def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst, mode=mode)
     x0 = box_starts(sys, seed, rows)
-    x, steps, costs, r_inf = solver._lockstep(sys, x0, 80)
+    x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 80)
 
     def rule_free(x0, max_iters):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "STALL_TOL", 0.0)
             return solver._lockstep(sys, x0, max_iters)
 
-    _, steps0, costs0, _ = rule_free(x0, 80)
+    _, steps0, costs0, _, _ = rule_free(x0, 80)
     for k in range(rows):
         path = costs0[k, : steps0[k] + 1]
         stalled = np.flatnonzero(path[1:] >= (1.0 - solver.STALL_TOL) * path[:-1])
@@ -473,7 +473,7 @@ def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode
         assert costs[k, : steps[k] + 1].tobytes() == path[: steps[k] + 1].tobytes()
         # The rule-free run cut after as many steps; a row that took none
         # stopped by an older rule, which cuts the rule-free run too.
-        x1, steps1, _, r_inf1 = rule_free(x0[k, None], max(steps[k], 1))
+        x1, steps1, _, r_inf1, _ = rule_free(x0[k, None], max(steps[k], 1))
         assert steps1[0] == steps[k]
         assert x[k].tobytes() == x1[0].tobytes()
         assert r_inf[k].tobytes() == r_inf1[0].tobytes()
@@ -494,6 +494,68 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
         monkeypatch.setattr(solver, "init_shelf_greedy", lambda _: start)
         report = solve_multistart(inst, SolveConfig(restarts=1), mode=mo.FIXED)
         assert report.status == "converged_verified" and report.start_index == 0, seed
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(1, 5),
+    rows=st.integers(1, 6),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    pick=st.integers(0, 7),
+)
+def test_lockstep_asks_each_stopped_row_once_and_names_the_winner(seed, cuts, rows, mode, pick):
+    # passes is asked about each row as it stops: first the rows that never
+    # start (a tiling and a non-finite row), then after each iteration the
+    # rows that stopped in it, in index order.  A check that passes nothing
+    # changes no result.  The first row it passes wins, and every row still
+    # running stops with the steps it has taken.
+    inst, witness = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
+    sys = mo.build_system(inst, mode=mode)
+    tiling = mo.layout_to_vars(sys, witness)
+    x0 = np.vstack([box_starts(sys, seed, rows), tiling, np.full(sys.var_count, np.nan)])
+    max_iters = 30
+    free = solver._lockstep(sys, x0, max_iters)
+    assert free[4] == -1
+    stops = [sequential_lm(sys, row, max_iters)[4] for row in x0]
+    order = sorted(range(len(x0)), key=lambda k: (stops[k], k))
+    assert stops[rows] == stops[rows + 1] == 0
+    asked = []
+
+    def never(v):
+        asked.append(v.tobytes())
+        return False
+
+    x, steps, costs, r_inf, winner = solver._lockstep(sys, x0, max_iters, never)
+    assert asked == [free[0][k].tobytes() for k in order]
+    for got, want in zip((x, steps, r_inf), (free[0], free[1], free[3])):
+        assert got.tobytes() == want.tobytes()
+    for k in range(len(x0)):  # costs past a row's steps are never written
+        assert costs[k, : steps[k] + 1].tobytes() == free[2][k, : steps[k] + 1].tobytes()
+    assert winner == -1
+
+    w = order[pick % len(order)]
+    asked.clear()
+
+    def only_w(v):
+        asked.append(v.tobytes())
+        return asked[-1] == free[0][w].tobytes()
+
+    x, steps, costs, r_inf, winner = solver._lockstep(sys, x0, max_iters, only_w)
+    assert winner == w
+    assert asked == [free[0][k].tobytes() for k in order[: order.index(w) + 1]]
+    t = stops[w]
+    for k in range(len(x0)):
+        if stops[k] <= t:  # stopped on its own
+            want = [a[k] for a in free[:4]]
+        elif t:  # cut at the winner's iteration, as if max_iters were t
+            want = [a[0] for a in solver._lockstep(sys, x0[k, None], t)[:4]]
+        else:  # cut before its first iteration
+            want = [x0[k], 0, free[2][k], np.max(np.abs(mo.residual(sys, x0[k])))]
+        assert x[k].tobytes() == want[0].tobytes()
+        assert steps[k] == want[1] == min(free[1][k], t)
+        assert costs[k, : steps[k] + 1].tobytes() == want[2][: steps[k] + 1].tobytes()
+        assert r_inf[k].tobytes() == want[3].tobytes()
 
 
 def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempts=None):
@@ -721,7 +783,7 @@ def test_multistart_verifies_each_stopped_start_once(monkeypatch):
     assert report.start_index == 36 and report.iterations_total == 64 * 8
     assert list(map(serialize_layout, verified)) == list(map(serialize_layout, expected))
     assert len(verified) == 6
-    assert verified[-1] is report.best_layout
+    assert serialize_layout(verified[-1]) == serialize_layout(report.best_layout)
 
 
 def test_all_starts_stop_once_one_verifies(monkeypatch):
