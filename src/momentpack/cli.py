@@ -17,10 +17,10 @@ from pathlib import Path
 from . import moments as mo
 from .harmonic import IdentityId, rhs_constant, rhs_derive
 from .instances import (
-    BoxSpec,
     Instance,
     Layout,
     _check_placement_count,
+    _named_spec,
     gen_guillotine,
     harmonic_prefix,
     parse_instance,
@@ -106,7 +106,7 @@ def _emit(doc: object) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "guillotine":
-        inst, layout = gen_guillotine(args.seed, args.cuts, BoxSpec(args.box[0], args.box[1]))
+        inst, layout = gen_guillotine(args.seed, args.cuts, _named_spec(*args.box, "box"))
         Path(args.out).write_text(serialize_instance(inst) + "\n")
         summary = {"kind": "guillotine", "seed": args.seed, "rects": inst.n_rects, "out": args.out}
         if args.layout_out:

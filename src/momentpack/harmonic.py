@@ -10,9 +10,10 @@ moment (dx^2 + dy^2)/12 whose total over the family is the series
 
     sum_n [1/(n(n+1))] * [1/n^2 + 1/(n+1)^2]  =  4 - pi^2/3.
 
-rhs_constant returns the closed forms; rhs_derive rebuilds them numerically
-from the box integral minus the truncated correction series plus an integral
-tail estimate, without ever consulting the closed form.
+rhs_constant returns the closed forms of _IDENTITIES, one row per identity;
+rhs_derive rebuilds them numerically from the box integral of f minus the
+truncated correction series plus an integral tail estimate, without ever
+consulting the closed form.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .instances import Layout
-from .verify import _side_error
+from .verify import DEFAULT_TOL, _side_error
 
 __all__ = [
     "IdentityId",
@@ -37,62 +39,37 @@ __all__ = [
 
 
 class IdentityId(enum.Enum):
-    X_FIRST = "x_first"  # sum w_n * cx_n            = 1/2
-    Y_FIRST = "y_first"  # sum w_n * cy_n            = 1/2
-    XY_CROSS = "xy_cross"  # sum w_n * cx_n * cy_n     = 1/4
-    SUM_SQUARES = "sum_squares"  # sum w_n * (cx^2 + cy^2)  = 1/3 + pi^2/36
-    SUM_OF_SUM_SQ = "sum_of_sum_sq"  # sum w_n * (cx + cy)^2  = 5/6 + pi^2/36
-    DIFF_SQ = "diff_sq"  # sum w_n * (cx - cy)^2     = pi^2/36 - 1/6
+    X_FIRST = "x_first"
+    Y_FIRST = "y_first"
+    XY_CROSS = "xy_cross"
+    SUM_SQUARES = "sum_squares"
+    SUM_OF_SUM_SQ = "sum_of_sum_sq"
+    DIFF_SQ = "diff_sq"
+
+
+class _Row(NamedTuple):
+    closed_form: float
+    box_integral: float  # of f over the unit box
+    quadratic: bool  # f is quadratic: its split adds the correction series
+    f: Callable[[float, float], float]
 
 
 _PI2_36 = math.pi * math.pi / 36
 
-_CONSTANTS = {
-    IdentityId.X_FIRST: 0.5,
-    IdentityId.Y_FIRST: 0.5,
-    IdentityId.XY_CROSS: 0.25,
-    IdentityId.SUM_SQUARES: 1 / 3 + _PI2_36,
-    IdentityId.SUM_OF_SUM_SQ: 5 / 6 + _PI2_36,
-    IdentityId.DIFF_SQ: _PI2_36 - 1 / 6,
-}
-
-# Box integrals of the generating polynomial f over the unit square: the
-# correction-free part of each identity.
-_BOX_INTEGRALS = {
-    IdentityId.X_FIRST: 0.5,  # f = x
-    IdentityId.Y_FIRST: 0.5,  # f = y
-    IdentityId.XY_CROSS: 0.25,  # f = x*y
-    IdentityId.SUM_SQUARES: 2 / 3,  # f = x^2 + y^2
-    IdentityId.SUM_OF_SUM_SQ: 7 / 6,  # f = (x + y)^2
-    IdentityId.DIFF_SQ: 1 / 6,  # f = (x - y)^2
-}
-
-# Coefficient of the second-moment correction series in each identity: the
-# quadratic forms x^2+y^2, (x+y)^2, (x-y)^2 all carry (dx^2 + dy^2)/12 per
-# rectangle (bilinear cross terms integrate to centroid products exactly).
-_CORRECTION_COEFF = {
-    IdentityId.X_FIRST: 0.0,
-    IdentityId.Y_FIRST: 0.0,
-    IdentityId.XY_CROSS: 0.0,
-    IdentityId.SUM_SQUARES: 1.0,
-    IdentityId.SUM_OF_SUM_SQ: 1.0,
-    IdentityId.DIFF_SQ: 1.0,
-}
-
-# Per-rectangle summand of each identity's left-hand side, in centroid terms.
-_TERMS = {
-    IdentityId.X_FIRST: lambda cx, cy: cx,
-    IdentityId.Y_FIRST: lambda cx, cy: cy,
-    IdentityId.XY_CROSS: lambda cx, cy: cx * cy,
-    IdentityId.SUM_SQUARES: lambda cx, cy: cx * cx + cy * cy,
-    IdentityId.SUM_OF_SUM_SQ: lambda cx, cy: (cx + cy) * (cx + cy),
-    IdentityId.DIFF_SQ: lambda cx, cy: (cx - cy) * (cx - cy),
+# One row per identity: sum_n w_n * f(cx_n, cy_n) = closed_form.
+_IDENTITIES = {
+    IdentityId.X_FIRST: _Row(0.5, 0.5, False, lambda x, y: x),
+    IdentityId.Y_FIRST: _Row(0.5, 0.5, False, lambda x, y: y),
+    IdentityId.XY_CROSS: _Row(0.25, 0.25, False, lambda x, y: x * y),
+    IdentityId.SUM_SQUARES: _Row(1 / 3 + _PI2_36, 2 / 3, True, lambda x, y: x * x + y * y),
+    IdentityId.SUM_OF_SUM_SQ: _Row(5 / 6 + _PI2_36, 7 / 6, True, lambda x, y: (x + y) * (x + y)),
+    IdentityId.DIFF_SQ: _Row(_PI2_36 - 1 / 6, 1 / 6, True, lambda x, y: (x - y) * (x - y)),
 }
 
 
 def rhs_constant(ident: IdentityId) -> float:
     """Closed-form right-hand side of the identity."""
-    return _CONSTANTS[ident]
+    return _IDENTITIES[ident].closed_form
 
 
 def _correction_series(n_trunc: int) -> float:
@@ -125,21 +102,21 @@ def rhs_derive(ident: IdentityId, n_trunc: int) -> float:
     bilinear identities need no correction and are exact for any n_trunc."""
     if n_trunc < 1:
         raise ValueError(f"n_trunc must be >= 1, got {n_trunc}")
-    coeff = _CORRECTION_COEFF[ident]
-    if coeff == 0.0:
-        return _BOX_INTEGRALS[ident]
-    return _BOX_INTEGRALS[ident] - coeff * _correction_series(n_trunc) / 12.0
+    row = _IDENTITIES[ident]
+    if not row.quadratic:
+        return row.box_integral
+    return row.box_integral - _correction_series(n_trunc) / 12.0
 
 
-def rhs_consistency(tol: float = 1e-15) -> bool:
+def rhs_consistency() -> bool:
     """Algebraic cross-checks between the closed forms: since
     (x+y)^2 = x^2+y^2+2xy and (x-y)^2 = x^2+y^2-2xy pointwise, the constants
-    must satisfy the same relations."""
+    must satisfy the same relations, up to 1e-15 of float roundoff."""
     sq = rhs_constant(IdentityId.SUM_SQUARES)
     cross = rhs_constant(IdentityId.XY_CROSS)
     plus = rhs_constant(IdentityId.SUM_OF_SUM_SQ)
     minus = rhs_constant(IdentityId.DIFF_SQ)
-    return abs(plus - (sq + 2 * cross)) <= tol and abs(minus - (sq - 2 * cross)) <= tol
+    return abs(plus - (sq + 2 * cross)) <= 1e-15 and abs(minus - (sq - 2 * cross)) <= 1e-15
 
 
 @dataclass(frozen=True)
@@ -157,17 +134,15 @@ class IdentityEval:
         return self.rhs - self.lhs_partial
 
 
-def identity_partial(
-    layout: Layout, ident: IdentityId, size_tol: float = 1e-9
-) -> IdentityEval:
+def identity_partial(layout: Layout, ident: IdentityId) -> IdentityEval:
     """Evaluate the weighted centroid sum over a layout of the first N
     harmonic rectangles.
 
     Placement k (0-based) must have sides {1/(k+1), 1/(k+2)} in either
-    orientation, each side within size_tol (the verifier's side test);
-    anything else is a size mismatch error.
+    orientation, each side within the verifier's DEFAULT_TOL (its side test
+    in the unit box); anything else is a size mismatch error.
     """
-    term = _TERMS[ident]
+    f = _IDENTITIES[ident].f
     total = 0.0
     n_rects = len(layout.placements)
     for k, p in enumerate(layout.placements):
@@ -176,7 +151,7 @@ def identity_partial(
         h = 1.0 / (n + 1)
         dx = float(p.dx)
         dy = float(p.dy)
-        if _side_error(dx, dy, w, h, True) > size_tol:
+        if _side_error(dx, dy, w, h, True) > DEFAULT_TOL:
             raise ValueError(
                 f"placement {n} has sides {dx} x {dy}; harmonic rect {n} needs "
                 f"{{1/{n}, 1/{n + 1}}}"
@@ -184,5 +159,5 @@ def identity_partial(
         weight = 1.0 / (n * (n + 1))
         cx = float(p.cx)
         cy = float(p.cy)
-        total += weight * term(cx, cy)
+        total += weight * f(cx, cy)
     return IdentityEval(ident, total, rhs_constant(ident), n_rects)

@@ -1,10 +1,13 @@
 """Domain types and fixture generators for rectangle packing problems.
 
 An instance is a multiset of axis-aligned rectangles plus a target box; a
-layout assigns each rectangle its corner coordinates.  Numeric fields may be
-ints, floats, or fractions.Fraction: exact rational inputs (ints, or "p/q"
-strings in JSON) survive parsing untouched so the exact verifier can reason
-about them without rounding.
+layout assigns each rectangle its corner coordinates.  Every rectangle and
+the box is a RectSpec, a bare width x height (BoxSpec is another name for
+it); a rectangle is named by its 1-based position in the instance, as in
+verifier reports and error messages.  Numeric fields may be ints, floats, or
+fractions.Fraction: exact rational inputs (ints, or "p/q" strings in JSON)
+survive parsing untouched so the exact verifier can reason about them
+without rounding.
 """
 
 from __future__ import annotations
@@ -71,46 +74,32 @@ def _num_to_json(value: Number) -> object:
 
 @dataclass(frozen=True)
 class RectSpec:
-    """One rectangle of the multiset; id is its 1-based position."""
+    """A width x height rectangle: one of an instance's rectangles, named by
+    its 1-based position, or the box, whose lower-left corner is the origin."""
 
     width: Number
     height: Number
-    id: int
 
     def __post_init__(self) -> None:
-        _check_finite(self.width, "rect width")
-        _check_finite(self.height, "rect height")
+        _check_finite(self.width, "width")
+        _check_finite(self.height, "height")
         if not (self.width > 0 and self.height > 0):
-            raise ValueError(
-                f"rect {self.id}: sides must be positive, got "
-                f"{self.width!r} x {self.height!r}"
-            )
-        if not isinstance(self.id, int) or self.id < 1:
-            raise ValueError(f"rect id must be a positive integer, got {self.id!r}")
+            raise ValueError(f"sides must be positive, got {self.width!r} x {self.height!r}")
 
     @property
     def area(self) -> Number:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class BoxSpec:
-    """Target box with corner at the origin."""
+BoxSpec = RectSpec
 
-    width: Number
-    height: Number
 
-    def __post_init__(self) -> None:
-        _check_finite(self.width, "box width")
-        _check_finite(self.height, "box height")
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError(
-                f"box sides must be positive, got {self.width!r} x {self.height!r}"
-            )
-
-    @property
-    def area(self) -> Number:
-        return self.width * self.height
+def _named_spec(width: Number, height: Number, what: str) -> RectSpec:
+    """RectSpec(width, height), with what (box or rect i) leading any error."""
+    try:
+        return RectSpec(width, height)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -121,11 +110,6 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rects", tuple(self.rects))
-        for pos, rect in enumerate(self.rects, start=1):
-            if rect.id != pos:
-                raise ValueError(
-                    f"rect ids must be contiguous from 1; position {pos} has id {rect.id}"
-                )
         if not isinstance(self.rotation_allowed, bool):
             raise ValueError("rotation_allowed must be a bool")
 
@@ -136,7 +120,7 @@ class Instance:
         box: BoxSpec,
         rotation_allowed: bool = True,
     ) -> "Instance":
-        rects = tuple(RectSpec(w, h, i + 1) for i, (w, h) in enumerate(sides))
+        rects = tuple(_named_spec(w, h, f"rect {i}") for i, (w, h) in enumerate(sides, start=1))
         return cls(rects, box, rotation_allowed)
 
     @property
@@ -214,6 +198,13 @@ def _check_placement_count(inst: Instance, layout: Layout) -> None:
 # Layout:   {"placements": [[x_lo, y_lo, x_hi, y_hi], ...]}
 
 
+def _pair_from_json(pair: object, what: str) -> tuple[Number, Number]:
+    """Decode a [width, height] pair; every error names what (box or rect i)."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"{what}: expected a [width, height] pair, got {pair!r}")
+    return _num_from_json(pair[0], f"{what} width"), _num_from_json(pair[1], f"{what} height")
+
+
 def parse_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -221,31 +212,15 @@ def parse_instance(text: str) -> Instance:
         raise ValueError(f"malformed instance document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
-    box_raw = doc.get("box")
-    if not isinstance(box_raw, list) or len(box_raw) != 2:
-        raise ValueError('instance "box" must be a [width, height] pair')
-    box = BoxSpec(
-        _num_from_json(box_raw[0], "box width"),
-        _num_from_json(box_raw[1], "box height"),
-    )
+    box = _named_spec(*_pair_from_json(doc.get("box"), "box"), "box")
     rects_raw = doc.get("rects")
     if not isinstance(rects_raw, list):
         raise ValueError('instance "rects" must be a list of [w, h] pairs')
-    rects = []
-    for i, pair in enumerate(rects_raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"rect {i + 1}: expected a [w, h] pair, got {pair!r}")
-        rects.append(
-            RectSpec(
-                _num_from_json(pair[0], f"rect {i + 1} width"),
-                _num_from_json(pair[1], f"rect {i + 1} height"),
-                i + 1,
-            )
-        )
+    sides = [_pair_from_json(pair, f"rect {i}") for i, pair in enumerate(rects_raw, start=1)]
     rotation = doc.get("rotation", True)
     if not isinstance(rotation, bool):
         raise ValueError('instance "rotation" must be true or false')
-    return Instance(tuple(rects), box, rotation)
+    return Instance.from_sides(sides, box, rotation)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -296,10 +271,8 @@ def harmonic_prefix(n_rects: int) -> Instance:
     telescopes to 1 - 1/(n_rects+1)."""
     if n_rects < 1:
         raise ValueError(f"n_rects must be >= 1, got {n_rects}")
-    rects = tuple(
-        RectSpec(Fraction(1, n), Fraction(1, n + 1), n) for n in range(1, n_rects + 1)
-    )
-    return Instance(rects, BoxSpec(1, 1), rotation_allowed=True)
+    sides = [(Fraction(1, n), Fraction(1, n + 1)) for n in range(1, n_rects + 1)]
+    return Instance.from_sides(sides, BoxSpec(1, 1))
 
 
 def gen_guillotine(seed: int, n_cuts: int, box: BoxSpec) -> tuple[Instance, Layout]:
@@ -308,10 +281,12 @@ def gen_guillotine(seed: int, n_cuts: int, box: BoxSpec) -> tuple[Instance, Layo
     Repeatedly picks a leaf (area-weighted), splits its longer side at a
     fraction drawn uniformly from [CUT_FRACTION_LO, CUT_FRACTION_HI], and
     replaces it by the two halves.  The returned layout tiles the box by
-    construction and is deterministic per seed.
+    construction and is deterministic per seed, which must be >= 0.
     """
     if n_cuts < 0:
         raise ValueError(f"n_cuts must be >= 0, got {n_cuts}")
+    if seed < 0:  # random.Random would seed with abs(seed)
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     leaves: list[tuple[float, float, float, float]] = [
         (0.0, 0.0, float(box.width), float(box.height))
@@ -334,11 +309,9 @@ def gen_guillotine(seed: int, n_cuts: int, box: BoxSpec) -> tuple[Instance, Layo
         else:
             yc = y0 + frac * (y1 - y0)
             leaves[idx:idx] = [(x0, y0, x1, yc), (x0, yc, x1, y1)]
-    rects = tuple(
-        RectSpec(x1 - x0, y1 - y0, i + 1) for i, (x0, y0, x1, y1) in enumerate(leaves)
-    )
+    sides = [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in leaves]
     placements = tuple(Placement(x0, y0, x1, y1) for x0, y0, x1, y1 in leaves)
-    return Instance(rects, box, rotation_allowed=True), Layout(placements)
+    return Instance.from_sides(sides, box), Layout(placements)
 
 
 def squared_rectangle_32x33() -> tuple[Instance, Layout]:
@@ -355,7 +328,6 @@ def squared_rectangle_32x33() -> tuple[Instance, Layout]:
         (4, 18, 14),
         (1, 22, 24),
     ]
-    rects = tuple(RectSpec(s, s, i + 1) for i, (s, _, _) in enumerate(squares))
     placements = tuple(Placement(x, y, x + s, y + s) for s, x, y in squares)
-    inst = Instance(rects, BoxSpec(32, 33), rotation_allowed=True)
+    inst = Instance.from_sides([(s, s) for s, _, _ in squares], BoxSpec(32, 33))
     return inst, Layout(placements)

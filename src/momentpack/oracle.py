@@ -6,14 +6,14 @@ some rectangle's lower-left corner, so trying each unused rectangle there (in
 both orientations when rotation is allowed) is complete.  Occupancy lives in
 a single integer bitmask, which caps tractable boxes at 64 cells.
 
-The first witness found under the fixed iteration order (ascending rect id,
-given orientation before the rotated one) is canonical, so repeated calls
-return identical layouts.
+The first witness found under the fixed iteration order (ascending rect
+position, given orientation before the rotated one) is canonical, so
+repeated calls return identical layouts.
 """
 
 from __future__ import annotations
 
-from .instances import BoxSpec, Instance, Layout, Number, Placement, RectSpec
+from .instances import BoxSpec, Instance, Layout, Number, Placement
 
 __all__ = ["oracle_feasible", "enumerate_small_family"]
 
@@ -46,8 +46,8 @@ def oracle_feasible(inst: Instance) -> tuple[bool, Layout | None]:
     if a * b > CELL_BUDGET:
         raise ValueError(f"cell budget exceeded: {a}x{b} box has more than {CELL_BUDGET} cells")
     sides = [
-        (_as_int(r.width, f"rect {r.id} width"), _as_int(r.height, f"rect {r.id} height"))
-        for r in inst.rects
+        (_as_int(r.width, f"rect {i} width"), _as_int(r.height, f"rect {i} height"))
+        for i, r in enumerate(inst.rects, start=1)
     ]
     if sum(w * h for w, h in sides) != a * b:
         return False, None
@@ -125,10 +125,7 @@ def enumerate_small_family(max_box: int = FAMILY_CAP, max_side: int = FAMILY_CAP
 
             def rec(start: int, remaining: int):
                 if remaining == 0:
-                    rects = tuple(
-                        RectSpec(w, h, i + 1) for i, (w, h) in enumerate(stack)
-                    )
-                    yield Instance(rects, BoxSpec(a, b), rotation_allowed=True)
+                    yield Instance.from_sides(stack, BoxSpec(a, b))
                     return
                 for idx in range(start, len(shapes)):
                     w, h = shapes[idx]

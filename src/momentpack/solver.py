@@ -52,6 +52,7 @@ solves (N = 6 to 20) the loosest tolerance a verified layout needed was
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -85,13 +86,17 @@ _SEED_STRIDE = 1_000_003
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Checked when built: an invalid config raises ValueError."""
+    """Checked when built: a field that is not an int (numpy ints count,
+    bools do not) or out of range raises ValueError."""
 
     max_iters: int = 500
     restarts: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:

@@ -13,7 +13,8 @@ no other pair can overlap in x.  A tiling by n full-width strips still
 tests all n(n-1)/2 pairs; guillotine-like layouts test a few per rectangle.
 
 * verify_layout: the core over floats; reports every violation it finds,
-  overlap rows ordered by placement position as (i, j), i < j.
+  naming each rectangle (and its placement) by its 1-based position,
+  overlap rows as (i, j), i < j, in that order.
 * verify_exact: the same checks at tol 0 over exact rationals, stopping
   at the first failure.  At tol 0 every float test becomes the exact one:
   overhang > 0, side mismatch != 0, penetration > 0, area gap = 0, so
@@ -102,8 +103,8 @@ def _numbers(inst: Instance, layout: Layout, num: Callable[[Number, str], object
         for i, p in enumerate(layout.placements, start=1)
     ]
     sides = [
-        (num(r.width, f"rect {r.id} width"), num(r.height, f"rect {r.id} height"))
-        for r in inst.rects
+        (num(r.width, f"rect {i} width"), num(r.height, f"rect {i} height"))
+        for i, r in enumerate(inst.rects, start=1)
     ]
     return a, b, boxes, sides
 
@@ -129,9 +130,9 @@ def _check(
     numbers (see _numbers); total sums the rectangle areas.
 
     Returns (containment, sizes, area_gap, area_ok, overlaps): the violation
-    rows of the O(n) checks, the total area minus the box area and whether
-    it is within tol, and a lazy iterator of ((i, j), area) overlap rows
-    over placement positions i < j, in sweep order.
+    rows of the O(n) checks, keyed by 1-based position, the total area minus
+    the box area and whether it is within tol, and a lazy iterator of
+    ((i, j), area) overlap rows over 0-based positions i < j, in sweep order.
 
     Overhang, side error and penetration min(ow, oh) are lengths judged
     against eps = tol * scale; size rows carry the symmetric residuals
@@ -142,14 +143,14 @@ def _check(
     containment = []
     sizes = []
     areas = []
-    for r, (xl, yl, xh, yh), (w, h) in zip(inst.rects, boxes, sides):
+    for i, ((xl, yl, xh, yh), (w, h)) in enumerate(zip(boxes, sides), start=1):
         overhang = max(-xl, xh - a, -yl, yh - b, 0)
         if overhang > eps:
-            containment.append((r.id, overhang))
+            containment.append((i, overhang))
         dx = xh - xl
         dy = yh - yl
         if _side_error(dx, dy, w, h, inst.rotation_allowed) > eps:
-            sizes.append((r.id, abs(dx + dy - (w + h)), abs(dx * dy - w * h)))
+            sizes.append((i, abs(dx + dy - (w + h)), abs(dx * dy - w * h)))
         areas.append(dx * dy)
     area_gap = total(areas) - a * b
     area_ok = bool(abs(area_gap) <= tol * a * b)
@@ -235,8 +236,7 @@ def verify_layout(
     numbers = _numbers(inst, layout, lambda v, _: float(v))
     # np.sum sums floats pairwise, so area_gap keeps its bits
     containment, sizes, area_gap, area_ok, overlaps = _check(inst, *numbers, tol, np.sum)
-    rects = inst.rects
-    overlaps = tuple(((rects[i].id, rects[j].id), area) for (i, j), area in sorted(overlaps))
+    overlaps = tuple(((i + 1, j + 1), area) for (i, j), area in sorted(overlaps))
     return VerificationReport(
         passed=not containment and not overlaps and not sizes and area_ok,
         containment_violations=tuple(containment),

@@ -106,7 +106,7 @@ def test_criterion_2_consistency_relations():
     cross = rhs_constant(IdentityId.XY_CROSS)
     plus_gap = abs(rhs_constant(IdentityId.SUM_OF_SUM_SQ) - (sq + 2 * cross))
     minus_gap = abs(rhs_constant(IdentityId.DIFF_SQ) - (sq - 2 * cross))
-    ok = rhs_consistency(tol=1e-15) and plus_gap <= 1e-15 and minus_gap <= 1e-15
+    ok = rhs_consistency() and plus_gap <= 1e-15 and minus_gap <= 1e-15
     report(
         2,
         ok,

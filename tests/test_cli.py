@@ -170,6 +170,32 @@ def test_solve_seed_must_be_non_negative(capsys, tmp_path, restarts):
     assert "seed must be >= 0, got -1" in json.loads(err)["error"]
 
 
+def test_gen_guillotine_seed_must_be_non_negative(capsys, tmp_path):
+    out_path = tmp_path / "n.json"
+    code, out, err = run_cli(capsys, "gen", "guillotine", "--seed", "-1", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "seed must be >= 0, got -1"
+    assert not out_path.exists()
+
+
+def test_gen_guillotine_names_a_bad_box(capsys, tmp_path):
+    out_path = tmp_path / "n.json"
+    code, out, err = run_cli(capsys, "gen", "guillotine", "--box", "0", "1", "--out", str(out_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "box: sides must be positive, got 0.0 x 1.0"
+    assert not out_path.exists()
+
+
+def test_solve_names_the_bad_rect(capsys, tmp_path):
+    inst_path = tmp_path / "z.json"
+    inst_path.write_text('{"box": [2, 1], "rects": [[1, 1], [0, 1]]}\n')
+    code, out, err = run_cli(capsys, "solve", str(inst_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "rect 2: sides must be positive, got 0 x 1"
+
+
 # -- verify -------------------------------------------------------------------
 
 

@@ -65,8 +65,25 @@ def test_constants_frozen():
     )
 
 
+# float.hex of rhs_constant and rhs_derive(., 1000): the table must keep
+# each constant's arithmetic, so every bit.
+PINNED_HEX = {
+    IdentityId.X_FIRST: ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    IdentityId.Y_FIRST: ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    IdentityId.XY_CROSS: ("0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+    IdentityId.SUM_SQUARES: ("0x1.3708ccb71029cp-1", "0x1.3708ccb71029bp-1"),
+    IdentityId.SUM_OF_SUM_SQ: ("0x1.1b84665b8814ep+0", "0x1.1b84665b8814ep+0"),
+    IdentityId.DIFF_SQ: ("0x1.b84665b8814dep-4", "0x1.b84665b8814dcp-4"),
+}
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.name)
+def test_constants_keep_their_bits(ident):
+    assert (rhs_constant(ident).hex(), rhs_derive(ident, 1000).hex()) == PINNED_HEX[ident]
+
+
 def test_consistency_relations():
-    assert rhs_consistency(tol=1e-15)
+    assert rhs_consistency()
     sq = rhs_constant(IdentityId.SUM_SQUARES)
     cross = rhs_constant(IdentityId.XY_CROSS)
     assert rhs_constant(IdentityId.SUM_OF_SUM_SQ) == pytest.approx(
@@ -160,9 +177,23 @@ def test_identity_partial_judges_each_side():
     placements = list(harmonic_layout(1000).placements)
     placements[-1] = Placement(0.0, 0.0, 1 / 1000 + 1e-5, 1 / 1001 - 1e-5)
     with pytest.raises(ValueError, match="placement 1000 has sides"):
-        identity_partial(Layout(tuple(placements)), IdentityId.X_FIRST, size_tol=1e-9)
+        identity_partial(Layout(tuple(placements)), IdentityId.X_FIRST)
     placements[-1] = Placement(0.0, 0.0, 1 / 1001 + 5e-10, 1 / 1000 - 5e-10)  # turned
-    assert identity_partial(Layout(tuple(placements)), IdentityId.X_FIRST, size_tol=1e-9)
+    assert identity_partial(Layout(tuple(placements)), IdentityId.X_FIRST)
+
+
+@pytest.mark.parametrize("off, ok", [(5e-8, True), (2e-7, False)])
+def test_identity_partial_judges_sides_at_the_verifier_tolerance(off, ok):
+    # The harmonic box is the unit square, so the verifier's side test
+    # allows each side DEFAULT_TOL = 1e-7 of error.
+    placements = list(harmonic_layout(3).placements)
+    placements[1] = Placement(0.0, 0.0, 1 / 2 + off, 1 / 3)
+    layout = Layout(tuple(placements))
+    if ok:
+        assert identity_partial(layout, IdentityId.X_FIRST).n_rects == 3
+    else:
+        with pytest.raises(ValueError, match="placement 2 has sides"):
+            identity_partial(layout, IdentityId.X_FIRST)
 
 
 def test_identity_partial_empty_layout():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -33,27 +34,18 @@ from momentpack import (
 
 def test_rect_requires_positive_sides():
     with pytest.raises(ValueError, match="positive"):
-        RectSpec(0, 1, 1)
+        RectSpec(0, 1)
     with pytest.raises(ValueError, match="positive"):
-        RectSpec(1, -2.0, 1)
+        RectSpec(1, -2.0)
     with pytest.raises(ValueError, match="finite"):
-        RectSpec(float("nan"), 1, 1)
-
-
-def test_rect_id_must_be_positive_int():
-    with pytest.raises(ValueError, match="id"):
-        RectSpec(1, 1, 0)
+        RectSpec(float("nan"), 1)
+    with pytest.raises(ValueError, match="^rect 2: sides must be positive, got 0 x 1$"):
+        Instance.from_sides([(1, 1), (0, 1)], BoxSpec(2, 1))
 
 
 def test_box_requires_positive_sides():
     with pytest.raises(ValueError, match="positive"):
         BoxSpec(1, 0)
-
-
-def test_instance_ids_contiguous_from_one():
-    rects = (RectSpec(1, 1, 1), RectSpec(1, 1, 3))
-    with pytest.raises(ValueError, match="contiguous"):
-        Instance(rects, BoxSpec(2, 1))
 
 
 def test_placement_corners_ordered():
@@ -130,6 +122,23 @@ def test_parse_instance_rejects_malformed(text):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"box": [2, 1], "rects": [[1, 1], [0, 1]]}', "rect 2: sides must be positive, got 0 x 1"),
+        ('{"box": [2, 1], "rects": [[1, 1], [1, true]]}', "rect 2 height: expected a number"),
+        ('{"box": [2, 1], "rects": [[1, 1], [1]]}', "rect 2: expected a [width, height] pair"),
+        ('{"box": [2, -1], "rects": [[1, 1]]}', "box: sides must be positive, got 2 x -1"),
+        ('{"box": ["1/0", 1], "rects": [[1, 1]]}', "box width: bad rational string"),
+        ('{"rects": [[1, 1]]}', "box: expected a [width, height] pair"),
+    ],
+)
+def test_parse_instance_errors_name_the_rect_or_the_box(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_instance(text)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "not json",
@@ -184,8 +193,17 @@ def test_gen_guillotine_deterministic_per_seed():
 
 
 def test_gen_guillotine_rejects_negative_cuts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_cuts must be >= 0"):
         gen_guillotine(0, -1, BoxSpec(1, 1))
+    # and a negative seed, which random.Random would read as its absolute value
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        gen_guillotine(-1, 3, BoxSpec(1, 1))
+
+
+def test_box_is_a_rect_spec():
+    assert BoxSpec is RectSpec
+    assert [f.name for f in dataclasses.fields(RectSpec)] == ["width", "height"]
+    assert Instance.from_sides([(1, 2)], BoxSpec(1, 2)).rects == (RectSpec(1, 2),)
 
 
 @settings(max_examples=30, deadline=None)

@@ -44,11 +44,21 @@ def dominoes():
         {"max_iters": 0},
         {"restarts": 0},
         {"seed": -1},
+        {"max_iters": 2.5},
+        {"restarts": 2.5},
+        {"seed": float("nan")},
+        {"restarts": True},
+        {"seed": "1"},
     ],
 )
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         SolveConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SolveConfig(max_iters=np.int64(5), restarts=np.int32(2), seed=np.uint8(3))
+    assert (cfg.max_iters, cfg.restarts, cfg.seed) == (5, 2, 3)
 
 
 def test_damping_schedule_constants():

@@ -442,16 +442,16 @@ def all_pairs_check(inst, layout, tol, num, total):
     boxes = [tuple(num(v) for v in p.as_tuple()) for p in layout.placements]
     eps = tol * max(a, b)
     containment, sizes, areas = [], [], []
-    for r, (xl, yl, xh, yh) in zip(inst.rects, boxes):
+    for i, (r, (xl, yl, xh, yh)) in enumerate(zip(inst.rects, boxes), start=1):
         w, h = num(r.width), num(r.height)
         overhang = max(-xl, xh - a, -yl, yh - b, 0)
         if overhang > eps:
-            containment.append((r.id, overhang))
+            containment.append((i, overhang))
         dx, dy = xh - xl, yh - yl
         upright_ok = abs(dx - w) <= eps and abs(dy - h) <= eps
         turned_ok = inst.rotation_allowed and abs(dx - h) <= eps and abs(dy - w) <= eps
         if not (upright_ok or turned_ok):
-            sizes.append((r.id, abs(dx + dy - (w + h)), abs(dx * dy - w * h)))
+            sizes.append((i, abs(dx + dy - (w + h)), abs(dx * dy - w * h)))
         areas.append(dx * dy)
     overlaps = []
     for i, (xl_i, yl_i, xh_i, yh_i) in enumerate(boxes):
