@@ -44,6 +44,8 @@ __all__ = [
 
 
 def _check_finite(value: Number, what: str) -> None:
+    if isinstance(value, bool):
+        raise ValueError(f"{what}: expected a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
 
@@ -51,8 +53,6 @@ def _check_finite(value: Number, what: str) -> None:
 def _num_from_json(value: object, what: str) -> Number:
     """Decode one JSON value: plain numbers pass through, strings are exact
     rationals ("p/q" or a bare integer literal)."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what}: expected a number, got {value!r}")
     if isinstance(value, (int, float)):
         _check_finite(value, what)
         return value

@@ -19,18 +19,17 @@ there.  The first start to verify wins.  Reports are bitwise deterministic
 for a fixed (instance, config, max_order, mode).
 
 All starts of a solve run in one lockstep call: its iterations share one
-batched Jacobian, and its retries run as a damping ladder, one stacked
-linear solve per round of several lambdas per start.  Each start keeps its
-own lambda and stop rule, so its trajectory is bit for bit the
-one-attempt-at-a-time one, which solve_single gives it too.  The call
-takes a per-start check, here verification: after each lockstep iteration
-it checks the starts that stopped in it in index order, the first that
-passes wins, and every start still running stops with it.  It returns the
-winner with every start's final variables, steps and max |r|, and
-solve_multistart reads its report off them.  So the winner is the verified
-start with the fewest lockstep iterations, ties going to the lowest
-index.  Memory grows with the number of starts, about 160 KB each at 20
-fixed rectangles, most of it the ladder's stacked systems.
+batched Jacobian, and each round of attempts is one stacked linear solve,
+one lambda per start yet to step.  Each start keeps its own lambda and
+stop rule, so its trajectory is the one it follows alone, bit for bit,
+which solve_single gives it too.  The call takes a per-start check, here
+verification: after each lockstep iteration it checks the starts that
+stopped in it in index order, the first that passes wins, and every start
+still running stops with it.  It returns the winner with every start's
+final variables, steps and max |r|, and solve_multistart reads its report
+off them.  So the winner is the verified start with the fewest lockstep
+iterations, ties going to the lowest index.  Memory grows with the number
+of starts, about 70 KB each at 20 fixed rectangles.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
@@ -79,7 +78,6 @@ LAMBDA_MAX = 1e12
 LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
 STALL_TOL = 1e-8  # a start stalled once a step lowers its cost by less than this share
-LADDER_WIDTH = 2  # damping rungs each row tries in an iteration's first round
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
 
@@ -236,21 +234,18 @@ def _lockstep(
     starts at LAMBDA0 and follows the one-attempt damping rule on its own:
     solve at lambda, accept the candidate x + delta only on strict cost
     decrease (lambda halves, not below LAMBDA_MIN), else quadruple lambda
-    and retry until it exceeds LAMBDA_MAX.  The retries run as a ladder: a
-    round stacks every row yet to step at rungs lambda * 4**j, j < width,
-    into one linear solve and one residual evaluation, and a row takes its
-    first rung that lowers the cost.  The width starts at LADDER_WIDTH and
-    doubles each round.  Rung 0 is always tried, higher rungs up to
-    LAMBDA_MAX, and times 4 is exact, so every row tries the rule's lambdas
-    and follows its trajectory bit for bit, whatever else is in the batch.
-    A row stops on RESIDUAL_TOL, a stall (an accepted step lowering its
-    cost by less than a share STALL_TOL of it; 0 turns the rule off),
-    lambda above LAMBDA_MAX or max_iters.  Near a root each step
-    lowers the cost by a large share, so a stall ends a row bound for a
-    non-zero local minimum, not one bound to converge.  Returns the final
-    variables (K, V), the accepted step count of each row (K,), the
-    accepted costs (K, max_iters + 1), row k's history being
-    costs[k, : steps[k] + 1], each row's final max |r| (K,) and the winner.
+    and retry in the next round until it exceeds LAMBDA_MAX.  A round
+    stacks every row yet to step, each at its own lambda, into one linear
+    solve and one residual evaluation, so each row follows the rule's
+    trajectory bit for bit, whatever else is in the batch.  A row stops on
+    RESIDUAL_TOL, a stall (an accepted step lowering its cost by less than
+    a share STALL_TOL of it; 0 turns the rule off), lambda above LAMBDA_MAX
+    or max_iters.  Near a root each step lowers the cost by a large share,
+    so a stall ends a row bound for a non-zero local minimum, not one bound
+    to converge.  Returns the final variables (K, V), the accepted step
+    count of each row (K,), the accepted costs (K, max_iters + 1), row k's
+    history being costs[k, : steps[k] + 1], each row's final max |r| (K,)
+    and the winner.
 
     passes, if given, is asked about each row's variables once, as the row
     stops: first the rows that never start, then after each iteration the
@@ -284,39 +279,26 @@ def _lockstep(
             jac_t = jac.transpose(0, 2, 1)
             neg_grad = -(jac_t @ r[rows, :, None])[:, :, 0]
             hess = jac_t @ jac
-            width = LADDER_WIDTH
             while len(rows):  # rows that have not stepped this iteration
-                # LAMBDA_INCREASE is a power of two: every rung is exact.
-                rungs = lam[rows, None] * LAMBDA_INCREASE ** np.arange(width)
-                tried = rungs <= LAMBDA_MAX
-                tried[:, 0] = True
-                i, j = np.nonzero(tried)  # each row's rungs, in order
-                delta = _solve_rows(hess[i] + rungs[i, j, None, None] * eye, neg_grad[i])
-                cand = x[rows[i]] + delta
+                delta = _solve_rows(hess + lam[rows, None, None] * eye, neg_grad)
+                cand = x[rows] + delta
                 cand_table = mo.chebyshev_table(sys, cand)
                 r_new = mo.batch_residual(sys, cand_table)
                 cost_new = _costs(r_new)
-                hit = np.flatnonzero(cost_new < cost[rows[i]])
-                hit_row = i[hit]  # non-decreasing: keep each row's first win
-                first = np.ones(len(hit), dtype=bool)
-                np.not_equal(hit_row[1:], hit_row[:-1], out=first[1:])
-                hit = hit[first]
-                stepped = np.zeros(len(rows), dtype=bool)
-                stepped[i[hit]] = True
+                stepped = cost_new < cost[rows]
                 won = rows[stepped]
-                fell = cost_new[hit] < (1.0 - STALL_TOL) * cost[won]
-                x[won], r[won], table[won] = cand[hit], r_new[hit], cand_table[hit]
-                cost[won] = cost_new[hit]
-                r_inf[won] = np.max(np.abs(r_new[hit]), axis=1)
-                lam[won] = np.maximum(rungs[stepped, j[hit]] * LAMBDA_DECREASE, LAMBDA_MIN)
+                fell = cost_new[stepped] < (1.0 - STALL_TOL) * cost[won]
+                x[won], r[won], table[won] = cand[stepped], r_new[stepped], cand_table[stepped]
+                cost[won] = cost_new[stepped]
+                r_inf[won] = np.max(np.abs(r_new[stepped]), axis=1)
+                lam[won] = np.maximum(lam[won] * LAMBDA_DECREASE, LAMBDA_MIN)
                 steps[won] += 1
-                costs[won, steps[won]] = cost_new[hit]
+                costs[won, steps[won]] = cost[won]
                 live[won] = (r_inf[won] > RESIDUAL_TOL) & fell & (steps[won] < max_iters)
-                lam[rows[~stepped]] = rungs[~stepped, -1] * LAMBDA_INCREASE
+                lam[rows[~stepped]] *= LAMBDA_INCREASE
                 retry = ~stepped & (lam[rows] <= LAMBDA_MAX)
                 live[rows[~stepped & ~retry]] = False
                 rows, hess, neg_grad = rows[retry], hess[retry], neg_grad[retry]
-                width *= 2
             ended = iterated[~live[iterated]]
     return x, steps, costs, r_inf, winner
 

@@ -48,6 +48,17 @@ def test_box_requires_positive_sides():
         BoxSpec(1, 0)
 
 
+def test_bool_sides_and_coordinates_are_rejected():
+    # True == 1, but a bool serializes as a JSON boolean that
+    # parse_instance and parse_layout reject.
+    with pytest.raises(ValueError, match="^width: expected a number, got True$"):
+        RectSpec(True, 1)
+    with pytest.raises(ValueError, match="^x_hi: expected a number, got True$"):
+        Placement(0, 0, True, 1)
+    with pytest.raises(ValueError, match="^rect 1: width: expected a number, got True$"):
+        Instance.from_sides([(True, 1), (1, 1)], BoxSpec(2, 1))
+
+
 def test_placement_corners_ordered():
     with pytest.raises(ValueError, match="out of order"):
         Placement(1, 0, 0, 1)

@@ -416,21 +416,32 @@ def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
 )
 def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, lambda_max):
     # At lambda0 1e13 every first attempt exceeds LAMBDA_MAX.  Lowered
-    # to 1e-2, it stops many rows within 200 iterations, where a rung
+    # to 1e-2, it stops many rows within 200 iterations, where a damping
     # past it would often have lowered the cost.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst, mode=mode)
     x0 = box_starts(sys, seed, rows)
+    solved = []
+    solve_rows = solver._solve_rows
+
+    def counting_solve(a, b):
+        solved.append(len(a))
+        return solve_rows(a, b)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "LAMBDA_MAX", lambda_max)
         patch.setattr(solver, "LAMBDA0", lambda0)
-        x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 200)
+        with pytest.MonkeyPatch.context() as counting:
+            counting.setattr(solver, "_solve_rows", counting_solve)
+            x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 200)
         reference = [sequential_lm(sys, row, 200) for row in x0]
     for k, (x1, steps1, costs1, _, _) in enumerate(reference):
         assert x[k].tobytes() == x1.tobytes()
         assert steps[k] == steps1
         assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
         assert r_inf[k] == np.max(np.abs(mo.residual(sys, x1)))
+    # One linear system per attempt: no row tries a damping the rule skips.
+    assert sum(solved) == sum(attempts for _, _, _, attempts, _ in reference)
 
 
 @pytest.mark.parametrize("lambda0", [1e-30, 1e-3, 1e13])
@@ -568,17 +579,15 @@ def test_lockstep_asks_each_stopped_row_once_and_names_the_winner(seed, cuts, ro
         assert r_inf[k].tobytes() == want[3].tobytes()
 
 
-def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempts=None):
+def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
     """Reference for the first-to-verify rule: the multistart loop through
     sequential_lm, as (status, start_index, iterations_total, best_layout,
     final_residual_inf).  Each start k runs alone and stops in iteration
     t_k.  Every start is verified as it stopped, converged or not, in
     (t_k, k) order, and the first to pass wins at T = t_k: each start's
-    steps count up to T.  Every layout it verifies is appended to checked,
-    the attempt count of every LM run, as far as the solve runs it, to
-    attempts."""
+    steps count up to T.  Every layout it verifies is appended to
+    checked."""
     checked = [] if checked is None else checked
-    attempts = [] if attempts is None else attempts
     sys = mo.build_system(inst, max_order, mode)
     best = (float("inf"), -1, None)
     any_converged = False
@@ -599,11 +608,10 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None, attempt
             best = (r_inf, k, raw)
     iterations = 0
     for k in starts:
-        _, steps, _, tried, stop = runs[k]
+        _, steps, _, _, stop = runs[k]
         if winner is not None and stop > t:  # cut short after iteration t
-            steps, tried = t, (sequential_lm(sys, x0[k], t)[3] if t else 0)
+            steps = t
         iterations += steps
-        attempts.append(tried)
     if winner is not None:
         k, raw = winner
         final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
@@ -724,29 +732,6 @@ def test_verified_layouts_pass_at_a_tenth_of_the_default_tolerance():
             assert report.final_residual_inf <= solver.RESIDUAL_TOL
             assert verify_layout(inst, report.best_layout, tol=DEFAULT_TOL / 10).passed
     assert verified > 1
-
-
-def test_ladder_makes_fewer_stacked_solves_than_attempts(monkeypatch):
-    # Both starts run in one call: start 1 verifies after 6 steps, and
-    # start 0, bound for 16, stops with it.  The one-attempt reference makes
-    # 19 attempts: 13 for start 0's 6 steps, 6 for start 1's.
-    inst, cfg, mode = rotatable_dominoes()
-    cfg = replace(cfg, restarts=2)
-    attempts = []
-    expected = sequential_multistart(inst, cfg, mode, attempts=attempts)
-    solves = []
-    solve_rows = solver._solve_rows
-
-    def counting_solve(a, b):
-        solves.append(len(a))
-        return solve_rows(a, b)
-
-    monkeypatch.setattr(solver, "_solve_rows", counting_solve)
-    report = solve_multistart(inst, cfg, mode=mode)
-    assert_report_is(report, expected)
-    assert report.status == "converged_verified" and report.start_index == 1
-    assert sum(attempts) == 19
-    assert len(solves) < sum(attempts)
 
 
 def test_first_start_to_verify_ends_the_solve(monkeypatch):
