@@ -12,6 +12,8 @@ without rounding.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import random
@@ -291,24 +293,22 @@ def gen_guillotine(seed: int, n_cuts: int, box: BoxSpec) -> tuple[Instance, Layo
     leaves: list[tuple[float, float, float, float]] = [
         (0.0, 0.0, float(box.width), float(box.height))
     ]
+    areas = [float(box.width) * float(box.height)]
+    acc = [0.0, areas[0]]  # acc[i]: area of leaves[:i], added left to right
     for _ in range(n_cuts):
-        total = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in leaves)
-        pick = rng.random() * total
-        acc = 0.0
-        idx = len(leaves) - 1
-        for i, (x0, y0, x1, y1) in enumerate(leaves):
-            acc += (x1 - x0) * (y1 - y0)
-            if pick <= acc:
-                idx = i
-                break
-        x0, y0, x1, y1 = leaves.pop(idx)
+        # The first leaf whose running sum reaches the pick, else the last.
+        pick = rng.random() * acc[-1]
+        idx = min(bisect.bisect_left(acc, pick, 1), len(leaves)) - 1
+        x0, y0, x1, y1 = leaves[idx]
         frac = rng.uniform(CUT_FRACTION_LO, CUT_FRACTION_HI)
         if (x1 - x0) >= (y1 - y0):
             xc = x0 + frac * (x1 - x0)
-            leaves[idx:idx] = [(x0, y0, xc, y1), (xc, y0, x1, y1)]
+            leaves[idx : idx + 1] = [(x0, y0, xc, y1), (xc, y0, x1, y1)]
         else:
             yc = y0 + frac * (y1 - y0)
-            leaves[idx:idx] = [(x0, y0, x1, yc), (x0, yc, x1, y1)]
+            leaves[idx : idx + 1] = [(x0, y0, x1, yc), (x0, yc, x1, y1)]
+        areas[idx : idx + 1] = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in leaves[idx : idx + 2]]
+        acc[idx:] = itertools.accumulate(areas[idx:], initial=acc[idx])
     sides = [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in leaves]
     placements = tuple(Placement(x0, y0, x1, y1) for x0, y0, x1, y1 in leaves)
     return Instance.from_sides(sides, box), Layout(placements)

@@ -38,9 +38,11 @@ relative-reduction test of MINPACK's ftol), lambda above LAMBDA_MAX or
 max_iters.  The stall rule ends starts bound for a non-zero local minimum,
 not ones bound to converge: LM converges quadratically at a regular root
 and linearly at a singular one, so near a root each step lowers the cost
-by a large share.  Of 1,144 converging starts measured (family sweep,
-guillotine N = 6 to 20) none took a step lowering it by less than 3.9e-6
-of it, nearly 400 times STALL_TOL.  A
+by a large share.  With every start run to its own stop, the smallest
+share a converging start's step lowered its cost by was 3.1e-7 over 9,206
+family-sweep starts, 1.9e-6 over 1,848 fixed-mode guillotine starts (N = 3
+to 10) and 9.5e-8 over 447 rotatable ones, only 9.5 times STALL_TOL (a
+test pins that start).  A
 converged start is not refined further: at a tiling the moment rows are
 well conditioned, so max |r| <= RESIDUAL_TOL puts the layout far inside
 the verifier's DEFAULT_TOL.  Over the family sweep and 4,450 guillotine
@@ -380,12 +382,17 @@ def solve_multistart(
     status, layout, final, iterations, start = "exhausted", None, float("inf"), 0, -1
     if reason is None:
         x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
-        x, steps, _, r_inf, winner = _lockstep(
-            sys, x0, cfg.max_iters, lambda v: verify_layout(inst, mo.vars_to_layout(sys, v)).passed
-        )
+
+        def passes(v: np.ndarray) -> bool:
+            nonlocal layout  # the last one checked: the winner's, if any
+            layout = mo.vars_to_layout(sys, v)
+            return verify_layout(inst, layout).passed
+
+        x, steps, _, r_inf, winner = _lockstep(sys, x0, cfg.max_iters, passes)
         iterations = int(steps.sum())
         start = winner if winner >= 0 else int(np.argmin(r_inf))
-        layout = mo.vars_to_layout(sys, x[start])
+        if winner < 0:
+            layout = mo.vars_to_layout(sys, x[start])
         final = float(r_inf[start])
         if winner >= 0:
             status = "converged_verified"

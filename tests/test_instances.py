@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from momentpack import (
     verify_exact,
     verify_layout,
 )
+from momentpack.instances import CUT_FRACTION_HI, CUT_FRACTION_LO
 
 
 # -- Dataclass validation -----------------------------------------------------
@@ -230,6 +233,76 @@ def test_gen_guillotine_tiles_the_box(seed, n_cuts):
     for rect, p in zip(inst.rects, layout.placements):
         assert rect.width == p.dx and rect.height == p.dy
         assert min(rect.width, rect.height) >= min_side - 1e-12
+
+
+def _guillotine_by_linear_scan(seed, n_cuts, box):
+    """gen_guillotine as it was before running area sums: every cut sums
+    all leaf areas afresh and scans the leaves in order for the pick."""
+    rng = random.Random(seed)
+    leaves = [(0.0, 0.0, float(box.width), float(box.height))]
+    for _ in range(n_cuts):
+        total = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in leaves)
+        pick = rng.random() * total
+        acc = 0.0
+        idx = len(leaves) - 1
+        for i, (x0, y0, x1, y1) in enumerate(leaves):
+            acc += (x1 - x0) * (y1 - y0)
+            if pick <= acc:
+                idx = i
+                break
+        x0, y0, x1, y1 = leaves.pop(idx)
+        frac = rng.uniform(CUT_FRACTION_LO, CUT_FRACTION_HI)
+        if (x1 - x0) >= (y1 - y0):
+            xc = x0 + frac * (x1 - x0)
+            leaves[idx:idx] = [(x0, y0, xc, y1), (xc, y0, x1, y1)]
+        else:
+            yc = y0 + frac * (y1 - y0)
+            leaves[idx:idx] = [(x0, y0, x1, yc), (x0, yc, x1, y1)]
+    sides = [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in leaves]
+    layout = Layout(tuple(Placement(*leaf) for leaf in leaves))
+    return Instance.from_sides(sides, box), layout
+
+
+def _documents(inst, layout):
+    return serialize_instance(inst), serialize_layout(layout)
+
+
+# Both benchmark workloads and the guillotine corpora draw their inputs from
+# gen_guillotine, so its output is pinned to the last bit of every float.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n_cuts=st.integers(0, 80),
+    box=st.sampled_from(
+        [BoxSpec(10, 8), BoxSpec(40000, 30000), BoxSpec(1.7, 0.3), BoxSpec(Fraction(7, 3), 5)]
+    ),
+)
+def test_gen_guillotine_matches_the_linear_scan(seed, n_cuts, box):
+    expected = _documents(*_guillotine_by_linear_scan(seed, n_cuts, box))
+    assert _documents(*gen_guillotine(seed, n_cuts, box)) == expected
+
+
+@pytest.mark.parametrize(
+    "seed, n_cuts, box, digest",
+    [
+        (
+            0,
+            999,
+            BoxSpec(40000, 30000),
+            "9f07b959ff1fb77ca1931d063cc459f9a97d9a829cc4b42b70ea24327f9b3115",
+        ),
+        (7, 5, BoxSpec(10, 8), "02d702e92d6864123208fb534100cb571c56eea2760e30e6bbd78c83954395f9"),
+        (
+            123,
+            19,
+            BoxSpec(10, 8),
+            "c680e2ddc7fd25395eed63ddc6ecb499e04e012cdf18a665da076e39dd237ad2",
+        ),
+    ],
+)
+def test_gen_guillotine_golden_digests(seed, n_cuts, box, digest):
+    text = "".join(_documents(*gen_guillotine(seed, n_cuts, box)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- Squared rectangle fixture ------------------------------------------------
