@@ -145,8 +145,10 @@ class Placement:
     y_hi: Number
 
     def __post_init__(self) -> None:
-        for name in ("x_lo", "y_lo", "x_hi", "y_hi"):
-            _check_finite(getattr(self, name), name)
+        _check_finite(self.x_lo, "x_lo")
+        _check_finite(self.y_lo, "y_lo")
+        _check_finite(self.x_hi, "x_hi")
+        _check_finite(self.y_hi, "y_hi")
         if self.x_hi < self.x_lo or self.y_hi < self.y_lo:
             raise ValueError(
                 f"placement corners out of order: {self.as_tuple()!r}"

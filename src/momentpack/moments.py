@@ -57,7 +57,9 @@ monomial-to-Chebyshev coefficient matrix cancels catastrophically: that
 floor passes 1e-10 from max_order 7.
 
 Evaluation is batched over K points.  chebyshev_table builds one (K,
-max_order + 1, 4n) table of Chebyshev values at the corners;
+max_order + 1, 4n) table of Chebyshev values at the corners, a fresh
+(K, 4n) array per level joined by one copy at the end: at the solver's
+few rows that beats writing each level into a preallocated table;
 batch_residual and batch_jacobian both read it, so a Jacobian at a point
 whose residual is known reuses that table.  Every row of a batched result
 is bit for bit what the point gives alone; residual and jacobian are the
@@ -202,11 +204,9 @@ def _corners(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
     k, n, u = len(vars), sys.n_rects, sys.n_upright
     if not u:
         return vars
-    corners = np.empty((k, n, 4))
-    corners[:, u:] = vars[:, 2 * u :].reshape(k, n - u, 4)
-    corners[:, :u, :2] = vars[:, : 2 * u].reshape(k, u, 2)
-    corners[:, :u, 2:] = corners[:, :u, :2] + sys.sides[:u]
-    return corners.reshape(k, 4 * n)
+    lo = vars[:, : 2 * u].reshape(k, u, 2)
+    upright = np.concatenate((lo, lo + sys.sides[:u]), axis=2).reshape(k, 4 * u)
+    return upright if u == n else np.concatenate((upright, vars[:, 2 * u :]), axis=1)
 
 
 def chebyshev_table(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
@@ -215,19 +215,15 @@ def chebyshev_table(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
     array, u being the corner over its own box side.  Built by the
     recurrence T_(j+1) = 2t * T_j - T_(j-1).  Residual and Jacobian at one
     point share this table."""
-    corners = _corners(sys, vars)
-    # Level by level into contiguous rows, then one transposing copy (none
-    # for one point, where the two layouts agree).
-    levels = np.empty((sys.max_order + 1, *corners.shape))
-    levels[0] = 1.0
-    t = levels[1]
-    np.multiply(corners, sys.to_cheb, out=t)
-    np.subtract(t, 1.0, out=t)
+    t = _corners(sys, vars) * sys.to_cheb
+    t -= 1.0
     two_t = t + t
+    levels = [np.ones(t.shape), t]
     for j in range(1, sys.max_order):
-        np.multiply(two_t, levels[j], out=levels[j + 1])
-        np.subtract(levels[j + 1], levels[j - 1], out=levels[j + 1])
-    return np.ascontiguousarray(levels.transpose(1, 0, 2))
+        nxt = two_t * levels[j]
+        nxt -= levels[j - 1]
+        levels.append(nxt)
+    return np.concatenate(levels, axis=1).reshape(len(t), len(levels), t.shape[1])
 
 
 def batch_residual(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
@@ -242,8 +238,12 @@ def batch_residual(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
         return moments
     dx, dy = qx[:, 0, u:] * sys.box_w, ry[:, 0, u:] * sys.box_h  # Q_0 is the u-extent
     w, h = sys.sides[u:, 0], sys.sides[u:, 1]
-    sides = np.stack([dx + dy - (w + h), dx * dy - w * h], axis=2)  # c1, c2
-    return np.concatenate([moments, sides.reshape(k, -1)], axis=1)
+    mm = moments.shape[1]
+    out = np.empty((k, sys.equation_count))
+    out[:, :mm] = moments
+    out[:, mm::2] = dx + dy - (w + h)  # c1, c2 of each free rectangle
+    out[:, mm + 1 :: 2] = dx * dy - w * h
+    return out
 
 
 def _moment_columns(deriv: np.ndarray, integrals: np.ndarray, out: np.ndarray) -> None:

@@ -1,12 +1,13 @@
 """Damped least-squares solving of truncated moment systems with multistart.
 
-solve_single runs a Levenberg-Marquardt iteration on one start vector:
-each attempt solves (J^T J + lambda I) delta = -J^T r and accepts the
-candidate x + delta only on strict cost decrease (lambda halves); a
-rejection quadruples lambda and retries.  The unknowns are unconstrained:
-a candidate whose residual is not finite costs inf, so it is rejected like
-any other that does not lower the cost, and every accepted iterate stays
-finite.  Containment in the box is the verifier's check, not the solver's.
+The core, _lockstep, runs Levenberg-Marquardt on many start vectors at
+once: for each start, each attempt solves (J^T J + lambda I) delta =
+-J^T r and accepts the candidate x + delta only on strict cost decrease
+(lambda halves); a rejection quadruples lambda and retries.  The unknowns
+are unconstrained: a candidate whose residual is not finite costs inf, so
+it is rejected like any other that does not lower the cost, and every
+accepted iterate stays finite.  Containment in the box is the verifier's
+check, not the solver's.
 
 solve_multistart layers deterministic restarts on top (start 0 is the shelf
 layout, later starts are seeded draws) and treats geometric verification,
@@ -22,14 +23,17 @@ All starts of a solve run in one lockstep call: its iterations share one
 batched Jacobian, and each round of attempts is one stacked linear solve,
 one lambda per start yet to step.  Each start keeps its own lambda and
 stop rule, so its trajectory is the one it follows alone, bit for bit,
-which solve_single gives it too.  The call takes a per-start check, here
-verification: after each lockstep iteration it checks the starts that
-stopped in it in index order, the first that passes wins, and every start
-still running stops with it.  It returns the winner with every start's
-final variables, steps and max |r|, and solve_multistart reads its report
-off them.  So the winner is the verified start with the fewest lockstep
-iterations, ties going to the lowest index.  Memory grows with the number
-of starts, about 70 KB each at 20 fixed rectangles.
+which solve_single, the one-start view, gives it too.  The batches are
+small (at most 40 unknowns per start on the benchmark's solves), so a
+round costs mostly per-call overhead; in the common round every start
+steps, and it gathers and narrows nothing.  The call takes a per-start
+check, here verification: after each lockstep iteration it checks the
+starts that stopped in it in index order, the first that passes wins, and
+every start still running stops with it.  It returns the winner with
+every start's final variables, steps and max |r|, and solve_multistart
+reads its report off them.  So the winner is the verified start with the
+fewest lockstep iterations, ties going to the lowest index.  Memory grows
+with the number of starts, about 70 KB each at 20 fixed rectangles.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
@@ -255,12 +259,12 @@ def _lockstep(
     the winner, and every row still running stops at once, with the steps
     it has taken.  The winner is -1 when no row passes.
     """
-    eye = np.eye(sys.var_count)
+    diag = slice(None, None, sys.var_count + 1)  # the diagonal of a flattened (V, V)
     x = np.array(x0, dtype=float)  # a copy: rows are updated in place
     with np.errstate(over="ignore", invalid="ignore"):
         table = mo.chebyshev_table(sys, x)
         r = mo.batch_residual(sys, table)
-        r_inf = np.max(np.abs(r), axis=1)
+        r_inf = np.abs(r).max(axis=1)
         cost = _costs(r)
         costs = np.empty((len(x), max_iters + 1))
         costs[:, 0] = cost
@@ -282,21 +286,26 @@ def _lockstep(
             neg_grad = -(jac_t @ r[rows, :, None])[:, :, 0]
             hess = jac_t @ jac
             while len(rows):  # rows that have not stepped this iteration
-                delta = _solve_rows(hess + lam[rows, None, None] * eye, neg_grad)
-                cand = x[rows] + delta
+                damped = hess.copy()
+                damped.reshape(len(rows), -1)[:, diag] += lam[rows, None]
+                cand = x[rows] + _solve_rows(damped, neg_grad)
                 cand_table = mo.chebyshev_table(sys, cand)
                 r_new = mo.batch_residual(sys, cand_table)
-                cost_new = _costs(r_new)
-                stepped = cost_new < cost[rows]
-                won = rows[stepped]
-                fell = cost_new[stepped] < (1.0 - STALL_TOL) * cost[won]
-                x[won], r[won], table[won] = cand[stepped], r_new[stepped], cand_table[stepped]
-                cost[won] = cost_new[stepped]
-                r_inf[won] = np.max(np.abs(r_new[stepped]), axis=1)
+                cost_new, cost_old = _costs(r_new), cost[rows]
+                stepped = cost_new < cost_old
+                every = stepped.all()  # most rounds: nothing to gather, none retries
+                won = rows if every else rows[stepped]
+                if not every:
+                    cand, r_new, cand_table = cand[stepped], r_new[stepped], cand_table[stepped]
+                    cost_new, cost_old = cost_new[stepped], cost_old[stepped]
+                fell = cost_new < (1.0 - STALL_TOL) * cost_old
+                won_steps, won_inf = steps[won] + 1, np.abs(r_new).max(axis=1)
+                x[won], r[won], table[won], cost[won] = cand, r_new, cand_table, cost_new
+                steps[won], r_inf[won], costs[won, won_steps] = won_steps, won_inf, cost_new
                 lam[won] = np.maximum(lam[won] * LAMBDA_DECREASE, LAMBDA_MIN)
-                steps[won] += 1
-                costs[won, steps[won]] = cost[won]
-                live[won] = (r_inf[won] > RESIDUAL_TOL) & fell & (steps[won] < max_iters)
+                live[won] = (won_inf > RESIDUAL_TOL) & fell & (won_steps < max_iters)
+                if every:
+                    break
                 lam[rows[~stepped]] *= LAMBDA_INCREASE
                 retry = ~stepped & (lam[rows] <= LAMBDA_MAX)
                 live[rows[~stepped & ~retry]] = False

@@ -98,10 +98,10 @@ def _numbers(inst: Instance, layout: Layout, num: Callable[[Number, str], object
     _check_placement_count(inst, layout)
     a = num(inst.box.width, "box width")
     b = num(inst.box.height, "box height")
-    boxes = [
-        tuple(num(v, f"placement {i}") for v in p.as_tuple())
-        for i, p in enumerate(layout.placements, start=1)
-    ]
+    boxes = []
+    for i, p in enumerate(layout.placements, start=1):
+        what = f"placement {i}"
+        boxes.append((num(p.x_lo, what), num(p.y_lo, what), num(p.x_hi, what), num(p.y_hi, what)))
     sides = [
         (num(r.width, f"rect {i} width"), num(r.height, f"rect {i} height"))
         for i, r in enumerate(inst.rects, start=1)

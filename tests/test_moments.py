@@ -412,6 +412,96 @@ def test_batched_rows_equal_single_evaluation_bitwise(seed, cuts, rows, mode):
         assert jac[k].tobytes() == mo.jacobian(sys, x).tobytes()
 
 
+def reference_corners(sys, vars):
+    """The corner build the table was first written with: one (K, n, 4)
+    array filled group by group."""
+    k, n, u = len(vars), sys.n_rects, sys.n_upright
+    if not u:
+        return vars
+    corners = np.empty((k, n, 4))
+    corners[:, u:] = vars[:, 2 * u :].reshape(k, n - u, 4)
+    corners[:, :u, :2] = vars[:, : 2 * u].reshape(k, u, 2)
+    corners[:, :u, 2:] = corners[:, :u, :2] + sys.sides[:u]
+    return corners.reshape(k, 4 * n)
+
+
+def reference_table(sys, vars):
+    """The recurrence as first written: level-major into one preallocated
+    array through out= ufuncs, then a transposing copy."""
+    corners = reference_corners(sys, vars)
+    levels = np.empty((sys.max_order + 1, *corners.shape))
+    levels[0] = 1.0
+    t = levels[1]
+    np.multiply(corners, sys.to_cheb, out=t)
+    np.subtract(t, 1.0, out=t)
+    two_t = t + t
+    for j in range(1, sys.max_order):
+        np.multiply(two_t, levels[j], out=levels[j + 1])
+        np.subtract(levels[j + 1], levels[j - 1], out=levels[j + 1])
+    return np.ascontiguousarray(levels.transpose(1, 0, 2))
+
+
+def reference_residual(sys, table):
+    """The residual as first written: moment rows, then the side rows
+    stacked and concatenated onto them."""
+    k, u = len(table), sys.n_upright
+    qx = sys.integrate @ (table[:, :, 2::4] - table[:, :, 0::4])
+    ry = sys.integrate @ (table[:, :, 3::4] - table[:, :, 1::4])
+    moments = (qx @ ry.transpose(0, 2, 1) - sys.box_moments).reshape(k, -1)
+    if not sys.constraint_count:
+        return moments
+    dx, dy = qx[:, 0, u:] * sys.box_w, ry[:, 0, u:] * sys.box_h
+    w, h = sys.sides[u:, 0], sys.sides[u:, 1]
+    sides = np.stack([dx + dy - (w + h), dx * dy - w * h], axis=2)
+    return np.concatenate([moments, sides.reshape(k, -1)], axis=1)
+
+
+# Fixed, rotatable with every rectangle free, and mixed (squares stay upright).
+TABLE_SYSTEMS = [
+    ([(1, 2), (3, 1), (2, 2)], False, mo.FIXED),
+    ([(1, 2), (3, 1), (2, 5)], True, mo.ROTATABLE),
+    ([(1, 2), (2, 2), (3, 1), (1, 1)], True, mo.ROTATABLE),
+    ([(2, 2)], True, mo.ROTATABLE),
+]
+# Far candidates overflow: huge, infinite and NaN entries must keep their bits.
+TABLE_ENTRIES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([1e300, -1e300, 1e154, math.inf, -math.inf, math.nan, 0.0, -0.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    which=st.integers(0, len(TABLE_SYSTEMS) - 1),
+    rows=st.integers(1, 8),
+    max_order=st.one_of(st.none(), st.integers(1, 9)),
+)
+def test_table_and_residual_match_the_reference_build_bytewise(data, which, rows, max_order):
+    # The batched-equals-single tests compare the kernel with itself; this
+    # pins its bits to an independent copy of the build.
+    sides, rotation_allowed, mode = TABLE_SYSTEMS[which]
+    inst = Instance.from_sides(sides, BoxSpec(5, 3), rotation_allowed)
+    sys = mo.build_system(inst, max_order, mode)
+    flat = data.draw(st.lists(TABLE_ENTRIES, min_size=rows * sys.var_count,
+                              max_size=rows * sys.var_count))
+    points = np.array(flat).reshape(rows, sys.var_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = mo._corners(sys, points)
+        table = mo.chebyshev_table(sys, points)
+        want_corners = reference_corners(sys, points)
+        want_table = reference_table(sys, points)
+        residual = mo.batch_residual(sys, table)
+        want_residual = reference_residual(sys, want_table)
+    assert corners.shape == want_corners.shape
+    assert corners.tobytes() == want_corners.tobytes()
+    assert table.shape == (rows, sys.max_order + 1, 4 * sys.n_rects)
+    assert table.flags.c_contiguous
+    assert table.tobytes() == want_table.tobytes()
+    assert residual.shape == (rows, sys.equation_count)
+    assert residual.tobytes() == want_residual.tobytes()
+
+
 def test_jacobian_shape():
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(2, 2))
     sys_f = mo.build_system(inst, 3, mo.FIXED)
