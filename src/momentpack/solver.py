@@ -180,16 +180,17 @@ def _start_vector(
     if start_index == 0:
         return mo.layout_to_vars(sys, init_shelf_greedy(inst))
     # Rectangles draw in instance order: an upright one its lower corner
-    # uniformly where the rectangle fits in the box, a free one an
-    # orientation and a centre.
+    # uniformly where the rectangle fits in the box (rng.random(2), the
+    # doubles rng.uniform(size=2) gives), a free one an orientation and a
+    # centre.  The arithmetic runs on Python floats, which round as numpy's do.
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
     out = np.zeros((sys.n_rects, 4))
-    for i in range(sys.n_rects):
-        if not sys.free[i]:
-            room = (sys.box_w - sys.widths[i], sys.box_h - sys.heights[i])
-            out[i, :2] = rng.uniform(size=2) * np.maximum(room, 0.0)
+    sides = zip(sys.widths.tolist(), sys.heights.tolist(), sys.free.tolist())
+    for i, (w, h, free) in enumerate(sides):
+        if not free:
+            u, v = rng.random(2).tolist()
+            out[i, :2] = (u * max(sys.box_w - w, 0.0), v * max(sys.box_h - h, 0.0))
             continue
-        w, h = sys.widths[i], sys.heights[i]
         if rng.integers(0, 2):
             w, h = h, w
         cx = rng.uniform(w / 2, sys.box_w - w / 2) if sys.box_w > w else sys.box_w / 2

@@ -6,11 +6,15 @@ total area per rectangle, then the interior-disjointness of every pair.
 tol has one meaning: every per-rectangle and per-pair test compares a
 length (overhang, side error, penetration depth min(ow, oh) of a pair)
 with eps = tol * scale, scale = max(A, B); only the total area gap is
-compared with tol * A * B.  Pairs are produced lazily by a sort and sweep
-on x (Bentley & Wood 1980): placements are taken in x_lo order, and each
-is tested only against the later ones whose x_lo lies below its x_hi, since
-no other pair can overlap in x.  A tiling by n full-width strips still
-tests all n(n-1)/2 pairs; guillotine-like layouts test a few per rectangle.
+compared with tol * A * B.  The checks run over numpy arrays, one row of
+numbers per rectangle.  Pairs come from a sort and sweep on x (Bentley &
+Wood 1980): placements are taken in x_lo order, and each is tested only
+against the later ones whose x_lo lies below its x_hi, since no other pair
+can overlap in x.  searchsorted finds where each placement's run of
+candidates ends; the candidates are then numbered and tested in blocks of
+_BLOCK pairs, so memory stays O(n + _BLOCK).  A tiling by n full-width
+strips still tests all n(n-1)/2 pairs; guillotine-like layouts test a few
+per rectangle.
 
 * verify_layout: the core over floats; reports every violation it finds,
   naming each rectangle (and its placement) by its 1-based position,
@@ -19,10 +23,11 @@ tests all n(n-1)/2 pairs; guillotine-like layouts test a few per rectangle.
   at the first failure.  At tol 0 every float test becomes the exact one:
   overhang > 0, side mismatch != 0, penetration > 0, area gap = 0, so
   boundary contact is legal and interior overlap is not.  These tests are
-  invariant under a positive scale, so every number is converted to a
-  Fraction first and the checks then run over Python ints on the common
-  grid (the lcm of all denominators); areas are summed in Python ints,
-  which never overflow.
+  invariant under a positive scale, so every number is converted to an
+  int or a Fraction first and the checks then run over object arrays of
+  Python ints on the common grid (the lcm of all denominators): every
+  product and sum is a Python int, which never overflows.  The sweep stops
+  at its first block that holds an overlap.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
   other two corners.  Every x and every y is snapped with _snap_values
@@ -64,6 +69,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-7
+_BLOCK = 2**15  # candidate pairs the sweep tests at once: memory O(n + _BLOCK)
 
 
 @dataclass(frozen=True)
@@ -112,67 +118,69 @@ def _numbers(inst: Instance, layout: Layout, num: Callable[[Number, str], object
 def _side_error(dx, dy, w, h, rotation_allowed: bool):
     """Largest side error max(|dx - w|, |dy - h|) of a dx x dy placement of
     a w x h rectangle; with rotation allowed, the smaller of that and the
-    error of the turned rectangle.  It is 0 exactly when the sides match."""
-    err = max(abs(dx - w), abs(dy - h))
-    return min(err, max(abs(dx - h), abs(dy - w))) if rotation_allowed else err
+    error of the turned rectangle.  It is 0 exactly when the sides match.
+    Works elementwise on arrays as on numbers."""
+    err = np.maximum(abs(dx - w), abs(dy - h))
+    return np.minimum(err, np.maximum(abs(dx - h), abs(dy - w))) if rotation_allowed else err
 
 
-def _check(
-    inst: Instance,
-    a,
-    b,
-    boxes: list,
-    sides: list,
-    tol: float,
-    total: Callable[[list], object],
-):
-    """Run the checks shared by verify_layout and verify_exact on converted
-    numbers (see _numbers); total sums the rectangle areas.
+def _check(inst: Instance, a, b, boxes: np.ndarray, sides: np.ndarray, tol: float, total):
+    """Run the checks shared by verify_layout and verify_exact over a (4, n)
+    array of placements, rows x_lo, y_lo, x_hi, y_hi, and a (2, n) array of
+    rect sides, rows w, h, both float64 or both object arrays of Python
+    ints; total sums the placed areas.
 
     Returns (containment, sizes, area_gap, area_ok, overlaps): the violation
-    rows of the O(n) checks, keyed by 1-based position, the total area minus
-    the box area and whether it is within tol, and a lazy iterator of
-    ((i, j), area) overlap rows over 0-based positions i < j, in sweep order.
+    rows of the O(n) checks in placement order, keyed by 1-based position,
+    the total area minus the box area and whether it is within tol, and a
+    lazy iterator over the blocks of the sweep (see _overlaps).
 
     Overhang, side error and penetration min(ow, oh) are lengths judged
     against eps = tol * scale; size rows carry the symmetric residuals
     |dx+dy - (w+h)| and |dx*dy - w*h|, overlap rows the area ow * oh.
     """
     eps = tol * max(a, b)
-
-    containment = []
-    sizes = []
-    areas = []
-    for i, ((xl, yl, xh, yh), (w, h)) in enumerate(zip(boxes, sides), start=1):
-        overhang = max(-xl, xh - a, -yl, yh - b, 0)
-        if overhang > eps:
-            containment.append((i, overhang))
-        dx = xh - xl
-        dy = yh - yl
-        if _side_error(dx, dy, w, h, inst.rotation_allowed) > eps:
-            sizes.append((i, abs(dx + dy - (w + h)), abs(dx * dy - w * h)))
-        areas.append(dx * dy)
-    area_gap = total(areas) - a * b
+    lo, hi = boxes[:2], boxes[2:]
+    overhang = np.concatenate((-lo, hi - [[a], [b]])).max(axis=0, initial=0)
+    out = (overhang > eps).nonzero()[0]
+    containment = list(zip((out + 1).tolist(), overhang[out].tolist()))
+    d = hi - lo
+    bad = (_side_error(*d, *sides, inst.rotation_allowed) > eps).nonzero()[0]
+    sizes = [
+        (k + 1, abs(dx + dy - (w + h)), abs(dx * dy - w * h))
+        for k, (dx, dy, w, h) in zip(bad.tolist(), np.concatenate((d, sides))[:, bad].T.tolist())
+    ]
+    area_gap = total(d[0] * d[1]) - a * b
     area_ok = bool(abs(area_gap) <= tol * a * b)
+    return containment, sizes, area_gap, area_ok, _overlaps(boxes, eps)
 
-    def overlaps():
-        # Sort and sweep on x: once x_lo_j >= x_hi_i, ow <= 0 for j and for
-        # every later j in x_lo order, so the scan from i stops there.
-        order = sorted(range(len(boxes)), key=lambda k: boxes[k][0])
-        for s, i in enumerate(order):
-            xl_i, yl_i, xh_i, yh_i = boxes[i]
-            for t in range(s + 1, len(order)):
-                j = order[t]
-                xl_j, yl_j, xh_j, yh_j = boxes[j]
-                if xl_j >= xh_i:
-                    break
-                ow = min(xh_i, xh_j) - max(xl_i, xl_j)
-                if ow > eps:
-                    oh = min(yh_i, yh_j) - max(yl_i, yl_j)
-                    if oh > eps:
-                        yield (min(i, j), max(i, j)), ow * oh
 
-    return containment, sizes, area_gap, area_ok, overlaps()
+def _overlaps(boxes: np.ndarray, eps):
+    """Sort and sweep on x: yield, block by block, the pairs whose
+    penetration exceeds eps, as arrays of 0-based positions i and j and of
+    their areas ow * oh.
+
+    In x_lo order, once x_lo_t >= x_hi_s, ow <= 0 for t and every later t,
+    so position s is tested against s + 1, ... up to the first such t,
+    which searchsorted finds.  The candidate pairs are numbered k = 0, 1,
+    ... in that order, counts[s] of them for each s, and tested _BLOCK at a
+    time."""
+    n = boxes.shape[1]
+    order = boxes[0].argsort(kind="stable")
+    swept = boxes.take(order, axis=1)
+    rank = np.arange(1, n + 1)
+    counts = np.maximum(swept[0].searchsorted(swept[2]) - rank, 0)
+    stops = counts.cumsum()
+    shift = stops - counts - rank  # candidate k is the pair (s, k - shift[s])
+    total = int(stops[-1]) if n else 0
+    for first in range(0, total, _BLOCK):
+        k = np.arange(first, min(first + _BLOCK, total))
+        s = stops.searchsorted(k, side="right")
+        t = k - shift[s]
+        p, q = swept.take(s, axis=1), swept.take(t, axis=1)
+        ow, oh = np.minimum(p[2:], q[2:]) - np.maximum(p[:2], q[:2])
+        hit = (np.minimum(ow, oh) > eps).nonzero()[0]
+        yield order[s[hit]], order[t[hit]], ow[hit] * oh[hit]
 
 
 def area_can_pass(inst: Instance) -> bool:
@@ -208,14 +216,14 @@ def fit_can_pass(inst: Instance) -> bool:
     )
 
 
-def _as_fraction(value: Number, what: str) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_fraction(value: Number, what: str) -> int | Fraction:
+    """value as an exact rational: an int or a Fraction, both of which have
+    numerator and denominator."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         if value.is_integer():
-            return Fraction(int(value))
+            return int(value)
         raise ValueError(
             f"{what}: non-rational input {value!r}; use ints or 'p/q' strings"
         )
@@ -233,10 +241,20 @@ def verify_layout(
     """Check containment, pairwise interior-disjointness, side fidelity, and
     total area against the box in floats, reporting every violation."""
     _check_tol(tol)
-    numbers = _numbers(inst, layout, lambda v, _: float(v))
-    # np.sum sums floats pairwise, so area_gap keeps its bits
-    containment, sizes, area_gap, area_ok, overlaps = _check(inst, *numbers, tol, np.sum)
-    overlaps = tuple(((i + 1, j + 1), area) for (i, j), area in sorted(overlaps))
+    a, b, boxes, sides = _numbers(inst, layout, lambda v, _: float(v))
+    boxes = np.array(boxes).reshape(-1, 4).T
+    sides = np.array(sides).reshape(-1, 2).T
+    # Python floats overflow to inf silently, and so do these arrays; np.sum
+    # sums floats pairwise, so area_gap keeps its bits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        containment, sizes, area_gap, area_ok, sweep = _check(inst, a, b, boxes, sides, tol, np.sum)
+        overlaps = tuple(
+            sorted(
+                ((min(i, j) + 1, max(i, j) + 1), area)
+                for block in sweep
+                for i, j, area in zip(*(v.tolist() for v in block))
+            )
+        )
     return VerificationReport(
         passed=not containment and not overlaps and not sizes and area_ok,
         containment_violations=tuple(containment),
@@ -257,16 +275,21 @@ def verify_exact(inst: Instance, layout: Layout) -> bool:
     """
     a, b, boxes, sides = _numbers(inst, layout, _as_fraction)
     # Every tol-0 test is invariant under a positive scale, so run them over
-    # Python ints on the common grid of all denominators.
+    # Python ints on the common grid of all denominators, in object arrays.
     grid = math.lcm(*(v.denominator for row in [(a, b), *boxes, *sides] for v in row))
 
-    def on_grid(row):
-        return tuple(v.numerator * (grid // v.denominator) for v in row)
+    def on_grid(rows, width):
+        cells = [[v.numerator * (grid // v.denominator) for v in row] for row in rows]
+        return np.array(cells, dtype=object).reshape(-1, width).T
 
-    containment, sizes, _, area_ok, overlaps = _check(
-        inst, *on_grid((a, b)), list(map(on_grid, boxes)), list(map(on_grid, sides)), 0, sum
+    a, b = on_grid([(a, b)], 2)[:, 0]
+    containment, sizes, _, area_ok, sweep = _check(
+        inst, a, b, on_grid(boxes, 4), on_grid(sides, 2), 0, sum
     )
-    return not containment and not sizes and area_ok and next(overlaps, None) is None
+    # Stop at the first failure: before the sweep, or at its first block
+    # that holds an overlap.
+    failed = containment or sizes or not area_ok
+    return not failed and not any(len(areas) for _, _, areas in sweep)
 
 
 def _snap_values(values: list[float], anchors: tuple[float, ...], eps: float) -> dict[float, float]:

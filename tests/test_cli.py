@@ -287,6 +287,24 @@ def test_verify_exact_mode(capsys, tmp_path):
     assert json.loads(out) == {"pass": True, "mode": "exact"}
 
 
+def test_verify_empty_instance_exits_one(capsys, tmp_path):
+    # No rectangles leave the whole box uncovered: both verifiers fail it.
+    inst_path = tmp_path / "empty.json"
+    inst_path.write_text('{"box": [1, 1], "rects": []}\n')
+    lay_path = tmp_path / "empty.layout.json"
+    lay_path.write_text('{"placements": []}\n')
+    code, out, _ = run_cli(capsys, "verify", str(inst_path), str(lay_path))
+    assert code == 1
+    assert out == (
+        '{"pass": false, "containment_violations": [], "overlap_violations": [], '
+        '"size_violations": [], "area_gap": -1.0, "tol": 1e-07, '
+        '"corner_cancellation": false, "max_moment_residual": 1.0}\n'
+    )
+    code, out, _ = run_cli(capsys, "verify", "--exact", str(inst_path), str(lay_path))
+    assert code == 1
+    assert out == '{"pass": false, "mode": "exact"}\n'
+
+
 def test_verify_exact_non_rational_input_exits_two(capsys, tmp_path):
     # Rect 1 already fails its sides; the non-rational side of rect 2 is
     # still an input error, not a failing layout.

@@ -118,6 +118,48 @@ def test_init_shelf_greedy_keeps_sizes_and_containment():
         assert p.x_hi <= 6.0 + 1e-9 and p.y_hi <= 4.0 + 1e-9
 
 
+def numpy_start_vector(sys, inst, seed, start_index):
+    """_start_vector as it drew with rng.uniform(size=2) and clamped in
+    numpy: the reference its random starts must match byte for byte."""
+    rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
+    out = np.zeros((sys.n_rects, 4))
+    for i in range(sys.n_rects):
+        if not sys.free[i]:
+            room = (sys.box_w - sys.widths[i], sys.box_h - sys.heights[i])
+            out[i, :2] = rng.uniform(size=2) * np.maximum(room, 0.0)
+            continue
+        w, h = sys.widths[i], sys.heights[i]
+        if rng.integers(0, 2):
+            w, h = h, w
+        cx = rng.uniform(w / 2, sys.box_w - w / 2) if sys.box_w > w else sys.box_w / 2
+        cy = rng.uniform(h / 2, sys.box_h - h / 2) if sys.box_h > h else sys.box_h / 2
+        out[i] = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+    return mo.corners_to_vars(sys, out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sides=st.lists(
+        st.tuples(st.floats(0.05, 12.0), st.floats(0.05, 12.0), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+    box=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    seed=st.integers(0, 10**6),
+    starts=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+)
+def test_random_starts_match_the_numpy_draw_bytewise(sides, box, mode, seed, starts):
+    # Squares stay upright in rotatable mode, so fixed, rotatable and mixed
+    # systems all occur; sides past the box make the clamp bite.
+    rects = [(w, w if square else h) for w, h, square in sides]
+    inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
+    sys = mo.build_system(inst, 3, mode)
+    for k in starts:
+        got = solver._start_vector(sys, inst, seed, k)
+        assert got.tobytes() == numpy_start_vector(sys, inst, seed, k).tobytes()
+
+
 def test_snap_layout_merges_and_anchors():
     inst = dominoes()
     eps = 1e-6

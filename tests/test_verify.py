@@ -26,6 +26,7 @@ from momentpack import (
     verify_exact,
     verify_layout,
 )
+from momentpack import verify
 from momentpack.verify import DEFAULT_TOL, VerificationReport
 
 
@@ -416,6 +417,25 @@ def test_verify_exact_sums_areas_past_int64():
     assert verify_exact(inst, layout) is True
 
 
+def test_verify_exact_checks_integers_past_two_to_the_64():
+    # Three 2**70 x 1 strips tile a (2**70, 3) box: every coordinate past
+    # x = 0 is beyond int64, and no float holds 2**70 + 1.  Moving one strip
+    # right by one unit pushes it out of the box.
+    s = 2**70
+    inst = Instance.from_sides([(s, 1)] * 3, BoxSpec(s, 3))
+    strips = [Placement(0, k, s, k + 1) for k in range(3)]
+    assert verify_exact(inst, Layout(tuple(strips))) is True
+    strips[1] = Placement(1, 1, s + 1, 2)
+    assert verify_exact(inst, Layout(tuple(strips))) is False
+
+
+def test_empty_instance_fails_by_area():
+    inst = Instance.from_sides([], BoxSpec(1, 1))
+    report = verify_layout(inst, Layout(()))
+    assert report == VerificationReport(False, (), (), (), -1.0, DEFAULT_TOL)
+    assert verify_exact(inst, Layout(())) is False
+
+
 @pytest.mark.parametrize("move", [None, "corner", "translate"])
 def test_verify_exact_on_a_fine_rational_grid(move):
     # Denominators 3 * 2**40 and 3**30: the box holds about 5e52 cells of
@@ -535,6 +555,37 @@ def test_swept_checks_match_all_pairs_reference(case):
         expected = all_pairs_check(inst, layout, tol, float, np.sum)
         assert verify_layout(inst, layout, tol=tol) == expected
     assert verify_exact(inst, layout) == all_pairs_check(inst, layout, 0, Fraction, sum).passed
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(case=sweep_layouts())
+def test_blocked_sweep_matches_all_pairs_reference(block, case):
+    # Blocks of 1 or 3 candidate pairs split one rectangle's candidates
+    # across blocks, and verify_exact stops at the first block with a hit.
+    inst, layout = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_BLOCK", block)
+        for tol in (0, DEFAULT_TOL, 1e-4):
+            expected = all_pairs_check(inst, layout, tol, float, np.sum)
+            assert verify_layout(inst, layout, tol=tol) == expected
+        exact = verify_exact(inst, layout)
+    assert exact == all_pairs_check(inst, layout, 0, Fraction, sum).passed
+
+
+@pytest.mark.parametrize("block", [1, 3, verify._BLOCK])
+def test_an_overlap_in_any_block_fails(monkeypatch, block):
+    # Six unit strips tile a 1 x 6 box.  Moving strip i up onto strip i + 1
+    # keeps it in the box and the areas summing to the box's, so only the
+    # sweep can fail it, whichever block holds the pair.
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    inst = Instance.from_sides([(1, 1)] * 6, BoxSpec(1, 6))
+    for i in range(5):
+        strips = [Placement(0, k, 1, k + 1) for k in range(6)]
+        strips[i] = Placement(0, i + 1, 1, i + 2)
+        layout = Layout(tuple(strips))
+        assert verify_layout(inst, layout, tol=0).overlap_violations == (((i + 1, i + 2), 1.0),)
+        assert verify_exact(inst, layout) is False
 
 
 # -- Corner cancellation ------------------------------------------------------
