@@ -138,12 +138,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     doc = report.to_dict()
     # Timing is run-dependent; identical inputs must print identical output.
     doc.pop("wall_time_s")
-    _emit(doc)
-    if report.status == "converged_verified":
+    verified = report.status == "converged_verified"
+    if verified:
+        # Before the report, so a layout that cannot be written prints none.
         out = args.out or (args.instance + ".layout.json")
         Path(out).write_text(serialize_layout(report.best_layout) + "\n")
-        return 0
-    return 1
+    _emit(doc)
+    return 0 if verified else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

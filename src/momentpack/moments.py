@@ -312,6 +312,14 @@ def jacobian(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
         return batch_jacobian(sys, chebyshev_table(sys, arr[None]))[0]
 
 
+def _corner_array(layout: Layout) -> np.ndarray:
+    """The placements as an (n, 4) float64 array, rows x_lo, y_lo, x_hi,
+    y_hi: the one place a layout becomes floats.  Each number converts as
+    float() converts it, raising the same OverflowError."""
+    rows = [(p.x_lo, p.y_lo, p.x_hi, p.y_hi) for p in layout.placements]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
 def corners_to_vars(sys: MomentSystem, corners: np.ndarray) -> np.ndarray:
     """The unknowns of an (n, 4) normalized corner array in instance order:
     the lower corners of each upright rectangle, then all four of each free
@@ -324,9 +332,7 @@ def corners_to_vars(sys: MomentSystem, corners: np.ndarray) -> np.ndarray:
 def layout_to_vars(sys: MomentSystem, layout: Layout) -> np.ndarray:
     """Flatten a layout into the system's normalized variable vector."""
     _check_placement_count(sys.instance, layout)
-    s = sys.scale
-    corners = [[float(v) / s for v in p.as_tuple()] for p in layout.placements]
-    return corners_to_vars(sys, np.array(corners).reshape(sys.n_rects, 4))
+    return corners_to_vars(sys, _corner_array(layout) / sys.scale)
 
 
 def vars_to_layout(sys: MomentSystem, vars: np.ndarray) -> Layout:

@@ -66,7 +66,7 @@ import numpy as np
 
 from . import moments as mo
 from .instances import Instance, Layout, Placement, _layout_doc
-from .verify import DEFAULT_TOL, _snap_values, area_can_pass, fit_can_pass, verify_layout
+from .verify import DEFAULT_TOL, _snap, area_can_pass, fit_can_pass, verify_layout
 
 __all__ = [
     "SolveConfig",
@@ -334,26 +334,15 @@ def snap_layout(inst: Instance, layout: Layout, eps: float | None = None) -> Lay
     """Merge corner coordinates that agree within eps (default
     SNAP_FRACTION * DEFAULT_TOL * scale) to a shared value, anchoring
     clusters that touch 0 or the box sides to those exact values.  Returns
-    the input unchanged if snapping would collapse a rectangle.  A public
-    helper only: solve_multistart reports layouts as they stopped."""
+    the input unchanged if snapping would collapse a rectangle.  Clusters
+    are those of corner_cancellation (verify._snap).  A public helper only:
+    solve_multistart reports layouts as they stopped."""
     a = float(inst.box.width)
     b = float(inst.box.height)
-    scale = max(a, b)
     if eps is None:
-        eps = SNAP_FRACTION * DEFAULT_TOL * scale
-    xs: list[float] = []
-    ys: list[float] = []
-    for p in layout.placements:
-        xs.extend((float(p.x_lo), float(p.x_hi)))
-        ys.extend((float(p.y_lo), float(p.y_hi)))
-    x_map = _snap_values(xs, (0.0, a), eps)
-    y_map = _snap_values(ys, (0.0, b), eps)
+        eps = SNAP_FRACTION * DEFAULT_TOL * max(a, b)
     placements = []
-    for p in layout.placements:
-        xl = x_map[float(p.x_lo)]
-        xh = x_map[float(p.x_hi)]
-        yl = y_map[float(p.y_lo)]
-        yh = y_map[float(p.y_hi)]
+    for xl, yl, xh, yh in _snap(mo._corner_array(layout), (a, b), eps).tolist():
         if xh <= xl or yh <= yl:
             return layout
         placements.append(Placement(xl, yl, xh, yh))

@@ -30,17 +30,18 @@ per rectangle.
   at its first block that holds an overlap.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
-  other two corners.  Every x and every y is snapped with _snap_values
-  (anchored at 0 and the box side), then signs are counted exactly at the
-  snapped points: in a perfect packing every point nets 0 except the four
-  box corners, which net +1/-1/-1/+1 against the box's own signed corners.
-  Snapping each axis differs from clustering the points within L-inf
-  distance eps only when a chain of coordinates, each within eps of the
-  next, spans more than eps.
+  other two corners.  Every x and every y is snapped with _snap (anchored
+  at 0 and the box side), and each box corner joins with its expected sign
+  negated, +1/-1/-1/+1 at (0,0), (A,0), (0,B), (A,B); equal snapped
+  points are merged (np.unique) and their signs summed (np.bincount): in a
+  perfect packing every point nets 0.  Snapping each axis differs from
+  clustering the points within L-inf distance eps only when a chain of
+  coordinates, each within eps of the next, spans more than eps.
 
-_snap_values is the package's one coordinate-clustering helper (the
-solver's snap_layout uses it too), and _side_error its one side test
-(harmonic.identity_partial uses it too).
+_snap is the package's one coordinate-clustering helper (the solver's
+snap_layout uses it too), _side_error its one side test
+(harmonic.identity_partial uses it too), and moments._corner_array the
+one float view of a layout that every float check reads.
 
 moment_residual_of_layout bridges back to the equation side: the largest
 normalized residual of the truncated moment system evaluated at the layout.
@@ -51,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -95,24 +95,6 @@ class VerificationReport:
             "area_gap": self.area_gap,
             "tol": self.tol,
         }
-
-
-def _numbers(inst: Instance, layout: Layout, num: Callable[[Number, str], object]):
-    """Every number the checks read, converted with num in one fixed order
-    (box, placements, rect sides), so malformed input raises the same error
-    whatever else is wrong.  Returns (a, b, boxes, sides)."""
-    _check_placement_count(inst, layout)
-    a = num(inst.box.width, "box width")
-    b = num(inst.box.height, "box height")
-    boxes = []
-    for i, p in enumerate(layout.placements, start=1):
-        what = f"placement {i}"
-        boxes.append((num(p.x_lo, what), num(p.y_lo, what), num(p.x_hi, what), num(p.y_hi, what)))
-    sides = [
-        (num(r.width, f"rect {i} width"), num(r.height, f"rect {i} height"))
-        for i, r in enumerate(inst.rects, start=1)
-    ]
-    return a, b, boxes, sides
 
 
 def _side_error(dx, dy, w, h, rotation_allowed: bool):
@@ -241,9 +223,12 @@ def verify_layout(
     """Check containment, pairwise interior-disjointness, side fidelity, and
     total area against the box in floats, reporting every violation."""
     _check_tol(tol)
-    a, b, boxes, sides = _numbers(inst, layout, lambda v, _: float(v))
-    boxes = np.array(boxes).reshape(-1, 4).T
-    sides = np.array(sides).reshape(-1, 2).T
+    # Box, placements, then rect sides: the first that fits no float raises.
+    _check_placement_count(inst, layout)
+    a = float(inst.box.width)
+    b = float(inst.box.height)
+    boxes = mo._corner_array(layout).T
+    sides = np.array([(r.width, r.height) for r in inst.rects], dtype=float).reshape(-1, 2).T
     # Python floats overflow to inf silently, and so do these arrays; np.sum
     # sums floats pairwise, so area_gap keeps its bits.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,7 +258,19 @@ def verify_exact(inst: Instance, layout: Layout) -> bool:
     Boundary contact between rectangles is legal; any interior overlap,
     overhang, side mismatch, or area gap fails.
     """
-    a, b, boxes, sides = _numbers(inst, layout, _as_fraction)
+    # Box, placements, then rect sides: the first bad number names the error.
+    _check_placement_count(inst, layout)
+    exact = _as_fraction
+    a = exact(inst.box.width, "box width")
+    b = exact(inst.box.height, "box height")
+    boxes = []
+    for i, p in enumerate(layout.placements, start=1):
+        what = f"placement {i}"
+        boxes.append((exact(p.x_lo, what), exact(p.y_lo, what), exact(p.x_hi, what), exact(p.y_hi, what)))
+    sides = [
+        (exact(r.width, f"rect {i} width"), exact(r.height, f"rect {i} height"))
+        for i, r in enumerate(inst.rects, start=1)
+    ]
     # Every tol-0 test is invariant under a positive scale, so run them over
     # Python ints on the common grid of all denominators, in object arrays.
     grid = math.lcm(*(v.denominator for row in [(a, b), *boxes, *sides] for v in row))
@@ -292,35 +289,23 @@ def verify_exact(inst: Instance, layout: Layout) -> bool:
     return not failed and not any(len(areas) for _, _, areas in sweep)
 
 
-def _snap_values(values: list[float], anchors: tuple[float, ...], eps: float) -> dict[float, float]:
-    """Map each value to its cluster's representative.  Sorted values chain
-    into one cluster while consecutive gaps are <= eps; a cluster with a
-    member within eps of an anchor maps to the first such anchor, any other
-    to its mean.  eps = 0 clusters equal values only."""
-    mapping: dict[float, float] = {}
-    ordered = sorted(set(values))
-    group: list[float] = []
-
-    def flush() -> None:
-        if not group:
-            return
-        rep = None
-        for anchor in anchors:
-            if any(abs(v - anchor) <= eps for v in group):
-                rep = anchor
-                break
-        if rep is None:
-            rep = sum(group) / len(group)
-        for v in group:
-            mapping[v] = rep
-        group.clear()
-
-    for v in ordered:
-        if group and v - group[-1] > eps:
-            flush()
-        group.append(v)
-    flush()
-    return mapping
+def _snap(corners: np.ndarray, sides: tuple[float, float], eps: float) -> np.ndarray:
+    """A copy of an (n, 4) corner array, rows x_lo, y_lo, x_hi, y_hi, with
+    each coordinate replaced by its cluster's representative.  Per axis, the
+    sorted distinct values chain into one cluster while gaps are <= eps; a
+    cluster with a member within eps of 0, else of the box side, maps to
+    that value, any other to its mean.  eps = 0 clusters equal values only."""
+    snapped = np.empty_like(corners)
+    with np.errstate(over="ignore"):  # far apart values overflow, as Python floats do
+        for axis, side in enumerate(sides):
+            distinct, at = np.unique(corners[:, axis::2], return_inverse=True)
+            cluster = np.zeros(distinct.size, dtype=np.intp)
+            cluster[1:] = np.cumsum(np.diff(distinct) > eps)
+            rep = np.bincount(cluster, distinct) / np.bincount(cluster)
+            for anchor in (side, 0.0):  # 0 last, so it wins a cluster near both
+                rep[cluster[abs(distinct - anchor) <= eps]] = anchor
+            snapped[:, axis::2] = rep[cluster[at]].reshape(-1, 2)
+    return snapped
 
 
 def corner_cancellation(layout: Layout, box: BoxSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -334,17 +319,16 @@ def corner_cancellation(layout: Layout, box: BoxSpec, tol: float = DEFAULT_TOL) 
     a = float(box.width)
     b = float(box.height)
     eps = tol * max(a, b)
-    corners = [tuple(float(v) for v in p.as_tuple()) for p in layout.placements]
-    x_map = _snap_values([v for c in corners for v in (c[0], c[2])], (0.0, a), eps)
-    y_map = _snap_values([v for c in corners for v in (c[1], c[3])], (0.0, b), eps)
-
+    corners = _snap(mo._corner_array(layout), (a, b), eps)
+    # With each box corner's sign negated a perfect packing nets 0 at every
+    # point; a dict, so corners that coincide when a side rounds to 0.0 keep
+    # one sign.  Points are x + iy, so one np.unique merges equal points.
     expected = {(0.0, 0.0): 1, (a, 0.0): -1, (0.0, b): -1, (a, b): 1}
-    sums = dict.fromkeys(expected, 0)  # a missing box corner nets 0
-    for xl, yl, xh, yh in corners:
-        xl, xh, yl, yh = x_map[xl], x_map[xh], y_map[yl], y_map[yh]
-        for point, sign in (((xl, yl), 1), ((xh, yh), 1), ((xl, yh), -1), ((xh, yl), -1)):
-            sums[point] = sums.get(point, 0) + sign
-    return all(total == expected.get(point, 0) for point, total in sums.items())
+    box_x, box_y = zip(*expected)
+    points = np.concatenate((corners[:, [0, 2, 0, 2]].ravel(), box_x)) + 0j
+    points.imag = np.concatenate((corners[:, [1, 3, 3, 1]].ravel(), box_y))
+    signs = np.concatenate((np.tile([1, 1, -1, -1], len(corners)), [-v for v in expected.values()]))
+    return not np.bincount(np.unique(points, return_inverse=True)[1], signs).any()
 
 
 def moment_residual_of_layout(
@@ -358,7 +342,7 @@ def moment_residual_of_layout(
     mode = mo.ROTATABLE if inst.rotation_allowed else mo.FIXED
     sys = mo.build_system(inst, max_order, mode)
     residual = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, layout))))
-    placed = np.array([p.as_tuple() for p in layout.placements], dtype=float).reshape(-1, 2, 2)
+    placed = mo._corner_array(layout).reshape(-1, 2, 2)
     sides = np.stack([sys.widths, sys.heights], axis=1)
     off = np.abs((placed[:, 1] - placed[:, 0]) / sys.scale - sides)[~sys.free]
     return float(max(residual, np.max(off, initial=0.0)))

@@ -126,6 +126,20 @@ def test_solve_writes_layout_and_exits_zero(capsys, tmp_path):
     assert len(layout.placements) == 2
 
 
+def test_solve_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
+    # The dominoes verify, so solve writes a layout; into a missing
+    # directory that is an input error, and no report is printed.
+    inst_path = write_dominoes(tmp_path)
+    out_path = tmp_path / "missing" / "solution.json"
+    code, out, err = run_cli(
+        capsys, "solve", str(inst_path), "--restarts", "32", "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+    assert not out_path.exists()
+
+
 def test_solve_default_output_path(capsys, tmp_path):
     inst_path = write_dominoes(tmp_path)
     code, _, _ = run_cli(capsys, "solve", str(inst_path), "--restarts", "32")

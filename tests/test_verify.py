@@ -23,10 +23,13 @@ from momentpack import (
     gen_guillotine,
     moment_residual_of_layout,
     oracle_feasible,
+    snap_layout,
     verify_exact,
     verify_layout,
 )
+from momentpack import moments as mo
 from momentpack import verify
+from momentpack.solver import SNAP_FRACTION
 from momentpack.verify import DEFAULT_TOL, VerificationReport
 
 
@@ -640,6 +643,167 @@ def test_corner_cancellation_needs_all_box_corners():
     assert corner_cancellation(Layout((Placement(0, 0, 2, 2),)), BoxSpec(2, 2))
 
 
+def reference_snap_values(values, anchors, eps):
+    """The dict-based clustering corner_cancellation and snap_layout used
+    before verify._snap: each value to its cluster's representative.  The
+    mean adds left to right, as Python's sum does up to 3.11."""
+    mapping = {}
+    ordered = sorted(set(values))
+    group = []
+
+    def flush():
+        if not group:
+            return
+        rep = None
+        for anchor in anchors:
+            if any(abs(v - anchor) <= eps for v in group):
+                rep = anchor
+                break
+        if rep is None:
+            total = 0
+            for v in group:
+                total += v
+            rep = total / len(group)
+        for v in group:
+            mapping[v] = rep
+        group.clear()
+
+    for v in ordered:
+        if group and v - group[-1] > eps:
+            flush()
+        group.append(v)
+    flush()
+    return mapping
+
+
+def reference_corner_cancellation(layout, box, tol):
+    a = float(box.width)
+    b = float(box.height)
+    eps = tol * max(a, b)
+    corners = [tuple(float(v) for v in p.as_tuple()) for p in layout.placements]
+    x_map = reference_snap_values([v for c in corners for v in (c[0], c[2])], (0.0, a), eps)
+    y_map = reference_snap_values([v for c in corners for v in (c[1], c[3])], (0.0, b), eps)
+    expected = {(0.0, 0.0): 1, (a, 0.0): -1, (0.0, b): -1, (a, b): 1}
+    sums = dict.fromkeys(expected, 0)
+    for xl, yl, xh, yh in corners:
+        xl, xh, yl, yh = x_map[xl], x_map[xh], y_map[yl], y_map[yh]
+        for point, sign in (((xl, yl), 1), ((xh, yh), 1), ((xl, yh), -1), ((xh, yl), -1)):
+            sums[point] = sums.get(point, 0) + sign
+    return all(total == expected.get(point, 0) for point, total in sums.items())
+
+
+def reference_snap_layout(inst, layout, eps=None):
+    a = float(inst.box.width)
+    b = float(inst.box.height)
+    if eps is None:
+        eps = SNAP_FRACTION * DEFAULT_TOL * max(a, b)
+    xs, ys = [], []
+    for p in layout.placements:
+        xs.extend((float(p.x_lo), float(p.x_hi)))
+        ys.extend((float(p.y_lo), float(p.y_hi)))
+    x_map = reference_snap_values(xs, (0.0, a), eps)
+    y_map = reference_snap_values(ys, (0.0, b), eps)
+    placements = []
+    for p in layout.placements:
+        xl, xh = x_map[float(p.x_lo)], x_map[float(p.x_hi)]
+        yl, yh = y_map[float(p.y_lo)], y_map[float(p.y_hi)]
+        if xh <= xl or yh <= yl:
+            return layout
+        placements.append(Placement(xl, yl, xh, yh))
+    return Layout(tuple(placements))
+
+
+def bits(layout):
+    """Each coordinate with its type, floats by their exact bits."""
+    return [
+        (type(v), v.hex() if isinstance(v, float) else v)
+        for p in layout.placements
+        for v in p.as_tuple()
+    ]
+
+
+def assert_clusters_match_reference(layout, box, tol):
+    got = corner_cancellation(layout, box, tol)
+    assert type(got) is bool
+    assert got is reference_corner_cancellation(layout, box, tol)
+    inst = Instance.from_sides([], box)  # snap_layout reads only the box
+    for eps in (None, tol * max(float(box.width), float(box.height))):
+        snapped = snap_layout(inst, layout, eps)
+        want = reference_snap_layout(inst, layout, eps)
+        assert (snapped is layout) is (want is layout)
+        assert bits(snapped) == bits(want)
+
+
+def layout_of(quads):
+    """A layout of (x, y, x', y') quads, each axis put in order."""
+    placements = []
+    for q in quads:
+        (x_lo, x_hi), (y_lo, y_hi) = sorted(q[::2]), sorted(q[1::2])
+        placements.append(Placement(x_lo, y_lo, x_hi, y_hi))
+    return Layout(tuple(placements))
+
+
+@pytest.mark.parametrize(
+    "quads, box, tol",
+    [
+        ([], BoxSpec(1, 1), DEFAULT_TOL),  # only the box corners, unmatched
+        ([(-0.0, -0.0, 1, 1)], BoxSpec(1, 1), 0.0),
+        ([(-0.0, 0.0, 0.5, 1), (0.5, -0.0, 1.0, 1.0)], BoxSpec(1, 1), 0.0),
+        # A chain of gaps of 0.6 * eps spans 1.2 * eps: one cluster, its mean.
+        ([(0.3, 0, 0.3006, 0.5), (0.3012, 0.5, 1, 1)], BoxSpec(1, 1), 1e-3),
+        # Two clusters, each within eps of one anchor.
+        ([(0.0004, 0, 0.5, 1), (0.5, 0, 0.9996, 1)], BoxSpec(1, 1), 1e-3),
+        # One cluster within eps of both anchors: the first, 0, wins.
+        ([(0, 0, 0.5, 1), (0.5, 0, 1, 1)], BoxSpec(1, 1), 0.5),
+        ([(0, 0, 0.5, 0.5), (0.5, 0.5, 1, 1)], BoxSpec(1, 1), 0.6),
+        # A box side that rounds to 0.0 makes two box corners coincide.
+        ([(0, 0, Fraction(1, 10**400), 1)], BoxSpec(Fraction(1, 10**400), 1), DEFAULT_TOL),
+    ],
+)
+def test_clustering_matches_the_dict_reference_on_named_cases(quads, box, tol):
+    assert_clusters_match_reference(layout_of(quads), box, tol)
+
+
+@st.composite
+def cluster_cases(draw):
+    """A layout, box and tol whose coordinates sit on the clustering's
+    boundaries: at, near and on both sides of the anchors 0 and the box
+    sides, in chains of steps of up to 1.5 * eps, or anywhere; or a
+    guillotine dissection, jittered within a share of eps and maybe with
+    one rectangle shifted."""
+    box = draw(st.sampled_from([BoxSpec(1, 1), BoxSpec(2, 1), BoxSpec(1.0, 0.75), BoxSpec(10, 7)]))
+    tol = draw(st.sampled_from([0.0, 1e-9, DEFAULT_TOL, 1e-3, 0.05, 0.3, 0.5, 0.6]))
+    a, b = float(box.width), float(box.height)
+    eps = tol * max(a, b)
+    if draw(st.booleans()):
+        _, layout = gen_guillotine(draw(st.integers(0, 10**6)), draw(st.integers(0, 12)), box)
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        reach = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])) * eps
+        quads = [[float(v) + rng.uniform(-reach, reach) for v in p.as_tuple()] for p in layout.placements]
+        if quads and draw(st.booleans()):
+            shift = draw(st.sampled_from([0.5, 2.0, 0.01 * max(a, b)])) * max(eps, 1e-9)
+            k = rng.randrange(len(quads))
+            quads[k] = [v + shift for v in quads[k]]
+        return layout_of(quads), box, tol
+    centre = st.sampled_from([0.0, -0.0, a, b, a / 2, 0.3]) | st.floats(-0.5, 2.5)
+    coord = st.builds(
+        lambda c, k, f: c + k * f * eps,
+        centre,
+        st.integers(-3, 3),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    )
+    quads = draw(st.lists(st.tuples(coord, coord, coord, coord), max_size=6))
+    return layout_of(quads), box, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=cluster_cases())
+def test_clustering_matches_the_dict_reference(case):
+    # corner_cancellation and snap_layout cluster with numpy arrays; both must
+    # give the dict-based results bit for bit, with the same types.
+    assert_clusters_match_reference(*case)
+
+
 # -- Moment residual bridge ---------------------------------------------------
 
 
@@ -675,3 +839,71 @@ def test_moment_residual_reads_every_corner_of_a_square(squared32):
     moved[0] = Placement(p.x_lo, p.y_lo, p.x_hi + 0.033, p.y_hi)
     assert moment_residual_of_layout(inst, Layout(tuple(moved))) > 1e-5
     assert moment_residual_of_layout(inst, Layout(tuple(moved)), 3) > 1e-5
+
+
+def reference_layout_to_vars(sys, layout):
+    s = sys.scale
+    corners = [[float(v) / s for v in p.as_tuple()] for p in layout.placements]
+    return mo.corners_to_vars(sys, np.array(corners).reshape(sys.n_rects, 4))
+
+
+def reference_moment_residual(inst, layout, max_order):
+    mode = mo.ROTATABLE if inst.rotation_allowed else mo.FIXED
+    sys = mo.build_system(inst, max_order, mode)
+    residual = np.max(np.abs(mo.residual(sys, reference_layout_to_vars(sys, layout))))
+    placed = np.array([p.as_tuple() for p in layout.placements], dtype=float).reshape(-1, 2, 2)
+    sides = np.stack([sys.widths, sys.heights], axis=1)
+    off = np.abs((placed[:, 1] - placed[:, 0]) / sys.scale - sides)[~sys.free]
+    return float(max(residual, np.max(off, initial=0.0)))
+
+
+NUMBER_TYPES = {
+    "float": float,
+    "int": round,
+    "fraction": lambda v: Fraction(round(v * 3**5), 3**5),  # thirds: rounded to float
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    cuts=st.integers(0, 12),
+    kinds=st.lists(st.sampled_from(sorted(NUMBER_TYPES)), min_size=1, max_size=3),
+    rotation=st.booleans(),
+    max_order=st.sampled_from([1, 3, None]),
+)
+def test_layout_floats_match_the_comprehensions_bytewise(seed, cuts, kinds, rotation, max_order):
+    # Ints, floats and Fractions, one type per placement, read through the
+    # one float view of a layout, as the per-number float() reads did.
+    base, layout = gen_guillotine(seed, cuts, BoxSpec(4000, 3000))
+    placements = tuple(
+        Placement(*map(NUMBER_TYPES[kinds[k % len(kinds)]], p.as_tuple()))
+        for k, p in enumerate(layout.placements)
+    )
+    layout = Layout(placements)
+    inst = Instance(base.rects, base.box, rotation)
+    sys = mo.build_system(inst, max_order, mo.ROTATABLE if rotation else mo.FIXED)
+    assert mo.layout_to_vars(sys, layout).tobytes() == reference_layout_to_vars(sys, layout).tobytes()
+    got = moment_residual_of_layout(inst, layout, max_order)
+    assert type(got) is float
+    assert got.hex() == reference_moment_residual(inst, layout, max_order).hex()
+
+
+def test_float_verifier_converts_box_then_placements_then_sides():
+    # float() words its overflow by type: the first number that fits no
+    # float names the error, so the order shows in the text.
+    huge_int, huge_fraction = 10**400, Fraction(10**400, 3)
+    texts = {}
+    for value in (huge_int, huge_fraction):
+        with pytest.raises(OverflowError) as exc:
+            float(value)
+        texts[value] = str(exc.value)
+    assert texts[huge_int] != texts[huge_fraction]
+    placed = Layout((Placement(0, 0, huge_fraction, 1),))
+    for inst, first in [
+        (Instance.from_sides([(1, 1)], BoxSpec(huge_int, 1)), huge_int),
+        (Instance.from_sides([(huge_int, 1)], BoxSpec(1, 1)), huge_fraction),
+    ]:
+        with pytest.raises(OverflowError) as exc:
+            verify_layout(inst, placed)
+        assert str(exc.value) == texts[first]
