@@ -66,6 +66,17 @@ def _num_from_json(value: object, what: str) -> Number:
     raise ValueError(f"{what}: expected a number or 'p/q' string, got {value!r}")
 
 
+def _plain_rows(rows: list, width: int) -> bool:
+    """Whether rows holds only lists of width finite ints and floats, which
+    _num_from_json would pass through unchanged: no bool, NaN, infinity,
+    string or other value.  Ints of any size pass by type; only floats are
+    tested against +-inf, so 10**400 is never converted."""
+    return all(isinstance(row, list) and len(row) == width for row in rows) and all(
+        type(v) is int or type(v) is float and -math.inf < v < math.inf
+        for v in itertools.chain.from_iterable(rows)
+    )
+
+
 def _num_to_json(value: Number) -> object:
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -209,6 +220,14 @@ def _pair_from_json(pair: object, what: str) -> tuple[Number, Number]:
     return _num_from_json(pair[0], f"{what} width"), _num_from_json(pair[1], f"{what} height")
 
 
+def _quad_from_json(quad: object, i: int) -> list[Number]:
+    """Decode placement i's [x_lo, y_lo, x_hi, y_hi]."""
+    if not isinstance(quad, list) or len(quad) != 4:
+        raise ValueError(f"placement {i}: expected [x_lo, y_lo, x_hi, y_hi], got {quad!r}")
+    what = f"placement {i}"
+    return [_num_from_json(v, what) for v in quad]
+
+
 def parse_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -220,7 +239,9 @@ def parse_instance(text: str) -> Instance:
     rects_raw = doc.get("rects")
     if not isinstance(rects_raw, list):
         raise ValueError('instance "rects" must be a list of [w, h] pairs')
-    sides = [_pair_from_json(pair, f"rect {i}") for i, pair in enumerate(rects_raw, start=1)]
+    sides = rects_raw
+    if not _plain_rows(rects_raw, 2):  # decode in order: the first bad number raises
+        sides = [_pair_from_json(pair, f"rect {i}") for i, pair in enumerate(rects_raw, start=1)]
     rotation = doc.get("rotation", True)
     if not isinstance(rotation, bool):
         raise ValueError('instance "rotation" must be true or false')
@@ -246,15 +267,10 @@ def parse_layout(text: str) -> Layout:
     raw = doc.get("placements")
     if not isinstance(raw, list):
         raise ValueError('layout "placements" must be a list of 4-tuples')
-    placements = []
-    for i, quad in enumerate(raw):
-        if not isinstance(quad, list) or len(quad) != 4:
-            raise ValueError(
-                f"placement {i + 1}: expected [x_lo, y_lo, x_hi, y_hi], got {quad!r}"
-            )
-        nums = [_num_from_json(v, f"placement {i + 1}") for v in quad]
-        placements.append(Placement(*nums))
-    return Layout(tuple(placements))
+    quads = raw
+    if not _plain_rows(raw, 4):  # decode lazily, in order: the first bad placement raises
+        quads = (_quad_from_json(quad, i) for i, quad in enumerate(raw, start=1))
+    return Layout(tuple(Placement(*quad) for quad in quads))
 
 
 def _layout_doc(layout: Layout) -> dict:

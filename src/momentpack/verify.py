@@ -24,10 +24,12 @@ per rectangle.
   overhang > 0, side mismatch != 0, penetration > 0, area gap = 0, so
   boundary contact is legal and interior overlap is not.  These tests are
   invariant under a positive scale, so every number is converted to an
-  int or a Fraction first and the checks then run over object arrays of
-  Python ints on the common grid (the lcm of all denominators): every
-  product and sum is a Python int, which never overflows.  The sweep stops
-  at its first block that holds an overlap.
+  int or a Fraction first and the checks then run over ints on the common
+  grid (the lcm of all denominators).  The largest value they compute is
+  the total placed area, so with every grid value at most M in size they
+  run on int64 arrays when (4n + 1) * M**2 < 2**63, and otherwise on
+  object arrays of Python ints, which never overflow.  The sweep stops at
+  its first block that holds an overlap.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
   other two corners.  Every x and every y is snapped with _snap (anchored
@@ -49,6 +51,7 @@ normalized residual of the truncated moment system evaluated at the layout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,11 +109,11 @@ def _side_error(dx, dy, w, h, rotation_allowed: bool):
     return np.minimum(err, np.maximum(abs(dx - h), abs(dy - w))) if rotation_allowed else err
 
 
-def _check(inst: Instance, a, b, boxes: np.ndarray, sides: np.ndarray, tol: float, total):
+def _check(inst: Instance, a, b, boxes: np.ndarray, sides: np.ndarray, tol: float):
     """Run the checks shared by verify_layout and verify_exact over a (4, n)
     array of placements, rows x_lo, y_lo, x_hi, y_hi, and a (2, n) array of
-    rect sides, rows w, h, both float64 or both object arrays of Python
-    ints; total sums the placed areas.
+    rect sides, rows w, h: both float64, both int64 when no intermediate can
+    overflow it, or both object arrays of Python ints.
 
     Returns (containment, sizes, area_gap, area_ok, overlaps): the violation
     rows of the O(n) checks in placement order, keyed by 1-based position,
@@ -132,7 +135,7 @@ def _check(inst: Instance, a, b, boxes: np.ndarray, sides: np.ndarray, tol: floa
         (k + 1, abs(dx + dy - (w + h)), abs(dx * dy - w * h))
         for k, (dx, dy, w, h) in zip(bad.tolist(), np.concatenate((d, sides))[:, bad].T.tolist())
     ]
-    area_gap = total(d[0] * d[1]) - a * b
+    area_gap = np.sum(d[0] * d[1]) - a * b
     area_ok = bool(abs(area_gap) <= tol * a * b)
     return containment, sizes, area_gap, area_ok, _overlaps(boxes, eps)
 
@@ -198,18 +201,44 @@ def fit_can_pass(inst: Instance) -> bool:
     )
 
 
-def _as_fraction(value: Number, what: str) -> int | Fraction:
+def _as_fraction(value: Number) -> int | Fraction:
     """value as an exact rational: an int or a Fraction, both of which have
-    numerator and denominator."""
+    numerator and denominator.  The error text leaves naming the value to
+    the caller."""
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, float):
         if value.is_integer():
             return int(value)
-        raise ValueError(
-            f"{what}: non-rational input {value!r}; use ints or 'p/q' strings"
-        )
-    raise ValueError(f"{what}: expected a rational number, got {value!r}")
+        raise ValueError(f"non-rational input {value!r}; use ints or 'p/q' strings")
+    raise ValueError(f"expected a rational number, got {value!r}")
+
+
+def _on_grid(nums: list, n: int) -> list[int]:
+    """nums, the box sides, then each placement's corners, then each of the
+    n rect sides, as ints on their common grid: the lcm of the denominators.
+    Ints pass through; the first number that is not rational raises,
+    named by its place."""
+    exact = list(nums)
+    for k, v in enumerate(nums):
+        if type(v) is int:
+            continue
+        try:
+            q = _as_fraction(v)
+        except ValueError as exc:
+            if k < 2:
+                what = ("box width", "box height")[k]
+            elif k < 2 + 4 * n:
+                what = f"placement {(k - 2) // 4 + 1}"
+            else:
+                j = k - 2 - 4 * n
+                what = f"rect {j // 2 + 1} {('width', 'height')[j % 2]}"
+            raise ValueError(f"{what}: {exc}") from None
+        exact[k] = q.numerator if q.denominator == 1 else q
+    grid = math.lcm(*(v.denominator for v in exact if type(v) is not int))
+    if grid == 1:
+        return exact
+    return [v.numerator * (grid // v.denominator) for v in exact]
 
 
 def _check_tol(tol: float) -> None:
@@ -232,7 +261,7 @@ def verify_layout(
     # Python floats overflow to inf silently, and so do these arrays; np.sum
     # sums floats pairwise, so area_gap keeps its bits.
     with np.errstate(over="ignore", invalid="ignore"):
-        containment, sizes, area_gap, area_ok, sweep = _check(inst, a, b, boxes, sides, tol, np.sum)
+        containment, sizes, area_gap, area_ok, sweep = _check(inst, a, b, boxes, sides, tol)
         overlaps = tuple(
             sorted(
                 ((min(i, j) + 1, max(i, j) + 1), area)
@@ -260,29 +289,25 @@ def verify_exact(inst: Instance, layout: Layout) -> bool:
     """
     # Box, placements, then rect sides: the first bad number names the error.
     _check_placement_count(inst, layout)
-    exact = _as_fraction
-    a = exact(inst.box.width, "box width")
-    b = exact(inst.box.height, "box height")
-    boxes = []
-    for i, p in enumerate(layout.placements, start=1):
-        what = f"placement {i}"
-        boxes.append((exact(p.x_lo, what), exact(p.y_lo, what), exact(p.x_hi, what), exact(p.y_hi, what)))
-    sides = [
-        (exact(r.width, f"rect {i} width"), exact(r.height, f"rect {i} height"))
-        for i, r in enumerate(inst.rects, start=1)
-    ]
-    # Every tol-0 test is invariant under a positive scale, so run them over
-    # Python ints on the common grid of all denominators, in object arrays.
-    grid = math.lcm(*(v.denominator for row in [(a, b), *boxes, *sides] for v in row))
-
-    def on_grid(rows, width):
-        cells = [[v.numerator * (grid // v.denominator) for v in row] for row in rows]
-        return np.array(cells, dtype=object).reshape(-1, width).T
-
-    a, b = on_grid([(a, b)], 2)[:, 0]
-    containment, sizes, _, area_ok, sweep = _check(
-        inst, a, b, on_grid(boxes, 4), on_grid(sides, 2), 0, sum
+    n = len(layout.placements)
+    nums = [inst.box.width, inst.box.height]
+    nums += itertools.chain.from_iterable(
+        (p.x_lo, p.y_lo, p.x_hi, p.y_hi) for p in layout.placements
     )
+    nums += itertools.chain.from_iterable((r.width, r.height) for r in inst.rects)
+    # Every tol-0 test is invariant under a positive scale, so run them over
+    # ints on the common grid of all denominators.
+    if not all(type(v) is int for v in nums):
+        nums = _on_grid(nums, n)
+    # The largest intermediate is the area sum: n placed areas, each at most
+    # (2M)**2, less the box area, at most M**2.  Below 2**63 int64 holds
+    # every one; past it, object arrays of Python ints, which never overflow.
+    big = max(max(nums), -min(nums))
+    exact = np.array(nums, dtype=np.int64 if (4 * n + 1) * big * big < 2**63 else object)
+    a, b = nums[:2]
+    boxes = exact[2 : 2 + 4 * n].reshape(-1, 4).T
+    sides = exact[2 + 4 * n :].reshape(-1, 2).T
+    containment, sizes, _, area_ok, sweep = _check(inst, a, b, boxes, sides, 0)
     # Stop at the first failure: before the sweep, or at its first block
     # that holds an overlap.
     failed = containment or sizes or not area_ok
@@ -294,18 +319,31 @@ def _snap(corners: np.ndarray, sides: tuple[float, float], eps: float) -> np.nda
     each coordinate replaced by its cluster's representative.  Per axis, the
     sorted distinct values chain into one cluster while gaps are <= eps; a
     cluster with a member within eps of 0, else of the box side, maps to
-    that value, any other to its mean.  eps = 0 clusters equal values only."""
-    snapped = np.empty_like(corners)
+    that value, any other to its mean.  eps = 0 clusters equal values only.
+
+    Both axes share one argsort: row 0 of values holds every x, row 1
+    every y, and each row is sorted on its own, so clusters never cross
+    axes.  Of equal values (0.0 and -0.0) the first in sorted order stands
+    for all of them."""
+    values = corners.reshape(-1, 2, 2).transpose(2, 0, 1).reshape(2, -1)
+    order = values.argsort(axis=1)
+    order[1] += values.shape[1]  # positions in values.ravel()
+    ranked = values.ravel()[order]
+    first = np.ones(ranked.shape, dtype=bool)  # the first of each run of equal values
+    starts = np.ones(ranked.shape, dtype=bool)  # the first distinct value of each cluster
     with np.errstate(over="ignore"):  # far apart values overflow, as Python floats do
-        for axis, side in enumerate(sides):
-            distinct, at = np.unique(corners[:, axis::2], return_inverse=True)
-            cluster = np.zeros(distinct.size, dtype=np.intp)
-            cluster[1:] = np.cumsum(np.diff(distinct) > eps)
-            rep = np.bincount(cluster, distinct) / np.bincount(cluster)
+        first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        starts[:, 1:] = ranked[:, 1:] - ranked[:, :-1] > eps
+        distinct = ranked[first]  # the distinct x values, then the y ones
+        cluster = starts[first].cumsum() - 1
+        rep = np.bincount(cluster, distinct) / np.bincount(cluster)
+        split = np.count_nonzero(first[0])
+        for side, axis in zip(sides, (slice(split), slice(split, None))):
             for anchor in (side, 0.0):  # 0 last, so it wins a cluster near both
-                rep[cluster[abs(distinct - anchor) <= eps]] = anchor
-            snapped[:, axis::2] = rep[cluster[at]].reshape(-1, 2)
-    return snapped
+                rep[cluster[axis][abs(distinct[axis] - anchor) <= eps]] = anchor
+    snapped = np.empty(values.size)
+    snapped[order] = rep[cluster[first.cumsum() - 1]].reshape(order.shape)
+    return snapped.reshape(2, -1, 2).transpose(1, 2, 0).reshape(-1, 4)
 
 
 def corner_cancellation(layout: Layout, box: BoxSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -341,8 +379,10 @@ def moment_residual_of_layout(
     scale count too: every coordinate of the layout moves the result."""
     mode = mo.ROTATABLE if inst.rotation_allowed else mo.FIXED
     sys = mo.build_system(inst, max_order, mode)
-    residual = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, layout))))
-    placed = mo._corner_array(layout).reshape(-1, 2, 2)
+    _check_placement_count(inst, layout)
+    corners = mo._corner_array(layout)
+    residual = np.max(np.abs(mo.residual(sys, mo.corners_to_vars(sys, corners / sys.scale))))
+    placed = corners.reshape(-1, 2, 2)
     sides = np.stack([sys.widths, sys.heights], axis=1)
     off = np.abs((placed[:, 1] - placed[:, 0]) / sys.scale - sides)[~sys.free]
     return float(max(residual, np.max(off, initial=0.0)))

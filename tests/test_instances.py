@@ -144,6 +144,23 @@ def test_parse_instance_rejects_malformed(text):
         ('{"box": [2, -1], "rects": [[1, 1]]}', "box: sides must be positive, got 2 x -1"),
         ('{"box": ["1/0", 1], "rects": [[1, 1]]}', "box width: bad rational string"),
         ('{"rects": [[1, 1]]}', "box: expected a [width, height] pair"),
+        ('{"box": [2, 1], "rects": [[1, 1], [NaN, 1]]}', "rect 2 width must be finite, got nan"),
+        (
+            '{"box": [2, 1], "rects": [[1, 1], [1, null]]}',
+            "rect 2 height: expected a number or 'p/q' string, got None",
+        ),
+        ('{"box": [NaN, 1], "rects": [[1, 1]]}', "box width must be finite, got nan"),
+        (
+            '{"box": [null, 1], "rects": [[1, 1]]}',
+            "box width: expected a number or 'p/q' string, got None",
+        ),
+        # Every number, then the rotation flag, then the signs of the sides.
+        ('{"box": [2, 1], "rects": [[0, 1], [1, NaN]]}', "rect 2 height must be finite, got nan"),
+        (
+            '{"box": [2, 1], "rects": [[0, 1], [1, 1]], "rotation": 1}',
+            'instance "rotation" must be true or false',
+        ),
+        ('{"box": [0, 1], "rects": [[NaN, 1]]}', "box: sides must be positive, got 0 x 1"),
     ],
 )
 def test_parse_instance_errors_name_the_rect_or_the_box(text, message):
@@ -164,6 +181,42 @@ def test_parse_instance_errors_name_the_rect_or_the_box(text, message):
 def test_parse_layout_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_layout(text)
+
+
+@pytest.mark.parametrize(
+    "quads, message",
+    [
+        ("[0, 0, 1, 1], [0, 0, true, 1]", "placement 2: expected a number, got True"),
+        ("[0, 0, 1, 1], [0, 0, null, 1]", "placement 2: expected a number or 'p/q' string, got None"),
+        ("[0, 0, 1, 1], [0, 0, NaN, 1]", "placement 2 must be finite, got nan"),
+        ("[0, 0, 1, 1], [0, 0, Infinity, 1]", "placement 2 must be finite, got inf"),
+        ("[0, 0, 1, 1], [0, 0, -Infinity, 1]", "placement 2 must be finite, got -inf"),
+        ('[0, 0, 1, 1], [0, 0, "1/0", 1]', "placement 2: bad rational string '1/0'"),
+        ("[0, 0, 1, 1], [0, 0, [1], 1]", "placement 2: expected a number or 'p/q' string, got [1]"),
+        # Placement 1's corner order fails before placement 2's NaN is read.
+        ("[1, 0, 0, 1], [0, 0, NaN, 1]", "placement corners out of order: (1, 0, 0, 1)"),
+        ("[NaN, 0, 1, 1], [0, 0, 1]", "placement 1 must be finite, got nan"),
+        ("[0, 0, 1], [NaN, 0, 1, 1]", "placement 1: expected [x_lo, y_lo, x_hi, y_hi], got [0, 0, 1]"),
+        # Within one placement, its numbers come before its corner order.
+        ("[0, 0, 1, 1], [1, 0, 0, NaN]", "placement 2 must be finite, got nan"),
+        (
+            '["1/3", 0, "1/4", 1]',
+            "placement corners out of order: (Fraction(1, 3), 0, Fraction(1, 4), 1)",
+        ),
+    ],
+)
+def test_parse_layout_error_texts(quads, message):
+    with pytest.raises(ValueError) as info:
+        parse_layout('{"placements": [%s]}' % quads)
+    assert str(info.value) == message
+
+
+def test_integers_too_large_for_a_float_parse():
+    big = 10**400
+    layout = parse_layout('{"placements": [[0, 0, %d, 1]]}' % big)
+    assert layout.placements[0].as_tuple() == (0, 0, big, 1)
+    inst = parse_instance('{"box": [%d, 1], "rects": [[%d, 1]]}' % (big, big))
+    assert (inst.box.width, inst.rects[0].width) == (big, big)
 
 
 # -- Harmonic family prefix ---------------------------------------------------

@@ -3,7 +3,9 @@ corner-sign cancellation, and the bridge back to moment residuals."""
 
 from __future__ import annotations
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -458,6 +460,91 @@ def test_verify_exact_on_a_fine_rational_grid(move):
     assert verify_exact(inst, layout) is (move is None)
 
 
+def on_int64(inst, layout):
+    """Whether verify_exact checks an integer layout on int64: the total
+    placed area, its largest intermediate, is then provably in range."""
+    nums = [inst.box.width, inst.box.height]
+    nums += [v for p in layout.placements for v in p.as_tuple()]
+    nums += [v for r in inst.rects for v in (r.width, r.height)]
+    big = max(abs(v) for v in nums)
+    return (4 * len(layout) + 1) * big * big < 2**63
+
+
+def scaled(inst, layout, k):
+    """The same instance and layout with every number times k."""
+    sides = [(r.width * k, r.height * k) for r in inst.rects]
+    box = BoxSpec(inst.box.width * k, inst.box.height * k)
+    placements = tuple(Placement(*(v * k for v in p.as_tuple())) for p in layout.placements)
+    return Instance.from_sides(sides, box, inst.rotation_allowed), Layout(placements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pick=st.integers(0, len(INTEGER_LAYOUTS) - 1),
+    move=st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from([-1, 1])),
+)
+def test_verify_exact_int64_and_python_int_checks_agree(pick, move):
+    # A tiling, or a copy with one coordinate moved by one grid unit, has
+    # the same tol-0 verdict at any positive scale: times 2**40 it is far
+    # past the int64 bound, so the verdict there comes from Python ints.
+    inst, layout = INTEGER_LAYOUTS[pick]
+    if move is not None:
+        index, corner, sign = move
+        placements = list(layout.placements)
+        i = index % len(placements)
+        corners = list(placements[i].as_tuple())
+        corners[corner] += sign  # every side is >= 1, so the corners stay in order
+        placements[i] = Placement(*corners)
+        layout = Layout(tuple(placements))
+    big = scaled(inst, layout, 2**40)
+    assert on_int64(inst, layout) and not on_int64(*big)
+    verdict = verify_exact(inst, layout)
+    assert verdict is verify_exact(*big) is verify_layout(inst, layout, tol=0).passed
+    if move is None:
+        assert verdict is True
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_verify_exact_at_the_int64_bound(past):
+    # Two rectangles side by side fill an M x 3 box, with M the largest M
+    # for which 9 * M**2 < 2**63 (near 2**30), or one more.  Sliding the
+    # right one left by one unit overlaps the left one by a 1 x 3 strip,
+    # which only the sweep sees; a short left side leaves a gap.
+    m = math.isqrt((2**63 - 1) // 9) + past
+    k = m // 2
+    inst = Instance.from_sides([(k, 3), (m - k, 3)], BoxSpec(m, 3), False)
+    tiling = Layout((Placement(0, 0, k, 3), Placement(k, 0, m, 3)))
+    assert on_int64(inst, tiling) is not past
+    assert verify_exact(inst, tiling) is True
+    slid = Layout((Placement(0, 0, k, 3), Placement(k - 1, 0, m - 1, 3)))
+    assert verify_exact(inst, slid) is False
+    short = Instance.from_sides([(k - 1, 3), (m - k, 3)], BoxSpec(m, 3), False)
+    assert verify_exact(short, Layout((Placement(0, 0, k - 1, 3), Placement(k, 0, m, 3)))) is False
+
+
+def test_verify_exact_sees_a_gap_int64_would_wrap_to_zero():
+    # One 2**32 square in a 2**33 x 2**32 box leaves a gap of 2**64 cells,
+    # which is 0 modulo 2**64: only exact integers see it.
+    s = 2**32
+    inst = Instance.from_sides([(s, s)], BoxSpec(2 * s, s))
+    assert verify_exact(inst, Layout((Placement(0, 0, s, s),))) is False
+
+
+def test_verify_exact_names_the_first_bad_number_by_its_place():
+    inst = Instance.from_sides([(1, 1), (1, 0.5)], BoxSpec(2, 1))
+    layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 1)))
+    with pytest.raises(ValueError, match=r"^rect 2 height: non-rational input 0\.5; use ints"):
+        verify_exact(inst, layout)
+    inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(2, 1.5))
+    with pytest.raises(ValueError, match=r"^box height: non-rational input 1\.5; use ints"):
+        verify_exact(inst, Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 0.5))))
+    inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(2, 1))
+    layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, Decimal(1))))
+    with pytest.raises(ValueError) as info:
+        verify_exact(inst, layout)
+    assert str(info.value) == "placement 2: expected a rational number, got Decimal('1')"
+
+
 def all_pairs_check(inst, layout, tol, num, total):
     """The verifier's checks with the overlap test run on every pair i < j:
     the reference the swept core must match row for row and bit for bit."""
@@ -887,6 +974,15 @@ def test_layout_floats_match_the_comprehensions_bytewise(seed, cuts, kinds, rota
     got = moment_residual_of_layout(inst, layout, max_order)
     assert type(got) is float
     assert got.hex() == reference_moment_residual(inst, layout, max_order).hex()
+
+
+def test_moment_residual_checks_the_count_before_converting():
+    # A placement too large for a float is never converted: the count
+    # mismatch is the error.
+    inst = Instance.from_sides([(1, 1)], BoxSpec(1, 1))
+    layout = Layout((Placement(0, 0, 10**400, 1), Placement(0, 0, 1, 1)))
+    with pytest.raises(ValueError, match="^layout has 2 placements, instance has 1$"):
+        moment_residual_of_layout(inst, layout)
 
 
 def test_float_verifier_converts_box_then_placements_then_sides():
