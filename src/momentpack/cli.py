@@ -3,7 +3,8 @@
 Subcommands: gen (guillotine | harmonic | family fixtures), solve, verify,
 identities, render.  Output is JSON by default; --table prints aligned text
 where it exists.  Exit codes: 0 success / verified, 1 clean negative result
-(infeasible or unverified), 2 usage or input errors.
+(infeasible or unverified), 2 usage or input errors, among them documents
+nested too deep to decode and systems too large to allocate.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -16,12 +16,31 @@ import bisect
 import itertools
 import json
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 Number = Union[int, float, Fraction]
+
+
+def _exact(value: object) -> int | Fraction:
+    """The package's one test of an exact number: a numbers.Rational (an
+    int, a Fraction, a numpy integer) or a whole float becomes a Python int
+    when whole, else a Fraction, never a numpy integer, which wraps
+    silently.  Anything else raises; the caller names the value's place."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Rational):
+        p, q = int(value.numerator), int(value.denominator)
+        return p if q == 1 else Fraction(p, q)
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+        raise ValueError(f"non-rational input {value!r}; use ints or 'p/q' strings")
+    raise ValueError(f"expected a rational number, got {value!r}")
+
 
 # Guillotine cuts stay inside this fraction band of the split side so no
 # near-degenerate sliver rectangles appear.
@@ -78,11 +97,11 @@ def _plain_rows(rows: list, width: int) -> bool:
 
 
 def _num_to_json(value: Number) -> object:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return value
+    """A float as it is; any other number as an int or a "p/q" string."""
+    if isinstance(value, float):
+        return value
+    q = _exact(value)
+    return q if type(q) is int else f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)
@@ -228,13 +247,20 @@ def _quad_from_json(quad: object, i: int) -> list[Number]:
     return [_num_from_json(v, what) for v in quad]
 
 
-def parse_instance(text: str) -> Instance:
+def _load_object(text: str, kind: str) -> dict:
+    """The JSON object in text, or a ValueError naming kind (instance or
+    layout); a document nested too deep to decode is malformed too."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed instance document: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValueError("instance document must be a JSON object")
+        raise ValueError(f"{kind} document must be a JSON object")
+    return doc
+
+
+def parse_instance(text: str) -> Instance:
+    doc = _load_object(text, "instance")
     box = _named_spec(*_pair_from_json(doc.get("box"), "box"), "box")
     rects_raw = doc.get("rects")
     if not isinstance(rects_raw, list):
@@ -258,13 +284,7 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_layout(text: str) -> Layout:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed layout document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("layout document must be a JSON object")
-    raw = doc.get("placements")
+    raw = _load_object(text, "layout").get("placements")
     if not isinstance(raw, list):
         raise ValueError('layout "placements" must be a list of 4-tuples')
     quads = raw

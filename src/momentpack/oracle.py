@@ -13,7 +13,7 @@ repeated calls return identical layouts.
 
 from __future__ import annotations
 
-from .instances import BoxSpec, Instance, Layout, Number, Placement
+from .instances import BoxSpec, Instance, Layout, Number, Placement, _exact
 
 __all__ = ["oracle_feasible", "enumerate_small_family"]
 
@@ -22,25 +22,21 @@ FAMILY_CAP = 4
 
 
 def _as_int(value: Number, what: str) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
-    if isinstance(value, int):
-        out = value
-    elif isinstance(value, float) and value.is_integer():
-        out = int(value)
-    elif hasattr(value, "denominator") and value.denominator == 1:
-        out = int(value)
-    else:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
-    if out < 1:
+    """value as a Python int; RectSpec already rules out bools and sides <= 0."""
+    try:
+        out = _exact(value)
+    except ValueError:
+        out = None
+    if type(out) is not int:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
     return out
 
 
 def oracle_feasible(inst: Instance) -> tuple[bool, Layout | None]:
     """Decide perfect packability of a small integer instance by exhaustive
-    search; on success the returned witness layout has integer coordinates
-    and passes exact verification."""
+    search; every side must be whole, numpy integers included.  On success
+    the returned witness layout has integer coordinates and passes exact
+    verification."""
     a = _as_int(inst.box.width, "box width")
     b = _as_int(inst.box.height, "box height")
     if a * b > CELL_BUDGET:

@@ -23,13 +23,13 @@ per rectangle.
   at the first failure.  At tol 0 every float test becomes the exact one:
   overhang > 0, side mismatch != 0, penetration > 0, area gap = 0, so
   boundary contact is legal and interior overlap is not.  These tests are
-  invariant under a positive scale, so every number is converted to an
-  int or a Fraction first and the checks then run over ints on the common
-  grid (the lcm of all denominators).  The largest value they compute is
-  the total placed area, so with every grid value at most M in size they
-  run on int64 arrays when (4n + 1) * M**2 < 2**63, and otherwise on
-  object arrays of Python ints, which never overflow.  The sweep stops at
-  its first block that holds an overlap.
+  invariant under a positive scale, so instances._exact converts every
+  number to a Python int or a Fraction first, and the checks then run over
+  ints on the common grid (the lcm of all denominators).  The largest
+  value they compute is the total placed area, so with every grid value
+  at most M in size they run on int64 arrays when (4n + 1) * M**2 < 2**63,
+  and otherwise on object arrays of Python ints, which never overflow.
+  The sweep stops at its first block that holds an overlap.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
   other two corners.  Every x and every y is snapped with _snap (anchored
@@ -54,12 +54,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import moments as mo
-from .instances import BoxSpec, Instance, Layout, Number, _check_placement_count
+from .instances import BoxSpec, Instance, Layout, _check_placement_count, _exact
 
 __all__ = [
     "VerificationReport",
@@ -201,30 +200,14 @@ def fit_can_pass(inst: Instance) -> bool:
     )
 
 
-def _as_fraction(value: Number) -> int | Fraction:
-    """value as an exact rational: an int or a Fraction, both of which have
-    numerator and denominator.  The error text leaves naming the value to
-    the caller."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-        raise ValueError(f"non-rational input {value!r}; use ints or 'p/q' strings")
-    raise ValueError(f"expected a rational number, got {value!r}")
-
-
 def _on_grid(nums: list, n: int) -> list[int]:
     """nums, the box sides, then each placement's corners, then each of the
-    n rect sides, as ints on their common grid: the lcm of the denominators.
-    Ints pass through; the first number that is not rational raises,
-    named by its place."""
-    exact = list(nums)
+    n rect sides, as Python ints on their common grid: the lcm of the
+    denominators.  The first number _exact rejects raises, named by place."""
+    exact = []
     for k, v in enumerate(nums):
-        if type(v) is int:
-            continue
         try:
-            q = _as_fraction(v)
+            exact.append(_exact(v))
         except ValueError as exc:
             if k < 2:
                 what = ("box width", "box height")[k]
@@ -234,10 +217,7 @@ def _on_grid(nums: list, n: int) -> list[int]:
                 j = k - 2 - 4 * n
                 what = f"rect {j // 2 + 1} {('width', 'height')[j % 2]}"
             raise ValueError(f"{what}: {exc}") from None
-        exact[k] = q.numerator if q.denominator == 1 else q
     grid = math.lcm(*(v.denominator for v in exact if type(v) is not int))
-    if grid == 1:
-        return exact
     return [v.numerator * (grid // v.denominator) for v in exact]
 
 
@@ -282,8 +262,9 @@ def verify_layout(
 def verify_exact(inst: Instance, layout: Layout) -> bool:
     """verify_layout's checks at zero tolerance over exact rationals.
 
-    All sides and coordinates must be ints, Fractions, or integer-valued
-    floats; anything else raises ValueError, whatever else is wrong.
+    All sides and coordinates must be exact: ints, Fractions, numpy
+    integers or other numbers.Rational, or integer-valued floats; anything
+    else raises ValueError, whatever else is wrong.
     Boundary contact between rectangles is legal; any interior overlap,
     overhang, side mismatch, or area gap fails.
     """

@@ -421,6 +421,46 @@ def test_missing_file_exits_two(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "command, kind",
+    [("verify", "instance"), ("verify", "layout"), ("solve", "instance")],
+)
+def test_documents_nested_too_deep_are_input_errors(capsys, tmp_path, command, kind):
+    # json.loads gives up on 100,000 nested lists with a RecursionError.
+    inst_path = write_dominoes(tmp_path)
+    lay_path = tmp_path / "layout.json"
+    lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
+    deep = {"instance": inst_path, "layout": lay_path}[kind]
+    body = {"instance": '{"box": %s, "rects": []}', "layout": '{"placements": %s}'}[kind]
+    deep.write_text(body % ("[" * 100_000 + "]" * 100_000))
+    argv = [command, str(inst_path)] + ([str(lay_path)] if command == "verify" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"].startswith(f"malformed {kind} document: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{inst}", "--smax", "1000000000"],
+        ["verify", "{inst}", "{layout}", "--smax", "1000000000"],
+        ["identities", "--n-trunc", "100000000000000000"],
+    ],
+)
+def test_systems_too_large_to_allocate_are_input_errors(capsys, tmp_path, argv):
+    # Each first large array asks for far more than any address space
+    # (about 7 EiB and 711 PiB), so numpy fails before touching memory.
+    inst_path = write_dominoes(tmp_path)
+    lay_path = tmp_path / "layout.json"
+    lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
+    argv = [a.format(inst=inst_path, layout=lay_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "allocate" in json.loads(err)["error"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "momentpack", "identities", "--n-trunc", "100"],

@@ -4,10 +4,14 @@ verification of every witness."""
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpack import (
     BoxSpec,
@@ -16,6 +20,7 @@ from momentpack import (
     oracle_feasible,
     verify_exact,
 )
+from momentpack.oracle import CELL_BUDGET
 
 
 def count_multisets(box_area: int, max_side: int) -> int:
@@ -113,6 +118,22 @@ def test_oracle_accepts_integer_valued_floats():
     assert ok
 
 
+@pytest.mark.parametrize(
+    "sides, box, message",
+    [
+        ([(1.5, 2)], (2, 2), "rect 1 width must be a positive integer, got 1.5"),
+        ([(2, Fraction(3, 2))], (2, 2), "rect 1 height must be a positive integer, got Fraction(3, 2)"),
+        ([(1, 2), (Decimal(2), 1)], (2, 2), "rect 2 width must be a positive integer, got Decimal('2')"),
+        ([(1, 2)], (1.5, 2), "box width must be a positive integer, got 1.5"),
+        ([(1, 1)], (5, 13), f"cell budget exceeded: 5x13 box has more than {CELL_BUDGET} cells"),
+    ],
+)
+def test_oracle_error_texts(sides, box, message):
+    with pytest.raises(ValueError) as info:
+        oracle_feasible(Instance.from_sides(sides, BoxSpec(*box)))
+    assert str(info.value) == message
+
+
 def test_oracle_cell_budget():
     with pytest.raises(ValueError, match="budget"):
         oracle_feasible(Instance.from_sides([(1, 1)] * 72, BoxSpec(9, 8)))
@@ -175,6 +196,33 @@ def test_family_witnesses_pass_exact_verification():
             feasible += 1
             assert verify_exact(inst, witness)
     assert feasible == 41
+
+
+FAMILY = list(enumerate_small_family())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pick=st.integers(0, len(FAMILY) - 1),
+    rotation=st.booleans(),
+    data=st.data(),
+)
+def test_witness_of_numpy_sides_passes_exact_verification(pick, rotation, data):
+    # Each side is drawn, on its own, as an int, a whole float, a whole
+    # Fraction or a numpy integer: the decision and the witness are those
+    # of the int instance, and the witness passes verify_exact against the
+    # instance as given.
+    inst = FAMILY[pick]
+    kinds = st.sampled_from([int, float, Fraction, np.int64, np.int32])
+    sides = [(data.draw(kinds)(r.width), data.draw(kinds)(r.height)) for r in inst.rects]
+    box = BoxSpec(data.draw(kinds)(inst.box.width), data.draw(kinds)(inst.box.height))
+    plain = Instance.from_sides([(r.width, r.height) for r in inst.rects], inst.box, rotation)
+    mixed = Instance.from_sides(sides, box, rotation)
+    ok, witness = oracle_feasible(mixed)
+    assert (ok, witness) == oracle_feasible(plain)
+    if ok:
+        assert all(type(v) is int for p in witness.placements for v in p.as_tuple())
+        assert verify_exact(mixed, witness)
 
 
 def test_family_bounds_validation():

@@ -3,6 +3,7 @@ corner-sign cancellation, and the bridge back to moment residuals."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -25,6 +26,10 @@ from momentpack import (
     gen_guillotine,
     moment_residual_of_layout,
     oracle_feasible,
+    parse_instance,
+    parse_layout,
+    serialize_instance,
+    serialize_layout,
     snap_layout,
     verify_exact,
     verify_layout,
@@ -543,6 +548,96 @@ def test_verify_exact_names_the_first_bad_number_by_its_place():
     with pytest.raises(ValueError) as info:
         verify_exact(inst, layout)
     assert str(info.value) == "placement 2: expected a rational number, got Decimal('1')"
+
+
+# -- Every kind of exact number ---------------------------------------------
+
+WHOLE_KINDS = (int, float, Fraction, np.int64)
+
+
+def numbers_in_order(inst, layout):
+    """Every number verify_exact reads, in its order: box sides, placement
+    corners, rect sides."""
+    nums = [inst.box.width, inst.box.height]
+    nums += [v for p in layout.placements for v in p.as_tuple()]
+    return nums + [v for r in inst.rects for v in (r.width, r.height)]
+
+
+def rebuilt(inst, layout, nums):
+    """inst and layout with their numbers, in numbers_in_order's order,
+    replaced by nums."""
+    it = iter(nums)
+    box = BoxSpec(next(it), next(it))
+    placements = tuple(Placement(*itertools.islice(it, 4)) for _ in layout.placements)
+    sides = [(next(it), next(it)) for _ in inst.rects]
+    return Instance.from_sides(sides, box, inst.rotation_allowed), Layout(placements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pick=st.integers(0, len(INTEGER_LAYOUTS) - 1),
+    scale=st.sampled_from([1, 2**40]),
+    move=st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from([-1, 1])),
+    data=st.data(),
+)
+def test_verify_exact_and_the_json_writers_read_every_exact_kind_alike(pick, scale, move, data):
+    # Each number is drawn, on its own, as an int, a whole float, a Fraction
+    # or a numpy integer.  Times 2**40 the layout is past the int64 bound,
+    # so both check paths run; a copy may have one coordinate moved by one
+    # grid unit.
+    inst, layout = scaled(*INTEGER_LAYOUTS[pick], scale)
+    if move is not None:
+        index, corner, sign = move
+        placements = list(layout.placements)
+        i = index % len(placements)
+        corners = list(placements[i].as_tuple())
+        corners[corner] += sign  # every side is >= 1, so the corners stay in order
+        placements[i] = Placement(*corners)
+        layout = Layout(tuple(placements))
+    assert on_int64(inst, layout) is (scale == 1)
+    nums = numbers_in_order(inst, layout)
+    kinds = data.draw(st.lists(st.sampled_from(WHOLE_KINDS), min_size=len(nums), max_size=len(nums)))
+    mixed_inst, mixed_layout = rebuilt(inst, layout, [kind(v) for kind, v in zip(kinds, nums)])
+    assert verify_exact(mixed_inst, mixed_layout) is verify_exact(inst, layout)
+    assert parse_instance(serialize_instance(mixed_inst)) == mixed_inst
+    assert parse_layout(serialize_layout(mixed_layout)) == mixed_layout
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pick=st.integers(0, len(INTEGER_LAYOUTS) - 1),
+    bad=st.sampled_from(["decimal", "half"]),
+    data=st.data(),
+)
+def test_verify_exact_names_a_decimal_or_a_non_whole_float_anywhere(pick, bad, data):
+    # Among ints, whole floats and Fractions, one number becomes a Decimal
+    # or gains 0.5: the error names its place, with the texts of the
+    # exact verifier.
+    inst, layout = INTEGER_LAYOUTS[pick]
+    nums = numbers_in_order(inst, layout)
+    kinds = data.draw(st.lists(st.sampled_from(WHOLE_KINDS[:3]), min_size=len(nums), max_size=len(nums)))
+    nums = [kind(v) for kind, v in zip(kinds, nums)]
+    k = data.draw(st.integers(0, len(nums) - 1))
+    v = int(nums[k])
+    nums[k] = Decimal(v) if bad == "decimal" else v + 0.5
+    names = ["box width", "box height"]
+    names += [f"placement {i}" for i in range(1, len(layout) + 1) for _ in range(4)]
+    names += [f"rect {i} {side}" for i in range(1, inst.n_rects + 1) for side in ("width", "height")]
+    with pytest.raises(ValueError) as info:
+        verify_exact(*rebuilt(inst, layout, nums))
+    if bad == "decimal":
+        assert str(info.value) == f"{names[k]}: expected a rational number, got Decimal('{v}')"
+    else:
+        assert str(info.value) == f"{names[k]}: non-rational input {v + 0.5}; use ints or 'p/q' strings"
+
+
+def test_verify_exact_never_computes_on_numpy_integers():
+    # One 2**32 square in a 2**33 x 2**32 box leaves a gap of 2**64 cells.
+    # Given as numpy integers, the numbers must still be checked as Python
+    # ints: on int64 the bound and the gap would both wrap.
+    s = np.int64(2**32)
+    inst = Instance.from_sides([(s, s)], BoxSpec(2 * s, s))
+    assert verify_exact(inst, Layout((Placement(*np.array([0, 0, s, s])),))) is False
 
 
 def all_pairs_check(inst, layout, tol, num, total):
