@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 Number = Union[int, float, Fraction]
 
 
@@ -65,9 +67,12 @@ __all__ = [
 
 
 def _check_finite(value: Number, what: str) -> None:
-    if isinstance(value, bool):
+    """Reject a bool and a non-finite float, numpy's too; ints and finite floats pass by type."""
+    if type(value) is int or type(value) is float and -math.inf < value < math.inf:
+        return
+    if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{what}: expected a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
 
 

@@ -233,7 +233,7 @@ def batch_residual(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
     # Contiguous integrals, so the moment product is one BLAS matmul per row.
     qx = sys.integrate @ (table[:, :, 2::4] - table[:, :, 0::4])
     ry = sys.integrate @ (table[:, :, 3::4] - table[:, :, 1::4])
-    moments = (qx @ ry.transpose(0, 2, 1) - sys.box_moments).reshape(k, -1)
+    moments = (qx @ ry.transpose(0, 2, 1) - sys.box_moments).reshape(k, sys.box_moments.size)
     if not sys.constraint_count:
         return moments
     dx, dy = qx[:, 0, u:] * sys.box_w, ry[:, 0, u:] * sys.box_h  # Q_0 is the u-extent
@@ -250,12 +250,12 @@ def _moment_columns(deriv: np.ndarray, integrals: np.ndarray, out: np.ndarray) -
     """Write d(moment row (k, l)) by one group's unknowns, x and y
     alternating, into out (K, m, m, columns): (dQ_k, R_l) for an x unknown,
     (Q_k, dR_l) for a y one.  deriv holds dQ_k or dR_l, integrals Q_k, R_l."""
-    k, m = deriv.shape[:2]
+    k, m, _, cols = out.shape
     first = deriv.copy()
     first[..., 1::2] = integrals[..., 0:1]
     second = deriv
     second[..., 0::2] = integrals[..., 1:2]
-    np.multiply(first.reshape(k, m, 1, -1), second.reshape(k, 1, m, -1), out=out)
+    np.multiply(first.reshape(k, m, 1, cols), second.reshape(k, 1, m, cols), out=out)
 
 
 def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
@@ -277,7 +277,7 @@ def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
     integrals = (sys.integrate @ delta.reshape(k, m + 1, 2 * n)).reshape(k, m, n, 2)
     per_side = 0.5 * sys.to_cheb[:4]  # 1/A, 1/B, 1/A, 1/B
     out = np.empty((k, sys.equation_count, sys.var_count))
-    moments = out[:, : m * m].reshape(k, m, m, -1)
+    moments = out[:, : m * m].reshape(k, m, m, sys.var_count)
     if u:
         deriv = delta[:, :m, :u] * per_side[:2]
         _moment_columns(deriv, integrals[:, :, :u], moments[..., : 2 * u])

@@ -1,39 +1,36 @@
 """Damped least-squares solving of truncated moment systems with multistart.
 
 The core, _lockstep, runs Levenberg-Marquardt on many start vectors at
-once: for each start, each attempt solves (J^T J + lambda I) delta =
--J^T r and accepts the candidate x + delta only on strict cost decrease
-(lambda halves); a rejection quadruples lambda and retries.  The unknowns
-are unconstrained: a candidate whose residual is not finite costs inf, so
-it is rejected like any other that does not lower the cost, and every
-accepted iterate stays finite.  Containment in the box is the verifier's
-check, not the solver's.
+once: for each start, each attempt solves (J^T J + lambda I) delta = -J^T r
+and accepts the candidate x + delta only on strict cost decrease (lambda
+halves); a rejection quadruples lambda for the next attempt (Madsen,
+Nielsen & Tingleff 2004, section 3.2).  The unknowns are unconstrained: a
+candidate whose residual is not finite costs inf, so it is rejected like
+any other that does not lower the cost, and every accepted iterate stays
+finite.  Containment in the box is the verifier's check, not the solver's.
 
 solve_multistart layers deterministic restarts on top (start 0 is the shelf
 layout, later starts are seeded draws) and treats geometric verification,
 not the residual, as the definition of success: every start that stops,
 converged or not, is handed once, as it stopped, to verify_layout at its
 default tolerance, the one `momentpack verify` uses.  So an instance that
-tiles only within that tolerance, whose moment system keeps a residual
-floor above RESIDUAL_TOL, is still reported from the start that stalled
-there.  The first start to verify wins.  Reports are bitwise deterministic
-for a fixed (instance, config, max_order, mode).
+tiles only within that tolerance, whose moment system keeps a residual floor
+above RESIDUAL_TOL, is still reported from the start that stalled there.
+Reports are bitwise deterministic for fixed arguments.
 
-All starts of a solve run in one lockstep call: its iterations share one
-batched Jacobian, and each round of attempts is one stacked linear solve,
-one lambda per start yet to step.  Each start keeps its own lambda and
-stop rule, so its trajectory is the one it follows alone, bit for bit,
-which solve_single, the one-start view, gives it too.  The batches are
-small (at most 40 unknowns per start on the benchmark's solves), so a
-round costs mostly per-call overhead; in the common round every start
-steps, and it gathers and narrows nothing.  The call takes a per-start
-check, here verification: after each lockstep iteration it checks the
-starts that stopped in it in index order, the first that passes wins, and
-every start still running stops with it.  It returns the winner with
-every start's final variables, steps and max |r|, and solve_multistart
-reads its report off them.  So the winner is the verified start with the
-fewest lockstep iterations, ties going to the lowest index.  Memory grows
-with the number of starts, about 70 KB each at 20 fixed rectangles.
+All starts of a solve run in one lockstep call.  Each round makes one
+attempt for every start still running, each at its own lambda: one stacked
+linear solve, one residual evaluation and one batched Jacobian for the
+starts whose attempt was accepted; a rejected start retries in the next
+round, beside the others' next attempts.  So each start follows the
+trajectory it follows alone, bit for bit (solve_single is the one-start
+view), and no start waits on another's retries: at these sizes (at most 40
+unknowns per start on the benchmark's solves) a round costs mostly per-call
+overhead.  After each round the call checks the starts that stopped in it,
+in index order, here by verification; the first that passes wins, and
+every start still running stops with it.  So the winner is the verified
+start with the fewest LM attempts (linear solves), ties going to the
+lowest index.  Each start adds about 70 KB of memory at 20 fixed rectangles.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
@@ -46,12 +43,11 @@ by a large share.  With every start run to its own stop, the smallest
 share a converging start's step lowered its cost by was 3.1e-7 over 9,206
 family-sweep starts, 1.9e-6 over 1,848 fixed-mode guillotine starts (N = 3
 to 10) and 9.5e-8 over 447 rotatable ones, only 9.5 times STALL_TOL (a
-test pins that start).  A
-converged start is not refined further: at a tiling the moment rows are
-well conditioned, so max |r| <= RESIDUAL_TOL puts the layout far inside
-the verifier's DEFAULT_TOL.  Over the family sweep and 4,450 guillotine
-solves (N = 6 to 20) the loosest tolerance a verified layout needed was
-3.3e-9, 30 times under it.
+test pins that start).  A converged start is not refined further: at a
+tiling the moment rows are well conditioned, so max |r| <= RESIDUAL_TOL
+puts the layout far inside the verifier's DEFAULT_TOL.  Over the family
+sweep and 4,450 guillotine solves (N = 6 to 20) the loosest tolerance a
+verified layout needed was 3.3e-9, 30 times under it.
 """
 
 from __future__ import annotations
@@ -114,13 +110,14 @@ class SolveReport:
     """status is converged_verified, converged_unverified, or exhausted;
     converged_verified always means the reported layout passed geometric
     verification.  iterations_total counts every accepted LM step any start
-    took, starts cut short by the win too.  best_layout is the winner's as
-    it stopped: a winner that converged reports a final_residual_inf of at
-    most about RESIDUAL_TOL, not roundoff, and one that did not converge
-    its own, larger value.  start_index is the winner's; without one, the start with
-    the lowest final max |r|, ties going to the lowest index.
-    converged_unverified means some start reached RESIDUAL_TOL and none
-    verified."""
+    took; a start cut short by the win counts those of its first attempts,
+    as many as the winner made.  best_layout is the winner's as it stopped:
+    a winner that converged reports a final_residual_inf of at most about
+    RESIDUAL_TOL, not roundoff, and one that did not converge its own,
+    larger value.  start_index is the winner's, the verified start with the
+    fewest LM attempts, else the start with the lowest final max |r|, ties
+    going to the lowest index either way.  converged_unverified means some
+    start reached RESIDUAL_TOL and none verified."""
 
     status: str
     best_layout: Layout | None
@@ -237,28 +234,22 @@ def _lockstep(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
 
-    Each iteration evaluates one Jacobian for all live rows.  Each row
-    starts at LAMBDA0 and follows the one-attempt damping rule on its own:
-    solve at lambda, accept the candidate x + delta only on strict cost
-    decrease (lambda halves, not below LAMBDA_MIN), else quadruple lambda
-    and retry in the next round until it exceeds LAMBDA_MAX.  A round
-    stacks every row yet to step, each at its own lambda, into one linear
-    solve and one residual evaluation, so each row follows the rule's
-    trajectory bit for bit, whatever else is in the batch.  A row stops on
-    RESIDUAL_TOL, a stall (an accepted step lowering its cost by less than
-    a share STALL_TOL of it; 0 turns the rule off), lambda above LAMBDA_MAX
-    or max_iters.  Near a root each step lowers the cost by a large share,
-    so a stall ends a row bound for a non-zero local minimum, not one bound
-    to converge.  Returns the final variables (K, V), the accepted step
-    count of each row (K,), the accepted costs (K, max_iters + 1), row k's
-    history being costs[k, : steps[k] + 1], each row's final max |r| (K,)
-    and the winner.
+    Each row starts at LAMBDA0 and follows the one-attempt damping rule on
+    its own until RESIDUAL_TOL, a stall (STALL_TOL 0 turns the rule off),
+    lambda above LAMBDA_MAX or max_iters accepted steps.  Each round makes
+    one attempt for every running row, each at its own lambda, in one
+    stacked linear solve and one residual evaluation; a rejected row
+    retries on the undamped normal equations it keeps.  So each row follows
+    the rule's trajectory bit for bit, whatever else is in the batch.
+    Returns the final variables (K, V), the accepted step count of each row
+    (K,), the accepted costs (K, max_iters + 1), row k's history being
+    costs[k, : steps[k] + 1], each row's final max |r| (K,) and the winner.
 
     passes, if given, is asked about each row's variables once, as the row
-    stops: first the rows that never start, then after each iteration the
-    rows that stopped in it, in index order.  The first row it passes is
-    the winner, and every row still running stops at once, with the steps
-    it has taken.  The winner is -1 when no row passes.
+    stops: first the rows that never start, then after each round the rows
+    that stopped in it, in index order.  The first row it passes is the
+    winner, and every row still running stops at once, with the steps it
+    has taken in as many attempts.  The winner is -1 when no row passes.
     """
     diag = slice(None, None, sys.var_count + 1)  # the diagonal of a flattened (V, V)
     x = np.array(x0, dtype=float)  # a copy: rows are updated in place
@@ -270,48 +261,53 @@ def _lockstep(
         costs = np.empty((len(x), max_iters + 1))
         costs[:, 0] = cost
         steps = np.zeros(len(x), dtype=int)
-        lam = np.full(len(x), LAMBDA0)
         live = np.isfinite(r_inf) & (r_inf > RESIDUAL_TOL)
-        ended = np.flatnonzero(~live)
+        rows, ended = np.flatnonzero(live), np.flatnonzero(~live)
+        # The running rows' state, in the order of rows, written back as a
+        # row stops.  Normal equations are built at the top of the round after
+        # a row steps (fresh), so a win skips the Jacobians of its round.
+        xr, cost, n, rmax = x[rows], cost[rows], steps[rows], r_inf[rows]
+        lam = np.full(len(rows), LAMBDA0)
+        hess, neg_grad = np.empty((len(rows), sys.var_count, sys.var_count)), np.empty(xr.shape)
+        table, r, fresh = table[rows], r[rows], live[rows]
         winner = -1
         while True:
-            if passes is not None and len(ended):
+            if passes is not None:
                 winner = next((k for k in ended.tolist() if passes(x[k])), -1)
-                if winner >= 0:
-                    break
-            iterated = rows = np.flatnonzero(live)
-            if not len(rows):
+            if winner >= 0 or not len(rows):
                 break
-            jac = mo.batch_jacobian(sys, table[rows])
-            jac_t = jac.transpose(0, 2, 1)
-            neg_grad = -(jac_t @ r[rows, :, None])[:, :, 0]
-            hess = jac_t @ jac
-            while len(rows):  # rows that have not stepped this iteration
-                damped = hess.copy()
-                damped.reshape(len(rows), -1)[:, diag] += lam[rows, None]
-                cand = x[rows] + _solve_rows(damped, neg_grad)
-                cand_table = mo.chebyshev_table(sys, cand)
-                r_new = mo.batch_residual(sys, cand_table)
-                cost_new, cost_old = _costs(r_new), cost[rows]
-                stepped = cost_new < cost_old
-                every = stepped.all()  # most rounds: nothing to gather, none retries
-                won = rows if every else rows[stepped]
-                if not every:
-                    cand, r_new, cand_table = cand[stepped], r_new[stepped], cand_table[stepped]
-                    cost_new, cost_old = cost_new[stepped], cost_old[stepped]
-                fell = cost_new < (1.0 - STALL_TOL) * cost_old
-                won_steps, won_inf = steps[won] + 1, np.abs(r_new).max(axis=1)
-                x[won], r[won], table[won], cost[won] = cand, r_new, cand_table, cost_new
-                steps[won], r_inf[won], costs[won, won_steps] = won_steps, won_inf, cost_new
-                lam[won] = np.maximum(lam[won] * LAMBDA_DECREASE, LAMBDA_MIN)
-                live[won] = (won_inf > RESIDUAL_TOL) & fell & (won_steps < max_iters)
-                if every:
-                    break
-                lam[rows[~stepped]] *= LAMBDA_INCREASE
-                retry = ~stepped & (lam[rows] <= LAMBDA_MAX)
-                live[rows[~stepped & ~retry]] = False
-                rows, hess, neg_grad = rows[retry], hess[retry], neg_grad[retry]
-            ended = iterated[~live[iterated]]
+            if len(table):  # some row stepped in the last round
+                jac_t = mo.batch_jacobian(sys, table).transpose(0, 2, 1)
+                neg_grad[fresh] = -(jac_t @ r[:, :, None])[:, :, 0]
+                hess[fresh] = jac_t @ jac_t.transpose(0, 2, 1)
+                del jac_t  # the largest array of a round: not kept through it
+            damped = hess.copy()
+            damped.reshape(len(rows), -1)[:, diag] += lam[:, None]
+            cand = xr + _solve_rows(damped, neg_grad)
+            table = mo.chebyshev_table(sys, cand)
+            r = mo.batch_residual(sys, table)
+            cost_new = _costs(r)
+            fresh, fell = cost_new < cost, cost_new < (1.0 - STALL_TOL) * cost
+            if fresh.all():  # most rounds: nothing to gather, none retries
+                xr, cost, rmax, n = cand, cost_new, np.abs(r).max(axis=1), n + 1
+                lam = np.maximum(lam * LAMBDA_DECREASE, LAMBDA_MIN)
+                keep = (rmax > RESIDUAL_TOL) & fell & (n < max_iters)
+            else:
+                table, r = table[fresh], r[fresh]
+                xr[fresh], cost[fresh] = cand[fresh], cost_new[fresh]
+                rmax[fresh], n = np.abs(r).max(axis=1), n + fresh
+                down = np.maximum(lam * LAMBDA_DECREASE, LAMBDA_MIN)
+                lam = np.where(fresh, down, lam * LAMBDA_INCREASE)
+                going = (rmax > RESIDUAL_TOL) & fell & (n < max_iters)
+                keep = np.where(fresh, going, lam <= LAMBDA_MAX)
+            costs[rows, n] = cost  # a row that did not step writes its cost again
+            ended = rows[~keep]
+            if len(ended):
+                x[ended], steps[ended], r_inf[ended] = xr[~keep], n[~keep], rmax[~keep]
+                table, r = table[keep[fresh]], r[keep[fresh]]
+                state = rows, xr, cost, n, rmax, lam, hess, neg_grad, fresh
+                rows, xr, cost, n, rmax, lam, hess, neg_grad, fresh = (a[keep] for a in state)
+        x[rows], steps[rows], r_inf[rows] = xr, n, rmax  # the rows a win cut short
     return x, steps, costs, r_inf, winner
 
 
@@ -361,10 +357,11 @@ def solve_multistart(
     """Deterministic multistart: start 0 is the shelf layout, later starts
     draw from per-index seeded generators.  A start counts as a success
     only when the layout it stopped at, converged or not, passes geometric
-    verification.  All starts race in one lockstep call, which verifies
-    each start as it stops, in index order after each iteration; the first
-    to pass wins and stops the rest.  So the winner is the verified start
-    with the fewest lockstep iterations, ties going to the lowest index.
+    verification.  All starts race in one lockstep call, one LM attempt
+    each per round, which verifies each start as it stops, in index order
+    after each round; the first to pass wins and stops the rest.  So the
+    winner is the verified start with the fewest LM attempts, ties going to
+    the lowest index.
     Without a winner the report carries the lowest (final max |r|, start
     index), read off the race's per-start results.  The arguments are
     checked first, so a bad mode or max_order raises ValueError for every

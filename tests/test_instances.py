@@ -6,8 +6,10 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,29 @@ def test_bool_sides_and_coordinates_are_rejected():
         Placement(0, 0, True, 1)
     with pytest.raises(ValueError, match="^rect 1: width: expected a number, got True$"):
         Instance.from_sides([(True, 1), (1, 1)], BoxSpec(2, 1))
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (RectSpec, (np.True_, 1), "width: expected a number, got {!r}"),
+        (Placement, (0, np.False_, 1, 1), "y_lo: expected a number, got {!r}"),
+        (RectSpec, (np.float32("nan"), 1), "width must be finite, got {!r}"),
+        (Placement, (0, 0, np.float16("-inf"), 1), "x_hi must be finite, got {!r}"),
+    ],
+    ids=["numpy-true", "numpy-false", "float32-nan", "float16-inf"],
+)
+def test_numpy_bools_and_non_finite_numpy_floats_are_rejected(cls, args, message):
+    # A numpy bool is no bool and a numpy float32 no float, so neither may
+    # slip past the checks that reject True and nan.
+    bad = next(v for v in args if type(v) is not int)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad))}$"):
+        cls(*args)
+
+
+def test_numpy_numbers_that_are_finite_pass():
+    p = Placement(np.int64(0), np.float32(0.5), Fraction(3, 2), np.float64(2.0))
+    assert (p.dx, p.dy) == (Fraction(3, 2), 1.5)
 
 
 def test_placement_corners_ordered():

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Chebyshev
 
@@ -393,12 +393,15 @@ def test_jacobian_matches_central_differences(mode, fd_jac):
 @given(
     seed=st.integers(0, 10_000),
     cuts=st.integers(0, 12),
-    rows=st.integers(1, 8),
+    rows=st.integers(0, 8),
     mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
 )
+@example(seed=0, cuts=3, rows=0, mode=mo.FIXED)
+@example(seed=0, cuts=3, rows=0, mode=mo.ROTATABLE)
 def test_batched_rows_equal_single_evaluation_bitwise(seed, cuts, rows, mode):
     # Each row of a batched evaluation must be exactly what the point gives
-    # alone, whatever else is in the batch; multistart relies on it.
+    # alone, whatever else is in the batch; multistart relies on it.  An
+    # empty batch gives empty results of the same shapes.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(1.0 + seed % 7, 2.5))
     sys = mo.build_system(inst, mode=mode)
     points = np.random.default_rng(seed).uniform(0, 1, (rows, sys.var_count))
