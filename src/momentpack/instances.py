@@ -67,10 +67,11 @@ __all__ = [
 
 
 def _check_finite(value: Number, what: str) -> None:
-    """Reject a bool and a non-finite float, numpy's too; ints and finite floats pass by type."""
+    """Reject a bool, a non-number (a string, None, a numpy bool) and a
+    non-finite float, numpy's too; ints and finite floats pass by type."""
     if type(value) is int or type(value) is float and -math.inf < value < math.inf:
         return
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
         raise ValueError(f"{what}: expected a number, got {value!r}")
     if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
@@ -102,9 +103,11 @@ def _plain_rows(rows: list, width: int) -> bool:
 
 
 def _num_to_json(value: Number) -> object:
-    """A float as it is; any other number as an int or a "p/q" string."""
-    if isinstance(value, float):
-        return value
+    """A float, numpy's float16 and float32 too, as the Python float of its
+    value, which holds it exactly; any other number as an int or a "p/q"
+    string."""
+    if isinstance(value, (float, np.float16, np.float32)):
+        return float(value)
     q = _exact(value)
     return q if type(q) is int else f"{q.numerator}/{q.denominator}"
 

@@ -32,13 +32,14 @@ per rectangle.
   The sweep stops at its first block that holds an overlap.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
-  other two corners.  Every x and every y is snapped with _snap (anchored
-  at 0 and the box side), and each box corner joins with its expected sign
-  negated, +1/-1/-1/+1 at (0,0), (A,0), (0,B), (A,B); equal snapped
-  points are merged (np.unique) and their signs summed (np.bincount): in a
-  perfect packing every point nets 0.  Snapping each axis differs from
-  clustering the points within L-inf distance eps only when a chain of
-  coordinates, each within eps of the next, spans more than eps.
+  other two corners.  _snap snaps the x values, then the y values, each
+  axis on its own np.unique (anchored at 0 and the box side), and each box
+  corner joins with its expected sign negated, +1/-1/-1/+1 at (0,0),
+  (A,0), (0,B), (A,B); equal snapped points are merged (np.unique) and
+  their signs summed (np.bincount): in a perfect packing every point nets
+  0.  Snapping each axis differs from clustering the points within L-inf
+  distance eps only when a chain of coordinates, each within eps of the
+  next, spans more than eps.
 
 _snap is the package's one coordinate-clustering helper (the solver's
 snap_layout uses it too), _side_error its one side test
@@ -298,33 +299,23 @@ def verify_exact(inst: Instance, layout: Layout) -> bool:
 def _snap(corners: np.ndarray, sides: tuple[float, float], eps: float) -> np.ndarray:
     """A copy of an (n, 4) corner array, rows x_lo, y_lo, x_hi, y_hi, with
     each coordinate replaced by its cluster's representative.  Per axis, the
-    sorted distinct values chain into one cluster while gaps are <= eps; a
-    cluster with a member within eps of 0, else of the box side, maps to
-    that value, any other to its mean.  eps = 0 clusters equal values only.
-
-    Both axes share one argsort: row 0 of values holds every x, row 1
-    every y, and each row is sorted on its own, so clusters never cross
-    axes.  Of equal values (0.0 and -0.0) the first in sorted order stands
-    for all of them."""
-    values = corners.reshape(-1, 2, 2).transpose(2, 0, 1).reshape(2, -1)
-    order = values.argsort(axis=1)
-    order[1] += values.shape[1]  # positions in values.ravel()
-    ranked = values.ravel()[order]
-    first = np.ones(ranked.shape, dtype=bool)  # the first of each run of equal values
-    starts = np.ones(ranked.shape, dtype=bool)  # the first distinct value of each cluster
-    with np.errstate(over="ignore"):  # far apart values overflow, as Python floats do
-        first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        starts[:, 1:] = ranked[:, 1:] - ranked[:, :-1] > eps
-        distinct = ranked[first]  # the distinct x values, then the y ones
-        cluster = starts[first].cumsum() - 1
-        rep = np.bincount(cluster, distinct) / np.bincount(cluster)
-        split = np.count_nonzero(first[0])
-        for side, axis in zip(sides, (slice(split), slice(split, None))):
+    sorted distinct values (np.unique) chain into one cluster while gaps are
+    <= eps; a cluster with a member within eps of 0, else of the box side,
+    maps to that value, any other to its mean.  eps = 0 clusters equal
+    values only.  Of equal values (0.0 and -0.0) the first in sorted order
+    stands for all of them."""
+    snapped = np.empty(corners.shape)
+    for axis, side in enumerate(sides):
+        distinct, inverse = np.unique(corners[:, axis::2], return_inverse=True)
+        starts = np.ones(distinct.shape, dtype=bool)  # the first value starts a cluster
+        with np.errstate(over="ignore"):  # far apart values overflow, as Python floats do
+            starts[1:] = np.diff(distinct) > eps
+            cluster = starts.cumsum() - 1
+            rep = np.bincount(cluster, distinct) / np.bincount(cluster)
             for anchor in (side, 0.0):  # 0 last, so it wins a cluster near both
-                rep[cluster[axis][abs(distinct[axis] - anchor) <= eps]] = anchor
-    snapped = np.empty(values.size)
-    snapped[order] = rep[cluster[first.cumsum() - 1]].reshape(order.shape)
-    return snapped.reshape(2, -1, 2).transpose(1, 2, 0).reshape(-1, 4)
+                rep[cluster[abs(distinct - anchor) <= eps]] = anchor
+        snapped[:, axis::2] = rep[cluster[inverse.reshape(-1, 2)]]
+    return snapped
 
 
 def corner_cancellation(layout: Layout, box: BoxSpec, tol: float = DEFAULT_TOL) -> bool:

@@ -71,12 +71,26 @@ def test_bool_sides_and_coordinates_are_rejected():
         (Placement, (0, np.False_, 1, 1), "y_lo: expected a number, got {!r}"),
         (RectSpec, (np.float32("nan"), 1), "width must be finite, got {!r}"),
         (Placement, (0, 0, np.float16("-inf"), 1), "x_hi must be finite, got {!r}"),
+        (RectSpec, (1, "2"), "height: expected a number, got {!r}"),
+        (RectSpec, (None, 1), "width: expected a number, got {!r}"),
+        (Placement, (0, 0, "1", 1), "x_hi: expected a number, got {!r}"),
+        (Placement, ("0", "0", "2", "1"), "x_lo: expected a number, got {!r}"),
     ],
-    ids=["numpy-true", "numpy-false", "float32-nan", "float16-inf"],
+    ids=[
+        "numpy-true",
+        "numpy-false",
+        "float32-nan",
+        "float16-inf",
+        "string-height",
+        "none-width",
+        "string-x_hi",
+        "string-placement",
+    ],
 )
 def test_numpy_bools_and_non_finite_numpy_floats_are_rejected(cls, args, message):
     # A numpy bool is no bool and a numpy float32 no float, so neither may
-    # slip past the checks that reject True and nan.
+    # slip past the checks that reject True and nan; nor may a non-number,
+    # which numpy would read as a float and the order checks cannot compare.
     bad = next(v for v in args if type(v) is not int)
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad))}$"):
         cls(*args)
@@ -107,7 +121,12 @@ def test_instance_area_sum_exact_with_fractions():
 
 def test_instance_roundtrip_mixed_number_kinds():
     inst = Instance.from_sides(
-        [(1, 2), (0.5, 1.5), (Fraction(3, 7), Fraction(7, 3))],
+        [
+            (1, 2),
+            (0.5, 1.5),
+            (Fraction(3, 7), Fraction(7, 3)),
+            (np.float32(1.5), np.float16(0.1)),
+        ],
         BoxSpec(4, Fraction(9, 2)),
         rotation_allowed=False,
     )
@@ -116,6 +135,9 @@ def test_instance_roundtrip_mixed_number_kinds():
     assert again == inst
     doc = json.loads(text)
     assert doc["rects"][2] == ["3/7", "7/3"]
+    # numpy's float16 and float32 are written as the Python float of their
+    # value, exactly: float16 0.1 is 0.0999755859375.
+    assert doc["rects"][3] == [1.5, 0.0999755859375]
     assert doc["box"] == [4, "9/2"]
     assert doc["rotation"] is False
 
@@ -140,6 +162,12 @@ def test_layout_roundtrip_with_rationals():
     again = parse_layout(serialize_layout(layout))
     assert again == layout
     assert isinstance(again.placements[0].x_hi, Fraction)
+    single = Layout((Placement(0, np.float32(0.5), np.float32(1.25), 1),))
+    assert parse_layout(serialize_layout(single)) == single
+    # A numpy float wider than a Python float is not rounded to one.
+    third = Layout((Placement(0, 0, np.longdouble(1) / 3, 1),))
+    with pytest.raises(ValueError, match="^expected a rational number, got "):
+        serialize_layout(third)
 
 
 @pytest.mark.parametrize(

@@ -908,6 +908,16 @@ def assert_clusters_match_reference(layout, box, tol):
     got = corner_cancellation(layout, box, tol)
     assert type(got) is bool
     assert got is reference_corner_cancellation(layout, box, tol)
+    # _snap's own values, per axis, at corner_cancellation's eps.
+    sides = (float(box.width), float(box.height))
+    corners = np.array([[float(v) for v in p.as_tuple()] for p in layout.placements]).reshape(-1, 4)
+    snapped = verify._snap(corners, sides, tol * max(sides))
+    for axis, side in enumerate(sides):
+        values = corners[:, axis::2].ravel().tolist()
+        want = reference_snap_values(values, (0.0, side), tol * max(sides))
+        assert [v.hex() for v in snapped[:, axis::2].ravel().tolist()] == [
+            want[v].hex() for v in values
+        ]
     inst = Instance.from_sides([], box)  # snap_layout reads only the box
     for eps in (None, tol * max(float(box.width), float(box.height))):
         snapped = snap_layout(inst, layout, eps)
