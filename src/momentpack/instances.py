@@ -4,10 +4,10 @@ An instance is a multiset of axis-aligned rectangles plus a target box; a
 layout assigns each rectangle its corner coordinates.  Every rectangle and
 the box is a RectSpec, a bare width x height (BoxSpec is another name for
 it); a rectangle is named by its 1-based position in the instance, as in
-verifier reports and error messages.  Numeric fields may be ints, floats, or
-fractions.Fraction: exact rational inputs (ints, or "p/q" strings in JSON)
-survive parsing untouched so the exact verifier can reason about them
-without rounding.
+verifier reports and error messages.  A numeric field is a finite
+numbers.Real other than a bool (an int, a float of any width, a Fraction);
+exact rational inputs (ints, or "p/q" strings in JSON) survive parsing
+untouched so the exact verifier can reason about them without rounding.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ Number = Union[int, float, Fraction]
 
 def _exact(value: object) -> int | Fraction:
     """The package's one test of an exact number: a numbers.Rational (an
-    int, a Fraction, a numpy integer) or a whole float becomes a Python int
-    when whole, else a Fraction, never a numpy integer, which wraps
-    silently.  Anything else raises; the caller names the value's place."""
+    int, a Fraction, a numpy integer) or a whole float of any width becomes
+    a Python int when whole, else a Fraction, never a numpy integer, which
+    wraps silently.  Anything else raises; the caller names its place."""
     if type(value) is int:
         return value
     if isinstance(value, numbers.Rational):
         p, q = int(value.numerator), int(value.denominator)
         return p if q == 1 else Fraction(p, q)
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
     if isinstance(value, float):
-        if value.is_integer():
-            return int(value)
         raise ValueError(f"non-rational input {value!r}; use ints or 'p/q' strings")
     raise ValueError(f"expected a rational number, got {value!r}")
 
@@ -67,13 +67,13 @@ __all__ = [
 
 
 def _check_finite(value: Number, what: str) -> None:
-    """Reject a bool, a non-number (a string, None, a numpy bool) and a
-    non-finite float, numpy's too; ints and finite floats pass by type."""
+    """Reject a bool, a non-real (a string, None, a numpy bool, a Decimal,
+    a complex) and a non-finite float; ints and finite floats pass by type."""
     if type(value) is int or type(value) is float and -math.inf < value < math.inf:
         return
-    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what}: expected a number, got {value!r}")
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+    if not isinstance(value, numbers.Rational) and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
 
 

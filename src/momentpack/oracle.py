@@ -34,9 +34,9 @@ def _as_int(value: Number, what: str) -> int:
 
 def oracle_feasible(inst: Instance) -> tuple[bool, Layout | None]:
     """Decide perfect packability of a small integer instance by exhaustive
-    search; every side must be whole, numpy integers included.  On success
-    the returned witness layout has integer coordinates and passes exact
-    verification."""
+    search; every side must be whole, numpy integers and floats included.
+    On success the returned witness layout has integer coordinates and
+    passes exact verification."""
     a = _as_int(inst.box.width, "box width")
     b = _as_int(inst.box.height, "box height")
     if a * b > CELL_BUDGET:

@@ -264,8 +264,8 @@ def verify_exact(inst: Instance, layout: Layout) -> bool:
     """verify_layout's checks at zero tolerance over exact rationals.
 
     All sides and coordinates must be exact: ints, Fractions, numpy
-    integers or other numbers.Rational, or integer-valued floats; anything
-    else raises ValueError, whatever else is wrong.
+    integers or other numbers.Rational, or whole floats of any width;
+    anything else raises ValueError, whatever else is wrong.
     Boundary contact between rectangles is legal; any interior overlap,
     overhang, side mismatch, or area gap fails.
     """
@@ -356,5 +356,6 @@ def moment_residual_of_layout(
     residual = np.max(np.abs(mo.residual(sys, mo.corners_to_vars(sys, corners / sys.scale))))
     placed = corners.reshape(-1, 2, 2)
     sides = np.stack([sys.widths, sys.heights], axis=1)
-    off = np.abs((placed[:, 1] - placed[:, 0]) / sys.scale - sides)[~sys.free]
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs((placed[:, 1] - placed[:, 0]) / sys.scale - sides)[~sys.free]
     return float(max(residual, np.max(off, initial=0.0)))

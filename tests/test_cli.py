@@ -10,6 +10,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -232,6 +233,21 @@ def test_verify_failing_layout_exits_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(inst_path), str(lay_path))
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_verify_of_sides_that_overflow_prints_no_warning(capsys, tmp_path):
+    # Corner differences past the largest float overflow to infinity; the
+    # report says so and numpy must not warn about it.
+    inst_path = tmp_path / "big.json"
+    inst_path.write_text('{"box": [1e308, 1e308], "rects": [[1e308, 1e308]]}\n')
+    lay_path = tmp_path / "big.layout.json"
+    lay_path.write_text('{"placements": [[-1e308, 0, 1.7e308, 1e308]]}\n')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", str(inst_path), str(lay_path))
+    assert code == 1
+    assert '"pass": false' in out
+    assert (caught, err) == ([], "")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,12 @@ def test_bool_sides_and_coordinates_are_rejected():
         (RectSpec, (None, 1), "width: expected a number, got {!r}"),
         (Placement, (0, 0, "1", 1), "x_hi: expected a number, got {!r}"),
         (Placement, ("0", "0", "2", "1"), "x_lo: expected a number, got {!r}"),
+        (RectSpec, (Decimal(1), 1), "width: expected a number, got {!r}"),
+        (RectSpec, (1, Decimal("Infinity")), "height: expected a number, got {!r}"),
+        (Placement, (0, 0, Decimal("NaN"), 1), "x_hi: expected a number, got {!r}"),
+        (Placement, (0, Decimal("sNaN"), 1, 1), "y_lo: expected a number, got {!r}"),
+        (RectSpec, (1 + 0j, 1), "width: expected a number, got {!r}"),
+        (Placement, (0, 0, 1, np.complex64(1)), "y_hi: expected a number, got {!r}"),
     ],
     ids=[
         "numpy-true",
@@ -85,12 +92,19 @@ def test_bool_sides_and_coordinates_are_rejected():
         "none-width",
         "string-x_hi",
         "string-placement",
+        "decimal-width",
+        "decimal-inf-height",
+        "decimal-nan-x_hi",
+        "decimal-snan-y_lo",
+        "complex-width",
+        "complex64-y_hi",
     ],
 )
 def test_numpy_bools_and_non_finite_numpy_floats_are_rejected(cls, args, message):
     # A numpy bool is no bool and a numpy float32 no float, so neither may
     # slip past the checks that reject True and nan; nor may a non-number,
-    # which numpy would read as a float and the order checks cannot compare.
+    # which numpy would read as a float and the order checks cannot compare,
+    # nor a Decimal or a complex number, which is no numbers.Real.
     bad = next(v for v in args if type(v) is not int)
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad))}$"):
         cls(*args)
@@ -168,6 +182,13 @@ def test_layout_roundtrip_with_rationals():
     third = Layout((Placement(0, 0, np.longdouble(1) / 3, 1),))
     with pytest.raises(ValueError, match="^expected a rational number, got "):
         serialize_layout(third)
+
+
+def test_whole_longdouble_serializes_as_an_int():
+    layout = Layout((Placement(0, 0, np.longdouble(3.0), 1),))
+    text = serialize_layout(layout)
+    assert text == '{"placements": [[0, 0, 3, 1]]}'
+    assert parse_layout(text) == layout
 
 
 @pytest.mark.parametrize(

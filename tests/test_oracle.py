@@ -4,7 +4,6 @@ verification of every witness."""
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -123,7 +122,7 @@ def test_oracle_accepts_integer_valued_floats():
     [
         ([(1.5, 2)], (2, 2), "rect 1 width must be a positive integer, got 1.5"),
         ([(2, Fraction(3, 2))], (2, 2), "rect 1 height must be a positive integer, got Fraction(3, 2)"),
-        ([(1, 2), (Decimal(2), 1)], (2, 2), "rect 2 width must be a positive integer, got Decimal('2')"),
+        ([(1, 2), (np.float32(2.5), 1)], (2, 2), "rect 2 width must be a positive integer, got np.float32(2.5)"),
         ([(1, 2)], (1.5, 2), "box width must be a positive integer, got 1.5"),
         ([(1, 1)], (5, 13), f"cell budget exceeded: 5x13 box has more than {CELL_BUDGET} cells"),
     ],
@@ -208,12 +207,12 @@ FAMILY = list(enumerate_small_family())
     data=st.data(),
 )
 def test_witness_of_numpy_sides_passes_exact_verification(pick, rotation, data):
-    # Each side is drawn, on its own, as an int, a whole float, a whole
-    # Fraction or a numpy integer: the decision and the witness are those
-    # of the int instance, and the witness passes verify_exact against the
-    # instance as given.
+    # Each side is drawn, on its own, as an int, a whole float (numpy's
+    # float32 too), a whole Fraction or a numpy integer: the decision and
+    # the witness are those of the int instance, and the witness passes
+    # verify_exact against the instance as given.
     inst = FAMILY[pick]
-    kinds = st.sampled_from([int, float, Fraction, np.int64, np.int32])
+    kinds = st.sampled_from([int, float, Fraction, np.int64, np.int32, np.float32])
     sides = [(data.draw(kinds)(r.width), data.draw(kinds)(r.height)) for r in inst.rects]
     box = BoxSpec(data.draw(kinds)(inst.box.width), data.draw(kinds)(inst.box.height))
     plain = Instance.from_sides([(r.width, r.height) for r in inst.rects], inst.box, rotation)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -544,10 +543,10 @@ def test_verify_exact_names_the_first_bad_number_by_its_place():
     with pytest.raises(ValueError, match=r"^box height: non-rational input 1\.5; use ints"):
         verify_exact(inst, Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 0.5))))
     inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(2, 1))
-    layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, Decimal(1))))
+    layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, np.float32(1.5))))
     with pytest.raises(ValueError) as info:
         verify_exact(inst, layout)
-    assert str(info.value) == "placement 2: expected a rational number, got Decimal('1')"
+    assert str(info.value) == "placement 2: expected a rational number, got np.float32(1.5)"
 
 
 # -- Every kind of exact number ---------------------------------------------
@@ -610,25 +609,34 @@ def test_verify_exact_and_the_json_writers_read_every_exact_kind_alike(pick, sca
     data=st.data(),
 )
 def test_verify_exact_names_a_decimal_or_a_non_whole_float_anywhere(pick, bad, data):
-    # Among ints, whole floats and Fractions, one number becomes a Decimal
-    # or gains 0.5: the error names its place, with the texts of the
-    # exact verifier.
+    # Among ints, whole floats and Fractions, one number gains 0.5, as a
+    # numpy float32 or as a Python float: the error names its place, with
+    # the texts of the exact verifier.
     inst, layout = INTEGER_LAYOUTS[pick]
     nums = numbers_in_order(inst, layout)
     kinds = data.draw(st.lists(st.sampled_from(WHOLE_KINDS[:3]), min_size=len(nums), max_size=len(nums)))
     nums = [kind(v) for kind, v in zip(kinds, nums)]
     k = data.draw(st.integers(0, len(nums) - 1))
     v = int(nums[k])
-    nums[k] = Decimal(v) if bad == "decimal" else v + 0.5
+    nums[k] = np.float32(v + 0.5) if bad == "decimal" else v + 0.5
     names = ["box width", "box height"]
     names += [f"placement {i}" for i in range(1, len(layout) + 1) for _ in range(4)]
     names += [f"rect {i} {side}" for i in range(1, inst.n_rects + 1) for side in ("width", "height")]
     with pytest.raises(ValueError) as info:
         verify_exact(*rebuilt(inst, layout, nums))
     if bad == "decimal":
-        assert str(info.value) == f"{names[k]}: expected a rational number, got Decimal('{v}')"
+        assert str(info.value) == f"{names[k]}: expected a rational number, got {np.float32(v + 0.5)!r}"
     else:
         assert str(info.value) == f"{names[k]}: non-rational input {v + 0.5}; use ints or 'p/q' strings"
+
+
+def test_verify_exact_reads_whole_numpy_floats_of_every_width():
+    # A whole float32 or longdouble is exact, as a whole Python float is.
+    inst = Instance.from_sides([(np.float32(1.0), 1), (1, np.longdouble(1.0))], BoxSpec(2, 1))
+    layout = Layout((Placement(0, 0, np.float32(1.0), 1), Placement(np.longdouble(1.0), 0, 2, 1)))
+    assert verify_exact(inst, layout) is True
+    stacked = Layout((layout.placements[0], Placement(np.longdouble(0.0), 0, 1, 1)))
+    assert verify_exact(inst, stacked) is False
 
 
 def test_verify_exact_never_computes_on_numpy_integers():
