@@ -5,18 +5,11 @@ over placement corners, solves it numerically with deterministic multistart
 Levenberg-Marquardt, and keeps the numerics honest with an independent
 geometric verifier (float and exact-rational modes), a signed
 corner-cancellation test, an exhaustive oracle for small integer instances,
-and the classical weighted-centroid identities of the harmonic rectangle
-family.
+and the constants of the harmonic family's centroid identities, which are the
+system's equations of order two.
 """
 
-from .harmonic import (
-    IdentityEval,
-    IdentityId,
-    identity_partial,
-    rhs_consistency,
-    rhs_constant,
-    rhs_derive,
-)
+from .harmonic import IdentityId, rhs_consistency, rhs_constant, rhs_derive
 from .instances import (
     BoxSpec,
     Instance,
@@ -66,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxSpec",
     "FIXED",
-    "IdentityEval",
     "IdentityId",
     "Instance",
     "Layout",
@@ -85,7 +77,6 @@ __all__ = [
     "fit_can_pass",
     "gen_guillotine",
     "harmonic_prefix",
-    "identity_partial",
     "init_shelf_greedy",
     "jacobian",
     "layout_to_vars",

@@ -98,8 +98,17 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _finite(doc: object) -> object:
+    """doc with each float that is not finite, which JSON cannot hold, as None."""
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
+
+
 def _emit(doc: object) -> None:
-    print(json.dumps(doc))
+    print(json.dumps(_finite(doc), allow_nan=False))
 
 
 # -- Subcommands -------------------------------------------------------------

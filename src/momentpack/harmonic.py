@@ -10,6 +10,11 @@ moment (dx^2 + dy^2)/12 whose total over the family is the series
 
     sum_n [1/(n(n+1))] * [1/n^2 + 1/(n+1)^2]  =  4 - pi^2/3.
 
+These are moments.py's equations of order two: u = x / A is (T_0 + T_1) / 2
+and u^2 is (3 T_0 + 4 T_1 + T_2) / 8 at T_k = T_k(2u - 1), so on any layout
+in an A x B box the defect of f (rectangles minus box) is a fixed combination
+of the rows (k, l) <= (2, 2) of moments.residual, which vanish on a tiling.
+
 rhs_constant returns the closed forms of _IDENTITIES, one row per identity;
 rhs_derive rebuilds them numerically from the box integral of f minus the
 truncated correction series plus an integral tail estimate, without ever
@@ -20,21 +25,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .instances import Layout
-from .verify import DEFAULT_TOL, _side_error
-
 __all__ = [
     "IdentityId",
-    "IdentityEval",
     "rhs_constant",
     "rhs_derive",
     "rhs_consistency",
-    "identity_partial",
 ]
 
 
@@ -51,19 +50,21 @@ class _Row(NamedTuple):
     closed_form: float
     box_integral: float  # of f over the unit box
     quadratic: bool  # f is quadratic: its split adds the correction series
-    f: Callable[[float, float], float]
 
 
 _PI2_36 = math.pi * math.pi / 36
 
-# One row per identity: sum_n w_n * f(cx_n, cy_n) = closed_form.
+# One row per identity: sum_n w_n * f(cx_n, cy_n) = closed_form, for f = x,
+# y, xy, x^2 + y^2, (x + y)^2, (x - y)^2.  On a layout, the defect of x is
+# moment rows (1, 0) and (0, 0), of xy rows (k, l) <= (1, 1), of x^2 rows
+# (2, 0), (1, 0) and (0, 0); likewise for y.
 _IDENTITIES = {
-    IdentityId.X_FIRST: _Row(0.5, 0.5, False, lambda x, y: x),
-    IdentityId.Y_FIRST: _Row(0.5, 0.5, False, lambda x, y: y),
-    IdentityId.XY_CROSS: _Row(0.25, 0.25, False, lambda x, y: x * y),
-    IdentityId.SUM_SQUARES: _Row(1 / 3 + _PI2_36, 2 / 3, True, lambda x, y: x * x + y * y),
-    IdentityId.SUM_OF_SUM_SQ: _Row(5 / 6 + _PI2_36, 7 / 6, True, lambda x, y: (x + y) * (x + y)),
-    IdentityId.DIFF_SQ: _Row(_PI2_36 - 1 / 6, 1 / 6, True, lambda x, y: (x - y) * (x - y)),
+    IdentityId.X_FIRST: _Row(0.5, 0.5, False),
+    IdentityId.Y_FIRST: _Row(0.5, 0.5, False),
+    IdentityId.XY_CROSS: _Row(0.25, 0.25, False),
+    IdentityId.SUM_SQUARES: _Row(1 / 3 + _PI2_36, 2 / 3, True),
+    IdentityId.SUM_OF_SUM_SQ: _Row(5 / 6 + _PI2_36, 7 / 6, True),
+    IdentityId.DIFF_SQ: _Row(_PI2_36 - 1 / 6, 1 / 6, True),
 }
 
 
@@ -117,47 +118,3 @@ def rhs_consistency() -> bool:
     plus = rhs_constant(IdentityId.SUM_OF_SUM_SQ)
     minus = rhs_constant(IdentityId.DIFF_SQ)
     return abs(plus - (sq + 2 * cross)) <= 1e-15 and abs(minus - (sq - 2 * cross)) <= 1e-15
-
-
-@dataclass(frozen=True)
-class IdentityEval:
-    """Partial left-hand side over the first n_rects placements versus the
-    full-family constant; gap = rhs - lhs_partial."""
-
-    identity: IdentityId
-    lhs_partial: float
-    rhs: float
-    n_rects: int
-
-    @property
-    def gap(self) -> float:
-        return self.rhs - self.lhs_partial
-
-
-def identity_partial(layout: Layout, ident: IdentityId) -> IdentityEval:
-    """Evaluate the weighted centroid sum over a layout of the first N
-    harmonic rectangles.
-
-    Placement k (0-based) must have sides {1/(k+1), 1/(k+2)} in either
-    orientation, each side within the verifier's DEFAULT_TOL (its side test
-    in the unit box); anything else is a size mismatch error.
-    """
-    f = _IDENTITIES[ident].f
-    total = 0.0
-    n_rects = len(layout.placements)
-    for k, p in enumerate(layout.placements):
-        n = k + 1
-        w = 1.0 / n
-        h = 1.0 / (n + 1)
-        dx = float(p.dx)
-        dy = float(p.dy)
-        if _side_error(dx, dy, w, h, True) > DEFAULT_TOL:
-            raise ValueError(
-                f"placement {n} has sides {dx} x {dy}; harmonic rect {n} needs "
-                f"{{1/{n}, 1/{n + 1}}}"
-            )
-        weight = 1.0 / (n * (n + 1))
-        cx = float(p.cx)
-        cy = float(p.cy)
-        total += weight * f(cx, cy)
-    return IdentityEval(ident, total, rhs_constant(ident), n_rects)

@@ -42,9 +42,9 @@ per rectangle.
   next, spans more than eps.
 
 _snap is the package's one coordinate-clustering helper (the solver's
-snap_layout uses it too), _side_error its one side test
-(harmonic.identity_partial uses it too), and moments._corner_array the
-one float view of a layout that every float check reads.
+snap_layout uses it too), _side_error its one side test, and
+moments._corner_array the one float view of a layout that every float
+check reads.
 
 moment_residual_of_layout bridges back to the equation side: the largest
 normalized residual of the truncated moment system evaluated at the layout.

@@ -19,6 +19,15 @@ from momentpack import parse_instance, parse_layout, serialize_instance, seriali
 from momentpack.cli import build_parser, main, render_svg
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -78,7 +87,7 @@ def test_gen_guillotine_writes_instance_and_layout(capsys, tmp_path):
         str(lay_path),
     )
     assert code == 0
-    summary = json.loads(out)
+    summary = strict_loads(out)
     assert summary["rects"] == 6
     inst = parse_instance(inst_path.read_text())
     layout = parse_layout(lay_path.read_text())
@@ -94,7 +103,7 @@ def test_gen_family_writes_numbered_files(capsys, tmp_path):
         "--out-dir", str(out_dir),
     )
     assert code == 0
-    assert json.loads(out)["count"] == 7
+    assert strict_loads(out)["count"] == 7
     files = sorted(p.name for p in out_dir.iterdir())
     assert files[0] == "instance_0000.json"
     assert len(files) == 7
@@ -107,7 +116,7 @@ def test_gen_harmonic(capsys, tmp_path):
     assert code == 0
     inst = parse_instance(path.read_text())
     assert inst.n_rects == 4
-    assert json.loads(path.read_text())["rects"][3] == ["1/4", "1/5"]
+    assert strict_loads(path.read_text())["rects"][3] == ["1/4", "1/5"]
 
 
 # -- solve --------------------------------------------------------------------
@@ -120,7 +129,7 @@ def test_solve_writes_layout_and_exits_zero(capsys, tmp_path):
         capsys, "solve", str(inst_path), "--restarts", "32", "--out", str(out_path)
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["status"] == "converged_verified"
     assert "wall_time_s" not in doc
     layout = parse_layout(out_path.read_text())
@@ -137,7 +146,7 @@ def test_solve_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
     )
     assert code == 2
     assert out == ""
-    assert "error" in json.loads(err)
+    assert "error" in strict_loads(err)
     assert not out_path.exists()
 
 
@@ -152,7 +161,7 @@ def test_solve_infeasible_area_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"box": [2, 2], "rects": [[1, 1]]}\n')
     code, out, _ = run_cli(capsys, "solve", str(path))
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert code == 1
     assert doc["status"] == "exhausted"
     assert doc["reason"] == "area"
@@ -165,7 +174,7 @@ def test_solve_bad_smax_exits_two_before_the_area_gate(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", str(path), "--smax", "0")
     assert code == 2
     assert out == ""
-    assert "max_order must be >= 1" in json.loads(err)["error"]
+    assert "max_order must be >= 1" in strict_loads(err)["error"]
 
 
 def test_solve_output_is_deterministic(capsys, tmp_path):
@@ -182,7 +191,7 @@ def test_solve_seed_must_be_non_negative(capsys, tmp_path, restarts):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "seed must be >= 0, got -1" in json.loads(err)["error"]
+    assert "seed must be >= 0, got -1" in strict_loads(err)["error"]
 
 
 def test_gen_guillotine_seed_must_be_non_negative(capsys, tmp_path):
@@ -190,7 +199,7 @@ def test_gen_guillotine_seed_must_be_non_negative(capsys, tmp_path):
     code, out, err = run_cli(capsys, "gen", "guillotine", "--seed", "-1", "--out", str(out_path))
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "seed must be >= 0, got -1"
+    assert strict_loads(err)["error"] == "seed must be >= 0, got -1"
     assert not out_path.exists()
 
 
@@ -198,7 +207,7 @@ def test_gen_guillotine_names_a_bad_box(capsys, tmp_path):
     out_path = tmp_path / "n.json"
     code, out, err = run_cli(capsys, "gen", "guillotine", "--box", "0", "1", "--out", str(out_path))
     assert code == 2
-    assert json.loads(err)["error"] == "box: sides must be positive, got 0.0 x 1.0"
+    assert strict_loads(err)["error"] == "box: sides must be positive, got 0.0 x 1.0"
     assert not out_path.exists()
 
 
@@ -208,7 +217,7 @@ def test_solve_names_the_bad_rect(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", str(inst_path))
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "rect 2: sides must be positive, got 0 x 1"
+    assert strict_loads(err)["error"] == "rect 2: sides must be positive, got 0 x 1"
 
 
 # -- verify -------------------------------------------------------------------
@@ -220,7 +229,7 @@ def test_verify_passing_layout(capsys, tmp_path):
     lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
     code, out, _ = run_cli(capsys, "verify", str(inst_path), str(lay_path))
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["pass"] is True
     assert doc["corner_cancellation"] is True
     assert doc["max_moment_residual"] <= 1e-9
@@ -232,12 +241,12 @@ def test_verify_failing_layout_exits_one(capsys, tmp_path):
     lay_path.write_text('{"placements": [[0, 0, 1, 2], [0.5, 0, 1.5, 2]]}\n')
     code, out, _ = run_cli(capsys, "verify", str(inst_path), str(lay_path))
     assert code == 1
-    assert json.loads(out)["pass"] is False
+    assert strict_loads(out)["pass"] is False
 
 
 def test_verify_of_sides_that_overflow_prints_no_warning(capsys, tmp_path):
     # Corner differences past the largest float overflow to infinity; the
-    # report says so and numpy must not warn about it.
+    # report says so, as strict JSON with nulls, and numpy must not warn.
     inst_path = tmp_path / "big.json"
     inst_path.write_text('{"box": [1e308, 1e308], "rects": [[1e308, 1e308]]}\n')
     lay_path = tmp_path / "big.layout.json"
@@ -248,6 +257,10 @@ def test_verify_of_sides_that_overflow_prints_no_warning(capsys, tmp_path):
     assert code == 1
     assert '"pass": false' in out
     assert (caught, err) == ([], "")
+    doc = strict_loads(out)
+    assert doc["size_violations"] == [[1, None, None]]
+    assert doc["area_gap"] is None
+    assert doc["max_moment_residual"] is None
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -260,7 +273,7 @@ def test_verify_tol_must_be_finite_and_non_negative(capsys, tmp_path, tol):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "tol" in json.loads(err)["error"]
+        assert "tol" in strict_loads(err)["error"]
 
 
 @pytest.mark.parametrize("smax", ["0", "-3"])
@@ -273,7 +286,7 @@ def test_verify_smax_must_be_positive(capsys, tmp_path, smax):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert f"max_order must be >= 1, got {smax}" in json.loads(err)["error"]
+        assert f"max_order must be >= 1, got {smax}" in strict_loads(err)["error"]
 
 
 def write_huge_tiling(tmp_path):
@@ -297,7 +310,7 @@ def test_integers_too_large_for_a_float_are_input_errors(capsys, tmp_path, comma
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "too large" in json.loads(err)["error"]
+    assert "too large" in strict_loads(err)["error"]
     assert not svg_path.exists()
 
 
@@ -305,7 +318,7 @@ def test_verify_exact_checks_integers_too_large_for_a_float(capsys, tmp_path):
     inst_path, lay_path = write_huge_tiling(tmp_path)
     code, out, _ = run_cli(capsys, "verify", "--exact", str(inst_path), str(lay_path))
     assert code == 0
-    assert json.loads(out) == {"pass": True, "mode": "exact"}
+    assert strict_loads(out) == {"pass": True, "mode": "exact"}
 
 
 def test_verify_exact_mode(capsys, tmp_path):
@@ -314,7 +327,7 @@ def test_verify_exact_mode(capsys, tmp_path):
     lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
     code, out, _ = run_cli(capsys, "verify", "--exact", str(inst_path), str(lay_path))
     assert code == 0
-    assert json.loads(out) == {"pass": True, "mode": "exact"}
+    assert strict_loads(out) == {"pass": True, "mode": "exact"}
 
 
 def test_verify_empty_instance_exits_one(capsys, tmp_path):
@@ -354,7 +367,7 @@ def test_verify_exact_non_rational_input_exits_two(capsys, tmp_path):
 def test_identities_json_document(capsys):
     code, out, _ = run_cli(capsys, "identities", "--n-trunc", "500")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["n_trunc"] == 500
     ids = [row["id"] for row in doc["identities"]]
     assert ids == [
@@ -398,7 +411,7 @@ def test_render_cli_writes_file(capsys, tmp_path):
         capsys, "render", str(inst_path), str(lay_path), str(out_path)
     )
     assert code == 0
-    assert json.loads(out)["rect_elements"] == 3
+    assert strict_loads(out)["rect_elements"] == 3
     assert out_path.read_text().startswith("<svg")
 
 
@@ -413,7 +426,7 @@ def test_render_scale_must_be_finite_and_positive(capsys, tmp_path, scale):
     )
     assert code == 2
     assert out == ""
-    assert "px_per_unit" in json.loads(err)["error"]
+    assert "px_per_unit" in strict_loads(err)["error"]
     assert not out_path.exists()
 
 
@@ -425,7 +438,7 @@ def test_render_count_mismatch_is_input_error(capsys, tmp_path):
         capsys, "render", str(inst_path), str(lay_path), str(tmp_path / "x.svg")
     )
     assert code == 2
-    assert "error" in json.loads(err)
+    assert "error" in strict_loads(err)
 
 
 # -- Error handling and entry points ------------------------------------------
@@ -434,7 +447,7 @@ def test_render_count_mismatch_is_input_error(capsys, tmp_path):
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/instance.json")
     assert code == 2
-    assert "error" in json.loads(err)
+    assert "error" in strict_loads(err)
 
 
 @pytest.mark.parametrize(
@@ -453,7 +466,7 @@ def test_documents_nested_too_deep_are_input_errors(capsys, tmp_path, command, k
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"].startswith(f"malformed {kind} document: ")
+    assert strict_loads(err)["error"].startswith(f"malformed {kind} document: ")
 
 
 @pytest.mark.parametrize(
@@ -474,7 +487,7 @@ def test_systems_too_large_to_allocate_are_input_errors(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "allocate" in json.loads(err)["error"]
+    assert "allocate" in strict_loads(err)["error"]
 
 
 def test_module_entry_point():
@@ -484,5 +497,5 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+    doc = strict_loads(proc.stdout)
     assert len(doc["identities"]) == 6

@@ -3,25 +3,32 @@
 The closed forms and the derived values come from genuinely different
 routes: rhs_constant hardcodes pi-based expressions, rhs_derive integrates
 the generating polynomial over the box and subtracts a truncated correction
-series.  Their agreement is the test.
+series.  Their agreement is the test.  On the layout side, each identity
+integrates a polynomial of degree <= 2, so its defect on any layout is a
+fixed combination of the moment rows (k, l) <= (2, 2) of moments.residual.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpack import (
+    BoxSpec,
     IdentityId,
+    Instance,
     Layout,
     Placement,
-    identity_partial,
+    gen_guillotine,
+    harmonic_prefix,
     rhs_consistency,
     rhs_constant,
     rhs_derive,
 )
+from momentpack import moments as mo
 
 PI2_36 = math.pi * math.pi / 36
 
@@ -33,19 +40,6 @@ CLOSED_FORMS = {
     IdentityId.SUM_OF_SUM_SQ: 5 / 6 + PI2_36,
     IdentityId.DIFF_SQ: PI2_36 - 1 / 6,
 }
-
-
-def harmonic_layout(n_rects: int, rotate_odd: bool = False) -> Layout:
-    """Stack of harmonic rectangles with lower-left corners at the origin.
-    Containment and overlap are irrelevant to identity_partial; only the
-    side lengths and centroids matter."""
-    placements = []
-    for n in range(1, n_rects + 1):
-        w, h = 1.0 / n, 1.0 / (n + 1)
-        if rotate_odd and n % 2:
-            w, h = h, w
-        placements.append(Placement(0.0, 0.0, w, h))
-    return Layout(tuple(placements))
 
 
 # -- Closed forms -------------------------------------------------------------
@@ -129,75 +123,101 @@ def test_correction_series_limit_from_zeta_values():
     )
 
 
-# -- Partial sums over layouts ------------------------------------------------
+# -- The identities are moment rows -------------------------------------------
+
+# The term x^i y^j of an identity's polynomial f.  Over a rectangle it
+# integrates to _along(i, cx, dx) * _along(j, cy, dy), over the A x B box to
+# A^(i+1) B^(j+1) / ((i + 1)(j + 1)).  With u = x / A and T_k = T_k(2u - 1),
+# u = (T_0 + T_1) / 2 and u^2 = (3 T_0 + 4 T_1 + T_2) / 8, so the term's
+# defect (rectangles minus box) is a scale times these rows (k, l).
+ROWS = {
+    (1, 0): (lambda a, b: a * a * b / 2, {(1, 0): 1, (0, 0): 1}),
+    (0, 1): (lambda a, b: a * b * b / 2, {(0, 1): 1, (0, 0): 1}),
+    (1, 1): (lambda a, b: a * a * b * b / 4, {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}),
+    (2, 0): (lambda a, b: a**3 * b, {(2, 0): 1 / 8, (1, 0): 1 / 2, (0, 0): 3 / 8}),
+    (0, 2): (lambda a, b: a * b**3, {(0, 2): 1 / 8, (0, 1): 1 / 2, (0, 0): 3 / 8}),
+}
+
+# Each identity's f as a sum of terms.
+IDENTITY_TERMS = {
+    IdentityId.X_FIRST: {(1, 0): 1},
+    IdentityId.Y_FIRST: {(0, 1): 1},
+    IdentityId.XY_CROSS: {(1, 1): 1},
+    IdentityId.SUM_SQUARES: {(2, 0): 1, (0, 2): 1},
+    IdentityId.SUM_OF_SUM_SQ: {(2, 0): 1, (0, 2): 1, (1, 1): 2},
+    IdentityId.DIFF_SQ: {(2, 0): 1, (0, 2): 1, (1, 1): -2},
+}
 
 
-def test_identity_partial_matches_exact_fraction_sum():
-    n = 12
-    layout = harmonic_layout(n)
-    got = identity_partial(layout, IdentityId.X_FIRST)
-    exact = sum(
-        Fraction(1, k * (k + 1)) * Fraction(1, 2 * k) for k in range(1, n + 1)
-    )
-    assert got.lhs_partial == pytest.approx(float(exact), abs=1e-12)
-    assert got.rhs == 0.5
-    assert got.n_rects == n
-    assert got.gap == pytest.approx(0.5 - float(exact), abs=1e-12)
+def _along(i, c, d):
+    """Integral of x^i over an extent of length d centred at c."""
+    return (d, d * c, d * (c * c + d * d / 12))[i]
 
 
-def test_identity_partial_cross_term():
-    n = 6
-    layout = harmonic_layout(n)
-    got = identity_partial(layout, IdentityId.XY_CROSS)
-    exact = sum(
-        Fraction(1, k * (k + 1)) * Fraction(1, 2 * k) * Fraction(1, 2 * (k + 1))
-        for k in range(1, n + 1)
-    )
-    assert got.lhs_partial == pytest.approx(float(exact), abs=1e-12)
+def test_identity_terms_integrate_to_the_constants():
+    # Over the unit box the terms integrate to f's box integral; a quadratic
+    # f's rectangles add the family's series (4 - pi^2/3) / 12 on top.
+    series = (4 - math.pi**2 / 3) / 12
+    for ident, terms in IDENTITY_TERMS.items():
+        box = sum(coef / ((i + 1) * (j + 1)) for (i, j), coef in terms.items())
+        quadratic = (2, 0) in terms
+        assert box - quadratic * series == pytest.approx(rhs_constant(ident), abs=1e-15)
 
 
-def test_identity_partial_accepts_rotated_placements():
-    plain = identity_partial(harmonic_layout(8), IdentityId.SUM_OF_SUM_SQ)
-    rotated = identity_partial(
-        harmonic_layout(8, rotate_odd=True), IdentityId.SUM_OF_SUM_SQ
-    )
-    # (cx + cy)^2 with both corners at the origin is symmetric under the swap
-    assert rotated.lhs_partial == pytest.approx(plain.lhs_partial, abs=1e-12)
+def moved(rng, inst, turn):
+    """Each rectangle of inst at a random spot in the box, sides kept, and
+    turned at random when turn is set."""
+    a, b = float(inst.box.width), float(inst.box.height)
+    placements = []
+    for r in inst.rects:
+        w, h = float(r.width), float(r.height)
+        if turn and rng.random() < 0.5:
+            w, h = h, w
+        x, y = rng.uniform(0, max(a - w, 0)), rng.uniform(0, max(b - h, 0))
+        placements.append(Placement(x, y, x + w, y + h))
+    return Layout(tuple(placements))
 
 
-def test_identity_partial_rejects_wrong_sides():
-    bad = Layout((Placement(0, 0, 1, 0.5), Placement(0, 0, 0.5, 0.5)))
-    with pytest.raises(ValueError, match="sides"):
-        identity_partial(bad, IdentityId.X_FIRST)
+def assert_identities_are_rows(inst, layout, mode):
+    sys = mo.build_system(inst, mode=mode)
+    m = sys.max_order
+    rows = mo.residual(sys, mo.layout_to_vars(sys, layout))[: m * m].reshape(m, m)
+    a, b = float(inst.box.width), float(inst.box.height)
+    corners = np.array([[float(v) for v in p.as_tuple()] for p in layout.placements])
+    c = (corners[:, :2] + corners[:, 2:]) / 2
+    d = corners[:, 2:] - corners[:, :2]
+    for ident, terms in IDENTITY_TERMS.items():
+        defect = combination = magnitude = 0.0
+        for (i, j), coef in terms.items():
+            parts = _along(i, c[:, 0], d[:, 0]) * _along(j, c[:, 1], d[:, 1])
+            box = a ** (i + 1) * b ** (j + 1) / ((i + 1) * (j + 1))
+            scale, row_coefs = ROWS[i, j]
+            defect += coef * (parts.sum() - box)
+            combination += coef * scale(a, b) * sum(w * rows[kl] for kl, w in row_coefs.items())
+            magnitude += abs(coef) * (np.abs(parts).sum() + box)
+        assert defect == pytest.approx(combination, abs=1e-12 * magnitude), ident
 
 
-def test_identity_partial_judges_each_side():
-    # Placement 1000's sides have the right sum, and their product is off
-    # by about 1e-10, yet each side is 1e-5 away from the harmonic one.
-    placements = list(harmonic_layout(1000).placements)
-    placements[-1] = Placement(0.0, 0.0, 1 / 1000 + 1e-5, 1 / 1001 - 1e-5)
-    with pytest.raises(ValueError, match="placement 1000 has sides"):
-        identity_partial(Layout(tuple(placements)), IdentityId.X_FIRST)
-    placements[-1] = Placement(0.0, 0.0, 1 / 1001 + 5e-10, 1 / 1000 - 5e-10)  # turned
-    assert identity_partial(Layout(tuple(placements)), IdentityId.X_FIRST)
-
-
-@pytest.mark.parametrize("off, ok", [(5e-8, True), (2e-7, False)])
-def test_identity_partial_judges_sides_at_the_verifier_tolerance(off, ok):
-    # The harmonic box is the unit square, so the verifier's side test
-    # allows each side DEFAULT_TOL = 1e-7 of error.
-    placements = list(harmonic_layout(3).placements)
-    placements[1] = Placement(0.0, 0.0, 1 / 2 + off, 1 / 3)
-    layout = Layout(tuple(placements))
-    if ok:
-        assert identity_partial(layout, IdentityId.X_FIRST).n_rects == 3
-    else:
-        with pytest.raises(ValueError, match="placement 2 has sides"):
-            identity_partial(layout, IdentityId.X_FIRST)
-
-
-def test_identity_partial_empty_layout():
-    got = identity_partial(Layout(()), IdentityId.DIFF_SQ)
-    assert got.lhs_partial == 0.0
-    assert got.n_rects == 0
-    assert got.gap == got.rhs
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.integers(1, 15),
+    box=st.sampled_from([BoxSpec(1, 1), BoxSpec(10, 8), BoxSpec(3, 0.25)]),
+    n_harmonic=st.integers(1, 30),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+)
+def test_identities_are_moment_rows(seed, cuts, box, n_harmonic, mode):
+    # Tilings, where every row vanishes, and layouts that leave rows
+    # nonzero: moved rectangles, a dropped one (the area row is off too), and
+    # a harmonic prefix, whose area row is -1 / (n + 1).
+    rng = np.random.default_rng(seed)
+    turn = mode == mo.ROTATABLE
+    inst, tiling = gen_guillotine(seed, cuts, box)
+    layout = moved(rng, inst, turn)
+    drop = int(rng.integers(inst.n_rects))
+    rest = Instance(inst.rects[:drop] + inst.rects[drop + 1 :], box, inst.rotation_allowed)
+    fewer = Layout(layout.placements[:drop] + layout.placements[drop + 1 :])
+    harmonic = harmonic_prefix(n_harmonic)
+    scattered = moved(rng, harmonic, turn)
+    for case in ((inst, tiling), (inst, layout), (rest, fewer), (harmonic, scattered)):
+        assert_identities_are_rows(*case, mode)
