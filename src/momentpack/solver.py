@@ -52,7 +52,6 @@ verified layout needed was 3.3e-9, 30 times under it.
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -129,12 +128,11 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         layout = self.best_layout
-        residual_inf = self.final_residual_inf
         return {
             "status": self.status,
             "reason": self.reason,
             "best_layout": None if layout is None else _layout_doc(layout),
-            "final_residual_inf": residual_inf if math.isfinite(residual_inf) else None,
+            "final_residual_inf": self.final_residual_inf,
             "iterations_total": self.iterations_total,
             "start_index": self.start_index,
             "wall_time_s": self.wall_time_s,

@@ -354,8 +354,7 @@ def moment_residual_of_layout(
     _check_placement_count(inst, layout)
     corners = mo._corner_array(layout)
     residual = np.max(np.abs(mo.residual(sys, mo.corners_to_vars(sys, corners / sys.scale))))
-    placed = corners.reshape(-1, 2, 2)
-    sides = np.stack([sys.widths, sys.heights], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        off = np.abs((placed[:, 1] - placed[:, 0]) / sys.scale - sides)[~sys.free]
+        d = (corners[:, 2:] - corners[:, :2]) / sys.scale
+        off = _side_error(*d.T, sys.widths, sys.heights, False)[~sys.free]
     return float(max(residual, np.max(off, initial=0.0)))

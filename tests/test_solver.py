@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -312,9 +313,10 @@ def test_multistart_rotatable_mode():
 
 
 def test_report_to_dict_serializes_infinite_residual():
+    # The float stays as it is; the command line prints it as null.
     inst = Instance.from_sides([(1, 1)], BoxSpec(2, 2))
     doc = solve_multistart(inst, SolveConfig(restarts=2)).to_dict()
-    assert doc["final_residual_inf"] is None
+    assert doc["final_residual_inf"] == math.inf
     assert doc["status"] == "exhausted"
 
 
