@@ -10,12 +10,14 @@ any other that does not lower the cost, and every accepted iterate stays
 finite.  Containment in the box is the verifier's check, not the solver's.
 
 solve_multistart layers deterministic restarts on top (start 0 is the shelf
-layout, later starts are seeded draws) and treats geometric verification,
-not the residual, as the definition of success: every start that stops,
-converged or not, is handed once, as it stopped, to verify_layout at its
-default tolerance, the one `momentpack verify` uses.  So an instance that
-tiles only within that tolerance, whose moment system keeps a residual floor
-above RESIDUAL_TOL, is still reported from the start that stalled there.
+layout, later starts are seeded bottom-left fills) and treats geometric
+verification, not the residual, as the definition of success: every start
+that stops, converged or not, is handed once, as it stopped, to
+verify_layout at its default tolerance, the one `momentpack verify` uses.
+So an instance that tiles only within that tolerance, whose moment system
+keeps a residual floor above RESIDUAL_TOL, is still reported from the start
+that stalled there, and a start that tiles the box as drawn wins before any
+LM step (iterations_total 0; most family-sweep wins are such starts).
 Reports are bitwise deterministic for fixed arguments.
 
 All starts of a solve run in one lockstep call.  Each round makes one
@@ -36,22 +38,29 @@ The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
 that lowers the cost by less than a share STALL_TOL of it (stalled: the
 relative-reduction test of MINPACK's ftol), lambda above LAMBDA_MAX or
-max_iters.  The stall rule ends starts bound for a non-zero local minimum,
-not ones bound to converge: LM converges quadratically at a regular root
-and linearly at a singular one, so near a root each step lowers the cost
-by a large share.  With every start run to its own stop, the smallest
-share a converging start's step lowered its cost by was 3.1e-7 over 9,206
-family-sweep starts, 1.9e-6 over 1,848 fixed-mode guillotine starts (N = 3
-to 10) and 9.5e-8 over 447 rotatable ones, only 9.5 times STALL_TOL (a
-test pins that start).  A converged start is not refined further: at a
-tiling the moment rows are well conditioned, so max |r| <= RESIDUAL_TOL
-puts the layout far inside the verifier's DEFAULT_TOL.  Over the family
-sweep and 4,450 guillotine solves (N = 6 to 20) the loosest tolerance a
-verified layout needed was 3.3e-9, 30 times under it.
+max_iters.  The stall rule ends starts bound for a non-zero local minimum:
+LM converges quadratically at a regular root and linearly at a singular
+one, so near a root each step lowers the cost by a large share.  Far from
+a root a start can creep over a plateau and still converge after it, and
+the rule may end such a start.  With every start run to its own stop, the
+smallest share a converging start's step lowered its cost by was 6.0e-6
+over 2,314 fixed-mode guillotine starts (N = 3 to 10, seeds 0-15, 64
+starts each) and 1.6e-5 over 567 rotatable ones.  Over 15,281 family-sweep
+starts (seeds 0-15) it was 3.5e-8, on a plateau at cost 0.13, except for
+one start that the rule cuts on a plateau at cost 0.22.  A start that
+tiles as drawn wins that solve, and with the rule off no family answer
+changes (tests pin both starts).  A converged start is not refined
+further: at a tiling the moment rows are well conditioned, so max |r| <=
+RESIDUAL_TOL puts the layout far inside the verifier's DEFAULT_TOL.  Over
+6,655 verified family-sweep solves (seeds 0-15 rotatable, 0-7 fixed) and
+the guillotines of N = 6 to 10 (seeds 0-7, 64 starts, both modes) the
+loosest tolerance a verified layout needed was 1.7e-9, 58 times under it.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -172,26 +181,49 @@ def init_shelf_greedy(inst: Instance) -> Layout:
 def _start_vector(
     sys: mo.MomentSystem, inst: Instance, seed: int, start_index: int
 ) -> np.ndarray:
+    """Start 0 is the shelf layout.  A later start is a bottom-left fill
+    (Baker, Coffman & Rivest 1980) in a seeded order, each free rectangle
+    first turned by a seeded bit: each rectangle goes to the lowest, then
+    leftmost, point of the skyline where it fits in the box.  One that fits
+    nowhere goes to the lowest point its width fits, clamped inside the box
+    as init_shelf_greedy clamps, and may overlap others.  Plain Python
+    floats in a fixed order, so a start is the same bytes on every run."""
     if start_index == 0:
         return mo.layout_to_vars(sys, init_shelf_greedy(inst))
-    # Rectangles draw in instance order: an upright one its lower corner
-    # uniformly where the rectangle fits in the box (rng.random(2), the
-    # doubles rng.uniform(size=2) gives), a free one an orientation and a
-    # centre.  The arithmetic runs on Python floats, which round as numpy's do.
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
-    out = np.zeros((sys.n_rects, 4))
-    sides = zip(sys.widths.tolist(), sys.heights.tolist(), sys.free.tolist())
-    for i, (w, h, free) in enumerate(sides):
-        if not free:
-            u, v = rng.random(2).tolist()
-            out[i, :2] = (u * max(sys.box_w - w, 0.0), v * max(sys.box_h - h, 0.0))
-            continue
-        if rng.integers(0, 2):
-            w, h = h, w
-        cx = rng.uniform(w / 2, sys.box_w - w / 2) if sys.box_w > w else sys.box_w / 2
-        cy = rng.uniform(h / 2, sys.box_h - h / 2) if sys.box_h > h else sys.box_h / 2
-        out[i] = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-    return mo.corners_to_vars(sys, out)
+    order = rng.permutation(sys.n_rects).tolist()
+    turn = sys.free & (rng.integers(0, 2, size=sys.n_rects) == 1)
+    widths = np.where(turn, sys.heights, sys.widths).tolist()
+    heights = np.where(turn, sys.widths, sys.heights).tolist()
+    a, b, tol = sys.box_w, sys.box_h, 1e-12
+    corners = [()] * sys.n_rects
+    xs, tops = [0.0], [0.0]  # the skyline: segment j spans xs[j] to xs[j + 1] (or a)
+    for i in order:
+        w, h = widths[i], heights[i]
+        # The least (misfit, y, x) over the left ends of the segments the
+        # width fits from; a segment no lower than the best y cannot beat it.
+        best = (True, math.inf, 0.0)
+        for j, x in enumerate(xs):
+            if j and x + w > a + tol:
+                break
+            if tops[j] < best[1]:
+                y = max(tops[j : bisect.bisect_left(xs, x + w - tol, j + 1)])
+                best = min(best, (y + h > b + tol, y, x))
+        _, y, x = best
+        x, y = max(0.0, min(x, a - w)), max(0.0, min(y, b - h))
+        corners[i] = (x, y, x + w, y + h)
+        # The rectangle's top replaces the skyline over [x, x + w], merged
+        # with a neighbour of the same height.
+        lo, hi = bisect.bisect_left(xs, x), bisect.bisect_right(xs, x + w)
+        new_xs, new_tops = [x], [y + h]
+        if x + w < a and tops[hi - 1] != y + h:
+            new_xs.append(x + w)
+            new_tops.append(tops[hi - 1])
+        if lo and tops[lo - 1] == y + h:
+            lo -= 1
+            new_xs[0] = xs[lo]
+        xs[lo:hi], tops[lo:hi] = new_xs, new_tops
+    return mo.corners_to_vars(sys, np.array(corners).reshape(-1, 4))
 
 
 # -- Core iteration ----------------------------------------------------------
@@ -353,7 +385,8 @@ def solve_multistart(
     mode: str = mo.FIXED,
 ) -> SolveReport:
     """Deterministic multistart: start 0 is the shelf layout, later starts
-    draw from per-index seeded generators.  A start counts as a success
+    bottom-left fills in orders drawn from per-index seeded generators
+    (_start_vector).  A start counts as a success
     only when the layout it stopped at, converged or not, passes geometric
     verification.  All starts race in one lockstep call, one LM attempt
     each per round, which verifies each start as it stops, in index order

@@ -16,8 +16,9 @@ measured numbers before asserting, so a verbose run reads as a checklist:
    200 restarts and < 60 s each, and on >= 90% of a random guillotine corpus
    with at most five rectangles.
 7. Oracle soundness over the full enumerated family (boxes <= 4x4, sides
-   <= 4): the solver never verifies an instance the oracle rejects, and
-   every oracle witness passes exact verification.
+   <= 4), rotatable and with rotation forbidden in fixed mode: the solver
+   never verifies an instance the oracle rejects, and every oracle witness
+   passes exact verification.
 8. Determinism: regenerating fixtures and re-solving yields bitwise
    identical serialized output.
 """
@@ -229,33 +230,48 @@ def test_criterion_6_solver_success_at_desk_scale():
 
 
 def test_criterion_7_oracle_soundness_end_to_end():
+    # Both modes: the family as enumerated, solved rotatable, and the same
+    # instances with rotation forbidden, solved in fixed mode (the command
+    # line's default).  A win after 0 LM steps is a start that tiled as drawn.
     cfg = SolveConfig(restarts=6, max_iters=80)
-    feasible = solver_verified = false_positives = bad_witnesses = total = 0
-    for inst in enumerate_small_family(4, 4):
-        total += 1
-        ok, witness = oracle_feasible(inst)
-        if ok:
-            feasible += 1
-            if not verify_exact(inst, witness):
-                bad_witnesses += 1
-        rep = solve_multistart(inst, cfg, mode=mo.ROTATABLE)
-        if rep.status == "converged_verified":
-            solver_verified += 1
-            if not ok:
-                false_positives += 1
+    family = list(enumerate_small_family(4, 4))
+    counts = {}
+    bad_witnesses = 0
+    for mode in (mo.ROTATABLE, mo.FIXED):
+        feasible = solver_verified = as_drawn = false_positives = 0
+        for inst in family:
+            inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
+            ok, witness = oracle_feasible(inst)
+            if ok:
+                feasible += 1
+                if not verify_exact(inst, witness):
+                    bad_witnesses += 1
+            rep = solve_multistart(inst, cfg, mode=mode)
+            if rep.status == "converged_verified":
+                solver_verified += 1
+                as_drawn += rep.iterations_total == 0
+                if not ok:
+                    false_positives += 1
+        counts[mode] = (feasible, solver_verified, as_drawn, false_positives)
     ok_all = (
-        total == 366
-        and feasible == 333
-        and solver_verified >= 195
-        and false_positives == 0
+        len(family) == 366
+        and counts[mo.ROTATABLE][0] == 333
+        and counts[mo.ROTATABLE][1] >= 195
+        and counts[mo.FIXED][0] == 267
+        and all(c[3] == 0 for c in counts.values())
         and bad_witnesses == 0
     )
     report(
         7,
         ok_all,
-        f"family of {total} instances, {feasible} oracle-feasible, solver "
-        f"verified {solver_verified} (>= 195), false positives {false_positives}, "
-        f"witness exact-verification failures {bad_witnesses}",
+        f"family of {len(family)} instances; "
+        + "; ".join(
+            f"{mode}: {feasible} oracle-feasible, solver verified {verified}"
+            f"{' (>= 195)' if mode == mo.ROTATABLE else ''}, {drawn} of them as drawn, "
+            f"false positives {fp}"
+            for mode, (feasible, verified, drawn, fp) in counts.items()
+        )
+        + f"; witness exact-verification failures {bad_witnesses}",
     )
 
 

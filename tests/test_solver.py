@@ -120,8 +120,11 @@ def test_init_shelf_greedy_keeps_sizes_and_containment():
 
 
 def numpy_start_vector(sys, inst, seed, start_index):
-    """_start_vector as it drew with rng.uniform(size=2) and clamped in
-    numpy: the reference its random starts must match byte for byte."""
+    """Starts as _start_vector drew them before skyline starts: the shelf,
+    then each rectangle uniformly in the box.  The race tests below build
+    their scenarios on these starts (the uniform_starts fixture)."""
+    if start_index == 0:
+        return mo.layout_to_vars(sys, init_shelf_greedy(inst))
     rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
     out = np.zeros((sys.n_rects, 4))
     for i in range(sys.n_rects):
@@ -138,6 +141,11 @@ def numpy_start_vector(sys, inst, seed, start_index):
     return mo.corners_to_vars(sys, out)
 
 
+@pytest.fixture
+def uniform_starts(monkeypatch):
+    monkeypatch.setattr(solver, "_start_vector", numpy_start_vector)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     sides=st.lists(
@@ -150,15 +158,43 @@ def numpy_start_vector(sys, inst, seed, start_index):
     seed=st.integers(0, 10**6),
     starts=st.lists(st.integers(1, 200), min_size=1, max_size=4),
 )
-def test_random_starts_match_the_numpy_draw_bytewise(sides, box, mode, seed, starts):
+def test_skyline_starts_fill_bottom_left(sides, box, mode, seed, starts):
     # Squares stay upright in rotatable mode, so fixed, rotatable and mixed
     # systems all occur; sides past the box make the clamp bite.
     rects = [(w, w if square else h) for w, h, square in sides]
     inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
     sys = mo.build_system(inst, 3, mode)
+    a, b, tol = sys.box_w, sys.box_h, 1e-9
     for k in starts:
-        got = solver._start_vector(sys, inst, seed, k)
-        assert got.tobytes() == numpy_start_vector(sys, inst, seed, k).tobytes()
+        x = solver._start_vector(sys, inst, seed, k)
+        assert x.tobytes() == solver._start_vector(sys, inst, seed, k).tobytes()
+        corners = mo._corners(sys, x[None]).reshape(-1, 4)[np.argsort(sys.order)]
+        x_lo, y_lo, x_hi, y_hi = corners.T
+        given_sides = zip(x_hi - x_lo, y_hi - y_lo, sys.widths, sys.heights, sys.free)
+        for dx, dy, w, h, free in given_sides:
+            upright = math.isclose(dx, w, abs_tol=tol) and math.isclose(dy, h, abs_tol=tol)
+            turned = math.isclose(dx, h, abs_tol=tol) and math.isclose(dy, w, abs_tol=tol)
+            assert upright or free and turned
+        inside = (x_lo >= 0) & (y_lo >= 0) & (x_hi <= a + tol) & (y_hi <= b + tol)
+        assert inside[(x_hi - x_lo <= a) & (y_hi - y_lo <= b)].all()
+        # In the drawn order each rectangle rests on the floor or an earlier
+        # top, against the left wall or an earlier side, and overlaps no
+        # earlier one, up to the first that fits nowhere: that one is pushed
+        # down from the top wall into the others, or does not fit the box.
+        placed = []
+        for i in np.random.default_rng(seed * solver._SEED_STRIDE + k).permutation(len(rects)):
+            overlaps = [
+                min(x_hi[i], x_hi[j]) - max(x_lo[i], x_lo[j]) > tol
+                and min(y_hi[i], y_hi[j]) - max(y_lo[i], y_lo[j]) > tol
+                for j in placed
+            ]
+            if any(overlaps) or not inside[i]:
+                assert y_hi[i] >= b - tol or not inside[i]
+                break
+            assert y_lo[i] == 0 or any(abs(y_lo[i] - y_hi[j]) <= tol for j in placed)
+            edges = [e for j in placed for e in (x_lo[j], x_hi[j])]
+            assert x_lo[i] == 0 or any(abs(x_lo[i] - e) <= tol for e in edges)
+            placed.append(i)
 
 
 def test_snap_layout_merges_and_anchors():
@@ -696,18 +732,18 @@ def index_order_multistart(inst, cfg, mode, max_order=None):
 
 
 def second_chunk_winner():
-    # Fixed mode at these settings: starts 0-7 and 10 fail, and starts 8 and
-    # 9 verify, so no start below 8 wins.  Start 8 stops after 15 attempts
-    # (10 steps) and start 9 after 11 (8 steps), so at 11 restarts start 9
-    # wins.
+    # Fixed mode at these settings, on uniform starts: starts 0-7 and 10
+    # fail, and starts 8 and 9 verify, so no start below 8 wins.  Start 8
+    # stops after 15 attempts (10 steps) and start 9 after 11 (8 steps), so
+    # at 11 restarts start 9 wins.
     inst, _ = gen_guillotine(46, 3, BoxSpec(3.0, 2.0))
     return inst, SolveConfig(max_iters=40, seed=46), mo.FIXED
 
 
 def rotatable_dominoes():
     # Two dominoes in a 4x1 box: the shelf start 0 stands them upright and
-    # fails.  Starts 1-10 all verify, start 1 after 6 attempts and start 4
-    # first, after 4, tied with start 9.
+    # fails.  Of the uniform starts, 1-10 all verify, start 1 after 6
+    # attempts and start 4 first, after 4, tied with start 9.
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(4, 1))
     cfg = SolveConfig(max_iters=40, seed=1)
     return inst, cfg, mo.ROTATABLE
@@ -724,7 +760,7 @@ def assert_report_is(report, expected):
 
 @pytest.mark.parametrize("case", [second_chunk_winner, rotatable_dominoes])
 @pytest.mark.parametrize("restarts", [1, 8, 9, 11])
-def test_multistart_matches_sequential_across_chunks(case, restarts):
+def test_multistart_matches_sequential_across_chunks(uniform_starts, case, restarts):
     # One lockstep call races all the starts, so on either side of 8
     # restarts the winner is the reference's: the fewest attempts over all
     # starts, a start of 8 or more included.
@@ -770,18 +806,55 @@ def test_stall_rule_cuts_no_winner(monkeypatch):
     assert sum(r.iterations_total for r in with_rule) < sum(r.iterations_total for r in without)
 
 
+def smallest_share(costs, steps):
+    """The smallest share of its cost any step of a cost path lowered it by."""
+    path = costs[: steps + 1]
+    return np.min((path[:-1] - path[1:]) / path[:-1])
+
+
 def test_stall_margin_of_the_tightest_converging_start():
     # Of the converging starts measured with every row run to its own stop,
-    # this one comes closest to the stall rule: one of its steps lowers the
-    # cost by 9.49e-8 of it, under ten times STALL_TOL.  With the rule ten
-    # times looser it would stop there, far from its root.
-    inst, _ = gen_guillotine(247, 2, BoxSpec(10, 8))
+    # these come closest to the stall rule without being cut by it.  With
+    # skyline starts: five unit squares and two dominoes in a 3x3 box, whose
+    # start crosses a plateau at cost 0.13 in steps as small as 3.54e-8 of
+    # it.  With the uniform starts drawn before: a step of 9.49e-8.  With the
+    # rule ten times looser either start would stop on its way, far from a
+    # root.
+    family_row = Instance.from_sides([(1, 1)] * 5 + [(1, 2)] * 2, BoxSpec(3, 3))
+    uniform_row, _ = gen_guillotine(247, 2, BoxSpec(10, 8))
+    for inst, draw, seed, k, margin in [
+        (family_row, solver._start_vector, 13, 5, 3.54e-8),
+        (uniform_row, numpy_start_vector, 16, 50, 9.49e-8),
+    ]:
+        sys = mo.build_system(inst, mode=mo.ROTATABLE)
+        _, steps, costs, r_inf, _ = solver._lockstep(sys, draw(sys, inst, seed, k)[None], 500)
+        assert r_inf[0] <= solver.RESIDUAL_TOL
+        share = smallest_share(costs[0], steps[0])
+        assert solver.STALL_TOL < share == pytest.approx(margin, rel=0.01)
+
+
+def test_stall_rule_cuts_a_converging_start_on_a_plateau(monkeypatch):
+    # The one converging start of the census that the rule cuts: two unit
+    # squares and three dominoes in a 2x4 box (family sweep, seed 6, start 4).
+    # It crosses a plateau at cost 0.221 in steps as small as 8.2e-9 of it,
+    # then converges after 44 steps.  The rule stops it after 29, far from a
+    # root.  Its solve does not change: start 5 tiles the box as drawn and
+    # wins before any start steps.
+    inst = Instance.from_sides([(1, 1)] * 2 + [(1, 2)] * 3, BoxSpec(2, 4))
     sys = mo.build_system(inst, mode=mo.ROTATABLE)
-    x0 = solver._start_vector(sys, inst, 16, 50)[None]
-    _, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 500)
-    assert r_inf[0] <= solver.RESIDUAL_TOL
-    path = costs[0, : steps[0] + 1]
-    assert np.min((path[:-1] - path[1:]) / path[:-1]) > solver.STALL_TOL
+    x0 = solver._start_vector(sys, inst, 6, 4)[None]
+    cfg = SolveConfig(restarts=6, max_iters=80, seed=6)
+    runs, reports = [], []
+    for stall_tol in (solver.STALL_TOL, 0.0):
+        monkeypatch.setattr(solver, "STALL_TOL", stall_tol)
+        runs.append(solver._lockstep(sys, x0, cfg.max_iters))
+        reports.append(replace(solve_multistart(inst, cfg, mode=mo.ROTATABLE), wall_time_s=0))
+    (_, cut, _, cut_r_inf, _), (_, steps, costs, r_inf, _) = runs
+    assert cut[0] == 29 and cut_r_inf[0] > 0.05
+    assert steps[0] == 44 and r_inf[0] <= solver.RESIDUAL_TOL
+    assert smallest_share(costs[0], steps[0]) == pytest.approx(8.25e-9, rel=0.01)
+    assert reports[0] == reports[1]
+    assert reports[0].start_index == 5 and reports[0].iterations_total == 0
 
 
 def test_verified_layouts_pass_at_a_tenth_of_the_default_tolerance():
@@ -799,7 +872,7 @@ def test_verified_layouts_pass_at_a_tenth_of_the_default_tolerance():
     assert verified > 1
 
 
-def test_first_start_to_verify_ends_the_solve(monkeypatch):
+def test_first_start_to_verify_ends_the_solve(uniform_starts, monkeypatch):
     # Start 1 verifies after 6 attempts, all accepted, while start 0 is
     # bound for 16 steps in 23 attempts, 2 of them accepted in its first 6.
     # Waiting for start 0 to stop first, as a lowest index rule must, takes
@@ -821,7 +894,7 @@ def test_first_start_to_verify_ends_the_solve(monkeypatch):
     assert len(calls) <= 6
 
 
-def test_multistart_verifies_each_stopped_start_once(monkeypatch):
+def test_multistart_verifies_each_stopped_start_once(uniform_starts, monkeypatch):
     # At order 3 many starts converge to layouts that are not packings.
     # No start stops before 9 attempts.  Start 28 stops after 9 and fails,
     # starts 0, 3, 13 and 23 after 10 and fail; start 36 stops after 10 too
@@ -849,7 +922,7 @@ def test_multistart_verifies_each_stopped_start_once(monkeypatch):
     assert report.best_layout is verified[-1]
 
 
-def test_all_starts_stop_once_one_verifies(monkeypatch):
+def test_all_starts_stop_once_one_verifies(uniform_starts, monkeypatch):
     # Start 3 converges after 6 attempts, all accepted, and verifies.
     # Starts 7, 2, 4, 5 and 6 would verify too, but only after 7 to 15.  The
     # solve stops at round 6, with 20 steps accepted by the other starts in
@@ -873,7 +946,7 @@ def test_all_starts_stop_once_one_verifies(monkeypatch):
     assert len(calls) <= 6
 
 
-def test_all_starts_race_in_one_lockstep_call(monkeypatch):
+def test_all_starts_race_in_one_lockstep_call(uniform_starts, monkeypatch):
     # Start 2 verifies after 11 attempts, start 7 after 10, and start 9
     # after 6: the solve is one lockstep call over all 17 starts, so start 9
     # wins, though lower starts verify too.
