@@ -35,25 +35,28 @@ start with the fewest LM attempts (linear solves), ties going to the
 lowest index.  Each start adds about 70 KB of memory at 20 fixed rectangles.
 
 The stop rule is one set of module constants, read at call time.  A start
-runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), a step
-that lowers the cost by less than a share STALL_TOL of it (stalled: the
-relative-reduction test of MINPACK's ftol), lambda above LAMBDA_MAX or
-max_iters.  The stall rule ends starts bound for a non-zero local minimum:
-LM converges quadratically at a regular root and linearly at a singular
-one, so near a root each step lowers the cost by a large share.  Far from
-a root a start can creep over a plateau and still converge after it, and
-the rule may end such a start.  With every start run to its own stop, the
-smallest share a converging start's step lowered its cost by was 6.0e-6
-over 2,314 fixed-mode guillotine starts (N = 3 to 10, seeds 0-15, 64
-starts each) and 1.6e-5 over 567 rotatable ones.  Over 15,281 family-sweep
-starts (seeds 0-15) it was 3.5e-8, on a plateau at cost 0.13, except for
-one start that the rule cuts on a plateau at cost 0.22.  A start that
-tiles as drawn wins that solve, and with the rule off no family answer
-changes (tests pin both starts).  A converged start is not refined
-further: at a tiling the moment rows are well conditioned, so max |r| <=
-RESIDUAL_TOL puts the layout far inside the verifier's DEFAULT_TOL.  Over
-6,655 verified family-sweep solves (seeds 0-15 rotatable, 0-7 fixed) and
-the guillotines of N = 6 to 10 (seeds 0-7, 64 starts, both modes) the
+runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), its
+last STALL_WINDOW accepted steps together lowered the cost by less than a
+share STALL_TOL of it (stalled: the relative-reduction test of MINPACK's
+ftol, over a window of steps), lambda above LAMBDA_MAX or max_iters.  The
+stall rule ends starts bound for a non-zero local minimum: LM converges
+quadratically at a regular root and linearly at a singular one, so near a
+root a few steps lower the cost by a large share.  Far from a root a start
+can creep over a plateau and still converge after it, and the rule may end
+such a start.  With every start run to its own stop, the smallest share
+eight steps of a converging start lowered its cost by was 8.3e-4 over 2,455
+guillotine starts (N = 3 to 10, 64 starts each, fixed mode at seeds 0-15
+and rotatable at seeds 0-3), none of them cut.  Over 14,999 family-sweep
+starts (seeds 0-7, both modes) it was 1.03e-4, except for seven rotatable
+starts that the rule cuts on plateaus, at max |r| 0.013 to 0.080.  A start
+that tiles as drawn wins each of their solves, and with the rule off no
+family-sweep answer (seeds 0-15 rotatable, 0-7 fixed) changes status, nor
+any verified one its winner or layout (tests pin the tightest starts, a cut
+one and the answers of those seven solves).  A converged start is not
+refined further: at a tiling the moment rows are well conditioned, so max
+|r| <= RESIDUAL_TOL puts the layout far inside the verifier's DEFAULT_TOL.
+Over 6,655 verified family-sweep solves (seeds 0-15 rotatable, 0-7 fixed)
+and the guillotines of N = 6 to 10 (seeds 0-7, 64 starts, both modes) the
 loosest tolerance a verified layout needed was 1.7e-9, 58 times under it.
 """
 
@@ -87,7 +90,8 @@ LAMBDA_MIN = 1e-14
 LAMBDA_MAX = 1e12
 LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
-STALL_TOL = 1e-8  # a start stalled once a step lowers its cost by less than this share
+STALL_WINDOW = 8  # a start stalled once this many accepted steps
+STALL_TOL = 1e-4  # lowered its cost by less than this share of it
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
 
@@ -265,12 +269,14 @@ def _lockstep(
     """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
 
     Each row starts at LAMBDA0 and follows the one-attempt damping rule on
-    its own until RESIDUAL_TOL, a stall (STALL_TOL 0 turns the rule off),
-    lambda above LAMBDA_MAX or max_iters accepted steps.  Each round makes
-    one attempt for every running row, each at its own lambda, in one
-    stacked linear solve and one residual evaluation; a rejected row
-    retries on the undamped normal equations it keeps.  So each row follows
-    the rule's trajectory bit for bit, whatever else is in the batch.
+    its own until RESIDUAL_TOL, a stall (after accepted step n >=
+    STALL_WINDOW, costs[k, n] >= (1 - STALL_TOL) costs[k, n - STALL_WINDOW];
+    STALL_TOL 0 turns the rule off), lambda above LAMBDA_MAX or max_iters
+    accepted steps.  Each round makes one attempt for every running row,
+    each at its own lambda, in one stacked linear solve and one residual
+    evaluation; a rejected row retries on the undamped normal equations it
+    keeps.  So each row follows the rule's trajectory bit for bit, whatever
+    else is in the batch.
     Returns the final variables (K, V), the accepted step count of each row
     (K,), the accepted costs (K, max_iters + 1), row k's history being
     costs[k, : steps[k] + 1], each row's final max |r| (K,) and the winner.
@@ -317,20 +323,21 @@ def _lockstep(
             table = mo.chebyshev_table(sys, cand)
             r = mo.batch_residual(sys, table)
             cost_new = _costs(r)
-            fresh, fell = cost_new < cost, cost_new < (1.0 - STALL_TOL) * cost
+            fresh = cost_new < cost
             if fresh.all():  # most rounds: nothing to gather, none retries
                 xr, cost, rmax, n = cand, cost_new, np.abs(r).max(axis=1), n + 1
                 lam = np.maximum(lam * LAMBDA_DECREASE, LAMBDA_MIN)
-                keep = (rmax > RESIDUAL_TOL) & fell & (n < max_iters)
             else:
                 table, r = table[fresh], r[fresh]
                 xr[fresh], cost[fresh] = cand[fresh], cost_new[fresh]
                 rmax[fresh], n = np.abs(r).max(axis=1), n + fresh
                 down = np.maximum(lam * LAMBDA_DECREASE, LAMBDA_MIN)
                 lam = np.where(fresh, down, lam * LAMBDA_INCREASE)
-                going = (rmax > RESIDUAL_TOL) & fell & (n < max_iters)
-                keep = np.where(fresh, going, lam <= LAMBDA_MAX)
             costs[rows, n] = cost  # a row that did not step writes its cost again
+            before = costs[rows, np.maximum(n - STALL_WINDOW, 0)]
+            fell = (n < STALL_WINDOW) | (cost < (1.0 - STALL_TOL) * before)
+            going = (rmax > RESIDUAL_TOL) & fell & (n < max_iters)
+            keep = np.where(fresh, going, lam <= LAMBDA_MAX)
             ended = rows[~keep]
             if len(ended):
                 x[ended], steps[ended], r_inf[ended] = xr[~keep], n[~keep], rmax[~keep]

@@ -381,7 +381,7 @@ def sequential_lm(sys, x0, max_iters, cut=None):
     costs and, for each attempt, whether it was accepted; the run stops in
     the round of its last attempt.  cut, if given, ends the run after that
     many attempts, as a win in that round ends a row still running."""
-    residual_tol, stall_tol = solver.RESIDUAL_TOL, solver.STALL_TOL
+    residual_tol, window, stall_tol = solver.RESIDUAL_TOL, solver.STALL_WINDOW, solver.STALL_TOL
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
@@ -409,11 +409,12 @@ def sequential_lm(sys, x0, max_iters, cut=None):
             stepped = cost_new < cost
             accepted.append(stepped)
             if stepped:
-                fell = cost_new < (1.0 - stall_tol) * cost
                 x, table, r, cost = cand, cand_table, r_new, cost_new
                 lam = max(lam * solver.LAMBDA_DECREASE, solver.LAMBDA_MIN)
                 costs.append(cost)
-                live = np.max(np.abs(r)) > residual_tol and fell and len(costs) - 1 < max_iters
+                n = len(costs) - 1
+                fell = n < window or cost < (1.0 - stall_tol) * costs[n - window]
+                live = np.max(np.abs(r)) > residual_tol and fell and n < max_iters
             else:
                 lam *= solver.LAMBDA_INCREASE
                 live = lam <= solver.LAMBDA_MAX
@@ -564,8 +565,9 @@ def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
 )
 def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode):
     # Under the stall rule a row follows its path without the rule bit for
-    # bit, and ends at the first accepted step that lowers its cost by less
-    # than STALL_TOL of it, unless an older rule ended it first.
+    # bit, and ends at the first accepted step n >= STALL_WINDOW whose cost
+    # is not below (1 - STALL_TOL) times the cost STALL_WINDOW steps before,
+    # unless an older rule ended it first.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst, mode=mode)
     x0 = box_starts(sys, seed, rows)
@@ -579,8 +581,9 @@ def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode
     _, steps0, costs0, _, _ = rule_free(x0, 80)
     for k in range(rows):
         path = costs0[k, : steps0[k] + 1]
-        stalled = np.flatnonzero(path[1:] >= (1.0 - solver.STALL_TOL) * path[:-1])
-        assert steps[k] == (stalled[0] + 1 if len(stalled) else steps0[k])
+        window = solver.STALL_WINDOW
+        stalled = np.flatnonzero(path[window:] >= (1.0 - solver.STALL_TOL) * path[:-window])
+        assert steps[k] == (stalled[0] + window if len(stalled) else steps0[k])
         assert costs[k, : steps[k] + 1].tobytes() == path[: steps[k] + 1].tobytes()
         # The rule-free run cut after as many steps; a row that took none
         # stopped by an older rule, which cuts the rule-free run too.
@@ -784,19 +787,52 @@ def guillotine_n6_cases():
     ] + [rotatable_dominoes()]
 
 
+def stall_cut_family_cases():
+    # The family solves (rotatable, 6 starts, 80 iterations) in which the
+    # stall rule cuts a converging start, with every start run to its own
+    # stop at seeds 0-7: eight dominoes in a 4x4 box at seeds 2, 6 and 7,
+    # five unit squares and two dominoes in a 3x3 box at seeds 4 and 6,
+    # seven unit squares, a domino, a 1x3 and a 2x2 in a 4x4 box at seed 5,
+    # and two unit squares and three dominoes in a 2x4 box at seed 6.
+    dominoes8 = Instance.from_sides([(1, 2)] * 8, BoxSpec(4, 4))
+    squares5 = Instance.from_sides([(1, 1)] * 5 + [(1, 2)] * 2, BoxSpec(3, 3))
+    mixed10 = Instance.from_sides([(1, 1)] * 7 + [(1, 2), (1, 3), (2, 2)], BoxSpec(4, 4))
+    squares2 = Instance.from_sides([(1, 1)] * 2 + [(1, 2)] * 3, BoxSpec(2, 4))
+    return [
+        (inst, SolveConfig(restarts=6, max_iters=80, seed=seed), mo.ROTATABLE)
+        for inst, seed in [
+            (dominoes8, 2),
+            (dominoes8, 6),
+            (dominoes8, 7),
+            (squares5, 4),
+            (squares5, 6),
+            (mixed10, 5),
+            (squares2, 6),
+        ]
+    ]
+
+
 def test_stall_rule_cuts_no_winner(monkeypatch):
-    # No start that converges takes a step lowering its cost by less than
-    # STALL_TOL of it.  So with the rule every answer keeps its status, and
-    # every verified one its winner and layout.  The rule only shortens
-    # starts that fail: fewer steps in all.
-    cases = guillotine_n6_cases()
+    # The rule ends a few converging starts on a plateau far from a root,
+    # but no answer: with the rule every answer keeps its status, and every
+    # verified one its winner and layout, on the cases where it cuts a
+    # converging start too.  The rule mostly shortens starts that fail:
+    # fewer steps in all.
+    family = stall_cut_family_cases()
+    cases = guillotine_n6_cases() + family
 
     def reports():
         return [solve_multistart(inst, cfg, mode=mode) for inst, cfg, mode in cases]
 
-    with_rule = reports()
+    def converging(inst, cfg, mode):  # each start run to its own stop
+        sys = mo.build_system(inst, mode=mode)
+        x0 = np.stack([solver._start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
+        return solver._lockstep(sys, x0, cfg.max_iters)[3] <= solver.RESIDUAL_TOL
+
+    with_rule, kept = reports(), [converging(*case) for case in family]
     monkeypatch.setattr(solver, "STALL_TOL", 0.0)
     without = reports()
+    assert all((converging(*case) & ~k).any() for case, k in zip(family, kept))
     for a, b in zip(with_rule, without):
         assert a.status == b.status
         if b.status == "converged_verified":
@@ -807,54 +843,54 @@ def test_stall_rule_cuts_no_winner(monkeypatch):
 
 
 def smallest_share(costs, steps):
-    """The smallest share of its cost any step of a cost path lowered it by."""
-    path = costs[: steps + 1]
-    return np.min((path[:-1] - path[1:]) / path[:-1])
+    """The smallest share of its cost any STALL_WINDOW accepted steps of a
+    cost path lowered it by, 1 - c[n] / c[n - STALL_WINDOW]."""
+    path, window = costs[: steps + 1], solver.STALL_WINDOW
+    return np.min(1.0 - path[window:] / path[:-window])
 
 
 def test_stall_margin_of_the_tightest_converging_start():
     # Of the converging starts measured with every row run to its own stop,
-    # these come closest to the stall rule without being cut by it.  With
-    # skyline starts: five unit squares and two dominoes in a 3x3 box, whose
-    # start crosses a plateau at cost 0.13 in steps as small as 3.54e-8 of
-    # it.  With the uniform starts drawn before: a step of 9.49e-8.  With the
-    # rule ten times looser either start would stop on its way, far from a
-    # root.
-    family_row = Instance.from_sides([(1, 1)] * 5 + [(1, 2)] * 2, BoxSpec(3, 3))
-    uniform_row, _ = gen_guillotine(247, 2, BoxSpec(10, 8))
-    for inst, draw, seed, k, margin in [
-        (family_row, solver._start_vector, 13, 5, 3.54e-8),
-        (uniform_row, numpy_start_vector, 16, 50, 9.49e-8),
+    # these come closest to the stall rule without being cut by it.  In the
+    # family sweep: two dominoes, a 1x4 and two 2x2 squares in a 4x4 box,
+    # whose start lowers its cost by as little as 1.03e-4 of it over eight
+    # steps.  Of the guillotines: N = 6 in a 10x8 box, 8.3e-4.
+    family_row = Instance.from_sides([(1, 2), (1, 2), (1, 4), (2, 2), (2, 2)], BoxSpec(4, 4))
+    guillotine_row, _ = gen_guillotine(2, 5, BoxSpec(10, 8))
+    for inst, mode, seed, k, converged_after, margin in [
+        (family_row, mo.ROTATABLE, 4, 2, 48, 1.03e-4),
+        (guillotine_row, mo.FIXED, 2, 16, 36, 8.32e-4),
     ]:
-        sys = mo.build_system(inst, mode=mo.ROTATABLE)
-        _, steps, costs, r_inf, _ = solver._lockstep(sys, draw(sys, inst, seed, k)[None], 500)
-        assert r_inf[0] <= solver.RESIDUAL_TOL
+        sys = mo.build_system(inst, mode=mode)
+        x0 = solver._start_vector(sys, inst, seed, k)[None]
+        _, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 500)
+        assert steps[0] == converged_after and r_inf[0] <= solver.RESIDUAL_TOL
         share = smallest_share(costs[0], steps[0])
         assert solver.STALL_TOL < share == pytest.approx(margin, rel=0.01)
 
 
 def test_stall_rule_cuts_a_converging_start_on_a_plateau(monkeypatch):
-    # The one converging start of the census that the rule cuts: two unit
-    # squares and three dominoes in a 2x4 box (family sweep, seed 6, start 4).
-    # It crosses a plateau at cost 0.221 in steps as small as 8.2e-9 of it,
-    # then converges after 44 steps.  The rule stops it after 29, far from a
-    # root.  Its solve does not change: start 5 tiles the box as drawn and
-    # wins before any start steps.
-    inst = Instance.from_sides([(1, 1)] * 2 + [(1, 2)] * 3, BoxSpec(2, 4))
+    # One of the seven converging starts of the family census that the rule
+    # cuts: eight dominoes in a 4x4 box (seed 2, start 3).  It crosses a
+    # plateau at cost 0.036, where eight steps lower its cost by as little
+    # as 3.45e-5 of it, then converges after 66 steps.  The rule stops it
+    # after 33, far from a root.  Its solve does not change: start 0 tiles
+    # the box as drawn and wins before any start steps.
+    inst = Instance.from_sides([(1, 2)] * 8, BoxSpec(4, 4))
     sys = mo.build_system(inst, mode=mo.ROTATABLE)
-    x0 = solver._start_vector(sys, inst, 6, 4)[None]
-    cfg = SolveConfig(restarts=6, max_iters=80, seed=6)
+    x0 = solver._start_vector(sys, inst, 2, 3)[None]
+    cfg = SolveConfig(restarts=6, max_iters=80, seed=2)
     runs, reports = [], []
     for stall_tol in (solver.STALL_TOL, 0.0):
         monkeypatch.setattr(solver, "STALL_TOL", stall_tol)
         runs.append(solver._lockstep(sys, x0, cfg.max_iters))
         reports.append(replace(solve_multistart(inst, cfg, mode=mo.ROTATABLE), wall_time_s=0))
     (_, cut, _, cut_r_inf, _), (_, steps, costs, r_inf, _) = runs
-    assert cut[0] == 29 and cut_r_inf[0] > 0.05
-    assert steps[0] == 44 and r_inf[0] <= solver.RESIDUAL_TOL
-    assert smallest_share(costs[0], steps[0]) == pytest.approx(8.25e-9, rel=0.01)
+    assert cut[0] == 33 and cut_r_inf[0] == pytest.approx(0.0131, rel=0.01)
+    assert steps[0] == 66 and r_inf[0] <= solver.RESIDUAL_TOL
+    assert smallest_share(costs[0], steps[0]) == pytest.approx(3.45e-5, rel=0.01)
     assert reports[0] == reports[1]
-    assert reports[0].start_index == 5 and reports[0].iterations_total == 0
+    assert reports[0].start_index == 0 and reports[0].iterations_total == 0
 
 
 def test_verified_layouts_pass_at_a_tenth_of_the_default_tolerance():
