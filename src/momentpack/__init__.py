@@ -39,7 +39,6 @@ from .oracle import enumerate_small_family, oracle_feasible
 from .solver import (
     SolveConfig,
     SolveReport,
-    init_shelf_greedy,
     snap_layout,
     solve_multistart,
     solve_single,
@@ -77,7 +76,6 @@ __all__ = [
     "fit_can_pass",
     "gen_guillotine",
     "harmonic_prefix",
-    "init_shelf_greedy",
     "jacobian",
     "layout_to_vars",
     "moment_residual_of_layout",

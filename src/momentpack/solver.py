@@ -9,22 +9,24 @@ candidate whose residual is not finite costs inf, so it is rejected like
 any other that does not lower the cost, and every accepted iterate stays
 finite.  Containment in the box is the verifier's check, not the solver's.
 
-solve_multistart layers deterministic restarts on top (start 0 is the shelf
-layout, later starts are seeded bottom-left fills) and treats geometric
+solve_multistart layers deterministic restarts on top and treats geometric
 verification, not the residual, as the definition of success: every start
 that stops, converged or not, is handed once, as it stopped, to
 verify_layout at its default tolerance, the one `momentpack verify` uses.
-So an instance that tiles only within that tolerance, whose moment system
-keeps a residual floor above RESIDUAL_TOL, is still reported from the start
-that stalled there, and a start that tiles the box as drawn wins before any
-LM step (iterations_total 0; most family-sweep wins are such starts).
-Reports are bitwise deterministic for fixed arguments.
+Each start is a gap fill (_start_vector): a depth-first search, in a seeded
+order and within GAP_BUDGET placements, for a tiling that fills the lowest
+gap of the skyline first.  So the construction wins exact tilings: a start
+that tiles the box as drawn verifies before any LM step (iterations_total
+0), and no later start is built.  The moment system decides the rest: an
+instance that tiles only within the verifier's tolerance, whose moment
+system keeps a residual floor above RESIDUAL_TOL, is reported from a start
+that stalled there.  Reports are bitwise deterministic for fixed arguments.
 
-All starts of a solve run in one lockstep call.  Each round makes one
-attempt for every start still running, each at its own lambda: one stacked
-linear solve, one residual evaluation and one batched Jacobian for the
-starts whose attempt was accepted; a rejected start retries in the next
-round, beside the others' next attempts.  So each start follows the
+Unless a start wins as drawn, all starts of a solve run in one lockstep
+call.  Each round makes one attempt for every start still running, each at
+its own lambda: one stacked linear solve, one residual evaluation and one
+batched Jacobian for the starts whose attempt was accepted; a rejected
+start retries in the next round, beside the others' next attempts.  So each start follows the
 trajectory it follows alone, bit for bit (solve_single is the one-start
 view), and no start waits on another's retries: at these sizes (at most 40
 unknowns per start on the benchmark's solves) a round costs mostly per-call
@@ -43,7 +45,8 @@ stall rule ends starts bound for a non-zero local minimum: LM converges
 quadratically at a regular root and linearly at a singular one, so near a
 root a few steps lower the cost by a large share.  Far from a root a start
 can creep over a plateau and still converge after it, and the rule may end
-such a start.  With every start run to its own stop, the smallest share
+such a start.  With every start run to its own stop, on the bottom-left
+starts that gap fills replaced (tests pin their rows), the smallest share
 eight steps of a converging start lowered its cost by was 8.3e-4 over 2,455
 guillotine starts (N = 3 to 10, 64 starts each, fixed mode at seeds 0-15
 and rotatable at seeds 0-3), none of them cut.  Over 14,999 family-sweep
@@ -67,7 +70,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -78,7 +81,6 @@ from .verify import DEFAULT_TOL, _snap, area_can_pass, fit_can_pass, verify_layo
 __all__ = [
     "SolveConfig",
     "SolveReport",
-    "init_shelf_greedy",
     "snap_layout",
     "solve_single",
     "solve_multistart",
@@ -92,6 +94,7 @@ LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
 STALL_WINDOW = 8  # a start stalled once this many accepted steps
 STALL_TOL = 1e-4  # lowered its cost by less than this share of it
+GAP_BUDGET = 300  # placements a gap-fill start tries before it stops searching
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
 
@@ -155,55 +158,18 @@ class SolveReport:
 # -- Initialization ----------------------------------------------------------
 
 
-def init_shelf_greedy(inst: Instance) -> Layout:
-    """Shelf heuristic warm start: rectangles in decreasing height order,
-    left to right, new shelf on horizontal overflow; placements are clamped
-    inside the box and may overlap when the box is over-full."""
-    a = float(inst.box.width)
-    b = float(inst.box.height)
-    n = inst.n_rects
-    order = sorted(range(n), key=lambda i: (-float(inst.rects[i].height), i))
-    placements: list[Placement | None] = [None] * n
-    cur_x = 0.0
-    shelf_y = 0.0
-    shelf_h = 0.0
-    for i in order:
-        w = float(inst.rects[i].width)
-        h = float(inst.rects[i].height)
-        if cur_x > 0.0 and cur_x + w > a + 1e-12:
-            shelf_y += shelf_h
-            cur_x = 0.0
-            shelf_h = 0.0
-        x_lo = max(0.0, min(cur_x, a - w))
-        y_lo = max(0.0, min(shelf_y, b - h))
-        placements[i] = Placement(x_lo, y_lo, x_lo + w, y_lo + h)
-        cur_x = x_lo + w
-        shelf_h = max(shelf_h, h)
-    return Layout(tuple(placements))
-
-
-def _start_vector(
-    sys: mo.MomentSystem, inst: Instance, seed: int, start_index: int
-) -> np.ndarray:
-    """Start 0 is the shelf layout.  A later start is a bottom-left fill
-    (Baker, Coffman & Rivest 1980) in a seeded order, each free rectangle
-    first turned by a seeded bit: each rectangle goes to the lowest, then
-    leftmost, point of the skyline where it fits in the box.  One that fits
-    nowhere goes to the lowest point its width fits, clamped inside the box
-    as init_shelf_greedy clamps, and may overlap others.  Plain Python
-    floats in a fixed order, so a start is the same bytes on every run."""
-    if start_index == 0:
-        return mo.layout_to_vars(sys, init_shelf_greedy(inst))
-    rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
-    order = rng.permutation(sys.n_rects).tolist()
-    turn = sys.free & (rng.integers(0, 2, size=sys.n_rects) == 1)
-    widths = np.where(turn, sys.heights, sys.widths).tolist()
-    heights = np.where(turn, sys.widths, sys.heights).tolist()
-    a, b, tol = sys.box_w, sys.box_h, 1e-12
-    corners = [()] * sys.n_rects
-    xs, tops = [0.0], [0.0]  # the skyline: segment j spans xs[j] to xs[j + 1] (or a)
-    for i in order:
-        w, h = widths[i], heights[i]
+def _bottom_left(
+    xs: list, tops: list, a: float, b: float, shapes: list, corners: list
+) -> None:
+    """Bottom-left fill (Baker, Coffman & Rivest 1980) onto a skyline whose
+    segment j starts at xs[j] (and ends at xs[j + 1], or a) at height
+    tops[j], both lists edited in place: each (i, w, h) of shapes, in order,
+    goes to the lowest, then leftmost, left end of a segment from which it
+    fits in the box, written to corners[i].  One that fits nowhere goes to
+    the lowest such point its width fits from, clamped inside the box, and
+    may overlap others."""
+    tol = 1e-12
+    for i, w, h in shapes:
         # The least (misfit, y, x) over the left ends of the segments the
         # width fits from; a segment no lower than the best y cannot beat it.
         best = (True, math.inf, 0.0)
@@ -227,6 +193,105 @@ def _start_vector(
             lo -= 1
             new_xs[0] = xs[lo]
         xs[lo:hi], tops[lo:hi] = new_xs, new_tops
+
+
+def _gap_fill(shapes: list, n: int, a: float, b: float) -> tuple[list, list, list]:
+    """Depth-first search for a tiling of the a x b box by the n rectangles,
+    each (i, w, h) of shapes a way to place rectangle i.  A node fills the
+    lowest, then leftmost, segment of the skyline (the top outline of the
+    rectangles placed so far).  Its children are the unplaced shapes whose
+    width fits the segment and whose top stays in the box, those that fill
+    its width first, each group in the order of shapes, skipping a (w, h)
+    already tried there: equal shapes are interchangeable.  Widths fit and
+    tops merge within DEFAULT_TOL.  Every tiling has a rectangle at the
+    lowest, leftmost uncovered point, so the search is complete.  It stops
+    at a tiling or after GAP_BUDGET placements and returns the deepest fill
+    it reached: its placements (i, x, y, w, h) and its skyline, the segment
+    left ends followed by a, and their tops."""
+    tol = DEFAULT_TOL
+    xs, tops = [0.0, a], [0.0]  # segment j spans xs[j] to xs[j + 1]
+    placed = [False] * n
+    path, undo = [], []
+    best = ([], xs[:], tops[:])
+
+    def children() -> tuple[int, Iterator]:
+        y = min(tops)
+        j = tops.index(y)
+        gap = xs[j + 1] - xs[j]
+        wide, narrow, room = gap + tol, gap - tol, b - y + tol
+        exact, rest, seen = [], [], set()
+        for shape in shapes:
+            i, w, h = shape
+            if w > wide or h > room or placed[i] or (w, h) in seen:
+                continue
+            seen.add((w, h))
+            (exact if w >= narrow else rest).append(shape)
+        exact += rest
+        return j, iter(exact)
+
+    stack, nodes = [children()], 0
+    while stack and nodes < GAP_BUDGET:
+        j, todo = stack[-1]
+        child = next(todo, None)
+        if child is None:  # every child tried: take back the placement made here
+            stack.pop()
+            if path:
+                placed[path.pop()[0]] = False
+                lo, count, old_xs, old_tops = undo.pop()
+                xs[lo : lo + count], tops[lo : lo + count] = old_xs, old_tops
+            continue
+        nodes += 1
+        i, w, h = child
+        x, y = xs[j], tops[j]
+        # Segment j becomes the rectangle's top, then the rest of its width
+        # at y, if any; a top within tol of a neighbour's merges with it,
+        # keeping the left one's height.
+        t = y + h
+        left = j > 0 and abs(tops[j - 1] - t) <= tol
+        lo, hi = (j - 1 if left else j), j + 1
+        new_xs, new_tops = [xs[lo]], [tops[lo] if left else t]
+        if w < xs[hi] - x - tol:
+            new_xs.append(x + w)
+            new_tops.append(y)
+        elif hi < len(tops) and abs(tops[hi] - t) <= tol:
+            hi += 1
+        undo.append((lo, len(new_xs), xs[lo:hi], tops[lo:hi]))
+        xs[lo:hi], tops[lo:hi] = new_xs, new_tops
+        placed[i] = True
+        path.append((i, x, y, w, h))
+        if len(path) > len(best[0]):
+            best = (path[:], xs[:], tops[:])
+            if len(path) == n:
+                break
+        stack.append(children())
+    return best
+
+
+def _start_vector(
+    sys: mo.MomentSystem, inst: Instance, seed: int, start_index: int
+) -> np.ndarray:
+    """A gap fill (_gap_fill) of the rectangles' shapes, each upright and,
+    if free, turned, in an order drawn from a generator seeded by seed and
+    start_index.  When the search ends without a tiling, the rectangles
+    its deepest fill left out are placed by the bottom-left rule
+    (_bottom_left), in the same order, each in its first shape.  Plain
+    Python floats in a fixed order, so a start is the same bytes on every
+    run."""
+    rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
+    n = sys.n_rects
+    widths, heights = sys.widths.tolist(), sys.heights.tolist()
+    shapes = [(i, widths[i], heights[i]) for i in range(n)]
+    shapes += [(i, heights[i], widths[i]) for i in np.flatnonzero(sys.free).tolist()]
+    shapes = [shapes[k] for k in rng.permutation(len(shapes)).tolist()]
+    path, xs, tops = _gap_fill(shapes, n, sys.box_w, sys.box_h)
+    corners = [()] * n
+    for i, x, y, w, h in path:
+        corners[i] = (x, y, x + w, y + h)
+    rest = {}
+    for i, w, h in shapes:
+        if not corners[i]:
+            rest.setdefault(i, (i, w, h))
+    _bottom_left(xs[:-1], tops, sys.box_w, sys.box_h, list(rest.values()), corners)
     return mo.corners_to_vars(sys, np.array(corners).reshape(-1, 4))
 
 
@@ -391,15 +456,18 @@ def solve_multistart(
     max_order: int | None = None,
     mode: str = mo.FIXED,
 ) -> SolveReport:
-    """Deterministic multistart: start 0 is the shelf layout, later starts
-    bottom-left fills in orders drawn from per-index seeded generators
-    (_start_vector).  A start counts as a success
-    only when the layout it stopped at, converged or not, passes geometric
-    verification.  All starts race in one lockstep call, one LM attempt
-    each per round, which verifies each start as it stops, in index order
-    after each round; the first to pass wins and stops the rest.  So the
-    winner is the verified start with the fewest LM attempts, ties going to
-    the lowest index.
+    """Deterministic multistart over gap-fill starts (_start_vector), each
+    drawn from a generator seeded by cfg.seed and its index.  A start counts
+    as a success only when the layout it stopped at, converged or not,
+    passes geometric verification.  Starts are built in index order.  One
+    whose max |r| is not finite or within RESIDUAL_TOL takes no LM step, so
+    it is verified as it is built, and the first such start to pass wins
+    before a later one exists.  Otherwise all starts race in one lockstep
+    call, one LM attempt each per round, which verifies each start as it
+    stops (not again one verified as built), in index order after each
+    round; the first to pass wins and stops the rest.  So the report is the
+    one building every start up front gives: the winner is the verified
+    start with the fewest LM attempts, ties going to the lowest index.
     Without a winner the report carries the lowest (final max |r|, start
     index), read off the race's per-start results.  The arguments are
     checked first, so a bad mode or max_order raises ValueError for every
@@ -415,24 +483,39 @@ def solve_multistart(
         reason = "fit"
     status, layout, final, iterations, start = "exhausted", None, float("inf"), 0, -1
     if reason is None:
-        x0 = np.stack([_start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
 
-        def passes(v: np.ndarray) -> bool:
+        def check(v: np.ndarray) -> bool:
             nonlocal layout  # the last one checked: the winner's, if any
             layout = mo.vars_to_layout(sys, v)
             return verify_layout(inst, layout).passed
 
-        x, steps, _, r_inf, winner = _lockstep(sys, x0, cfg.max_iters, passes)
-        iterations = int(steps.sum())
-        start = winner if winner >= 0 else int(np.argmin(r_inf))
-        if winner < 0:
-            layout = mo.vars_to_layout(sys, x[start])
-        final = float(r_inf[start])
+        # A start that never starts (max |r| not finite or within
+        # RESIDUAL_TOL) is one _lockstep would verify first, in index order,
+        # so it is verified as it is built, and the first that passes wins
+        # before a later start exists.
+        x0, judged, winner = [], [], -1
+        for k in range(cfg.restarts):
+            x0.append(_start_vector(sys, inst, cfg.seed, k))
+            r_max = float(np.abs(mo.residual(sys, x0[-1])).max())
+            if not (math.isfinite(r_max) and r_max > RESIDUAL_TOL):
+                if check(x0[-1]):
+                    winner = k
+                    break
+                judged.append(False)
+        if winner < 0:  # _lockstep asks about the judged rows first: their answers
+            x, steps, _, r_inf, winner = _lockstep(
+                sys, np.stack(x0), cfg.max_iters, lambda v: judged.pop() if judged else check(v)
+            )
+            iterations = int(steps.sum())
         if winner >= 0:
-            status = "converged_verified"
+            status, start = "converged_verified", winner
             final = float(np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, layout)))))
-        elif np.any(r_inf <= RESIDUAL_TOL):
-            status, reason = "converged_unverified", "unverified"
+        else:
+            start = int(np.argmin(r_inf))
+            layout = mo.vars_to_layout(sys, x[start])
+            final = float(r_inf[start])
+            if np.any(r_inf <= RESIDUAL_TOL):
+                status, reason = "converged_unverified", "unverified"
     return SolveReport(
         status=status,
         best_layout=layout,

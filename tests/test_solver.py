@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -16,11 +17,12 @@ from momentpack import (
     Layout,
     Placement,
     SolveConfig,
+    SolveReport,
     area_can_pass,
+    enumerate_small_family,
     fit_can_pass,
     gen_guillotine,
     harmonic_prefix,
-    init_shelf_greedy,
     serialize_layout,
     snap_layout,
     solve_multistart,
@@ -108,15 +110,40 @@ def test_solve_single_reduces_residual():
 # -- Warm start and snapping --------------------------------------------------
 
 
-def test_init_shelf_greedy_keeps_sizes_and_containment():
-    inst, _ = gen_guillotine(12, 5, BoxSpec(6.0, 4.0))
-    layout = init_shelf_greedy(inst)
-    assert len(layout.placements) == inst.n_rects
-    for rect, p in zip(inst.rects, layout.placements):
-        assert p.dx == pytest.approx(float(rect.width))
-        assert p.dy == pytest.approx(float(rect.height))
-        assert p.x_lo >= 0 and p.y_lo >= 0
-        assert p.x_hi <= 6.0 + 1e-9 and p.y_hi <= 4.0 + 1e-9
+def shelf_vars(sys, inst):
+    """The shelf layout, start 0 before gap-fill starts: rectangles by
+    decreasing height, left to right, a new shelf on overflow, each clamped
+    inside the box."""
+    a, b = float(inst.box.width), float(inst.box.height)
+    sides = [(float(r.width), float(r.height)) for r in inst.rects]
+    placements = [None] * len(sides)
+    cur_x = shelf_y = shelf_h = 0.0
+    for i in sorted(range(len(sides)), key=lambda i: (-sides[i][1], i)):
+        w, h = sides[i]
+        if cur_x > 0.0 and cur_x + w > a + 1e-12:
+            shelf_y, cur_x, shelf_h = shelf_y + shelf_h, 0.0, 0.0
+        x_lo, y_lo = max(0.0, min(cur_x, a - w)), max(0.0, min(shelf_y, b - h))
+        placements[i] = Placement(x_lo, y_lo, x_lo + w, y_lo + h)
+        cur_x, shelf_h = x_lo + w, max(shelf_h, h)
+    return mo.layout_to_vars(sys, Layout(tuple(placements)))
+
+
+def skyline_start_vector(sys, inst, seed, start_index):
+    """Starts as _start_vector drew them before gap-fill starts: the shelf,
+    then bottom-left fills (solver._bottom_left) in a seeded order, each
+    free rectangle first turned by a seeded bit.  The stall tests below pin
+    rows of these starts (the skyline_starts fixture)."""
+    if start_index == 0:
+        return shelf_vars(sys, inst)
+    rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
+    order = rng.permutation(sys.n_rects).tolist()
+    turn = sys.free & (rng.integers(0, 2, size=sys.n_rects) == 1)
+    widths = np.where(turn, sys.heights, sys.widths).tolist()
+    heights = np.where(turn, sys.widths, sys.heights).tolist()
+    shapes = [(i, widths[i], heights[i]) for i in order]
+    corners = [()] * sys.n_rects
+    solver._bottom_left([0.0], [0.0], sys.box_w, sys.box_h, shapes, corners)
+    return mo.corners_to_vars(sys, np.array(corners).reshape(-1, 4))
 
 
 def numpy_start_vector(sys, inst, seed, start_index):
@@ -124,7 +151,7 @@ def numpy_start_vector(sys, inst, seed, start_index):
     then each rectangle uniformly in the box.  The race tests below build
     their scenarios on these starts (the uniform_starts fixture)."""
     if start_index == 0:
-        return mo.layout_to_vars(sys, init_shelf_greedy(inst))
+        return shelf_vars(sys, inst)
     rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
     out = np.zeros((sys.n_rects, 4))
     for i in range(sys.n_rects):
@@ -146,6 +173,11 @@ def uniform_starts(monkeypatch):
     monkeypatch.setattr(solver, "_start_vector", numpy_start_vector)
 
 
+@pytest.fixture
+def skyline_starts(monkeypatch):
+    monkeypatch.setattr(solver, "_start_vector", skyline_start_vector)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     sides=st.lists(
@@ -156,15 +188,18 @@ def uniform_starts(monkeypatch):
     box=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
     mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
     seed=st.integers(0, 10**6),
-    starts=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+    starts=st.lists(st.integers(0, 200), min_size=1, max_size=4),
 )
-def test_skyline_starts_fill_bottom_left(sides, box, mode, seed, starts):
+def test_gap_fill_starts_keep_sides_and_box(sides, box, mode, seed, starts):
     # Squares stay upright in rotatable mode, so fixed, rotatable and mixed
-    # systems all occur; sides past the box make the clamp bite.
+    # systems all occur; sides past the box leave the search without a
+    # tiling, so the bottom-left rule places the rest.  The search fits
+    # widths and tops within DEFAULT_TOL of the box, the bottom-left rule
+    # clamps inside it.
     rects = [(w, w if square else h) for w, h, square in sides]
     inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
     sys = mo.build_system(inst, 3, mode)
-    a, b, tol = sys.box_w, sys.box_h, 1e-9
+    tol = 1e-9
     for k in starts:
         x = solver._start_vector(sys, inst, seed, k)
         assert x.tobytes() == solver._start_vector(sys, inst, seed, k).tobytes()
@@ -175,26 +210,37 @@ def test_skyline_starts_fill_bottom_left(sides, box, mode, seed, starts):
             upright = math.isclose(dx, w, abs_tol=tol) and math.isclose(dy, h, abs_tol=tol)
             turned = math.isclose(dx, h, abs_tol=tol) and math.isclose(dy, w, abs_tol=tol)
             assert upright or free and turned
-        inside = (x_lo >= 0) & (y_lo >= 0) & (x_hi <= a + tol) & (y_hi <= b + tol)
-        assert inside[(x_hi - x_lo <= a) & (y_hi - y_lo <= b)].all()
-        # In the drawn order each rectangle rests on the floor or an earlier
-        # top, against the left wall or an earlier side, and overlaps no
-        # earlier one, up to the first that fits nowhere: that one is pushed
-        # down from the top wall into the others, or does not fit the box.
-        placed = []
-        for i in np.random.default_rng(seed * solver._SEED_STRIDE + k).permutation(len(rects)):
-            overlaps = [
-                min(x_hi[i], x_hi[j]) - max(x_lo[i], x_lo[j]) > tol
-                and min(y_hi[i], y_hi[j]) - max(y_lo[i], y_lo[j]) > tol
-                for j in placed
-            ]
-            if any(overlaps) or not inside[i]:
-                assert y_hi[i] >= b - tol or not inside[i]
-                break
-            assert y_lo[i] == 0 or any(abs(y_lo[i] - y_hi[j]) <= tol for j in placed)
-            edges = [e for j in placed for e in (x_lo[j], x_hi[j])]
-            assert x_lo[i] == 0 or any(abs(x_lo[i] - e) <= tol for e in edges)
-            placed.append(i)
+        room = DEFAULT_TOL + tol
+        inside = (x_lo >= 0) & (y_lo >= 0) & (x_hi <= sys.box_w + room) & (y_hi <= sys.box_h + room)
+        assert inside[(x_hi - x_lo <= sys.box_w) & (y_hi - y_lo <= sys.box_h)].all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(0, 14),
+    box=st.sampled_from([BoxSpec(10.0, 8.0), BoxSpec(3.0, 7.5), BoxSpec(1, 1)]),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    k=st.integers(0, 200),
+)
+def test_gap_fill_starts_that_place_every_rectangle_verify(seed, cuts, box, mode, k):
+    # On a guillotine dissection, a start whose search placed every
+    # rectangle is a layout that passes the verifier as drawn.
+    inst, _ = gen_guillotine(seed, cuts, box)
+    sys = mo.build_system(inst, mode=mode)
+    fills = []
+    gap_fill = solver._gap_fill
+
+    def recording_gap_fill(*args):
+        fills.append(gap_fill(*args))
+        return fills[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_gap_fill", recording_gap_fill)
+        x = solver._start_vector(sys, inst, seed, k)
+    [(path, _, _)] = fills
+    if len(path) == inst.n_rects:
+        assert verify_layout(inst, mo.vars_to_layout(sys, x)).passed
 
 
 def test_snap_layout_merges_and_anchors():
@@ -596,7 +642,7 @@ def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode
 def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
     # A guillotine tiling of 15 rectangles puts many unknowns on a wall.
     # Each rectangle is shifted by up to 1e-3 of the box's longer side, and
-    # start 0 begins there in place of the shelf layout.
+    # start 0 begins there in place of a gap fill.
     for seed in range(8):
         inst, witness = gen_guillotine(seed, 14, BoxSpec(10.0, 8.0))
         rng = np.random.default_rng(seed)
@@ -605,7 +651,8 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
             dx, dy = rng.uniform(-1e-2, 1e-2, size=2)
             placements.append(Placement(p.x_lo + dx, p.y_lo + dy, p.x_hi + dx, p.y_hi + dy))
         start = Layout(tuple(placements))
-        monkeypatch.setattr(solver, "init_shelf_greedy", lambda _: start)
+        vars0 = mo.layout_to_vars(mo.build_system(inst, mode=mo.FIXED), start)
+        monkeypatch.setattr(solver, "_start_vector", lambda *args, vars0=vars0: vars0)
         report = solve_multistart(inst, SolveConfig(restarts=1), mode=mo.FIXED)
         assert report.status == "converged_verified" and report.start_index == 0, seed
 
@@ -812,12 +859,12 @@ def stall_cut_family_cases():
     ]
 
 
-def test_stall_rule_cuts_no_winner(monkeypatch):
+def test_stall_rule_cuts_no_winner(skyline_starts, monkeypatch):
     # The rule ends a few converging starts on a plateau far from a root,
     # but no answer: with the rule every answer keeps its status, and every
     # verified one its winner and layout, on the cases where it cuts a
     # converging start too.  The rule mostly shortens starts that fail:
-    # fewer steps in all.
+    # fewer steps in all.  The cases were found on skyline starts.
     family = stall_cut_family_cases()
     cases = guillotine_n6_cases() + family
 
@@ -850,11 +897,11 @@ def smallest_share(costs, steps):
 
 
 def test_stall_margin_of_the_tightest_converging_start():
-    # Of the converging starts measured with every row run to its own stop,
-    # these come closest to the stall rule without being cut by it.  In the
-    # family sweep: two dominoes, a 1x4 and two 2x2 squares in a 4x4 box,
-    # whose start lowers its cost by as little as 1.03e-4 of it over eight
-    # steps.  Of the guillotines: N = 6 in a 10x8 box, 8.3e-4.
+    # Of the converging skyline starts measured with every row run to its
+    # own stop, these come closest to the stall rule without being cut by
+    # it.  In the family sweep: two dominoes, a 1x4 and two 2x2 squares in a
+    # 4x4 box, whose start lowers its cost by as little as 1.03e-4 of it
+    # over eight steps.  Of the guillotines: N = 6 in a 10x8 box, 8.3e-4.
     family_row = Instance.from_sides([(1, 2), (1, 2), (1, 4), (2, 2), (2, 2)], BoxSpec(4, 4))
     guillotine_row, _ = gen_guillotine(2, 5, BoxSpec(10, 8))
     for inst, mode, seed, k, converged_after, margin in [
@@ -862,20 +909,20 @@ def test_stall_margin_of_the_tightest_converging_start():
         (guillotine_row, mo.FIXED, 2, 16, 36, 8.32e-4),
     ]:
         sys = mo.build_system(inst, mode=mode)
-        x0 = solver._start_vector(sys, inst, seed, k)[None]
+        x0 = skyline_start_vector(sys, inst, seed, k)[None]
         _, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 500)
         assert steps[0] == converged_after and r_inf[0] <= solver.RESIDUAL_TOL
         share = smallest_share(costs[0], steps[0])
         assert solver.STALL_TOL < share == pytest.approx(margin, rel=0.01)
 
 
-def test_stall_rule_cuts_a_converging_start_on_a_plateau(monkeypatch):
-    # One of the seven converging starts of the family census that the rule
-    # cuts: eight dominoes in a 4x4 box (seed 2, start 3).  It crosses a
-    # plateau at cost 0.036, where eight steps lower its cost by as little
-    # as 3.45e-5 of it, then converges after 66 steps.  The rule stops it
-    # after 33, far from a root.  Its solve does not change: start 0 tiles
-    # the box as drawn and wins before any start steps.
+def test_stall_rule_cuts_a_converging_start_on_a_plateau(skyline_starts, monkeypatch):
+    # One of the seven converging starts of the family census on skyline
+    # starts that the rule cuts: eight dominoes in a 4x4 box (seed 2, start
+    # 3).  It crosses a plateau at cost 0.036, where eight steps lower its
+    # cost by as little as 3.45e-5 of it, then converges after 66 steps.
+    # The rule stops it after 33, far from a root.  Its solve does not
+    # change: start 0 tiles the box as drawn and wins before any start steps.
     inst = Instance.from_sides([(1, 2)] * 8, BoxSpec(4, 4))
     sys = mo.build_system(inst, mode=mo.ROTATABLE)
     x0 = solver._start_vector(sys, inst, 2, 3)[None]
@@ -1055,3 +1102,156 @@ def test_multistart_status_and_fallback_match_index_order(
     if report.status != "converged_verified":
         assert_report_is(report, expected)
         assert report.reason == ("unverified" if report.status == "converged_unverified" else None)
+
+
+def near_guillotine(seed, n_cuts, box, delta=1e-8):
+    """A near-tiling: a guillotine dissection of box with each side scaled by
+    1 + U(-delta, delta), drawn from a generator seeded by seed.  Returns the
+    instance and the dissection's layout, which keeps the unscaled sides."""
+    inst, dissection = gen_guillotine(seed, n_cuts, box)
+    scale = 1 + np.random.default_rng(seed).uniform(-delta, delta, size=(inst.n_rects, 2))
+    sides = [
+        (float(r.width) * u, float(r.height) * v) for r, (u, v) in zip(inst.rects, scale.tolist())
+    ]
+    return Instance.from_sides(sides, box), dissection
+
+
+def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
+    """Reference for building starts lazily: solve_multistart past its gates
+    with every start built up front and raced in one _lockstep call, as a
+    report with wall_time_s 0.  Every layout it verifies is appended to
+    checked."""
+    checked = [] if checked is None else checked
+    sys = mo.build_system(inst, max_order, mode)
+    x0 = np.stack([solver._start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
+
+    def passes(v):
+        checked.append(mo.vars_to_layout(sys, v))
+        return verify_layout(inst, checked[-1]).passed
+
+    x, steps, _, r_inf, winner = solver._lockstep(sys, x0, cfg.max_iters, passes)
+    if winner >= 0:
+        layout, start, status, reason = checked[-1], winner, "converged_verified", None
+        final = float(np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, layout)))))
+    else:
+        start = int(np.argmin(r_inf))
+        layout, final = mo.vars_to_layout(sys, x[start]), float(r_inf[start])
+        status, reason = "exhausted", None
+        if np.any(r_inf <= solver.RESIDUAL_TOL):
+            status, reason = "converged_unverified", "unverified"
+    return SolveReport(status, layout, final, int(steps.sum()), start, 0.0, reason)
+
+
+def assert_lazy_is_eager(inst, cfg, mode, max_order=None):
+    """solve_multistart reports what eager_multistart reports, byte for
+    byte, and verifies the same layouts in the same order, each stopped
+    start once.  Returns the report and the number of starts it built."""
+    verified, built = [], []
+    start_vector = solver._start_vector
+
+    def recording_verify(inst, layout, *args, **kwargs):
+        verified.append(layout)
+        return verify_layout(inst, layout, *args, **kwargs)
+
+    def counting_start_vector(*args):
+        built.append(args[-1])
+        return start_vector(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "verify_layout", recording_verify)
+        patch.setattr(solver, "_start_vector", counting_start_vector)
+        report = solve_multistart(inst, cfg, max_order, mode)
+    checked = []
+    expected = eager_multistart(inst, cfg, mode, max_order, checked)
+    lazy_doc = replace(report, wall_time_s=0.0).to_dict()
+    assert json.dumps(lazy_doc) == json.dumps(expected.to_dict())
+    assert list(map(serialize_layout, verified)) == list(map(serialize_layout, checked))
+    assert built == list(range(len(built)))
+    return report, len(built)
+
+
+def test_lazy_starts_report_what_eager_starts_report_on_the_family():
+    # Every fourth family instance that passes the gates, in both modes, at
+    # criterion-7 settings.  A solve won by a start that tiles as drawn
+    # builds no start after it; the others build every start and race them.
+    cfg = SolveConfig(restarts=6, max_iters=80)
+    early = raced = 0
+    for mode in (mo.ROTATABLE, mo.FIXED):
+        for inst in list(enumerate_small_family(4, 4))[::4]:
+            inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
+            if not (area_can_pass(inst) and fit_can_pass(inst)):
+                continue
+            report, built = assert_lazy_is_eager(inst, cfg, mode)
+            if report.status == "converged_verified" and report.iterations_total == 0:
+                assert built == report.start_index + 1
+                early += 1
+            else:
+                assert built == cfg.restarts
+                raced += 1
+    assert early > 100 and raced > 10
+
+
+def test_lazy_starts_verify_a_converged_start_that_fails_once(monkeypatch):
+    # At order 2 a unit square and a 1x2 in a 1x3 box have roots that are no
+    # packing.  Starts 0 and 2 begin at such roots, found by LM from uniform
+    # starts: they never start, and each is verified once, as it is built.
+    # With four starts the race runs without verifying them again and ends
+    # converged_unverified; with five, start 4, a gap fill, tiles the box as
+    # drawn and wins.
+    inst = Instance.from_sides([(1, 1), (1, 2)], BoxSpec(1, 3), rotation_allowed=False)
+    sys = mo.build_system(inst, 2, mo.FIXED)
+    uniform = np.stack([numpy_start_vector(sys, inst, 0, k) for k in (1, 2)])
+    roots = solver._lockstep(sys, uniform, 100)[0]
+    starts = [roots[0], uniform[0], roots[1], uniform[1]]
+    gap_fill = solver._start_vector
+    monkeypatch.setattr(
+        solver, "_start_vector", lambda *args: starts[args[-1]] if args[-1] < 4 else gap_fill(*args)
+    )
+    cfg = SolveConfig(restarts=4, max_iters=40)
+    report, built = assert_lazy_is_eager(inst, cfg, mo.FIXED, 2)
+    assert report.status == "converged_unverified" and built == 4
+    report, built = assert_lazy_is_eager(inst, replace(cfg, restarts=5), mo.FIXED, 2)
+    assert report.status == "converged_verified" and report.start_index == 4
+    assert report.iterations_total == 0 and built == 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(1, 6),
+    near=st.booleans(),
+    restarts=st.integers(1, 17),
+    max_iters=st.integers(5, 40),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    max_order=st.sampled_from([None, 2]),
+)
+def test_lazy_starts_report_what_eager_starts_report(
+    seed, cuts, near, restarts, max_iters, mode, max_order
+):
+    # Near-tilings race every start through LM; order 2 makes starts that
+    # converge but fail verification.
+    box = BoxSpec(3.0, 2.0 + seed % 3)
+    inst = near_guillotine(seed, cuts, box)[0] if near else gen_guillotine(seed, cuts, box)[0]
+    cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
+    assert_lazy_is_eager(inst, cfg, mode, max_order)
+
+
+def test_near_tilings_verify_after_lm_steps():
+    # Dissections of a 10x8 box into N = 6 and 10 rectangles with each side
+    # scaled by 1 + U(-1e-8, 1e-8), seeds 0-11, 32 starts, both modes.  Each
+    # dissection's own layout passes the verifier, so every instance is
+    # feasible in its sense, but no layout zeroes the moment system: a gap
+    # fill finds the arrangement within the verifier's tolerance and LM
+    # polishes it.  All 48 solves verify, each after LM steps.
+    verified = 0
+    for mode in (mo.FIXED, mo.ROTATABLE):
+        for n in (6, 10):
+            for seed in range(12):
+                inst, dissection = near_guillotine(seed, n - 1, BoxSpec(10.0, 8.0))
+                assert verify_layout(inst, dissection).passed
+                report = solve_multistart(inst, SolveConfig(restarts=32, seed=seed), mode=mode)
+                if report.status == "converged_verified":
+                    verified += 1
+                    assert report.iterations_total > 0
+                    assert verify_layout(inst, report.best_layout).passed
+    assert verified == 48
