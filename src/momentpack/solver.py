@@ -15,12 +15,16 @@ that stops, converged or not, is handed once, as it stopped, to
 verify_layout at its default tolerance, the one `momentpack verify` uses.
 Each start is a gap fill (_start_vector): a depth-first search, in a seeded
 order and within GAP_BUDGET placements, for a tiling that fills the lowest
-gap of the skyline first.  So the construction wins exact tilings: a start
-that tiles the box as drawn verifies before any LM step (iterations_total
-0), and no later start is built.  The moment system decides the rest: an
-instance that tiles only within the verifier's tolerance, whose moment
-system keeps a residual floor above RESIDUAL_TOL, is reported from a start
-that stalled there.  Reports are bitwise deterministic for fixed arguments.
+gap of the skyline first.  After its first backtrack the search keeps only
+rectangles that lie in a sum of unplaced widths matching the gap, read
+from a table of width sums built once per solve and freed before the race
+(_width_sums; past WIDTH_SUMS_CAP sums the search is unpruned).  So the
+construction wins exact tilings: a start that tiles the box as drawn
+verifies before any LM step (iterations_total 0), and no later start is
+built.  The moment system decides the rest: an instance that tiles only
+within the verifier's tolerance, whose moment system keeps a residual
+floor above RESIDUAL_TOL, is reported from a start that stalled there.
+Reports are bitwise deterministic for fixed arguments.
 
 Unless a start wins as drawn, all starts of a solve run in one lockstep
 call.  Each round makes one attempt for every start still running, each at
@@ -95,6 +99,7 @@ RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
 STALL_WINDOW = 8  # a start stalled once this many accepted steps
 STALL_TOL = 1e-4  # lowered its cost by less than this share of it
 GAP_BUDGET = 300  # placements a gap-fill start tries before it stops searching
+WIDTH_SUMS_CAP = 2**17  # sums past which a solve's gap fills run unpruned
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
 
@@ -195,48 +200,168 @@ def _bottom_left(
         xs[lo:hi], tops[lo:hi] = new_xs, new_tops
 
 
-def _gap_fill(shapes: list, n: int, a: float, b: float) -> tuple[list, list, list]:
-    """Depth-first search for a tiling of the a x b box by the n rectangles,
-    each (i, w, h) of shapes a way to place rectangle i.  A node fills the
-    lowest, then leftmost, segment of the skyline (the top outline of the
-    rectangles placed so far).  Its children are the unplaced shapes whose
-    width fits the segment and whose top stays in the box, those that fill
-    its width first, each group in the order of shapes, skipping a (w, h)
-    already tried there: equal shapes are interchangeable.  Widths fit and
-    tops merge within DEFAULT_TOL.  Every tiling has a rectangle at the
-    lowest, leftmost uncovered point, so the search is complete.  It stops
-    at a tiling or after GAP_BUDGET placements and returns the deepest fill
-    it reached: its placements (i, x, y, w, h) and its skyline, the segment
-    left ends followed by a, and their tops."""
-    tol = DEFAULT_TOL
+class _WidthSums:
+    """Every sum of rectangle widths up to the box width, on normalised
+    sides: each rectangle left out, upright or, if free, turned.  Three
+    flat arrays sorted by sum, read through memoryviews: sums, used (bit i
+    set when rectangle i is in the sum) and turned (bit i set when it is in
+    it turned; None when no rectangle is free).  Built by _width_sums."""
+
+    def __init__(self, sums: np.ndarray, used: np.ndarray, turned: np.ndarray | None, tol: float):
+        self.sums, self.used, self.tol = memoryview(sums), memoryview(used), tol
+        self.turned = None if turned is None else memoryview(turned)
+        self.answers = {}  # allows(gap, placed) by its arguments: a solve's starts repeat most
+
+    def allows(self, gap: float, placed: int) -> tuple[int, int]:
+        """The rectangles that lie in some sum within tol of gap of
+        rectangles outside the bitmask placed: a bitmask of those it holds
+        upright, and one of those it holds turned."""
+        answer = self.answers.get((gap, placed))
+        if answer is None:
+            sums, used, turned, end = self.sums, self.used, self.turned, gap + self.tol
+            k, upright, turns = bisect.bisect_left(sums, gap - self.tol), 0, 0
+            while k < len(sums) and sums[k] <= end:
+                u = used[k]
+                if not u & placed:
+                    t = 0 if turned is None else turned[k]
+                    upright, turns = upright | u ^ t, turns | t
+                k += 1
+            answer = self.answers[gap, placed] = (upright, turns)
+        return answer
+
+
+def _width_sums(sys: mo.MomentSystem) -> _WidthSums | None:
+    """The system's width sums, built on the first call and memoised on the
+    system; None, also memoised, when the table would hold more than
+    WIDTH_SUMS_CAP sums or the system more than 64 rectangles (a bitmask is
+    one machine word: 32 bits up to 32 rectangles, else 64).  Sums up to
+    the box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Rectangle i
+    joins, in index order, every sum so far that stays within that bound,
+    so a sum adds its members in index order, and a step holds no more than
+    the old sums, the new ones, one shifted copy and their concatenation."""
+    if "width_sums" not in sys.memo:
+        sys.memo["width_sums"] = None
+        n = sys.n_rects
+        if n > 64:
+            return None
+        word = np.uint32 if n <= 32 else np.uint64
+        tol = (n + 1) * DEFAULT_TOL
+        limit = sys.box_w + tol
+        sums, used = np.zeros(1), np.zeros(1, dtype=word)
+        turned = np.zeros(1, dtype=word) if sys.free.any() else None
+        sides = zip(sys.widths.tolist(), sys.heights.tolist(), sys.free.tolist())
+        for i, (w, h, free) in enumerate(sides):
+            bit = word(1 << i)
+            parts = [(sums, used, turned)]
+            for side, turn in ((w, False), (h, True))[: 1 + free]:
+                shifted = sums + side
+                keep = shifted <= limit
+                grown = None if turned is None else turned[keep] | bit if turn else turned[keep]
+                parts.append((shifted[keep], used[keep] | bit, grown))
+                del shifted, keep
+            if sum(len(part[0]) for part in parts) > WIDTH_SUMS_CAP:
+                return None
+            sums, used, turned = (
+                None if column[0] is None else np.concatenate(column) for column in zip(*parts)
+            )
+            del parts
+        order = np.argsort(sums)
+        sums, used = sums[order], used[order]
+        if turned is not None:
+            turned = turned[order]
+        sys.memo["width_sums"] = _WidthSums(sums, used, turned, tol)
+    return sys.memo["width_sums"]
+
+
+def _gap_fill(sys: mo.MomentSystem, shapes: list) -> tuple[list, list, list]:
+    """Depth-first search for a tiling of the system's box by its
+    rectangles, each (i, w, h) of shapes a way to place rectangle i.  A node
+    fills the lowest, then leftmost, segment of the skyline (the top outline
+    of the rectangles placed so far).  Its children are the unplaced shapes
+    whose width fits the segment and whose top stays in the box, those that
+    fill its width first, each group in the order of shapes, skipping a
+    (w, h) already tried there: equal shapes are interchangeable.  Widths
+    fit and tops merge within DEFAULT_TOL.  Every tiling has a rectangle at
+    the lowest, leftmost uncovered point, so the search is complete.
+
+    Pruning by width sums: in a tiling the lowest segment is covered exactly
+    by the rectangles standing on it, so once the search first backtracks it
+    starts again from the empty box and keeps only the children that lie in
+    a sum of unplaced rectangles within (n + 1) * DEFAULT_TOL of the
+    segment's width (_width_sums), each in the orientation that sum holds
+    it in.  The rectangles the search stands on a segment fill the width it
+    records for it within DEFAULT_TOL, and a recorded edge drifts from the
+    true sum of widths by at most DEFAULT_TOL a placement, so the window
+    holds every sum the search can complete a segment with: a pruned child
+    leads to no tiling, and with the budget to finish the pruned search
+    finds the tiling the unpruned one finds first.  Past the table's cap
+    the search goes on unpruned.  A start that tiles on its first descent
+    builds no table, and a start's fill is the same whether the table was
+    built before it or not.
+
+    The search stops at a tiling or after GAP_BUDGET placements, counted
+    over both passes, and returns the deepest fill it reached: its
+    placements (i, x, y, w, h) and its skyline, the segment left ends
+    followed by the box width, and their tops."""
+    tol, n, a, b = DEFAULT_TOL, sys.n_rects, sys.box_w, sys.box_h
+    widths = sys.widths.tolist()
+    # A rectangle's upright and turned shape, each as its bit and the
+    # shape's index in shapes.
+    at = ({}, {})
+    for k, (i, w, _) in enumerate(shapes):
+        at[w != widths[i]][1 << i] = k
     xs, tops = [0.0, a], [0.0]  # segment j spans xs[j] to xs[j + 1]
-    placed = [False] * n
-    path, undo = [], []
+    placed, bits, path, undo = [False] * n, 0, [], []  # bits: bit i set if placed[i]
     best = ([], xs[:], tops[:])
+    # lookups: the pruned children by (gap, y, bits), a key the search
+    # reaches again by placing the same rectangles in another order.
+    sums, first, lookups = None, True, {}
 
     def children() -> tuple[int, Iterator]:
         y = min(tops)
         j = tops.index(y)
         gap = xs[j + 1] - xs[j]
+        if sums is None:
+            return j, iter(fitting(shapes, gap, y))
+        key = (gap, y, bits)
+        kids = lookups.get(key)
+        if kids is None:
+            ks = []
+            for mask, where in zip(sums.allows(gap, bits), at):
+                while mask:
+                    low = mask & -mask
+                    ks.append(where[low])
+                    mask ^= low
+            ks.sort()
+            kids = lookups[key] = fitting([shapes[k] for k in ks], gap, y)
+        return j, iter(kids)
+
+    def fitting(allowed: list, gap: float, y: float) -> list:
         wide, narrow, room = gap + tol, gap - tol, b - y + tol
         exact, rest, seen = [], [], set()
-        for shape in shapes:
+        for shape in allowed:
             i, w, h = shape
             if w > wide or h > room or placed[i] or (w, h) in seen:
                 continue
             seen.add((w, h))
             (exact if w >= narrow else rest).append(shape)
-        exact += rest
-        return j, iter(exact)
+        return exact + rest
 
     stack, nodes = [children()], 0
     while stack and nodes < GAP_BUDGET:
         j, todo = stack[-1]
         child = next(todo, None)
         if child is None:  # every child tried: take back the placement made here
+            if first:  # the first backtrack: start again, pruned
+                sums, first = _width_sums(sys), False
+                if sums is not None:
+                    xs, tops, placed, bits, path, undo = [0.0, a], [0.0], [False] * n, 0, [], []
+                    stack = [children()]
+                    continue
             stack.pop()
             if path:
-                placed[path.pop()[0]] = False
+                i = path.pop()[0]
+                placed[i], bits = False, bits ^ 1 << i
                 lo, count, old_xs, old_tops = undo.pop()
                 xs[lo : lo + count], tops[lo : lo + count] = old_xs, old_tops
             continue
@@ -257,7 +382,7 @@ def _gap_fill(shapes: list, n: int, a: float, b: float) -> tuple[list, list, lis
             hi += 1
         undo.append((lo, len(new_xs), xs[lo:hi], tops[lo:hi]))
         xs[lo:hi], tops[lo:hi] = new_xs, new_tops
-        placed[i] = True
+        placed[i], bits = True, bits | 1 << i
         path.append((i, x, y, w, h))
         if len(path) > len(best[0]):
             best = (path[:], xs[:], tops[:])
@@ -283,7 +408,7 @@ def _start_vector(
     shapes = [(i, widths[i], heights[i]) for i in range(n)]
     shapes += [(i, heights[i], widths[i]) for i in np.flatnonzero(sys.free).tolist()]
     shapes = [shapes[k] for k in rng.permutation(len(shapes)).tolist()]
-    path, xs, tops = _gap_fill(shapes, n, sys.box_w, sys.box_h)
+    path, xs, tops = _gap_fill(sys, shapes)
     corners = [()] * n
     for i, x, y, w, h in path:
         corners[i] = (x, y, x + w, y + h)
@@ -502,6 +627,7 @@ def solve_multistart(
                     winner = k
                     break
                 judged.append(False)
+        sys.memo.pop("width_sums", None)  # every start is built: free the table before the race
         if winner < 0:  # _lockstep asks about the judged rows first: their answers
             x, steps, _, r_inf, winner = _lockstep(
                 sys, np.stack(x0), cfg.max_iters, lambda v: judged.pop() if judged else check(v)

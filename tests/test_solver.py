@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -178,6 +179,81 @@ def skyline_starts(monkeypatch):
     monkeypatch.setattr(solver, "_start_vector", skyline_start_vector)
 
 
+def unpruned_gap_fill(sys, shapes):
+    """solver._gap_fill without width sums: the search as it was before the
+    pruning, kept as the reference the pruned search is checked against."""
+    tol, n, a, b = DEFAULT_TOL, sys.n_rects, sys.box_w, sys.box_h
+    xs, tops = [0.0, a], [0.0]
+    placed = [False] * n
+    path, undo = [], []
+    best = ([], xs[:], tops[:])
+
+    def children():
+        y = min(tops)
+        j = tops.index(y)
+        gap = xs[j + 1] - xs[j]
+        wide, narrow, room = gap + tol, gap - tol, b - y + tol
+        exact, rest, seen = [], [], set()
+        for shape in shapes:
+            i, w, h = shape
+            if w > wide or h > room or placed[i] or (w, h) in seen:
+                continue
+            seen.add((w, h))
+            (exact if w >= narrow else rest).append(shape)
+        exact += rest
+        return j, iter(exact)
+
+    stack, nodes = [children()], 0
+    while stack and nodes < solver.GAP_BUDGET:
+        j, todo = stack[-1]
+        child = next(todo, None)
+        if child is None:
+            stack.pop()
+            if path:
+                placed[path.pop()[0]] = False
+                lo, count, old_xs, old_tops = undo.pop()
+                xs[lo : lo + count], tops[lo : lo + count] = old_xs, old_tops
+            continue
+        nodes += 1
+        i, w, h = child
+        x, y = xs[j], tops[j]
+        t = y + h
+        left = j > 0 and abs(tops[j - 1] - t) <= tol
+        lo, hi = (j - 1 if left else j), j + 1
+        new_xs, new_tops = [xs[lo]], [tops[lo] if left else t]
+        if w < xs[hi] - x - tol:
+            new_xs.append(x + w)
+            new_tops.append(y)
+        elif hi < len(tops) and abs(tops[hi] - t) <= tol:
+            hi += 1
+        undo.append((lo, len(new_xs), xs[lo:hi], tops[lo:hi]))
+        xs[lo:hi], tops[lo:hi] = new_xs, new_tops
+        placed[i] = True
+        path.append((i, x, y, w, h))
+        if len(path) > len(best[0]):
+            best = (path[:], xs[:], tops[:])
+            if len(path) == n:
+                break
+        stack.append(children())
+    return best
+
+
+def gap_fill_paths(sys, inst, seed, k, gap_fill):
+    """The placements of start k's search when solver._gap_fill is
+    gap_fill, and the start it builds."""
+    fills = []
+
+    def recording_gap_fill(*args):
+        fills.append(gap_fill(*args))
+        return fills[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_gap_fill", recording_gap_fill)
+        x = solver._start_vector(sys, inst, seed, k)
+    [(path, _, _)] = fills
+    return path, x
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     sides=st.lists(
@@ -228,19 +304,147 @@ def test_gap_fill_starts_that_place_every_rectangle_verify(seed, cuts, box, mode
     # rectangle is a layout that passes the verifier as drawn.
     inst, _ = gen_guillotine(seed, cuts, box)
     sys = mo.build_system(inst, mode=mode)
-    fills = []
-    gap_fill = solver._gap_fill
-
-    def recording_gap_fill(*args):
-        fills.append(gap_fill(*args))
-        return fills[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_gap_fill", recording_gap_fill)
-        x = solver._start_vector(sys, inst, seed, k)
-    [(path, _, _)] = fills
+    path, x = gap_fill_paths(sys, inst, seed, k, solver._gap_fill)
     if len(path) == inst.n_rects:
         assert verify_layout(inst, mo.vars_to_layout(sys, x)).passed
+
+
+def brute_force_sums(sys):
+    """Every (used, turned) bitmask pair of a sum of widths, each rectangle
+    left out, upright or, if free, turned, with the sum added in index order,
+    kept when it is at most the box width plus (n + 1) * DEFAULT_TOL."""
+    n = sys.n_rects
+    limit = sys.box_w + (n + 1) * DEFAULT_TOL
+    ways = [(None, False, True) if free else (None, False) for free in sys.free.tolist()]
+    out = {}
+    for choice in itertools.product(*ways):
+        total, used, turned = 0.0, 0, 0
+        for i, turn in enumerate(choice):
+            if turn is not None:
+                total += float(sys.heights[i] if turn else sys.widths[i])
+                used |= 1 << i
+                turned |= turn << i
+        if total <= limit:
+            out[used, turned] = total
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sides=st.lists(
+        st.tuples(st.floats(0.05, 6.0), st.floats(0.05, 6.0), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+    box=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    gaps=st.lists(st.tuples(st.integers(0, 2**8 - 1), st.integers(0, 2**8 - 1)), max_size=8),
+)
+def test_width_sums_match_brute_force(sides, box, mode, gaps):
+    # Every sum of the table, its members and its turned members, against
+    # itertools over every choice of each rectangle; then the lookup, at
+    # the table's own sums and placed sets drawn from the rectangles.
+    rects = [(w, w if square else h) for w, h, square in sides]
+    inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
+    sys = mo.build_system(inst, 3, mode)
+    sums = solver._width_sums(sys)
+    assert sums is solver._width_sums(sys)  # memoised on the system
+    expected = brute_force_sums(sys)
+    values = list(sums.sums)
+    turned = [0] * len(values) if sums.turned is None else list(sums.turned)
+    assert (sums.turned is None) == (not sys.free.any())
+    table = {(u, t): v for u, t, v in zip(sums.used, turned, values)}
+    assert len(table) == len(values) and table == expected
+    assert values == sorted(values)
+    tol = (sys.n_rects + 1) * DEFAULT_TOL
+    assert sums.tol == tol
+    for pick, placed in gaps:
+        gap = values[pick % len(values)] + (pick % 3 - 1) * tol / 2
+        placed &= (1 << sys.n_rects) - 1
+        upright = turns = 0
+        for (u, t), v in expected.items():
+            if gap - tol <= v <= gap + tol and not u & placed:
+                upright, turns = upright | u & ~t, turns | t
+        assert sums.allows(gap, placed) == (upright, turns)
+
+
+def test_width_sums_past_the_cap_leave_the_search_unpruned(monkeypatch):
+    # With a cap of a few sums no table is built, and each start is the
+    # unpruned search's start, bit for bit; a guillotine still tiles as
+    # drawn.
+    monkeypatch.setattr(solver, "WIDTH_SUMS_CAP", 4)
+    inst, _ = gen_guillotine(3, 11, BoxSpec(10.0, 8.0))
+    sys = mo.build_system(inst, mode=mo.FIXED)
+    backtracked = 0
+    for k in range(16):
+        path, x = gap_fill_paths(sys, inst, 3, k, solver._gap_fill)
+        ref_path, ref_x = gap_fill_paths(sys, inst, 3, k, unpruned_gap_fill)
+        assert path == ref_path and x.tobytes() == ref_x.tobytes()
+        backtracked += "width_sums" in sys.memo
+    assert backtracked and sys.memo["width_sums"] is None
+    report = solve_multistart(inst, SolveConfig(restarts=16, seed=3), mode=mo.FIXED)
+    assert report.status == "converged_verified" and report.iterations_total == 0
+    assert verify_layout(inst, report.best_layout).passed
+
+
+@pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
+def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(monkeypatch, mode):
+    # Guillotines, near-tilings (sides scaled by 1 + U(-1e-8, 1e-8)) and
+    # guillotines with rectangle 0 turned (no tiling in fixed mode) of N <= 8
+    # rectangles, with a budget that lets both searches finish: the pruned
+    # search places every rectangle exactly when the unpruned one does, and
+    # then the same way, since it skips only children that lead to no tiling.
+    monkeypatch.setattr(solver, "GAP_BUDGET", 10**6)
+    tiled = untiled = 0
+    for seed in range(12):
+        box = BoxSpec(10.0, 8.0) if seed % 2 else BoxSpec(3.0, 7.5)
+        inst = gen_guillotine(seed, 3 + seed % 5, box)[0]
+        sides = [(float(r.width), float(r.height)) for r in inst.rects]
+        sides[0] = sides[0][::-1]
+        turned = Instance.from_sides(sides, box)
+        for inst in (inst, near_guillotine(seed, 3 + seed % 5, box)[0], turned):
+            inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
+            sys = mo.build_system(inst, mode=mode)
+            for k in range(4):
+                path, _ = gap_fill_paths(sys, inst, seed, k, solver._gap_fill)
+                ref_path, _ = gap_fill_paths(sys, inst, seed, k, unpruned_gap_fill)
+                assert (len(path) == inst.n_rects) == (len(ref_path) == inst.n_rects)
+                if len(ref_path) == inst.n_rects:
+                    assert path == ref_path
+                    tiled += 1
+                else:
+                    untiled += 1
+    assert tiled >= 96 and untiled == (48 if mode == mo.FIXED else 0)
+
+
+def test_starts_do_not_depend_on_what_was_solved_before():
+    # A system's starts are the same bytes built on a fresh system, after
+    # another instance was solved (and its system dropped), and again on
+    # the same system once its table exists.
+    def starts(inst):
+        sys = mo.build_system(inst, mode=mo.FIXED)
+        return [solver._start_vector(sys, inst, 1, k).tobytes() for k in range(12)], sys
+
+    box = BoxSpec(10.0, 8.0)
+    inst, _ = gen_guillotine(16, 14, box)
+    fresh, sys = starts(inst)
+    assert sys.memo["width_sums"] is not None  # some start backtracked
+    assert [solver._start_vector(sys, inst, 1, k).tobytes() for k in range(12)] == fresh
+    for other in (gen_guillotine(17, 14, box)[0], near_guillotine(16, 14, box)[0]):
+        solve_multistart(other, SolveConfig(restarts=8, seed=1), mode=mo.FIXED)
+        starts(other)
+        assert starts(inst)[0] == fresh
+
+
+def test_cli_default_guillotines_of_twenty_tile_as_drawn():
+    # The command line's defaults (fixed mode, 64 starts, a 10x8 box) on
+    # 20-rectangle dissections, seeds 12-35: every solve wins with a start
+    # that tiles as drawn.  Without the width-sum pruning 6 of the 24 end
+    # exhausted after LM.
+    for seed in range(12, 36):
+        inst, _ = gen_guillotine(seed, 19, BoxSpec(10.0, 8.0))
+        report = solve_multistart(inst, SolveConfig(seed=seed), mode=mo.FIXED)
+        assert report.status == "converged_verified" and report.iterations_total == 0, seed
 
 
 def test_snap_layout_merges_and_anchors():
