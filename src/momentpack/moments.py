@@ -69,7 +69,7 @@ one-point views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,9 +124,6 @@ class MomentSystem:
     order: np.ndarray  # (n,) instance indices, upright first: the rectangle order of the model
     n_upright: int
     sides: np.ndarray  # (n, 2) normalized (w, h) in model order
-    # What a caller derives from this system once and reuses, by its own
-    # key (the solver's width sums); the equations never read it.
-    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_rects(self) -> int:

@@ -70,6 +70,7 @@ loosest tolerance a verified layout needed was 1.7e-9, 58 times under it.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import numbers
 import time
@@ -210,70 +211,67 @@ class _WidthSums:
     def __init__(self, sums: np.ndarray, used: np.ndarray, turned: np.ndarray | None, tol: float):
         self.sums, self.used, self.tol = memoryview(sums), memoryview(used), tol
         self.turned = None if turned is None else memoryview(turned)
-        self.answers = {}  # allows(gap, placed) by its arguments: a solve's starts repeat most
 
     def allows(self, gap: float, placed: int) -> tuple[int, int]:
         """The rectangles that lie in some sum within tol of gap of
         rectangles outside the bitmask placed: a bitmask of those it holds
         upright, and one of those it holds turned."""
-        answer = self.answers.get((gap, placed))
-        if answer is None:
-            sums, used, turned, end = self.sums, self.used, self.turned, gap + self.tol
-            k, upright, turns = bisect.bisect_left(sums, gap - self.tol), 0, 0
-            while k < len(sums) and sums[k] <= end:
-                u = used[k]
-                if not u & placed:
-                    t = 0 if turned is None else turned[k]
-                    upright, turns = upright | u ^ t, turns | t
-                k += 1
-            answer = self.answers[gap, placed] = (upright, turns)
-        return answer
+        sums, used, turned, end = self.sums, self.used, self.turned, gap + self.tol
+        k, upright, turns = bisect.bisect_left(sums, gap - self.tol), 0, 0
+        while k < len(sums) and sums[k] <= end:
+            u = used[k]
+            if not u & placed:
+                t = 0 if turned is None else turned[k]
+                upright, turns = upright | u ^ t, turns | t
+            k += 1
+        return upright, turns
 
 
 def _width_sums(sys: mo.MomentSystem) -> _WidthSums | None:
-    """The system's width sums, built on the first call and memoised on the
-    system; None, also memoised, when the table would hold more than
+    """The system's width sums; None when the table would hold more than
     WIDTH_SUMS_CAP sums or the system more than 64 rectangles (a bitmask is
     one machine word: 32 bits up to 32 rectangles, else 64).  Sums up to
     the box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Rectangle i
     joins, in index order, every sum so far that stays within that bound,
     so a sum adds its members in index order, and a step holds no more than
-    the old sums, the new ones, one shifted copy and their concatenation."""
-    if "width_sums" not in sys.memo:
-        sys.memo["width_sums"] = None
-        n = sys.n_rects
-        if n > 64:
+    the old sums, the new ones, one shifted copy and their concatenation.
+    A free rectangle whose normalised sides are equal joins upright only:
+    turned it is the same shape, and _gap_fill tells a shape's orientation
+    by its width."""
+    n = sys.n_rects
+    if n > 64:
+        return None
+    word = np.uint32 if n <= 32 else np.uint64
+    tol = (n + 1) * DEFAULT_TOL
+    limit = sys.box_w + tol
+    sums, used = np.zeros(1), np.zeros(1, dtype=word)
+    turned = np.zeros(1, dtype=word) if sys.free.any() else None
+    sides = zip(sys.widths.tolist(), sys.heights.tolist(), sys.free.tolist())
+    for i, (w, h, free) in enumerate(sides):
+        bit = word(1 << i)
+        parts = [(sums, used, turned)]
+        for side, turn in ((w, False), (h, True))[: 1 + (free and w != h)]:
+            shifted = sums + side
+            keep = shifted <= limit
+            grown = None if turned is None else turned[keep] | bit if turn else turned[keep]
+            parts.append((shifted[keep], used[keep] | bit, grown))
+            del shifted, keep
+        if sum(len(part[0]) for part in parts) > WIDTH_SUMS_CAP:
             return None
-        word = np.uint32 if n <= 32 else np.uint64
-        tol = (n + 1) * DEFAULT_TOL
-        limit = sys.box_w + tol
-        sums, used = np.zeros(1), np.zeros(1, dtype=word)
-        turned = np.zeros(1, dtype=word) if sys.free.any() else None
-        sides = zip(sys.widths.tolist(), sys.heights.tolist(), sys.free.tolist())
-        for i, (w, h, free) in enumerate(sides):
-            bit = word(1 << i)
-            parts = [(sums, used, turned)]
-            for side, turn in ((w, False), (h, True))[: 1 + free]:
-                shifted = sums + side
-                keep = shifted <= limit
-                grown = None if turned is None else turned[keep] | bit if turn else turned[keep]
-                parts.append((shifted[keep], used[keep] | bit, grown))
-                del shifted, keep
-            if sum(len(part[0]) for part in parts) > WIDTH_SUMS_CAP:
-                return None
-            sums, used, turned = (
-                None if column[0] is None else np.concatenate(column) for column in zip(*parts)
-            )
-            del parts
-        order = np.argsort(sums)
-        sums, used = sums[order], used[order]
-        if turned is not None:
-            turned = turned[order]
-        sys.memo["width_sums"] = _WidthSums(sums, used, turned, tol)
-    return sys.memo["width_sums"]
+        sums, used, turned = (
+            None if column[0] is None else np.concatenate(column) for column in zip(*parts)
+        )
+        del parts
+    order = np.argsort(sums)
+    sums, used = sums[order], used[order]
+    if turned is not None:
+        turned = turned[order]
+    return _WidthSums(sums, used, turned, tol)
 
 
-def _gap_fill(sys: mo.MomentSystem, shapes: list) -> tuple[list, list, list]:
+def _gap_fill(
+    sys: mo.MomentSystem, shapes: list, width_sums: Callable[[], _WidthSums | None]
+) -> tuple[list, list, list]:
     """Depth-first search for a tiling of the system's box by its
     rectangles, each (i, w, h) of shapes a way to place rectangle i.  A node
     fills the lowest, then leftmost, segment of the skyline (the top outline
@@ -288,16 +286,17 @@ def _gap_fill(sys: mo.MomentSystem, shapes: list) -> tuple[list, list, list]:
     by the rectangles standing on it, so once the search first backtracks it
     starts again from the empty box and keeps only the children that lie in
     a sum of unplaced rectangles within (n + 1) * DEFAULT_TOL of the
-    segment's width (_width_sums), each in the orientation that sum holds
-    it in.  The rectangles the search stands on a segment fill the width it
-    records for it within DEFAULT_TOL, and a recorded edge drifts from the
-    true sum of widths by at most DEFAULT_TOL a placement, so the window
-    holds every sum the search can complete a segment with: a pruned child
-    leads to no tiling, and with the budget to finish the pruned search
-    finds the tiling the unpruned one finds first.  Past the table's cap
-    the search goes on unpruned.  A start that tiles on its first descent
-    builds no table, and a start's fill is the same whether the table was
-    built before it or not.
+    segment's width (the table width_sums() returns, called then), each in
+    the orientation that sum holds it in.  The rectangles the search stands
+    on a segment fill the width it records for it within DEFAULT_TOL, and a
+    recorded edge drifts from the true sum of widths by at most DEFAULT_TOL
+    a placement, so the window holds every sum the search can complete a
+    segment with: a pruned child leads to no tiling, and with the budget to
+    finish the pruned search finds the tiling the unpruned one finds first.
+    Past the table's cap (width_sums() returns None) the search goes on
+    unpruned.  A start that tiles on its first descent builds no table, and
+    a start's fill is the same whether the table was built before it or
+    not.
 
     The search stops at a tiling or after GAP_BUDGET placements, counted
     over both passes, and returns the deepest fill it reached: its
@@ -353,7 +352,7 @@ def _gap_fill(sys: mo.MomentSystem, shapes: list) -> tuple[list, list, list]:
         child = next(todo, None)
         if child is None:  # every child tried: take back the placement made here
             if first:  # the first backtrack: start again, pruned
-                sums, first = _width_sums(sys), False
+                sums, first = width_sums(), False
                 if sums is not None:
                     xs, tops, placed, bits, path, undo = [0.0, a], [0.0], [False] * n, 0, [], []
                     stack = [children()]
@@ -393,7 +392,11 @@ def _gap_fill(sys: mo.MomentSystem, shapes: list) -> tuple[list, list, list]:
 
 
 def _start_vector(
-    sys: mo.MomentSystem, inst: Instance, seed: int, start_index: int
+    sys: mo.MomentSystem,
+    inst: Instance,
+    seed: int,
+    start_index: int,
+    width_sums: Callable[[], _WidthSums | None] | None = None,
 ) -> np.ndarray:
     """A gap fill (_gap_fill) of the rectangles' shapes, each upright and,
     if free, turned, in an order drawn from a generator seeded by seed and
@@ -401,14 +404,16 @@ def _start_vector(
     its deepest fill left out are placed by the bottom-left rule
     (_bottom_left), in the same order, each in its first shape.  Plain
     Python floats in a fixed order, so a start is the same bytes on every
-    run."""
+    run.  width_sums returns the system's width sums when the search first
+    backtracks; solve_multistart passes one that builds them once for all
+    its starts, and by default the start builds its own."""
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
     n = sys.n_rects
     widths, heights = sys.widths.tolist(), sys.heights.tolist()
     shapes = [(i, widths[i], heights[i]) for i in range(n)]
     shapes += [(i, heights[i], widths[i]) for i in np.flatnonzero(sys.free).tolist()]
     shapes = [shapes[k] for k in rng.permutation(len(shapes)).tolist()]
-    path, xs, tops = _gap_fill(sys, shapes)
+    path, xs, tops = _gap_fill(sys, shapes, width_sums or functools.partial(_width_sums, sys))
     corners = [()] * n
     for i, x, y, w, h in path:
         corners[i] = (x, y, x + w, y + h)
@@ -619,15 +624,16 @@ def solve_multistart(
         # so it is verified as it is built, and the first that passes wins
         # before a later start exists.
         x0, judged, winner = [], [], -1
+        width_sums = functools.cache(functools.partial(_width_sums, sys))  # built once, if at all
         for k in range(cfg.restarts):
-            x0.append(_start_vector(sys, inst, cfg.seed, k))
+            x0.append(_start_vector(sys, inst, cfg.seed, k, width_sums=width_sums))
             r_max = float(np.abs(mo.residual(sys, x0[-1])).max())
             if not (math.isfinite(r_max) and r_max > RESIDUAL_TOL):
                 if check(x0[-1]):
                     winner = k
                     break
                 judged.append(False)
-        sys.memo.pop("width_sums", None)  # every start is built: free the table before the race
+        del width_sums  # every start is built: free the table before the race
         if winner < 0:  # _lockstep asks about the judged rows first: their answers
             x, steps, _, r_inf, winner = _lockstep(
                 sys, np.stack(x0), cfg.max_iters, lambda v: judged.pop() if judged else check(v)
