@@ -32,22 +32,14 @@ This module builds that polynomial system, evaluates residuals and the
 analytic Jacobian, and maps between layouts and flat variable vectors.  The
 unknowns are normalized coordinates (divided by scale = max(A, B)).
 
-One variable model: build_system sets, per rectangle, which corners are
-unknowns.  An upright rectangle has two, (x_lo, y_lo); its upper corners
-are x_lo + w and y_lo + h.  A free one has four, (x_lo, y_lo, x_hi, y_hi),
-and two side rows
-
-    c1 = (dx + dy - w - h) / scale
-    c2 = (dx*dy - w*h) / scale^2
-
-whose joint zero forces {dx, dy} = {w, h}: the placed sides match the
-given ones up to a 90-degree rotation.  fixed_orientation keeps every
-rectangle upright; rotatable frees all but squares, since turning a square
-changes nothing and for w = h the side rows share a double root at
-dx = dy, where Newton steps reach only square-root accuracy.  Unknowns,
-corner tables and side rows list the upright rectangles first, then the
-free ones, so kernels read each group through a view.  The truncation
-default comes from the unknown count.
+One variable model: every rectangle has two unknowns, its lower corner
+(x_lo, y_lo), in every mode.  Its upper corners are x_lo + w and y_lo + h
+for the sides (w, h) it is placed with, which are data, not unknowns: the
+given pair or, where the solver's start turned the rectangle, that pair
+swapped.  Each row of a batch carries its own sides, a (K, n, 2) array
+that only _corners reads (the Jacobian reads only the Chebyshev table), so
+starts that turn different rectangles race in one batch.  The truncation
+default comes from the unknown count, 2n.
 
 Chebyshev values come from the three-term recurrence T_(j+1) = 2t * T_j -
 T_(j-1), multiplies and subtracts only (never a transcendental), so results
@@ -75,10 +67,11 @@ import numpy as np
 
 from .instances import Instance, Layout, Placement, _check_placement_count
 
+# The solve modes, what a start may do: keep every rectangle upright, or
+# also turn those whose sides differ.  The moment system is the same in both.
 FIXED = "fixed_orientation"
 ROTATABLE = "rotatable"
 _MODES = (FIXED, ROTATABLE)
-_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])  # d(corner^a) signs of x_lo, y_lo, x_hi, y_hi
 
 __all__ = [
     "FIXED",
@@ -91,7 +84,6 @@ __all__ = [
     "chebyshev_table",
     "batch_residual",
     "batch_jacobian",
-    "corners_to_vars",
     "layout_to_vars",
     "vars_to_layout",
 ]
@@ -109,10 +101,8 @@ class MomentSystem:
 
     instance: Instance
     max_order: int
-    mode: str
     scale: float
     var_count: int
-    constraint_count: int
     widths: np.ndarray  # normalized given sides, instance order
     heights: np.ndarray
     box_w: float  # normalized box sides
@@ -120,10 +110,7 @@ class MomentSystem:
     to_cheb: np.ndarray  # (4n,) 2 / box side of each corner column: t = corner * to_cheb - 1
     integrate: np.ndarray  # (max_order, max_order + 1) banded: Q = integrate @ dT
     box_moments: np.ndarray  # (max_order, max_order) g_k * g_l, the rows' box integrals
-    free: np.ndarray  # (n,) bool, instance order: four unknowns and a side-row pair
-    order: np.ndarray  # (n,) instance indices, upright first: the rectangle order of the model
-    n_upright: int
-    sides: np.ndarray  # (n, 2) normalized (w, h) in model order
+    sides: np.ndarray  # (n, 2) normalized given (w, h): the sides when a caller passes none
 
     @property
     def n_rects(self) -> int:
@@ -131,7 +118,7 @@ class MomentSystem:
 
     @property
     def equation_count(self) -> int:
-        return self.max_order**2 + self.constraint_count
+        return self.max_order**2
 
 
 def _check_max_order(max_order: int | None) -> None:
@@ -139,16 +126,8 @@ def _check_max_order(max_order: int | None) -> None:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
 
 
-def build_system(
-    inst: Instance, max_order: int | None = None, mode: str = FIXED
-) -> MomentSystem:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    if mode == ROTATABLE and not inst.rotation_allowed:
-        raise ValueError("rotatable mode requires an instance with rotation allowed")
-    free = np.array([mode == ROTATABLE and r.width != r.height for r in inst.rects], dtype=bool)
-    n_free = int(np.count_nonzero(free))
-    var_count = 2 * inst.n_rects + 2 * n_free
+def build_system(inst: Instance, max_order: int | None = None) -> MomentSystem:
+    var_count = 2 * inst.n_rects
     if max_order is None:
         max_order = default_max_order(var_count)
     _check_max_order(max_order)
@@ -163,14 +142,11 @@ def build_system(
         if k >= 2:
             integrate[k, k - 1] = -1.0 / (4 * (k - 1))
     g = np.array([1.0 / (1 - k * k) if k % 2 == 0 else 0.0 for k in range(max_order)])
-    order = np.concatenate([np.flatnonzero(~free), np.flatnonzero(free)])
     return MomentSystem(
         instance=inst,
         max_order=max_order,
-        mode=mode,
         scale=scale,
         var_count=var_count,
-        constraint_count=2 * n_free,
         widths=widths,
         heights=heights,
         box_w=box_w,
@@ -178,44 +154,38 @@ def build_system(
         to_cheb=np.tile([2.0 / box_w, 2.0 / box_h], 2 * inst.n_rects),
         integrate=integrate,
         box_moments=np.outer(g, g),
-        free=free,
-        order=order,
-        n_upright=inst.n_rects - n_free,
-        sides=np.stack([widths, heights], axis=1)[order],
+        sides=np.stack([widths, heights], axis=1),
     )
 
 
 def _check_vars(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
     arr = np.asarray(vars, dtype=float)
     if arr.shape != (sys.var_count,):
-        raise ValueError(
-            f"expected {sys.var_count} variables for mode {sys.mode}, got shape {arr.shape}"
-        )
+        raise ValueError(f"expected {sys.var_count} variables, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("variable vector contains non-finite entries")
     return arr
 
 
-def _corners(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
+def _corners(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
     """(K, 4n) corners of each row of a (K, var_count) variable array:
-    x_lo, y_lo, x_hi, y_hi per rectangle in model order.  An upright
-    rectangle's upper corners are its lower ones plus its sides; with no
-    upright rectangle the unknowns are the corners."""
-    k, n, u = len(vars), sys.n_rects, sys.n_upright
-    if not u:
-        return vars
-    lo = vars[:, : 2 * u].reshape(k, u, 2)
-    upright = np.concatenate((lo, lo + sys.sides[:u]), axis=2).reshape(k, 4 * u)
-    return upright if u == n else np.concatenate((upright, vars[:, 2 * u :]), axis=1)
+    x_lo, y_lo, x_hi, y_hi per rectangle.  The upper corners are the lower
+    ones plus the row's sides, (K, n, 2) or one (n, 2) for every row; the
+    given sides when sides is None."""
+    lo = vars.reshape(len(vars), sys.n_rects, 2)
+    upper = lo + (sys.sides if sides is None else sides)
+    return np.concatenate((lo, upper), axis=2).reshape(len(vars), 4 * sys.n_rects)
 
 
-def chebyshev_table(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
+def chebyshev_table(
+    sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None
+) -> np.ndarray:
     """(K, max_order + 1, 4n) Chebyshev values T_0..T_max_order at
     t = 2u - 1 for every corner of each row of a (K, var_count) variable
-    array, u being the corner over its own box side.  Built by the
-    recurrence T_(j+1) = 2t * T_j - T_(j-1).  Residual and Jacobian at one
-    point share this table."""
-    t = _corners(sys, vars) * sys.to_cheb
+    array placed with sides (see _corners), u being the corner over its own
+    box side.  Built by the recurrence T_(j+1) = 2t * T_j - T_(j-1).
+    Residual and Jacobian at one point share this table."""
+    t = _corners(sys, vars, sides) * sys.to_cheb
     t -= 1.0
     two_t = t + t
     levels = [np.ones(t.shape), t]
@@ -228,34 +198,12 @@ def chebyshev_table(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
 
 def batch_residual(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
     """(K, equation_count) stacked residuals, one row per point of the
-    table: moment rows, then the (c1, c2) pair of each free rectangle."""
-    k, u = len(table), sys.n_upright
+    table: the moment rows (k, l) in row-major order."""
     # Contiguous integrals, so the moment product is one BLAS matmul per row.
     qx = sys.integrate @ (table[:, :, 2::4] - table[:, :, 0::4])
     ry = sys.integrate @ (table[:, :, 3::4] - table[:, :, 1::4])
-    moments = (qx @ ry.transpose(0, 2, 1) - sys.box_moments).reshape(k, sys.box_moments.size)
-    if not sys.constraint_count:
-        return moments
-    dx, dy = qx[:, 0, u:] * sys.box_w, ry[:, 0, u:] * sys.box_h  # Q_0 is the u-extent
-    w, h = sys.sides[u:, 0], sys.sides[u:, 1]
-    mm = moments.shape[1]
-    out = np.empty((k, sys.equation_count))
-    out[:, :mm] = moments
-    out[:, mm::2] = dx + dy - (w + h)  # c1, c2 of each free rectangle
-    out[:, mm + 1 :: 2] = dx * dy - w * h
-    return out
-
-
-def _moment_columns(deriv: np.ndarray, integrals: np.ndarray, out: np.ndarray) -> None:
-    """Write d(moment row (k, l)) by one group's unknowns, x and y
-    alternating, into out (K, m, m, columns): (dQ_k, R_l) for an x unknown,
-    (Q_k, dR_l) for a y one.  deriv holds dQ_k or dR_l, integrals Q_k, R_l."""
-    k, m, _, cols = out.shape
-    first = deriv.copy()
-    first[..., 1::2] = integrals[..., 0:1]
-    second = deriv
-    second[..., 0::2] = integrals[..., 1:2]
-    np.multiply(first.reshape(k, m, 1, cols), second.reshape(k, 1, m, cols), out=out)
+    moments = qx @ ry.transpose(0, 2, 1) - sys.box_moments
+    return moments.reshape(len(table), sys.box_moments.size)
 
 
 def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
@@ -265,51 +213,38 @@ def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
     Moment row (k, l) is sum_n Q_k,n * R_l,n, Q_k,n the integral of
     T_k(2u - 1) over rectangle n's u-extent.  Its derivative by an end is
     the integrand there over the box side: dQ_k / dx_hi = T_k(t_hi) / A
-    and dQ_k / dx_lo = -T_k(t_lo) / A, so a free corner reads the table
-    directly.  Moving an upright rectangle moves both of its x corners, so
-    dQ_k = dT_k / A.  Likewise for y.
+    and dQ_k / dx_lo = -T_k(t_lo) / A.  Moving a rectangle moves both of
+    its x corners, so dQ_k = dT_k / A, whatever its sides.  Likewise for y.
     """
-    k = len(table)
-    m = sys.max_order
-    n, u = sys.n_rects, sys.n_upright
+    k, m, n = len(table), sys.max_order, sys.n_rects
     cheb = table.reshape(k, m + 1, n, 4)  # x_lo, y_lo, x_hi, y_hi
     delta = cheb[..., 2:] - cheb[..., :2]  # dT_j of x and y, j = 0..m
     integrals = (sys.integrate @ delta.reshape(k, m + 1, 2 * n)).reshape(k, m, n, 2)
-    per_side = 0.5 * sys.to_cheb[:4]  # 1/A, 1/B, 1/A, 1/B
-    out = np.empty((k, sys.equation_count, sys.var_count))
-    moments = out[:, : m * m].reshape(k, m, m, sys.var_count)
-    if u:
-        deriv = delta[:, :m, :u] * per_side[:2]
-        _moment_columns(deriv, integrals[:, :, :u], moments[..., : 2 * u])
-    if u < n:
-        deriv = cheb[:, :m, u:] * (_SIGNS * per_side)
-        _moment_columns(deriv, integrals[:, :, u:], moments[..., 2 * u :])
-        # Side rows: d c1 = (-1, -1, 1, 1), d c2 = (-dy, -dx, dy, dx) on the
-        # rectangle's own four unknowns, zero elsewhere.
-        sides = out[:, m * m :]
-        sides[...] = 0.0
-        own = sides[..., 2 * u :].reshape(k, n - u, 2, n - u, 4)
-        rect = np.arange(n - u)
-        dy_dx = (integrals[:, 0, u:] * (sys.box_w, sys.box_h))[..., ::-1]
-        own[:, rect, 0, rect] = _SIGNS
-        own[:, rect, 1, rect, :2] = -dy_dx
-        own[:, rect, 1, rect, 2:] = dy_dx
-    return out
+    # Row (k, l) by x is dQ_k * R_l, by y Q_k * dR_l: one product of a
+    # (K, m, 1, 2n) factor and a (K, 1, m, 2n) one.
+    first = delta[:, :m] * (0.5 * sys.to_cheb[:2])  # dQ_k and dR_l
+    second = first.copy()
+    first[..., 1] = integrals[..., 0]
+    second[..., 0] = integrals[..., 1]
+    out = np.empty((k, m, m, 2 * n))
+    np.multiply(first.reshape(k, m, 1, 2 * n), second.reshape(k, 1, m, 2 * n), out=out)
+    return out.reshape(k, m * m, 2 * n)
 
 
-def residual(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
+def residual(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
     """(equation_count,) stacked residual: the moment rows (k, l) in
-    row-major order, then the (c1, c2) pair of each free rectangle."""
+    row-major order, the rectangles placed with sides (the given ones when
+    None)."""
     arr = _check_vars(sys, vars)
     with np.errstate(over="ignore", invalid="ignore"):
-        return batch_residual(sys, chebyshev_table(sys, arr[None]))[0]
+        return batch_residual(sys, chebyshev_table(sys, arr[None], sides))[0]
 
 
-def jacobian(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
+def jacobian(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
     """Analytic Jacobian of the stacked residual, rows in residual order."""
     arr = _check_vars(sys, vars)
     with np.errstate(over="ignore", invalid="ignore"):
-        return batch_jacobian(sys, chebyshev_table(sys, arr[None]))[0]
+        return batch_jacobian(sys, chebyshev_table(sys, arr[None], sides))[0]
 
 
 def _corner_array(layout: Layout) -> np.ndarray:
@@ -320,30 +255,14 @@ def _corner_array(layout: Layout) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def corners_to_vars(sys: MomentSystem, corners: np.ndarray) -> np.ndarray:
-    """The unknowns of an (n, 4) normalized corner array in instance order:
-    the lower corners of each upright rectangle, then all four of each free
-    one."""
-    grouped = corners[sys.order]
-    u = sys.n_upright
-    return np.concatenate([grouped[:u, :2].ravel(), grouped[u:].ravel()])
-
-
 def layout_to_vars(sys: MomentSystem, layout: Layout) -> np.ndarray:
-    """Flatten a layout into the system's normalized variable vector."""
+    """The normalized lower corners of a layout: the system's unknowns."""
     _check_placement_count(sys.instance, layout)
-    return corners_to_vars(sys, _corner_array(layout) / sys.scale)
+    return (_corner_array(layout)[:, :2] / sys.scale).ravel()
 
 
-def vars_to_layout(sys: MomentSystem, vars: np.ndarray) -> Layout:
-    """De-normalize a variable vector back into a layout.  Upright
-    rectangles get their upper corners from the given sides."""
-    grouped = _corners(sys, _check_vars(sys, vars)[None]).reshape(-1, 4)
-    corners = grouped[np.argsort(sys.order)]  # instance order
-    s = sys.scale
-    placements = []
-    for x_lo, y_lo, x_hi, y_hi in corners.tolist():
-        xa, xb = sorted((x_lo * s, x_hi * s))
-        ya, yb = sorted((y_lo * s, y_hi * s))
-        placements.append(Placement(xa, ya, xb, yb))
-    return Layout(tuple(placements))
+def vars_to_layout(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> Layout:
+    """De-normalize a variable vector back into a layout, the rectangles
+    placed with sides (the given ones when None)."""
+    corners = _corners(sys, _check_vars(sys, vars)[None], sides) * sys.scale
+    return Layout(tuple(Placement(*c) for c in corners.reshape(-1, 4).tolist()))

@@ -15,10 +15,14 @@ that stops, converged or not, is handed once, as it stopped, to
 verify_layout at its default tolerance, the one `momentpack verify` uses.
 Each start is a gap fill (_start_vector): a depth-first search, in a seeded
 order and within GAP_BUDGET placements, for a tiling that fills the lowest
-gap of the skyline first.  After its first backtrack the search keeps only
-rectangles that lie in a sum of unplaced widths matching the gap, read
-from a table of width sums built once per solve and freed before the race
-(_width_sums; past WIDTH_SUMS_CAP sums the search is unpruned).  So the
+gap of the skyline first.  In rotatable mode the search may place a
+rectangle turned (_turns), so the start chooses every turn; LM then moves
+the rectangles of each start, two unknowns each, in the orientation its
+gap fill chose, never their sides.  After its first backtrack the search
+keeps only rectangles that lie in a sum of unplaced widths matching the
+gap, read from a table of width sums built once per solve and freed
+before the race (_width_sums; past WIDTH_SUMS_CAP sums the search is
+unpruned).  So the
 construction wins exact tilings: a start that tiles the box as drawn
 verifies before any LM step (iterations_total 0), and no later start is
 built.  The moment system decides the rest: an instance that tiles only
@@ -51,20 +55,21 @@ root a few steps lower the cost by a large share.  Far from a root a start
 can creep over a plateau and still converge after it, and the rule may end
 such a start.  With every start run to its own stop, on the bottom-left
 starts that gap fills replaced (tests pin their rows), the smallest share
-eight steps of a converging start lowered its cost by was 8.3e-4 over 2,455
-guillotine starts (N = 3 to 10, 64 starts each, fixed mode at seeds 0-15
-and rotatable at seeds 0-3), none of them cut.  Over 14,999 family-sweep
-starts (seeds 0-7, both modes) it was 1.03e-4, except for seven rotatable
-starts that the rule cuts on plateaus, at max |r| 0.013 to 0.080.  A start
-that tiles as drawn wins each of their solves, and with the rule off no
-family-sweep answer (seeds 0-15 rotatable, 0-7 fixed) changes status, nor
-any verified one its winner or layout (tests pin the tightest starts, a cut
-one and the answers of those seven solves).  A converged start is not
-refined further: at a tiling the moment rows are well conditioned, so max
-|r| <= RESIDUAL_TOL puts the layout far inside the verifier's DEFAULT_TOL.
-Over 6,655 verified family-sweep solves (seeds 0-15 rotatable, 0-7 fixed)
-and the guillotines of N = 6 to 10 (seeds 0-7, 64 starts, both modes) the
-loosest tolerance a verified layout needed was 1.7e-9, 58 times under it.
+eight steps of a converging start lowered its cost by was 8.3e-4 over 2,355
+converging guillotine starts (N = 3 to 10, 64 starts each, fixed mode at
+seeds 0-15 and rotatable at seeds 0-3), none of them cut.  Over 12,897
+converging family-sweep starts (seeds 0-7, both modes) it was 1.06e-4,
+except for three rotatable starts that the rule cuts on plateaus, at max
+|r| 0.026 to 0.33.  A start that tiles as drawn wins each of their solves,
+and with the rule off no family-sweep answer (seeds 0-15 rotatable, 0-7
+fixed) changes status, nor any verified one its winner or layout (tests
+pin the tightest starts, a cut one and the answers of those three solves).
+A converged start is not refined further: at a tiling the moment rows are
+well conditioned, so max |r| <= RESIDUAL_TOL puts the layout far inside the
+verifier's DEFAULT_TOL.  On the bottom-left starts, with the earlier
+rotatable variables, the loosest tolerance a verified family-sweep or
+guillotine layout needed was 1.7e-9, 58 times under it; with gap-fill
+starts each of those 7,544 solves tiles as drawn.
 """
 
 from __future__ import annotations
@@ -171,9 +176,9 @@ def _bottom_left(
     segment j starts at xs[j] (and ends at xs[j + 1], or a) at height
     tops[j], both lists edited in place: each (i, w, h) of shapes, in order,
     goes to the lowest, then leftmost, left end of a segment from which it
-    fits in the box, written to corners[i].  One that fits nowhere goes to
-    the lowest such point its width fits from, clamped inside the box, and
-    may overlap others."""
+    fits in the box, its lower corner written to corners[i].  One that fits
+    nowhere goes to the lowest such point its width fits from, clamped
+    inside the box, and may overlap others."""
     tol = 1e-12
     for i, w, h in shapes:
         # The least (misfit, y, x) over the left ends of the segments the
@@ -187,7 +192,7 @@ def _bottom_left(
                 best = min(best, (y + h > b + tol, y, x))
         _, y, x = best
         x, y = max(0.0, min(x, a - w)), max(0.0, min(y, b - h))
-        corners[i] = (x, y, x + w, y + h)
+        corners[i] = (x, y)
         # The rectangle's top replaces the skyline over [x, x + w], merged
         # with a neighbour of the same height.
         lo, hi = bisect.bisect_left(xs, x), bisect.bisect_right(xs, x + w)
@@ -201,12 +206,22 @@ def _bottom_left(
         xs[lo:hi], tops[lo:hi] = new_xs, new_tops
 
 
+def _turns(sys: mo.MomentSystem, mode: str) -> list[bool]:
+    """Whether a start may turn each rectangle: in rotatable mode, when its
+    normalised sides differ as floats.  Turned, a rectangle whose sides are
+    the same float is the same shape, and _gap_fill tells a shape's
+    orientation by its width."""
+    sides = zip(sys.widths.tolist(), sys.heights.tolist())
+    return [mode == mo.ROTATABLE and w != h for w, h in sides]
+
+
 class _WidthSums:
     """Every sum of rectangle widths up to the box width, on normalised
-    sides: each rectangle left out, upright or, if free, turned.  Three
-    flat arrays sorted by sum, read through memoryviews: sums, used (bit i
-    set when rectangle i is in the sum) and turned (bit i set when it is in
-    it turned; None when no rectangle is free).  Built by _width_sums."""
+    sides: each rectangle left out, upright or, if it may turn (_turns),
+    turned.  Three flat arrays sorted by sum, read through memoryviews:
+    sums, used (bit i set when rectangle i is in the sum) and turned (bit i
+    set when it is in it turned; None when no rectangle may turn).  Built by
+    _width_sums."""
 
     def __init__(self, sums: np.ndarray, used: np.ndarray, turned: np.ndarray | None, tol: float):
         self.sums, self.used, self.tol = memoryview(sums), memoryview(used), tol
@@ -227,17 +242,14 @@ class _WidthSums:
         return upright, turns
 
 
-def _width_sums(sys: mo.MomentSystem) -> _WidthSums | None:
-    """The system's width sums; None when the table would hold more than
-    WIDTH_SUMS_CAP sums or the system more than 64 rectangles (a bitmask is
-    one machine word: 32 bits up to 32 rectangles, else 64).  Sums up to
+def _width_sums(sys: mo.MomentSystem, mode: str) -> _WidthSums | None:
+    """The system's width sums in mode; None when the table would hold more
+    than WIDTH_SUMS_CAP sums or the system more than 64 rectangles (a bitmask
+    is one machine word: 32 bits up to 32 rectangles, else 64).  Sums up to
     the box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Rectangle i
     joins, in index order, every sum so far that stays within that bound,
     so a sum adds its members in index order, and a step holds no more than
-    the old sums, the new ones, one shifted copy and their concatenation.
-    A free rectangle whose normalised sides are equal joins upright only:
-    turned it is the same shape, and _gap_fill tells a shape's orientation
-    by its width."""
+    the old sums, the new ones, one shifted copy and their concatenation."""
     n = sys.n_rects
     if n > 64:
         return None
@@ -245,12 +257,12 @@ def _width_sums(sys: mo.MomentSystem) -> _WidthSums | None:
     tol = (n + 1) * DEFAULT_TOL
     limit = sys.box_w + tol
     sums, used = np.zeros(1), np.zeros(1, dtype=word)
-    turned = np.zeros(1, dtype=word) if sys.free.any() else None
-    sides = zip(sys.widths.tolist(), sys.heights.tolist(), sys.free.tolist())
-    for i, (w, h, free) in enumerate(sides):
+    turns = _turns(sys, mode)
+    turned = np.zeros(1, dtype=word) if any(turns) else None
+    for i, (w, h, may_turn) in enumerate(zip(sys.widths.tolist(), sys.heights.tolist(), turns)):
         bit = word(1 << i)
         parts = [(sums, used, turned)]
-        for side, turn in ((w, False), (h, True))[: 1 + (free and w != h)]:
+        for side, turn in ((w, False), (h, True))[: 1 + may_turn]:
             shifted = sums + side
             keep = shifted <= limit
             grown = None if turned is None else turned[keep] | bit if turn else turned[keep]
@@ -393,36 +405,40 @@ def _gap_fill(
 
 def _start_vector(
     sys: mo.MomentSystem,
-    inst: Instance,
+    mode: str,
     seed: int,
     start_index: int,
     width_sums: Callable[[], _WidthSums | None] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """A gap fill (_gap_fill) of the rectangles' shapes, each upright and,
-    if free, turned, in an order drawn from a generator seeded by seed and
-    start_index.  When the search ends without a tiling, the rectangles
-    its deepest fill left out are placed by the bottom-left rule
-    (_bottom_left), in the same order, each in its first shape.  Plain
-    Python floats in a fixed order, so a start is the same bytes on every
-    run.  width_sums returns the system's width sums when the search first
-    backtracks; solve_multistart passes one that builds them once for all
-    its starts, and by default the start builds its own."""
+    if it may turn in mode (_turns), turned, in an order drawn from a
+    generator seeded by seed and start_index.  When the search ends without
+    a tiling, the rectangles its deepest fill left out are placed by the
+    bottom-left rule (_bottom_left), in the same order, each in its first
+    shape.  Returns the lower corners, the system's unknowns, and the (n, 2)
+    sides each rectangle is placed with: its given pair or that pair
+    swapped.  Plain Python floats in a fixed order, so a start is the same
+    bytes on every run.  width_sums returns the system's width sums when
+    the search first backtracks; solve_multistart passes one that builds
+    them once for all its starts, and by default the start builds its own."""
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
     n = sys.n_rects
     widths, heights = sys.widths.tolist(), sys.heights.tolist()
     shapes = [(i, widths[i], heights[i]) for i in range(n)]
-    shapes += [(i, heights[i], widths[i]) for i in np.flatnonzero(sys.free).tolist()]
+    shapes += [(i, heights[i], widths[i]) for i, turn in enumerate(_turns(sys, mode)) if turn]
     shapes = [shapes[k] for k in rng.permutation(len(shapes)).tolist()]
-    path, xs, tops = _gap_fill(sys, shapes, width_sums or functools.partial(_width_sums, sys))
-    corners = [()] * n
+    width_sums = width_sums or functools.partial(_width_sums, sys, mode)
+    path, xs, tops = _gap_fill(sys, shapes, width_sums)
+    corners, sides = [()] * n, [()] * n
     for i, x, y, w, h in path:
-        corners[i] = (x, y, x + w, y + h)
-    rest = {}
-    for i, w, h in shapes:
-        if not corners[i]:
-            rest.setdefault(i, (i, w, h))
-    _bottom_left(xs[:-1], tops, sys.box_w, sys.box_h, list(rest.values()), corners)
-    return mo.corners_to_vars(sys, np.array(corners).reshape(-1, 4))
+        corners[i], sides[i] = (x, y), (w, h)
+    rest = []
+    for shape in shapes:
+        if not sides[shape[0]]:
+            sides[shape[0]] = shape[1:]
+            rest.append(shape)
+    _bottom_left(xs[:-1], tops, sys.box_w, sys.box_h, rest, corners)
+    return np.array(corners).ravel(), np.array(sides)
 
 
 # -- Core iteration ----------------------------------------------------------
@@ -458,10 +474,12 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lockstep(
     sys: mo.MomentSystem,
     x0: np.ndarray,
+    sides: np.ndarray,
     max_iters: int,
-    passes: Callable[[np.ndarray], bool] | None = None,
+    passes: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep.
+    """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep,
+    row k placing its rectangles with sides[k] of sides (K, n, 2).
 
     Each row starts at LAMBDA0 and follows the one-attempt damping rule on
     its own until RESIDUAL_TOL, a stall (after accepted step n >=
@@ -476,16 +494,17 @@ def _lockstep(
     (K,), the accepted costs (K, max_iters + 1), row k's history being
     costs[k, : steps[k] + 1], each row's final max |r| (K,) and the winner.
 
-    passes, if given, is asked about each row's variables once, as the row
-    stops: first the rows that never start, then after each round the rows
-    that stopped in it, in index order.  The first row it passes is the
-    winner, and every row still running stops at once, with the steps it
-    has taken in as many attempts.  The winner is -1 when no row passes.
+    passes, if given, is asked about each row's variables and sides once,
+    as the row stops: first the rows that never start, then after each
+    round the rows that stopped in it, in index order.  The first row it
+    passes is the winner, and every row still running stops at once, with
+    the steps it has taken in as many attempts.  The winner is -1 when no
+    row passes.
     """
     diag = slice(None, None, sys.var_count + 1)  # the diagonal of a flattened (V, V)
     x = np.array(x0, dtype=float)  # a copy: rows are updated in place
     with np.errstate(over="ignore", invalid="ignore"):
-        table = mo.chebyshev_table(sys, x)
+        table = mo.chebyshev_table(sys, x, sides)
         r = mo.batch_residual(sys, table)
         r_inf = np.abs(r).max(axis=1)
         cost = _costs(r)
@@ -497,14 +516,14 @@ def _lockstep(
         # The running rows' state, in the order of rows, written back as a
         # row stops.  Normal equations are built at the top of the round after
         # a row steps (fresh), so a win skips the Jacobians of its round.
-        xr, cost, n, rmax = x[rows], cost[rows], steps[rows], r_inf[rows]
+        xr, sr, cost, n, rmax = x[rows], sides[rows], cost[rows], steps[rows], r_inf[rows]
         lam = np.full(len(rows), LAMBDA0)
         hess, neg_grad = np.empty((len(rows), sys.var_count, sys.var_count)), np.empty(xr.shape)
         table, r, fresh = table[rows], r[rows], live[rows]
         winner = -1
         while True:
             if passes is not None:
-                winner = next((k for k in ended.tolist() if passes(x[k])), -1)
+                winner = next((k for k in ended.tolist() if passes(x[k], sides[k])), -1)
             if winner >= 0 or not len(rows):
                 break
             if len(table):  # some row stepped in the last round
@@ -515,7 +534,7 @@ def _lockstep(
             damped = hess.copy()
             damped.reshape(len(rows), -1)[:, diag] += lam[:, None]
             cand = xr + _solve_rows(damped, neg_grad)
-            table = mo.chebyshev_table(sys, cand)
+            table = mo.chebyshev_table(sys, cand, sr)
             r = mo.batch_residual(sys, table)
             cost_new = _costs(r)
             fresh = cost_new < cost
@@ -537,8 +556,8 @@ def _lockstep(
             if len(ended):
                 x[ended], steps[ended], r_inf[ended] = xr[~keep], n[~keep], rmax[~keep]
                 table, r = table[keep[fresh]], r[keep[fresh]]
-                state = rows, xr, cost, n, rmax, lam, hess, neg_grad, fresh
-                rows, xr, cost, n, rmax, lam, hess, neg_grad, fresh = (a[keep] for a in state)
+                state = rows, xr, sr, cost, n, rmax, lam, hess, neg_grad, fresh
+                rows, xr, sr, cost, n, rmax, lam, hess, neg_grad, fresh = (a[keep] for a in state)
         x[rows], steps[rows], r_inf[rows] = xr, n, rmax  # the rows a win cut short
     return x, steps, costs, r_inf, winner
 
@@ -549,9 +568,12 @@ def solve_single(
     """Levenberg-Marquardt from one start; returns the final variable vector
     and the history of accepted residual 2-norms (monotone decreasing,
     starting at the initial cost).  Each step solves
-    (J^T J + lambda I) delta = -J^T r; the lockstep core with one row."""
+    (J^T J + lambda I) delta = -J^T r; the lockstep core with one row, its
+    rectangles placed with their given sides."""
     cfg = cfg or SolveConfig()
-    x, steps, costs, _, _ = _lockstep(sys, mo._check_vars(sys, x0)[None], cfg.max_iters)
+    x, steps, costs, _, _ = _lockstep(
+        sys, mo._check_vars(sys, x0)[None], sys.sides[None], cfg.max_iters
+    )
     return x[0], costs[0, : steps[0] + 1].tolist()
 
 
@@ -607,44 +629,56 @@ def solve_multistart(
     (fit_can_pass, reason "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
-    sys = mo.build_system(inst, max_order, mode)
+    if mode not in mo._MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {mo._MODES}")
+    if mode == mo.ROTATABLE and not inst.rotation_allowed:
+        raise ValueError("rotatable mode requires an instance with rotation allowed")
+    sys = mo.build_system(inst, max_order)
     reason = None if area_can_pass(inst) else "area"
     if reason is None and not fit_can_pass(inst):
         reason = "fit"
     status, layout, final, iterations, start = "exhausted", None, float("inf"), 0, -1
     if reason is None:
 
-        def check(v: np.ndarray) -> bool:
+        def check(v: np.ndarray, s: np.ndarray) -> bool:
             nonlocal layout  # the last one checked: the winner's, if any
-            layout = mo.vars_to_layout(sys, v)
+            layout = mo.vars_to_layout(sys, v, s)
             return verify_layout(inst, layout).passed
 
         # A start that never starts (max |r| not finite or within
         # RESIDUAL_TOL) is one _lockstep would verify first, in index order,
         # so it is verified as it is built, and the first that passes wins
         # before a later start exists.
-        x0, judged, winner = [], [], -1
-        width_sums = functools.cache(functools.partial(_width_sums, sys))  # built once, if at all
+        x0, sides, judged, winner = [], [], [], -1
+        # The width sums, built once, if at all.
+        width_sums = functools.cache(functools.partial(_width_sums, sys, mode))
         for k in range(cfg.restarts):
-            x0.append(_start_vector(sys, inst, cfg.seed, k, width_sums=width_sums))
-            r_max = float(np.abs(mo.residual(sys, x0[-1])).max())
+            v, s = _start_vector(sys, mode, cfg.seed, k, width_sums=width_sums)
+            x0.append(v)
+            sides.append(s)
+            r_max = float(np.abs(mo.residual(sys, v, s)).max())
             if not (math.isfinite(r_max) and r_max > RESIDUAL_TOL):
-                if check(x0[-1]):
+                if check(v, s):
                     winner = k
                     break
                 judged.append(False)
         del width_sums  # every start is built: free the table before the race
         if winner < 0:  # _lockstep asks about the judged rows first: their answers
             x, steps, _, r_inf, winner = _lockstep(
-                sys, np.stack(x0), cfg.max_iters, lambda v: judged.pop() if judged else check(v)
+                sys,
+                np.stack(x0),
+                np.stack(sides),
+                cfg.max_iters,
+                lambda v, s: judged.pop() if judged else check(v, s),
             )
             iterations = int(steps.sum())
         if winner >= 0:
             status, start = "converged_verified", winner
-            final = float(np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, layout)))))
+            corners = mo.layout_to_vars(sys, layout)
+            final = float(np.max(np.abs(mo.residual(sys, corners, sides[winner]))))
         else:
             start = int(np.argmin(r_inf))
-            layout = mo.vars_to_layout(sys, x[start])
+            layout = mo.vars_to_layout(sys, x[start], sides[start])
             final = float(r_inf[start])
             if np.any(r_inf <= RESIDUAL_TOL):
                 status, reason = "converged_unverified", "unverified"

@@ -41,13 +41,14 @@ per rectangle.
   distance eps only when a chain of coordinates, each within eps of the
   next, spans more than eps.
 
-_snap is the package's one coordinate-clustering helper (the solver's
+_snap is the package's one coordinate-clustering helper (the public
 snap_layout uses it too), _side_error its one side test, and
 moments._corner_array the one float view of a layout that every float
 check reads.
 
 moment_residual_of_layout bridges back to the equation side: the largest
-normalized residual of the truncated moment system evaluated at the layout.
+normalized residual of the truncated moment system evaluated at the layout,
+each rectangle read in the orientation nearest its placed sides.
 """
 
 from __future__ import annotations
@@ -345,16 +346,18 @@ def moment_residual_of_layout(
     inst: Instance, layout: Layout, max_order: int | None = None
 ) -> float:
     """Largest absolute normalized residual of the truncated moment system
-    (rotatable if the instance allows rotation, else fixed-orientation) at
-    the given layout.  The system reads only the lower corners of an
-    upright rectangle, so its side errors |dx - w| and |dy - h| over the
-    scale count too: every coordinate of the layout moves the result."""
-    mode = mo.ROTATABLE if inst.rotation_allowed else mo.FIXED
-    sys = mo.build_system(inst, max_order, mode)
+    at the given layout, read with the sides as placed: each rectangle takes
+    its given sides or, if the instance allows rotation, those turned,
+    whichever has the smaller _side_error.  The system reads only the lower
+    corners and those sides, so that side error over the scale counts too:
+    every coordinate of the layout moves the result."""
+    sys = mo.build_system(inst, max_order)
     _check_placement_count(inst, layout)
     corners = mo._corner_array(layout)
-    residual = np.max(np.abs(mo.residual(sys, mo.corners_to_vars(sys, corners / sys.scale))))
     with np.errstate(over="ignore", invalid="ignore"):
-        d = (corners[:, 2:] - corners[:, :2]) / sys.scale
-        off = _side_error(*d.T, sys.widths, sys.heights, False)[~sys.free]
+        d = ((corners[:, 2:] - corners[:, :2]) / sys.scale).T
+        upright = _side_error(*d, sys.widths, sys.heights, False)
+        off = _side_error(*d, sys.widths, sys.heights, inst.rotation_allowed)
+    sides = np.where((off < upright)[:, None], sys.sides[:, ::-1], sys.sides)
+    residual = np.max(np.abs(mo.residual(sys, (corners[:, :2] / sys.scale).ravel(), sides)))
     return float(max(residual, np.max(off, initial=0.0)))

@@ -11,7 +11,8 @@ measured numbers before asserting, so a verbose run reads as a checklist:
 4. Sensitivity: a 1e-3 * scale nudge of any single coordinate lifts the
    residual above 1e-5 at Smax >= 3 on >= 99% of perturbations.
 5. Analytic Jacobian matches central differences to 1e-6 relative error on
-   100 random points across 20 fixtures, both variable conventions.
+   100 random points across 20 fixtures, in both modes: upright rows, and
+   rows that turn rectangles at random.
 6. Solver reaches verified convergence on the named small instances within
    200 restarts and < 60 s each, and on >= 90% of a random guillotine corpus
    with at most five rectangles.
@@ -52,6 +53,8 @@ from momentpack import (
 )
 from momentpack import moments as mo
 from momentpack.cli import main
+
+from conftest import row_sides, turned_back
 
 BOXES = (BoxSpec(1.0, 1.0), BoxSpec(10.0, 7.0), BoxSpec(3.0, 8.0), BoxSpec(5.0, 5.0))
 
@@ -136,22 +139,27 @@ def test_criterion_3_perfect_packings_zero_the_moments(fixture_corpus):
 
 
 def test_criterion_4_single_coordinate_sensitivity(fixture_corpus):
+    # In rotatable mode each fixture has rectangles given turned at random,
+    # which the tiling places turned back.
+    rng = np.random.default_rng(4)
     rates = {}
     for mode in (mo.ROTATABLE, mo.FIXED):
         above = total = 0
         for inst, layout in fixture_corpus:
-            sys = mo.build_system(inst, 3, mode)
+            n = inst.n_rects
+            turn = rng.integers(0, 2, n) == 1 if mode == mo.ROTATABLE else np.zeros(n, bool)
+            sys, sides = turned_back(inst, turn, 3)
             x = mo.layout_to_vars(sys, layout)
             for i in range(x.size):
                 nudged = x.copy()
                 nudged[i] += 1e-3  # 1e-3 * scale in raw coordinates
                 total += 1
-                if np.max(np.abs(mo.residual(sys, nudged))) > 1e-5:
+                if np.max(np.abs(mo.residual(sys, nudged, sides))) > 1e-5:
                     above += 1
         rates[mode] = above / total
     # the bound must keep holding at higher truncation orders
     inst, layout = fixture_corpus[1]
-    sys5 = mo.build_system(inst, 5, mo.ROTATABLE)
+    sys5 = mo.build_system(inst, 5)
     x5 = mo.layout_to_vars(sys5, layout)
     higher_ok = all(
         np.max(np.abs(mo.residual(sys5, x5 + 1e-3 * np.eye(x5.size)[i]))) > 1e-5
@@ -175,10 +183,11 @@ def test_criterion_5_jacobian_vs_central_differences(fd_jac):
         inst, _ = gen_guillotine(seed, 3 + seed % 6, BoxSpec(6.0, 4.0))
         for _ in range(5):
             for mode in (mo.FIXED, mo.ROTATABLE):
-                sys = mo.build_system(inst, max_order=4, mode=mode)
+                sys = mo.build_system(inst, max_order=4)
                 x = rng.uniform(0.05, 0.95, sys.var_count)
-                jac = mo.jacobian(sys, x)
-                ref = fd_jac(sys, x, step=1e-6)
+                sides = row_sides(sys, mode, rng)
+                jac = mo.jacobian(sys, x, sides)
+                ref = fd_jac(sys, x, step=1e-6, sides=sides)
                 denom = max(1.0, float(np.max(np.abs(jac))))
                 worst = max(worst, float(np.max(np.abs(jac - ref))) / denom)
             points += 1
@@ -186,7 +195,8 @@ def test_criterion_5_jacobian_vs_central_differences(fd_jac):
     report(
         5,
         ok,
-        f"{points} random points x 20 fixtures x both modes, worst relative "
+        f"{points} random points x 20 fixtures x both modes (rows turned at "
+        f"random in rotatable), worst relative "
         f"error {worst:.3e} (tol 1e-6)",
     )
 

@@ -136,6 +136,33 @@ def test_solve_writes_layout_and_exits_zero(capsys, tmp_path):
     assert len(layout.placements) == 2
 
 
+def test_solve_rotatable_places_given_sides_after_lm_steps(capsys, tmp_path):
+    # A 2x1 and a 1x2 made 4e-8 too tall: they tile the 2x2 box only within
+    # the verifier's tolerance, stacked with the second turned, so the win
+    # takes LM steps.  LM moves rectangles, never their sides: each placed
+    # side is a given one, upright or turned.  Fixed mode cannot turn the
+    # second, and no layout passes.
+    inst_path = tmp_path / "near.json"
+    inst_path.write_text('{"box": [2, 2], "rects": [[2, 1], [1, 2.00000004]]}\n')
+    out_path = tmp_path / "near.layout.json"
+    argv = ["solve", str(inst_path), "--mode", "rotatable", "--restarts", "8", "--out"]
+    code, out, _ = run_cli(capsys, *argv, str(out_path))
+    doc = strict_loads(out)
+    assert code == 0 and doc["status"] == "converged_verified"
+    assert doc["iterations_total"] > 0
+    inst = parse_instance(inst_path.read_text())
+    for r, p in zip(inst.rects, parse_layout(out_path.read_text()).placements):
+        dx, dy = float(p.x_hi) - float(p.x_lo), float(p.y_hi) - float(p.y_lo)
+        w, h = float(r.width), float(r.height)
+        upright, turned = max(abs(dx - w), abs(dy - h)), max(abs(dx - h), abs(dy - w))
+        assert min(upright, turned) <= 1e-12 * 2
+    code, out, _ = run_cli(capsys, "verify", str(inst_path), str(out_path))
+    assert code == 0 and strict_loads(out)["pass"] is True
+    argv[3], argv[-1:] = "fixed", ["--out", str(tmp_path / "fixed.json")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and strict_loads(out)["status"] == "exhausted"
+
+
 def test_solve_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
     # The dominoes verify, so solve writes a layout; into a missing
     # directory that is an input error, and no report is printed.

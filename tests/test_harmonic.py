@@ -178,14 +178,16 @@ def moved(rng, inst, turn):
     return Layout(tuple(placements))
 
 
-def assert_identities_are_rows(inst, layout, mode):
-    sys = mo.build_system(inst, mode=mode)
+def assert_identities_are_rows(inst, layout):
+    # The rows of the layout as placed: each rectangle with its placed
+    # extents as its sides, turned or not.
+    sys = mo.build_system(inst)
     m = sys.max_order
-    rows = mo.residual(sys, mo.layout_to_vars(sys, layout))[: m * m].reshape(m, m)
     a, b = float(inst.box.width), float(inst.box.height)
     corners = np.array([[float(v) for v in p.as_tuple()] for p in layout.placements])
     c = (corners[:, :2] + corners[:, 2:]) / 2
     d = corners[:, 2:] - corners[:, :2]
+    rows = mo.residual(sys, mo.layout_to_vars(sys, layout), d / sys.scale).reshape(m, m)
     for ident, terms in IDENTITY_TERMS.items():
         defect = combination = magnitude = 0.0
         for (i, j), coef in terms.items():
@@ -220,4 +222,4 @@ def test_identities_are_moment_rows(seed, cuts, box, n_harmonic, mode):
     harmonic = harmonic_prefix(n_harmonic)
     scattered = moved(rng, harmonic, turn)
     for case in ((inst, tiling), (inst, layout), (rest, fewer), (harmonic, scattered)):
-        assert_identities_are_rows(*case, mode)
+        assert_identities_are_rows(*case)

@@ -21,11 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Chebyshev
 
-from momentpack import BoxSpec, Instance, Layout, Placement, gen_guillotine, oracle_feasible
+from momentpack import BoxSpec, Instance, Layout, Placement, gen_guillotine
 from momentpack import moments as mo
 
+from conftest import row_sides, turned_back
 
-def naive_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mode):
+
+def naive_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order):
     """Independent evaluation straight from the definition: row (k, l) is
     the integral of T_k(2x/A - 1) * T_l(2y/B - 1) over the rectangles, in
     units of the box area, less the same integral over the box."""
@@ -40,10 +42,10 @@ def naive_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mode):
             for i in range(inst.n_rects):
                 total += (p(x_hi[i]) - p(x_lo[i])) * (q(y_hi[i]) - q(y_lo[i]))
             rows.append((total - (p(a) - p(0)) * (q(b) - q(0))) / (a * b))
-    return np.concatenate([rows, _naive_side_rows(inst, x_lo, y_lo, x_hi, y_hi, mode)])
+    return np.array(rows)
 
 
-def naive_monomial_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mode):
+def naive_monomial_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order):
     """The paper's equations: row (s1, s2), 1 <= s1, s2 <= max_order, is
     sum_n (x_hi^s1 - x_lo^s1)(y_hi^s2 - y_lo^s2) / (A^s1 B^s2) - 1."""
     a = float(inst.box.width)
@@ -57,30 +59,17 @@ def naive_monomial_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mode):
                     y_hi[i] ** s2 - y_lo[i] ** s2
                 )
             rows.append(total / (a**s1 * b**s2) - 1.0)
-    return np.concatenate([rows, _naive_side_rows(inst, x_lo, y_lo, x_hi, y_hi, mode)])
-
-
-def _naive_side_rows(inst, x_lo, y_lo, x_hi, y_hi, mode):
-    scale = max(float(inst.box.width), float(inst.box.height))
-    rows = []
-    if mode == mo.ROTATABLE:
-        for i in range(inst.n_rects):
-            w = float(inst.rects[i].width)
-            h = float(inst.rects[i].height)
-            dx = x_hi[i] - x_lo[i]
-            dy = y_hi[i] - y_lo[i]
-            rows.append((dx + dy - w - h) / scale)
-            rows.append((dx * dy - w * h) / scale**2)
     return np.array(rows)
 
 
-def random_corners(inst, rng):
-    a = float(inst.box.width)
-    b = float(inst.box.height)
-    n = inst.n_rects
-    x0 = rng.uniform(0, a, n)
-    y0 = rng.uniform(0, b, n)
-    return x0, y0, x0 + rng.uniform(0, a, n), y0 + rng.uniform(0, b, n)
+def random_corners(sys, sides, rng):
+    """Random lower corners in the box, the rectangles placed with sides:
+    the raw corners x_lo, y_lo, x_hi, y_hi and the system's unknowns."""
+    n = sys.n_rects
+    x_lo = rng.uniform(0, float(sys.instance.box.width), n)
+    y_lo = rng.uniform(0, float(sys.instance.box.height), n)
+    x_hi, y_hi = x_lo + sides[:, 0] * sys.scale, y_lo + sides[:, 1] * sys.scale
+    return (x_lo, y_lo, x_hi, y_hi), np.stack([x_lo, y_lo], axis=1).ravel() / sys.scale
 
 
 # -- Truncation default -------------------------------------------------------
@@ -102,9 +91,10 @@ def test_default_max_order_spot_values():
 
 def test_default_keeps_equations_at_or_above_unknowns():
     for n in range(1, 40):
-        for mode in (mo.FIXED, mo.ROTATABLE):
-            inst = Instance.from_sides([(1, 2)] * n, BoxSpec(2, n))
-            sys = mo.build_system(inst, mode=mode)
+        for rotation_allowed in (False, True):
+            inst = Instance.from_sides([(1, 2)] * n, BoxSpec(2, n), rotation_allowed)
+            sys = mo.build_system(inst)
+            assert sys.var_count == 2 * n
             assert sys.max_order == mo.default_max_order(sys.var_count)
             assert sys.max_order**2 >= sys.var_count
 
@@ -114,7 +104,7 @@ def test_default_keeps_equations_at_or_above_unknowns():
 
 def test_build_system_shapes_and_exponents():
     inst = Instance.from_sides([(1, 2), (1, 2)], BoxSpec(2, 3))
-    sys = mo.build_system(inst, max_order=2, mode=mo.FIXED)
+    sys = mo.build_system(inst, max_order=2)
     # Moment rows run over the index pairs (k, l) in row-major order.  Row
     # (k, l) integrates T_k(2u - 1) * T_l(2v - 1) over the rectangles, with
     # u = x / 2 and v = y / 3, less its integral over the box.  T_0 = 1 and
@@ -130,7 +120,6 @@ def test_build_system_shapes_and_exponents():
     layout = Layout(tuple(Placement(*r) for r in rects))
     np.testing.assert_allclose(mo.residual(sys, mo.layout_to_vars(sys, layout)), want, atol=1e-12)
     assert sys.var_count == 4
-    assert sys.constraint_count == 0
     assert sys.equation_count == 4
     assert sys.scale == 3.0
     np.testing.assert_allclose(sys.widths, [1 / 3, 1 / 3])
@@ -139,49 +128,20 @@ def test_build_system_shapes_and_exponents():
 
 
 def test_build_system_rotatable_counts():
-    inst = Instance.from_sides([(1, 2)] * 3, BoxSpec(2, 3))
-    sys = mo.build_system(inst, max_order=4, mode=mo.ROTATABLE)
-    assert sys.var_count == 12
-    assert sys.constraint_count == 6
-    assert sys.equation_count == 16 + 6
-
-
-def test_corner_map_frees_only_turnable_non_squares():
-    inst = Instance.from_sides([(1, 2), (1, 1), (2, 1), (3, 3)], BoxSpec(4, 4))
-    fixed = mo.build_system(inst, mode=mo.FIXED)
-    rot = mo.build_system(inst, mode=mo.ROTATABLE)
-    assert not fixed.free.any()
-    assert (fixed.var_count, fixed.constraint_count) == (8, 0)
-    assert rot.free.tolist() == [True, False, True, False]
-    assert (rot.var_count, rot.constraint_count) == (12, 4)
-    assert rot.max_order == mo.default_max_order(12)
-    assert rot.order.tolist() == [1, 3, 0, 2]  # upright first, then free
-
-
-def test_squares_never_turn_so_the_jacobian_stays_regular():
-    # 14 unit squares and a domino in a 4x4 box.  As free rectangles the
-    # squares' side rows share a double root at dx = dy, which left the
-    # Jacobian at a solution numerically singular (sigma ratio about 3e-19).
-    inst = Instance.from_sides([(1, 1)] * 14 + [(1, 2)], BoxSpec(4, 4))
-    sys = mo.build_system(inst, mode=mo.ROTATABLE)
-    assert sys.var_count == 32
-    assert sys.constraint_count == 2
-    ok, witness = oracle_feasible(inst)
-    assert ok
-    x = mo.layout_to_vars(sys, witness)
-    assert np.max(np.abs(mo.residual(sys, x))) <= 1e-12
-    sigma = np.linalg.svd(mo.jacobian(sys, x), compute_uv=False)
-    assert sigma[-1] / sigma[0] > 1e-8
+    # A rectangle that may turn has two unknowns like any other, and the
+    # system has no rows beyond the moment rows: rotation is the start's.
+    inst = Instance.from_sides([(1, 2)] * 3, BoxSpec(2, 3), rotation_allowed=True)
+    sys = mo.build_system(inst, max_order=4)
+    assert sys.var_count == 6
+    assert sys.equation_count == 16
+    assert mo.residual(sys, np.zeros(6), sys.sides[:, ::-1]).shape == (16,)
 
 
 def test_build_system_validation():
     inst = Instance.from_sides([(1, 1)], BoxSpec(1, 1), rotation_allowed=False)
-    with pytest.raises(ValueError, match="unknown mode"):
-        mo.build_system(inst, mode="diagonal")
-    with pytest.raises(ValueError, match="rotation"):
-        mo.build_system(inst, mode=mo.ROTATABLE)
-    with pytest.raises(ValueError, match="max_order"):
-        mo.build_system(inst, max_order=0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_order"):
+            mo.build_system(inst, max_order=bad)
 
 
 def test_residual_rejects_bad_vectors():
@@ -198,25 +158,15 @@ def test_residual_rejects_bad_vectors():
 
 @pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
 def test_residual_matches_naive_evaluation(mode):
+    # In rotatable mode each rectangle is placed turned or not at random.
     rng = np.random.default_rng(11)
     for seed in range(5):
         inst, _ = gen_guillotine(seed, 4, BoxSpec(5.0, 3.0))
-        sys = mo.build_system(inst, max_order=4, mode=mode)
-        x_lo, y_lo, x_hi, y_hi = random_corners(inst, rng)
-        if mode == mo.FIXED:
-            vars = np.empty(sys.var_count)
-            vars[0::2] = x_lo / sys.scale
-            vars[1::2] = y_lo / sys.scale
-            x_hi = x_lo + np.array([float(r.width) for r in inst.rects])
-            y_hi = y_lo + np.array([float(r.height) for r in inst.rects])
-        else:
-            vars = np.empty(sys.var_count)
-            vars[0::4] = x_lo / sys.scale
-            vars[1::4] = y_lo / sys.scale
-            vars[2::4] = x_hi / sys.scale
-            vars[3::4] = y_hi / sys.scale
-        got = mo.residual(sys, vars)
-        want = naive_residual(inst, x_lo, y_lo, x_hi, y_hi, 4, mode)
+        sys = mo.build_system(inst, max_order=4)
+        sides = row_sides(sys, mode, rng)
+        corners, vars = random_corners(sys, sides, rng)
+        got = mo.residual(sys, vars, sides)
+        want = naive_residual(inst, *corners, 4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
@@ -224,22 +174,25 @@ def test_residual_zero_on_perfect_layouts(squared32, small_corpus):
     pairs = [squared32, *small_corpus]
     for inst, layout in pairs:
         for smax in range(2, 9):
-            for mode in (mo.FIXED, mo.ROTATABLE):
-                sys = mo.build_system(inst, smax, mode)
-                r = mo.residual(sys, mo.layout_to_vars(sys, layout))
-                assert np.max(np.abs(r)) <= 1e-9
+            sys = mo.build_system(inst, smax)
+            r = mo.residual(sys, mo.layout_to_vars(sys, layout))
+            assert np.max(np.abs(r)) <= 1e-9
 
 
 @pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
 def test_residual_floor_at_exact_guillotine_tilings(mode):
     # The recurrence keeps every row at roundoff on a tiling.  Building the
     # rows from monomial extents and the monomial-to-Chebyshev coefficient
-    # matrix cancels: that build's floor passes 1e-10 from max_order 7.
+    # matrix cancels: that build's floor passes 1e-10 from max_order 7.  In
+    # rotatable mode some rectangles are given turned, and the tiling
+    # places them turned back.
+    rng = np.random.default_rng(5)
     for n in range(6, 21):
         for seed in range(3):
             inst, layout = gen_guillotine(seed, n - 1, BoxSpec(10.0, 8.0))
-            sys = mo.build_system(inst, mode=mode)
-            r = mo.residual(sys, mo.layout_to_vars(sys, layout))
+            turn = rng.integers(0, 2, n) == 1 if mode == mo.ROTATABLE else np.zeros(n, bool)
+            sys, sides = turned_back(inst, turn)
+            r = mo.residual(sys, mo.layout_to_vars(sys, layout), sides)
             assert np.max(np.abs(r)) <= 1e-12, (n, seed)
 
 
@@ -273,15 +226,13 @@ def test_rows_are_the_monomial_rows_in_the_chebyshev_basis(max_order):
     rng = np.random.default_rng(max_order)
     for seed in range(4):
         inst, _ = gen_guillotine(seed, 4, BoxSpec(5.0, 3.0))
-        sys = mo.build_system(inst, max_order=max_order, mode=mo.ROTATABLE)
-        x_lo, y_lo, x_hi, y_hi = random_corners(inst, rng)
-        corners = np.stack([x_lo, y_lo, x_hi, y_hi], axis=1) / sys.scale
-        got = mo.residual(sys, mo.corners_to_vars(sys, corners))
-        mono = naive_monomial_residual(inst, x_lo, y_lo, x_hi, y_hi, max_order, mo.ROTATABLE)
-        m2 = max_order**2
-        want = c @ mono[:m2].reshape(max_order, max_order) @ c.T
-        np.testing.assert_allclose(got[:m2], want.ravel(), rtol=0, atol=1e-11)
-        np.testing.assert_allclose(got[m2:], mono[m2:], rtol=0, atol=1e-12)
+        sys = mo.build_system(inst, max_order=max_order)
+        sides = row_sides(sys, mo.ROTATABLE, rng)
+        corners, vars = random_corners(sys, sides, rng)
+        got = mo.residual(sys, vars, sides)
+        mono = naive_monomial_residual(inst, *corners, max_order)
+        want = c @ mono.reshape(max_order, max_order) @ c.T
+        np.testing.assert_allclose(got, want.ravel(), rtol=0, atol=1e-11)
 
 
 def test_residual_nonzero_off_solution():
@@ -296,30 +247,19 @@ def test_residual_nonzero_off_solution():
 @given(perm_seed=st.integers(0, 2**31), point_seed=st.integers(0, 2**31))
 def test_residual_invariant_under_rect_permutation(perm_seed, point_seed):
     # The moment rows sum over rectangles, so permuting rectangles together
-    # with their placements leaves the stacked moment residual unchanged.
+    # with their placements and sides leaves the residual unchanged.
     inst, _ = gen_guillotine(9, 5, BoxSpec(4.0, 4.0))
     rng = np.random.default_rng(point_seed)
-    x_lo, y_lo, x_hi, y_hi = random_corners(inst, rng)
     perm = np.random.default_rng(perm_seed).permutation(inst.n_rects)
     sides = [(inst.rects[i].width, inst.rects[i].height) for i in perm]
     inst_p = Instance.from_sides(sides, inst.box)
-    sys = mo.build_system(inst, max_order=4, mode=mo.ROTATABLE)
-    sys_p = mo.build_system(inst_p, max_order=4, mode=mo.ROTATABLE)
-
-    def pack(system, xl, yl, xh, yh):
-        out = np.empty(system.var_count)
-        out[0::4] = xl / system.scale
-        out[1::4] = yl / system.scale
-        out[2::4] = xh / system.scale
-        out[3::4] = yh / system.scale
-        return out
-
-    r = mo.residual(sys, pack(sys, x_lo, y_lo, x_hi, y_hi))
-    r_p = mo.residual(
-        sys_p, pack(sys_p, x_lo[perm], y_lo[perm], x_hi[perm], y_hi[perm])
-    )
-    np.testing.assert_allclose(r_p[:16], r[:16], rtol=0, atol=1e-12)  # moment rows
-    assert np.max(np.abs(r_p)) == pytest.approx(np.max(np.abs(r)), abs=1e-12)
+    sys = mo.build_system(inst, max_order=4)
+    sys_p = mo.build_system(inst_p, max_order=4)
+    placed = row_sides(sys, mo.ROTATABLE, rng)
+    _, vars = random_corners(sys, placed, rng)
+    r = mo.residual(sys, vars, placed)
+    r_p = mo.residual(sys_p, vars.reshape(-1, 2)[perm].ravel(), placed[perm])
+    np.testing.assert_allclose(r_p, r, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -339,11 +279,14 @@ def test_residual_invariant_under_power_of_two_scaling(k, seed):
             for p in layout.placements
         )
     )
-    for mode in (mo.FIXED, mo.ROTATABLE):
-        sys = mo.build_system(inst, 4, mode)
-        sys_s = mo.build_system(inst_s, 4, mode)
-        r = mo.residual(sys, mo.layout_to_vars(sys, layout))
-        r_s = mo.residual(sys_s, mo.layout_to_vars(sys_s, layout_s))
+    sys = mo.build_system(inst, 4)
+    sys_s = mo.build_system(inst_s, 4)
+    turn = np.random.default_rng(seed).integers(0, 2, (inst.n_rects, 1)) == 1
+    for t in (np.zeros_like(turn), turn):  # upright, and turned at random
+        sides = np.where(t, sys.sides[:, ::-1], sys.sides)
+        sides_s = np.where(t, sys_s.sides[:, ::-1], sys_s.sides)
+        r = mo.residual(sys, mo.layout_to_vars(sys, layout), sides)
+        r_s = mo.residual(sys_s, mo.layout_to_vars(sys_s, layout_s), sides_s)
         assert np.array_equal(r, r_s)
 
 
@@ -351,28 +294,22 @@ def test_residual_invariant_under_power_of_two_scaling(k, seed):
 
 
 def test_mixed_system_matches_naive_evaluation_and_central_differences(fd_jac):
-    # Squares stay upright in rotatable mode, so one system holds both kinds
-    # of rectangle; its rows must still be the defining equations.
+    # Some rectangles placed turned, the rest upright, squares among them:
+    # the rows must still be the defining equations, and the layout the
+    # one the sides draw.
     inst = Instance.from_sides([(1, 1), (2, 1), (1, 3), (2, 2), (1, 2)], BoxSpec(5, 3))
-    sys = mo.build_system(inst, max_order=4, mode=mo.ROTATABLE)
-    assert sys.free.tolist() == [False, True, True, False, True]
+    sys = mo.build_system(inst, max_order=4)
     rng = np.random.default_rng(31)
     for _ in range(5):
-        x_lo, y_lo, x_hi, y_hi = random_corners(inst, rng)
-        upright = ~sys.free
-        x_hi[upright] = x_lo[upright] + [1.0, 2.0]
-        y_hi[upright] = y_lo[upright] + [1.0, 2.0]
-        corners = np.stack([x_lo, y_lo, x_hi, y_hi], axis=1) / sys.scale
-        vars = mo.corners_to_vars(sys, corners)
-        placed = [p.as_tuple() for p in mo.vars_to_layout(sys, vars).placements]
-        np.testing.assert_allclose(np.array(placed) / sys.scale, corners, rtol=0, atol=1e-15)
-        want = naive_residual(inst, x_lo, y_lo, x_hi, y_hi, 4, mo.FIXED)
-        free = np.flatnonzero(sys.free)
-        sides = naive_residual(inst, x_lo, y_lo, x_hi, y_hi, 4, mo.ROTATABLE)[16:]
-        want = np.concatenate([want, sides.reshape(-1, 2)[free].ravel()])
-        np.testing.assert_allclose(mo.residual(sys, vars), want, rtol=0, atol=1e-9)
-        jac = mo.jacobian(sys, vars)
-        assert np.max(np.abs(jac - fd_jac(sys, vars))) / max(1.0, np.max(np.abs(jac))) <= 1e-6
+        sides = row_sides(sys, mo.ROTATABLE, rng)
+        corners, vars = random_corners(sys, sides, rng)
+        placed = [p.as_tuple() for p in mo.vars_to_layout(sys, vars, sides).placements]
+        np.testing.assert_allclose(placed, np.stack(corners, axis=1), rtol=0, atol=1e-12)
+        want = naive_residual(inst, *corners, 4)
+        np.testing.assert_allclose(mo.residual(sys, vars, sides), want, rtol=0, atol=1e-9)
+        jac = mo.jacobian(sys, vars, sides)
+        ref = fd_jac(sys, vars, sides=sides)
+        assert np.max(np.abs(jac - ref)) / max(1.0, np.max(np.abs(jac))) <= 1e-6
 
 
 @pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
@@ -380,11 +317,12 @@ def test_jacobian_matches_central_differences(mode, fd_jac):
     rng = np.random.default_rng(23)
     for seed in range(4):
         inst, _ = gen_guillotine(seed + 100, 3, BoxSpec(4.0, 3.0))
-        sys = mo.build_system(inst, max_order=4, mode=mode)
+        sys = mo.build_system(inst, max_order=4)
         for _ in range(3):
             x = rng.uniform(0.05, 0.95, sys.var_count)
-            jac = mo.jacobian(sys, x)
-            ref = fd_jac(sys, x)
+            sides = row_sides(sys, mode, rng)
+            jac = mo.jacobian(sys, x, sides)
+            ref = fd_jac(sys, x, sides=sides)
             scale = max(1.0, float(np.max(np.abs(jac))))
             assert float(np.max(np.abs(jac - ref))) / scale <= 1e-6
 
@@ -400,38 +338,39 @@ def test_jacobian_matches_central_differences(mode, fd_jac):
 @example(seed=0, cuts=3, rows=0, mode=mo.ROTATABLE)
 def test_batched_rows_equal_single_evaluation_bitwise(seed, cuts, rows, mode):
     # Each row of a batched evaluation must be exactly what the point gives
-    # alone, whatever else is in the batch; multistart relies on it.  An
-    # empty batch gives empty results of the same shapes.
+    # alone, whatever else is in the batch; multistart relies on it.  In
+    # rotatable mode each row turns its own rectangles at random, so rows
+    # of one batch differ in orientation.  An empty batch gives empty
+    # results of the same shapes.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(1.0 + seed % 7, 2.5))
-    sys = mo.build_system(inst, mode=mode)
-    points = np.random.default_rng(seed).uniform(0, 1, (rows, sys.var_count))
-    table = mo.chebyshev_table(sys, points)
+    sys = mo.build_system(inst)
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0, 1, (rows, sys.var_count))
+    sides = row_sides(sys, mode, rng, rows)
+    table = mo.chebyshev_table(sys, points, sides)
     res = mo.batch_residual(sys, table)
     jac = mo.batch_jacobian(sys, table)
     assert res.shape == (rows, sys.equation_count)
     assert jac.shape == (rows, sys.equation_count, sys.var_count)
     for k, x in enumerate(points):
-        assert res[k].tobytes() == mo.residual(sys, x).tobytes()
-        assert jac[k].tobytes() == mo.jacobian(sys, x).tobytes()
+        assert res[k].tobytes() == mo.residual(sys, x, sides[k]).tobytes()
+        assert jac[k].tobytes() == mo.jacobian(sys, x, sides[k]).tobytes()
 
 
-def reference_corners(sys, vars):
+def reference_corners(sys, vars, sides):
     """The corner build the table was first written with: one (K, n, 4)
-    array filled group by group."""
-    k, n, u = len(vars), sys.n_rects, sys.n_upright
-    if not u:
-        return vars
+    array, lower corners, then lower corners plus sides."""
+    k, n = len(vars), sys.n_rects
     corners = np.empty((k, n, 4))
-    corners[:, u:] = vars[:, 2 * u :].reshape(k, n - u, 4)
-    corners[:, :u, :2] = vars[:, : 2 * u].reshape(k, u, 2)
-    corners[:, :u, 2:] = corners[:, :u, :2] + sys.sides[:u]
+    corners[:, :, :2] = vars.reshape(k, n, 2)
+    corners[:, :, 2:] = corners[:, :, :2] + sides
     return corners.reshape(k, 4 * n)
 
 
-def reference_table(sys, vars):
+def reference_table(sys, vars, sides):
     """The recurrence as first written: level-major into one preallocated
     array through out= ufuncs, then a transposing copy."""
-    corners = reference_corners(sys, vars)
+    corners = reference_corners(sys, vars, sides)
     levels = np.empty((sys.max_order + 1, *corners.shape))
     levels[0] = 1.0
     t = levels[1]
@@ -445,26 +384,18 @@ def reference_table(sys, vars):
 
 
 def reference_residual(sys, table):
-    """The residual as first written: moment rows, then the side rows
-    stacked and concatenated onto them."""
-    k, u = len(table), sys.n_upright
+    """The residual as first written: the moment rows of each point."""
     qx = sys.integrate @ (table[:, :, 2::4] - table[:, :, 0::4])
     ry = sys.integrate @ (table[:, :, 3::4] - table[:, :, 1::4])
-    moments = (qx @ ry.transpose(0, 2, 1) - sys.box_moments).reshape(k, -1)
-    if not sys.constraint_count:
-        return moments
-    dx, dy = qx[:, 0, u:] * sys.box_w, ry[:, 0, u:] * sys.box_h
-    w, h = sys.sides[u:, 0], sys.sides[u:, 1]
-    sides = np.stack([dx + dy - (w + h), dx * dy - w * h], axis=2)
-    return np.concatenate([moments, sides.reshape(k, -1)], axis=1)
+    return (qx @ ry.transpose(0, 2, 1) - sys.box_moments).reshape(len(table), -1)
 
 
-# Fixed, rotatable with every rectangle free, and mixed (squares stay upright).
+# Upright rows, and rows that turn each rectangle as drawn (squares too).
 TABLE_SYSTEMS = [
-    ([(1, 2), (3, 1), (2, 2)], False, mo.FIXED),
-    ([(1, 2), (3, 1), (2, 5)], True, mo.ROTATABLE),
-    ([(1, 2), (2, 2), (3, 1), (1, 1)], True, mo.ROTATABLE),
-    ([(2, 2)], True, mo.ROTATABLE),
+    ([(1, 2), (3, 1), (2, 2)], mo.FIXED),
+    ([(1, 2), (3, 1), (2, 5)], mo.ROTATABLE),
+    ([(1, 2), (2, 2), (3, 1), (1, 1)], mo.ROTATABLE),
+    ([(2, 2)], mo.ROTATABLE),
 ]
 # Far candidates overflow: huge, infinite and NaN entries must keep their bits.
 TABLE_ENTRIES = st.one_of(
@@ -483,17 +414,21 @@ TABLE_ENTRIES = st.one_of(
 def test_table_and_residual_match_the_reference_build_bytewise(data, which, rows, max_order):
     # The batched-equals-single tests compare the kernel with itself; this
     # pins its bits to an independent copy of the build.
-    sides, rotation_allowed, mode = TABLE_SYSTEMS[which]
-    inst = Instance.from_sides(sides, BoxSpec(5, 3), rotation_allowed)
-    sys = mo.build_system(inst, max_order, mode)
+    given, mode = TABLE_SYSTEMS[which]
+    sys = mo.build_system(Instance.from_sides(given, BoxSpec(5, 3)), max_order)
     flat = data.draw(st.lists(TABLE_ENTRIES, min_size=rows * sys.var_count,
                               max_size=rows * sys.var_count))
     points = np.array(flat).reshape(rows, sys.var_count)
+    cells = rows * sys.n_rects
+    turns = st.lists(st.booleans(), min_size=cells, max_size=cells)
+    turn = data.draw(turns if mode == mo.ROTATABLE else st.just([False] * cells))
+    turn = np.array(turn).reshape(rows, sys.n_rects, 1)
+    sides = np.where(turn, sys.sides[:, ::-1], sys.sides)
     with np.errstate(over="ignore", invalid="ignore"):
-        corners = mo._corners(sys, points)
-        table = mo.chebyshev_table(sys, points)
-        want_corners = reference_corners(sys, points)
-        want_table = reference_table(sys, points)
+        corners = mo._corners(sys, points, sides)
+        table = mo.chebyshev_table(sys, points, sides)
+        want_corners = reference_corners(sys, points, sides)
+        want_table = reference_table(sys, points, sides)
         residual = mo.batch_residual(sys, table)
         want_residual = reference_residual(sys, want_table)
     assert corners.shape == want_corners.shape
@@ -507,10 +442,9 @@ def test_table_and_residual_match_the_reference_build_bytewise(data, which, rows
 
 def test_jacobian_shape():
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(2, 2))
-    sys_f = mo.build_system(inst, 3, mo.FIXED)
-    sys_r = mo.build_system(inst, 3, mo.ROTATABLE)
-    assert mo.jacobian(sys_f, np.full(4, 0.3)).shape == (9, 4)
-    assert mo.jacobian(sys_r, np.full(8, 0.3)).shape == (9 + 4, 8)
+    sys = mo.build_system(inst, 3)
+    assert mo.jacobian(sys, np.full(4, 0.3)).shape == (9, 4)
+    assert mo.jacobian(sys, np.full(4, 0.3), sys.sides[:, ::-1]).shape == (9, 4)
 
 
 # -- Layout <-> variable maps -------------------------------------------------
@@ -518,7 +452,7 @@ def test_jacobian_shape():
 
 def test_layout_vars_roundtrip_fixed(small_corpus):
     inst, layout = small_corpus[0]
-    sys = mo.build_system(inst, 3, mo.FIXED)
+    sys = mo.build_system(inst, 3)
     again = mo.vars_to_layout(sys, mo.layout_to_vars(sys, layout))
     for p, q in zip(layout.placements, again.placements):
         assert float(p.x_lo) == pytest.approx(float(q.x_lo), abs=1e-12)
@@ -526,22 +460,16 @@ def test_layout_vars_roundtrip_fixed(small_corpus):
 
 
 def test_layout_vars_roundtrip_rotatable(small_corpus):
+    # Every rectangle given turned: the layout places it with its given
+    # sides swapped.
     inst, layout = small_corpus[1]
-    sys = mo.build_system(inst, 3, mo.ROTATABLE)
-    again = mo.vars_to_layout(sys, mo.layout_to_vars(sys, layout))
+    turned = Instance.from_sides([(r.height, r.width) for r in inst.rects], inst.box)
+    sys = mo.build_system(turned, 3)
+    again = mo.vars_to_layout(sys, mo.layout_to_vars(sys, layout), sys.sides[:, ::-1])
     for p, q in zip(layout.placements, again.placements):
         assert [float(v) for v in p.as_tuple()] == pytest.approx(
             [float(v) for v in q.as_tuple()], abs=1e-12
         )
-
-
-def test_vars_to_layout_sorts_swapped_corners():
-    inst = Instance.from_sides([(1, 2)], BoxSpec(2, 2))  # a square would be upright
-    sys = mo.build_system(inst, 3, mo.ROTATABLE)
-    layout = mo.vars_to_layout(sys, np.array([0.75, 0.1, 0.25, 0.6]))
-    p = layout.placements[0]
-    assert (p.x_lo, p.x_hi) == (0.5, 1.5)
-    assert (p.y_lo, p.y_hi) == (0.2, 1.2)
 
 
 def test_layout_to_vars_count_mismatch():

@@ -35,6 +35,8 @@ from momentpack import moments as mo
 from momentpack import solver
 from momentpack.verify import DEFAULT_TOL
 
+from conftest import row_sides
+
 
 def dominoes():
     return Instance.from_sides([(1, 2), (1, 2)], BoxSpec(2, 2))
@@ -75,7 +77,7 @@ def test_damping_schedule_constants():
 
 
 def test_solve_single_history_strictly_decreases():
-    sys = mo.build_system(dominoes(), max_order=3, mode=mo.FIXED)
+    sys = mo.build_system(dominoes(), max_order=3)
     rng = np.random.default_rng(5)
     for _ in range(5):
         x0 = rng.uniform(0, 0.5, sys.var_count)
@@ -86,7 +88,7 @@ def test_solve_single_history_strictly_decreases():
 
 def test_solve_single_stops_immediately_at_solution():
     inst = dominoes()
-    sys = mo.build_system(inst, max_order=3, mode=mo.FIXED)
+    sys = mo.build_system(inst, max_order=3)
     perfect = Layout((Placement(0, 0, 1, 2), Placement(1, 0, 2, 2)))
     x, history = solve_single(sys, mo.layout_to_vars(sys, perfect))
     assert len(history) == 1
@@ -100,7 +102,7 @@ def test_solve_single_shape_check():
 
 
 def test_solve_single_reduces_residual():
-    sys = mo.build_system(dominoes(), max_order=3, mode=mo.FIXED)
+    sys = mo.build_system(dominoes(), max_order=3)
     x0 = np.array([0.1, 0.3, 0.6, 0.2])
     kept = x0.copy()
     x, history = solve_single(sys, x0)
@@ -112,10 +114,11 @@ def test_solve_single_reduces_residual():
 # -- Warm start and snapping --------------------------------------------------
 
 
-def shelf_vars(sys, inst):
+def shelf_vars(sys):
     """The shelf layout, start 0 before gap-fill starts: rectangles by
     decreasing height, left to right, a new shelf on overflow, each clamped
     inside the box."""
+    inst = sys.instance
     a, b = float(inst.box.width), float(inst.box.height)
     sides = [(float(r.width), float(r.height)) for r in inst.rects]
     placements = [None] * len(sides)
@@ -130,44 +133,49 @@ def shelf_vars(sys, inst):
     return mo.layout_to_vars(sys, Layout(tuple(placements)))
 
 
-def skyline_start_vector(sys, inst, seed, start_index, width_sums=None):
+def skyline_start_vector(sys, mode, seed, start_index, width_sums=None):
     """Starts as _start_vector drew them before gap-fill starts: the shelf,
     then bottom-left fills (solver._bottom_left) in a seeded order, each
-    free rectangle first turned by a seeded bit.  The stall tests below pin
-    rows of these starts (the skyline_starts fixture)."""
+    rectangle that may turn first turned by a seeded bit.  The stall tests
+    below pin rows of these starts (the skyline_starts fixture)."""
     if start_index == 0:
-        return shelf_vars(sys, inst)
+        return shelf_vars(sys), sys.sides
     rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
     order = rng.permutation(sys.n_rects).tolist()
-    turn = sys.free & (rng.integers(0, 2, size=sys.n_rects) == 1)
-    widths = np.where(turn, sys.heights, sys.widths).tolist()
-    heights = np.where(turn, sys.widths, sys.heights).tolist()
-    shapes = [(i, widths[i], heights[i]) for i in order]
+    turn = np.array(solver._turns(sys, mode)) & (rng.integers(0, 2, size=sys.n_rects) == 1)
+    sides = np.where(turn[:, None], sys.sides[:, ::-1], sys.sides)
+    shapes = [(i, *sides[i].tolist()) for i in order]
     corners = [()] * sys.n_rects
     solver._bottom_left([0.0], [0.0], sys.box_w, sys.box_h, shapes, corners)
-    return mo.corners_to_vars(sys, np.array(corners).reshape(-1, 4))
+    return np.array(corners).ravel(), sides
 
 
-def numpy_start_vector(sys, inst, seed, start_index, width_sums=None):
+def numpy_start_vector(sys, mode, seed, start_index, width_sums=None):
     """Starts as _start_vector drew them before skyline starts: the shelf,
-    then each rectangle uniformly in the box.  The race tests below build
-    their scenarios on these starts (the uniform_starts fixture)."""
+    then each rectangle uniformly in the box, one that may turn first
+    turned by a seeded bit.  The race tests below build their scenarios on
+    these starts (the uniform_starts fixture)."""
     if start_index == 0:
-        return shelf_vars(sys, inst)
+        return shelf_vars(sys), sys.sides
     rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
-    out = np.zeros((sys.n_rects, 4))
-    for i in range(sys.n_rects):
-        if not sys.free[i]:
+    out, sides = np.zeros((sys.n_rects, 2)), sys.sides.copy()
+    for i, turns in enumerate(solver._turns(sys, mode)):
+        if not turns:
             room = (sys.box_w - sys.widths[i], sys.box_h - sys.heights[i])
-            out[i, :2] = rng.uniform(size=2) * np.maximum(room, 0.0)
+            out[i] = rng.uniform(size=2) * np.maximum(room, 0.0)
             continue
         w, h = sys.widths[i], sys.heights[i]
         if rng.integers(0, 2):
             w, h = h, w
         cx = rng.uniform(w / 2, sys.box_w - w / 2) if sys.box_w > w else sys.box_w / 2
         cy = rng.uniform(h / 2, sys.box_h - h / 2) if sys.box_h > h else sys.box_h / 2
-        out[i] = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-    return mo.corners_to_vars(sys, out)
+        out[i], sides[i] = (cx - w / 2, cy - h / 2), (w, h)
+    return out.ravel(), sides
+
+
+def given_sides(sys, rows):
+    """The given sides for each of rows rows, (rows, n, 2)."""
+    return np.repeat(sys.sides[None], rows, axis=0)
 
 
 @pytest.fixture
@@ -239,7 +247,7 @@ def unpruned_gap_fill(sys, shapes, width_sums):
     return best
 
 
-def gap_fill_paths(sys, inst, seed, k, gap_fill):
+def gap_fill_paths(sys, mode, seed, k, gap_fill):
     """The placements of start k's search when solver._gap_fill is
     gap_fill, and the start it builds."""
     fills = []
@@ -250,9 +258,9 @@ def gap_fill_paths(sys, inst, seed, k, gap_fill):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_gap_fill", recording_gap_fill)
-        x = solver._start_vector(sys, inst, seed, k)
+        start = solver._start_vector(sys, mode, seed, k)
     [(path, _, _)] = fills
-    return path, x
+    return path, start
 
 
 @settings(max_examples=80, deadline=None)
@@ -275,18 +283,16 @@ def test_gap_fill_starts_keep_sides_and_box(sides, box, mode, seed, starts):
     # clamps inside it.
     rects = [(w, w if square else h) for w, h, square in sides]
     inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
-    sys = mo.build_system(inst, 3, mode)
+    sys = mo.build_system(inst, 3)
     tol = 1e-9
     for k in starts:
-        x = solver._start_vector(sys, inst, seed, k)
-        assert x.tobytes() == solver._start_vector(sys, inst, seed, k).tobytes()
-        corners = mo._corners(sys, x[None]).reshape(-1, 4)[np.argsort(sys.order)]
-        x_lo, y_lo, x_hi, y_hi = corners.T
-        given_sides = zip(x_hi - x_lo, y_hi - y_lo, sys.widths, sys.heights, sys.free)
-        for dx, dy, w, h, free in given_sides:
-            upright = math.isclose(dx, w, abs_tol=tol) and math.isclose(dy, h, abs_tol=tol)
-            turned = math.isclose(dx, h, abs_tol=tol) and math.isclose(dy, w, abs_tol=tol)
-            assert upright or free and turned
+        x, sides = solver._start_vector(sys, mode, seed, k)
+        again = solver._start_vector(sys, mode, seed, k)
+        assert x.tobytes() == again[0].tobytes() and sides.tobytes() == again[1].tobytes()
+        turns = solver._turns(sys, mode)
+        for (w, h), placed, may_turn in zip(sys.sides.tolist(), sides.tolist(), turns):
+            assert placed == [w, h] or may_turn and placed == [h, w]
+        x_lo, y_lo, x_hi, y_hi = mo._corners(sys, x[None], sides).reshape(-1, 4).T
         room = DEFAULT_TOL + tol
         inside = (x_lo >= 0) & (y_lo >= 0) & (x_hi <= sys.box_w + room) & (y_hi <= sys.box_h + room)
         assert inside[(x_hi - x_lo <= sys.box_w) & (y_hi - y_lo <= sys.box_h)].all()
@@ -304,21 +310,44 @@ def test_gap_fill_starts_that_place_every_rectangle_verify(seed, cuts, box, mode
     # On a guillotine dissection, a start whose search placed every
     # rectangle is a layout that passes the verifier as drawn.
     inst, _ = gen_guillotine(seed, cuts, box)
-    sys = mo.build_system(inst, mode=mode)
-    path, x = gap_fill_paths(sys, inst, seed, k, solver._gap_fill)
+    sys = mo.build_system(inst)
+    path, start = gap_fill_paths(sys, mode, seed, k, solver._gap_fill)
     if len(path) == inst.n_rects:
-        assert verify_layout(inst, mo.vars_to_layout(sys, x)).passed
+        assert verify_layout(inst, mo.vars_to_layout(sys, *start)).passed
 
 
-def brute_force_sums(sys):
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(0, 14),
+    box=st.sampled_from([BoxSpec(10.0, 8.0), BoxSpec(3.0, 7.5), BoxSpec(1, 1)]),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    k=st.integers(0, 200),
+)
+def test_start_sides_are_the_given_pair_or_that_pair_turned(seed, cuts, box, mode, k):
+    # Every side a start places a rectangle with is its given pair or, in
+    # rotatable mode and for normalised sides that differ, that pair
+    # swapped; in fixed mode nothing turns.
+    inst, _ = gen_guillotine(seed, cuts, box)
+    sys = mo.build_system(inst)
+    _, sides = solver._start_vector(sys, mode, seed, k)
+    assert sides.shape == (inst.n_rects, 2)
+    for (w, h), placed in zip(sys.sides.tolist(), sides.tolist()):
+        assert placed == [w, h] or mode == mo.ROTATABLE and w != h and placed == [h, w]
+    if mode == mo.FIXED:
+        assert sides.tobytes() == sys.sides.tobytes()
+
+
+def brute_force_sums(sys, mode):
     """Every (used, turned) bitmask pair of a sum of widths, each rectangle
-    left out, upright or, if free and not square once normalised, turned,
-    with the sum added in index order, kept when it is at most the box
-    width plus (n + 1) * DEFAULT_TOL."""
+    left out, upright or, in rotatable mode and if not square once
+    normalised, turned, with the sum added in index order, kept when it is
+    at most the box width plus (n + 1) * DEFAULT_TOL."""
     n = sys.n_rects
     limit = sys.box_w + (n + 1) * DEFAULT_TOL
-    sides = zip(sys.widths.tolist(), sys.heights.tolist(), sys.free.tolist())
-    ways = [(None, False, True) if free and w != h else (None, False) for w, h, free in sides]
+    sides = zip(sys.widths.tolist(), sys.heights.tolist())
+    ways = [(None, False, True) if mode == mo.ROTATABLE and w != h else (None, False)
+            for w, h in sides]
     out = {}
     for choice in itertools.product(*ways):
         total, used, turned = 0.0, 0, 0
@@ -349,12 +378,13 @@ def test_width_sums_match_brute_force(sides, box, mode, gaps):
     # the table's own sums and placed sets drawn from the rectangles.
     rects = [(w, w if square else h) for w, h, square in sides]
     inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
-    sys = mo.build_system(inst, 3, mode)
-    sums = solver._width_sums(sys)
-    expected = brute_force_sums(sys)
+    sys = mo.build_system(inst, 3)
+    sums = solver._width_sums(sys, mode)
+    expected = brute_force_sums(sys, mode)
     values = list(sums.sums)
     turned = [0] * len(values) if sums.turned is None else list(sums.turned)
-    assert (sums.turned is None) == (not sys.free.any())
+    turnable = mode == mo.ROTATABLE and any(w != h for w, h in sys.sides.tolist())
+    assert (sums.turned is None) == (not turnable)
     table = {(u, t): v for u, t, v in zip(sums.used, turned, values)}
     assert len(table) == len(values) and table == expected
     assert values == sorted(values)
@@ -376,14 +406,15 @@ def test_width_sums_past_the_cap_leave_the_search_unpruned(monkeypatch):
     # drawn.
     monkeypatch.setattr(solver, "WIDTH_SUMS_CAP", 4)
     inst, _ = gen_guillotine(3, 11, BoxSpec(10.0, 8.0))
-    sys = mo.build_system(inst, mode=mo.FIXED)
+    sys = mo.build_system(inst)
     tables = []
     width_sums = solver._width_sums
-    monkeypatch.setattr(solver, "_width_sums", lambda sys: tables.append(width_sums(sys)))
+    monkeypatch.setattr(solver, "_width_sums", lambda *args: tables.append(width_sums(*args)))
     for k in range(16):
-        path, x = gap_fill_paths(sys, inst, 3, k, solver._gap_fill)
-        ref_path, ref_x = gap_fill_paths(sys, inst, 3, k, unpruned_gap_fill)
-        assert path == ref_path and x.tobytes() == ref_x.tobytes()
+        path, start = gap_fill_paths(sys, mo.FIXED, 3, k, solver._gap_fill)
+        ref_path, ref_start = gap_fill_paths(sys, mo.FIXED, 3, k, unpruned_gap_fill)
+        assert path == ref_path
+        assert [a.tobytes() for a in start] == [a.tobytes() for a in ref_start]
     assert tables and tables == [None] * len(tables)  # some start backtracked
     report = solve_multistart(inst, SolveConfig(restarts=16, seed=3), mode=mo.FIXED)
     assert report.status == "converged_verified" and report.iterations_total == 0
@@ -407,10 +438,10 @@ def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(monkeypatch, m
         turned = Instance.from_sides(sides, box)
         for inst in (inst, near_guillotine(seed, 3 + seed % 5, box)[0], turned):
             inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
-            sys = mo.build_system(inst, mode=mode)
+            sys = mo.build_system(inst)
             for k in range(4):
-                path, _ = gap_fill_paths(sys, inst, seed, k, solver._gap_fill)
-                ref_path, _ = gap_fill_paths(sys, inst, seed, k, unpruned_gap_fill)
+                path, _ = gap_fill_paths(sys, mode, seed, k, solver._gap_fill)
+                ref_path, _ = gap_fill_paths(sys, mode, seed, k, unpruned_gap_fill)
                 assert (len(path) == inst.n_rects) == (len(ref_path) == inst.n_rects)
                 if len(ref_path) == inst.n_rects:
                     assert path == ref_path
@@ -427,11 +458,11 @@ def test_starts_do_not_depend_on_what_was_solved_before():
     asked = []
 
     def starts(inst, shared=False):
-        sys = mo.build_system(inst, mode=mo.FIXED)
-        table = solver._width_sums(sys) if shared else None
+        sys = mo.build_system(inst)
+        table = solver._width_sums(sys, mo.FIXED) if shared else None
         width_sums = (lambda: asked.append(table) or table) if shared else None
         return [
-            solver._start_vector(sys, inst, 1, k, width_sums=width_sums).tobytes()
+            [a.tobytes() for a in solver._start_vector(sys, mo.FIXED, 1, k, width_sums)]
             for k in range(12)
         ]
 
@@ -447,17 +478,19 @@ def test_starts_do_not_depend_on_what_was_solved_before():
 
 
 def test_sides_equal_once_normalised_are_one_shape():
-    # A free rectangle whose exact sides differ but whose normalised sides
-    # are the same float is a square to the search: the table holds it
-    # upright only, as the search tells a shape's orientation by its width.
+    # A rectangle whose exact sides differ but whose normalised sides are
+    # the same float is a square to the search: no start turns it, and the
+    # table holds it upright only, as the search tells a shape's
+    # orientation by its width.
     # This instance passes the area and fit checks and has no tiling, so
     # every start backtracks and searches pruned.
     near_square = (Fraction(1, 3), Fraction(333333333333333333333, 10**21))
     rects = [near_square, (Fraction(2, 3), Fraction(1, 2)), (1, Fraction(5, 9))]
     inst = Instance.from_sides(rects, BoxSpec(1, 1), rotation_allowed=True)
-    sys = mo.build_system(inst, mode=mo.ROTATABLE)
-    assert sys.free[0] and sys.widths[0] == sys.heights[0]
-    assert not any(t & 1 for t in solver._width_sums(sys).turned)
+    sys = mo.build_system(inst)
+    assert sys.widths[0] == sys.heights[0]
+    assert solver._turns(sys, mo.ROTATABLE) == [False, True, True]
+    assert not any(t & 1 for t in solver._width_sums(sys, mo.ROTATABLE).turned)
     report = solve_multistart(inst, SolveConfig(restarts=8), mode=mo.ROTATABLE)
     assert report.status == "exhausted"
 
@@ -635,13 +668,13 @@ def test_report_to_dict_serializes_infinite_residual():
 # -- Lockstep multistart ------------------------------------------------------
 
 
-def assert_rows_run_as_alone(sys, x0, max_iters):
+def assert_rows_run_as_alone(sys, x0, sides, max_iters):
     """Every row of one lockstep run equals, bit for bit, the run of that
     row by itself; returns the batched result."""
-    batched = solver._lockstep(sys, x0, max_iters)
+    batched = solver._lockstep(sys, x0, sides, max_iters)
     x, steps, costs, r_inf, _ = batched
     for k, row in enumerate(x0):
-        x1, steps1, costs1, r_inf1, _ = solver._lockstep(sys, row[None], max_iters)
+        x1, steps1, costs1, r_inf1, _ = solver._lockstep(sys, row[None], sides[k, None], max_iters)
         assert x[k].tobytes() == x1[0].tobytes()
         assert steps[k] == steps1[0]
         assert costs[k, : steps[k] + 1].tobytes() == costs1[0, : steps1[0] + 1].tobytes()
@@ -649,10 +682,11 @@ def assert_rows_run_as_alone(sys, x0, max_iters):
     return batched
 
 
-def sequential_lm(sys, x0, max_iters, cut=None):
+def sequential_lm(sys, x0, sides, max_iters, cut=None):
     """Reference for _lockstep, reading the stop rule from the solver's
-    constants when called: Levenberg-Marquardt on one row with one damped
-    attempt per round, on the same batched primitives (batches of one).
+    constants when called: Levenberg-Marquardt on one row placed with sides
+    (n, 2), with one damped attempt per round, on the same batched
+    primitives (batches of one).
     Returns the final variables, the accepted step count, the accepted
     costs and, for each attempt, whether it was accepted; the run stops in
     the round of its last attempt.  cut, if given, ends the run after that
@@ -661,7 +695,7 @@ def sequential_lm(sys, x0, max_iters, cut=None):
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
-        table = mo.chebyshev_table(sys, x)
+        table = mo.chebyshev_table(sys, x, sides)
         r = mo.batch_residual(sys, table)
         return table, r, solver._costs(r)[0] if np.all(np.isfinite(r)) else np.inf
 
@@ -697,11 +731,13 @@ def sequential_lm(sys, x0, max_iters, cut=None):
     return x[0], len(costs) - 1, costs, accepted
 
 
-def box_starts(sys, seed, rows):
+def box_starts(sys, mode, seed, rows):
     """rows start vectors drawing each unknown uniformly between 0 and its
-    box side (the unknowns alternate x and y)."""
-    sides = np.tile([sys.box_w, sys.box_h], sys.var_count // 2)
-    return np.random.default_rng(seed).uniform(size=(rows, sys.var_count)) * sides
+    box side (the unknowns alternate x and y), and the sides of each row:
+    in rotatable mode each rectangle turned or not at random (row_sides)."""
+    rng = np.random.default_rng(seed)
+    box = np.tile([sys.box_w, sys.box_h], sys.n_rects)
+    return rng.uniform(size=(rows, sys.var_count)) * box, row_sides(sys, mode, rng, rows)
 
 
 @settings(max_examples=20, deadline=None)
@@ -713,14 +749,13 @@ def box_starts(sys, seed, rows):
 )
 def test_lockstep_rows_are_independent(seed, cuts, rows, mode):
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
-    sys = mo.build_system(inst, mode=mode)
-    x0 = box_starts(sys, seed, rows)
-    assert_rows_run_as_alone(sys, x0, 15)
+    sys = mo.build_system(inst)
+    assert_rows_run_as_alone(sys, *box_starts(sys, mode, seed, rows), 15)
 
 
 def test_lockstep_singular_and_stopped_rows_leave_others_unchanged(monkeypatch):
     inst = Instance.from_sides([(1, 1), (1, 1), (2, 1)], BoxSpec(2, 2), rotation_allowed=False)
-    sys = mo.build_system(inst, mode=mo.FIXED)
+    sys = mo.build_system(inst)
     # A damping this small vanishes next to J^T J, so a rank-deficient
     # J^T J stays exactly singular.
     lambda0 = 1e-30
@@ -736,7 +771,7 @@ def test_lockstep_singular_and_stopped_rows_leave_others_unchanged(monkeypatch):
     non_finite = np.full(sys.var_count, np.nan)
     normal = np.array([[0.1, 0.7, 0.8, 0.2, 0.0, 0.6], [0.6, 0.1, 0.2, 0.5, 0.0, 0.3]])
     x0 = np.stack([normal[0], coincident, solved, non_finite, normal[1]])
-    x, steps, costs, _, _ = assert_rows_run_as_alone(sys, x0, 30)
+    x, steps, costs, _, _ = assert_rows_run_as_alone(sys, x0, given_sides(sys, 5), 30)
     assert steps[1] > 0  # the singular row moved on through lstsq
     assert steps[2] == 0 and x[2].tobytes() == solved.tobytes()
     assert steps[3] == 0 and costs[3, 0] == float("inf")
@@ -749,11 +784,11 @@ def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
     # No clip pulls a far start back: its residual overflows, or no step
     # lowers its cost.  Either way no row may turn non-finite.
     inst, _ = gen_guillotine(3, 19, BoxSpec(10.0, 8.0))
-    sys = mo.build_system(inst, mode=mode)
-    inside = box_starts(sys, 3, 1)[0]
-    far = [inside + v for v in (1e3, -1e3, 1e18, 1e40)]
+    sys = mo.build_system(inst)
+    inside, sides = box_starts(sys, mode, 3, 1)
+    far = [inside[0] + v for v in (1e3, -1e3, 1e18, 1e40)]
     x0 = np.stack(far + [np.full(sys.var_count, np.nan)])
-    x, steps, costs, r_inf, _ = assert_rows_run_as_alone(sys, x0, 20)
+    x, steps, costs, r_inf, _ = assert_rows_run_as_alone(sys, x0, np.repeat(sides, 5, axis=0), 20)
     assert np.all(np.isfinite(x) | ~np.isfinite(x0))
     for k in range(len(x0)):
         assert np.all(np.isfinite(costs[k, 1 : steps[k] + 1]))
@@ -774,8 +809,8 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
     # to 1e-2, it stops many rows within 200 iterations, where a damping
     # past it would often have lowered the cost.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
-    sys = mo.build_system(inst, mode=mode)
-    x0 = box_starts(sys, seed, rows)
+    sys = mo.build_system(inst)
+    x0, sides = box_starts(sys, mode, seed, rows)
     solved = []
     jacobians = []
     solve_rows = solver._solve_rows
@@ -795,13 +830,13 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
         with pytest.MonkeyPatch.context() as counting:
             counting.setattr(solver, "_solve_rows", counting_solve)
             counting.setattr(mo, "batch_jacobian", counting_jacobian)
-            x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 200)
-        reference = [sequential_lm(sys, row, 200) for row in x0]
+            x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, sides, 200)
+        reference = [sequential_lm(sys, row, s, 200) for row, s in zip(x0, sides)]
     for k, (x1, steps1, costs1, _) in enumerate(reference):
         assert x[k].tobytes() == x1.tobytes()
         assert steps[k] == steps1
         assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
-        assert r_inf[k] == np.max(np.abs(mo.residual(sys, x1)))
+        assert r_inf[k] == np.max(np.abs(mo.residual(sys, x1, sides[k])))
     # One linear system per attempt: no row tries a damping the rule skips.
     assert sum(solved) == sum(len(accepted) for *_, accepted in reference)
     # One round per attempt of the longest row: a row that was rejected
@@ -818,13 +853,13 @@ def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
     # stationary point (max |r| 0.5), where no step lowers the cost and
     # lambda climbs past LAMBDA_MAX.  With STALL_TOL 0 that is the only way
     # to stop early.
-    sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)), mode=mo.FIXED)
+    sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)))
     x0 = np.array([[0.0, 0.0], [0.15, 0.0], [0.5, 0.0]])  # left, inside, right wall
     monkeypatch.setattr(solver, "STALL_TOL", 0.0)
     monkeypatch.setattr(solver, "LAMBDA0", lambda0)
-    x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 200)
+    x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, given_sides(sys, 3), 200)
     for k in range(len(x0)):
-        x1, steps1, costs1, accepted = sequential_lm(sys, x0[k], 200)
+        x1, steps1, costs1, accepted = sequential_lm(sys, x0[k], sys.sides, 200)
         assert x[k].tobytes() == x1.tobytes()
         assert steps[k] == steps1 < 200
         assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
@@ -845,16 +880,16 @@ def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode
     # is not below (1 - STALL_TOL) times the cost STALL_WINDOW steps before,
     # unless an older rule ended it first.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
-    sys = mo.build_system(inst, mode=mode)
-    x0 = box_starts(sys, seed, rows)
-    x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 80)
+    sys = mo.build_system(inst)
+    x0, sides = box_starts(sys, mode, seed, rows)
+    x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, sides, 80)
 
-    def rule_free(x0, max_iters):
+    def rule_free(x0, sides, max_iters):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "STALL_TOL", 0.0)
-            return solver._lockstep(sys, x0, max_iters)
+            return solver._lockstep(sys, x0, sides, max_iters)
 
-    _, steps0, costs0, _, _ = rule_free(x0, 80)
+    _, steps0, costs0, _, _ = rule_free(x0, sides, 80)
     for k in range(rows):
         path = costs0[k, : steps0[k] + 1]
         window = solver.STALL_WINDOW
@@ -863,7 +898,7 @@ def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode
         assert costs[k, : steps[k] + 1].tobytes() == path[: steps[k] + 1].tobytes()
         # The rule-free run cut after as many steps; a row that took none
         # stopped by an older rule, which cuts the rule-free run too.
-        x1, steps1, _, r_inf1, _ = rule_free(x0[k, None], max(steps[k], 1))
+        x1, steps1, _, r_inf1, _ = rule_free(x0[k, None], sides[k, None], max(steps[k], 1))
         assert steps1[0] == steps[k]
         assert x[k].tobytes() == x1[0].tobytes()
         assert r_inf[k].tobytes() == r_inf1[0].tobytes()
@@ -881,8 +916,9 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
             dx, dy = rng.uniform(-1e-2, 1e-2, size=2)
             placements.append(Placement(p.x_lo + dx, p.y_lo + dy, p.x_hi + dx, p.y_hi + dy))
         start = Layout(tuple(placements))
-        vars0 = mo.layout_to_vars(mo.build_system(inst, mode=mo.FIXED), start)
-        monkeypatch.setattr(solver, "_start_vector", lambda *args, vars0=vars0, **kwargs: vars0)
+        sys = mo.build_system(inst)
+        start0 = mo.layout_to_vars(sys, start), sys.sides
+        monkeypatch.setattr(solver, "_start_vector", lambda *args, start0=start0, **kwargs: start0)
         report = solve_multistart(inst, SolveConfig(restarts=1), mode=mo.FIXED)
         assert report.status == "converged_verified" and report.start_index == 0, seed
 
@@ -903,23 +939,25 @@ def test_lockstep_asks_each_stopped_row_once_and_names_the_winner(seed, cuts, ro
     # first row it passes wins, and every row still running stops with the
     # steps it accepted in as many attempts.
     inst, witness = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
-    sys = mo.build_system(inst, mode=mode)
+    sys = mo.build_system(inst)
     tiling = mo.layout_to_vars(sys, witness)
-    x0 = np.vstack([box_starts(sys, seed, rows), tiling, np.full(sys.var_count, np.nan)])
+    starts, sides = box_starts(sys, mode, seed, rows)
+    x0 = np.vstack([starts, tiling, np.full(sys.var_count, np.nan)])
+    sides = np.concatenate([sides, given_sides(sys, 2)])
     max_iters = 30
-    free = solver._lockstep(sys, x0, max_iters)
+    free = solver._lockstep(sys, x0, sides, max_iters)
     assert free[4] == -1
-    accepted = [sequential_lm(sys, row, max_iters)[3] for row in x0]
+    accepted = [sequential_lm(sys, row, s, max_iters)[3] for row, s in zip(x0, sides)]
     stops = [len(a) for a in accepted]
     order = sorted(range(len(x0)), key=lambda k: (stops[k], k))
     assert stops[rows] == stops[rows + 1] == 0
     asked = []
 
-    def never(v):
+    def never(v, s):
         asked.append(v.tobytes())
         return False
 
-    x, steps, costs, r_inf, winner = solver._lockstep(sys, x0, max_iters, never)
+    x, steps, costs, r_inf, winner = solver._lockstep(sys, x0, sides, max_iters, never)
     assert asked == [free[0][k].tobytes() for k in order]
     for got, want in zip((x, steps, r_inf), (free[0], free[1], free[3])):
         assert got.tobytes() == want.tobytes()
@@ -930,11 +968,11 @@ def test_lockstep_asks_each_stopped_row_once_and_names_the_winner(seed, cuts, ro
     w = order[pick % len(order)]
     asked.clear()
 
-    def only_w(v):
+    def only_w(v, s):
         asked.append(v.tobytes())
-        return asked[-1] == free[0][w].tobytes()
+        return asked[-1] == free[0][w].tobytes() and s.tobytes() == sides[w].tobytes()
 
-    x, steps, costs, r_inf, winner = solver._lockstep(sys, x0, max_iters, only_w)
+    x, steps, costs, r_inf, winner = solver._lockstep(sys, x0, sides, max_iters, only_w)
     assert winner == w
     assert asked == [free[0][k].tobytes() for k in order[: order.index(w) + 1]]
     t = stops[w]
@@ -942,8 +980,8 @@ def test_lockstep_asks_each_stopped_row_once_and_names_the_winner(seed, cuts, ro
         if stops[k] <= t:  # stopped on its own
             want = [a[k] for a in free[:4]]
         else:  # cut after its t-th attempt
-            x1, steps1, costs1, _ = sequential_lm(sys, x0[k], max_iters, cut=t)
-            want = [x1, steps1, np.array(costs1), np.max(np.abs(mo.residual(sys, x1)))]
+            x1, steps1, costs1, _ = sequential_lm(sys, x0[k], sides[k], max_iters, cut=t)
+            want = [x1, steps1, np.array(costs1), np.max(np.abs(mo.residual(sys, x1, sides[k])))]
         assert x[k].tobytes() == want[0].tobytes()
         assert steps[k] == want[1] == sum(accepted[k][:t])
         assert costs[k, : steps[k] + 1].tobytes() == want[2][: steps[k] + 1].tobytes()
@@ -959,28 +997,28 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
     steps count up to its T-th attempt.  Every layout it verifies is
     appended to checked."""
     checked = [] if checked is None else checked
-    sys = mo.build_system(inst, max_order, mode)
+    sys = mo.build_system(inst, max_order)
     best = (float("inf"), -1, None)
     any_converged = False
     starts = range(cfg.restarts)
-    x0 = [solver._start_vector(sys, inst, cfg.seed, k) for k in starts]
-    runs = [sequential_lm(sys, x0[k], cfg.max_iters) for k in starts]
+    x0 = [solver._start_vector(sys, mode, cfg.seed, k) for k in starts]
+    runs = [sequential_lm(sys, *x0[k], cfg.max_iters) for k in starts]
     winner = cut = None
     for t, k in sorted((len(run[3]), k) for k, run in enumerate(runs)):
-        x = runs[k][0]
-        r_inf = np.max(np.abs(mo.residual(sys, x)))
+        x, sides = runs[k][0], x0[k][1]
+        r_inf = np.max(np.abs(mo.residual(sys, x, sides)))
         any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
-        raw = mo.vars_to_layout(sys, x)
+        raw = mo.vars_to_layout(sys, x, sides)
         checked.append(raw)
         if verify_layout(inst, raw).passed:
-            winner, cut = (k, raw), t
+            winner, cut = (k, raw, sides), t
             break
         if (r_inf, k) < best[:2]:
             best = (r_inf, k, raw)
     iterations = sum(sum(accepted[:cut]) for *_, accepted in runs)
     if winner is not None:
-        k, raw = winner
-        final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
+        k, raw, sides = winner
+        final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw), sides)))
         return "converged_verified", k, iterations, raw, final
     status = "converged_unverified" if any_converged else "exhausted"
     return status, best[1], iterations, best[2], best[0]
@@ -991,19 +1029,19 @@ def index_order_multistart(inst, cfg, mode, max_order=None):
     index: the multistart loop one start at a time through sequential_lm,
     verifying every start as it stopped, as (status, start_index,
     iterations_total, best_layout, final_residual_inf)."""
-    sys = mo.build_system(inst, max_order, mode)
+    sys = mo.build_system(inst, max_order)
     best = (float("inf"), -1, None)
     iterations = 0
     any_converged = False
     for k in range(cfg.restarts):
-        x0 = solver._start_vector(sys, inst, cfg.seed, k)
-        x, steps, _, _ = sequential_lm(sys, x0, cfg.max_iters)
+        x0, sides = solver._start_vector(sys, mode, cfg.seed, k)
+        x, steps, _, _ = sequential_lm(sys, x0, sides, cfg.max_iters)
         iterations += steps
-        r_inf = np.max(np.abs(mo.residual(sys, x)))
+        r_inf = np.max(np.abs(mo.residual(sys, x, sides)))
         any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
-        raw = mo.vars_to_layout(sys, x)
+        raw = mo.vars_to_layout(sys, x, sides)
         if verify_layout(inst, raw).passed:
-            final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw))))
+            final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw), sides)))
             return "converged_verified", k, iterations, raw, final
         if r_inf < best[0]:
             best = (r_inf, k, raw)
@@ -1022,8 +1060,8 @@ def second_chunk_winner():
 
 def rotatable_dominoes():
     # Two dominoes in a 4x1 box: the shelf start 0 stands them upright and
-    # fails.  Of the uniform starts, 1-10 all verify, start 1 after 6
-    # attempts and start 4 first, after 4, tied with start 9.
+    # fails.  Of the uniform starts 1-10, starts 2, 4-7 and 9 verify, start 4
+    # first, after 4 attempts, tied with start 9; the others fail.
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(4, 1))
     cfg = SolveConfig(max_iters=40, seed=1)
     return inst, cfg, mo.ROTATABLE
@@ -1067,25 +1105,13 @@ def guillotine_n6_cases():
 def stall_cut_family_cases():
     # The family solves (rotatable, 6 starts, 80 iterations) in which the
     # stall rule cuts a converging start, with every start run to its own
-    # stop at seeds 0-7: eight dominoes in a 4x4 box at seeds 2, 6 and 7,
-    # five unit squares and two dominoes in a 3x3 box at seeds 4 and 6,
-    # seven unit squares, a domino, a 1x3 and a 2x2 in a 4x4 box at seed 5,
-    # and two unit squares and three dominoes in a 2x4 box at seed 6.
-    dominoes8 = Instance.from_sides([(1, 2)] * 8, BoxSpec(4, 4))
-    squares5 = Instance.from_sides([(1, 1)] * 5 + [(1, 2)] * 2, BoxSpec(3, 3))
-    mixed10 = Instance.from_sides([(1, 1)] * 7 + [(1, 2), (1, 3), (2, 2)], BoxSpec(4, 4))
-    squares2 = Instance.from_sides([(1, 1)] * 2 + [(1, 2)] * 3, BoxSpec(2, 4))
+    # stop at seeds 0-7: four 1x4 strips in a 4x4 box at seeds 1 and 7, and
+    # five unit squares, four dominoes and a 1x3 in a 4x4 box at seed 4.
+    strips = Instance.from_sides([(1, 4)] * 4, BoxSpec(4, 4))
+    mixed10 = Instance.from_sides([(1, 1)] * 5 + [(1, 2)] * 4 + [(1, 3)], BoxSpec(4, 4))
     return [
         (inst, SolveConfig(restarts=6, max_iters=80, seed=seed), mo.ROTATABLE)
-        for inst, seed in [
-            (dominoes8, 2),
-            (dominoes8, 6),
-            (dominoes8, 7),
-            (squares5, 4),
-            (squares5, 6),
-            (mixed10, 5),
-            (squares2, 6),
-        ]
+        for inst, seed in [(strips, 1), (strips, 7), (mixed10, 4)]
     ]
 
 
@@ -1102,9 +1128,10 @@ def test_stall_rule_cuts_no_winner(skyline_starts, monkeypatch):
         return [solve_multistart(inst, cfg, mode=mode) for inst, cfg, mode in cases]
 
     def converging(inst, cfg, mode):  # each start run to its own stop
-        sys = mo.build_system(inst, mode=mode)
-        x0 = np.stack([solver._start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
-        return solver._lockstep(sys, x0, cfg.max_iters)[3] <= solver.RESIDUAL_TOL
+        sys = mo.build_system(inst)
+        starts = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
+        x0, sides = (np.stack(a) for a in zip(*starts))
+        return solver._lockstep(sys, x0, sides, cfg.max_iters)[3] <= solver.RESIDUAL_TOL
 
     with_rule, kept = reports(), [converging(*case) for case in family]
     monkeypatch.setattr(solver, "STALL_TOL", 0.0)
@@ -1129,43 +1156,45 @@ def smallest_share(costs, steps):
 def test_stall_margin_of_the_tightest_converging_start():
     # Of the converging skyline starts measured with every row run to its
     # own stop, these come closest to the stall rule without being cut by
-    # it.  In the family sweep: two dominoes, a 1x4 and two 2x2 squares in a
-    # 4x4 box, whose start lowers its cost by as little as 1.03e-4 of it
-    # over eight steps.  Of the guillotines: N = 6 in a 10x8 box, 8.3e-4.
-    family_row = Instance.from_sides([(1, 2), (1, 2), (1, 4), (2, 2), (2, 2)], BoxSpec(4, 4))
+    # it.  In the family sweep: six unit squares, three dominoes and a 1x4
+    # in a 4x4 box, whose start lowers its cost by as little as 1.06e-4 of
+    # it over eight steps.  Of the guillotines: N = 6 in a 10x8 box, 8.3e-4.
+    family_row = Instance.from_sides([(1, 1)] * 6 + [(1, 2)] * 3 + [(1, 4)], BoxSpec(4, 4))
     guillotine_row, _ = gen_guillotine(2, 5, BoxSpec(10, 8))
     for inst, mode, seed, k, converged_after, margin in [
-        (family_row, mo.ROTATABLE, 4, 2, 48, 1.03e-4),
+        (family_row, mo.ROTATABLE, 7, 3, 47, 1.057e-4),
         (guillotine_row, mo.FIXED, 2, 16, 36, 8.32e-4),
     ]:
-        sys = mo.build_system(inst, mode=mode)
-        x0 = skyline_start_vector(sys, inst, seed, k)[None]
-        _, steps, costs, r_inf, _ = solver._lockstep(sys, x0, 500)
+        sys = mo.build_system(inst)
+        x0, sides = skyline_start_vector(sys, mode, seed, k)
+        _, steps, costs, r_inf, _ = solver._lockstep(sys, x0[None], sides[None], 500)
         assert steps[0] == converged_after and r_inf[0] <= solver.RESIDUAL_TOL
         share = smallest_share(costs[0], steps[0])
         assert solver.STALL_TOL < share == pytest.approx(margin, rel=0.01)
 
 
 def test_stall_rule_cuts_a_converging_start_on_a_plateau(skyline_starts, monkeypatch):
-    # One of the seven converging starts of the family census on skyline
-    # starts that the rule cuts: eight dominoes in a 4x4 box (seed 2, start
-    # 3).  It crosses a plateau at cost 0.036, where eight steps lower its
-    # cost by as little as 3.45e-5 of it, then converges after 66 steps.
-    # The rule stops it after 33, far from a root.  Its solve does not
-    # change: start 0 tiles the box as drawn and wins before any start steps.
-    inst = Instance.from_sides([(1, 2)] * 8, BoxSpec(4, 4))
-    sys = mo.build_system(inst, mode=mo.ROTATABLE)
-    x0 = solver._start_vector(sys, inst, 2, 3)[None]
-    cfg = SolveConfig(restarts=6, max_iters=80, seed=2)
+    # One of the three converging starts of the family census on skyline
+    # starts that the rule cuts: four 1x4 strips in a 4x4 box (seed 1, start
+    # 2), two of them turned.  It crosses a plateau at cost 0.503, where
+    # eight steps lower its cost by as little as 3.20e-5 of it, then
+    # converges after 63 steps, to a root of the truncated system that is no
+    # tiling.  The rule stops it after 11, far from a root.  Its solve does
+    # not change: start 0 tiles the box as drawn and wins before any start
+    # steps.
+    inst = Instance.from_sides([(1, 4)] * 4, BoxSpec(4, 4))
+    sys = mo.build_system(inst)
+    x0, sides = solver._start_vector(sys, mo.ROTATABLE, 1, 2)
+    cfg = SolveConfig(restarts=6, max_iters=80, seed=1)
     runs, reports = [], []
     for stall_tol in (solver.STALL_TOL, 0.0):
         monkeypatch.setattr(solver, "STALL_TOL", stall_tol)
-        runs.append(solver._lockstep(sys, x0, cfg.max_iters))
+        runs.append(solver._lockstep(sys, x0[None], sides[None], cfg.max_iters))
         reports.append(replace(solve_multistart(inst, cfg, mode=mo.ROTATABLE), wall_time_s=0))
     (_, cut, _, cut_r_inf, _), (_, steps, costs, r_inf, _) = runs
-    assert cut[0] == 33 and cut_r_inf[0] == pytest.approx(0.0131, rel=0.01)
-    assert steps[0] == 66 and r_inf[0] <= solver.RESIDUAL_TOL
-    assert smallest_share(costs[0], steps[0]) == pytest.approx(3.45e-5, rel=0.01)
+    assert cut[0] == 11 and cut_r_inf[0] == pytest.approx(0.332, rel=0.01)
+    assert steps[0] == 63 and r_inf[0] <= solver.RESIDUAL_TOL
+    assert smallest_share(costs[0], steps[0]) == pytest.approx(3.20e-5, rel=0.01)
     assert reports[0] == reports[1]
     assert reports[0].start_index == 0 and reports[0].iterations_total == 0
 
@@ -1186,13 +1215,15 @@ def test_verified_layouts_pass_at_a_tenth_of_the_default_tolerance():
 
 
 def test_first_start_to_verify_ends_the_solve(uniform_starts, monkeypatch):
-    # Start 1 verifies after 6 attempts, all accepted, while start 0 is
-    # bound for 16 steps in 23 attempts, 2 of them accepted in its first 6.
-    # Waiting for start 0 to stop first, as a lowest index rule must, takes
-    # 23 rounds; the race ends after 6, with one Jacobian evaluation per
-    # round at most.
+    # Start 4 verifies after 4 attempts, all accepted.  Start 0 is bound for
+    # 40 steps in 68 attempts, 1 of them accepted in its first 4, start 1 for
+    # 7 in 36, none in its first 4; both leave the dominoes upright, which
+    # fit the 4x1 box nowhere.  Start 2 would verify after 9 attempts, and
+    # start 3 accepts its first 4.  Waiting for start 0 to stop first, as a
+    # lowest index rule must, takes 68 rounds; the race ends after 4, with
+    # one Jacobian evaluation per round at most.
     inst, cfg, mode = rotatable_dominoes()
-    cfg = replace(cfg, restarts=2)
+    cfg = replace(cfg, restarts=5)
     calls = []
     batch_jacobian = mo.batch_jacobian
 
@@ -1202,19 +1233,19 @@ def test_first_start_to_verify_ends_the_solve(uniform_starts, monkeypatch):
 
     monkeypatch.setattr(mo, "batch_jacobian", counting_jacobian)
     report = solve_multistart(inst, cfg, mode=mode)
-    assert report.status == "converged_verified" and report.start_index == 1
-    assert report.iterations_total == 2 + 6  # start 0 cut after 6 attempts, start 1
-    assert len(calls) <= 6
+    assert report.status == "converged_verified" and report.start_index == 4
+    assert report.iterations_total == 1 + 0 + 1 + 4 + 4  # starts 0-3 cut after 4 attempts, 4
+    assert len(calls) <= 4
 
 
 def test_multistart_verifies_each_stopped_start_once(uniform_starts, monkeypatch):
     # At order 3 many starts converge to layouts that are not packings.
-    # No start stops before 9 attempts.  Start 28 stops after 9 and fails,
-    # starts 0, 3, 13 and 23 after 10 and fail; start 36 stops after 10 too
-    # and verifies, ending the solve after 10 attempts of each of the 64
-    # starts, 428 of them accepted.  Start 44, which also stops after 10 and
-    # would verify, comes after it, and the rest would stop later, so none
-    # of them is verified.
+    # No start stops before 9 attempts.  Starts 28 and 47 stop after 9 and
+    # fail, starts 0, 3, 7, 13, 23 and 35 after 12 and fail; start 36 stops
+    # after 12 too and verifies, ending the solve after 12 attempts of each
+    # of the 64 starts, 507 of them accepted.  Starts 39 and 44, which also
+    # stop after 12 and would verify, come after it, and the rest would stop
+    # later, so none of them is verified.
     inst = Instance.from_sides([(1, 1), (1, 2), (1, 2), (2, 2)], BoxSpec(3, 3))
     cfg = SolveConfig(restarts=64, max_iters=60)
     verified = []
@@ -1228,9 +1259,9 @@ def test_multistart_verifies_each_stopped_start_once(uniform_starts, monkeypatch
     expected = []
     assert_report_is(report, sequential_multistart(inst, cfg, mo.ROTATABLE, 3, expected))
     assert report.status == "converged_verified"
-    assert report.start_index == 36 and report.iterations_total == 428
+    assert report.start_index == 36 and report.iterations_total == 507
     assert list(map(serialize_layout, verified)) == list(map(serialize_layout, expected))
-    assert len(verified) == 6
+    assert len(verified) == 9
     # The report carries the very layout that passed, not a second build.
     assert report.best_layout is verified[-1]
 
@@ -1352,20 +1383,22 @@ def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
     report with wall_time_s 0.  Every layout it verifies is appended to
     checked."""
     checked = [] if checked is None else checked
-    sys = mo.build_system(inst, max_order, mode)
-    x0 = np.stack([solver._start_vector(sys, inst, cfg.seed, k) for k in range(cfg.restarts)])
+    sys = mo.build_system(inst, max_order)
+    starts = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
+    x0, sides = (np.stack(a) for a in zip(*starts))
 
-    def passes(v):
-        checked.append(mo.vars_to_layout(sys, v))
+    def passes(v, s):
+        checked.append(mo.vars_to_layout(sys, v, s))
         return verify_layout(inst, checked[-1]).passed
 
-    x, steps, _, r_inf, winner = solver._lockstep(sys, x0, cfg.max_iters, passes)
+    x, steps, _, r_inf, winner = solver._lockstep(sys, x0, sides, cfg.max_iters, passes)
     if winner >= 0:
         layout, start, status, reason = checked[-1], winner, "converged_verified", None
-        final = float(np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, layout)))))
+        corners = mo.layout_to_vars(sys, layout)
+        final = float(np.max(np.abs(mo.residual(sys, corners, sides[winner]))))
     else:
         start = int(np.argmin(r_inf))
-        layout, final = mo.vars_to_layout(sys, x[start]), float(r_inf[start])
+        layout, final = mo.vars_to_layout(sys, x[start], sides[start]), float(r_inf[start])
         status, reason = "exhausted", None
         if np.any(r_inf <= solver.RESIDUAL_TOL):
             status, reason = "converged_unverified", "unverified"
@@ -1429,10 +1462,10 @@ def test_lazy_starts_verify_a_converged_start_that_fails_once(monkeypatch):
     # converged_unverified; with five, start 4, a gap fill, tiles the box as
     # drawn and wins.
     inst = Instance.from_sides([(1, 1), (1, 2)], BoxSpec(1, 3), rotation_allowed=False)
-    sys = mo.build_system(inst, 2, mo.FIXED)
-    uniform = np.stack([numpy_start_vector(sys, inst, 0, k) for k in (1, 2)])
-    roots = solver._lockstep(sys, uniform, 100)[0]
-    starts = [roots[0], uniform[0], roots[1], uniform[1]]
+    sys = mo.build_system(inst, 2)
+    uniform = [numpy_start_vector(sys, mo.FIXED, 0, k) for k in (1, 2)]
+    roots = solver._lockstep(sys, np.stack([v for v, _ in uniform]), given_sides(sys, 2), 100)[0]
+    starts = [(roots[0], sys.sides), uniform[0], (roots[1], sys.sides), uniform[1]]
     gap_fill = solver._start_vector
     monkeypatch.setattr(
         solver,
@@ -1487,3 +1520,20 @@ def test_near_tilings_verify_after_lm_steps():
                     assert report.iterations_total > 0
                     assert verify_layout(inst, report.best_layout).passed
     assert verified == 48
+
+
+def test_rotatable_wins_after_lm_steps_place_the_given_sides():
+    # Near-tilings of N = 6 with every other rectangle given turned, so a
+    # tiling turns it back.  LM moves rectangles, never their sides: each
+    # placed side is a given one, upright or turned, up to roundoff.
+    for seed in range(6):
+        near, _ = near_guillotine(seed, 5, BoxSpec(10.0, 8.0))
+        given = [(r.height, r.width) if i % 2 else (r.width, r.height)
+                 for i, r in enumerate(near.rects)]
+        inst = Instance.from_sides(given, near.box)
+        report = solve_multistart(inst, SolveConfig(restarts=32, seed=seed), mode=mo.ROTATABLE)
+        assert report.status == "converged_verified" and report.iterations_total > 0, seed
+        for (w, h), p in zip(given, report.best_layout.placements):
+            dx, dy = p.x_hi - p.x_lo, p.y_hi - p.y_lo
+            upright, turned = max(abs(dx - w), abs(dy - h)), max(abs(dx - h), abs(dy - w))
+            assert min(upright, turned) <= 1e-12 * 10

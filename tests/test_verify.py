@@ -1032,7 +1032,8 @@ def test_moment_residual_grows_with_perturbation(small_corpus):
 
 
 def test_moment_residual_reads_every_corner_of_a_square(squared32):
-    # Squares are upright unknowns, yet a placed upper corner still counts.
+    # The system reads only lower corners and sides, yet a placed upper
+    # corner still counts, through the side error.
     inst, layout = squared32
     moved = list(layout.placements)
     p = moved[0]
@@ -1043,18 +1044,21 @@ def test_moment_residual_reads_every_corner_of_a_square(squared32):
 
 def reference_layout_to_vars(sys, layout):
     s = sys.scale
-    corners = [[float(v) / s for v in p.as_tuple()] for p in layout.placements]
-    return mo.corners_to_vars(sys, np.array(corners).reshape(sys.n_rects, 4))
+    return np.array([[float(p.x_lo) / s, float(p.y_lo) / s] for p in layout.placements]).ravel()
 
 
 def reference_moment_residual(inst, layout, max_order):
-    mode = mo.ROTATABLE if inst.rotation_allowed else mo.FIXED
-    sys = mo.build_system(inst, max_order, mode)
-    residual = np.max(np.abs(mo.residual(sys, reference_layout_to_vars(sys, layout))))
+    # Each rectangle read upright or, if the instance allows, turned,
+    # whichever side error is smaller (upright on a tie), and that error
+    # counted.
+    sys = mo.build_system(inst, max_order)
     placed = np.array([p.as_tuple() for p in layout.placements], dtype=float).reshape(-1, 2, 2)
-    sides = np.stack([sys.widths, sys.heights], axis=1)
-    off = np.abs((placed[:, 1] - placed[:, 0]) / sys.scale - sides)[~sys.free]
-    return float(max(residual, np.max(off, initial=0.0)))
+    d = (placed[:, 1] - placed[:, 0]) / sys.scale
+    upright = np.abs(d - sys.sides).max(axis=1)
+    turned = np.abs(d - sys.sides[:, ::-1]).max(axis=1) if inst.rotation_allowed else upright
+    sides = np.where((turned < upright)[:, None], sys.sides[:, ::-1], sys.sides)
+    residual = np.max(np.abs(mo.residual(sys, reference_layout_to_vars(sys, layout), sides)))
+    return float(max(residual, np.max(np.minimum(upright, turned), initial=0.0)))
 
 
 NUMBER_TYPES = {
@@ -1082,7 +1086,7 @@ def test_layout_floats_match_the_comprehensions_bytewise(seed, cuts, kinds, rota
     )
     layout = Layout(placements)
     inst = Instance(base.rects, base.box, rotation)
-    sys = mo.build_system(inst, max_order, mo.ROTATABLE if rotation else mo.FIXED)
+    sys = mo.build_system(inst, max_order)
     assert mo.layout_to_vars(sys, layout).tobytes() == reference_layout_to_vars(sys, layout).tobytes()
     got = moment_residual_of_layout(inst, layout, max_order)
     assert type(got) is float
