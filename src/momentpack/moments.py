@@ -103,14 +103,12 @@ class MomentSystem:
     max_order: int
     scale: float
     var_count: int
-    widths: np.ndarray  # normalized given sides, instance order
-    heights: np.ndarray
     box_w: float  # normalized box sides
     box_h: float
     to_cheb: np.ndarray  # (4n,) 2 / box side of each corner column: t = corner * to_cheb - 1
     integrate: np.ndarray  # (max_order, max_order + 1) banded: Q = integrate @ dT
     box_moments: np.ndarray  # (max_order, max_order) g_k * g_l, the rows' box integrals
-    sides: np.ndarray  # (n, 2) normalized given (w, h): the sides when a caller passes none
+    sides: np.ndarray  # (n, 2) normalized given (w, h), instance order: the one copy
 
     @property
     def n_rects(self) -> int:
@@ -132,8 +130,7 @@ def build_system(inst: Instance, max_order: int | None = None) -> MomentSystem:
         max_order = default_max_order(var_count)
     _check_max_order(max_order)
     scale = float(max(inst.box.width, inst.box.height))
-    widths = np.array([float(r.width) for r in inst.rects]) / scale
-    heights = np.array([float(r.height) for r in inst.rects]) / scale
+    sides = np.array([(float(r.width), float(r.height)) for r in inst.rects]).reshape(-1, 2)
     box_w = float(inst.box.width) / scale
     box_h = float(inst.box.height) / scale
     integrate = np.zeros((max_order, max_order + 1))  # the banded map dT -> Q
@@ -147,14 +144,12 @@ def build_system(inst: Instance, max_order: int | None = None) -> MomentSystem:
         max_order=max_order,
         scale=scale,
         var_count=var_count,
-        widths=widths,
-        heights=heights,
         box_w=box_w,
         box_h=box_h,
         to_cheb=np.tile([2.0 / box_w, 2.0 / box_h], 2 * inst.n_rects),
         integrate=integrate,
         box_moments=np.outer(g, g),
-        sides=np.stack([widths, heights], axis=1),
+        sides=sides / scale,
     )
 
 

@@ -15,15 +15,15 @@ that stops, converged or not, is handed once, as it stopped, to
 verify_layout at its default tolerance, the one `momentpack verify` uses.
 Each start is a gap fill (_start_vector): a depth-first search, in a seeded
 order and within GAP_BUDGET placements, for a tiling that fills the lowest
-gap of the skyline first.  In rotatable mode the search may place a
-rectangle turned (_turns), so the start chooses every turn; LM then moves
+gap of the skyline first.  Each start searches one list of shapes
+(_shapes): every rectangle upright and, in rotatable mode, turned where
+that is another shape, so the start chooses every turn; LM then moves
 the rectangles of each start, two unknowns each, in the orientation its
 gap fill chose, never their sides.  After its first backtrack the search
-keeps only rectangles that lie in a sum of unplaced widths matching the
-gap, read from a table of width sums built once per solve and freed
-before the race (_width_sums; past WIDTH_SUMS_CAP sums the search is
-unpruned).  So the
-construction wins exact tilings: a start that tiles the box as drawn
+keeps only the shapes that lie in a sum of shape widths of unplaced
+rectangles matching the gap, read from a table of width sums built once
+per solve and freed before the race (_width_sums; past WIDTH_SUMS_CAP
+sums or 64 shapes the search is unpruned).  So the construction wins exact tilings: a start that tiles the box as drawn
 verifies before any LM step (iterations_total 0), and no later start is
 built.  The moment system decides the rest: an instance that tiles only
 within the verifier's tolerance, whose moment system keeps a residual
@@ -206,123 +206,116 @@ def _bottom_left(
         xs[lo:hi], tops[lo:hi] = new_xs, new_tops
 
 
-def _turns(sys: mo.MomentSystem, mode: str) -> list[bool]:
-    """Whether a start may turn each rectangle: in rotatable mode, when its
-    normalised sides differ as floats.  Turned, a rectangle whose sides are
-    the same float is the same shape, and _gap_fill tells a shape's
-    orientation by its width."""
-    sides = zip(sys.widths.tolist(), sys.heights.tolist())
-    return [mode == mo.ROTATABLE and w != h for w, h in sides]
+def _shapes(sys: mo.MomentSystem, mode: str) -> list[tuple[int, float, float]]:
+    """Every way a start may place a rectangle, each (i, w, h) on normalised
+    sides: every rectangle upright, in index order, then, in rotatable mode,
+    each whose normalised sides differ as floats turned, in index order.
+    Turned, a rectangle whose sides are the same float is the same shape.
+    Shape k is bit k of the bitmasks of _width_sums and _gap_fill."""
+    shapes = [(i, w, h) for i, (w, h) in enumerate(sys.sides.tolist())]
+    if mode == mo.ROTATABLE:
+        shapes += [(i, h, w) for i, w, h in shapes if w != h]
+    return shapes
 
 
 class _WidthSums:
-    """Every sum of rectangle widths up to the box width, on normalised
-    sides: each rectangle left out, upright or, if it may turn (_turns),
-    turned.  Three flat arrays sorted by sum, read through memoryviews:
-    sums, used (bit i set when rectangle i is in the sum) and turned (bit i
-    set when it is in it turned; None when no rectangle may turn).  Built by
-    _width_sums."""
+    """Every sum of shape widths up to the box width, each rectangle left
+    out or in it as one of its shapes (_shapes).  Two flat arrays sorted by
+    sum, read through memoryviews: sums and used (bit k set when shape k is
+    in the sum).  Built by _width_sums."""
 
-    def __init__(self, sums: np.ndarray, used: np.ndarray, turned: np.ndarray | None, tol: float):
+    def __init__(self, sums: np.ndarray, used: np.ndarray, tol: float):
         self.sums, self.used, self.tol = memoryview(sums), memoryview(used), tol
-        self.turned = None if turned is None else memoryview(turned)
 
-    def allows(self, gap: float, placed: int) -> tuple[int, int]:
-        """The rectangles that lie in some sum within tol of gap of
-        rectangles outside the bitmask placed: a bitmask of those it holds
-        upright, and one of those it holds turned."""
-        sums, used, turned, end = self.sums, self.used, self.turned, gap + self.tol
-        k, upright, turns = bisect.bisect_left(sums, gap - self.tol), 0, 0
+    def allows(self, gap: float, placed: int) -> int:
+        """The shapes that lie in some sum within tol of gap of shapes
+        outside the bitmask placed, as a bitmask."""
+        sums, used, end = self.sums, self.used, gap + self.tol
+        k, allowed = bisect.bisect_left(sums, gap - self.tol), 0
         while k < len(sums) and sums[k] <= end:
             u = used[k]
             if not u & placed:
-                t = 0 if turned is None else turned[k]
-                upright, turns = upright | u ^ t, turns | t
+                allowed |= u
             k += 1
-        return upright, turns
+        return allowed
 
 
 def _width_sums(sys: mo.MomentSystem, mode: str) -> _WidthSums | None:
-    """The system's width sums in mode; None when the table would hold more
-    than WIDTH_SUMS_CAP sums or the system more than 64 rectangles (a bitmask
-    is one machine word: 32 bits up to 32 rectangles, else 64).  Sums up to
-    the box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Rectangle i
-    joins, in index order, every sum so far that stays within that bound,
-    so a sum adds its members in index order, and a step holds no more than
-    the old sums, the new ones, one shifted copy and their concatenation."""
-    n = sys.n_rects
-    if n > 64:
+    """The width sums of the system's shapes in mode; None when the table
+    would hold more than WIDTH_SUMS_CAP sums or there are more than 64 shapes
+    (a bitmask is one machine word: 32 bits up to 32 shapes, else 64).  Sums
+    up to the box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Each
+    rectangle in index order joins, as each of its shapes, every sum so far
+    that stays within that bound, so a sum adds its members in index order,
+    and a step holds no more than the old sums, the new ones, one shifted
+    copy and their concatenation."""
+    shapes = _shapes(sys, mode)
+    if len(shapes) > 64:
         return None
-    word = np.uint32 if n <= 32 else np.uint64
-    tol = (n + 1) * DEFAULT_TOL
+    word = np.uint32 if len(shapes) <= 32 else np.uint64
+    tol = (sys.n_rects + 1) * DEFAULT_TOL
     limit = sys.box_w + tol
     sums, used = np.zeros(1), np.zeros(1, dtype=word)
-    turns = _turns(sys, mode)
-    turned = np.zeros(1, dtype=word) if any(turns) else None
-    for i, (w, h, may_turn) in enumerate(zip(sys.widths.tolist(), sys.heights.tolist(), turns)):
-        bit = word(1 << i)
-        parts = [(sums, used, turned)]
-        for side, turn in ((w, False), (h, True))[: 1 + may_turn]:
-            shifted = sums + side
+    ways = [[] for _ in range(sys.n_rects)]  # each rectangle's (width, bit)
+    for k, (i, w, _) in enumerate(shapes):
+        ways[i].append((w, word(1 << k)))
+    for options in ways:
+        parts = [(sums, used)]
+        for w, bit in options:
+            shifted = sums + w
             keep = shifted <= limit
-            grown = None if turned is None else turned[keep] | bit if turn else turned[keep]
-            parts.append((shifted[keep], used[keep] | bit, grown))
+            parts.append((shifted[keep], used[keep] | bit))
             del shifted, keep
         if sum(len(part[0]) for part in parts) > WIDTH_SUMS_CAP:
             return None
-        sums, used, turned = (
-            None if column[0] is None else np.concatenate(column) for column in zip(*parts)
-        )
+        sums, used = (np.concatenate(column) for column in zip(*parts))
         del parts
     order = np.argsort(sums)
-    sums, used = sums[order], used[order]
-    if turned is not None:
-        turned = turned[order]
-    return _WidthSums(sums, used, turned, tol)
+    return _WidthSums(sums[order], used[order], tol)
 
 
 def _gap_fill(
-    sys: mo.MomentSystem, shapes: list, width_sums: Callable[[], _WidthSums | None]
+    sys: mo.MomentSystem,
+    shapes: list,
+    order: list,
+    width_sums: Callable[[], _WidthSums | None],
 ) -> tuple[list, list, list]:
     """Depth-first search for a tiling of the system's box by its
-    rectangles, each (i, w, h) of shapes a way to place rectangle i.  A node
-    fills the lowest, then leftmost, segment of the skyline (the top outline
-    of the rectangles placed so far).  Its children are the unplaced shapes
-    whose width fits the segment and whose top stays in the box, those that
-    fill its width first, each group in the order of shapes, skipping a
-    (w, h) already tried there: equal shapes are interchangeable.  Widths
-    fit and tops merge within DEFAULT_TOL.  Every tiling has a rectangle at
-    the lowest, leftmost uncovered point, so the search is complete.
+    rectangles, shapes being the ways to place them (_shapes) and order the
+    indices into shapes the search tries them in.  A node fills the lowest,
+    then leftmost, segment of the skyline (the top outline of the
+    rectangles placed so far).  Its children are the shapes of unplaced
+    rectangles whose width fits the segment and whose top stays in the box,
+    those that fill its width first, each group in order, skipping a (w, h)
+    already tried there: equal shapes are interchangeable.  Widths fit and
+    tops merge within DEFAULT_TOL.  Every tiling has a rectangle at the
+    lowest, leftmost uncovered point, so the search is complete.
 
     Pruning by width sums: in a tiling the lowest segment is covered exactly
     by the rectangles standing on it, so once the search first backtracks it
     starts again from the empty box and keeps only the children that lie in
-    a sum of unplaced rectangles within (n + 1) * DEFAULT_TOL of the
-    segment's width (the table width_sums() returns, called then), each in
-    the orientation that sum holds it in.  The rectangles the search stands
-    on a segment fill the width it records for it within DEFAULT_TOL, and a
-    recorded edge drifts from the true sum of widths by at most DEFAULT_TOL
-    a placement, so the window holds every sum the search can complete a
-    segment with: a pruned child leads to no tiling, and with the budget to
-    finish the pruned search finds the tiling the unpruned one finds first.
-    Past the table's cap (width_sums() returns None) the search goes on
-    unpruned.  A start that tiles on its first descent builds no table, and
-    a start's fill is the same whether the table was built before it or
-    not.
+    a sum of shapes of unplaced rectangles within (n + 1) * DEFAULT_TOL of
+    the segment's width (the table width_sums() returns, called then).  The
+    rectangles the search stands on a segment fill the width it records for
+    it within DEFAULT_TOL, and a recorded edge drifts from the true sum of
+    widths by at most DEFAULT_TOL a placement, so the window holds every sum
+    the search can complete a segment with: a pruned child leads to no
+    tiling, and with the budget to finish the pruned search finds the tiling
+    the unpruned one finds first.  Past the table's limits (width_sums()
+    returns None) the search goes on unpruned.  A start that tiles on its
+    first descent builds no table, and a start's fill is the same whether
+    the table was built before it or not.
 
     The search stops at a tiling or after GAP_BUDGET placements, counted
     over both passes, and returns the deepest fill it reached: its
     placements (i, x, y, w, h) and its skyline, the segment left ends
     followed by the box width, and their tops."""
     tol, n, a, b = DEFAULT_TOL, sys.n_rects, sys.box_w, sys.box_h
-    widths = sys.widths.tolist()
-    # A rectangle's upright and turned shape, each as its bit and the
-    # shape's index in shapes.
-    at = ({}, {})
-    for k, (i, w, _) in enumerate(shapes):
-        at[w != widths[i]][1 << i] = k
+    blocks = [0] * n  # each rectangle's shape bits, set in bits once it is placed
+    for k, (i, _, _) in enumerate(shapes):
+        blocks[i] |= 1 << k
     xs, tops = [0.0, a], [0.0]  # segment j spans xs[j] to xs[j + 1]
-    placed, bits, path, undo = [False] * n, 0, [], []  # bits: bit i set if placed[i]
+    bits, path, undo = 0, [], []
     best = ([], xs[:], tops[:])
     # lookups: the pruned children by (gap, y, bits), a key the search
     # reaches again by placing the same rectangles in another order.
@@ -333,26 +326,21 @@ def _gap_fill(
         j = tops.index(y)
         gap = xs[j + 1] - xs[j]
         if sums is None:
-            return j, iter(fitting(shapes, gap, y))
+            return j, iter(fitting(-1, gap, y))
         key = (gap, y, bits)
         kids = lookups.get(key)
         if kids is None:
-            ks = []
-            for mask, where in zip(sums.allows(gap, bits), at):
-                while mask:
-                    low = mask & -mask
-                    ks.append(where[low])
-                    mask ^= low
-            ks.sort()
-            kids = lookups[key] = fitting([shapes[k] for k in ks], gap, y)
+            kids = lookups[key] = fitting(sums.allows(gap, bits), gap, y)
         return j, iter(kids)
 
-    def fitting(allowed: list, gap: float, y: float) -> list:
-        wide, narrow, room = gap + tol, gap - tol, b - y + tol
+    def fitting(allowed: int, gap: float, y: float) -> list:
+        # The children among the shapes in the bitmask allowed (-1: all).
+        wide, narrow, room, free = gap + tol, gap - tol, b - y + tol, allowed & ~bits
         exact, rest, seen = [], [], set()
-        for shape in allowed:
-            i, w, h = shape
-            if w > wide or h > room or placed[i] or (w, h) in seen:
+        for k in order:
+            shape = shapes[k]
+            _, w, h = shape
+            if not free >> k & 1 or w > wide or h > room or (w, h) in seen:
                 continue
             seen.add((w, h))
             (exact if w >= narrow else rest).append(shape)
@@ -366,13 +354,12 @@ def _gap_fill(
             if first:  # the first backtrack: start again, pruned
                 sums, first = width_sums(), False
                 if sums is not None:
-                    xs, tops, placed, bits, path, undo = [0.0, a], [0.0], [False] * n, 0, [], []
+                    xs, tops, bits, path, undo = [0.0, a], [0.0], 0, [], []
                     stack = [children()]
                     continue
             stack.pop()
             if path:
-                i = path.pop()[0]
-                placed[i], bits = False, bits ^ 1 << i
+                bits ^= blocks[path.pop()[0]]
                 lo, count, old_xs, old_tops = undo.pop()
                 xs[lo : lo + count], tops[lo : lo + count] = old_xs, old_tops
             continue
@@ -393,7 +380,7 @@ def _gap_fill(
             hi += 1
         undo.append((lo, len(new_xs), xs[lo:hi], tops[lo:hi]))
         xs[lo:hi], tops[lo:hi] = new_xs, new_tops
-        placed[i], bits = True, bits | 1 << i
+        bits |= blocks[i]
         path.append((i, x, y, w, h))
         if len(path) > len(best[0]):
             best = (path[:], xs[:], tops[:])
@@ -410,33 +397,32 @@ def _start_vector(
     start_index: int,
     width_sums: Callable[[], _WidthSums | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A gap fill (_gap_fill) of the rectangles' shapes, each upright and,
-    if it may turn in mode (_turns), turned, in an order drawn from a
-    generator seeded by seed and start_index.  When the search ends without
-    a tiling, the rectangles its deepest fill left out are placed by the
-    bottom-left rule (_bottom_left), in the same order, each in its first
-    shape.  Returns the lower corners, the system's unknowns, and the (n, 2)
-    sides each rectangle is placed with: its given pair or that pair
-    swapped.  Plain Python floats in a fixed order, so a start is the same
-    bytes on every run.  width_sums returns the system's width sums when
-    the search first backtracks; solve_multistart passes one that builds
-    them once for all its starts, and by default the start builds its own."""
+    """A gap fill (_gap_fill) of the rectangles' shapes (_shapes), in an
+    order drawn from a generator seeded by seed and start_index.  When the
+    search ends without a tiling, the rectangles its deepest fill left out
+    are placed by the bottom-left rule (_bottom_left), in the same order,
+    each in its first shape.  Returns the lower corners, the system's
+    unknowns, and the (n, 2) sides each rectangle is placed with: its given
+    pair or that pair swapped.  Plain Python floats in a fixed order, so a
+    start is the same bytes on every run.  width_sums returns the system's
+    width sums when the search first backtracks; solve_multistart passes
+    one that builds them once for all its starts, and by default the start
+    builds its own."""
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
     n = sys.n_rects
-    widths, heights = sys.widths.tolist(), sys.heights.tolist()
-    shapes = [(i, widths[i], heights[i]) for i in range(n)]
-    shapes += [(i, heights[i], widths[i]) for i, turn in enumerate(_turns(sys, mode)) if turn]
-    shapes = [shapes[k] for k in rng.permutation(len(shapes)).tolist()]
+    shapes = _shapes(sys, mode)
+    order = rng.permutation(len(shapes)).tolist()
     width_sums = width_sums or functools.partial(_width_sums, sys, mode)
-    path, xs, tops = _gap_fill(sys, shapes, width_sums)
+    path, xs, tops = _gap_fill(sys, shapes, order, width_sums)
     corners, sides = [()] * n, [()] * n
     for i, x, y, w, h in path:
         corners[i], sides[i] = (x, y), (w, h)
     rest = []
-    for shape in shapes:
-        if not sides[shape[0]]:
-            sides[shape[0]] = shape[1:]
-            rest.append(shape)
+    for k in order:
+        i, w, h = shapes[k]
+        if not sides[i]:
+            sides[i] = (w, h)
+            rest.append(shapes[k])
     _bottom_left(xs[:-1], tops, sys.box_w, sys.box_h, rest, corners)
     return np.array(corners).ravel(), np.array(sides)
 
@@ -494,12 +480,13 @@ def _lockstep(
     (K,), the accepted costs (K, max_iters + 1), row k's history being
     costs[k, : steps[k] + 1], each row's final max |r| (K,) and the winner.
 
-    passes, if given, is asked about each row's variables and sides once,
-    as the row stops: first the rows that never start, then after each
-    round the rows that stopped in it, in index order.  The first row it
-    passes is the winner, and every row still running stops at once, with
-    the steps it has taken in as many attempts.  The winner is -1 when no
-    row passes.
+    passes, if given, is asked about each row that stops after an LM
+    attempt, once, with its variables and sides: after each round, the rows
+    that stopped in it, in index order.  The first row it passes is the
+    winner, and every row still running stops at once, with the steps it
+    has taken in as many attempts.  The winner is -1 when no row passes.
+    Rows that never start (max |r| not finite or within RESIDUAL_TOL) are
+    not asked: the caller judges them.
     """
     diag = slice(None, None, sys.var_count + 1)  # the diagonal of a flattened (V, V)
     x = np.array(x0, dtype=float)  # a copy: rows are updated in place
@@ -512,7 +499,8 @@ def _lockstep(
         costs[:, 0] = cost
         steps = np.zeros(len(x), dtype=int)
         live = np.isfinite(r_inf) & (r_inf > RESIDUAL_TOL)
-        rows, ended = np.flatnonzero(live), np.flatnonzero(~live)
+        rows = np.flatnonzero(live)
+        ended = rows[:0]  # the rows that stopped in the last round
         # The running rows' state, in the order of rows, written back as a
         # row stops.  Normal equations are built at the top of the round after
         # a row steps (fresh), so a win skips the Jacobians of its round.
@@ -615,9 +603,9 @@ def solve_multistart(
     whose max |r| is not finite or within RESIDUAL_TOL takes no LM step, so
     it is verified as it is built, and the first such start to pass wins
     before a later one exists.  Otherwise all starts race in one lockstep
-    call, one LM attempt each per round, which verifies each start as it
-    stops (not again one verified as built), in index order after each
-    round; the first to pass wins and stops the rest.  So the report is the
+    call, one LM attempt each per round, which verifies each start that
+    takes an attempt as it stops, in index order after each round; the
+    first to pass wins and stops the rest.  So the report is the
     one building every start up front gives: the winner is the verified
     start with the fewest LM attempts, ties going to the lowest index.
     Without a winner the report carries the lowest (final max |r|, start
@@ -646,10 +634,10 @@ def solve_multistart(
             return verify_layout(inst, layout).passed
 
         # A start that never starts (max |r| not finite or within
-        # RESIDUAL_TOL) is one _lockstep would verify first, in index order,
-        # so it is verified as it is built, and the first that passes wins
-        # before a later start exists.
-        x0, sides, judged, winner = [], [], [], -1
+        # RESIDUAL_TOL) is verified here, as it is built, and the first that
+        # passes wins before a later start exists; _lockstep asks only about
+        # the starts that take an LM attempt.
+        x0, sides, winner = [], [], -1
         # The width sums, built once, if at all.
         width_sums = functools.cache(functools.partial(_width_sums, sys, mode))
         for k in range(cfg.restarts):
@@ -657,19 +645,13 @@ def solve_multistart(
             x0.append(v)
             sides.append(s)
             r_max = float(np.abs(mo.residual(sys, v, s)).max())
-            if not (math.isfinite(r_max) and r_max > RESIDUAL_TOL):
-                if check(v, s):
-                    winner = k
-                    break
-                judged.append(False)
+            if not (math.isfinite(r_max) and r_max > RESIDUAL_TOL) and check(v, s):
+                winner = k
+                break
         del width_sums  # every start is built: free the table before the race
-        if winner < 0:  # _lockstep asks about the judged rows first: their answers
+        if winner < 0:
             x, steps, _, r_inf, winner = _lockstep(
-                sys,
-                np.stack(x0),
-                np.stack(sides),
-                cfg.max_iters,
-                lambda v, s: judged.pop() if judged else check(v, s),
+                sys, np.stack(x0), np.stack(sides), cfg.max_iters, check
             )
             iterations = int(steps.sum())
         if winner >= 0:

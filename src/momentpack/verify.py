@@ -356,8 +356,8 @@ def moment_residual_of_layout(
     corners = mo._corner_array(layout)
     with np.errstate(over="ignore", invalid="ignore"):
         d = ((corners[:, 2:] - corners[:, :2]) / sys.scale).T
-        upright = _side_error(*d, sys.widths, sys.heights, False)
-        off = _side_error(*d, sys.widths, sys.heights, inst.rotation_allowed)
+        upright = _side_error(*d, *sys.sides.T, False)
+        off = _side_error(*d, *sys.sides.T, inst.rotation_allowed)
     sides = np.where((off < upright)[:, None], sys.sides[:, ::-1], sys.sides)
     residual = np.max(np.abs(mo.residual(sys, (corners[:, :2] / sys.scale).ravel(), sides)))
     return float(max(residual, np.max(off, initial=0.0)))

@@ -16,6 +16,7 @@ import pytest
 
 from momentpack import BoxSpec, gen_guillotine
 from momentpack import parse_instance, parse_layout, serialize_instance, serialize_layout
+from momentpack import solver
 from momentpack.cli import build_parser, main, render_svg
 
 
@@ -161,6 +162,33 @@ def test_solve_rotatable_places_given_sides_after_lm_steps(capsys, tmp_path):
     argv[3], argv[-1:] = "fixed", ["--out", str(tmp_path / "fixed.json")]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1 and strict_loads(out)["status"] == "exhausted"
+
+
+def test_solve_rotatable_tiles_as_drawn_after_a_pruned_restart(capsys, tmp_path, monkeypatch):
+    # The guillotine of `gen guillotine --seed 10` (found by a search over
+    # seeds at the gen defaults): at the solve defaults in rotatable mode,
+    # start 0's search backtracks, builds the width-sum table and, searching
+    # again pruned by it, tiles the box with every rectangle turned, so the
+    # table's turned-shape bits are read.  The start verifies as drawn.
+    inst_path, out_path = tmp_path / "g.json", tmp_path / "g.layout.json"
+    code, _, _ = run_cli(capsys, "gen", "guillotine", "--seed", "10", "--out", str(inst_path))
+    assert code == 0
+    tables = []
+    width_sums = solver._width_sums
+    monkeypatch.setattr(solver, "_width_sums", lambda *args: tables.append(width_sums(*args)))
+    argv = ["solve", str(inst_path), "--mode", "rotatable", "--out", str(out_path)]
+    code, out, _ = run_cli(capsys, *argv)
+    doc = strict_loads(out)
+    assert code == 0 and doc["status"] == "converged_verified"
+    assert doc["start_index"] == 0 and doc["iterations_total"] == 0
+    assert len(tables) == 1 and tables[0] is not None
+    inst = parse_instance(inst_path.read_text())
+    layout = parse_layout(out_path.read_text())
+    for r, p in zip(inst.rects, layout.placements):
+        assert r.width != r.height
+        assert (p.x_hi - p.x_lo, p.y_hi - p.y_lo) == pytest.approx((r.height, r.width))
+    code, out, _ = run_cli(capsys, "verify", str(inst_path), str(out_path))
+    assert code == 0 and strict_loads(out)["pass"] is True
 
 
 def test_solve_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):

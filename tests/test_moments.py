@@ -122,7 +122,7 @@ def test_build_system_shapes_and_exponents():
     assert sys.var_count == 4
     assert sys.equation_count == 4
     assert sys.scale == 3.0
-    np.testing.assert_allclose(sys.widths, [1 / 3, 1 / 3])
+    np.testing.assert_allclose(sys.sides[:, 0], [1 / 3, 1 / 3])
     np.testing.assert_allclose(sys.box_moments, [[1.0, 0.0], [0.0, 0.0]])
     np.testing.assert_allclose(sys.to_cheb, [3.0, 2.0] * 4)
 

@@ -133,6 +133,12 @@ def shelf_vars(sys):
     return mo.layout_to_vars(sys, Layout(tuple(placements)))
 
 
+def may_turn(sys, mode):
+    """Whether each rectangle has a turned shape in mode (solver._shapes)."""
+    turned = {i for i, _, _ in solver._shapes(sys, mode)[sys.n_rects :]}
+    return [i in turned for i in range(sys.n_rects)]
+
+
 def skyline_start_vector(sys, mode, seed, start_index, width_sums=None):
     """Starts as _start_vector drew them before gap-fill starts: the shelf,
     then bottom-left fills (solver._bottom_left) in a seeded order, each
@@ -142,7 +148,7 @@ def skyline_start_vector(sys, mode, seed, start_index, width_sums=None):
         return shelf_vars(sys), sys.sides
     rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
     order = rng.permutation(sys.n_rects).tolist()
-    turn = np.array(solver._turns(sys, mode)) & (rng.integers(0, 2, size=sys.n_rects) == 1)
+    turn = np.array(may_turn(sys, mode)) & (rng.integers(0, 2, size=sys.n_rects) == 1)
     sides = np.where(turn[:, None], sys.sides[:, ::-1], sys.sides)
     shapes = [(i, *sides[i].tolist()) for i in order]
     corners = [()] * sys.n_rects
@@ -159,12 +165,12 @@ def numpy_start_vector(sys, mode, seed, start_index, width_sums=None):
         return shelf_vars(sys), sys.sides
     rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
     out, sides = np.zeros((sys.n_rects, 2)), sys.sides.copy()
-    for i, turns in enumerate(solver._turns(sys, mode)):
+    for i, turns in enumerate(may_turn(sys, mode)):
+        w, h = sys.sides[i]
         if not turns:
-            room = (sys.box_w - sys.widths[i], sys.box_h - sys.heights[i])
+            room = (sys.box_w - w, sys.box_h - h)
             out[i] = rng.uniform(size=2) * np.maximum(room, 0.0)
             continue
-        w, h = sys.widths[i], sys.heights[i]
         if rng.integers(0, 2):
             w, h = h, w
         cx = rng.uniform(w / 2, sys.box_w - w / 2) if sys.box_w > w else sys.box_w / 2
@@ -188,7 +194,7 @@ def skyline_starts(monkeypatch):
     monkeypatch.setattr(solver, "_start_vector", skyline_start_vector)
 
 
-def unpruned_gap_fill(sys, shapes, width_sums):
+def unpruned_gap_fill(sys, shapes, order, width_sums):
     """solver._gap_fill without width sums: the search as it was before the
     pruning, kept as the reference the pruned search is checked against."""
     tol, n, a, b = DEFAULT_TOL, sys.n_rects, sys.box_w, sys.box_h
@@ -203,7 +209,8 @@ def unpruned_gap_fill(sys, shapes, width_sums):
         gap = xs[j + 1] - xs[j]
         wide, narrow, room = gap + tol, gap - tol, b - y + tol
         exact, rest, seen = [], [], set()
-        for shape in shapes:
+        for k in order:
+            shape = shapes[k]
             i, w, h = shape
             if w > wide or h > room or placed[i] or (w, h) in seen:
                 continue
@@ -289,9 +296,9 @@ def test_gap_fill_starts_keep_sides_and_box(sides, box, mode, seed, starts):
         x, sides = solver._start_vector(sys, mode, seed, k)
         again = solver._start_vector(sys, mode, seed, k)
         assert x.tobytes() == again[0].tobytes() and sides.tobytes() == again[1].tobytes()
-        turns = solver._turns(sys, mode)
-        for (w, h), placed, may_turn in zip(sys.sides.tolist(), sides.tolist(), turns):
-            assert placed == [w, h] or may_turn and placed == [h, w]
+        turns = may_turn(sys, mode)
+        for (w, h), placed, turnable in zip(sys.sides.tolist(), sides.tolist(), turns):
+            assert placed == [w, h] or turnable and placed == [h, w]
         x_lo, y_lo, x_hi, y_hi = mo._corners(sys, x[None], sides).reshape(-1, 4).T
         room = DEFAULT_TOL + tol
         inside = (x_lo >= 0) & (y_lo >= 0) & (x_hi <= sys.box_w + room) & (y_hi <= sys.box_h + room)
@@ -339,25 +346,24 @@ def test_start_sides_are_the_given_pair_or_that_pair_turned(seed, cuts, box, mod
 
 
 def brute_force_sums(sys, mode):
-    """Every (used, turned) bitmask pair of a sum of widths, each rectangle
-    left out, upright or, in rotatable mode and if not square once
-    normalised, turned, with the sum added in index order, kept when it is
-    at most the box width plus (n + 1) * DEFAULT_TOL."""
-    n = sys.n_rects
-    limit = sys.box_w + (n + 1) * DEFAULT_TOL
-    sides = zip(sys.widths.tolist(), sys.heights.tolist())
-    ways = [(None, False, True) if mode == mo.ROTATABLE and w != h else (None, False)
-            for w, h in sides]
+    """Every sum of widths by the bitmask of its shapes (bit k for entry k
+    of solver._shapes), each rectangle left out or in it as one of its
+    shapes, with the sum added in index order, kept when it is at most the
+    box width plus (n + 1) * DEFAULT_TOL."""
+    limit = sys.box_w + (sys.n_rects + 1) * DEFAULT_TOL
+    shapes = solver._shapes(sys, mode)
+    ways = [[None] for _ in range(sys.n_rects)]
+    for k, (i, _, _) in enumerate(shapes):
+        ways[i].append(k)
     out = {}
     for choice in itertools.product(*ways):
-        total, used, turned = 0.0, 0, 0
-        for i, turn in enumerate(choice):
-            if turn is not None:
-                total += float(sys.heights[i] if turn else sys.widths[i])
-                used |= 1 << i
-                turned |= turn << i
+        total, used = 0.0, 0
+        for k in choice:
+            if k is not None:
+                total += shapes[k][1]
+                used |= 1 << k
         if total <= limit:
-            out[used, turned] = total
+            out[used] = total
     return out
 
 
@@ -373,31 +379,34 @@ def brute_force_sums(sys, mode):
     gaps=st.lists(st.tuples(st.integers(0, 2**8 - 1), st.integers(0, 2**8 - 1)), max_size=8),
 )
 def test_width_sums_match_brute_force(sides, box, mode, gaps):
-    # Every sum of the table, its members and its turned members, against
-    # itertools over every choice of each rectangle; then the lookup, at
-    # the table's own sums and placed sets drawn from the rectangles.
+    # The shapes: every rectangle upright, then in rotatable mode each that
+    # is not square once normalised turned.  Every sum of the table and its
+    # members against itertools over every choice of each rectangle; then
+    # the lookup, at the table's own sums and the shapes of sets of
+    # rectangles drawn as placed.
     rects = [(w, w if square else h) for w, h, square in sides]
     inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
     sys = mo.build_system(inst, 3)
+    shapes = solver._shapes(sys, mode)
+    upright = [(i, w, h) for i, (w, h) in enumerate(sys.sides.tolist())]
+    turned = [(i, h, w) for i, w, h in upright if mode == mo.ROTATABLE and w != h]
+    assert shapes == upright + turned
     sums = solver._width_sums(sys, mode)
     expected = brute_force_sums(sys, mode)
     values = list(sums.sums)
-    turned = [0] * len(values) if sums.turned is None else list(sums.turned)
-    turnable = mode == mo.ROTATABLE and any(w != h for w, h in sys.sides.tolist())
-    assert (sums.turned is None) == (not turnable)
-    table = {(u, t): v for u, t, v in zip(sums.used, turned, values)}
+    table = dict(zip(sums.used, values))
     assert len(table) == len(values) and table == expected
     assert values == sorted(values)
     tol = (sys.n_rects + 1) * DEFAULT_TOL
     assert sums.tol == tol
-    for pick, placed in gaps:
+    for pick, drawn in gaps:
         gap = values[pick % len(values)] + (pick % 3 - 1) * tol / 2
-        placed &= (1 << sys.n_rects) - 1
-        upright = turns = 0
-        for (u, t), v in expected.items():
+        placed = sum(1 << k for k, (i, _, _) in enumerate(shapes) if drawn >> i & 1)
+        allowed = 0
+        for u, v in expected.items():
             if gap - tol <= v <= gap + tol and not u & placed:
-                upright, turns = upright | u & ~t, turns | t
-        assert sums.allows(gap, placed) == (upright, turns)
+                allowed |= u
+        assert sums.allows(gap, placed) == allowed
 
 
 def test_width_sums_past_the_cap_leave_the_search_unpruned(monkeypatch):
@@ -419,6 +428,38 @@ def test_width_sums_past_the_cap_leave_the_search_unpruned(monkeypatch):
     report = solve_multistart(inst, SolveConfig(restarts=16, seed=3), mode=mo.FIXED)
     assert report.status == "converged_verified" and report.iterations_total == 0
     assert verify_layout(inst, report.best_layout).passed
+
+
+def test_width_sums_hold_at_most_64_shapes(monkeypatch):
+    # Every side is over half the box width, so each sum has at most one
+    # member and the table stays far under WIDTH_SUMS_CAP; the word limit
+    # alone decides.  32 rectangles that may turn are 64 shapes: a table is
+    # built, each shape a bit of one 64-bit word.  33 are 66 shapes: no
+    # table, and each start is the unpruned search's start, bit for bit.  In
+    # fixed mode 64 rectangles are 64 shapes: a table is built.
+    box = BoxSpec(10, 10)
+
+    def system(n, rotation_allowed):
+        sides = [(Fraction(600 + i, 100), Fraction(800 + i, 100)) for i in range(n)]
+        return mo.build_system(Instance.from_sides(sides, box, rotation_allowed), 3)
+
+    for sys, mode in ((system(32, True), mo.ROTATABLE), (system(64, False), mo.FIXED)):
+        shapes = solver._shapes(sys, mode)
+        sums = solver._width_sums(sys, mode)
+        assert len(shapes) == 64 and np.asarray(sums.used).dtype == np.uint64
+        assert sorted(sums.used) == [0] + [1 << k for k in range(64)]
+        assert sums.allows(shapes[63][1], 0) == 1 << 63
+    sys = system(33, True)
+    assert solver._width_sums(sys, mo.ROTATABLE) is None
+    tables = []
+    width_sums = solver._width_sums
+    monkeypatch.setattr(solver, "_width_sums", lambda *args: tables.append(width_sums(*args)))
+    for k in range(4):
+        path, start = gap_fill_paths(sys, mo.ROTATABLE, 5, k, solver._gap_fill)
+        ref_path, ref_start = gap_fill_paths(sys, mo.ROTATABLE, 5, k, unpruned_gap_fill)
+        assert path == ref_path
+        assert [a.tobytes() for a in start] == [a.tobytes() for a in ref_start]
+    assert tables == [None] * 4  # every start backtracked
 
 
 @pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
@@ -479,18 +520,16 @@ def test_starts_do_not_depend_on_what_was_solved_before():
 
 def test_sides_equal_once_normalised_are_one_shape():
     # A rectangle whose exact sides differ but whose normalised sides are
-    # the same float is a square to the search: no start turns it, and the
-    # table holds it upright only, as the search tells a shape's
-    # orientation by its width.
+    # the same float is a square to the search: it has one shape, upright,
+    # so no start turns it and the table holds it upright only.
     # This instance passes the area and fit checks and has no tiling, so
     # every start backtracks and searches pruned.
     near_square = (Fraction(1, 3), Fraction(333333333333333333333, 10**21))
     rects = [near_square, (Fraction(2, 3), Fraction(1, 2)), (1, Fraction(5, 9))]
     inst = Instance.from_sides(rects, BoxSpec(1, 1), rotation_allowed=True)
     sys = mo.build_system(inst)
-    assert sys.widths[0] == sys.heights[0]
-    assert solver._turns(sys, mo.ROTATABLE) == [False, True, True]
-    assert not any(t & 1 for t in solver._width_sums(sys, mo.ROTATABLE).turned)
+    assert sys.sides[0, 0] == sys.sides[0, 1]
+    assert [i for i, _, _ in solver._shapes(sys, mo.ROTATABLE)] == [0, 1, 2, 1, 2]
     report = solve_multistart(inst, SolveConfig(restarts=8), mode=mo.ROTATABLE)
     assert report.status == "exhausted"
 
@@ -932,12 +971,13 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
     pick=st.integers(0, 7),
 )
 def test_lockstep_asks_each_stopped_row_once_and_names_the_winner(seed, cuts, rows, mode, pick):
-    # passes is asked about each row as it stops: first the rows that never
-    # start (a tiling and a non-finite row), then after each round the rows
-    # that stopped in it, in index order.  A row stops in the round of its
-    # last attempt.  A check that passes nothing changes no result.  The
-    # first row it passes wins, and every row still running stops with the
-    # steps it accepted in as many attempts.
+    # passes is asked about each row that stops after an LM attempt, as it
+    # stops: after each round the rows that stopped in it, in index order.
+    # A row stops in the round of its last attempt.  The rows that never
+    # start (a tiling and a non-finite row) are not asked.  A check that
+    # passes nothing changes no result.  The first row it passes wins, and
+    # every row still running stops with the steps it accepted in as many
+    # attempts.
     inst, witness = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst)
     tiling = mo.layout_to_vars(sys, witness)
@@ -949,8 +989,8 @@ def test_lockstep_asks_each_stopped_row_once_and_names_the_winner(seed, cuts, ro
     assert free[4] == -1
     accepted = [sequential_lm(sys, row, s, max_iters)[3] for row, s in zip(x0, sides)]
     stops = [len(a) for a in accepted]
-    order = sorted(range(len(x0)), key=lambda k: (stops[k], k))
-    assert stops[rows] == stops[rows + 1] == 0
+    order = sorted((k for k in range(len(x0)) if stops[k]), key=lambda k: (stops[k], k))
+    assert stops[rows] == stops[rows + 1] == 0 and order
     asked = []
 
     def never(v, s):
@@ -1379,9 +1419,10 @@ def near_guillotine(seed, n_cuts, box, delta=1e-8):
 
 def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
     """Reference for building starts lazily: solve_multistart past its gates
-    with every start built up front and raced in one _lockstep call, as a
-    report with wall_time_s 0.  Every layout it verifies is appended to
-    checked."""
+    with every start built up front, the starts that never start verified
+    in index order, then, unless one passes, raced in one _lockstep call,
+    as a report with wall_time_s 0.  Every layout it verifies is appended
+    to checked."""
     checked = [] if checked is None else checked
     sys = mo.build_system(inst, max_order)
     starts = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
@@ -1391,7 +1432,15 @@ def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
         checked.append(mo.vars_to_layout(sys, v, s))
         return verify_layout(inst, checked[-1]).passed
 
-    x, steps, _, r_inf, winner = solver._lockstep(sys, x0, sides, cfg.max_iters, passes)
+    def idle(v, s):
+        r_max = np.max(np.abs(mo.residual(sys, v, s)))
+        return not (np.isfinite(r_max) and r_max > solver.RESIDUAL_TOL)
+
+    winner = next((k for k, start in enumerate(starts) if idle(*start) and passes(*start)), -1)
+    iterations = 0
+    if winner < 0:
+        x, steps, _, r_inf, winner = solver._lockstep(sys, x0, sides, cfg.max_iters, passes)
+        iterations = int(steps.sum())
     if winner >= 0:
         layout, start, status, reason = checked[-1], winner, "converged_verified", None
         corners = mo.layout_to_vars(sys, layout)
@@ -1402,7 +1451,7 @@ def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
         status, reason = "exhausted", None
         if np.any(r_inf <= solver.RESIDUAL_TOL):
             status, reason = "converged_unverified", "unverified"
-    return SolveReport(status, layout, final, int(steps.sum()), start, 0.0, reason)
+    return SolveReport(status, layout, final, iterations, start, 0.0, reason)
 
 
 def assert_lazy_is_eager(inst, cfg, mode, max_order=None):
