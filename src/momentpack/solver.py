@@ -28,6 +28,7 @@ verifies before any LM step (iterations_total 0), and no later start is
 built.  The moment system decides the rest: an instance that tiles only
 within the verifier's tolerance, whose moment system keeps a residual
 floor above RESIDUAL_TOL, is reported from a start that stalled there.
+A report's final_residual_inf is the max |r| that judged its start.
 Reports are bitwise deterministic for fixed arguments.
 
 Unless a start wins as drawn, all starts of a solve run in one lockstep
@@ -137,13 +138,13 @@ class SolveReport:
     converged_verified always means the reported layout passed geometric
     verification.  iterations_total counts every accepted LM step any start
     took; a start cut short by the win counts those of its first attempts,
-    as many as the winner made.  best_layout is the winner's as it stopped:
-    a winner that converged reports a final_residual_inf of at most about
-    RESIDUAL_TOL, not roundoff, and one that did not converge its own,
-    larger value.  start_index is the winner's, the verified start with the
-    fewest LM attempts, else the start with the lowest final max |r|, ties
-    going to the lowest index either way.  converged_unverified means some
-    start reached RESIDUAL_TOL and none verified."""
+    as many as the winner made.  best_layout is the winner's as it stopped,
+    final_residual_inf the max |r| that judged it there, once: at most
+    RESIDUAL_TOL for a winner that converged or tiled as drawn, larger for
+    one that did not.  start_index is the winner's, the verified start with
+    the fewest LM attempts, else the start with the lowest final max |r|,
+    ties going to the lowest index either way.  converged_unverified means
+    some start reached RESIDUAL_TOL and none verified."""
 
     status: str
     best_layout: Layout | None
@@ -637,33 +638,31 @@ def solve_multistart(
         # RESIDUAL_TOL) is verified here, as it is built, and the first that
         # passes wins before a later start exists; _lockstep asks only about
         # the starts that take an LM attempt.
-        x0, sides, winner = [], [], -1
+        x0, sides = [], []
         # The width sums, built once, if at all.
         width_sums = functools.cache(functools.partial(_width_sums, sys, mode))
         for k in range(cfg.restarts):
             v, s = _start_vector(sys, mode, cfg.seed, k, width_sums=width_sums)
             x0.append(v)
             sides.append(s)
-            r_max = float(np.abs(mo.residual(sys, v, s)).max())
-            if not (math.isfinite(r_max) and r_max > RESIDUAL_TOL) and check(v, s):
-                winner = k
+            final = float(np.abs(mo.residual(sys, v, s)).max())
+            if not (math.isfinite(final) and final > RESIDUAL_TOL) and check(v, s):
+                status, start = "converged_verified", k
                 break
         del width_sums  # every start is built: free the table before the race
-        if winner < 0:
+        if start < 0:
             x, steps, _, r_inf, winner = _lockstep(
                 sys, np.stack(x0), np.stack(sides), cfg.max_iters, check
             )
             iterations = int(steps.sum())
-        if winner >= 0:
-            status, start = "converged_verified", winner
-            corners = mo.layout_to_vars(sys, layout)
-            final = float(np.max(np.abs(mo.residual(sys, corners, sides[winner]))))
-        else:
-            start = int(np.argmin(r_inf))
-            layout = mo.vars_to_layout(sys, x[start], sides[start])
+            start = winner if winner >= 0 else int(np.argmin(r_inf))
             final = float(r_inf[start])
-            if np.any(r_inf <= RESIDUAL_TOL):
-                status, reason = "converged_unverified", "unverified"
+            if winner >= 0:
+                status = "converged_verified"
+            else:
+                layout = mo.vars_to_layout(sys, x[start], sides[start])
+                if np.any(r_inf <= RESIDUAL_TOL):
+                    status, reason = "converged_unverified", "unverified"
     return SolveReport(
         status=status,
         best_layout=layout,

@@ -84,8 +84,3 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def fd_jac():
     return fd_jacobian
-
-
-@pytest.fixture(scope="session")
-def corpus_builder():
-    return guillotine_corpus

@@ -1051,14 +1051,13 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
         raw = mo.vars_to_layout(sys, x, sides)
         checked.append(raw)
         if verify_layout(inst, raw).passed:
-            winner, cut = (k, raw, sides), t
+            winner, cut = (k, raw, r_inf), t
             break
         if (r_inf, k) < best[:2]:
             best = (r_inf, k, raw)
     iterations = sum(sum(accepted[:cut]) for *_, accepted in runs)
     if winner is not None:
-        k, raw, sides = winner
-        final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw), sides)))
+        k, raw, final = winner
         return "converged_verified", k, iterations, raw, final
     status = "converged_unverified" if any_converged else "exhausted"
     return status, best[1], iterations, best[2], best[0]
@@ -1081,8 +1080,7 @@ def index_order_multistart(inst, cfg, mode, max_order=None):
         any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
         raw = mo.vars_to_layout(sys, x, sides)
         if verify_layout(inst, raw).passed:
-            final = np.max(np.abs(mo.residual(sys, mo.layout_to_vars(sys, raw), sides)))
-            return "converged_verified", k, iterations, raw, final
+            return "converged_verified", k, iterations, raw, r_inf
         if r_inf < best[0]:
             best = (r_inf, k, raw)
     status = "converged_unverified" if any_converged else "exhausted"
@@ -1437,18 +1435,18 @@ def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
         return not (np.isfinite(r_max) and r_max > solver.RESIDUAL_TOL)
 
     winner = next((k for k, start in enumerate(starts) if idle(*start) and passes(*start)), -1)
-    iterations = 0
-    if winner < 0:
+    iterations, reason = 0, None
+    if winner >= 0:  # judged as it was built
+        start, final = winner, float(np.max(np.abs(mo.residual(sys, *starts[winner]))))
+    else:
         x, steps, _, r_inf, winner = solver._lockstep(sys, x0, sides, cfg.max_iters, passes)
         iterations = int(steps.sum())
+        start = winner if winner >= 0 else int(np.argmin(r_inf))
+        final = float(r_inf[start])
     if winner >= 0:
-        layout, start, status, reason = checked[-1], winner, "converged_verified", None
-        corners = mo.layout_to_vars(sys, layout)
-        final = float(np.max(np.abs(mo.residual(sys, corners, sides[winner]))))
+        layout, status = checked[-1], "converged_verified"
     else:
-        start = int(np.argmin(r_inf))
-        layout, final = mo.vars_to_layout(sys, x[start], sides[start]), float(r_inf[start])
-        status, reason = "exhausted", None
+        layout, status = mo.vars_to_layout(sys, x[start], sides[start]), "exhausted"
         if np.any(r_inf <= solver.RESIDUAL_TOL):
             status, reason = "converged_unverified", "unverified"
     return SolveReport(status, layout, final, iterations, start, 0.0, reason)
@@ -1569,6 +1567,41 @@ def test_near_tilings_verify_after_lm_steps():
                     assert report.iterations_total > 0
                     assert verify_layout(inst, report.best_layout).passed
     assert verified == 48
+
+
+def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
+    # Each built start's max |r| is evaluated once, as it is built, and the
+    # report carries the value that judged its start: the build loop's for
+    # a start that wins as drawn, _lockstep's for a winner that took LM
+    # steps.  Start 3 of this N = 15 dissection is the first to tile as
+    # drawn; every start of the near-tiling races.
+    values, raced = [], []
+    residual, lockstep = mo.residual, solver._lockstep
+
+    def recording_residual(*args, **kwargs):
+        r = residual(*args, **kwargs)
+        values.append(float(np.max(np.abs(r))))
+        return r
+
+    def recording_lockstep(*args, **kwargs):
+        raced.append(lockstep(*args, **kwargs))
+        return raced[-1]
+
+    monkeypatch.setattr(mo, "residual", recording_residual)
+    monkeypatch.setattr(solver, "_lockstep", recording_lockstep)
+    inst, _ = gen_guillotine(19, 14, BoxSpec(10.0, 8.0))
+    report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=5, seed=19))
+    assert report.status == "converged_verified" and report.iterations_total == 0
+    assert report.start_index == 3 and len(values) == 4 and not raced
+    assert report.final_residual_inf == values[-1] <= solver.RESIDUAL_TOL
+    values.clear()
+    inst, _ = near_guillotine(0, 5, BoxSpec(10.0, 8.0))
+    report = solve_multistart(inst, SolveConfig(restarts=4))
+    assert report.status == "converged_verified" and report.iterations_total > 0
+    assert len(values) == 4 and len(raced) == 1
+    *_, r_inf, winner = raced[0]
+    assert report.start_index == winner
+    assert report.final_residual_inf == float(r_inf[winner])
 
 
 def test_rotatable_wins_after_lm_steps_place_the_given_sides():
