@@ -15,8 +15,10 @@ that stops, converged or not, is handed once, as it stopped, to
 verify_layout at its default tolerance, the one `momentpack verify` uses.
 Each start is a gap fill (_start_vector): a depth-first search, in a seeded
 order and within GAP_BUDGET placements, for a tiling that fills the lowest
-gap of the skyline first.  Each start searches one list of shapes
-(_shapes): every rectangle upright and, in rotatable mode, turned where
+gap of the skyline first.  Only a search that places every rectangle
+makes a start; one that runs out of budget makes none, and with no start
+the report is exhausted with reason "fill".  Each start searches one list
+of shapes (_shapes): every rectangle upright and, in rotatable mode, turned where
 that is another shape, so the start chooses every turn; LM then moves
 the rectangles of each start, two unknowns each, in the orientation its
 gap fill chose, never their sides.  After its first backtrack the search
@@ -54,7 +56,7 @@ stall rule ends starts bound for a non-zero local minimum: LM converges
 quadratically at a regular root and linearly at a singular one, so near a
 root a few steps lower the cost by a large share.  Far from a root a start
 can creep over a plateau and still converge after it, and the rule may end
-such a start.  With every start run to its own stop, on the bottom-left
+such a start.  With every start run to its own stop, on the skyline
 starts that gap fills replaced (tests pin their rows), the smallest share
 eight steps of a converging start lowered its cost by was 8.3e-4 over 2,355
 converging guillotine starts (N = 3 to 10, 64 starts each, fixed mode at
@@ -67,7 +69,7 @@ fixed) changes status, nor any verified one its winner or layout (tests
 pin the tightest starts, a cut one and the answers of those three solves).
 A converged start is not refined further: at a tiling the moment rows are
 well conditioned, so max |r| <= RESIDUAL_TOL puts the layout far inside the
-verifier's DEFAULT_TOL.  On the bottom-left starts, with the earlier
+verifier's DEFAULT_TOL.  On the skyline starts, with the earlier
 rotatable variables, the loosest tolerance a verified family-sweep or
 guillotine layout needed was 1.7e-9, 58 times under it; with gap-fill
 starts each of those 7,544 solves tiles as drawn.
@@ -144,7 +146,11 @@ class SolveReport:
     one that did not.  start_index is the winner's, the verified start with
     the fewest LM attempts, else the start with the lowest final max |r|,
     ties going to the lowest index either way.  converged_unverified means
-    some start reached RESIDUAL_TOL and none verified."""
+    some start reached RESIDUAL_TOL and none verified.  When no start is
+    raced, because a gate rejected the instance (reason "area" or "fit") or
+    no gap fill reached a tiling (reason "fill"), the report is exhausted
+    with best_layout None, final_residual_inf inf, iterations_total 0 and
+    start_index -1."""
 
     status: str
     best_layout: Layout | None
@@ -168,43 +174,6 @@ class SolveReport:
 
 
 # -- Initialization ----------------------------------------------------------
-
-
-def _bottom_left(
-    xs: list, tops: list, a: float, b: float, shapes: list, corners: list
-) -> None:
-    """Bottom-left fill (Baker, Coffman & Rivest 1980) onto a skyline whose
-    segment j starts at xs[j] (and ends at xs[j + 1], or a) at height
-    tops[j], both lists edited in place: each (i, w, h) of shapes, in order,
-    goes to the lowest, then leftmost, left end of a segment from which it
-    fits in the box, its lower corner written to corners[i].  One that fits
-    nowhere goes to the lowest such point its width fits from, clamped
-    inside the box, and may overlap others."""
-    tol = 1e-12
-    for i, w, h in shapes:
-        # The least (misfit, y, x) over the left ends of the segments the
-        # width fits from; a segment no lower than the best y cannot beat it.
-        best = (True, math.inf, 0.0)
-        for j, x in enumerate(xs):
-            if j and x + w > a + tol:
-                break
-            if tops[j] < best[1]:
-                y = max(tops[j : bisect.bisect_left(xs, x + w - tol, j + 1)])
-                best = min(best, (y + h > b + tol, y, x))
-        _, y, x = best
-        x, y = max(0.0, min(x, a - w)), max(0.0, min(y, b - h))
-        corners[i] = (x, y)
-        # The rectangle's top replaces the skyline over [x, x + w], merged
-        # with a neighbour of the same height.
-        lo, hi = bisect.bisect_left(xs, x), bisect.bisect_right(xs, x + w)
-        new_xs, new_tops = [x], [y + h]
-        if x + w < a and tops[hi - 1] != y + h:
-            new_xs.append(x + w)
-            new_tops.append(tops[hi - 1])
-        if lo and tops[lo - 1] == y + h:
-            lo -= 1
-            new_xs[0] = xs[lo]
-        xs[lo:hi], tops[lo:hi] = new_xs, new_tops
 
 
 def _shapes(sys: mo.MomentSystem, mode: str) -> list[tuple[int, float, float]]:
@@ -280,7 +249,7 @@ def _gap_fill(
     shapes: list,
     order: list,
     width_sums: Callable[[], _WidthSums | None],
-) -> tuple[list, list, list]:
+) -> list | None:
     """Depth-first search for a tiling of the system's box by its
     rectangles, shapes being the ways to place them (_shapes) and order the
     indices into shapes the search tries them in.  A node fills the lowest,
@@ -307,17 +276,15 @@ def _gap_fill(
     first descent builds no table, and a start's fill is the same whether
     the table was built before it or not.
 
-    The search stops at a tiling or after GAP_BUDGET placements, counted
-    over both passes, and returns the deepest fill it reached: its
-    placements (i, x, y, w, h) and its skyline, the segment left ends
-    followed by the box width, and their tops."""
+    The search stops at a tiling, and returns its placements (i, x, y, w,
+    h), or after GAP_BUDGET placements, counted over both passes, and
+    returns None."""
     tol, n, a, b = DEFAULT_TOL, sys.n_rects, sys.box_w, sys.box_h
     blocks = [0] * n  # each rectangle's shape bits, set in bits once it is placed
     for k, (i, _, _) in enumerate(shapes):
         blocks[i] |= 1 << k
     xs, tops = [0.0, a], [0.0]  # segment j spans xs[j] to xs[j + 1]
     bits, path, undo = 0, [], []
-    best = ([], xs[:], tops[:])
     # lookups: the pruned children by (gap, y, bits), a key the search
     # reaches again by placing the same rectangles in another order.
     sums, first, lookups = None, True, {}
@@ -383,12 +350,10 @@ def _gap_fill(
         xs[lo:hi], tops[lo:hi] = new_xs, new_tops
         bits |= blocks[i]
         path.append((i, x, y, w, h))
-        if len(path) > len(best[0]):
-            best = (path[:], xs[:], tops[:])
-            if len(path) == n:
-                break
+        if len(path) == n:
+            return path
         stack.append(children())
-    return best
+    return None
 
 
 def _start_vector(
@@ -397,34 +362,26 @@ def _start_vector(
     seed: int,
     start_index: int,
     width_sums: Callable[[], _WidthSums | None] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """A gap fill (_gap_fill) of the rectangles' shapes (_shapes), in an
-    order drawn from a generator seeded by seed and start_index.  When the
-    search ends without a tiling, the rectangles its deepest fill left out
-    are placed by the bottom-left rule (_bottom_left), in the same order,
-    each in its first shape.  Returns the lower corners, the system's
-    unknowns, and the (n, 2) sides each rectangle is placed with: its given
-    pair or that pair swapped.  Plain Python floats in a fixed order, so a
-    start is the same bytes on every run.  width_sums returns the system's
-    width sums when the search first backtracks; solve_multistart passes
-    one that builds them once for all its starts, and by default the start
-    builds its own."""
+    order drawn from a generator seeded by seed and start_index.  Returns
+    the lower corners of the tiling it reached, the system's unknowns, and
+    the (n, 2) sides each rectangle is placed with: its given pair or that
+    pair swapped; None when the search ends without a tiling.  Plain
+    Python floats in a fixed order, so a start is the same bytes on every
+    run.  width_sums returns the system's width sums when the search first
+    backtracks; solve_multistart passes one that builds them once for all
+    its starts, and by default the start builds its own."""
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
-    n = sys.n_rects
     shapes = _shapes(sys, mode)
     order = rng.permutation(len(shapes)).tolist()
     width_sums = width_sums or functools.partial(_width_sums, sys, mode)
-    path, xs, tops = _gap_fill(sys, shapes, order, width_sums)
-    corners, sides = [()] * n, [()] * n
+    path = _gap_fill(sys, shapes, order, width_sums)
+    if path is None:
+        return None
+    corners, sides = [()] * sys.n_rects, [()] * sys.n_rects
     for i, x, y, w, h in path:
         corners[i], sides[i] = (x, y), (w, h)
-    rest = []
-    for k in order:
-        i, w, h = shapes[k]
-        if not sides[i]:
-            sides[i] = (w, h)
-            rest.append(shapes[k])
-    _bottom_left(xs[:-1], tops, sys.box_w, sys.box_h, rest, corners)
     return np.array(corners).ravel(), np.array(sides)
 
 
@@ -600,7 +557,8 @@ def solve_multistart(
     """Deterministic multistart over gap-fill starts (_start_vector), each
     drawn from a generator seeded by cfg.seed and its index.  A start counts
     as a success only when the layout it stopped at, converged or not,
-    passes geometric verification.  Starts are built in index order.  One
+    passes geometric verification.  Starts are built in index order, and
+    a gap fill that reaches no tiling is no start: it is skipped.  A start
     whose max |r| is not finite or within RESIDUAL_TOL takes no LM step, so
     it is verified as it is built, and the first such start to pass wins
     before a later one exists.  Otherwise all starts race in one lockstep
@@ -610,12 +568,13 @@ def solve_multistart(
     one building every start up front gives: the winner is the verified
     start with the fewest LM attempts, ties going to the lowest index.
     Without a winner the report carries the lowest (final max |r|, start
-    index), read off the race's per-start results.  The arguments are
-    checked first, so a bad mode or max_order raises ValueError for every
-    instance.  An instance that no layout could pass verify_layout with is
-    then rejected before any solving: by its area (area_can_pass, reason
-    "area"), or by a rectangle that fits the box in no allowed orientation
-    (fit_can_pass, reason "fit")."""
+    index), read off the race's per-start results.  With no start at all
+    the report is exhausted, reason "fill", and no race runs.  The
+    arguments are checked first, so a bad mode or max_order raises
+    ValueError for every instance.  An instance that no layout could pass
+    verify_layout with is then rejected before any solving: by its area
+    (area_can_pass, reason "area"), or by a rectangle that fits the box in
+    no allowed orientation (fit_can_pass, reason "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     if mode not in mo._MODES:
@@ -638,29 +597,35 @@ def solve_multistart(
         # RESIDUAL_TOL) is verified here, as it is built, and the first that
         # passes wins before a later start exists; _lockstep asks only about
         # the starts that take an LM attempt.
-        x0, sides = [], []
+        x0, sides, index = [], [], []  # the starts built, and their indices
         # The width sums, built once, if at all.
         width_sums = functools.cache(functools.partial(_width_sums, sys, mode))
         for k in range(cfg.restarts):
-            v, s = _start_vector(sys, mode, cfg.seed, k, width_sums=width_sums)
+            built = _start_vector(sys, mode, cfg.seed, k, width_sums=width_sums)
+            if built is None:
+                continue
+            v, s = built
             x0.append(v)
             sides.append(s)
+            index.append(k)
             final = float(np.abs(mo.residual(sys, v, s)).max())
             if not (math.isfinite(final) and final > RESIDUAL_TOL) and check(v, s):
                 status, start = "converged_verified", k
                 break
         del width_sums  # every start is built: free the table before the race
-        if start < 0:
+        if not x0:
+            reason = "fill"
+        elif start < 0:
             x, steps, _, r_inf, winner = _lockstep(
                 sys, np.stack(x0), np.stack(sides), cfg.max_iters, check
             )
             iterations = int(steps.sum())
-            start = winner if winner >= 0 else int(np.argmin(r_inf))
-            final = float(r_inf[start])
+            row = winner if winner >= 0 else int(np.argmin(r_inf))
+            start, final = index[row], float(r_inf[row])
             if winner >= 0:
                 status = "converged_verified"
             else:
-                layout = mo.vars_to_layout(sys, x[start], sides[start])
+                layout = mo.vars_to_layout(sys, x[row], sides[row])
                 if np.any(r_inf <= RESIDUAL_TOL):
                     status, reason = "converged_unverified", "unverified"
     return SolveReport(

@@ -223,6 +223,23 @@ def test_solve_infeasible_area_exits_one(capsys, tmp_path):
     assert doc["final_residual_inf"] is None
 
 
+def test_solve_with_no_complete_fill_exits_one(capsys, tmp_path):
+    # Two 2x2 squares and a unit square pass the area and fit gates of a
+    # 3x3 box, but no gap fill tiles it: no start is raced, no layout is
+    # reported or written, and two runs print the same bytes.
+    path = tmp_path / "untiled.json"
+    path.write_text('{"box": [3, 3], "rects": [[2, 2], [2, 2], [1, 1]]}\n')
+    outs = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1 and err == ""
+        outs.append(out)
+    assert '"best_layout": null' in outs[0] and '"reason": "fill"' in outs[0]
+    assert outs[0] == outs[1]
+    assert strict_loads(outs[0])["start_index"] == -1
+    assert not (tmp_path / "untiled.json.layout.json").exists()
+
+
 def test_solve_bad_smax_exits_two_before_the_area_gate(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"box": [2, 2], "rects": [[1, 1]]}\n')

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -139,9 +140,46 @@ def may_turn(sys, mode):
     return [i in turned for i in range(sys.n_rects)]
 
 
+def _bottom_left(
+    xs: list, tops: list, a: float, b: float, shapes: list, corners: list
+) -> None:
+    """Bottom-left fill (Baker, Coffman & Rivest 1980) onto a skyline whose
+    segment j starts at xs[j] (and ends at xs[j + 1], or a) at height
+    tops[j], both lists edited in place: each (i, w, h) of shapes, in order,
+    goes to the lowest, then leftmost, left end of a segment from which it
+    fits in the box, its lower corner written to corners[i].  One that fits
+    nowhere goes to the lowest such point its width fits from, clamped
+    inside the box, and may overlap others."""
+    tol = 1e-12
+    for i, w, h in shapes:
+        # The least (misfit, y, x) over the left ends of the segments the
+        # width fits from; a segment no lower than the best y cannot beat it.
+        best = (True, math.inf, 0.0)
+        for j, x in enumerate(xs):
+            if j and x + w > a + tol:
+                break
+            if tops[j] < best[1]:
+                y = max(tops[j : bisect.bisect_left(xs, x + w - tol, j + 1)])
+                best = min(best, (y + h > b + tol, y, x))
+        _, y, x = best
+        x, y = max(0.0, min(x, a - w)), max(0.0, min(y, b - h))
+        corners[i] = (x, y)
+        # The rectangle's top replaces the skyline over [x, x + w], merged
+        # with a neighbour of the same height.
+        lo, hi = bisect.bisect_left(xs, x), bisect.bisect_right(xs, x + w)
+        new_xs, new_tops = [x], [y + h]
+        if x + w < a and tops[hi - 1] != y + h:
+            new_xs.append(x + w)
+            new_tops.append(tops[hi - 1])
+        if lo and tops[lo - 1] == y + h:
+            lo -= 1
+            new_xs[0] = xs[lo]
+        xs[lo:hi], tops[lo:hi] = new_xs, new_tops
+
+
 def skyline_start_vector(sys, mode, seed, start_index, width_sums=None):
     """Starts as _start_vector drew them before gap-fill starts: the shelf,
-    then bottom-left fills (solver._bottom_left) in a seeded order, each
+    then bottom-left fills (_bottom_left) in a seeded order, each
     rectangle that may turn first turned by a seeded bit.  The stall tests
     below pin rows of these starts (the skyline_starts fixture)."""
     if start_index == 0:
@@ -152,7 +190,7 @@ def skyline_start_vector(sys, mode, seed, start_index, width_sums=None):
     sides = np.where(turn[:, None], sys.sides[:, ::-1], sys.sides)
     shapes = [(i, *sides[i].tolist()) for i in order]
     corners = [()] * sys.n_rects
-    solver._bottom_left([0.0], [0.0], sys.box_w, sys.box_h, shapes, corners)
+    _bottom_left([0.0], [0.0], sys.box_w, sys.box_h, shapes, corners)
     return np.array(corners).ravel(), sides
 
 
@@ -201,7 +239,6 @@ def unpruned_gap_fill(sys, shapes, order, width_sums):
     xs, tops = [0.0, a], [0.0]
     placed = [False] * n
     path, undo = [], []
-    best = ([], xs[:], tops[:])
 
     def children():
         y = min(tops)
@@ -246,17 +283,16 @@ def unpruned_gap_fill(sys, shapes, order, width_sums):
         xs[lo:hi], tops[lo:hi] = new_xs, new_tops
         placed[i] = True
         path.append((i, x, y, w, h))
-        if len(path) > len(best[0]):
-            best = (path[:], xs[:], tops[:])
-            if len(path) == n:
-                break
+        if len(path) == n:
+            return path
         stack.append(children())
-    return best
+    return None
 
 
 def gap_fill_paths(sys, mode, seed, k, gap_fill):
     """The placements of start k's search when solver._gap_fill is
-    gap_fill, and the start it builds."""
+    gap_fill, and the start it builds; both None when the search reaches no
+    tiling."""
     fills = []
 
     def recording_gap_fill(*args):
@@ -266,8 +302,13 @@ def gap_fill_paths(sys, mode, seed, k, gap_fill):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_gap_fill", recording_gap_fill)
         start = solver._start_vector(sys, mode, seed, k)
-    [(path, _, _)] = fills
+    [path] = fills
     return path, start
+
+
+def start_bytes(start):
+    """A start's unknowns and sides as bytes, None for no start."""
+    return None if start is None else [a.tobytes() for a in start]
 
 
 @settings(max_examples=80, deadline=None)
@@ -285,24 +326,25 @@ def gap_fill_paths(sys, mode, seed, k, gap_fill):
 def test_gap_fill_starts_keep_sides_and_box(sides, box, mode, seed, starts):
     # Squares stay upright in rotatable mode, so fixed, rotatable and mixed
     # systems all occur; sides past the box leave the search without a
-    # tiling, so the bottom-left rule places the rest.  The search fits
-    # widths and tops within DEFAULT_TOL of the box, the bottom-left rule
-    # clamps inside it.
+    # tiling, and then there is no start.  A start places every rectangle,
+    # the search fitting widths and tops within DEFAULT_TOL of the box.
     rects = [(w, w if square else h) for w, h, square in sides]
     inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
     sys = mo.build_system(inst, 3)
     tol = 1e-9
     for k in starts:
-        x, sides = solver._start_vector(sys, mode, seed, k)
-        again = solver._start_vector(sys, mode, seed, k)
-        assert x.tobytes() == again[0].tobytes() and sides.tobytes() == again[1].tobytes()
+        start = solver._start_vector(sys, mode, seed, k)
+        assert start_bytes(start) == start_bytes(solver._start_vector(sys, mode, seed, k))
+        if start is None:
+            continue
+        x, sides = start
         turns = may_turn(sys, mode)
         for (w, h), placed, turnable in zip(sys.sides.tolist(), sides.tolist(), turns):
             assert placed == [w, h] or turnable and placed == [h, w]
         x_lo, y_lo, x_hi, y_hi = mo._corners(sys, x[None], sides).reshape(-1, 4).T
         room = DEFAULT_TOL + tol
         inside = (x_lo >= 0) & (y_lo >= 0) & (x_hi <= sys.box_w + room) & (y_hi <= sys.box_h + room)
-        assert inside[(x_hi - x_lo <= sys.box_w) & (y_hi - y_lo <= sys.box_h)].all()
+        assert inside.all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,7 +361,9 @@ def test_gap_fill_starts_that_place_every_rectangle_verify(seed, cuts, box, mode
     inst, _ = gen_guillotine(seed, cuts, box)
     sys = mo.build_system(inst)
     path, start = gap_fill_paths(sys, mode, seed, k, solver._gap_fill)
-    if len(path) == inst.n_rects:
+    assert (path is None) == (start is None)
+    if path is not None:
+        assert len(path) == inst.n_rects
         assert verify_layout(inst, mo.vars_to_layout(sys, *start)).passed
 
 
@@ -337,7 +381,10 @@ def test_start_sides_are_the_given_pair_or_that_pair_turned(seed, cuts, box, mod
     # swapped; in fixed mode nothing turns.
     inst, _ = gen_guillotine(seed, cuts, box)
     sys = mo.build_system(inst)
-    _, sides = solver._start_vector(sys, mode, seed, k)
+    start = solver._start_vector(sys, mode, seed, k)
+    if start is None:
+        return
+    _, sides = start
     assert sides.shape == (inst.n_rects, 2)
     for (w, h), placed in zip(sys.sides.tolist(), sides.tolist()):
         assert placed == [w, h] or mode == mo.ROTATABLE and w != h and placed == [h, w]
@@ -423,7 +470,7 @@ def test_width_sums_past_the_cap_leave_the_search_unpruned(monkeypatch):
         path, start = gap_fill_paths(sys, mo.FIXED, 3, k, solver._gap_fill)
         ref_path, ref_start = gap_fill_paths(sys, mo.FIXED, 3, k, unpruned_gap_fill)
         assert path == ref_path
-        assert [a.tobytes() for a in start] == [a.tobytes() for a in ref_start]
+        assert start_bytes(start) == start_bytes(ref_start)
     assert tables and tables == [None] * len(tables)  # some start backtracked
     report = solve_multistart(inst, SolveConfig(restarts=16, seed=3), mode=mo.FIXED)
     assert report.status == "converged_verified" and report.iterations_total == 0
@@ -458,7 +505,7 @@ def test_width_sums_hold_at_most_64_shapes(monkeypatch):
         path, start = gap_fill_paths(sys, mo.ROTATABLE, 5, k, solver._gap_fill)
         ref_path, ref_start = gap_fill_paths(sys, mo.ROTATABLE, 5, k, unpruned_gap_fill)
         assert path == ref_path
-        assert [a.tobytes() for a in start] == [a.tobytes() for a in ref_start]
+        assert start_bytes(start) == start_bytes(ref_start)
     assert tables == [None] * 4  # every start backtracked
 
 
@@ -483,8 +530,8 @@ def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(monkeypatch, m
             for k in range(4):
                 path, _ = gap_fill_paths(sys, mode, seed, k, solver._gap_fill)
                 ref_path, _ = gap_fill_paths(sys, mode, seed, k, unpruned_gap_fill)
-                assert (len(path) == inst.n_rects) == (len(ref_path) == inst.n_rects)
-                if len(ref_path) == inst.n_rects:
+                assert (path is None) == (ref_path is None)
+                if ref_path is not None:
                     assert path == ref_path
                     tiled += 1
                 else:
@@ -503,8 +550,7 @@ def test_starts_do_not_depend_on_what_was_solved_before():
         table = solver._width_sums(sys, mo.FIXED) if shared else None
         width_sums = (lambda: asked.append(table) or table) if shared else None
         return [
-            [a.tobytes() for a in solver._start_vector(sys, mo.FIXED, 1, k, width_sums)]
-            for k in range(12)
+            start_bytes(solver._start_vector(sys, mo.FIXED, 1, k, width_sums)) for k in range(12)
         ]
 
     box = BoxSpec(10.0, 8.0)
@@ -678,13 +724,16 @@ def test_multistart_verifies_sides_typed_to_eight_digits(seed):
 
 def test_multistart_exhausts_on_unpackable_exact_area():
     # Two 2x2 squares and a unit square fill a 3x3 box by area, and each
-    # fits it, but the two 2x2 squares cannot share it.
+    # fits it, but the two 2x2 squares cannot share it: no gap fill reaches
+    # a tiling, so there is no start to race and no layout to report.
     inst = Instance.from_sides([(2, 2), (2, 2), (1, 1)], BoxSpec(3, 3), rotation_allowed=False)
     report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=60))
     assert report.status == "exhausted"
-    assert report.reason is None
+    assert report.reason == "fill"
     assert report.final_residual_inf > 1e-10
-    assert report.best_layout is not None  # best effort is still reported
+    assert report.best_layout is None
+    assert report.iterations_total == 0
+    assert report.start_index == -1
 
 
 def test_multistart_rotatable_mode():
@@ -1034,17 +1083,17 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
     final_residual_inf).  Each start k runs alone and stops after its a_k-th
     attempt.  Every start is verified as it stopped, converged or not, in
     (a_k, k) order, and the first to pass wins at T = a_k: each start's
-    steps count up to its T-th attempt.  Every layout it verifies is
-    appended to checked."""
+    steps count up to its T-th attempt.  A gap fill that reaches no tiling
+    is no start.  Every layout it verifies is appended to checked."""
     checked = [] if checked is None else checked
     sys = mo.build_system(inst, max_order)
     best = (float("inf"), -1, None)
     any_converged = False
-    starts = range(cfg.restarts)
-    x0 = [solver._start_vector(sys, mode, cfg.seed, k) for k in starts]
-    runs = [sequential_lm(sys, *x0[k], cfg.max_iters) for k in starts]
+    built = (solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts))
+    x0 = {k: start for k, start in enumerate(built) if start is not None}
+    runs = {k: sequential_lm(sys, *start, cfg.max_iters) for k, start in x0.items()}
     winner = cut = None
-    for t, k in sorted((len(run[3]), k) for k, run in enumerate(runs)):
+    for t, k in sorted((len(run[3]), k) for k, run in runs.items()):
         x, sides = runs[k][0], x0[k][1]
         r_inf = np.max(np.abs(mo.residual(sys, x, sides)))
         any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
@@ -1055,7 +1104,7 @@ def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
             break
         if (r_inf, k) < best[:2]:
             best = (r_inf, k, raw)
-    iterations = sum(sum(accepted[:cut]) for *_, accepted in runs)
+    iterations = sum(sum(accepted[:cut]) for *_, accepted in runs.values())
     if winner is not None:
         k, raw, final = winner
         return "converged_verified", k, iterations, raw, final
@@ -1067,13 +1116,17 @@ def index_order_multistart(inst, cfg, mode, max_order=None):
     """Reference for the earlier winner rule, the lowest verified start
     index: the multistart loop one start at a time through sequential_lm,
     verifying every start as it stopped, as (status, start_index,
-    iterations_total, best_layout, final_residual_inf)."""
+    iterations_total, best_layout, final_residual_inf).  A gap fill that
+    reaches no tiling is no start."""
     sys = mo.build_system(inst, max_order)
     best = (float("inf"), -1, None)
     iterations = 0
     any_converged = False
     for k in range(cfg.restarts):
-        x0, sides = solver._start_vector(sys, mode, cfg.seed, k)
+        start = solver._start_vector(sys, mode, cfg.seed, k)
+        if start is None:
+            continue
+        x0, sides = start
         x, steps, _, _ = sequential_lm(sys, x0, sides, cfg.max_iters)
         iterations += steps
         r_inf = np.max(np.abs(mo.residual(sys, x, sides)))
@@ -1400,7 +1453,10 @@ def test_multistart_status_and_fallback_match_index_order(
     assert report.status == expected[0]
     if report.status != "converged_verified":
         assert_report_is(report, expected)
-        assert report.reason == ("unverified" if report.status == "converged_unverified" else None)
+        unbuilt = "fill" if report.start_index < 0 else None
+        assert report.reason == (
+            "unverified" if report.status == "converged_unverified" else unbuilt
+        )
 
 
 def near_guillotine(seed, n_cuts, box, delta=1e-8):
@@ -1417,13 +1473,17 @@ def near_guillotine(seed, n_cuts, box, delta=1e-8):
 
 def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
     """Reference for building starts lazily: solve_multistart past its gates
-    with every start built up front, the starts that never start verified
-    in index order, then, unless one passes, raced in one _lockstep call,
-    as a report with wall_time_s 0.  Every layout it verifies is appended
-    to checked."""
+    with every start built up front, gap fills that reach no tiling
+    skipped, the starts that never start verified in index order, then,
+    unless one passes, raced in one _lockstep call, as a report with
+    wall_time_s 0.  Every layout it verifies is appended to checked."""
     checked = [] if checked is None else checked
     sys = mo.build_system(inst, max_order)
-    starts = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
+    built = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
+    index = [k for k, start in enumerate(built) if start is not None]
+    starts = [built[k] for k in index]
+    if not starts:
+        return SolveReport("exhausted", None, math.inf, 0, -1, 0.0, "fill")
     x0, sides = (np.stack(a) for a in zip(*starts))
 
     def passes(v, s):
@@ -1449,7 +1509,7 @@ def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
         layout, status = mo.vars_to_layout(sys, x[start], sides[start]), "exhausted"
         if np.any(r_inf <= solver.RESIDUAL_TOL):
             status, reason = "converged_unverified", "unverified"
-    return SolveReport(status, layout, final, iterations, start, 0.0, reason)
+    return SolveReport(status, layout, final, iterations, index[start], 0.0, reason)
 
 
 def assert_lazy_is_eager(inst, cfg, mode, max_order=None):
@@ -1574,7 +1634,8 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
     # report carries the value that judged its start: the build loop's for
     # a start that wins as drawn, _lockstep's for a winner that took LM
     # steps.  Start 3 of this N = 15 dissection is the first to tile as
-    # drawn; every start of the near-tiling races.
+    # drawn, and the gap fills of starts 0-2 reach no tiling, so they are
+    # not built; every start of the near-tiling races.
     values, raced = [], []
     residual, lockstep = mo.residual, solver._lockstep
 
@@ -1592,7 +1653,7 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
     inst, _ = gen_guillotine(19, 14, BoxSpec(10.0, 8.0))
     report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=5, seed=19))
     assert report.status == "converged_verified" and report.iterations_total == 0
-    assert report.start_index == 3 and len(values) == 4 and not raced
+    assert report.start_index == 3 and len(values) == 1 and not raced
     assert report.final_residual_inf == values[-1] <= solver.RESIDUAL_TOL
     values.clear()
     inst, _ = near_guillotine(0, 5, BoxSpec(10.0, 8.0))
@@ -1602,6 +1663,38 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
     *_, r_inf, winner = raced[0]
     assert report.start_index == winner
     assert report.final_residual_inf == float(r_inf[winner])
+
+
+def test_incomplete_fills_are_never_raced(monkeypatch):
+    # The gap fills of starts 0, 1 and 4-7 of this near-tiling of N = 15
+    # reach no tiling within GAP_BUDGET (found by a search over
+    # near_guillotine seeds); starts 2 and 3 do, and are the only rows of
+    # the one _lockstep call.  Start 2, row 0, wins after LM steps, and the
+    # report names it by its own index.  With no complete fill no race runs.
+    raced = []
+    lockstep = solver._lockstep
+
+    def recording_lockstep(sys, x0, sides, *args):
+        raced.append((x0.tobytes(), sides.tobytes(), lockstep(sys, x0, sides, *args)))
+        return raced[-1][2]
+
+    monkeypatch.setattr(solver, "_lockstep", recording_lockstep)
+    inst, _ = near_guillotine(0, 14, BoxSpec(10.0, 8.0))
+    cfg = SolveConfig(restarts=8)
+    sys = mo.build_system(inst)
+    starts = [solver._start_vector(sys, mo.FIXED, cfg.seed, k) for k in range(cfg.restarts)]
+    complete = [k for k, start in enumerate(starts) if start is not None]
+    assert complete == [2, 3]
+    report = solve_multistart(inst, cfg, mode=mo.FIXED)
+    [(x0, sides, (*_, winner))] = raced
+    assert x0 == np.stack([starts[k][0] for k in complete]).tobytes()
+    assert sides == np.stack([starts[k][1] for k in complete]).tobytes()
+    assert report.status == "converged_verified" and report.iterations_total > 0
+    assert winner == 0 and report.start_index == complete[winner] == 2
+    raced.clear()
+    inst = Instance.from_sides([(2, 2), (2, 2), (1, 1)], BoxSpec(3, 3), rotation_allowed=False)
+    report = solve_multistart(inst, SolveConfig(restarts=8))
+    assert report.status == "exhausted" and report.reason == "fill" and not raced
 
 
 def test_rotatable_wins_after_lm_steps_place_the_given_sides():
