@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--smax", type=int, default=None)
     p_solve.add_argument("--mode", choices=["fixed", "rotatable"], default="fixed")
-    p_solve.add_argument("--restarts", type=int, default=64, help="starts, all raced in one "
-                         "call (more may change the winner); about 70 KB each at N = 20")
+    p_solve.add_argument("--restarts", type=int, default=64, help="starts at most, tried in "
+                         "index order; the first that verifies wins")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=_cmd_solve)

@@ -38,7 +38,7 @@ for the sides (w, h) it is placed with, which are data, not unknowns: the
 given pair or, where the solver's start turned the rectangle, that pair
 swapped.  Each row of a batch carries its own sides, a (K, n, 2) array
 that only _corners reads (the Jacobian reads only the Chebyshev table), so
-starts that turn different rectangles race in one batch.  The truncation
+points that turn different rectangles share one batch.  The truncation
 default comes from the unknown count, 2n.
 
 Chebyshev values come from the three-term recurrence T_(j+1) = 2t * T_j -

@@ -1,51 +1,40 @@
 """Damped least-squares solving of truncated moment systems with multistart.
 
-The core, _lockstep, runs Levenberg-Marquardt on many start vectors at
-once: for each start, each attempt solves (J^T J + lambda I) delta = -J^T r
-and accepts the candidate x + delta only on strict cost decrease (lambda
-halves); a rejection quadruples lambda for the next attempt (Madsen,
-Nielsen & Tingleff 2004, section 3.2).  The unknowns are unconstrained: a
-candidate whose residual is not finite costs inf, so it is rejected like
-any other that does not lower the cost, and every accepted iterate stays
-finite.  Containment in the box is the verifier's check, not the solver's.
+The core, _descend, runs Levenberg-Marquardt from one start vector: each
+attempt solves (J^T J + lambda I) delta = -J^T r and accepts the candidate
+x + delta only on strict cost decrease (lambda halves); a rejection
+quadruples lambda for the next attempt (Madsen, Nielsen & Tingleff 2004,
+section 3.2).  The unknowns are unconstrained: a candidate whose residual
+is not finite costs inf, so it is rejected like any other that does not
+lower the cost, and every accepted iterate stays finite.  Containment in
+the box is the verifier's check, not the solver's.
 
 solve_multistart layers deterministic restarts on top and treats geometric
-verification, not the residual, as the definition of success: every start
-that stops, converged or not, is handed once, as it stopped, to
-verify_layout at its default tolerance, the one `momentpack verify` uses.
+verification, not the residual, as the definition of success.  Starts are
+tried one at a time, in index order, and the first that verifies wins: each
+is handed once, as it stopped, converged or not, to verify_layout at its
+default tolerance, the one `momentpack verify` uses, and no start after the
+winner is built.  So more starts never change a verified answer.
+
 Each start is a gap fill (_start_vector): a depth-first search, in a seeded
 order and within GAP_BUDGET placements, for a tiling that fills the lowest
-gap of the skyline first.  Only a search that places every rectangle
-makes a start; one that runs out of budget makes none, and with no start
-the report is exhausted with reason "fill".  Each start searches one list
-of shapes (_shapes): every rectangle upright and, in rotatable mode, turned where
-that is another shape, so the start chooses every turn; LM then moves
-the rectangles of each start, two unknowns each, in the orientation its
-gap fill chose, never their sides.  After its first backtrack the search
-keeps only the shapes that lie in a sum of shape widths of unplaced
-rectangles matching the gap, read from a table of width sums built once
-per solve and freed before the race (_width_sums; past WIDTH_SUMS_CAP
-sums or 64 shapes the search is unpruned).  So the construction wins exact tilings: a start that tiles the box as drawn
-verifies before any LM step (iterations_total 0), and no later start is
-built.  The moment system decides the rest: an instance that tiles only
-within the verifier's tolerance, whose moment system keeps a residual
-floor above RESIDUAL_TOL, is reported from a start that stalled there.
-A report's final_residual_inf is the max |r| that judged its start.
-Reports are bitwise deterministic for fixed arguments.
-
-Unless a start wins as drawn, all starts of a solve run in one lockstep
-call.  Each round makes one attempt for every start still running, each at
-its own lambda: one stacked linear solve, one residual evaluation and one
-batched Jacobian for the starts whose attempt was accepted; a rejected
-start retries in the next round, beside the others' next attempts.  So each start follows the
-trajectory it follows alone, bit for bit (solve_single is the one-start
-view), and no start waits on another's retries: at these sizes (at most 40
-unknowns per start on the benchmark's solves) a round costs mostly per-call
-overhead.  After each round the call checks the starts that stopped in it,
-in index order, here by verification; the first that passes wins, and
-every start still running stops with it.  So the winner is the verified
-start with the fewest LM attempts (linear solves), ties going to the
-lowest index.  Each start adds about 70 KB of memory at 20 fixed rectangles.
+gap of the skyline first.  Only a search that places every rectangle makes
+a start; one that runs out of budget makes none, and with no start the
+report is exhausted with reason "fill".  Each start searches one list of
+shapes (_shapes): every rectangle upright and, in rotatable mode, turned
+where that is another shape, so the start chooses every turn; LM then moves
+the rectangles of each start, two unknowns each, in the orientation its gap
+fill chose, never their sides.  After its first backtrack the search keeps
+only the shapes that lie in a sum of shape widths of unplaced rectangles
+matching the gap, read from a table of width sums built once per solve
+(_width_sums; past WIDTH_SUMS_CAP sums or 64 shapes the search is
+unpruned).  So the construction wins exact tilings: a start that tiles the
+box as drawn verifies before any LM step (iterations_total 0).  The moment
+system decides the rest: an instance that tiles only within the verifier's
+tolerance, whose moment system keeps a residual floor above RESIDUAL_TOL,
+is reported from a start that stalled there.  A report's
+final_residual_inf is the max |r| that judged its start.  Reports are
+bitwise deterministic for fixed arguments.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), its
@@ -138,19 +127,17 @@ class SolveConfig:
 class SolveReport:
     """status is converged_verified, converged_unverified, or exhausted;
     converged_verified always means the reported layout passed geometric
-    verification.  iterations_total counts every accepted LM step any start
-    took; a start cut short by the win counts those of its first attempts,
-    as many as the winner made.  best_layout is the winner's as it stopped,
+    verification.  iterations_total counts the accepted LM steps of the
+    starts tried.  best_layout is the winner's as it stopped,
     final_residual_inf the max |r| that judged it there, once: at most
     RESIDUAL_TOL for a winner that converged or tiled as drawn, larger for
-    one that did not.  start_index is the winner's, the verified start with
-    the fewest LM attempts, else the start with the lowest final max |r|,
-    ties going to the lowest index either way.  converged_unverified means
-    some start reached RESIDUAL_TOL and none verified.  When no start is
-    raced, because a gate rejected the instance (reason "area" or "fit") or
-    no gap fill reached a tiling (reason "fill"), the report is exhausted
-    with best_layout None, final_residual_inf inf, iterations_total 0 and
-    start_index -1."""
+    one that did not.  start_index is the winner's, the lowest-index start
+    that verified, else the start with the lowest final max |r|, ties going
+    to the lowest index.  converged_unverified means some start reached
+    RESIDUAL_TOL and none verified.  When no start is tried, because a gate
+    rejected the instance (reason "area" or "fit") or no gap fill reached a
+    tiling (reason "fill"), the report is exhausted with best_layout None,
+    final_residual_inf inf, iterations_total 0 and start_index -1."""
 
     status: str
     best_layout: Layout | None
@@ -388,124 +375,64 @@ def _start_vector(
 # -- Core iteration ----------------------------------------------------------
 
 
-def _costs(r: np.ndarray) -> np.ndarray:
-    """Residual 2-norm of each row, computed like np.linalg.norm of the row
-    alone (one dot product per row), so batched and single costs agree
-    bitwise; inf where a residual is not finite (its norm is then inf or
-    NaN)."""
-    c = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
-    c[np.isnan(c)] = np.inf
-    return c
+def _cost(r: np.ndarray) -> float:
+    """The residual 2-norm of a batch of one, inf where the residual is not
+    finite (its norm is then inf or NaN)."""
+    cost = float(np.linalg.norm(r))
+    return math.inf if math.isnan(cost) else cost
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a_k x_k = b_k for every k at once.  One singular a_k makes the
-    stacked solve raise for all of them, so the stack is then re-solved one
-    system at a time, falling back to lstsq only for the singular ones."""
-    try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(b)
-    for k, (a_k, b_k) in enumerate(zip(a, b)):
-        try:
-            out[k] = np.linalg.solve(a_k, b_k)
-        except np.linalg.LinAlgError:
-            out[k] = np.linalg.lstsq(a_k, b_k, rcond=None)[0]
-    return out
+def _descend(
+    sys: mo.MomentSystem, x0: np.ndarray, sides: np.ndarray, max_iters: int
+) -> tuple[np.ndarray, list[float], float]:
+    """Levenberg-Marquardt from the start x0 (var_count,), its rectangles
+    placed with sides (n, 2), on batches of one.
 
-
-def _lockstep(
-    sys: mo.MomentSystem,
-    x0: np.ndarray,
-    sides: np.ndarray,
-    max_iters: int,
-    passes: Callable[[np.ndarray, np.ndarray], bool] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Levenberg-Marquardt on every row of x0 (K, var_count) in lockstep,
-    row k placing its rectangles with sides[k] of sides (K, n, 2).
-
-    Each row starts at LAMBDA0 and follows the one-attempt damping rule on
-    its own until RESIDUAL_TOL, a stall (after accepted step n >=
-    STALL_WINDOW, costs[k, n] >= (1 - STALL_TOL) costs[k, n - STALL_WINDOW];
-    STALL_TOL 0 turns the rule off), lambda above LAMBDA_MAX or max_iters
-    accepted steps.  Each round makes one attempt for every running row,
-    each at its own lambda, in one stacked linear solve and one residual
-    evaluation; a rejected row retries on the undamped normal equations it
-    keeps.  So each row follows the rule's trajectory bit for bit, whatever
-    else is in the batch.
-    Returns the final variables (K, V), the accepted step count of each row
-    (K,), the accepted costs (K, max_iters + 1), row k's history being
-    costs[k, : steps[k] + 1], each row's final max |r| (K,) and the winner.
-
-    passes, if given, is asked about each row that stops after an LM
-    attempt, once, with its variables and sides: after each round, the rows
-    that stopped in it, in index order.  The first row it passes is the
-    winner, and every row still running stops at once, with the steps it
-    has taken in as many attempts.  The winner is -1 when no row passes.
-    Rows that never start (max |r| not finite or within RESIDUAL_TOL) are
-    not asked: the caller judges them.
+    The start runs from LAMBDA0 under the one-attempt damping rule until
+    RESIDUAL_TOL, a stall (after accepted step n >= STALL_WINDOW, costs[n]
+    >= (1 - STALL_TOL) costs[n - STALL_WINDOW]; STALL_TOL 0 turns the rule
+    off), lambda above LAMBDA_MAX or max_iters accepted steps.  A rejected
+    attempt retries on the undamped normal equations it keeps, and a
+    singular damped system is solved by lstsq.  A start whose max |r| is
+    not finite or within RESIDUAL_TOL takes no attempt.
+    Returns the final variables, the accepted costs (residual 2-norms, the
+    first at x0) and the final max |r|.
     """
     diag = slice(None, None, sys.var_count + 1)  # the diagonal of a flattened (V, V)
-    x = np.array(x0, dtype=float)  # a copy: rows are updated in place
+    x = np.array(x0, dtype=float)[None]
     with np.errstate(over="ignore", invalid="ignore"):
         table = mo.chebyshev_table(sys, x, sides)
         r = mo.batch_residual(sys, table)
-        r_inf = np.abs(r).max(axis=1)
-        cost = _costs(r)
-        costs = np.empty((len(x), max_iters + 1))
-        costs[:, 0] = cost
-        steps = np.zeros(len(x), dtype=int)
-        live = np.isfinite(r_inf) & (r_inf > RESIDUAL_TOL)
-        rows = np.flatnonzero(live)
-        ended = rows[:0]  # the rows that stopped in the last round
-        # The running rows' state, in the order of rows, written back as a
-        # row stops.  Normal equations are built at the top of the round after
-        # a row steps (fresh), so a win skips the Jacobians of its round.
-        xr, sr, cost, n, rmax = x[rows], sides[rows], cost[rows], steps[rows], r_inf[rows]
-        lam = np.full(len(rows), LAMBDA0)
-        hess, neg_grad = np.empty((len(rows), sys.var_count, sys.var_count)), np.empty(xr.shape)
-        table, r, fresh = table[rows], r[rows], live[rows]
-        winner = -1
-        while True:
-            if passes is not None:
-                winner = next((k for k in ended.tolist() if passes(x[k], sides[k])), -1)
-            if winner >= 0 or not len(rows):
-                break
-            if len(table):  # some row stepped in the last round
+        r_max, costs = np.abs(r).max(), [_cost(r)]
+        lam, stepped = LAMBDA0, True
+        running = np.isfinite(r_max) and r_max > RESIDUAL_TOL
+        while running:
+            if stepped:  # normal equations at the new point
                 jac_t = mo.batch_jacobian(sys, table).transpose(0, 2, 1)
-                neg_grad[fresh] = -(jac_t @ r[:, :, None])[:, :, 0]
-                hess[fresh] = jac_t @ jac_t.transpose(0, 2, 1)
-                del jac_t  # the largest array of a round: not kept through it
+                neg_grad = -(jac_t @ r[:, :, None])
+                hess = jac_t @ jac_t.transpose(0, 2, 1)
             damped = hess.copy()
-            damped.reshape(len(rows), -1)[:, diag] += lam[:, None]
-            cand = xr + _solve_rows(damped, neg_grad)
-            table = mo.chebyshev_table(sys, cand, sr)
-            r = mo.batch_residual(sys, table)
-            cost_new = _costs(r)
-            fresh = cost_new < cost
-            if fresh.all():  # most rounds: nothing to gather, none retries
-                xr, cost, rmax, n = cand, cost_new, np.abs(r).max(axis=1), n + 1
-                lam = np.maximum(lam * LAMBDA_DECREASE, LAMBDA_MIN)
+            damped.reshape(1, -1)[:, diag] += lam
+            try:
+                delta = np.linalg.solve(damped, neg_grad)[:, :, 0]
+            except np.linalg.LinAlgError:
+                delta = np.linalg.lstsq(damped[0], neg_grad[0, :, 0], rcond=None)[0]
+            cand = x + delta
+            cand_table = mo.chebyshev_table(sys, cand, sides)
+            cand_r = mo.batch_residual(sys, cand_table)
+            cost = _cost(cand_r)
+            stepped = cost < costs[-1]
+            if stepped:
+                x, table, r, r_max = cand, cand_table, cand_r, np.abs(cand_r).max()
+                lam = max(lam * LAMBDA_DECREASE, LAMBDA_MIN)
+                costs.append(cost)
+                n = len(costs) - 1
+                fell = n < STALL_WINDOW or cost < (1.0 - STALL_TOL) * costs[n - STALL_WINDOW]
+                running = r_max > RESIDUAL_TOL and fell and n < max_iters
             else:
-                table, r = table[fresh], r[fresh]
-                xr[fresh], cost[fresh] = cand[fresh], cost_new[fresh]
-                rmax[fresh], n = np.abs(r).max(axis=1), n + fresh
-                down = np.maximum(lam * LAMBDA_DECREASE, LAMBDA_MIN)
-                lam = np.where(fresh, down, lam * LAMBDA_INCREASE)
-            costs[rows, n] = cost  # a row that did not step writes its cost again
-            before = costs[rows, np.maximum(n - STALL_WINDOW, 0)]
-            fell = (n < STALL_WINDOW) | (cost < (1.0 - STALL_TOL) * before)
-            going = (rmax > RESIDUAL_TOL) & fell & (n < max_iters)
-            keep = np.where(fresh, going, lam <= LAMBDA_MAX)
-            ended = rows[~keep]
-            if len(ended):
-                x[ended], steps[ended], r_inf[ended] = xr[~keep], n[~keep], rmax[~keep]
-                table, r = table[keep[fresh]], r[keep[fresh]]
-                state = rows, xr, sr, cost, n, rmax, lam, hess, neg_grad, fresh
-                rows, xr, sr, cost, n, rmax, lam, hess, neg_grad, fresh = (a[keep] for a in state)
-        x[rows], steps[rows], r_inf[rows] = xr, n, rmax  # the rows a win cut short
-    return x, steps, costs, r_inf, winner
+                lam *= LAMBDA_INCREASE
+                running = lam <= LAMBDA_MAX
+    return x[0], costs, float(r_max)
 
 
 def solve_single(
@@ -514,13 +441,11 @@ def solve_single(
     """Levenberg-Marquardt from one start; returns the final variable vector
     and the history of accepted residual 2-norms (monotone decreasing,
     starting at the initial cost).  Each step solves
-    (J^T J + lambda I) delta = -J^T r; the lockstep core with one row, its
+    (J^T J + lambda I) delta = -J^T r; the core, _descend, with the
     rectangles placed with their given sides."""
     cfg = cfg or SolveConfig()
-    x, steps, costs, _, _ = _lockstep(
-        sys, mo._check_vars(sys, x0)[None], sys.sides[None], cfg.max_iters
-    )
-    return x[0], costs[0, : steps[0] + 1].tolist()
+    x, costs, _ = _descend(sys, mo._check_vars(sys, x0), sys.sides, cfg.max_iters)
+    return x, costs
 
 
 # -- Layout cleanup ----------------------------------------------------------
@@ -557,24 +482,18 @@ def solve_multistart(
     """Deterministic multistart over gap-fill starts (_start_vector), each
     drawn from a generator seeded by cfg.seed and its index.  A start counts
     as a success only when the layout it stopped at, converged or not,
-    passes geometric verification.  Starts are built in index order, and
-    a gap fill that reaches no tiling is no start: it is skipped.  A start
-    whose max |r| is not finite or within RESIDUAL_TOL takes no LM step, so
-    it is verified as it is built, and the first such start to pass wins
-    before a later one exists.  Otherwise all starts race in one lockstep
-    call, one LM attempt each per round, which verifies each start that
-    takes an attempt as it stops, in index order after each round; the
-    first to pass wins and stops the rest.  So the report is the
-    one building every start up front gives: the winner is the verified
-    start with the fewest LM attempts, ties going to the lowest index.
-    Without a winner the report carries the lowest (final max |r|, start
-    index), read off the race's per-start results.  With no start at all
-    the report is exhausted, reason "fill", and no race runs.  The
-    arguments are checked first, so a bad mode or max_order raises
-    ValueError for every instance.  An instance that no layout could pass
-    verify_layout with is then rejected before any solving: by its area
-    (area_can_pass, reason "area"), or by a rectangle that fits the box in
-    no allowed orientation (fit_can_pass, reason "fit")."""
+    passes geometric verification.  Starts are tried one at a time, in
+    index order, and the first that verifies wins: start k is built (a gap
+    fill that reaches no tiling is no start, and is skipped), judged as
+    drawn if its max |r| is not finite or within RESIDUAL_TOL, else after
+    its own LM descent (_descend), and verified once.  No start after the
+    winner is built.  Without a winner the report carries the lowest (final
+    max |r|, start index); with no start at all it is exhausted, reason
+    "fill".  The arguments are checked first, so a bad mode or max_order
+    raises ValueError for every instance.  An instance that no layout could
+    pass verify_layout with is then rejected before any solving: by its
+    area (area_can_pass, reason "area"), or by a rectangle that fits the box
+    in no allowed orientation (fit_can_pass, reason "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     if mode not in mo._MODES:
@@ -587,17 +506,7 @@ def solve_multistart(
         reason = "fit"
     status, layout, final, iterations, start = "exhausted", None, float("inf"), 0, -1
     if reason is None:
-
-        def check(v: np.ndarray, s: np.ndarray) -> bool:
-            nonlocal layout  # the last one checked: the winner's, if any
-            layout = mo.vars_to_layout(sys, v, s)
-            return verify_layout(inst, layout).passed
-
-        # A start that never starts (max |r| not finite or within
-        # RESIDUAL_TOL) is verified here, as it is built, and the first that
-        # passes wins before a later start exists; _lockstep asks only about
-        # the starts that take an LM attempt.
-        x0, sides, index = [], [], []  # the starts built, and their indices
+        tried, converged = False, False
         # The width sums, built once, if at all.
         width_sums = functools.cache(functools.partial(_width_sums, sys, mode))
         for k in range(cfg.restarts):
@@ -605,29 +514,21 @@ def solve_multistart(
             if built is None:
                 continue
             v, s = built
-            x0.append(v)
-            sides.append(s)
-            index.append(k)
-            final = float(np.abs(mo.residual(sys, v, s)).max())
-            if not (math.isfinite(final) and final > RESIDUAL_TOL) and check(v, s):
-                status, start = "converged_verified", k
+            tried, r_max = True, float(np.abs(mo.residual(sys, v, s)).max())
+            if math.isfinite(r_max) and r_max > RESIDUAL_TOL:
+                v, costs, r_max = _descend(sys, v, s, cfg.max_iters)
+                iterations += len(costs) - 1
+            candidate = mo.vars_to_layout(sys, v, s)
+            if verify_layout(inst, candidate).passed:
+                status, layout, final, start = "converged_verified", candidate, r_max, k
                 break
-        del width_sums  # every start is built: free the table before the race
-        if not x0:
+            converged |= r_max <= RESIDUAL_TOL
+            if r_max < final:
+                layout, final, start = candidate, r_max, k
+        if not tried:
             reason = "fill"
-        elif start < 0:
-            x, steps, _, r_inf, winner = _lockstep(
-                sys, np.stack(x0), np.stack(sides), cfg.max_iters, check
-            )
-            iterations = int(steps.sum())
-            row = winner if winner >= 0 else int(np.argmin(r_inf))
-            start, final = index[row], float(r_inf[row])
-            if winner >= 0:
-                status = "converged_verified"
-            else:
-                layout = mo.vars_to_layout(sys, x[row], sides[row])
-                if np.any(r_inf <= RESIDUAL_TOL):
-                    status, reason = "converged_unverified", "unverified"
+        elif status == "exhausted" and converged:
+            status, reason = "converged_unverified", "unverified"
     return SolveReport(
         status=status,
         best_layout=layout,

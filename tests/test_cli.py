@@ -225,7 +225,7 @@ def test_solve_infeasible_area_exits_one(capsys, tmp_path):
 
 def test_solve_with_no_complete_fill_exits_one(capsys, tmp_path):
     # Two 2x2 squares and a unit square pass the area and fit gates of a
-    # 3x3 box, but no gap fill tiles it: no start is raced, no layout is
+    # 3x3 box, but no gap fill tiles it: no start is tried, no layout is
     # reported or written, and two runs print the same bytes.
     path = tmp_path / "untiled.json"
     path.write_text('{"box": [3, 3], "rects": [[2, 2], [2, 2], [1, 1]]}\n')

@@ -217,11 +217,6 @@ def numpy_start_vector(sys, mode, seed, start_index, width_sums=None):
     return out.ravel(), sides
 
 
-def given_sides(sys, rows):
-    """The given sides for each of rows rows, (rows, n, 2)."""
-    return np.repeat(sys.sides[None], rows, axis=0)
-
-
 @pytest.fixture
 def uniform_starts(monkeypatch):
     monkeypatch.setattr(solver, "_start_vector", numpy_start_vector)
@@ -753,39 +748,29 @@ def test_report_to_dict_serializes_infinite_residual():
     assert doc["status"] == "exhausted"
 
 
-# -- Lockstep multistart ------------------------------------------------------
+# -- Single-start descent ----------------------------------------------------
 
 
-def assert_rows_run_as_alone(sys, x0, sides, max_iters):
-    """Every row of one lockstep run equals, bit for bit, the run of that
-    row by itself; returns the batched result."""
-    batched = solver._lockstep(sys, x0, sides, max_iters)
-    x, steps, costs, r_inf, _ = batched
-    for k, row in enumerate(x0):
-        x1, steps1, costs1, r_inf1, _ = solver._lockstep(sys, row[None], sides[k, None], max_iters)
-        assert x[k].tobytes() == x1[0].tobytes()
-        assert steps[k] == steps1[0]
-        assert costs[k, : steps[k] + 1].tobytes() == costs1[0, : steps1[0] + 1].tobytes()
-        assert r_inf[k].tobytes() == r_inf1[0].tobytes()
-    return batched
-
-
-def sequential_lm(sys, x0, sides, max_iters, cut=None):
-    """Reference for _lockstep, reading the stop rule from the solver's
-    constants when called: Levenberg-Marquardt on one row placed with sides
-    (n, 2), with one damped attempt per round, on the same batched
-    primitives (batches of one).
+def sequential_lm(sys, x0, sides, max_iters):
+    """Reference for _descend, reading the stop rule from the solver's
+    constants when called: Levenberg-Marquardt from one start placed with
+    sides (n, 2), one damped attempt per round, on the batched primitives
+    (batches of one), a singular system solved by lstsq.
     Returns the final variables, the accepted step count, the accepted
-    costs and, for each attempt, whether it was accepted; the run stops in
-    the round of its last attempt.  cut, if given, ends the run after that
-    many attempts, as a win in that round ends a row still running."""
+    costs and, for each attempt, whether it was accepted."""
     residual_tol, window, stall_tol = solver.RESIDUAL_TOL, solver.STALL_WINDOW, solver.STALL_TOL
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
         table = mo.chebyshev_table(sys, x, sides)
         r = mo.batch_residual(sys, table)
-        return table, r, solver._costs(r)[0] if np.all(np.isfinite(r)) else np.inf
+        return table, r, np.linalg.norm(r[0]) if np.all(np.isfinite(r)) else np.inf
+
+    def solve(a, b):
+        try:
+            return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
 
     x = x0[None]
     lam = solver.LAMBDA0
@@ -795,14 +780,13 @@ def sequential_lm(sys, x0, sides, max_iters, cut=None):
         costs = [cost]
         live = np.all(np.isfinite(r)) and np.max(np.abs(r)) > residual_tol
         stepped = True
-        while live and (cut is None or len(accepted) < cut):
+        while live:
             if stepped:
                 jac = mo.batch_jacobian(sys, table)
                 jac_t = jac.transpose(0, 2, 1)
                 neg_grad = -(jac_t @ r[:, :, None])[:, :, 0]
                 hess = jac_t @ jac
-            delta = solver._solve_rows(hess + lam * eye, neg_grad)
-            cand = x + delta
+            cand = x + solve(hess + lam * eye, neg_grad)
             cand_table, r_new, cost_new = evaluate(cand)
             stepped = cost_new < cost
             accepted.append(stepped)
@@ -828,20 +812,34 @@ def box_starts(sys, mode, seed, rows):
     return rng.uniform(size=(rows, sys.var_count)) * box, row_sides(sys, mode, rng, rows)
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    cuts=st.integers(0, 6),
-    rows=st.integers(1, 8),
-    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
-)
-def test_lockstep_rows_are_independent(seed, cuts, rows, mode):
-    inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
-    sys = mo.build_system(inst)
-    assert_rows_run_as_alone(sys, *box_starts(sys, mode, seed, rows), 15)
+def record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's positional
+    arguments; returns the list of records."""
+    calls, original = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
-def test_lockstep_singular_and_stopped_rows_leave_others_unchanged(monkeypatch):
+def assert_descent_is_sequential(sys, x0, sides, max_iters):
+    """_descend from x0 equals sequential_lm from it, bit for bit; returns
+    the descent and the reference's accepted flags."""
+    descent = solver._descend(sys, x0, sides, max_iters)
+    x, costs, r_max = descent
+    x1, steps1, costs1, accepted = sequential_lm(sys, x0, sides, max_iters)
+    assert x.tobytes() == x1.tobytes()
+    assert len(costs) - 1 == steps1
+    assert np.array(costs).tobytes() == np.array(costs1).tobytes()
+    if math.isfinite(costs1[-1]):
+        assert r_max == np.max(np.abs(mo.residual(sys, x1, sides)))
+    return descent, accepted
+
+
+def test_descent_steps_a_singular_start_through_lstsq(monkeypatch):
     inst = Instance.from_sides([(1, 1), (1, 1), (2, 1)], BoxSpec(2, 2), rotation_allowed=False)
     sys = mo.build_system(inst)
     # A damping this small vanishes next to J^T J, so a rank-deficient
@@ -857,30 +855,36 @@ def test_lockstep_singular_and_stopped_rows_leave_others_unchanged(monkeypatch):
         sys, Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 1), Placement(0, 1, 2, 2)))
     )
     non_finite = np.full(sys.var_count, np.nan)
-    normal = np.array([[0.1, 0.7, 0.8, 0.2, 0.0, 0.6], [0.6, 0.1, 0.2, 0.5, 0.0, 0.3]])
-    x0 = np.stack([normal[0], coincident, solved, non_finite, normal[1]])
-    x, steps, costs, _, _ = assert_rows_run_as_alone(sys, x0, given_sides(sys, 5), 30)
-    assert steps[1] > 0  # the singular row moved on through lstsq
-    assert steps[2] == 0 and x[2].tobytes() == solved.tobytes()
-    assert steps[3] == 0 and costs[3, 0] == float("inf")
-    assert steps[0] > 0 and steps[4] > 0
+    normal = [[0.1, 0.7, 0.8, 0.2, 0.0, 0.6], [0.6, 0.1, 0.2, 0.5, 0.0, 0.3]]
+    lstsq, calls = np.linalg.lstsq, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        _, costs, _ = solver._descend(sys, coincident, sys.sides, 30)
+    assert len(costs) > 1 and calls  # the singular start moved on through lstsq
+    for x0 in [np.array(normal[0]), coincident, solved, non_finite, np.array(normal[1])]:
+        (x, costs, _), _ = assert_descent_is_sequential(sys, x0, sys.sides, 30)
+        if x0 is solved:
+            assert len(costs) == 1 and x.tobytes() == solved.tobytes()
+        elif x0 is non_finite:
+            assert costs == [float("inf")]
+        else:
+            assert len(costs) > 1
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
 def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
     # No clip pulls a far start back: its residual overflows, or no step
-    # lowers its cost.  Either way no row may turn non-finite.
+    # lowers its cost.  Either way no descent may turn non-finite.
     inst, _ = gen_guillotine(3, 19, BoxSpec(10.0, 8.0))
     sys = mo.build_system(inst)
     inside, sides = box_starts(sys, mode, 3, 1)
     far = [inside[0] + v for v in (1e3, -1e3, 1e18, 1e40)]
-    x0 = np.stack(far + [np.full(sys.var_count, np.nan)])
-    x, steps, costs, r_inf, _ = assert_rows_run_as_alone(sys, x0, np.repeat(sides, 5, axis=0), 20)
-    assert np.all(np.isfinite(x) | ~np.isfinite(x0))
-    for k in range(len(x0)):
-        assert np.all(np.isfinite(costs[k, 1 : steps[k] + 1]))
-    assert np.array_equal(np.isfinite(r_inf), np.isfinite(costs[:, 0]))
+    for x0 in far + [np.full(sys.var_count, np.nan)]:
+        (x, costs, r_max), _ = assert_descent_is_sequential(sys, x0, sides[0], 20)
+        assert np.all(np.isfinite(x) | ~np.isfinite(x0))
+        assert np.all(np.isfinite(costs[1:]))
+        assert np.isfinite(r_max) == np.isfinite(costs[0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -894,65 +898,45 @@ def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
 )
 def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, lambda_max):
     # At lambda0 1e13 every first attempt exceeds LAMBDA_MAX.  Lowered
-    # to 1e-2, it stops many rows within 200 iterations, where a damping
+    # to 1e-2, it stops many starts within 200 iterations, where a damping
     # past it would often have lowered the cost.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst)
     x0, sides = box_starts(sys, mode, seed, rows)
-    solved = []
-    jacobians = []
-    solve_rows = solver._solve_rows
-    batch_jacobian = mo.batch_jacobian
-
-    def counting_solve(a, b):
-        solved.append(len(a))
-        return solve_rows(a, b)
-
-    def counting_jacobian(sys, table):
-        jacobians.append(len(table))
-        return batch_jacobian(sys, table)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "LAMBDA_MAX", lambda_max)
-        patch.setattr(solver, "LAMBDA0", lambda0)
-        with pytest.MonkeyPatch.context() as counting:
-            counting.setattr(solver, "_solve_rows", counting_solve)
-            counting.setattr(mo, "batch_jacobian", counting_jacobian)
-            x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, sides, 200)
-        reference = [sequential_lm(sys, row, s, 200) for row, s in zip(x0, sides)]
-    for k, (x1, steps1, costs1, _) in enumerate(reference):
-        assert x[k].tobytes() == x1.tobytes()
-        assert steps[k] == steps1
-        assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
-        assert r_inf[k] == np.max(np.abs(mo.residual(sys, x1, sides[k])))
-    # One linear system per attempt: no row tries a damping the rule skips.
-    assert sum(solved) == sum(len(accepted) for *_, accepted in reference)
-    # One round per attempt of the longest row: a row that was rejected
-    # retries beside the others' next attempts, in one stacked solve, and
-    # the Jacobians of a round's accepted steps are one evaluation.
-    rounds = max(len(accepted) for *_, accepted in reference)
-    assert len(solved) == rounds
-    assert len(jacobians) <= rounds + 1
+    for start, start_sides in zip(x0, sides):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "LAMBDA_MAX", lambda_max)
+            patch.setattr(solver, "LAMBDA0", lambda0)
+            reference = sequential_lm(sys, start, start_sides, 200)
+            solved = record_calls(patch, np.linalg, "solve")
+            jacobians = record_calls(patch, mo, "batch_jacobian")
+            x, costs, r_max = solver._descend(sys, start, start_sides, 200)
+        x1, steps1, costs1, accepted = reference
+        assert x.tobytes() == x1.tobytes()
+        assert np.array(costs).tobytes() == np.array(costs1).tobytes()
+        assert r_max == np.max(np.abs(mo.residual(sys, x1, start_sides)))
+        # One linear system per attempt: no start tries a damping the rule
+        # skips.  A Jacobian for the start and each accepted step that
+        # another attempt follows: a rejected attempt keeps its equations.
+        assert len(solved) == len(accepted)
+        assert len(jacobians) == (1 + sum(accepted[:-1]) if accepted else 0)
 
 
 @pytest.mark.parametrize("lambda0", [1e-30, 1e-3, 1e13])
 def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
-    # A unit square in a 2x1 box has no root: the rows run to a
+    # A unit square in a 2x1 box has no root: the starts run to a
     # stationary point (max |r| 0.5), where no step lowers the cost and
     # lambda climbs past LAMBDA_MAX.  With STALL_TOL 0 that is the only way
     # to stop early.
     sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)))
-    x0 = np.array([[0.0, 0.0], [0.15, 0.0], [0.5, 0.0]])  # left, inside, right wall
     monkeypatch.setattr(solver, "STALL_TOL", 0.0)
     monkeypatch.setattr(solver, "LAMBDA0", lambda0)
-    x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, given_sides(sys, 3), 200)
-    for k in range(len(x0)):
-        x1, steps1, costs1, accepted = sequential_lm(sys, x0[k], sys.sides, 200)
-        assert x[k].tobytes() == x1.tobytes()
-        assert steps[k] == steps1 < 200
-        assert costs[k, : steps[k] + 1].tobytes() == np.array(costs1).tobytes()
-        assert r_inf[k] > solver.RESIDUAL_TOL
-        assert len(accepted) > steps1 and not accepted[-1]  # the last attempts only reject
+    for x0 in ([0.0, 0.0], [0.15, 0.0], [0.5, 0.0]):  # left, inside, right wall
+        (_, costs, r_max), accepted = assert_descent_is_sequential(
+            sys, np.array(x0), sys.sides, 200
+        )
+        assert len(costs) - 1 < 200 and r_max > solver.RESIDUAL_TOL
+        assert len(accepted) > len(costs) - 1 and not accepted[-1]  # the last attempts only reject
 
 
 @settings(max_examples=25, deadline=None)
@@ -963,33 +947,32 @@ def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
     mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
 )
 def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode):
-    # Under the stall rule a row follows its path without the rule bit for
+    # Under the stall rule a start follows its path without the rule bit for
     # bit, and ends at the first accepted step n >= STALL_WINDOW whose cost
     # is not below (1 - STALL_TOL) times the cost STALL_WINDOW steps before,
     # unless an older rule ended it first.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     sys = mo.build_system(inst)
-    x0, sides = box_starts(sys, mode, seed, rows)
-    x, steps, costs, r_inf, _ = solver._lockstep(sys, x0, sides, 80)
 
     def rule_free(x0, sides, max_iters):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "STALL_TOL", 0.0)
-            return solver._lockstep(sys, x0, sides, max_iters)
+            return solver._descend(sys, x0, sides, max_iters)
 
-    _, steps0, costs0, _, _ = rule_free(x0, sides, 80)
-    for k in range(rows):
-        path = costs0[k, : steps0[k] + 1]
+    for x0, sides in zip(*box_starts(sys, mode, seed, rows)):
+        x, costs, r_max = solver._descend(sys, x0, sides, 80)
+        steps = len(costs) - 1
+        path = np.array(rule_free(x0, sides, 80)[1])
         window = solver.STALL_WINDOW
         stalled = np.flatnonzero(path[window:] >= (1.0 - solver.STALL_TOL) * path[:-window])
-        assert steps[k] == (stalled[0] + window if len(stalled) else steps0[k])
-        assert costs[k, : steps[k] + 1].tobytes() == path[: steps[k] + 1].tobytes()
-        # The rule-free run cut after as many steps; a row that took none
+        assert steps == (stalled[0] + window if len(stalled) else len(path) - 1)
+        assert np.array(costs).tobytes() == path[: steps + 1].tobytes()
+        # The rule-free run cut after as many steps; a start that took none
         # stopped by an older rule, which cuts the rule-free run too.
-        x1, steps1, _, r_inf1, _ = rule_free(x0[k, None], sides[k, None], max(steps[k], 1))
-        assert steps1[0] == steps[k]
-        assert x[k].tobytes() == x1[0].tobytes()
-        assert r_inf[k].tobytes() == r_inf1[0].tobytes()
+        x1, costs1, r_max1 = rule_free(x0, sides, max(steps, 1))
+        assert len(costs1) - 1 == steps
+        assert x.tobytes() == x1.tobytes()
+        assert r_max == r_max1
 
 
 def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
@@ -1011,173 +994,72 @@ def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
         assert report.status == "converged_verified" and report.start_index == 0, seed
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    cuts=st.integers(1, 5),
-    rows=st.integers(1, 6),
-    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
-    pick=st.integers(0, 7),
-)
-def test_lockstep_asks_each_stopped_row_once_and_names_the_winner(seed, cuts, rows, mode, pick):
-    # passes is asked about each row that stops after an LM attempt, as it
-    # stops: after each round the rows that stopped in it, in index order.
-    # A row stops in the round of its last attempt.  The rows that never
-    # start (a tiling and a non-finite row) are not asked.  A check that
-    # passes nothing changes no result.  The first row it passes wins, and
-    # every row still running stops with the steps it accepted in as many
-    # attempts.
-    inst, witness = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
-    sys = mo.build_system(inst)
-    tiling = mo.layout_to_vars(sys, witness)
-    starts, sides = box_starts(sys, mode, seed, rows)
-    x0 = np.vstack([starts, tiling, np.full(sys.var_count, np.nan)])
-    sides = np.concatenate([sides, given_sides(sys, 2)])
-    max_iters = 30
-    free = solver._lockstep(sys, x0, sides, max_iters)
-    assert free[4] == -1
-    accepted = [sequential_lm(sys, row, s, max_iters)[3] for row, s in zip(x0, sides)]
-    stops = [len(a) for a in accepted]
-    order = sorted((k for k in range(len(x0)) if stops[k]), key=lambda k: (stops[k], k))
-    assert stops[rows] == stops[rows + 1] == 0 and order
-    asked = []
-
-    def never(v, s):
-        asked.append(v.tobytes())
-        return False
-
-    x, steps, costs, r_inf, winner = solver._lockstep(sys, x0, sides, max_iters, never)
-    assert asked == [free[0][k].tobytes() for k in order]
-    for got, want in zip((x, steps, r_inf), (free[0], free[1], free[3])):
-        assert got.tobytes() == want.tobytes()
-    for k in range(len(x0)):  # costs past a row's steps are never written
-        assert costs[k, : steps[k] + 1].tobytes() == free[2][k, : steps[k] + 1].tobytes()
-    assert winner == -1
-
-    w = order[pick % len(order)]
-    asked.clear()
-
-    def only_w(v, s):
-        asked.append(v.tobytes())
-        return asked[-1] == free[0][w].tobytes() and s.tobytes() == sides[w].tobytes()
-
-    x, steps, costs, r_inf, winner = solver._lockstep(sys, x0, sides, max_iters, only_w)
-    assert winner == w
-    assert asked == [free[0][k].tobytes() for k in order[: order.index(w) + 1]]
-    t = stops[w]
-    for k in range(len(x0)):
-        if stops[k] <= t:  # stopped on its own
-            want = [a[k] for a in free[:4]]
-        else:  # cut after its t-th attempt
-            x1, steps1, costs1, _ = sequential_lm(sys, x0[k], sides[k], max_iters, cut=t)
-            want = [x1, steps1, np.array(costs1), np.max(np.abs(mo.residual(sys, x1, sides[k])))]
-        assert x[k].tobytes() == want[0].tobytes()
-        assert steps[k] == want[1] == sum(accepted[k][:t])
-        assert costs[k, : steps[k] + 1].tobytes() == want[2][: steps[k] + 1].tobytes()
-        assert r_inf[k].tobytes() == want[3].tobytes()
-
-
-def sequential_multistart(inst, cfg, mode, max_order=None, checked=None):
-    """Reference for the first-to-verify rule: the multistart loop through
-    sequential_lm, as (status, start_index, iterations_total, best_layout,
-    final_residual_inf).  Each start k runs alone and stops after its a_k-th
-    attempt.  Every start is verified as it stopped, converged or not, in
-    (a_k, k) order, and the first to pass wins at T = a_k: each start's
-    steps count up to its T-th attempt.  A gap fill that reaches no tiling
-    is no start.  Every layout it verifies is appended to checked."""
+def index_order_multistart(inst, cfg, mode, max_order=None, checked=None):
+    """Reference for the winner rule, the lowest verified start index:
+    solve_multistart past its gates with every start built up front, then
+    tried one at a time in index order through sequential_lm and verified
+    as it stopped, as a report with wall_time_s 0.  A gap fill that reaches
+    no tiling is no start.  Every layout it verifies is appended to
+    checked."""
     checked = [] if checked is None else checked
     sys = mo.build_system(inst, max_order)
-    best = (float("inf"), -1, None)
-    any_converged = False
-    built = (solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts))
-    x0 = {k: start for k, start in enumerate(built) if start is not None}
-    runs = {k: sequential_lm(sys, *start, cfg.max_iters) for k, start in x0.items()}
-    winner = cut = None
-    for t, k in sorted((len(run[3]), k) for k, run in runs.items()):
-        x, sides = runs[k][0], x0[k][1]
-        r_inf = np.max(np.abs(mo.residual(sys, x, sides)))
-        any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
-        raw = mo.vars_to_layout(sys, x, sides)
-        checked.append(raw)
-        if verify_layout(inst, raw).passed:
-            winner, cut = (k, raw, r_inf), t
-            break
-        if (r_inf, k) < best[:2]:
-            best = (r_inf, k, raw)
-    iterations = sum(sum(accepted[:cut]) for *_, accepted in runs.values())
-    if winner is not None:
-        k, raw, final = winner
-        return "converged_verified", k, iterations, raw, final
-    status = "converged_unverified" if any_converged else "exhausted"
-    return status, best[1], iterations, best[2], best[0]
-
-
-def index_order_multistart(inst, cfg, mode, max_order=None):
-    """Reference for the earlier winner rule, the lowest verified start
-    index: the multistart loop one start at a time through sequential_lm,
-    verifying every start as it stopped, as (status, start_index,
-    iterations_total, best_layout, final_residual_inf).  A gap fill that
-    reaches no tiling is no start."""
-    sys = mo.build_system(inst, max_order)
-    best = (float("inf"), -1, None)
+    built = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
+    starts = [(k, start) for k, start in enumerate(built) if start is not None]
+    if not starts:
+        return SolveReport("exhausted", None, math.inf, 0, -1, 0.0, "fill")
+    best = (math.inf, -1, None)
     iterations = 0
     any_converged = False
-    for k in range(cfg.restarts):
-        start = solver._start_vector(sys, mode, cfg.seed, k)
-        if start is None:
-            continue
-        x0, sides = start
+    for k, (x0, sides) in starts:
         x, steps, _, _ = sequential_lm(sys, x0, sides, cfg.max_iters)
         iterations += steps
-        r_inf = np.max(np.abs(mo.residual(sys, x, sides)))
-        any_converged |= bool(r_inf <= solver.RESIDUAL_TOL)
-        raw = mo.vars_to_layout(sys, x, sides)
-        if verify_layout(inst, raw).passed:
-            return "converged_verified", k, iterations, raw, r_inf
+        r_inf = float(np.max(np.abs(mo.residual(sys, x, sides))))
+        any_converged |= r_inf <= solver.RESIDUAL_TOL
+        checked.append(mo.vars_to_layout(sys, x, sides))
+        if verify_layout(inst, checked[-1]).passed:
+            return SolveReport("converged_verified", checked[-1], r_inf, iterations, k, 0.0)
         if r_inf < best[0]:
-            best = (r_inf, k, raw)
-    status = "converged_unverified" if any_converged else "exhausted"
-    return status, best[1], iterations, best[2], best[0]
+            best = (r_inf, k, checked[-1])
+    status, reason = "exhausted", None
+    if any_converged:
+        status, reason = "converged_unverified", "unverified"
+    return SolveReport(status, best[2], best[0], iterations, best[1], 0.0, reason)
 
 
 def second_chunk_winner():
     # Fixed mode at these settings, on uniform starts: starts 0-7 and 10
     # fail, and starts 8 and 9 verify, so no start below 8 wins.  Start 8
-    # stops after 15 attempts (10 steps) and start 9 after 11 (8 steps), so
-    # at 11 restarts start 9 wins.
+    # stops after 15 attempts (10 steps) and start 9 after 11 (8 steps).
     inst, _ = gen_guillotine(46, 3, BoxSpec(3.0, 2.0))
     return inst, SolveConfig(max_iters=40, seed=46), mo.FIXED
 
 
 def rotatable_dominoes():
     # Two dominoes in a 4x1 box: the shelf start 0 stands them upright and
-    # fails.  Of the uniform starts 1-10, starts 2, 4-7 and 9 verify, start 4
-    # first, after 4 attempts, tied with start 9; the others fail.
+    # fails.  Of the uniform starts 1-10, starts 2, 4-7 and 9 verify, start 2
+    # after 9 attempts, starts 4 and 9 after 4; the others fail.
     inst = Instance.from_sides([(1, 2)] * 2, BoxSpec(4, 1))
     cfg = SolveConfig(max_iters=40, seed=1)
     return inst, cfg, mo.ROTATABLE
 
 
 def assert_report_is(report, expected):
-    status, start, iterations, layout, final = expected
-    assert report.status == status
-    assert report.start_index == start
-    assert report.iterations_total == iterations
-    assert serialize_layout(report.best_layout) == serialize_layout(layout)
-    assert report.final_residual_inf == final
+    """report is expected byte for byte, wall_time_s aside."""
+    got, want = (replace(r, wall_time_s=0.0).to_dict() for r in (report, expected))
+    assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize("case", [second_chunk_winner, rotatable_dominoes])
 @pytest.mark.parametrize("restarts", [1, 8, 9, 11])
 def test_multistart_matches_sequential_across_chunks(uniform_starts, case, restarts):
-    # One lockstep call races all the starts, so on either side of 8
-    # restarts the winner is the reference's: the fewest attempts over all
-    # starts, a start of 8 or more included.
+    # On either side of 8 restarts the winner is the reference's: the lowest
+    # verified start index, a start of 8 or more included, though a later
+    # start would verify after fewer attempts.
     inst, cfg, mode = case()
     cfg = replace(cfg, restarts=restarts)
     report = solve_multistart(inst, cfg, mode=mode)
-    assert_report_is(report, sequential_multistart(inst, cfg, mode))
-    winners = {second_chunk_winner: {9: 8, 11: 9}, rotatable_dominoes: {8: 4, 9: 4, 11: 4}}
+    assert_report_is(report, index_order_multistart(inst, cfg, mode))
+    winners = {second_chunk_winner: {9: 8, 11: 8}, rotatable_dominoes: {8: 2, 9: 2, 11: 2}}
     start = winners[case].get(restarts)
     assert report.status == ("exhausted" if start is None else "converged_verified")
     assert start is None or report.start_index == start
@@ -1221,8 +1103,8 @@ def test_stall_rule_cuts_no_winner(skyline_starts, monkeypatch):
     def converging(inst, cfg, mode):  # each start run to its own stop
         sys = mo.build_system(inst)
         starts = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
-        x0, sides = (np.stack(a) for a in zip(*starts))
-        return solver._lockstep(sys, x0, sides, cfg.max_iters)[3] <= solver.RESIDUAL_TOL
+        ends = [solver._descend(sys, *start, cfg.max_iters)[2] for start in starts]
+        return np.array(ends) <= solver.RESIDUAL_TOL
 
     with_rule, kept = reports(), [converging(*case) for case in family]
     monkeypatch.setattr(solver, "STALL_TOL", 0.0)
@@ -1237,10 +1119,10 @@ def test_stall_rule_cuts_no_winner(skyline_starts, monkeypatch):
     assert sum(r.iterations_total for r in with_rule) < sum(r.iterations_total for r in without)
 
 
-def smallest_share(costs, steps):
+def smallest_share(costs):
     """The smallest share of its cost any STALL_WINDOW accepted steps of a
     cost path lowered it by, 1 - c[n] / c[n - STALL_WINDOW]."""
-    path, window = costs[: steps + 1], solver.STALL_WINDOW
+    path, window = np.array(costs), solver.STALL_WINDOW
     return np.min(1.0 - path[window:] / path[:-window])
 
 
@@ -1258,9 +1140,9 @@ def test_stall_margin_of_the_tightest_converging_start():
     ]:
         sys = mo.build_system(inst)
         x0, sides = skyline_start_vector(sys, mode, seed, k)
-        _, steps, costs, r_inf, _ = solver._lockstep(sys, x0[None], sides[None], 500)
-        assert steps[0] == converged_after and r_inf[0] <= solver.RESIDUAL_TOL
-        share = smallest_share(costs[0], steps[0])
+        _, costs, r_max = solver._descend(sys, x0, sides, 500)
+        assert len(costs) - 1 == converged_after and r_max <= solver.RESIDUAL_TOL
+        share = smallest_share(costs)
         assert solver.STALL_TOL < share == pytest.approx(margin, rel=0.01)
 
 
@@ -1280,12 +1162,12 @@ def test_stall_rule_cuts_a_converging_start_on_a_plateau(skyline_starts, monkeyp
     runs, reports = [], []
     for stall_tol in (solver.STALL_TOL, 0.0):
         monkeypatch.setattr(solver, "STALL_TOL", stall_tol)
-        runs.append(solver._lockstep(sys, x0[None], sides[None], cfg.max_iters))
+        runs.append(solver._descend(sys, x0, sides, cfg.max_iters))
         reports.append(replace(solve_multistart(inst, cfg, mode=mo.ROTATABLE), wall_time_s=0))
-    (_, cut, _, cut_r_inf, _), (_, steps, costs, r_inf, _) = runs
-    assert cut[0] == 11 and cut_r_inf[0] == pytest.approx(0.332, rel=0.01)
-    assert steps[0] == 63 and r_inf[0] <= solver.RESIDUAL_TOL
-    assert smallest_share(costs[0], steps[0]) == pytest.approx(3.20e-5, rel=0.01)
+    (_, cut, cut_r_max), (_, costs, r_max) = runs
+    assert len(cut) - 1 == 11 and cut_r_max == pytest.approx(0.332, rel=0.01)
+    assert len(costs) - 1 == 63 and r_max <= solver.RESIDUAL_TOL
+    assert smallest_share(costs) == pytest.approx(3.20e-5, rel=0.01)
     assert reports[0] == reports[1]
     assert reports[0].start_index == 0 and reports[0].iterations_total == 0
 
@@ -1305,100 +1187,72 @@ def test_verified_layouts_pass_at_a_tenth_of_the_default_tolerance():
     assert verified > 1
 
 
-def test_first_start_to_verify_ends_the_solve(uniform_starts, monkeypatch):
-    # Start 4 verifies after 4 attempts, all accepted.  Start 0 is bound for
-    # 40 steps in 68 attempts, 1 of them accepted in its first 4, start 1 for
-    # 7 in 36, none in its first 4; both leave the dominoes upright, which
-    # fit the 4x1 box nowhere.  Start 2 would verify after 9 attempts, and
-    # start 3 accepts its first 4.  Waiting for start 0 to stop first, as a
-    # lowest index rule must, takes 68 rounds; the race ends after 4, with
-    # one Jacobian evaluation per round at most.
+def test_first_start_to_verify_ends_the_solve(uniform_starts):
+    # Start 2 verifies after 9 attempts (6 steps).  Starts 0 and 1 come
+    # first and fail, after 40 steps in 68 attempts and 7 in 36: both leave
+    # the dominoes upright, which fit the 4x1 box nowhere.  Start 4 would
+    # verify after 4 attempts, but the solve ends with start 2: starts 3 and
+    # 4 are never built.
     inst, cfg, mode = rotatable_dominoes()
     cfg = replace(cfg, restarts=5)
-    calls = []
-    batch_jacobian = mo.batch_jacobian
-
-    def counting_jacobian(sys, table):
-        calls.append(len(table))
-        return batch_jacobian(sys, table)
-
-    monkeypatch.setattr(mo, "batch_jacobian", counting_jacobian)
-    report = solve_multistart(inst, cfg, mode=mode)
-    assert report.status == "converged_verified" and report.start_index == 4
-    assert report.iterations_total == 1 + 0 + 1 + 4 + 4  # starts 0-3 cut after 4 attempts, 4
-    assert len(calls) <= 4
+    with pytest.MonkeyPatch.context() as patch:
+        built = record_calls(patch, solver, "_start_vector")
+        report = solve_multistart(inst, cfg, mode=mode)
+    assert report.status == "converged_verified" and report.start_index == 2
+    assert report.iterations_total == 40 + 7 + 6
+    assert [args[-1] for args in built] == [0, 1, 2]
+    assert_report_is(report, index_order_multistart(inst, cfg, mode))
 
 
-def test_multistart_verifies_each_stopped_start_once(uniform_starts, monkeypatch):
+def test_multistart_verifies_each_stopped_start_once(uniform_starts):
     # At order 3 many starts converge to layouts that are not packings.
-    # No start stops before 9 attempts.  Starts 28 and 47 stop after 9 and
-    # fail, starts 0, 3, 7, 13, 23 and 35 after 12 and fail; start 36 stops
-    # after 12 too and verifies, ending the solve after 12 attempts of each
-    # of the 64 starts, 507 of them accepted.  Starts 39 and 44, which also
-    # stop after 12 and would verify, come after it, and the rest would stop
-    # later, so none of them is verified.
+    # Starts 0-5 stop and fail; start 6 stops after 15 attempts (11 steps)
+    # and verifies, ending the solve after 109 steps in all.  Starts 9, 14,
+    # 36 and 39 would verify too, and starts 28 and 36 stop after fewer
+    # attempts, but none of them is built.
     inst = Instance.from_sides([(1, 1), (1, 2), (1, 2), (2, 2)], BoxSpec(3, 3))
     cfg = SolveConfig(restarts=64, max_iters=60)
-    verified = []
-
-    def counting_verify(inst, layout, *args, **kwargs):
-        verified.append(layout)
-        return verify_layout(inst, layout, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "verify_layout", counting_verify)
-    report = solve_multistart(inst, cfg, max_order=3, mode=mo.ROTATABLE)
+    with pytest.MonkeyPatch.context() as patch:
+        verified = record_calls(patch, solver, "verify_layout")
+        report = solve_multistart(inst, cfg, max_order=3, mode=mo.ROTATABLE)
     expected = []
-    assert_report_is(report, sequential_multistart(inst, cfg, mo.ROTATABLE, 3, expected))
+    assert_report_is(report, index_order_multistart(inst, cfg, mo.ROTATABLE, 3, expected))
     assert report.status == "converged_verified"
-    assert report.start_index == 36 and report.iterations_total == 507
-    assert list(map(serialize_layout, verified)) == list(map(serialize_layout, expected))
-    assert len(verified) == 9
+    assert report.start_index == 6 and report.iterations_total == 109
+    layouts = [layout for _, layout in verified]
+    assert list(map(serialize_layout, layouts)) == list(map(serialize_layout, expected))
+    assert len(verified) == 7
     # The report carries the very layout that passed, not a second build.
-    assert report.best_layout is verified[-1]
+    assert report.best_layout is layouts[-1]
 
 
 def test_all_starts_stop_once_one_verifies(uniform_starts, monkeypatch):
-    # Start 3 converges after 6 attempts, all accepted, and verifies.
-    # Starts 7, 2, 4, 5 and 6 would verify too, but only after 7 to 15.  The
-    # solve stops at round 6, with 20 steps accepted by the other starts in
-    # their first 6 attempts.  Run to their own stops, the eight starts take
-    # 28 rounds.
+    # Start 2 converges after 15 attempts (10 steps) and verifies.  Starts
+    # 3-7 would verify too, start 3 after 6 attempts, but none of them is
+    # built or descends: the solve ends with the 17 + 18 + 10 steps of
+    # starts 0-2.
     inst, _ = gen_guillotine(101, 3, BoxSpec(3.0, 2.0))
     cfg = SolveConfig(restarts=8, max_iters=60, seed=101)
-    expected = sequential_multistart(inst, cfg, mo.FIXED)
-    calls = []
-    batch_jacobian = mo.batch_jacobian
-
-    def counting_jacobian(sys, table):
-        calls.append(len(table))
-        return batch_jacobian(sys, table)
-
-    monkeypatch.setattr(mo, "batch_jacobian", counting_jacobian)
+    expected = index_order_multistart(inst, cfg, mo.FIXED)
+    built = record_calls(monkeypatch, solver, "_start_vector")
+    descended = record_calls(monkeypatch, solver, "_descend")
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
     assert_report_is(report, expected)
     assert report.status == "converged_verified"
-    assert report.start_index == 3 and report.iterations_total == 6 + 20
-    assert len(calls) <= 6
+    assert report.start_index == 2 and report.iterations_total == 17 + 18 + 10
+    assert len(built) == len(descended) == 3
 
 
-def test_all_starts_race_in_one_lockstep_call(uniform_starts, monkeypatch):
+def test_the_lowest_verified_start_wins_over_one_with_fewer_attempts(uniform_starts):
     # Start 2 verifies after 11 attempts, start 7 after 10, and start 9
-    # after 6: the solve is one lockstep call over all 17 starts, so start 9
-    # wins, though lower starts verify too.
+    # after 6: start 2 wins, the lowest verified index, whatever the number
+    # of restarts past it.
     inst, _ = gen_guillotine(1, 3, BoxSpec(3.0, 2.0))
     cfg = SolveConfig(restarts=17, max_iters=40, seed=1)
-    calls = []
-    lockstep = solver._lockstep
-
-    def counting_lockstep(sys, x0, *args):
-        calls.append(len(x0))
-        return lockstep(sys, x0, *args)
-
-    monkeypatch.setattr(solver, "_lockstep", counting_lockstep)
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
-    assert calls == [17]
-    assert_report_is(report, sequential_multistart(inst, cfg, mo.FIXED))
-    assert report.status == "converged_verified" and report.start_index == 9
+    assert_report_is(report, index_order_multistart(inst, cfg, mo.FIXED))
+    assert report.status == "converged_verified" and report.start_index == 2
+    assert_report_is(solve_multistart(inst, replace(cfg, restarts=3), mode=mo.FIXED), report)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1412,51 +1266,35 @@ def test_all_starts_race_in_one_lockstep_call(uniform_starts, monkeypatch):
 )
 def test_multistart_matches_sequential(seed, cuts, restarts, max_iters, mode, max_order):
     # At any number of starts, solve_multistart reports what the
-    # start-alone reference reports and verifies the same layouts in order.
-    # Order 2 makes starts that converge but fail verification.
+    # start-alone reference reports and verifies the same layouts in order,
+    # each start it tries once.  Order 2 makes starts that converge but
+    # fail verification.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
-    verified = []
-
-    def recording_verify(inst, layout, *args, **kwargs):
-        verified.append(layout)
-        return verify_layout(inst, layout, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "verify_layout", recording_verify)
-        report = solve_multistart(inst, cfg, max_order, mode)
-    checked = []
-    expected = sequential_multistart(inst, cfg, mode, max_order, checked)
-    assert_report_is(report, expected)
-    assert list(map(serialize_layout, verified)) == list(map(serialize_layout, checked))
+    assert_lazy_is_index_order(inst, cfg, mode, max_order)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     cuts=st.integers(1, 4),
+    near=st.booleans(),
     restarts=st.integers(1, 17),
     max_iters=st.integers(5, 40),
     mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
     max_order=st.sampled_from([None, 2]),
 )
 def test_multistart_status_and_fallback_match_index_order(
-    seed, cuts, restarts, max_iters, mode, max_order
+    seed, cuts, near, restarts, max_iters, mode, max_order
 ):
-    # Under either winner rule a solve verifies exactly when one of its
-    # starts does, so the status is the lowest-index rule's, and a report
-    # without a winner is that rule's field for field.
-    inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
+    # Every field of the report is the lowest-index rule's: status, reason,
+    # winner or fallback, steps, layout and residual.  Exact tilings win as
+    # drawn; near-tilings win after LM steps.
+    box = BoxSpec(3.0, 2.0 + seed % 3)
+    inst = near_guillotine(seed, cuts, box)[0] if near else gen_guillotine(seed, cuts, box)[0]
     cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
     report = solve_multistart(inst, cfg, max_order, mode)
-    expected = index_order_multistart(inst, cfg, mode, max_order)
-    assert report.status == expected[0]
-    if report.status != "converged_verified":
-        assert_report_is(report, expected)
-        unbuilt = "fill" if report.start_index < 0 else None
-        assert report.reason == (
-            "unverified" if report.status == "converged_unverified" else unbuilt
-        )
+    assert_report_is(report, index_order_multistart(inst, cfg, mode, max_order))
 
 
 def near_guillotine(seed, n_cuts, box, delta=1e-8):
@@ -1471,107 +1309,57 @@ def near_guillotine(seed, n_cuts, box, delta=1e-8):
     return Instance.from_sides(sides, box), dissection
 
 
-def eager_multistart(inst, cfg, mode, max_order=None, checked=None):
-    """Reference for building starts lazily: solve_multistart past its gates
-    with every start built up front, gap fills that reach no tiling
-    skipped, the starts that never start verified in index order, then,
-    unless one passes, raced in one _lockstep call, as a report with
-    wall_time_s 0.  Every layout it verifies is appended to checked."""
-    checked = [] if checked is None else checked
-    sys = mo.build_system(inst, max_order)
-    built = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
-    index = [k for k, start in enumerate(built) if start is not None]
-    starts = [built[k] for k in index]
-    if not starts:
-        return SolveReport("exhausted", None, math.inf, 0, -1, 0.0, "fill")
-    x0, sides = (np.stack(a) for a in zip(*starts))
-
-    def passes(v, s):
-        checked.append(mo.vars_to_layout(sys, v, s))
-        return verify_layout(inst, checked[-1]).passed
-
-    def idle(v, s):
-        r_max = np.max(np.abs(mo.residual(sys, v, s)))
-        return not (np.isfinite(r_max) and r_max > solver.RESIDUAL_TOL)
-
-    winner = next((k for k, start in enumerate(starts) if idle(*start) and passes(*start)), -1)
-    iterations, reason = 0, None
-    if winner >= 0:  # judged as it was built
-        start, final = winner, float(np.max(np.abs(mo.residual(sys, *starts[winner]))))
-    else:
-        x, steps, _, r_inf, winner = solver._lockstep(sys, x0, sides, cfg.max_iters, passes)
-        iterations = int(steps.sum())
-        start = winner if winner >= 0 else int(np.argmin(r_inf))
-        final = float(r_inf[start])
-    if winner >= 0:
-        layout, status = checked[-1], "converged_verified"
-    else:
-        layout, status = mo.vars_to_layout(sys, x[start], sides[start]), "exhausted"
-        if np.any(r_inf <= solver.RESIDUAL_TOL):
-            status, reason = "converged_unverified", "unverified"
-    return SolveReport(status, layout, final, iterations, index[start], 0.0, reason)
-
-
-def assert_lazy_is_eager(inst, cfg, mode, max_order=None):
-    """solve_multistart reports what eager_multistart reports, byte for
-    byte, and verifies the same layouts in the same order, each stopped
-    start once.  Returns the report and the number of starts it built."""
-    verified, built = [], []
-    start_vector = solver._start_vector
-
-    def recording_verify(inst, layout, *args, **kwargs):
-        verified.append(layout)
-        return verify_layout(inst, layout, *args, **kwargs)
-
-    def counting_start_vector(*args, **kwargs):
-        built.append(args[-1])
-        return start_vector(*args, **kwargs)
-
+def assert_lazy_is_index_order(inst, cfg, mode, max_order=None):
+    """solve_multistart reports what index_order_multistart, which builds
+    every start up front, reports, byte for byte, and verifies the same
+    layouts in the same order, each start it tries once.  It builds its
+    starts in index order, none after the winner.  Returns the report and
+    the number of starts it built."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "verify_layout", recording_verify)
-        patch.setattr(solver, "_start_vector", counting_start_vector)
+        verified = record_calls(patch, solver, "verify_layout")
+        built = record_calls(patch, solver, "_start_vector")
         report = solve_multistart(inst, cfg, max_order, mode)
     checked = []
-    expected = eager_multistart(inst, cfg, mode, max_order, checked)
-    lazy_doc = replace(report, wall_time_s=0.0).to_dict()
-    assert json.dumps(lazy_doc) == json.dumps(expected.to_dict())
-    assert list(map(serialize_layout, verified)) == list(map(serialize_layout, checked))
-    assert built == list(range(len(built)))
+    assert_report_is(report, index_order_multistart(inst, cfg, mode, max_order, checked))
+    layouts = [layout for _, layout in verified]
+    assert list(map(serialize_layout, layouts)) == list(map(serialize_layout, checked))
+    won = report.status == "converged_verified"
+    assert [args[-1] for args in built] == list(
+        range(report.start_index + 1 if won else cfg.restarts)
+    )
     return report, len(built)
 
 
 def test_lazy_starts_report_what_eager_starts_report_on_the_family():
     # Every fourth family instance that passes the gates, in both modes, at
-    # criterion-7 settings.  A solve won by a start that tiles as drawn
-    # builds no start after it; the others build every start and race them.
+    # criterion-7 settings.  A verified solve builds no start after its
+    # winner; the others build every start.
     cfg = SolveConfig(restarts=6, max_iters=80)
-    early = raced = 0
+    verified = failed = 0
     for mode in (mo.ROTATABLE, mo.FIXED):
         for inst in list(enumerate_small_family(4, 4))[::4]:
             inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
             if not (area_can_pass(inst) and fit_can_pass(inst)):
                 continue
-            report, built = assert_lazy_is_eager(inst, cfg, mode)
-            if report.status == "converged_verified" and report.iterations_total == 0:
-                assert built == report.start_index + 1
-                early += 1
+            report, _ = assert_lazy_is_index_order(inst, cfg, mode)
+            if report.status == "converged_verified":
+                verified += 1
             else:
-                assert built == cfg.restarts
-                raced += 1
-    assert early > 100 and raced > 10
+                failed += 1
+    assert verified > 100 and failed > 10
 
 
 def test_lazy_starts_verify_a_converged_start_that_fails_once(monkeypatch):
     # At order 2 a unit square and a 1x2 in a 1x3 box have roots that are no
     # packing.  Starts 0 and 2 begin at such roots, found by LM from uniform
-    # starts: they never start, and each is verified once, as it is built.
-    # With four starts the race runs without verifying them again and ends
+    # starts: they take no step, and each is verified once, as it is built.
+    # With four starts every start fails and the solve ends
     # converged_unverified; with five, start 4, a gap fill, tiles the box as
     # drawn and wins.
     inst = Instance.from_sides([(1, 1), (1, 2)], BoxSpec(1, 3), rotation_allowed=False)
     sys = mo.build_system(inst, 2)
     uniform = [numpy_start_vector(sys, mo.FIXED, 0, k) for k in (1, 2)]
-    roots = solver._lockstep(sys, np.stack([v for v, _ in uniform]), given_sides(sys, 2), 100)[0]
+    roots = [solver._descend(sys, v, s, 100)[0] for v, s in uniform]
     starts = [(roots[0], sys.sides), uniform[0], (roots[1], sys.sides), uniform[1]]
     gap_fill = solver._start_vector
     monkeypatch.setattr(
@@ -1580,11 +1368,11 @@ def test_lazy_starts_verify_a_converged_start_that_fails_once(monkeypatch):
         lambda *args, **kwargs: starts[args[-1]] if args[-1] < 4 else gap_fill(*args, **kwargs),
     )
     cfg = SolveConfig(restarts=4, max_iters=40)
-    report, built = assert_lazy_is_eager(inst, cfg, mo.FIXED, 2)
+    report, built = assert_lazy_is_index_order(inst, cfg, mo.FIXED, 2)
     assert report.status == "converged_unverified" and built == 4
-    report, built = assert_lazy_is_eager(inst, replace(cfg, restarts=5), mo.FIXED, 2)
+    report, built = assert_lazy_is_index_order(inst, replace(cfg, restarts=5), mo.FIXED, 2)
     assert report.status == "converged_verified" and report.start_index == 4
-    assert report.iterations_total == 0 and built == 5
+    assert report.iterations_total > 0 and built == 5
 
 
 @settings(max_examples=30, deadline=None)
@@ -1600,12 +1388,12 @@ def test_lazy_starts_verify_a_converged_start_that_fails_once(monkeypatch):
 def test_lazy_starts_report_what_eager_starts_report(
     seed, cuts, near, restarts, max_iters, mode, max_order
 ):
-    # Near-tilings race every start through LM; order 2 makes starts that
+    # Near-tilings descend before they verify; order 2 makes starts that
     # converge but fail verification.
     box = BoxSpec(3.0, 2.0 + seed % 3)
     inst = near_guillotine(seed, cuts, box)[0] if near else gen_guillotine(seed, cuts, box)[0]
     cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
-    assert_lazy_is_eager(inst, cfg, mode, max_order)
+    assert_lazy_is_index_order(inst, cfg, mode, max_order)
 
 
 def test_near_tilings_verify_after_lm_steps():
@@ -1632,53 +1420,49 @@ def test_near_tilings_verify_after_lm_steps():
 def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
     # Each built start's max |r| is evaluated once, as it is built, and the
     # report carries the value that judged its start: the build loop's for
-    # a start that wins as drawn, _lockstep's for a winner that took LM
+    # a start that wins as drawn, its descent's for a winner that took LM
     # steps.  Start 3 of this N = 15 dissection is the first to tile as
     # drawn, and the gap fills of starts 0-2 reach no tiling, so they are
-    # not built; every start of the near-tiling races.
-    values, raced = [], []
-    residual, lockstep = mo.residual, solver._lockstep
+    # not built; start 0 of the near-tiling descends and wins.
+    values = []
+    residual = mo.residual
 
     def recording_residual(*args, **kwargs):
         r = residual(*args, **kwargs)
         values.append(float(np.max(np.abs(r))))
         return r
 
-    def recording_lockstep(*args, **kwargs):
-        raced.append(lockstep(*args, **kwargs))
-        return raced[-1]
-
     monkeypatch.setattr(mo, "residual", recording_residual)
-    monkeypatch.setattr(solver, "_lockstep", recording_lockstep)
+    descents, descend = [], solver._descend
+
+    def recording_descend(*args):
+        descents.append(descend(*args))
+        return descents[-1]
+
+    monkeypatch.setattr(solver, "_descend", recording_descend)
     inst, _ = gen_guillotine(19, 14, BoxSpec(10.0, 8.0))
     report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=5, seed=19))
     assert report.status == "converged_verified" and report.iterations_total == 0
-    assert report.start_index == 3 and len(values) == 1 and not raced
+    assert report.start_index == 3 and len(values) == 1 and not descents
     assert report.final_residual_inf == values[-1] <= solver.RESIDUAL_TOL
     values.clear()
     inst, _ = near_guillotine(0, 5, BoxSpec(10.0, 8.0))
     report = solve_multistart(inst, SolveConfig(restarts=4))
     assert report.status == "converged_verified" and report.iterations_total > 0
-    assert len(values) == 4 and len(raced) == 1
-    *_, r_inf, winner = raced[0]
-    assert report.start_index == winner
-    assert report.final_residual_inf == float(r_inf[winner])
+    assert report.start_index == 0 and len(values) == len(descents) == 1
+    _, costs, r_max = descents[0]
+    assert report.iterations_total == len(costs) - 1
+    assert report.final_residual_inf == r_max > solver.RESIDUAL_TOL
 
 
 def test_incomplete_fills_are_never_raced(monkeypatch):
     # The gap fills of starts 0, 1 and 4-7 of this near-tiling of N = 15
     # reach no tiling within GAP_BUDGET (found by a search over
-    # near_guillotine seeds); starts 2 and 3 do, and are the only rows of
-    # the one _lockstep call.  Start 2, row 0, wins after LM steps, and the
-    # report names it by its own index.  With no complete fill no race runs.
-    raced = []
-    lockstep = solver._lockstep
-
-    def recording_lockstep(sys, x0, sides, *args):
-        raced.append((x0.tobytes(), sides.tobytes(), lockstep(sys, x0, sides, *args)))
-        return raced[-1][2]
-
-    monkeypatch.setattr(solver, "_lockstep", recording_lockstep)
+    # near_guillotine seeds); starts 2 and 3 do.  Start 2 is the first start
+    # built and the only one to descend; it wins after LM steps, and the
+    # report names it by its own index.  With no complete fill no start
+    # descends.
+    descended = record_calls(monkeypatch, solver, "_descend")
     inst, _ = near_guillotine(0, 14, BoxSpec(10.0, 8.0))
     cfg = SolveConfig(restarts=8)
     sys = mo.build_system(inst)
@@ -1686,15 +1470,37 @@ def test_incomplete_fills_are_never_raced(monkeypatch):
     complete = [k for k, start in enumerate(starts) if start is not None]
     assert complete == [2, 3]
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
-    [(x0, sides, (*_, winner))] = raced
-    assert x0 == np.stack([starts[k][0] for k in complete]).tobytes()
-    assert sides == np.stack([starts[k][1] for k in complete]).tobytes()
+    [(_, x0, sides, _)] = descended
+    assert x0.tobytes() == starts[2][0].tobytes() and sides.tobytes() == starts[2][1].tobytes()
     assert report.status == "converged_verified" and report.iterations_total > 0
-    assert winner == 0 and report.start_index == complete[winner] == 2
-    raced.clear()
+    assert report.start_index == 2
+    descended.clear()
     inst = Instance.from_sides([(2, 2), (2, 2), (1, 1)], BoxSpec(3, 3), rotation_allowed=False)
     report = solve_multistart(inst, SolveConfig(restarts=8))
-    assert report.status == "exhausted" and report.reason == "fill" and not raced
+    assert report.status == "exhausted" and report.reason == "fill" and not descended
+
+
+def test_more_starts_never_change_a_verified_report(monkeypatch):
+    # The dominoes of the command line's stall check and near-tilings of
+    # N = 6 and 10, both modes: a report verified at 8 starts is the same
+    # bytes at 64, and no start after its winner is built.  A race over all
+    # starts can pick a later winner when more starts are raced.
+    box = BoxSpec(10.0, 8.0)
+    cases = [(Instance.from_sides([(1, 2), (1, 2.00000004)], BoxSpec(2, 2)), mo.FIXED, 0)]
+    for seed in range(3):
+        for n in (6, 10):
+            near = near_guillotine(seed, n - 1, box)[0]
+            cases += [(near, mo.FIXED, seed), (near, mo.ROTATABLE, seed)]
+    built = record_calls(monkeypatch, solver, "_start_vector")
+    for inst, mode, seed in cases:
+        reports = []
+        for restarts in (8, 64):
+            built.clear()
+            cfg = SolveConfig(restarts=restarts, seed=seed)
+            reports.append(solve_multistart(inst, cfg, mode=mode))
+            assert reports[-1].status == "converged_verified"
+            assert len(built) == reports[-1].start_index + 1
+        assert_report_is(reports[1], reports[0])
 
 
 def test_rotatable_wins_after_lm_steps_place_the_given_sides():
