@@ -36,10 +36,7 @@ One variable model: every rectangle has two unknowns, its lower corner
 (x_lo, y_lo), in every mode.  Its upper corners are x_lo + w and y_lo + h
 for the sides (w, h) it is placed with, which are data, not unknowns: the
 given pair or, where the solver's start turned the rectangle, that pair
-swapped.  Each row of a batch carries its own sides, a (K, n, 2) array
-that only _corners reads (the Jacobian reads only the Chebyshev table), so
-points that turn different rectangles share one batch.  The truncation
-default comes from the unknown count, 2n.
+swapped.  The truncation default comes from the unknown count, 2n.
 
 Chebyshev values come from the three-term recurrence T_(j+1) = 2t * T_j -
 T_(j-1), multiplies and subtracts only (never a transcendental), so results
@@ -48,14 +45,10 @@ roundoff.  Building them instead from monomial extents and the fixed
 monomial-to-Chebyshev coefficient matrix cancels catastrophically: that
 floor passes 1e-10 from max_order 7.
 
-Evaluation is batched over K points.  chebyshev_table builds one (K,
-max_order + 1, 4n) table of Chebyshev values at the corners, a fresh
-(K, 4n) array per level joined by one copy at the end: at the solver's
-few rows that beats writing each level into a preallocated table;
-batch_residual and batch_jacobian both read it, so a Jacobian at a point
-whose residual is known reuses that table.  Every row of a batched result
-is bit for bit what the point gives alone; residual and jacobian are the
-one-point views.
+chebyshev_table builds one (max_order + 1, 4n) table of Chebyshev values
+at the corners of a point; table_residual and table_jacobian both read it,
+so a Jacobian at a point whose residual is known reuses that table.
+residual and jacobian are the checked views that build their own.
 """
 
 from __future__ import annotations
@@ -82,8 +75,8 @@ __all__ = [
     "residual",
     "jacobian",
     "chebyshev_table",
-    "batch_residual",
-    "batch_jacobian",
+    "table_residual",
+    "table_jacobian",
     "layout_to_vars",
     "vars_to_layout",
 ]
@@ -153,33 +146,33 @@ def build_system(inst: Instance, max_order: int | None = None) -> MomentSystem:
     )
 
 
-def _check_vars(sys: MomentSystem, vars: np.ndarray) -> np.ndarray:
+def _check_vars(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
     arr = np.asarray(vars, dtype=float)
     if arr.shape != (sys.var_count,):
         raise ValueError(f"expected {sys.var_count} variables, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("variable vector contains non-finite entries")
+    if sides is not None and np.shape(sides) != (sys.n_rects, 2):
+        raise ValueError(f"expected sides of shape {(sys.n_rects, 2)}, got shape {np.shape(sides)}")
     return arr
 
 
 def _corners(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
-    """(K, 4n) corners of each row of a (K, var_count) variable array:
-    x_lo, y_lo, x_hi, y_hi per rectangle.  The upper corners are the lower
-    ones plus the row's sides, (K, n, 2) or one (n, 2) for every row; the
-    given sides when sides is None."""
-    lo = vars.reshape(len(vars), sys.n_rects, 2)
+    """(4n,) corners of a variable vector: x_lo, y_lo, x_hi, y_hi per
+    rectangle.  The upper corners are the lower ones plus sides (n, 2), the
+    given sides when None."""
+    lo = vars.reshape(sys.n_rects, 2)
     upper = lo + (sys.sides if sides is None else sides)
-    return np.concatenate((lo, upper), axis=2).reshape(len(vars), 4 * sys.n_rects)
+    return np.concatenate((lo, upper), axis=1).ravel()
 
 
 def chebyshev_table(
     sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None
 ) -> np.ndarray:
-    """(K, max_order + 1, 4n) Chebyshev values T_0..T_max_order at
-    t = 2u - 1 for every corner of each row of a (K, var_count) variable
-    array placed with sides (see _corners), u being the corner over its own
-    box side.  Built by the recurrence T_(j+1) = 2t * T_j - T_(j-1).
-    Residual and Jacobian at one point share this table."""
+    """(max_order + 1, 4n) Chebyshev values T_0..T_max_order at t = 2u - 1
+    for every corner of a variable vector placed with sides (see _corners),
+    u being the corner over its own box side.  Built by the recurrence
+    T_(j+1) = 2t * T_j - T_(j-1)."""
     t = _corners(sys, vars, sides) * sys.to_cheb
     t -= 1.0
     two_t = t + t
@@ -188,22 +181,21 @@ def chebyshev_table(
         nxt = two_t * levels[j]
         nxt -= levels[j - 1]
         levels.append(nxt)
-    return np.concatenate(levels, axis=1).reshape(len(t), len(levels), t.shape[1])
+    return np.stack(levels)
 
 
-def batch_residual(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
-    """(K, equation_count) stacked residuals, one row per point of the
-    table: the moment rows (k, l) in row-major order."""
-    # Contiguous integrals, so the moment product is one BLAS matmul per row.
-    qx = sys.integrate @ (table[:, :, 2::4] - table[:, :, 0::4])
-    ry = sys.integrate @ (table[:, :, 3::4] - table[:, :, 1::4])
-    moments = qx @ ry.transpose(0, 2, 1) - sys.box_moments
-    return moments.reshape(len(table), sys.box_moments.size)
+def table_residual(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
+    """(equation_count,) stacked residual at the table's point: the moment
+    rows (k, l) in row-major order."""
+    # Contiguous integrals, so the moment product is one BLAS matmul.
+    qx = sys.integrate @ (table[:, 2::4] - table[:, 0::4])
+    ry = sys.integrate @ (table[:, 3::4] - table[:, 1::4])
+    return (qx @ ry.T - sys.box_moments).ravel()
 
 
-def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
-    """(K, equation_count, var_count) analytic Jacobians, one per point of
-    the table, rows in residual order.
+def table_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
+    """(equation_count, var_count) analytic Jacobian at the table's point,
+    rows in residual order.
 
     Moment row (k, l) is sum_n Q_k,n * R_l,n, Q_k,n the integral of
     T_k(2u - 1) over rectangle n's u-extent.  Its derivative by an end is
@@ -211,35 +203,33 @@ def batch_jacobian(sys: MomentSystem, table: np.ndarray) -> np.ndarray:
     and dQ_k / dx_lo = -T_k(t_lo) / A.  Moving a rectangle moves both of
     its x corners, so dQ_k = dT_k / A, whatever its sides.  Likewise for y.
     """
-    k, m, n = len(table), sys.max_order, sys.n_rects
-    cheb = table.reshape(k, m + 1, n, 4)  # x_lo, y_lo, x_hi, y_hi
+    m, n = sys.max_order, sys.n_rects
+    cheb = table.reshape(m + 1, n, 4)  # x_lo, y_lo, x_hi, y_hi
     delta = cheb[..., 2:] - cheb[..., :2]  # dT_j of x and y, j = 0..m
-    integrals = (sys.integrate @ delta.reshape(k, m + 1, 2 * n)).reshape(k, m, n, 2)
-    # Row (k, l) by x is dQ_k * R_l, by y Q_k * dR_l: one product of a
-    # (K, m, 1, 2n) factor and a (K, 1, m, 2n) one.
-    first = delta[:, :m] * (0.5 * sys.to_cheb[:2])  # dQ_k and dR_l
+    integrals = (sys.integrate @ delta.reshape(m + 1, 2 * n)).reshape(m, n, 2)
+    # Row (k, l) by x is dQ_k * R_l, by y Q_k * dR_l: one product of an
+    # (m, 1, 2n) factor and a (1, m, 2n) one.
+    first = delta[:m] * (0.5 * sys.to_cheb[:2])  # dQ_k and dR_l
     second = first.copy()
     first[..., 1] = integrals[..., 0]
     second[..., 0] = integrals[..., 1]
-    out = np.empty((k, m, m, 2 * n))
-    np.multiply(first.reshape(k, m, 1, 2 * n), second.reshape(k, 1, m, 2 * n), out=out)
-    return out.reshape(k, m * m, 2 * n)
+    return (first.reshape(m, 1, 2 * n) * second.reshape(1, m, 2 * n)).reshape(m * m, 2 * n)
 
 
 def residual(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
     """(equation_count,) stacked residual: the moment rows (k, l) in
     row-major order, the rectangles placed with sides (the given ones when
     None)."""
-    arr = _check_vars(sys, vars)
+    arr = _check_vars(sys, vars, sides)
     with np.errstate(over="ignore", invalid="ignore"):
-        return batch_residual(sys, chebyshev_table(sys, arr[None], sides))[0]
+        return table_residual(sys, chebyshev_table(sys, arr, sides))
 
 
 def jacobian(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
     """Analytic Jacobian of the stacked residual, rows in residual order."""
-    arr = _check_vars(sys, vars)
+    arr = _check_vars(sys, vars, sides)
     with np.errstate(over="ignore", invalid="ignore"):
-        return batch_jacobian(sys, chebyshev_table(sys, arr[None], sides))[0]
+        return table_jacobian(sys, chebyshev_table(sys, arr, sides))
 
 
 def _corner_array(layout: Layout) -> np.ndarray:
@@ -259,5 +249,5 @@ def layout_to_vars(sys: MomentSystem, layout: Layout) -> np.ndarray:
 def vars_to_layout(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = None) -> Layout:
     """De-normalize a variable vector back into a layout, the rectangles
     placed with sides (the given ones when None)."""
-    corners = _corners(sys, _check_vars(sys, vars)[None], sides) * sys.scale
+    corners = _corners(sys, _check_vars(sys, vars, sides), sides) * sys.scale
     return Layout(tuple(Placement(*c) for c in corners.reshape(-1, 4).tolist()))

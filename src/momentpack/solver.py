@@ -376,8 +376,8 @@ def _start_vector(
 
 
 def _cost(r: np.ndarray) -> float:
-    """The residual 2-norm of a batch of one, inf where the residual is not
-    finite (its norm is then inf or NaN)."""
+    """The residual 2-norm, inf where the residual is not finite (its norm
+    is then inf or NaN)."""
     cost = float(np.linalg.norm(r))
     return math.inf if math.isnan(cost) else cost
 
@@ -386,7 +386,7 @@ def _descend(
     sys: mo.MomentSystem, x0: np.ndarray, sides: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, list[float], float]:
     """Levenberg-Marquardt from the start x0 (var_count,), its rectangles
-    placed with sides (n, 2), on batches of one.
+    placed with sides (n, 2).
 
     The start runs from LAMBDA0 under the one-attempt damping rule until
     RESIDUAL_TOL, a stall (after accepted step n >= STALL_WINDOW, costs[n]
@@ -398,28 +398,27 @@ def _descend(
     Returns the final variables, the accepted costs (residual 2-norms, the
     first at x0) and the final max |r|.
     """
-    diag = slice(None, None, sys.var_count + 1)  # the diagonal of a flattened (V, V)
-    x = np.array(x0, dtype=float)[None]
+    x = np.array(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         table = mo.chebyshev_table(sys, x, sides)
-        r = mo.batch_residual(sys, table)
+        r = mo.table_residual(sys, table)
         r_max, costs = np.abs(r).max(), [_cost(r)]
         lam, stepped = LAMBDA0, True
         running = np.isfinite(r_max) and r_max > RESIDUAL_TOL
         while running:
             if stepped:  # normal equations at the new point
-                jac_t = mo.batch_jacobian(sys, table).transpose(0, 2, 1)
-                neg_grad = -(jac_t @ r[:, :, None])
-                hess = jac_t @ jac_t.transpose(0, 2, 1)
+                jac_t = mo.table_jacobian(sys, table).T
+                neg_grad = -(jac_t @ r)
+                hess = jac_t @ jac_t.T
             damped = hess.copy()
-            damped.reshape(1, -1)[:, diag] += lam
+            damped.flat[:: sys.var_count + 1] += lam  # lambda on the diagonal
             try:
-                delta = np.linalg.solve(damped, neg_grad)[:, :, 0]
+                delta = np.linalg.solve(damped, neg_grad)
             except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(damped[0], neg_grad[0, :, 0], rcond=None)[0]
+                delta = np.linalg.lstsq(damped, neg_grad, rcond=None)[0]
             cand = x + delta
             cand_table = mo.chebyshev_table(sys, cand, sides)
-            cand_r = mo.batch_residual(sys, cand_table)
+            cand_r = mo.table_residual(sys, cand_table)
             cost = _cost(cand_r)
             stepped = cost < costs[-1]
             if stepped:
@@ -432,7 +431,7 @@ def _descend(
             else:
                 lam *= LAMBDA_INCREASE
                 running = lam <= LAMBDA_MAX
-    return x[0], costs, float(r_max)
+    return x, costs, float(r_max)
 
 
 def solve_single(

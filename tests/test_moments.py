@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Chebyshev
 
@@ -327,36 +327,6 @@ def test_jacobian_matches_central_differences(mode, fd_jac):
             assert float(np.max(np.abs(jac - ref))) / scale <= 1e-6
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    cuts=st.integers(0, 12),
-    rows=st.integers(0, 8),
-    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
-)
-@example(seed=0, cuts=3, rows=0, mode=mo.FIXED)
-@example(seed=0, cuts=3, rows=0, mode=mo.ROTATABLE)
-def test_batched_rows_equal_single_evaluation_bitwise(seed, cuts, rows, mode):
-    # Each row of a batched evaluation must be exactly what the point gives
-    # alone, whatever else is in the batch; multistart relies on it.  In
-    # rotatable mode each row turns its own rectangles at random, so rows
-    # of one batch differ in orientation.  An empty batch gives empty
-    # results of the same shapes.
-    inst, _ = gen_guillotine(seed, cuts, BoxSpec(1.0 + seed % 7, 2.5))
-    sys = mo.build_system(inst)
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(0, 1, (rows, sys.var_count))
-    sides = row_sides(sys, mode, rng, rows)
-    table = mo.chebyshev_table(sys, points, sides)
-    res = mo.batch_residual(sys, table)
-    jac = mo.batch_jacobian(sys, table)
-    assert res.shape == (rows, sys.equation_count)
-    assert jac.shape == (rows, sys.equation_count, sys.var_count)
-    for k, x in enumerate(points):
-        assert res[k].tobytes() == mo.residual(sys, x, sides[k]).tobytes()
-        assert jac[k].tobytes() == mo.jacobian(sys, x, sides[k]).tobytes()
-
-
 def reference_corners(sys, vars, sides):
     """The corner build the table was first written with: one (K, n, 4)
     array, lower corners, then lower corners plus sides."""
@@ -390,6 +360,23 @@ def reference_residual(sys, table):
     return (qx @ ry.transpose(0, 2, 1) - sys.box_moments).reshape(len(table), -1)
 
 
+def reference_jacobian(sys, table):
+    """The Jacobian as first written: one (equation_count, var_count) block
+    per point, the factors dQ_k * R_l and Q_k * dR_l multiplied into one
+    preallocated array."""
+    k, m, n = len(table), sys.max_order, sys.n_rects
+    cheb = table.reshape(k, m + 1, n, 4)
+    delta = cheb[..., 2:] - cheb[..., :2]
+    integrals = (sys.integrate @ delta.reshape(k, m + 1, 2 * n)).reshape(k, m, n, 2)
+    first = delta[:, :m] * (0.5 * sys.to_cheb[:2])
+    second = first.copy()
+    first[..., 1] = integrals[..., 0]
+    second[..., 0] = integrals[..., 1]
+    out = np.empty((k, m, m, 2 * n))
+    np.multiply(first.reshape(k, m, 1, 2 * n), second.reshape(k, 1, m, 2 * n), out=out)
+    return out.reshape(k, m * m, 2 * n)
+
+
 # Upright rows, and rows that turn each rectangle as drawn (squares too).
 TABLE_SYSTEMS = [
     ([(1, 2), (3, 1), (2, 2)], mo.FIXED),
@@ -412,8 +399,11 @@ TABLE_ENTRIES = st.one_of(
     max_order=st.one_of(st.none(), st.integers(1, 9)),
 )
 def test_table_and_residual_match_the_reference_build_bytewise(data, which, rows, max_order):
-    # The batched-equals-single tests compare the kernel with itself; this
-    # pins its bits to an independent copy of the build.
+    # Pins the kernel's bits to an independent copy of the build: each
+    # drawn point's corners, table, residual and Jacobian are the
+    # reference's, byte for byte.  The reference runs on a batch of that one
+    # point, as the solver ran it: in a batch of several points the
+    # reference Jacobian's NaN entries can take another sign bit.
     given, mode = TABLE_SYSTEMS[which]
     sys = mo.build_system(Instance.from_sides(given, BoxSpec(5, 3)), max_order)
     flat = data.draw(st.lists(TABLE_ENTRIES, min_size=rows * sys.var_count,
@@ -425,19 +415,35 @@ def test_table_and_residual_match_the_reference_build_bytewise(data, which, rows
     turn = np.array(turn).reshape(rows, sys.n_rects, 1)
     sides = np.where(turn, sys.sides[:, ::-1], sys.sides)
     with np.errstate(over="ignore", invalid="ignore"):
-        corners = mo._corners(sys, points, sides)
-        table = mo.chebyshev_table(sys, points, sides)
-        want_corners = reference_corners(sys, points, sides)
-        want_table = reference_table(sys, points, sides)
-        residual = mo.batch_residual(sys, table)
-        want_residual = reference_residual(sys, want_table)
-    assert corners.shape == want_corners.shape
-    assert corners.tobytes() == want_corners.tobytes()
-    assert table.shape == (rows, sys.max_order + 1, 4 * sys.n_rects)
-    assert table.flags.c_contiguous
-    assert table.tobytes() == want_table.tobytes()
-    assert residual.shape == (rows, sys.equation_count)
-    assert residual.tobytes() == want_residual.tobytes()
+        for x, placed in zip(points, sides):
+            corners = mo._corners(sys, x, placed)
+            table = mo.chebyshev_table(sys, x, placed)
+            residual = mo.table_residual(sys, table)
+            jacobian = mo.table_jacobian(sys, table)
+            want_corners = reference_corners(sys, x[None], placed)[0]
+            want_table = reference_table(sys, x[None], placed)
+            want_residual = reference_residual(sys, want_table)[0]
+            want_jacobian = reference_jacobian(sys, want_table)[0]
+            assert corners.shape == want_corners.shape
+            assert corners.tobytes() == want_corners.tobytes()
+            assert table.shape == (sys.max_order + 1, 4 * sys.n_rects)
+            assert table.flags.c_contiguous
+            assert table.tobytes() == want_table[0].tobytes()
+            assert residual.shape == (sys.equation_count,)
+            assert residual.tobytes() == want_residual.tobytes()
+            assert jacobian.shape == (sys.equation_count, sys.var_count)
+            assert jacobian.tobytes() == want_jacobian.tobytes()
+
+
+def test_views_reject_sides_of_any_other_shape():
+    # Sides that only broadcast to (n, 2) would place rectangles alike.
+    sys = mo.build_system(Instance.from_sides([(1, 2)] * 3, BoxSpec(3, 2)), 3)
+    x = np.full(sys.var_count, 0.3)
+    for bad in (np.array([0.5, 1.0]), sys.sides[:1], sys.sides[None], sys.sides[:, :1]):
+        for view in (mo.residual, mo.jacobian, mo.vars_to_layout):
+            with pytest.raises(ValueError, match=r"expected sides of shape \(3, 2\)"):
+                view(sys, x, bad)
+    assert mo.residual(sys, x, sys.sides.tolist()).shape == (9,)
 
 
 def test_jacobian_shape():

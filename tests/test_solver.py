@@ -197,8 +197,8 @@ def skyline_start_vector(sys, mode, seed, start_index, width_sums=None):
 def numpy_start_vector(sys, mode, seed, start_index, width_sums=None):
     """Starts as _start_vector drew them before skyline starts: the shelf,
     then each rectangle uniformly in the box, one that may turn first
-    turned by a seeded bit.  The race tests below build their scenarios on
-    these starts (the uniform_starts fixture)."""
+    turned by a seeded bit.  The index-order tests below build their
+    scenarios on these starts (the uniform_starts fixture)."""
     if start_index == 0:
         return shelf_vars(sys), sys.sides
     rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
@@ -336,7 +336,7 @@ def test_gap_fill_starts_keep_sides_and_box(sides, box, mode, seed, starts):
         turns = may_turn(sys, mode)
         for (w, h), placed, turnable in zip(sys.sides.tolist(), sides.tolist(), turns):
             assert placed == [w, h] or turnable and placed == [h, w]
-        x_lo, y_lo, x_hi, y_hi = mo._corners(sys, x[None], sides).reshape(-1, 4).T
+        x_lo, y_lo, x_hi, y_hi = mo._corners(sys, x, sides).reshape(-1, 4).T
         room = DEFAULT_TOL + tol
         inside = (x_lo >= 0) & (y_lo >= 0) & (x_hi <= sys.box_w + room) & (y_hi <= sys.box_h + room)
         assert inside.all()
@@ -720,7 +720,7 @@ def test_multistart_verifies_sides_typed_to_eight_digits(seed):
 def test_multistart_exhausts_on_unpackable_exact_area():
     # Two 2x2 squares and a unit square fill a 3x3 box by area, and each
     # fits it, but the two 2x2 squares cannot share it: no gap fill reaches
-    # a tiling, so there is no start to race and no layout to report.
+    # a tiling, so there is no start to try and no layout to report.
     inst = Instance.from_sides([(2, 2), (2, 2), (1, 1)], BoxSpec(3, 3), rotation_allowed=False)
     report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=60))
     assert report.status == "exhausted"
@@ -754,8 +754,8 @@ def test_report_to_dict_serializes_infinite_residual():
 def sequential_lm(sys, x0, sides, max_iters):
     """Reference for _descend, reading the stop rule from the solver's
     constants when called: Levenberg-Marquardt from one start placed with
-    sides (n, 2), one damped attempt per round, on the batched primitives
-    (batches of one), a singular system solved by lstsq.
+    sides (n, 2), one damped attempt per round, on the one-point table
+    readers, a singular system solved by lstsq.
     Returns the final variables, the accepted step count, the accepted
     costs and, for each attempt, whether it was accepted."""
     residual_tol, window, stall_tol = solver.RESIDUAL_TOL, solver.STALL_WINDOW, solver.STALL_TOL
@@ -763,16 +763,16 @@ def sequential_lm(sys, x0, sides, max_iters):
 
     def evaluate(x):
         table = mo.chebyshev_table(sys, x, sides)
-        r = mo.batch_residual(sys, table)
-        return table, r, np.linalg.norm(r[0]) if np.all(np.isfinite(r)) else np.inf
+        r = mo.table_residual(sys, table)
+        return table, r, np.linalg.norm(r) if np.all(np.isfinite(r)) else np.inf
 
     def solve(a, b):
         try:
-            return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+            return np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
-            return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
+            return np.linalg.lstsq(a, b, rcond=None)[0]
 
-    x = x0[None]
+    x = x0
     lam = solver.LAMBDA0
     accepted = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -782,9 +782,9 @@ def sequential_lm(sys, x0, sides, max_iters):
         stepped = True
         while live:
             if stepped:
-                jac = mo.batch_jacobian(sys, table)
-                jac_t = jac.transpose(0, 2, 1)
-                neg_grad = -(jac_t @ r[:, :, None])[:, :, 0]
+                jac = mo.table_jacobian(sys, table)
+                jac_t = jac.T
+                neg_grad = -(jac_t @ r)
                 hess = jac_t @ jac
             cand = x + solve(hess + lam * eye, neg_grad)
             cand_table, r_new, cost_new = evaluate(cand)
@@ -800,7 +800,7 @@ def sequential_lm(sys, x0, sides, max_iters):
             else:
                 lam *= solver.LAMBDA_INCREASE
                 live = lam <= solver.LAMBDA_MAX
-    return x[0], len(costs) - 1, costs, accepted
+    return x, len(costs) - 1, costs, accepted
 
 
 def box_starts(sys, mode, seed, rows):
@@ -909,7 +909,7 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
             patch.setattr(solver, "LAMBDA0", lambda0)
             reference = sequential_lm(sys, start, start_sides, 200)
             solved = record_calls(patch, np.linalg, "solve")
-            jacobians = record_calls(patch, mo, "batch_jacobian")
+            jacobians = record_calls(patch, mo, "table_jacobian")
             x, costs, r_max = solver._descend(sys, start, start_sides, 200)
         x1, steps1, costs1, accepted = reference
         assert x.tobytes() == x1.tobytes()
@@ -1271,7 +1271,7 @@ def test_multistart_matches_sequential(seed, cuts, restarts, max_iters, mode, ma
     # fail verification.
     inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
     cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
-    assert_lazy_is_index_order(inst, cfg, mode, max_order)
+    assert_multistart_is_index_order(inst, cfg, mode, max_order)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1309,7 +1309,7 @@ def near_guillotine(seed, n_cuts, box, delta=1e-8):
     return Instance.from_sides(sides, box), dissection
 
 
-def assert_lazy_is_index_order(inst, cfg, mode, max_order=None):
+def assert_multistart_is_index_order(inst, cfg, mode, max_order=None):
     """solve_multistart reports what index_order_multistart, which builds
     every start up front, reports, byte for byte, and verifies the same
     layouts in the same order, each start it tries once.  It builds its
@@ -1330,7 +1330,7 @@ def assert_lazy_is_index_order(inst, cfg, mode, max_order=None):
     return report, len(built)
 
 
-def test_lazy_starts_report_what_eager_starts_report_on_the_family():
+def test_multistart_matches_index_order_on_the_family():
     # Every fourth family instance that passes the gates, in both modes, at
     # criterion-7 settings.  A verified solve builds no start after its
     # winner; the others build every start.
@@ -1341,7 +1341,7 @@ def test_lazy_starts_report_what_eager_starts_report_on_the_family():
             inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
             if not (area_can_pass(inst) and fit_can_pass(inst)):
                 continue
-            report, _ = assert_lazy_is_index_order(inst, cfg, mode)
+            report, _ = assert_multistart_is_index_order(inst, cfg, mode)
             if report.status == "converged_verified":
                 verified += 1
             else:
@@ -1349,7 +1349,7 @@ def test_lazy_starts_report_what_eager_starts_report_on_the_family():
     assert verified > 100 and failed > 10
 
 
-def test_lazy_starts_verify_a_converged_start_that_fails_once(monkeypatch):
+def test_multistart_verifies_a_converged_start_that_fails_once(monkeypatch):
     # At order 2 a unit square and a 1x2 in a 1x3 box have roots that are no
     # packing.  Starts 0 and 2 begin at such roots, found by LM from uniform
     # starts: they take no step, and each is verified once, as it is built.
@@ -1368,9 +1368,9 @@ def test_lazy_starts_verify_a_converged_start_that_fails_once(monkeypatch):
         lambda *args, **kwargs: starts[args[-1]] if args[-1] < 4 else gap_fill(*args, **kwargs),
     )
     cfg = SolveConfig(restarts=4, max_iters=40)
-    report, built = assert_lazy_is_index_order(inst, cfg, mo.FIXED, 2)
+    report, built = assert_multistart_is_index_order(inst, cfg, mo.FIXED, 2)
     assert report.status == "converged_unverified" and built == 4
-    report, built = assert_lazy_is_index_order(inst, replace(cfg, restarts=5), mo.FIXED, 2)
+    report, built = assert_multistart_is_index_order(inst, replace(cfg, restarts=5), mo.FIXED, 2)
     assert report.status == "converged_verified" and report.start_index == 4
     assert report.iterations_total > 0 and built == 5
 
@@ -1385,7 +1385,7 @@ def test_lazy_starts_verify_a_converged_start_that_fails_once(monkeypatch):
     mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
     max_order=st.sampled_from([None, 2]),
 )
-def test_lazy_starts_report_what_eager_starts_report(
+def test_multistart_matches_index_order_on_near_tilings(
     seed, cuts, near, restarts, max_iters, mode, max_order
 ):
     # Near-tilings descend before they verify; order 2 makes starts that
@@ -1393,7 +1393,7 @@ def test_lazy_starts_report_what_eager_starts_report(
     box = BoxSpec(3.0, 2.0 + seed % 3)
     inst = near_guillotine(seed, cuts, box)[0] if near else gen_guillotine(seed, cuts, box)[0]
     cfg = SolveConfig(restarts=restarts, max_iters=max_iters, seed=seed)
-    assert_lazy_is_index_order(inst, cfg, mode, max_order)
+    assert_multistart_is_index_order(inst, cfg, mode, max_order)
 
 
 def test_near_tilings_verify_after_lm_steps():
@@ -1455,7 +1455,7 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
     assert report.final_residual_inf == r_max > solver.RESIDUAL_TOL
 
 
-def test_incomplete_fills_are_never_raced(monkeypatch):
+def test_incomplete_fills_never_descend(monkeypatch):
     # The gap fills of starts 0, 1 and 4-7 of this near-tiling of N = 15
     # reach no tiling within GAP_BUDGET (found by a search over
     # near_guillotine seeds); starts 2 and 3 do.  Start 2 is the first start
@@ -1483,8 +1483,9 @@ def test_incomplete_fills_are_never_raced(monkeypatch):
 def test_more_starts_never_change_a_verified_report(monkeypatch):
     # The dominoes of the command line's stall check and near-tilings of
     # N = 6 and 10, both modes: a report verified at 8 starts is the same
-    # bytes at 64, and no start after its winner is built.  A race over all
-    # starts can pick a later winner when more starts are raced.
+    # bytes at 64, and no start after its winner is built.  A rule that
+    # tried every start and kept the best could pick a later winner when
+    # more starts are tried.
     box = BoxSpec(10.0, 8.0)
     cases = [(Instance.from_sides([(1, 2), (1, 2.00000004)], BoxSpec(2, 2)), mo.FIXED, 0)]
     for seed in range(3):
