@@ -1,6 +1,6 @@
 """Damped least-squares solving of truncated moment systems with multistart.
 
-The core, _descend, runs Levenberg-Marquardt from one start vector: each
+The core, solve_single, runs Levenberg-Marquardt from one start vector: each
 attempt solves (J^T J + lambda I) delta = -J^T r and accepts the candidate
 x + delta only on strict cost decrease (lambda halves); a rejection
 quadruples lambda for the next attempt (Madsen, Nielsen & Tingleff 2004,
@@ -382,29 +382,35 @@ def _cost(r: np.ndarray) -> float:
     return math.inf if math.isnan(cost) else cost
 
 
-def _descend(
-    sys: mo.MomentSystem, x0: np.ndarray, sides: np.ndarray, max_iters: int
+def solve_single(
+    sys: mo.MomentSystem,
+    x0: np.ndarray,
+    cfg: SolveConfig | None = None,
+    sides: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[float], float]:
     """Levenberg-Marquardt from the start x0 (var_count,), its rectangles
-    placed with sides (n, 2).
+    placed with sides (n, 2), the given sides when None.  x0 and sides are
+    checked as moments.residual checks them, which evaluates the start.
 
     The start runs from LAMBDA0 under the one-attempt damping rule until
     RESIDUAL_TOL, a stall (after accepted step n >= STALL_WINDOW, costs[n]
     >= (1 - STALL_TOL) costs[n - STALL_WINDOW]; STALL_TOL 0 turns the rule
-    off), lambda above LAMBDA_MAX or max_iters accepted steps.  A rejected
-    attempt retries on the undamped normal equations it keeps, and a
-    singular damped system is solved by lstsq.  A start whose max |r| is
+    off), lambda above LAMBDA_MAX or cfg.max_iters accepted steps.  A
+    rejected attempt retries on the undamped normal equations it keeps, and
+    a singular damped system is solved by lstsq.  A start whose max |r| is
     not finite or within RESIDUAL_TOL takes no attempt.
     Returns the final variables, the accepted costs (residual 2-norms, the
     first at x0) and the final max |r|.
     """
+    max_iters = (cfg or SolveConfig()).max_iters
+    r = mo.residual(sys, x0, sides)
     x = np.array(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = mo.chebyshev_table(sys, x, sides)
-        r = mo.table_residual(sys, table)
-        r_max, costs = np.abs(r).max(), [_cost(r)]
+        r_max, costs = float(np.abs(r).max()), [_cost(r)]
         lam, stepped = LAMBDA0, True
-        running = np.isfinite(r_max) and r_max > RESIDUAL_TOL
+        running = math.isfinite(r_max) and r_max > RESIDUAL_TOL
+        if running:  # the start's table, for the first Jacobian
+            table = mo.chebyshev_table(sys, x, sides)
         while running:
             if stepped:  # normal equations at the new point
                 jac_t = mo.table_jacobian(sys, table).T
@@ -432,19 +438,6 @@ def _descend(
                 lam *= LAMBDA_INCREASE
                 running = lam <= LAMBDA_MAX
     return x, costs, float(r_max)
-
-
-def solve_single(
-    sys: mo.MomentSystem, x0: np.ndarray, cfg: SolveConfig | None = None
-) -> tuple[np.ndarray, list[float]]:
-    """Levenberg-Marquardt from one start; returns the final variable vector
-    and the history of accepted residual 2-norms (monotone decreasing,
-    starting at the initial cost).  Each step solves
-    (J^T J + lambda I) delta = -J^T r; the core, _descend, with the
-    rectangles placed with their given sides."""
-    cfg = cfg or SolveConfig()
-    x, costs, _ = _descend(sys, mo._check_vars(sys, x0), sys.sides, cfg.max_iters)
-    return x, costs
 
 
 # -- Layout cleanup ----------------------------------------------------------
@@ -483,9 +476,9 @@ def solve_multistart(
     as a success only when the layout it stopped at, converged or not,
     passes geometric verification.  Starts are tried one at a time, in
     index order, and the first that verifies wins: start k is built (a gap
-    fill that reaches no tiling is no start, and is skipped), judged as
-    drawn if its max |r| is not finite or within RESIDUAL_TOL, else after
-    its own LM descent (_descend), and verified once.  No start after the
+    fill that reaches no tiling is no start, and is skipped), handed once to
+    solve_single, which judges it as drawn if its max |r| is not finite or
+    within RESIDUAL_TOL and else descends it, and verified once.  No start after the
     winner is built.  Without a winner the report carries the lowest (final
     max |r|, start index); with no start at all it is exhausted, reason
     "fill".  The arguments are checked first, so a bad mode or max_order
@@ -513,10 +506,8 @@ def solve_multistart(
             if built is None:
                 continue
             v, s = built
-            tried, r_max = True, float(np.abs(mo.residual(sys, v, s)).max())
-            if math.isfinite(r_max) and r_max > RESIDUAL_TOL:
-                v, costs, r_max = _descend(sys, v, s, cfg.max_iters)
-                iterations += len(costs) - 1
+            v, costs, r_max = solve_single(sys, v, cfg, s)
+            tried, iterations = True, iterations + len(costs) - 1
             candidate = mo.vars_to_layout(sys, v, s)
             if verify_layout(inst, candidate).passed:
                 status, layout, final, start = "converged_verified", candidate, r_max, k

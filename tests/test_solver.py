@@ -82,7 +82,7 @@ def test_solve_single_history_strictly_decreases():
     rng = np.random.default_rng(5)
     for _ in range(5):
         x0 = rng.uniform(0, 0.5, sys.var_count)
-        _, history = solve_single(sys, x0)
+        _, history, _ = solve_single(sys, x0)
         assert len(history) >= 1
         assert all(b < a for a, b in zip(history, history[1:]))
 
@@ -91,25 +91,29 @@ def test_solve_single_stops_immediately_at_solution():
     inst = dominoes()
     sys = mo.build_system(inst, max_order=3)
     perfect = Layout((Placement(0, 0, 1, 2), Placement(1, 0, 2, 2)))
-    x, history = solve_single(sys, mo.layout_to_vars(sys, perfect))
+    x, history, r_max = solve_single(sys, mo.layout_to_vars(sys, perfect))
     assert len(history) == 1
-    assert np.max(np.abs(mo.residual(sys, x))) <= 1e-10
+    assert r_max == np.max(np.abs(mo.residual(sys, x))) <= 1e-10
 
 
 def test_solve_single_shape_check():
     sys = mo.build_system(dominoes(), max_order=3)
     with pytest.raises(ValueError, match="shape"):
         solve_single(sys, np.zeros(3))
+    with pytest.raises(ValueError, match="sides of shape"):
+        solve_single(sys, np.zeros(sys.var_count), sides=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="variable vector contains non-finite entries"):
+        solve_single(sys, np.array([0.0, np.inf, 0.5, 0.0]))
 
 
 def test_solve_single_reduces_residual():
     sys = mo.build_system(dominoes(), max_order=3)
     x0 = np.array([0.1, 0.3, 0.6, 0.2])
     kept = x0.copy()
-    x, history = solve_single(sys, x0)
+    x, history, r_max = solve_single(sys, x0)
     assert x0.tobytes() == kept.tobytes()  # the caller's start is not written to
     assert history[-1] < history[0]
-    assert np.max(np.abs(mo.residual(sys, x))) < np.max(np.abs(mo.residual(sys, x0)))
+    assert r_max == np.max(np.abs(mo.residual(sys, x))) < np.max(np.abs(mo.residual(sys, x0)))
 
 
 # -- Warm start and snapping --------------------------------------------------
@@ -752,7 +756,7 @@ def test_report_to_dict_serializes_infinite_residual():
 
 
 def sequential_lm(sys, x0, sides, max_iters):
-    """Reference for _descend, reading the stop rule from the solver's
+    """Reference for solve_single, reading the stop rule from the solver's
     constants when called: Levenberg-Marquardt from one start placed with
     sides (n, 2), one damped attempt per round, on the one-point table
     readers, a singular system solved by lstsq.
@@ -826,9 +830,9 @@ def record_calls(monkeypatch, module, name):
 
 
 def assert_descent_is_sequential(sys, x0, sides, max_iters):
-    """_descend from x0 equals sequential_lm from it, bit for bit; returns
-    the descent and the reference's accepted flags."""
-    descent = solver._descend(sys, x0, sides, max_iters)
+    """solve_single from x0 equals sequential_lm from it, bit for bit;
+    returns the descent and the reference's accepted flags."""
+    descent = solve_single(sys, x0, SolveConfig(max_iters=max_iters), sides)
     x, costs, r_max = descent
     x1, steps1, costs1, accepted = sequential_lm(sys, x0, sides, max_iters)
     assert x.tobytes() == x1.tobytes()
@@ -859,16 +863,16 @@ def test_descent_steps_a_singular_start_through_lstsq(monkeypatch):
     lstsq, calls = np.linalg.lstsq, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-        _, costs, _ = solver._descend(sys, coincident, sys.sides, 30)
+        _, costs, _ = solve_single(sys, coincident, SolveConfig(max_iters=30))
     assert len(costs) > 1 and calls  # the singular start moved on through lstsq
-    for x0 in [np.array(normal[0]), coincident, solved, non_finite, np.array(normal[1])]:
+    for x0 in [np.array(normal[0]), coincident, solved, np.array(normal[1])]:
         (x, costs, _), _ = assert_descent_is_sequential(sys, x0, sys.sides, 30)
         if x0 is solved:
             assert len(costs) == 1 and x.tobytes() == solved.tobytes()
-        elif x0 is non_finite:
-            assert costs == [float("inf")]
         else:
             assert len(costs) > 1
+    with pytest.raises(ValueError, match="variable vector contains non-finite entries"):
+        solve_single(sys, non_finite, SolveConfig(max_iters=30), sys.sides)
 
 
 @pytest.mark.filterwarnings("error")
@@ -879,12 +883,13 @@ def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
     inst, _ = gen_guillotine(3, 19, BoxSpec(10.0, 8.0))
     sys = mo.build_system(inst)
     inside, sides = box_starts(sys, mode, 3, 1)
-    far = [inside[0] + v for v in (1e3, -1e3, 1e18, 1e40)]
-    for x0 in far + [np.full(sys.var_count, np.nan)]:
-        (x, costs, r_max), _ = assert_descent_is_sequential(sys, x0, sides[0], 20)
-        assert np.all(np.isfinite(x) | ~np.isfinite(x0))
+    for v in (1e3, -1e3, 1e18, 1e40):
+        (x, costs, r_max), _ = assert_descent_is_sequential(sys, inside[0] + v, sides[0], 20)
+        assert np.all(np.isfinite(x))
         assert np.all(np.isfinite(costs[1:]))
         assert np.isfinite(r_max) == np.isfinite(costs[0])
+    with pytest.raises(ValueError, match="variable vector contains non-finite entries"):
+        solve_single(sys, np.full(sys.var_count, np.nan), SolveConfig(max_iters=20), sides[0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -910,7 +915,7 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
             reference = sequential_lm(sys, start, start_sides, 200)
             solved = record_calls(patch, np.linalg, "solve")
             jacobians = record_calls(patch, mo, "table_jacobian")
-            x, costs, r_max = solver._descend(sys, start, start_sides, 200)
+            x, costs, r_max = solve_single(sys, start, SolveConfig(max_iters=200), start_sides)
         x1, steps1, costs1, accepted = reference
         assert x.tobytes() == x1.tobytes()
         assert np.array(costs).tobytes() == np.array(costs1).tobytes()
@@ -957,10 +962,10 @@ def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode
     def rule_free(x0, sides, max_iters):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "STALL_TOL", 0.0)
-            return solver._descend(sys, x0, sides, max_iters)
+            return solve_single(sys, x0, SolveConfig(max_iters=max_iters), sides)
 
     for x0, sides in zip(*box_starts(sys, mode, seed, rows)):
-        x, costs, r_max = solver._descend(sys, x0, sides, 80)
+        x, costs, r_max = solve_single(sys, x0, SolveConfig(max_iters=80), sides)
         steps = len(costs) - 1
         path = np.array(rule_free(x0, sides, 80)[1])
         window = solver.STALL_WINDOW
@@ -1103,7 +1108,7 @@ def test_stall_rule_cuts_no_winner(skyline_starts, monkeypatch):
     def converging(inst, cfg, mode):  # each start run to its own stop
         sys = mo.build_system(inst)
         starts = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
-        ends = [solver._descend(sys, *start, cfg.max_iters)[2] for start in starts]
+        ends = [solve_single(sys, x0, cfg, sides)[2] for x0, sides in starts]
         return np.array(ends) <= solver.RESIDUAL_TOL
 
     with_rule, kept = reports(), [converging(*case) for case in family]
@@ -1140,7 +1145,7 @@ def test_stall_margin_of_the_tightest_converging_start():
     ]:
         sys = mo.build_system(inst)
         x0, sides = skyline_start_vector(sys, mode, seed, k)
-        _, costs, r_max = solver._descend(sys, x0, sides, 500)
+        _, costs, r_max = solve_single(sys, x0, SolveConfig(max_iters=500), sides)
         assert len(costs) - 1 == converged_after and r_max <= solver.RESIDUAL_TOL
         share = smallest_share(costs)
         assert solver.STALL_TOL < share == pytest.approx(margin, rel=0.01)
@@ -1162,7 +1167,7 @@ def test_stall_rule_cuts_a_converging_start_on_a_plateau(skyline_starts, monkeyp
     runs, reports = [], []
     for stall_tol in (solver.STALL_TOL, 0.0):
         monkeypatch.setattr(solver, "STALL_TOL", stall_tol)
-        runs.append(solver._descend(sys, x0, sides, cfg.max_iters))
+        runs.append(solve_single(sys, x0, cfg, sides))
         reports.append(replace(solve_multistart(inst, cfg, mode=mo.ROTATABLE), wall_time_s=0))
     (_, cut, cut_r_max), (_, costs, r_max) = runs
     assert len(cut) - 1 == 11 and cut_r_max == pytest.approx(0.332, rel=0.01)
@@ -1229,18 +1234,18 @@ def test_multistart_verifies_each_stopped_start_once(uniform_starts):
 def test_all_starts_stop_once_one_verifies(uniform_starts, monkeypatch):
     # Start 2 converges after 15 attempts (10 steps) and verifies.  Starts
     # 3-7 would verify too, start 3 after 6 attempts, but none of them is
-    # built or descends: the solve ends with the 17 + 18 + 10 steps of
-    # starts 0-2.
+    # built or handed to solve_single: the solve ends with the 17 + 18 + 10
+    # steps of starts 0-2, each built start judged once.
     inst, _ = gen_guillotine(101, 3, BoxSpec(3.0, 2.0))
     cfg = SolveConfig(restarts=8, max_iters=60, seed=101)
     expected = index_order_multistart(inst, cfg, mo.FIXED)
     built = record_calls(monkeypatch, solver, "_start_vector")
-    descended = record_calls(monkeypatch, solver, "_descend")
+    judged = record_calls(monkeypatch, solver, "solve_single")
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
     assert_report_is(report, expected)
     assert report.status == "converged_verified"
     assert report.start_index == 2 and report.iterations_total == 17 + 18 + 10
-    assert len(built) == len(descended) == 3
+    assert len(built) == len(judged) == 3
 
 
 def test_the_lowest_verified_start_wins_over_one_with_fewer_attempts(uniform_starts):
@@ -1359,7 +1364,7 @@ def test_multistart_verifies_a_converged_start_that_fails_once(monkeypatch):
     inst = Instance.from_sides([(1, 1), (1, 2)], BoxSpec(1, 3), rotation_allowed=False)
     sys = mo.build_system(inst, 2)
     uniform = [numpy_start_vector(sys, mo.FIXED, 0, k) for k in (1, 2)]
-    roots = [solver._descend(sys, v, s, 100)[0] for v, s in uniform]
+    roots = [solve_single(sys, v, SolveConfig(max_iters=100), s)[0] for v, s in uniform]
     starts = [(roots[0], sys.sides), uniform[0], (roots[1], sys.sides), uniform[1]]
     gap_fill = solver._start_vector
     monkeypatch.setattr(
@@ -1418,12 +1423,13 @@ def test_near_tilings_verify_after_lm_steps():
 
 
 def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
-    # Each built start's max |r| is evaluated once, as it is built, and the
-    # report carries the value that judged its start: the build loop's for
-    # a start that wins as drawn, its descent's for a winner that took LM
-    # steps.  Start 3 of this N = 15 dissection is the first to tile as
-    # drawn, and the gap fills of starts 0-2 reach no tiling, so they are
-    # not built; start 0 of the near-tiling descends and wins.
+    # Each built start is handed once to solve_single, which evaluates its
+    # max |r| once, at x0, and the report carries the value that judged its
+    # start: the one at x0 for a start that wins as drawn, after one cost
+    # and no step, its descent's for a winner that took LM steps.  Start 3
+    # of this N = 15 dissection is the first to tile as drawn, and the gap
+    # fills of starts 0-2 reach no tiling, so they are not built; start 0 of
+    # the near-tiling descends and wins.
     values = []
     residual = mo.residual
 
@@ -1433,19 +1439,22 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
         return r
 
     monkeypatch.setattr(mo, "residual", recording_residual)
-    descents, descend = [], solver._descend
+    descents, single = [], solver.solve_single
 
-    def recording_descend(*args):
-        descents.append(descend(*args))
+    def recording_single(*args):
+        descents.append(single(*args))
         return descents[-1]
 
-    monkeypatch.setattr(solver, "_descend", recording_descend)
+    monkeypatch.setattr(solver, "solve_single", recording_single)
     inst, _ = gen_guillotine(19, 14, BoxSpec(10.0, 8.0))
     report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=5, seed=19))
     assert report.status == "converged_verified" and report.iterations_total == 0
-    assert report.start_index == 3 and len(values) == 1 and not descents
+    assert report.start_index == 3 and len(values) == len(descents) == 1
+    [(_, costs, r_max)] = descents
+    assert len(costs) == 1 and r_max == values[-1]
     assert report.final_residual_inf == values[-1] <= solver.RESIDUAL_TOL
     values.clear()
+    descents.clear()
     inst, _ = near_guillotine(0, 5, BoxSpec(10.0, 8.0))
     report = solve_multistart(inst, SolveConfig(restarts=4))
     assert report.status == "converged_verified" and report.iterations_total > 0
@@ -1459,10 +1468,10 @@ def test_incomplete_fills_never_descend(monkeypatch):
     # The gap fills of starts 0, 1 and 4-7 of this near-tiling of N = 15
     # reach no tiling within GAP_BUDGET (found by a search over
     # near_guillotine seeds); starts 2 and 3 do.  Start 2 is the first start
-    # built and the only one to descend; it wins after LM steps, and the
-    # report names it by its own index.  With no complete fill no start
-    # descends.
-    descended = record_calls(monkeypatch, solver, "_descend")
+    # built and the only one handed to solve_single; it wins after LM steps,
+    # and the report names it by its own index.  With no complete fill no
+    # start is handed to it.
+    descended = record_calls(monkeypatch, solver, "solve_single")
     inst, _ = near_guillotine(0, 14, BoxSpec(10.0, 8.0))
     cfg = SolveConfig(restarts=8)
     sys = mo.build_system(inst)
@@ -1470,7 +1479,7 @@ def test_incomplete_fills_never_descend(monkeypatch):
     complete = [k for k, start in enumerate(starts) if start is not None]
     assert complete == [2, 3]
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
-    [(_, x0, sides, _)] = descended
+    [(_, x0, _, sides)] = descended
     assert x0.tobytes() == starts[2][0].tobytes() and sides.tobytes() == starts[2][1].tobytes()
     assert report.status == "converged_verified" and report.iterations_total > 0
     assert report.start_index == 2
