@@ -877,7 +877,7 @@ def test_descent_steps_a_singular_start_through_lstsq(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
-def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
+def test_far_starts_stay_finite_and_non_finite_starts_raise(mode):
     # No clip pulls a far start back: its residual overflows, or no step
     # lowers its cost.  Either way no descent may turn non-finite.
     inst, _ = gen_guillotine(3, 19, BoxSpec(10.0, 8.0))
@@ -901,7 +901,7 @@ def test_lockstep_far_and_non_finite_starts_gain_no_non_finite_value(mode):
     lambda0=st.sampled_from([1e-30, 1e-3, 1e13]),
     lambda_max=st.sampled_from([solver.LAMBDA_MAX, 1e-2]),
 )
-def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, lambda_max):
+def test_descent_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, lambda_max):
     # At lambda0 1e13 every first attempt exceeds LAMBDA_MAX.  Lowered
     # to 1e-2, it stops many starts within 200 iterations, where a damping
     # past it would often have lowered the cost.
@@ -928,7 +928,7 @@ def test_lockstep_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, 
 
 
 @pytest.mark.parametrize("lambda0", [1e-30, 1e-3, 1e13])
-def test_lockstep_rows_die_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
+def test_descent_stops_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
     # A unit square in a 2x1 box has no root: the starts run to a
     # stationary point (max |r| 0.5), where no step lowers the cost and
     # lambda climbs past LAMBDA_MAX.  With STALL_TOL 0 that is the only way
@@ -1031,7 +1031,7 @@ def index_order_multistart(inst, cfg, mode, max_order=None, checked=None):
     return SolveReport(status, best[2], best[0], iterations, best[1], 0.0, reason)
 
 
-def second_chunk_winner():
+def winner_at_start_8():
     # Fixed mode at these settings, on uniform starts: starts 0-7 and 10
     # fail, and starts 8 and 9 verify, so no start below 8 wins.  Start 8
     # stops after 15 attempts (10 steps) and start 9 after 11 (8 steps).
@@ -1054,9 +1054,9 @@ def assert_report_is(report, expected):
     assert json.dumps(got) == json.dumps(want)
 
 
-@pytest.mark.parametrize("case", [second_chunk_winner, rotatable_dominoes])
+@pytest.mark.parametrize("case", [winner_at_start_8, rotatable_dominoes])
 @pytest.mark.parametrize("restarts", [1, 8, 9, 11])
-def test_multistart_matches_sequential_across_chunks(uniform_starts, case, restarts):
+def test_multistart_matches_index_order_as_restarts_grow(uniform_starts, case, restarts):
     # On either side of 8 restarts the winner is the reference's: the lowest
     # verified start index, a start of 8 or more included, though a later
     # start would verify after fewer attempts.
@@ -1064,7 +1064,7 @@ def test_multistart_matches_sequential_across_chunks(uniform_starts, case, resta
     cfg = replace(cfg, restarts=restarts)
     report = solve_multistart(inst, cfg, mode=mode)
     assert_report_is(report, index_order_multistart(inst, cfg, mode))
-    winners = {second_chunk_winner: {9: 8, 11: 8}, rotatable_dominoes: {8: 2, 9: 2, 11: 2}}
+    winners = {winner_at_start_8: {9: 8, 11: 8}, rotatable_dominoes: {8: 2, 9: 2, 11: 2}}
     start = winners[case].get(restarts)
     assert report.status == ("exhausted" if start is None else "converged_verified")
     assert start is None or report.start_index == start
