@@ -478,14 +478,15 @@ def solve_multistart(
     index order, and the first that verifies wins: start k is built (a gap
     fill that reaches no tiling is no start, and is skipped), handed once to
     solve_single, which judges it as drawn if its max |r| is not finite or
-    within RESIDUAL_TOL and else descends it, and verified once.  No start after the
-    winner is built.  Without a winner the report carries the lowest (final
-    max |r|, start index); with no start at all it is exhausted, reason
-    "fill".  The arguments are checked first, so a bad mode or max_order
-    raises ValueError for every instance.  An instance that no layout could
-    pass verify_layout with is then rejected before any solving: by its
-    area (area_can_pass, reason "area"), or by a rectangle that fits the box
-    in no allowed orientation (fit_can_pass, reason "fit")."""
+    within RESIDUAL_TOL and else descends it, and verified once.  No start
+    after the winner is built.  Without a winner the report carries the
+    lowest (final max |r|, start index); with no start at all it is
+    exhausted, reason "fill".  The arguments are checked first, so a bad
+    mode or max_order raises ValueError for every instance.  An instance
+    that no layout could pass verify_layout with is then rejected before
+    any solving: by its area (area_can_pass, reason "area"), or by a
+    rectangle that fits the box in no allowed orientation (fit_can_pass,
+    reason "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     if mode not in mo._MODES:
@@ -506,8 +507,9 @@ def solve_multistart(
             if built is None:
                 continue
             v, s = built
+            tried = True
             v, costs, r_max = solve_single(sys, v, cfg, s)
-            tried, iterations = True, iterations + len(costs) - 1
+            iterations += len(costs) - 1
             candidate = mo.vars_to_layout(sys, v, s)
             if verify_layout(inst, candidate).passed:
                 status, layout, final, start = "converged_verified", candidate, r_max, k
