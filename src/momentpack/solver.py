@@ -32,36 +32,20 @@ unpruned).  So the construction wins exact tilings: a start that tiles the
 box as drawn verifies before any LM step (iterations_total 0).  The moment
 system decides the rest: an instance that tiles only within the verifier's
 tolerance, whose moment system keeps a residual floor above RESIDUAL_TOL,
-is reported from a start that stalled there.  A report's
+is reported from a start that stopped there.  A report's
 final_residual_inf is the max |r| that judged its start.  Reports are
 bitwise deterministic for fixed arguments.
 
 The stop rule is one set of module constants, read at call time.  A start
-runs from lambda LAMBDA0 until max |r| <= RESIDUAL_TOL (converged), its
-last STALL_WINDOW accepted steps together lowered the cost by less than a
-share STALL_TOL of it (stalled: the relative-reduction test of MINPACK's
-ftol, over a window of steps), lambda above LAMBDA_MAX or max_iters.  The
-stall rule ends starts bound for a non-zero local minimum: LM converges
-quadratically at a regular root and linearly at a singular one, so near a
-root a few steps lower the cost by a large share.  Far from a root a start
-can creep over a plateau and still converge after it, and the rule may end
-such a start.  With every start run to its own stop, on the skyline
-starts that gap fills replaced (tests pin their rows), the smallest share
-eight steps of a converging start lowered its cost by was 8.3e-4 over 2,355
-converging guillotine starts (N = 3 to 10, 64 starts each, fixed mode at
-seeds 0-15 and rotatable at seeds 0-3), none of them cut.  Over 12,897
-converging family-sweep starts (seeds 0-7, both modes) it was 1.06e-4,
-except for three rotatable starts that the rule cuts on plateaus, at max
-|r| 0.026 to 0.33.  A start that tiles as drawn wins each of their solves,
-and with the rule off no family-sweep answer (seeds 0-15 rotatable, 0-7
-fixed) changes status, nor any verified one its winner or layout (tests
-pin the tightest starts, a cut one and the answers of those three solves).
-A converged start is not refined further: at a tiling the moment rows are
-well conditioned, so max |r| <= RESIDUAL_TOL puts the layout far inside the
-verifier's DEFAULT_TOL.  On the skyline starts, with the earlier
-rotatable variables, the loosest tolerance a verified family-sweep or
-guillotine layout needed was 1.7e-9, 58 times under it; with gap-fill
-starts each of those 7,544 solves tiles as drawn.
+runs from lambda LAMBDA0 and stops for one of three reasons: max |r| <=
+RESIDUAL_TOL (converged), lambda above LAMBDA_MAX or max_iters accepted
+steps.  A start at a residual floor above RESIDUAL_TOL, as a near-tiling's
+is, stops by lambda: there no step lowers the cost, so each rejected
+attempt quadruples lambda until it passes LAMBDA_MAX.  LAMBDA_MIN keeps
+lambda above 0, so a rejected attempt always raises it.  A converged start
+is not refined further: at a tiling the moment rows are well conditioned,
+so max |r| <= RESIDUAL_TOL puts the layout far inside the verifier's
+DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -94,8 +78,6 @@ LAMBDA_MIN = 1e-14
 LAMBDA_MAX = 1e12
 LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
-STALL_WINDOW = 8  # a start stalled once this many accepted steps
-STALL_TOL = 1e-4  # lowered its cost by less than this share of it
 GAP_BUDGET = 300  # placements a gap-fill start tries before it stops searching
 WIDTH_SUMS_CAP = 2**17  # sums past which a solve's gap fills run unpruned
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
@@ -393,12 +375,11 @@ def solve_single(
     checked as moments.residual checks them, which evaluates the start.
 
     The start runs from LAMBDA0 under the one-attempt damping rule until
-    RESIDUAL_TOL, a stall (after accepted step n >= STALL_WINDOW, costs[n]
-    >= (1 - STALL_TOL) costs[n - STALL_WINDOW]; STALL_TOL 0 turns the rule
-    off), lambda above LAMBDA_MAX or cfg.max_iters accepted steps.  A
-    rejected attempt retries on the undamped normal equations it keeps, and
-    a singular damped system is solved by lstsq.  A start whose max |r| is
-    not finite or within RESIDUAL_TOL takes no attempt.
+    one of three stops: max |r| <= RESIDUAL_TOL, lambda above LAMBDA_MAX or
+    cfg.max_iters accepted steps.  A rejected attempt retries on the
+    undamped normal equations it keeps, and a singular damped system is
+    solved by lstsq.  A start whose max |r| is not finite or within
+    RESIDUAL_TOL takes no attempt.
     Returns the final variables, the accepted costs (residual 2-norms, the
     first at x0) and the final max |r|.
     """
@@ -431,9 +412,7 @@ def solve_single(
                 x, table, r, r_max = cand, cand_table, cand_r, np.abs(cand_r).max()
                 lam = max(lam * LAMBDA_DECREASE, LAMBDA_MIN)
                 costs.append(cost)
-                n = len(costs) - 1
-                fell = n < STALL_WINDOW or cost < (1.0 - STALL_TOL) * costs[n - STALL_WINDOW]
-                running = r_max > RESIDUAL_TOL and fell and n < max_iters
+                running = r_max > RESIDUAL_TOL and len(costs) <= max_iters
             else:
                 lam *= LAMBDA_INCREASE
                 running = lam <= LAMBDA_MAX

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -144,60 +143,6 @@ def may_turn(sys, mode):
     return [i in turned for i in range(sys.n_rects)]
 
 
-def _bottom_left(
-    xs: list, tops: list, a: float, b: float, shapes: list, corners: list
-) -> None:
-    """Bottom-left fill (Baker, Coffman & Rivest 1980) onto a skyline whose
-    segment j starts at xs[j] (and ends at xs[j + 1], or a) at height
-    tops[j], both lists edited in place: each (i, w, h) of shapes, in order,
-    goes to the lowest, then leftmost, left end of a segment from which it
-    fits in the box, its lower corner written to corners[i].  One that fits
-    nowhere goes to the lowest such point its width fits from, clamped
-    inside the box, and may overlap others."""
-    tol = 1e-12
-    for i, w, h in shapes:
-        # The least (misfit, y, x) over the left ends of the segments the
-        # width fits from; a segment no lower than the best y cannot beat it.
-        best = (True, math.inf, 0.0)
-        for j, x in enumerate(xs):
-            if j and x + w > a + tol:
-                break
-            if tops[j] < best[1]:
-                y = max(tops[j : bisect.bisect_left(xs, x + w - tol, j + 1)])
-                best = min(best, (y + h > b + tol, y, x))
-        _, y, x = best
-        x, y = max(0.0, min(x, a - w)), max(0.0, min(y, b - h))
-        corners[i] = (x, y)
-        # The rectangle's top replaces the skyline over [x, x + w], merged
-        # with a neighbour of the same height.
-        lo, hi = bisect.bisect_left(xs, x), bisect.bisect_right(xs, x + w)
-        new_xs, new_tops = [x], [y + h]
-        if x + w < a and tops[hi - 1] != y + h:
-            new_xs.append(x + w)
-            new_tops.append(tops[hi - 1])
-        if lo and tops[lo - 1] == y + h:
-            lo -= 1
-            new_xs[0] = xs[lo]
-        xs[lo:hi], tops[lo:hi] = new_xs, new_tops
-
-
-def skyline_start_vector(sys, mode, seed, start_index, width_sums=None):
-    """Starts as _start_vector drew them before gap-fill starts: the shelf,
-    then bottom-left fills (_bottom_left) in a seeded order, each
-    rectangle that may turn first turned by a seeded bit.  The stall tests
-    below pin rows of these starts (the skyline_starts fixture)."""
-    if start_index == 0:
-        return shelf_vars(sys), sys.sides
-    rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
-    order = rng.permutation(sys.n_rects).tolist()
-    turn = np.array(may_turn(sys, mode)) & (rng.integers(0, 2, size=sys.n_rects) == 1)
-    sides = np.where(turn[:, None], sys.sides[:, ::-1], sys.sides)
-    shapes = [(i, *sides[i].tolist()) for i in order]
-    corners = [()] * sys.n_rects
-    _bottom_left([0.0], [0.0], sys.box_w, sys.box_h, shapes, corners)
-    return np.array(corners).ravel(), sides
-
-
 def numpy_start_vector(sys, mode, seed, start_index, width_sums=None):
     """Starts as _start_vector drew them before skyline starts: the shelf,
     then each rectangle uniformly in the box, one that may turn first
@@ -224,11 +169,6 @@ def numpy_start_vector(sys, mode, seed, start_index, width_sums=None):
 @pytest.fixture
 def uniform_starts(monkeypatch):
     monkeypatch.setattr(solver, "_start_vector", numpy_start_vector)
-
-
-@pytest.fixture
-def skyline_starts(monkeypatch):
-    monkeypatch.setattr(solver, "_start_vector", skyline_start_vector)
 
 
 def unpruned_gap_fill(sys, shapes, order, width_sums):
@@ -695,7 +635,8 @@ def test_multistart_runs_starts_past_an_area_gap_within_tolerance():
     # Rectangle areas 4e-8 = 1e-8 * A * B over the box: a gap the verifier
     # accepts, so the starts run.  No layout zeroes the moment system, whose
     # residual floor is about the gap, but the domino tiling passes the
-    # verifier: start 0 stalls there and is verified as it stopped.
+    # verifier: start 0 stops at that floor, where lambda climbs past
+    # LAMBDA_MAX, and is verified as it stopped.
     inst = Instance.from_sides([(1, 2), (1, 2 + 4e-8)], BoxSpec(2, 2))
     report = solve_multistart(inst, SolveConfig(restarts=8))
     assert report.status == "converged_verified"
@@ -708,8 +649,8 @@ def test_multistart_verifies_sides_typed_to_eight_digits(seed):
     # A guillotine tiling's sides rounded to 8 significant digits, as a user
     # would type them: the generator's layout still passes the verifier, but
     # the moment system keeps a residual floor of a few 1e-9, far above
-    # RESIDUAL_TOL, so no start converges.  A start that stalls at the
-    # floor is verified as it stopped.
+    # RESIDUAL_TOL, so no start converges.  A start that stops at the floor,
+    # where lambda climbs past LAMBDA_MAX, is verified as it stopped.
     box = BoxSpec(10.0, 8.0)
     inst, witness = gen_guillotine(seed, 5, box)
     sides = [(float(f"{r.width:.8g}"), float(f"{r.height:.8g}")) for r in inst.rects]
@@ -762,7 +703,7 @@ def sequential_lm(sys, x0, sides, max_iters):
     readers, a singular system solved by lstsq.
     Returns the final variables, the accepted step count, the accepted
     costs and, for each attempt, whether it was accepted."""
-    residual_tol, window, stall_tol = solver.RESIDUAL_TOL, solver.STALL_WINDOW, solver.STALL_TOL
+    residual_tol = solver.RESIDUAL_TOL
     eye = np.eye(sys.var_count)
 
     def evaluate(x):
@@ -798,9 +739,7 @@ def sequential_lm(sys, x0, sides, max_iters):
                 x, table, r, cost = cand, cand_table, r_new, cost_new
                 lam = max(lam * solver.LAMBDA_DECREASE, solver.LAMBDA_MIN)
                 costs.append(cost)
-                n = len(costs) - 1
-                fell = n < window or cost < (1.0 - stall_tol) * costs[n - window]
-                live = np.max(np.abs(r)) > residual_tol and fell and n < max_iters
+                live = np.max(np.abs(r)) > residual_tol and len(costs) <= max_iters
             else:
                 lam *= solver.LAMBDA_INCREASE
                 live = lam <= solver.LAMBDA_MAX
@@ -925,16 +864,21 @@ def test_descent_follows_the_one_attempt_rule(seed, cuts, rows, mode, lambda0, l
         # another attempt follows: a rejected attempt keeps its equations.
         assert len(solved) == len(accepted)
         assert len(jacobians) == (1 + sum(accepted[:-1]) if accepted else 0)
+        # Lambda starts at LAMBDA0, is at least LAMBDA_MIN after an accepted
+        # step and quadruples on each rejection until it passes LAMBDA_MAX,
+        # so a start makes at most this many attempts a step: this bound
+        # and max_iters are all that end a start that never converges.
+        lowest = min(lambda0, solver.LAMBDA_MIN)
+        assert len(solved) <= (steps1 + 1) * (math.ceil(math.log(lambda_max / lowest, 4)) + 1)
 
 
 @pytest.mark.parametrize("lambda0", [1e-30, 1e-3, 1e13])
 def test_descent_stops_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
     # A unit square in a 2x1 box has no root: the starts run to a
     # stationary point (max |r| 0.5), where no step lowers the cost and
-    # lambda climbs past LAMBDA_MAX.  With STALL_TOL 0 that is the only way
-    # to stop early.
+    # lambda climbs past LAMBDA_MAX: a start that does not converge stops
+    # there, before max_iters.
     sys = mo.build_system(Instance.from_sides([(1, 1)], BoxSpec(2, 1)))
-    monkeypatch.setattr(solver, "STALL_TOL", 0.0)
     monkeypatch.setattr(solver, "LAMBDA0", lambda0)
     for x0 in ([0.0, 0.0], [0.15, 0.0], [0.5, 0.0]):  # left, inside, right wall
         (_, costs, r_max), accepted = assert_descent_is_sequential(
@@ -942,42 +886,6 @@ def test_descent_stops_on_lambda_max_as_the_rule_says(monkeypatch, lambda0):
         )
         assert len(costs) - 1 < 200 and r_max > solver.RESIDUAL_TOL
         assert len(accepted) > len(costs) - 1 and not accepted[-1]  # the last attempts only reject
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    cuts=st.integers(0, 6),
-    rows=st.integers(1, 6),
-    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
-)
-def test_stall_rule_cuts_each_row_to_a_prefix_of_its_path(seed, cuts, rows, mode):
-    # Under the stall rule a start follows its path without the rule bit for
-    # bit, and ends at the first accepted step n >= STALL_WINDOW whose cost
-    # is not below (1 - STALL_TOL) times the cost STALL_WINDOW steps before,
-    # unless an older rule ended it first.
-    inst, _ = gen_guillotine(seed, cuts, BoxSpec(3.0, 2.0 + seed % 3))
-    sys = mo.build_system(inst)
-
-    def rule_free(x0, sides, max_iters):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "STALL_TOL", 0.0)
-            return solve_single(sys, x0, SolveConfig(max_iters=max_iters), sides)
-
-    for x0, sides in zip(*box_starts(sys, mode, seed, rows)):
-        x, costs, r_max = solve_single(sys, x0, SolveConfig(max_iters=80), sides)
-        steps = len(costs) - 1
-        path = np.array(rule_free(x0, sides, 80)[1])
-        window = solver.STALL_WINDOW
-        stalled = np.flatnonzero(path[window:] >= (1.0 - solver.STALL_TOL) * path[:-window])
-        assert steps == (stalled[0] + window if len(stalled) else len(path) - 1)
-        assert np.array(costs).tobytes() == path[: steps + 1].tobytes()
-        # The rule-free run cut after as many steps; a start that took none
-        # stopped by an older rule, which cuts the rule-free run too.
-        x1, costs1, r_max1 = rule_free(x0, sides, max(steps, 1))
-        assert len(costs1) - 1 == steps
-        assert x.tobytes() == x1.tobytes()
-        assert r_max == r_max1
 
 
 def test_multistart_verifies_starts_near_a_wall_touching_witness(monkeypatch):
@@ -1080,103 +988,6 @@ def guillotine_n6_cases():
     ] + [rotatable_dominoes()]
 
 
-def stall_cut_family_cases():
-    # The family solves (rotatable, 6 starts, 80 iterations) in which the
-    # stall rule cuts a converging start, with every start run to its own
-    # stop at seeds 0-7: four 1x4 strips in a 4x4 box at seeds 1 and 7, and
-    # five unit squares, four dominoes and a 1x3 in a 4x4 box at seed 4.
-    strips = Instance.from_sides([(1, 4)] * 4, BoxSpec(4, 4))
-    mixed10 = Instance.from_sides([(1, 1)] * 5 + [(1, 2)] * 4 + [(1, 3)], BoxSpec(4, 4))
-    return [
-        (inst, SolveConfig(restarts=6, max_iters=80, seed=seed), mo.ROTATABLE)
-        for inst, seed in [(strips, 1), (strips, 7), (mixed10, 4)]
-    ]
-
-
-def test_stall_rule_cuts_no_winner(skyline_starts, monkeypatch):
-    # The rule ends a few converging starts on a plateau far from a root,
-    # but no answer: with the rule every answer keeps its status, and every
-    # verified one its winner and layout, on the cases where it cuts a
-    # converging start too.  The rule mostly shortens starts that fail:
-    # fewer steps in all.  The cases were found on skyline starts.
-    family = stall_cut_family_cases()
-    cases = guillotine_n6_cases() + family
-
-    def reports():
-        return [solve_multistart(inst, cfg, mode=mode) for inst, cfg, mode in cases]
-
-    def converging(inst, cfg, mode):  # each start run to its own stop
-        sys = mo.build_system(inst)
-        starts = [solver._start_vector(sys, mode, cfg.seed, k) for k in range(cfg.restarts)]
-        ends = [solve_single(sys, x0, cfg, sides)[2] for x0, sides in starts]
-        return np.array(ends) <= solver.RESIDUAL_TOL
-
-    with_rule, kept = reports(), [converging(*case) for case in family]
-    monkeypatch.setattr(solver, "STALL_TOL", 0.0)
-    without = reports()
-    assert all((converging(*case) & ~k).any() for case, k in zip(family, kept))
-    for a, b in zip(with_rule, without):
-        assert a.status == b.status
-        if b.status == "converged_verified":
-            assert a.start_index == b.start_index
-            assert serialize_layout(a.best_layout) == serialize_layout(b.best_layout)
-    assert {r.status for r in without} == {"converged_verified", "exhausted"}
-    assert sum(r.iterations_total for r in with_rule) < sum(r.iterations_total for r in without)
-
-
-def smallest_share(costs):
-    """The smallest share of its cost any STALL_WINDOW accepted steps of a
-    cost path lowered it by, 1 - c[n] / c[n - STALL_WINDOW]."""
-    path, window = np.array(costs), solver.STALL_WINDOW
-    return np.min(1.0 - path[window:] / path[:-window])
-
-
-def test_stall_margin_of_the_tightest_converging_start():
-    # Of the converging skyline starts measured with every row run to its
-    # own stop, these come closest to the stall rule without being cut by
-    # it.  In the family sweep: six unit squares, three dominoes and a 1x4
-    # in a 4x4 box, whose start lowers its cost by as little as 1.06e-4 of
-    # it over eight steps.  Of the guillotines: N = 6 in a 10x8 box, 8.3e-4.
-    family_row = Instance.from_sides([(1, 1)] * 6 + [(1, 2)] * 3 + [(1, 4)], BoxSpec(4, 4))
-    guillotine_row, _ = gen_guillotine(2, 5, BoxSpec(10, 8))
-    for inst, mode, seed, k, converged_after, margin in [
-        (family_row, mo.ROTATABLE, 7, 3, 47, 1.057e-4),
-        (guillotine_row, mo.FIXED, 2, 16, 36, 8.32e-4),
-    ]:
-        sys = mo.build_system(inst)
-        x0, sides = skyline_start_vector(sys, mode, seed, k)
-        _, costs, r_max = solve_single(sys, x0, SolveConfig(max_iters=500), sides)
-        assert len(costs) - 1 == converged_after and r_max <= solver.RESIDUAL_TOL
-        share = smallest_share(costs)
-        assert solver.STALL_TOL < share == pytest.approx(margin, rel=0.01)
-
-
-def test_stall_rule_cuts_a_converging_start_on_a_plateau(skyline_starts, monkeypatch):
-    # One of the three converging starts of the family census on skyline
-    # starts that the rule cuts: four 1x4 strips in a 4x4 box (seed 1, start
-    # 2), two of them turned.  It crosses a plateau at cost 0.503, where
-    # eight steps lower its cost by as little as 3.20e-5 of it, then
-    # converges after 63 steps, to a root of the truncated system that is no
-    # tiling.  The rule stops it after 11, far from a root.  Its solve does
-    # not change: start 0 tiles the box as drawn and wins before any start
-    # steps.
-    inst = Instance.from_sides([(1, 4)] * 4, BoxSpec(4, 4))
-    sys = mo.build_system(inst)
-    x0, sides = solver._start_vector(sys, mo.ROTATABLE, 1, 2)
-    cfg = SolveConfig(restarts=6, max_iters=80, seed=1)
-    runs, reports = [], []
-    for stall_tol in (solver.STALL_TOL, 0.0):
-        monkeypatch.setattr(solver, "STALL_TOL", stall_tol)
-        runs.append(solve_single(sys, x0, cfg, sides))
-        reports.append(replace(solve_multistart(inst, cfg, mode=mo.ROTATABLE), wall_time_s=0))
-    (_, cut, cut_r_max), (_, costs, r_max) = runs
-    assert len(cut) - 1 == 11 and cut_r_max == pytest.approx(0.332, rel=0.01)
-    assert len(costs) - 1 == 63 and r_max <= solver.RESIDUAL_TOL
-    assert smallest_share(costs) == pytest.approx(3.20e-5, rel=0.01)
-    assert reports[0] == reports[1]
-    assert reports[0].start_index == 0 and reports[0].iterations_total == 0
-
-
 def test_verified_layouts_pass_at_a_tenth_of_the_default_tolerance():
     # A converged start is verified as it stopped, at max |r| <= RESIDUAL_TOL,
     # not refined to roundoff.  The moment rows are well conditioned at a
@@ -1234,7 +1045,7 @@ def test_multistart_verifies_each_stopped_start_once(uniform_starts):
 def test_all_starts_stop_once_one_verifies(uniform_starts, monkeypatch):
     # Start 2 converges after 15 attempts (10 steps) and verifies.  Starts
     # 3-7 would verify too, start 3 after 6 attempts, but none of them is
-    # built or handed to solve_single: the solve ends with the 17 + 18 + 10
+    # built or handed to solve_single: the solve ends with the 37 + 56 + 10
     # steps of starts 0-2, each built start judged once.
     inst, _ = gen_guillotine(101, 3, BoxSpec(3.0, 2.0))
     cfg = SolveConfig(restarts=8, max_iters=60, seed=101)
@@ -1244,7 +1055,7 @@ def test_all_starts_stop_once_one_verifies(uniform_starts, monkeypatch):
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
     assert_report_is(report, expected)
     assert report.status == "converged_verified"
-    assert report.start_index == 2 and report.iterations_total == 17 + 18 + 10
+    assert report.start_index == 2 and report.iterations_total == 37 + 56 + 10
     assert len(built) == len(judged) == 3
 
 
@@ -1401,14 +1212,18 @@ def test_multistart_matches_index_order_on_near_tilings(
     assert_multistart_is_index_order(inst, cfg, mode, max_order)
 
 
-def test_near_tilings_verify_after_lm_steps():
+def test_near_tilings_verify_after_lm_steps(monkeypatch):
     # Dissections of a 10x8 box into N = 6 and 10 rectangles with each side
     # scaled by 1 + U(-1e-8, 1e-8), seeds 0-11, 32 starts, both modes.  Each
     # dissection's own layout passes the verifier, so every instance is
     # feasible in its sense, but no layout zeroes the moment system: a gap
     # fill finds the arrangement within the verifier's tolerance and LM
-    # polishes it.  All 48 solves verify, each after LM steps.
+    # polishes it.  All 48 solves verify, each after LM steps.  Every
+    # descent stops within 16 accepted steps, far before max_iters: at its
+    # residual floor no step lowers the cost and lambda climbs past
+    # LAMBDA_MAX.
     verified = 0
+    descents = record_calls(monkeypatch, solver, "solve_single")
     for mode in (mo.FIXED, mo.ROTATABLE):
         for n in (6, 10):
             for seed in range(12):
@@ -1420,6 +1235,9 @@ def test_near_tilings_verify_after_lm_steps():
                     assert report.iterations_total > 0
                     assert verify_layout(inst, report.best_layout).passed
     assert verified == 48
+    assert len(descents) >= 48
+    for args in descents:
+        assert len(solve_single(*args)[1]) - 1 <= 16 < args[2].max_iters
 
 
 def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
@@ -1490,7 +1308,7 @@ def test_incomplete_fills_never_descend(monkeypatch):
 
 
 def test_more_starts_never_change_a_verified_report(monkeypatch):
-    # The dominoes of the command line's stall check and near-tilings of
+    # The near-dominoes the command line checks and near-tilings of
     # N = 6 and 10, both modes: a report verified at 8 starts is the same
     # bytes at 64, and no start after its winner is built.  A rule that
     # tried every start and kept the best could pick a later winner when
