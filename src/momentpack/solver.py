@@ -20,21 +20,22 @@ Each start is a gap fill (_start_vector): a depth-first search, in a seeded
 order and within GAP_BUDGET placements, for a tiling that fills the lowest
 gap of the skyline first.  Only a search that places every rectangle makes
 a start; one that runs out of budget makes none, and with no start the
-report is exhausted with reason "fill".  Each start searches one list of
-shapes (_shapes): every rectangle upright and, in rotatable mode, turned
-where that is another shape, so the start chooses every turn; LM then moves
-the rectangles of each start, two unknowns each, in the orientation its gap
-fill chose, never their sides.  After its first backtrack the search keeps
-only the shapes that lie in a sum of shape widths of unplaced rectangles
-matching the gap, read from a table of width sums built once per solve
-(_width_sums; past WIDTH_SUMS_CAP sums or 64 shapes the search is
-unpruned).  So the construction wins exact tilings: a start that tiles the
-box as drawn verifies before any LM step (iterations_total 0).  The moment
+report is exhausted with reason "fill".  A solve builds one list of shapes
+(_shapes) for all its starts: every rectangle upright and, in rotatable
+mode, turned where that is another shape, so the start chooses every turn;
+LM then moves the rectangles of each start, two unknowns each, in the
+orientation its gap fill chose, never their sides.  After its first
+backtrack a search keeps only the shapes that lie in a sum of shape widths
+of unplaced rectangles matching the gap, read from one table of that
+list's width sums built at most once a solve (_width_sums; past
+WIDTH_SUMS_CAP sums or 64 shapes there is none: the search is unpruned).
+So the construction wins exact tilings: a start that tiles the box as
+drawn verifies before any LM step (iterations_total 0).  The moment
 system decides the rest: an instance that tiles only within the verifier's
 tolerance, whose moment system keeps a residual floor above RESIDUAL_TOL,
-is reported from a start that stopped there.  A report's
-final_residual_inf is the max |r| that judged its start.  Reports are
-bitwise deterministic for fixed arguments.
+is reported from a start that stopped there.  A report's final_residual_inf
+is the max |r| that judged its start.  Reports are bitwise deterministic
+for fixed arguments.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 and stops for one of three reasons: max |r| <=
@@ -179,16 +180,15 @@ class _WidthSums:
         return allowed
 
 
-def _width_sums(sys: mo.MomentSystem, mode: str) -> _WidthSums | None:
-    """The width sums of the system's shapes in mode; None when the table
-    would hold more than WIDTH_SUMS_CAP sums or there are more than 64 shapes
-    (a bitmask is one machine word: 32 bits up to 32 shapes, else 64).  Sums
+def _width_sums(sys: mo.MomentSystem, shapes: list) -> _WidthSums | None:
+    """The width sums of shapes (_shapes); None when the table would hold
+    more than WIDTH_SUMS_CAP sums or there are more than 64 shapes (a
+    bitmask is one machine word: 32 bits up to 32 shapes, else 64).  Sums
     up to the box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Each
     rectangle in index order joins, as each of its shapes, every sum so far
     that stays within that bound, so a sum adds its members in index order,
     and a step holds no more than the old sums, the new ones, one shifted
     copy and their concatenation."""
-    shapes = _shapes(sys, mode)
     if len(shapes) > 64:
         return None
     word = np.uint32 if len(shapes) <= 32 else np.uint64
@@ -228,7 +228,10 @@ def _gap_fill(
     those that fill its width first, each group in order, skipping a (w, h)
     already tried there: equal shapes are interchangeable.  Widths fit and
     tops merge within DEFAULT_TOL.  Every tiling has a rectangle at the
-    lowest, leftmost uncovered point, so the search is complete.
+    lowest, leftmost uncovered point, so the search is complete for exact
+    tilings; a layout verify_layout accepts, with overlaps and gaps within
+    its tolerance, may have no complete fill.  A pass lists children once
+    per (segment width, height, placed shapes), for every node with that key.
 
     Pruning by width sums: in a tiling the lowest segment is covered exactly
     by the rectangles standing on it, so once the search first backtracks it
@@ -241,9 +244,9 @@ def _gap_fill(
     the search can complete a segment with: a pruned child leads to no
     tiling, and with the budget to finish the pruned search finds the tiling
     the unpruned one finds first.  Past the table's limits (width_sums()
-    returns None) the search goes on unpruned.  A start that tiles on its
-    first descent builds no table, and a start's fill is the same whether
-    the table was built before it or not.
+    returns None) the search goes on unpruned, in one pass.  A start that
+    tiles on its first descent builds no table, and a start's fill is the
+    same whether the table was built before it or not.
 
     The search stops at a tiling, and returns its placements (i, x, y, w,
     h), or after GAP_BUDGET placements, counted over both passes, and
@@ -254,20 +257,17 @@ def _gap_fill(
         blocks[i] |= 1 << k
     xs, tops = [0.0, a], [0.0]  # segment j spans xs[j] to xs[j + 1]
     bits, path, undo = 0, [], []
-    # lookups: the pruned children by (gap, y, bits), a key the search
-    # reaches again by placing the same rectangles in another order.
     sums, first, lookups = None, True, {}
 
     def children() -> tuple[int, Iterator]:
         y = min(tops)
         j = tops.index(y)
         gap = xs[j + 1] - xs[j]
-        if sums is None:
-            return j, iter(fitting(-1, gap, y))
         key = (gap, y, bits)
         kids = lookups.get(key)
         if kids is None:
-            kids = lookups[key] = fitting(sums.allows(gap, bits), gap, y)
+            allowed = -1 if sums is None else sums.allows(gap, bits)
+            kids = lookups[key] = fitting(allowed, gap, y)
         return j, iter(kids)
 
     def fitting(allowed: int, gap: float, y: float) -> list:
@@ -291,7 +291,7 @@ def _gap_fill(
             if first:  # the first backtrack: start again, pruned
                 sums, first = width_sums(), False
                 if sums is not None:
-                    xs, tops, bits, path, undo = [0.0, a], [0.0], 0, [], []
+                    xs, tops, bits, path, undo, lookups = [0.0, a], [0.0], 0, [], [], {}
                     stack = [children()]
                     continue
             stack.pop()
@@ -327,24 +327,22 @@ def _gap_fill(
 
 def _start_vector(
     sys: mo.MomentSystem,
-    mode: str,
+    shapes: list,
     seed: int,
     start_index: int,
-    width_sums: Callable[[], _WidthSums | None] | None = None,
+    width_sums: Callable[[], _WidthSums | None],
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """A gap fill (_gap_fill) of the rectangles' shapes (_shapes), in an
+    """A gap fill (_gap_fill) of shapes, the rectangles' shapes, in an
     order drawn from a generator seeded by seed and start_index.  Returns
     the lower corners of the tiling it reached, the system's unknowns, and
     the (n, 2) sides each rectangle is placed with: its given pair or that
     pair swapped; None when the search ends without a tiling.  Plain
     Python floats in a fixed order, so a start is the same bytes on every
-    run.  width_sums returns the system's width sums when the search first
-    backtracks; solve_multistart passes one that builds them once for all
-    its starts, and by default the start builds its own."""
+    run.  shapes is the solve's list (_shapes), and width_sums returns its
+    width sums when the search first backtracks: solve_multistart passes
+    both, built once for all its starts."""
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
-    shapes = _shapes(sys, mode)
     order = rng.permutation(len(shapes)).tolist()
-    width_sums = width_sums or functools.partial(_width_sums, sys, mode)
     path = _gap_fill(sys, shapes, order, width_sums)
     if path is None:
         return None
@@ -479,10 +477,11 @@ def solve_multistart(
     status, layout, final, iterations, start = "exhausted", None, float("inf"), 0, -1
     if reason is None:
         tried, converged = False, False
-        # The width sums, built once, if at all.
-        width_sums = functools.cache(functools.partial(_width_sums, sys, mode))
+        # One shape list for every start and its width sums, built once, if at all.
+        shapes = _shapes(sys, mode)
+        width_sums = functools.cache(functools.partial(_width_sums, sys, shapes))
         for k in range(cfg.restarts):
-            built = _start_vector(sys, mode, cfg.seed, k, width_sums=width_sums)
+            built = _start_vector(sys, shapes, cfg.seed, k, width_sums=width_sums)
             if built is None:
                 continue
             v, s = built

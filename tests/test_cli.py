@@ -173,9 +173,12 @@ def test_solve_rotatable_tiles_as_drawn_after_a_pruned_restart(capsys, tmp_path,
     inst_path, out_path = tmp_path / "g.json", tmp_path / "g.layout.json"
     code, _, _ = run_cli(capsys, "gen", "guillotine", "--seed", "10", "--out", str(inst_path))
     assert code == 0
-    tables = []
-    width_sums = solver._width_sums
-    monkeypatch.setattr(solver, "_width_sums", lambda *args: tables.append(width_sums(*args)))
+    # The recorder hands the search the table it records, so the restart
+    # really is pruned by it.
+    tables, width_sums = [], solver._width_sums
+    monkeypatch.setattr(
+        solver, "_width_sums", lambda *args: tables.append(width_sums(*args)) or tables[-1]
+    )
     argv = ["solve", str(inst_path), "--mode", "rotatable", "--out", str(out_path)]
     code, out, _ = run_cli(capsys, *argv)
     doc = strict_loads(out)
