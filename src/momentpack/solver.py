@@ -16,26 +16,17 @@ is handed once, as it stopped, converged or not, to verify_layout at its
 default tolerance, the one `momentpack verify` uses, and no start after the
 winner is built.  So more starts never change a verified answer.
 
-Each start is a gap fill (_start_vector): a depth-first search, in a seeded
-order and within GAP_BUDGET placements, for a tiling that fills the lowest
-gap of the skyline first.  Only a search that places every rectangle makes
-a start; one that runs out of budget makes none, and with no start the
-report is exhausted with reason "fill".  A solve builds one list of shapes
-(_shapes) for all its starts: every rectangle upright and, in rotatable
-mode, turned where that is another shape, so the start chooses every turn;
-LM then moves the rectangles of each start, two unknowns each, in the
-orientation its gap fill chose, never their sides.  After its first
-backtrack a search keeps only the shapes that lie in a sum of shape widths
-of unplaced rectangles matching the gap, read from one table of that
-list's width sums built at most once a solve (_width_sums; past
-WIDTH_SUMS_CAP sums or 64 shapes there is none: the search is unpruned).
-So the construction wins exact tilings: a start that tiles the box as
-drawn verifies before any LM step (iterations_total 0).  The moment
-system decides the rest: an instance that tiles only within the verifier's
-tolerance, whose moment system keeps a residual floor above RESIDUAL_TOL,
-is reported from a start that stopped there.  A report's final_residual_inf
-is the max |r| that judged its start.  Reports are bitwise deterministic
-for fixed arguments.
+Each start is a gap fill (search.py), in an order seeded by the solve's
+seed and the start's index (_start_vector).  Only a fill that places every
+rectangle makes a start; with no start the report is exhausted with reason
+"fill".  LM moves the rectangles of a start, two unknowns each, in the
+orientation its fill chose, never their sides.  So the construction wins
+exact tilings: a start that tiles the box as drawn verifies before any LM
+step (iterations_total 0).  The moment system decides the rest: an
+instance that tiles only within the verifier's tolerance, whose moment
+system keeps a residual floor above RESIDUAL_TOL, is reported from a start
+that stopped there.  A report's final_residual_inf is the max |r| that
+judged its start.  Reports are bitwise deterministic for fixed arguments.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 and stops for one of three reasons: max |r| <=
@@ -51,17 +42,15 @@ DEFAULT_TOL.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
 from . import moments as mo
+from . import search
 from .instances import Instance, Layout, Placement, _layout_doc
 from .verify import DEFAULT_TOL, _snap, area_can_pass, fit_can_pass, verify_layout
 
@@ -79,8 +68,6 @@ LAMBDA_MIN = 1e-14
 LAMBDA_MAX = 1e12
 LAMBDA0 = 1e-3
 RESIDUAL_TOL = 1e-10  # a start converged once max |r| is at most this
-GAP_BUDGET = 300  # placements a gap-fill start tries before it stops searching
-WIDTH_SUMS_CAP = 2**17  # sums past which a solve's gap fills run unpruned
 SNAP_FRACTION = 0.3  # snap_layout merges within this share of the verifier tolerance
 _SEED_STRIDE = 1_000_003
 
@@ -146,207 +133,24 @@ class SolveReport:
 # -- Initialization ----------------------------------------------------------
 
 
-def _shapes(sys: mo.MomentSystem, mode: str) -> list[tuple[int, float, float]]:
-    """Every way a start may place a rectangle, each (i, w, h) on normalised
-    sides: every rectangle upright, in index order, then, in rotatable mode,
-    each whose normalised sides differ as floats turned, in index order.
-    Turned, a rectangle whose sides are the same float is the same shape.
-    Shape k is bit k of the bitmasks of _width_sums and _gap_fill."""
-    shapes = [(i, w, h) for i, (w, h) in enumerate(sys.sides.tolist())]
-    if mode == mo.ROTATABLE:
-        shapes += [(i, h, w) for i, w, h in shapes if w != h]
-    return shapes
-
-
-class _WidthSums:
-    """Every sum of shape widths up to the box width, each rectangle left
-    out or in it as one of its shapes (_shapes).  Two flat arrays sorted by
-    sum, read through memoryviews: sums and used (bit k set when shape k is
-    in the sum).  Built by _width_sums."""
-
-    def __init__(self, sums: np.ndarray, used: np.ndarray, tol: float):
-        self.sums, self.used, self.tol = memoryview(sums), memoryview(used), tol
-
-    def allows(self, gap: float, placed: int) -> int:
-        """The shapes that lie in some sum within tol of gap of shapes
-        outside the bitmask placed, as a bitmask."""
-        sums, used, end = self.sums, self.used, gap + self.tol
-        k, allowed = bisect.bisect_left(sums, gap - self.tol), 0
-        while k < len(sums) and sums[k] <= end:
-            u = used[k]
-            if not u & placed:
-                allowed |= u
-            k += 1
-        return allowed
-
-
-def _width_sums(sys: mo.MomentSystem, shapes: list) -> _WidthSums | None:
-    """The width sums of shapes (_shapes); None when the table would hold
-    more than WIDTH_SUMS_CAP sums or there are more than 64 shapes (a
-    bitmask is one machine word: 32 bits up to 32 shapes, else 64).  Sums
-    up to the box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Each
-    rectangle in index order joins, as each of its shapes, every sum so far
-    that stays within that bound, so a sum adds its members in index order,
-    and a step holds no more than the old sums, the new ones, one shifted
-    copy and their concatenation."""
-    if len(shapes) > 64:
-        return None
-    word = np.uint32 if len(shapes) <= 32 else np.uint64
-    tol = (sys.n_rects + 1) * DEFAULT_TOL
-    limit = sys.box_w + tol
-    sums, used = np.zeros(1), np.zeros(1, dtype=word)
-    ways = [[] for _ in range(sys.n_rects)]  # each rectangle's (width, bit)
-    for k, (i, w, _) in enumerate(shapes):
-        ways[i].append((w, word(1 << k)))
-    for options in ways:
-        parts = [(sums, used)]
-        for w, bit in options:
-            shifted = sums + w
-            keep = shifted <= limit
-            parts.append((shifted[keep], used[keep] | bit))
-            del shifted, keep
-        if sum(len(part[0]) for part in parts) > WIDTH_SUMS_CAP:
-            return None
-        sums, used = (np.concatenate(column) for column in zip(*parts))
-        del parts
-    order = np.argsort(sums)
-    return _WidthSums(sums[order], used[order], tol)
-
-
-def _gap_fill(
-    sys: mo.MomentSystem,
-    shapes: list,
-    order: list,
-    width_sums: Callable[[], _WidthSums | None],
-) -> list | None:
-    """Depth-first search for a tiling of the system's box by its
-    rectangles, shapes being the ways to place them (_shapes) and order the
-    indices into shapes the search tries them in.  A node fills the lowest,
-    then leftmost, segment of the skyline (the top outline of the
-    rectangles placed so far).  Its children are the shapes of unplaced
-    rectangles whose width fits the segment and whose top stays in the box,
-    those that fill its width first, each group in order, skipping a (w, h)
-    already tried there: equal shapes are interchangeable.  Widths fit and
-    tops merge within DEFAULT_TOL.  Every tiling has a rectangle at the
-    lowest, leftmost uncovered point, so the search is complete for exact
-    tilings; a layout verify_layout accepts, with overlaps and gaps within
-    its tolerance, may have no complete fill.  A pass lists children once
-    per (segment width, height, placed shapes), for every node with that key.
-
-    Pruning by width sums: in a tiling the lowest segment is covered exactly
-    by the rectangles standing on it, so once the search first backtracks it
-    starts again from the empty box and keeps only the children that lie in
-    a sum of shapes of unplaced rectangles within (n + 1) * DEFAULT_TOL of
-    the segment's width (the table width_sums() returns, called then).  The
-    rectangles the search stands on a segment fill the width it records for
-    it within DEFAULT_TOL, and a recorded edge drifts from the true sum of
-    widths by at most DEFAULT_TOL a placement, so the window holds every sum
-    the search can complete a segment with: a pruned child leads to no
-    tiling, and with the budget to finish the pruned search finds the tiling
-    the unpruned one finds first.  Past the table's limits (width_sums()
-    returns None) the search goes on unpruned, in one pass.  A start that
-    tiles on its first descent builds no table, and a start's fill is the
-    same whether the table was built before it or not.
-
-    The search stops at a tiling, and returns its placements (i, x, y, w,
-    h), or after GAP_BUDGET placements, counted over both passes, and
-    returns None."""
-    tol, n, a, b = DEFAULT_TOL, sys.n_rects, sys.box_w, sys.box_h
-    blocks = [0] * n  # each rectangle's shape bits, set in bits once it is placed
-    for k, (i, _, _) in enumerate(shapes):
-        blocks[i] |= 1 << k
-    xs, tops = [0.0, a], [0.0]  # segment j spans xs[j] to xs[j + 1]
-    bits, path, undo = 0, [], []
-    sums, first, lookups = None, True, {}
-
-    def children() -> tuple[int, Iterator]:
-        y = min(tops)
-        j = tops.index(y)
-        gap = xs[j + 1] - xs[j]
-        key = (gap, y, bits)
-        kids = lookups.get(key)
-        if kids is None:
-            allowed = -1 if sums is None else sums.allows(gap, bits)
-            kids = lookups[key] = fitting(allowed, gap, y)
-        return j, iter(kids)
-
-    def fitting(allowed: int, gap: float, y: float) -> list:
-        # The children among the shapes in the bitmask allowed (-1: all).
-        wide, narrow, room, free = gap + tol, gap - tol, b - y + tol, allowed & ~bits
-        exact, rest, seen = [], [], set()
-        for k in order:
-            shape = shapes[k]
-            _, w, h = shape
-            if not free >> k & 1 or w > wide or h > room or (w, h) in seen:
-                continue
-            seen.add((w, h))
-            (exact if w >= narrow else rest).append(shape)
-        return exact + rest
-
-    stack, nodes = [children()], 0
-    while stack and nodes < GAP_BUDGET:
-        j, todo = stack[-1]
-        child = next(todo, None)
-        if child is None:  # every child tried: take back the placement made here
-            if first:  # the first backtrack: start again, pruned
-                sums, first = width_sums(), False
-                if sums is not None:
-                    xs, tops, bits, path, undo, lookups = [0.0, a], [0.0], 0, [], [], {}
-                    stack = [children()]
-                    continue
-            stack.pop()
-            if path:
-                bits ^= blocks[path.pop()[0]]
-                lo, count, old_xs, old_tops = undo.pop()
-                xs[lo : lo + count], tops[lo : lo + count] = old_xs, old_tops
-            continue
-        nodes += 1
-        i, w, h = child
-        x, y = xs[j], tops[j]
-        # Segment j becomes the rectangle's top, then the rest of its width
-        # at y, if any; a top within tol of a neighbour's merges with it,
-        # keeping the left one's height.
-        t = y + h
-        left = j > 0 and abs(tops[j - 1] - t) <= tol
-        lo, hi = (j - 1 if left else j), j + 1
-        new_xs, new_tops = [xs[lo]], [tops[lo] if left else t]
-        if w < xs[hi] - x - tol:
-            new_xs.append(x + w)
-            new_tops.append(y)
-        elif hi < len(tops) and abs(tops[hi] - t) <= tol:
-            hi += 1
-        undo.append((lo, len(new_xs), xs[lo:hi], tops[lo:hi]))
-        xs[lo:hi], tops[lo:hi] = new_xs, new_tops
-        bits |= blocks[i]
-        path.append((i, x, y, w, h))
-        if len(path) == n:
-            return path
-        stack.append(children())
-    return None
-
-
 def _start_vector(
-    sys: mo.MomentSystem,
-    shapes: list,
-    seed: int,
-    start_index: int,
-    width_sums: Callable[[], _WidthSums | None],
+    gap_search: search.Search, seed: int, start_index: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """A gap fill (_gap_fill) of shapes, the rectangles' shapes, in an
-    order drawn from a generator seeded by seed and start_index.  Returns
-    the lower corners of the tiling it reached, the system's unknowns, and
-    the (n, 2) sides each rectangle is placed with: its given pair or that
-    pair swapped; None when the search ends without a tiling.  Plain
-    Python floats in a fixed order, so a start is the same bytes on every
-    run.  shapes is the solve's list (_shapes), and width_sums returns its
-    width sums when the search first backtracks: solve_multistart passes
-    both, built once for all its starts."""
+    """A gap fill (search.Search.fill) of the solve's shapes, in an order
+    drawn from a generator seeded by seed and start_index, within budget
+    placements.  Returns the lower corners of the tiling it reached, the
+    system's unknowns, and the (n, 2) sides each rectangle is placed with:
+    its given pair or that pair swapped; None when the fill ends without a
+    tiling.  Plain Python floats in a fixed order, so a start is the same
+    bytes on every run.  gap_search is the solve's one Search, shared by
+    all its starts."""
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
-    order = rng.permutation(len(shapes)).tolist()
-    path = _gap_fill(sys, shapes, order, width_sums)
+    order = rng.permutation(len(gap_search.shapes)).tolist()
+    path = gap_search.fill(order, budget).path
     if path is None:
         return None
-    corners, sides = [()] * sys.n_rects, [()] * sys.n_rects
+    n = gap_search.sys.n_rects
+    corners, sides = [()] * n, [()] * n
     for i, x, y, w, h in path:
         corners[i], sides[i] = (x, y), (w, h)
     return np.array(corners).ravel(), np.array(sides)
@@ -477,11 +281,9 @@ def solve_multistart(
     status, layout, final, iterations, start = "exhausted", None, float("inf"), 0, -1
     if reason is None:
         tried, converged = False, False
-        # One shape list for every start and its width sums, built once, if at all.
-        shapes = _shapes(sys, mode)
-        width_sums = functools.cache(functools.partial(_width_sums, sys, shapes))
+        gap_search = search.Search(sys, mode)  # one for every start
         for k in range(cfg.restarts):
-            built = _start_vector(sys, shapes, cfg.seed, k, width_sums=width_sums)
+            built = _start_vector(gap_search, cfg.seed, k, search.GAP_BUDGET)
             if built is None:
                 continue
             v, s = built

@@ -16,7 +16,7 @@ import pytest
 
 from momentpack import BoxSpec, gen_guillotine
 from momentpack import parse_instance, parse_layout, serialize_instance, serialize_layout
-from momentpack import solver
+from momentpack import search
 from momentpack.cli import build_parser, main, render_svg
 
 
@@ -175,9 +175,9 @@ def test_solve_rotatable_tiles_as_drawn_after_a_pruned_restart(capsys, tmp_path,
     assert code == 0
     # The recorder hands the search the table it records, so the restart
     # really is pruned by it.
-    tables, width_sums = [], solver._width_sums
+    tables, width_sums = [], search._width_sums
     monkeypatch.setattr(
-        solver, "_width_sums", lambda *args: tables.append(width_sums(*args)) or tables[-1]
+        search, "_width_sums", lambda *args: tables.append(width_sums(*args)) or tables[-1]
     )
     argv = ["solve", str(inst_path), "--mode", "rotatable", "--out", str(out_path)]
     code, out, _ = run_cli(capsys, *argv)

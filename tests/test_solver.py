@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -26,6 +25,9 @@ from momentpack import (
     fit_can_pass,
     gen_guillotine,
     harmonic_prefix,
+    oracle_feasible,
+    parse_instance,
+    serialize_instance,
     serialize_layout,
     snap_layout,
     solve_multistart,
@@ -33,7 +35,7 @@ from momentpack import (
     verify_layout,
 )
 from momentpack import moments as mo
-from momentpack import solver
+from momentpack import search, solver
 from momentpack.verify import DEFAULT_TOL
 
 from conftest import row_sides
@@ -139,16 +141,17 @@ def shelf_vars(sys):
 
 
 def may_turn(sys, shapes):
-    """Whether each rectangle has a turned shape in shapes (solver._shapes)."""
+    """Whether each rectangle has a turned shape in shapes (search._shapes)."""
     turned = {i for i, _, _ in shapes[sys.n_rects :]}
     return [i in turned for i in range(sys.n_rects)]
 
 
-def numpy_start_vector(sys, shapes, seed, start_index, width_sums=None):
+def numpy_start_vector(gap_search, seed, start_index, budget=None):
     """Starts as _start_vector drew them before skyline starts: the shelf,
     then each rectangle uniformly in the box, one that may turn first
     turned by a seeded bit.  The index-order tests below build their
     scenarios on these starts (the uniform_starts fixture)."""
+    sys, shapes = gap_search.sys, gap_search.shapes
     if start_index == 0:
         return shelf_vars(sys), sys.sides
     rng = np.random.default_rng(seed * solver._SEED_STRIDE + start_index)
@@ -173,12 +176,13 @@ def uniform_starts(monkeypatch):
 
 
 def skyline_search(sys, shapes, order, keep, budget):
-    """solver._gap_fill's depth-first search written plainly, in one pass
+    """search.Search.fill's depth-first search written plainly, in one pass
     and listing each node's children anew: a node tries only the shapes in
     the bitmask keep(gap, placed), placed the shapes of placed rectangles.
-    Returns the placements of the tiling reached, or None after budget
-    placements, and the placements made before the first backtrack, None
-    if the search never backtracked."""
+    Returns how it ended, as a search.Fill (the placements of the tiling
+    reached, else None; the placements made; whether the stack emptied),
+    and the placements made before the first backtrack, None if the search
+    never backtracked."""
     tol, n, a, b = DEFAULT_TOL, sys.n_rects, sys.box_w, sys.box_h
     blocks = [0] * n
     for k, (i, _, _) in enumerate(shapes):
@@ -231,52 +235,62 @@ def skyline_search(sys, shapes, order, keep, budget):
         placed |= blocks[i]
         path.append((i, x, y, w, h))
         if len(path) == n:
-            return path, first
+            return search.Fill(path, nodes, False), first
         stack.append(children())
-    return None, first
+    return search.Fill(None, nodes, not stack), first
 
 
-def unpruned_gap_fill(sys, shapes, order, width_sums):
-    """solver._gap_fill without width sums: the search as it was before the
-    pruning, kept as the reference the pruned search is checked against."""
-    return skyline_search(sys, shapes, order, lambda gap, placed: -1, solver.GAP_BUDGET)[0]
+def unpruned_gap_fill(gap_search, order, budget):
+    """search.Search.fill without width sums: the search as it was before
+    the pruning, kept as the reference the pruned search is checked
+    against."""
+    sys, shapes = gap_search.sys, gap_search.shapes
+    return skyline_search(sys, shapes, order, lambda gap, placed: -1, budget)[0]
 
 
-def reference_gap_fill(sys, shapes, order, width_sums):
-    """solver._gap_fill as its docstring states it, listing each node's
-    children anew: unpruned up to its first backtrack, then, if
-    width_sums() returns a table, from the empty box again, pruned by it,
-    with the rest of GAP_BUDGET."""
-    path, first = skyline_search(sys, shapes, order, lambda gap, placed: -1, solver.GAP_BUDGET)
-    sums = None if first is None else width_sums()
+def reference_gap_fill(gap_search, order, budget):
+    """search.Search.fill as its docstring states it, listing each node's
+    children anew: unpruned up to its first backtrack, then, if the
+    search's width_sums is a table, from the empty box again, pruned by it,
+    with the rest of the budget, the nodes of both passes counted."""
+    sys, shapes = gap_search.sys, gap_search.shapes
+    result, first = skyline_search(sys, shapes, order, lambda gap, placed: -1, budget)
+    sums = None if first is None else gap_search.width_sums
     if sums is None:
-        return path
-    return skyline_search(sys, shapes, order, sums.allows, solver.GAP_BUDGET - first)[0]
+        return result
+    path, nodes, emptied = skyline_search(sys, shapes, order, sums.allows, budget - first)[0]
+    return search.Fill(path, first + nodes, emptied)
 
 
-def built_starts(sys, mode, seed, indices):
+def built_starts(sys, mode, seed, indices, budget=search.GAP_BUDGET):
     """The starts of the given indices, built as solve_multistart builds
-    them: from one shape list and one cached width-sum getter."""
-    shapes = solver._shapes(sys, mode)
-    width_sums = functools.cache(functools.partial(solver._width_sums, sys, shapes))
-    return [solver._start_vector(sys, shapes, seed, k, width_sums=width_sums) for k in indices]
+    them: from one search.Search, each fill within budget placements."""
+    gap_search = search.Search(sys, mode)
+    return [solver._start_vector(gap_search, seed, k, budget) for k in indices]
 
 
-def gap_fill_paths(sys, mode, seed, k, gap_fill):
-    """The placements of start k's search when solver._gap_fill is
-    gap_fill, and the start it builds; both None when the search reaches no
-    tiling."""
-    fills = []
+def record_fills(monkeypatch, fill=None):
+    """Make fill (the search's own when None) search.Search.fill, recording
+    how each fill ended; returns the list of search.Fill records."""
+    fills, fill = [], fill or search.Search.fill
 
-    def recording_gap_fill(*args):
-        fills.append(gap_fill(*args))
+    def recording_fill(gap_search, order, budget):
+        fills.append(fill(gap_search, order, budget))
         return fills[-1]
 
+    monkeypatch.setattr(search.Search, "fill", recording_fill)
+    return fills
+
+
+def gap_fill_result(sys, mode, seed, k, fill=None, budget=search.GAP_BUDGET):
+    """How start k's fill ended when search.Search.fill is fill (the
+    search's own when None), within budget placements, and the start it
+    builds, None when the fill reached no tiling."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_gap_fill", recording_gap_fill)
-        [start] = built_starts(sys, mode, seed, [k])
-    [path] = fills
-    return path, start
+        fills = record_fills(patch, fill)
+        [start] = built_starts(sys, mode, seed, [k], budget)
+    [result] = fills
+    return result, start
 
 
 def start_bytes(start):
@@ -311,7 +325,7 @@ def test_gap_fill_starts_keep_sides_and_box(sides, box, mode, seed, starts):
         if start is None:
             continue
         x, sides = start
-        turns = may_turn(sys, solver._shapes(sys, mode))
+        turns = may_turn(sys, search._shapes(sys, mode))
         for (w, h), placed, turnable in zip(sys.sides.tolist(), sides.tolist(), turns):
             assert placed == [w, h] or turnable and placed == [h, w]
         x_lo, y_lo, x_hi, y_hi = mo._corners(sys, x, sides).reshape(-1, 4).T
@@ -333,7 +347,8 @@ def test_gap_fill_starts_that_place_every_rectangle_verify(seed, cuts, box, mode
     # rectangle is a layout that passes the verifier as drawn.
     inst, _ = gen_guillotine(seed, cuts, box)
     sys = mo.build_system(inst)
-    path, start = gap_fill_paths(sys, mode, seed, k, solver._gap_fill)
+    result, start = gap_fill_result(sys, mode, seed, k)
+    path = result.path
     assert (path is None) == (start is None)
     if path is not None:
         assert len(path) == inst.n_rects
@@ -367,11 +382,11 @@ def test_start_sides_are_the_given_pair_or_that_pair_turned(seed, cuts, box, mod
 
 def brute_force_sums(sys, mode):
     """Every sum of widths by the bitmask of its shapes (bit k for entry k
-    of solver._shapes), each rectangle left out or in it as one of its
+    of search._shapes), each rectangle left out or in it as one of its
     shapes, with the sum added in index order, kept when it is at most the
     box width plus (n + 1) * DEFAULT_TOL."""
     limit = sys.box_w + (sys.n_rects + 1) * DEFAULT_TOL
-    shapes = solver._shapes(sys, mode)
+    shapes = search._shapes(sys, mode)
     ways = [[None] for _ in range(sys.n_rects)]
     for k, (i, _, _) in enumerate(shapes):
         ways[i].append(k)
@@ -407,11 +422,11 @@ def test_width_sums_match_brute_force(sides, box, mode, gaps):
     rects = [(w, w if square else h) for w, h, square in sides]
     inst = Instance.from_sides(rects, BoxSpec(*box), rotation_allowed=mode == mo.ROTATABLE)
     sys = mo.build_system(inst, 3)
-    shapes = solver._shapes(sys, mode)
+    shapes = search._shapes(sys, mode)
     upright = [(i, w, h) for i, (w, h) in enumerate(sys.sides.tolist())]
     turned = [(i, h, w) for i, w, h in upright if mode == mo.ROTATABLE and w != h]
     assert shapes == upright + turned
-    sums = solver._width_sums(sys, shapes)
+    sums = search._width_sums(sys, shapes)
     expected = brute_force_sums(sys, mode)
     values = list(sums.sums)
     table = dict(zip(sums.used, values))
@@ -430,19 +445,19 @@ def test_width_sums_match_brute_force(sides, box, mode, gaps):
 
 
 def test_width_sums_past_the_cap_leave_the_search_unpruned(monkeypatch):
-    # With a cap of a few sums no table is built, and each start is the
-    # unpruned search's start, bit for bit; a guillotine still tiles as
-    # drawn.
-    monkeypatch.setattr(solver, "WIDTH_SUMS_CAP", 4)
+    # With a cap of a few sums no table is built, and each fill ends as the
+    # unpruned search's (path, nodes and ending), its start bit for bit; a
+    # guillotine still tiles as drawn.
+    monkeypatch.setattr(search, "WIDTH_SUMS_CAP", 4)
     inst, _ = gen_guillotine(3, 11, BoxSpec(10.0, 8.0))
     sys = mo.build_system(inst)
     tables = []
-    width_sums = solver._width_sums
-    monkeypatch.setattr(solver, "_width_sums", lambda *args: tables.append(width_sums(*args)))
+    width_sums = search._width_sums
+    monkeypatch.setattr(search, "_width_sums", lambda *args: tables.append(width_sums(*args)))
     for k in range(16):
-        path, start = gap_fill_paths(sys, mo.FIXED, 3, k, solver._gap_fill)
-        ref_path, ref_start = gap_fill_paths(sys, mo.FIXED, 3, k, unpruned_gap_fill)
-        assert path == ref_path
+        result, start = gap_fill_result(sys, mo.FIXED, 3, k)
+        ref, ref_start = gap_fill_result(sys, mo.FIXED, 3, k, unpruned_gap_fill)
+        assert result == ref
         assert start_bytes(start) == start_bytes(ref_start)
     assert tables and tables == [None] * len(tables)  # some start backtracked
     report = solve_multistart(inst, SolveConfig(restarts=16, seed=3), mode=mo.FIXED)
@@ -455,7 +470,8 @@ def test_width_sums_hold_at_most_64_shapes(monkeypatch):
     # member and the table stays far under WIDTH_SUMS_CAP; the word limit
     # alone decides.  32 rectangles that may turn are 64 shapes: a table is
     # built, each shape a bit of one 64-bit word.  33 are 66 shapes: no
-    # table, and each start is the unpruned search's start, bit for bit.  In
+    # table, and each fill ends as the unpruned search's, its start bit for
+    # bit.  In
     # fixed mode 64 rectangles are 64 shapes: a table is built.
     box = BoxSpec(10, 10)
 
@@ -464,32 +480,34 @@ def test_width_sums_hold_at_most_64_shapes(monkeypatch):
         return mo.build_system(Instance.from_sides(sides, box, rotation_allowed), 3)
 
     for sys, mode in ((system(32, True), mo.ROTATABLE), (system(64, False), mo.FIXED)):
-        shapes = solver._shapes(sys, mode)
-        sums = solver._width_sums(sys, shapes)
+        shapes = search._shapes(sys, mode)
+        sums = search._width_sums(sys, shapes)
         assert len(shapes) == 64 and np.asarray(sums.used).dtype == np.uint64
         assert sorted(sums.used) == [0] + [1 << k for k in range(64)]
         assert sums.allows(shapes[63][1], 0) == 1 << 63
     sys = system(33, True)
-    assert solver._width_sums(sys, solver._shapes(sys, mo.ROTATABLE)) is None
+    assert search._width_sums(sys, search._shapes(sys, mo.ROTATABLE)) is None
     tables = []
-    width_sums = solver._width_sums
-    monkeypatch.setattr(solver, "_width_sums", lambda *args: tables.append(width_sums(*args)))
+    width_sums = search._width_sums
+    monkeypatch.setattr(search, "_width_sums", lambda *args: tables.append(width_sums(*args)))
     for k in range(4):
-        path, start = gap_fill_paths(sys, mo.ROTATABLE, 5, k, solver._gap_fill)
-        ref_path, ref_start = gap_fill_paths(sys, mo.ROTATABLE, 5, k, unpruned_gap_fill)
-        assert path == ref_path
+        result, start = gap_fill_result(sys, mo.ROTATABLE, 5, k)
+        ref, ref_start = gap_fill_result(sys, mo.ROTATABLE, 5, k, unpruned_gap_fill)
+        assert result == ref
         assert start_bytes(start) == start_bytes(ref_start)
     assert tables == [None] * 4  # every start backtracked
 
 
 @pytest.mark.parametrize("mode", [mo.FIXED, mo.ROTATABLE])
-def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(monkeypatch, mode):
+def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(mode):
     # Guillotines, near-tilings (sides scaled by 1 + U(-1e-8, 1e-8)) and
     # guillotines with rectangle 0 turned (no tiling in fixed mode) of N <= 8
     # rectangles, with a budget that lets both searches finish: the pruned
     # search places every rectangle exactly when the unpruned one does, and
-    # then the same way, since it skips only children that lead to no tiling.
-    monkeypatch.setattr(solver, "GAP_BUDGET", 10**6)
+    # then the same way, since it skips only children that lead to no tiling;
+    # else both search their whole tree.  Each fill ends as the reference's
+    # to the node.
+    budget = 10**6
     tiled = untiled = 0
     for seed in range(12):
         box = BoxSpec(10.0, 8.0) if seed % 2 else BoxSpec(3.0, 7.5)
@@ -501,14 +519,12 @@ def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(monkeypatch, m
             inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
             sys = mo.build_system(inst)
             for k in range(4):
-                path, _ = gap_fill_paths(sys, mode, seed, k, solver._gap_fill)
-                ref_path, _ = gap_fill_paths(sys, mode, seed, k, unpruned_gap_fill)
-                assert (path is None) == (ref_path is None)
-                if ref_path is not None:
-                    assert path == ref_path
-                    tiled += 1
-                else:
-                    untiled += 1
+                result, _ = gap_fill_result(sys, mode, seed, k, budget=budget)
+                assert result == gap_fill_result(sys, mode, seed, k, reference_gap_fill, budget)[0]
+                ref, _ = gap_fill_result(sys, mode, seed, k, unpruned_gap_fill, budget)
+                assert result.path == ref.path
+                assert result.emptied == ref.emptied == (ref.path is None)
+                tiled, untiled = tiled + (ref.path is not None), untiled + (ref.path is None)
     assert tiled >= 96 and untiled == (48 if mode == mo.FIXED else 0)
 
 
@@ -516,9 +532,10 @@ def test_kept_child_lists_change_no_fill():
     # The search keeps each node's child list for a pass and drops the lists
     # at its restart; the reference lists them anew at every node.  At the
     # default budget, where a placement spent on a child the table rules out
-    # can cost a start its tiling, every fill is the reference's, bit for
-    # bit: fixed-mode dissections and near-tilings of N = 20 (seeds 0-5) and
-    # rotatable dissections of N = 15 (seeds 12-23), four starts each.
+    # can cost a start its tiling, every fill ends as the reference's, path,
+    # nodes and ending, bit for bit: fixed-mode dissections and near-tilings
+    # of N = 20 (seeds 0-5) and rotatable dissections of N = 15 (seeds
+    # 12-23), four starts each.
     box = BoxSpec(10.0, 8.0)
     cases = [(gen_guillotine(seed, 14, box)[0], mo.ROTATABLE, seed) for seed in range(12, 24)]
     for seed in range(6):
@@ -528,11 +545,11 @@ def test_kept_child_lists_change_no_fill():
     for inst, mode, seed in cases:
         sys = mo.build_system(inst)
         for k in range(4):
-            path, start = gap_fill_paths(sys, mode, seed, k, solver._gap_fill)
-            ref_path, ref_start = gap_fill_paths(sys, mode, seed, k, reference_gap_fill)
-            assert path == ref_path
+            result, start = gap_fill_result(sys, mode, seed, k)
+            ref, ref_start = gap_fill_result(sys, mode, seed, k, reference_gap_fill)
+            assert result == ref
             assert start_bytes(start) == start_bytes(ref_start)
-            tiled, untiled = tiled + (path is not None), untiled + (path is None)
+            tiled, untiled = tiled + (ref.path is not None), untiled + (ref.path is None)
     assert tiled > 30 and untiled > 30
 
 
@@ -540,22 +557,26 @@ def test_starts_do_not_depend_on_what_was_solved_before():
     # A system's starts are the same bytes each built with its own table,
     # built with one table shared as solve_multistart shares it, here built
     # before the first start, and after another instance was solved.
-    asked = []
+    backtracked = []
 
     def starts(inst, shared=False):
         sys = mo.build_system(inst)
         if not shared:  # each start builds its table, if at all, for itself
             return [start_bytes(built_starts(sys, mo.FIXED, 1, [k])[0]) for k in range(12)]
-        shapes = solver._shapes(sys, mo.FIXED)
-        table = solver._width_sums(sys, shapes)
-        width_sums = lambda: asked.append(table) or table
-        return [start_bytes(solver._start_vector(sys, shapes, 1, k, width_sums)) for k in range(12)]
+        gap_search = search.Search(sys, mo.FIXED)
+        assert gap_search.width_sums is not None  # the table, built first
+        with pytest.MonkeyPatch.context() as patch:
+            fills = record_fills(patch)
+            built = [solver._start_vector(gap_search, 1, k, search.GAP_BUDGET) for k in range(12)]
+        # A fill that tiles without backtracking places each rectangle once.
+        backtracked.extend(f for f in fills if f.path is None or f.nodes > sys.n_rects)
+        return [start_bytes(start) for start in built]
 
     box = BoxSpec(10.0, 8.0)
     inst, _ = gen_guillotine(16, 14, box)
     fresh = starts(inst)
     assert starts(inst, shared=True) == fresh
-    assert len(asked) > 1 and asked[0] is not None  # several starts backtracked
+    assert len(backtracked) > 1  # several starts read the shared table
     for other in (gen_guillotine(17, 14, box)[0], near_guillotine(16, 14, box)[0]):
         solve_multistart(other, SolveConfig(restarts=8, seed=1), mode=mo.FIXED)
         starts(other)
@@ -573,7 +594,7 @@ def test_sides_equal_once_normalised_are_one_shape():
     inst = Instance.from_sides(rects, BoxSpec(1, 1), rotation_allowed=True)
     sys = mo.build_system(inst)
     assert sys.sides[0, 0] == sys.sides[0, 1]
-    assert [i for i, _, _ in solver._shapes(sys, mo.ROTATABLE)] == [0, 1, 2, 1, 2]
+    assert [i for i, _, _ in search._shapes(sys, mo.ROTATABLE)] == [0, 1, 2, 1, 2]
     report = solve_multistart(inst, SolveConfig(restarts=8), mode=mo.ROTATABLE)
     assert report.status == "exhausted"
 
@@ -739,23 +760,76 @@ def test_a_layout_within_tolerance_can_have_no_complete_fill(monkeypatch):
     # The gap fill is complete for exact tilings only.  A bottom row of three
     # rectangles, each overlapping the next by 0.9e-7, and a top row of two
     # that leaves a 2e-7 gap at the right wall pass verify_layout at
-    # DEFAULT_TOL with no area gap, in both modes; yet no fill of these
-    # sides is complete, with the budget to search the whole tree too.  So
-    # an exhausted "fill" report is no proof of infeasibility: a solve must
-    # not call this instance infeasible until the verifier and the search
-    # share one tolerance model (ROADMAP, "One tolerance model").
+    # DEFAULT_TOL with no area gap, in both modes; yet every start's fill of
+    # these sides searches its whole tree without a tiling, well within the
+    # default budget: in 11 nodes in fixed mode, 125 or 127 in rotatable.
+    # So an exhausted "fill" report is no proof of infeasibility: a solve
+    # must not call this instance infeasible until the verifier and the
+    # search share one tolerance model (ROADMAP, "One tolerance model").
     sides = [(0.3, 0.5), (0.3, 0.5), (0.4 + 2e-7, 0.5), (0.55, 0.5), (0.45 - 2e-7, 0.5)]
     corners = [(0.0, 0.0), (0.3 - 0.9e-7, 0.0), (0.6 - 1.8e-7, 0.0), (0.0, 0.5), (0.55, 0.5)]
     layout = Layout(tuple(Placement(x, y, x + w, y + h) for (x, y), (w, h) in zip(corners, sides)))
-    budgets = (solver.GAP_BUDGET, 10**6)
-    for mode in (mo.FIXED, mo.ROTATABLE):
+    fills = record_fills(monkeypatch)
+    for mode, nodes in ((mo.FIXED, {11}), (mo.ROTATABLE, {125, 127})):
         inst = Instance.from_sides(sides, BoxSpec(1, 1), rotation_allowed=mode == mo.ROTATABLE)
         result = verify_layout(inst, layout, tol=DEFAULT_TOL)
         assert result.passed and result.area_gap == 0.0, mode
-        for budget in budgets:
-            monkeypatch.setattr(solver, "GAP_BUDGET", budget)
-            report = solve_multistart(inst, SolveConfig(restarts=8), mode=mode)
-            assert report.status == "exhausted" and report.reason == "fill", (mode, budget)
+        fills.clear()
+        report = solve_multistart(inst, SolveConfig(restarts=8), mode=mode)
+        assert report.status == "exhausted" and report.reason == "fill", mode
+        assert len(fills) == 8 and all(f.path is None and f.emptied for f in fills), mode
+        assert {f.nodes for f in fills} == nodes, mode
+
+
+def test_a_dissection_with_one_rectangle_turned_searches_every_whole_tree(monkeypatch):
+    # The instance the CI's installed-command step solves: rectangle 4 of
+    # `gen guillotine --seed 7 --cuts 5 --box 10 8` turned.  In fixed mode
+    # no upright layout tiles it, and each of 16 starts searches its whole
+    # tree in 16-19 nodes, far within the budget.  Every start backtracks,
+    # and the solve builds its one width-sum table once.
+    inst, _ = gen_guillotine(7, 5, BoxSpec(10.0, 8.0))
+    doc = json.loads(serialize_instance(inst))
+    doc["rects"][4] = doc["rects"][4][::-1]
+    fills = record_fills(monkeypatch)
+    tables = record_calls(monkeypatch, search, "_width_sums")
+    turned = parse_instance(json.dumps(doc))
+    report = solve_multistart(turned, SolveConfig(restarts=16), mode=mo.FIXED)
+    assert report.status == "exhausted" and report.reason == "fill"
+    assert len(fills) == 16 and all(f.path is None and f.emptied for f in fills)
+    assert {f.nodes for f in fills} <= set(range(16, 20))
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize("mode, reports", [(mo.ROTATABLE, 20), (mo.FIXED, 86)])
+def test_family_fill_reports_search_every_whole_tree(monkeypatch, mode, reports):
+    # The family at criterion-7 settings, seed 0: every start of every
+    # "fill" report searches its whole tree without a tiling, and the oracle
+    # finds each of those instances infeasible (in fixed mode with rotation
+    # off).
+    cfg = SolveConfig(restarts=6, max_iters=80)
+    fills = record_fills(monkeypatch)
+    searched = 0
+    for inst in enumerate_small_family(4, 4):
+        inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
+        fills.clear()
+        if solve_multistart(inst, cfg, mode=mode).reason != "fill":
+            continue
+        searched += 1
+        assert len(fills) == cfg.restarts and all(f.path is None and f.emptied for f in fills)
+        assert not oracle_feasible(inst)[0]
+    assert searched == reports
+
+
+def test_a_ladder_dissection_of_twenty_spends_the_budget(monkeypatch):
+    # A dissection of the 10x8 box into 20 rectangles, solved as the
+    # benchmark's ladder solves it (fixed mode, 2 starts, the dissection's
+    # seed): neither start tiles or searches its whole tree; each spends
+    # the whole budget, and the report is exhausted with reason "fill".
+    inst, _ = gen_guillotine(0, 19, BoxSpec(10, 8))
+    fills = record_fills(monkeypatch)
+    report = solve_multistart(inst, SolveConfig(restarts=2, seed=0), mode=mo.FIXED)
+    assert report.status == "exhausted" and report.reason == "fill"
+    assert fills == [search.Fill(None, search.GAP_BUDGET, False)] * 2
 
 
 def test_multistart_rotatable_mode():
@@ -1098,7 +1172,7 @@ def test_first_start_to_verify_ends_the_solve(uniform_starts):
         report = solve_multistart(inst, cfg, mode=mode)
     assert report.status == "converged_verified" and report.start_index == 2
     assert report.iterations_total == 40 + 7 + 6
-    assert [args[-1] for args in built] == [0, 1, 2]
+    assert [args[2] for args in built] == [0, 1, 2]
     assert_report_is(report, index_order_multistart(inst, cfg, mode))
 
 
@@ -1222,7 +1296,7 @@ def assert_multistart_is_index_order(inst, cfg, mode, max_order=None):
     layouts = [layout for _, layout in verified]
     assert list(map(serialize_layout, layouts)) == list(map(serialize_layout, checked))
     won = report.status == "converged_verified"
-    assert [args[-1] for args in built] == list(
+    assert [args[2] for args in built] == list(
         range(report.start_index + 1 if won else cfg.restarts)
     )
     return report, len(built)
@@ -1256,14 +1330,14 @@ def test_multistart_verifies_a_converged_start_that_fails_once(monkeypatch):
     # drawn and wins.
     inst = Instance.from_sides([(1, 1), (1, 2)], BoxSpec(1, 3), rotation_allowed=False)
     sys = mo.build_system(inst, 2)
-    uniform = [numpy_start_vector(sys, solver._shapes(sys, mo.FIXED), 0, k) for k in (1, 2)]
+    uniform = [numpy_start_vector(search.Search(sys, mo.FIXED), 0, k) for k in (1, 2)]
     roots = [solve_single(sys, v, SolveConfig(max_iters=100), s)[0] for v, s in uniform]
     starts = [(roots[0], sys.sides), uniform[0], (roots[1], sys.sides), uniform[1]]
     gap_fill = solver._start_vector
     monkeypatch.setattr(
         solver,
         "_start_vector",
-        lambda *args, **kwargs: starts[args[-1]] if args[-1] < 4 else gap_fill(*args, **kwargs),
+        lambda *args, **kwargs: starts[args[2]] if args[2] < 4 else gap_fill(*args, **kwargs),
     )
     cfg = SolveConfig(restarts=4, max_iters=40)
     report, built = assert_multistart_is_index_order(inst, cfg, mo.FIXED, 2)
@@ -1366,7 +1440,7 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
 
 def test_incomplete_fills_never_descend(monkeypatch):
     # The gap fills of starts 0, 1 and 4-7 of this near-tiling of N = 15
-    # reach no tiling within GAP_BUDGET (found by a search over
+    # reach no tiling within search.GAP_BUDGET (found by a search over
     # near_guillotine seeds); starts 2 and 3 do.  Start 2 is the first start
     # built and the only one handed to solve_single; it wins after LM steps,
     # and the report names it by its own index.  With no complete fill no
