@@ -4,12 +4,14 @@ Subcommands: gen (guillotine | harmonic | family fixtures), solve, verify,
 identities, render.  Output is JSON by default; --table prints aligned text
 where it exists.  Exit codes: 0 success / verified, 1 clean negative result
 (infeasible or unverified), 2 usage or input errors, among them documents
-nested too deep to decode and systems too large to allocate.
+nested too deep to decode and systems too large to allocate.  main may be
+called many times in one process and reuses one parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -108,7 +110,13 @@ def _finite(doc: object) -> object:
 
 
 def _emit(doc: object) -> None:
-    print(json.dumps(_finite(doc), allow_nan=False))
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        # A float that is not finite; the walk costs three times the dump,
+        # so a clean document skips it.
+        text = json.dumps(_finite(doc), allow_nan=False)
+    print(text)
 
 
 # -- Subcommands -------------------------------------------------------------
@@ -216,7 +224,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
 # -- Parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The momentpack parser, built once and shared by every call in the
+    process: read it, never change it.  Every default is immutable, so no
+    call can leak a value into the next."""
     parser = argparse.ArgumentParser(
         prog="momentpack",
         description="Rectangle packing via truncated moment systems.",
@@ -228,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen_sub.add_parser("guillotine", help="random guillotine dissection")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--cuts", type=int, default=4)
-    g.add_argument("--box", type=float, nargs=2, default=[1.0, 1.0], metavar=("A", "B"))
+    g.add_argument("--box", type=float, nargs=2, default=(1.0, 1.0), metavar=("A", "B"))
     g.add_argument("--out", required=True)
     g.add_argument("--layout-out", default=None)
     g.set_defaults(func=_cmd_gen)

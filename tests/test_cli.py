@@ -10,13 +10,15 @@ import argparse
 import json
 import subprocess
 import sys
+import types
 import warnings
 
+import numpy as np
 import pytest
 
 from momentpack import BoxSpec, gen_guillotine
 from momentpack import parse_instance, parse_layout, serialize_instance, serialize_layout
-from momentpack import search
+from momentpack import cli, search
 from momentpack.cli import build_parser, main, render_svg
 
 
@@ -63,6 +65,27 @@ def test_smax_flag_spelled_exactly():
     assert args.smax == 4
     args = build_parser().parse_args(["verify", "a.json", "b.json", "--smax", "2"])
     assert args.smax == 2
+
+
+def test_parser_defaults_are_immutable():
+    # The parser is shared by every call in the process, and argparse hands
+    # a default to the namespace as it is: one a call could change in place
+    # would carry into the next call.
+    parsers = [build_parser()]
+    defaults = {}
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            else:
+                defaults[parser.prog, action.dest] = action.default
+        defaults.update(((parser.prog, k), v) for k, v in parser._defaults.items())
+    assert defaults["momentpack gen guillotine", "box"] == (1.0, 1.0)
+    immutable = (type(None), bool, int, float, str, types.FunctionType)
+    for key, value in defaults.items():
+        items = value if isinstance(value, tuple) else (value,)
+        assert all(isinstance(v, immutable) for v in items), key
 
 
 # -- gen ----------------------------------------------------------------------
@@ -574,3 +597,78 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = strict_loads(proc.stdout)
     assert len(doc["identities"]) == 6
+
+
+# -- One parser per process ---------------------------------------------------
+
+
+def test_main_builds_one_parser_for_many_calls(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert run_cli(capsys, "identities", "--n-trunc", "100")[0] == 0
+    assert len(built) == 9  # momentpack and its eight subcommand parsers
+    assert build_parser() is build_parser() is built[0]
+
+
+def test_a_call_after_other_flags_prints_what_a_fresh_process_prints(capsys, tmp_path):
+    inst_path = write_dominoes(tmp_path)
+    code, _, _ = run_cli(
+        capsys, "solve", str(inst_path), "--seed", "5", "--restarts", "3",
+        "--mode", "rotatable", "--out", str(tmp_path / "other.json"),
+    )
+    assert code == 0
+    layout_path = tmp_path / "dominoes.json.layout.json"
+    in_process = run_cli(capsys, "solve", str(inst_path)), layout_path.read_text()
+    layout_path.unlink()
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentpack", "solve", str(inst_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert in_process == ((proc.returncode, proc.stdout, proc.stderr), layout_path.read_text())
+
+
+def test_a_usage_error_leaves_the_parser_working(capsys, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "x.json", "--mode", "diagonal"])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    inst_path = write_dominoes(tmp_path)
+    lay_path = tmp_path / "layout.json"
+    lay_path.write_text('{"placements": [[0, 0, 1, 2], [1, 0, 2, 2]]}\n')
+    code, out, err = run_cli(capsys, "verify", str(inst_path), str(lay_path))
+    assert (code, err) == (0, "")
+    assert strict_loads(out)["pass"] is True
+
+
+# -- Output -------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": [1, 2.5, (3, {"b": (0.1, -0.0, None)})], "c": True, "d": "x", "e": np.float64(0.3)},
+        [[], {}, ()],
+        NAN,
+        INF,
+        -INF,
+        np.float64(NAN),
+        {"a": 1.0, "b": NAN},
+        [0.5, INF, {"c": [-INF]}],
+        (1.0, NAN),
+        {"a": (np.float64(-INF), 2)},
+    ],
+)
+def test_emit_prints_what_the_finite_walk_prints(capsys, doc):
+    cli._emit(doc)
+    assert capsys.readouterr().out == json.dumps(cli._finite(doc), allow_nan=False) + "\n"
