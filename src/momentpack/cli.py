@@ -110,13 +110,7 @@ def _finite(doc: object) -> object:
 
 
 def _emit(doc: object) -> None:
-    try:
-        text = json.dumps(doc, allow_nan=False)
-    except ValueError:
-        # A float that is not finite; the walk costs three times the dump,
-        # so a clean document skips it.
-        text = json.dumps(_finite(doc), allow_nan=False)
-    print(text)
+    print(json.dumps(_finite(doc), allow_nan=False))
 
 
 # -- Subcommands -------------------------------------------------------------

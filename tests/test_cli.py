@@ -655,20 +655,23 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(
-    "doc",
+    ("doc", "text"),
     [
-        {"a": [1, 2.5, (3, {"b": (0.1, -0.0, None)})], "c": True, "d": "x", "e": np.float64(0.3)},
-        [[], {}, ()],
-        NAN,
-        INF,
-        -INF,
-        np.float64(NAN),
-        {"a": 1.0, "b": NAN},
-        [0.5, INF, {"c": [-INF]}],
-        (1.0, NAN),
-        {"a": (np.float64(-INF), 2)},
+        (
+            {"a": [1, 2.5, (3, {"b": (0.1, -0.0, None)})], "c": True, "e": np.float64(0.3)},
+            '{"a": [1, 2.5, [3, {"b": [0.1, -0.0, null]}]], "c": true, "e": 0.3}',
+        ),
+        ([[], {}, ()], "[[], {}, []]"),
+        (NAN, "null"),
+        (INF, "null"),
+        (-INF, "null"),
+        (np.float64(NAN), "null"),
+        ({"a": 1.0, "b": NAN}, '{"a": 1.0, "b": null}'),
+        ([0.5, INF, {"c": [-INF]}], '[0.5, null, {"c": [null]}]'),
+        ((1.0, NAN), "[1.0, null]"),
+        ({"a": (np.float64(-INF), 2)}, '{"a": [null, 2]}'),
     ],
 )
-def test_emit_prints_what_the_finite_walk_prints(capsys, doc):
+def test_emit_prints_non_finite_floats_as_null(capsys, doc, text):
     cli._emit(doc)
-    assert capsys.readouterr().out == json.dumps(cli._finite(doc), allow_nan=False) + "\n"
+    assert capsys.readouterr().out == text + "\n"
