@@ -21,6 +21,7 @@ from momentpack import (
     SolveConfig,
     SolveReport,
     area_can_pass,
+    corner_cancellation,
     enumerate_small_family,
     fit_can_pass,
     gen_guillotine,
@@ -602,8 +603,9 @@ def test_sides_equal_once_normalised_are_one_shape():
 def test_cli_default_guillotines_of_twenty_tile_as_drawn():
     # The command line's defaults (fixed mode, 64 starts, a 10x8 box) on
     # 20-rectangle dissections, seeds 12-35: every solve wins with a start
-    # that tiles as drawn.  Without the width-sum pruning 6 of the 24 end
-    # exhausted after LM.
+    # that tiles as drawn.  Without the width-sum pruning
+    # (search.WIDTH_SUMS_CAP = 0) 18 of the 24 still do, and 6, seed 18
+    # among them, end exhausted with reason "fill" and no LM step.
     for seed in range(12, 36):
         inst, _ = gen_guillotine(seed, 19, BoxSpec(10.0, 8.0))
         report = solve_multistart(inst, SolveConfig(seed=seed), mode=mo.FIXED)
@@ -782,11 +784,11 @@ def test_a_layout_within_tolerance_can_have_no_complete_fill(monkeypatch):
 
 
 def test_a_dissection_with_one_rectangle_turned_searches_every_whole_tree(monkeypatch):
-    # The instance the CI's installed-command step solves: rectangle 4 of
-    # `gen guillotine --seed 7 --cuts 5 --box 10 8` turned.  In fixed mode
-    # no upright layout tiles it, and each of 16 starts searches its whole
-    # tree in 16-19 nodes, far within the budget.  Every start backtracks,
-    # and the solve builds its one width-sum table once.
+    # `gen guillotine --seed 7 --cuts 5 --box 10 8` with rectangle 4
+    # turned.  In fixed mode no upright layout tiles it, and each of 16
+    # starts searches its whole tree in 16-19 nodes, far within the budget.
+    # Every start backtracks, and the solve builds its one width-sum table
+    # once.
     inst, _ = gen_guillotine(7, 5, BoxSpec(10.0, 8.0))
     doc = json.loads(serialize_instance(inst))
     doc["rects"][4] = doc["rects"][4][::-1]
@@ -1464,13 +1466,13 @@ def test_incomplete_fills_never_descend(monkeypatch):
 
 
 def test_more_starts_never_change_a_verified_report(monkeypatch):
-    # The near-dominoes the command line checks and near-tilings of
-    # N = 6 and 10, both modes: a report verified at 8 starts is the same
-    # bytes at 64, and no start after its winner is built.  A rule that
-    # tried every start and kept the best could pick a later winner when
-    # more starts are tried.
+    # Near-dominoes and near-tilings of N = 6 and 10, both modes: a report
+    # verified at 8 starts is the same bytes at 64, and no start after its
+    # winner is built.  A rule that tried every start and kept the best
+    # could pick a later winner when more starts are tried.
     box = BoxSpec(10.0, 8.0)
-    cases = [(Instance.from_sides([(1, 2), (1, 2.00000004)], BoxSpec(2, 2)), mo.FIXED, 0)]
+    dominoes = Instance.from_sides([(1, 2), (1, 2.00000004)], BoxSpec(2, 2))
+    cases = [(dominoes, mo.FIXED, 0)]
     for seed in range(3):
         for n in (6, 10):
             near = near_guillotine(seed, n - 1, box)[0]
@@ -1485,6 +1487,14 @@ def test_more_starts_never_change_a_verified_report(monkeypatch):
             assert reports[-1].status == "converged_verified"
             assert len(built) == reports[-1].start_index + 1
         assert_report_is(reports[1], reports[0])
+    # The dominoes tile the box only within the verifier's tolerance, so
+    # the moment residual cannot fall below about 1e-8, far above the
+    # convergence bound 1e-10.  Start 0 stops there after 4 LM steps, where
+    # no step lowers its cost, and its layout must still verify with its
+    # corners cancelling.
+    report = solve_multistart(dominoes, SolveConfig(restarts=8), mode=mo.FIXED)
+    assert (report.start_index, report.iterations_total) == (0, 4)
+    assert corner_cancellation(report.best_layout, dominoes.box)
 
 
 def test_rotatable_wins_after_lm_steps_place_the_given_sides():

@@ -768,25 +768,37 @@ def test_blocked_sweep_matches_all_pairs_reference(block, case):
 
 @pytest.mark.parametrize("block", [1, 3, verify._BLOCK])
 def test_an_overlap_in_any_block_fails(monkeypatch, block):
-    # Six unit strips tile a 1 x 6 box.  Moving strip i up onto strip i + 1
+    # n unit strips tile a 1 x n box.  Moving strip i up onto strip i + 1
     # keeps it in the box and the areas summing to the box's, so only the
-    # sweep can fail it, whichever block holds the pair.
+    # sweep can fail it, whichever block holds the pair; the corners no
+    # longer cancel either.  At the real block size 2000 strips are the
+    # sweep's worst case: all 1,999,000 pairs are candidates, tested in 61
+    # blocks.
+    to_move = {6: range(5), 2000: range(1)} if block == verify._BLOCK else {6: range(5)}
     monkeypatch.setattr(verify, "_BLOCK", block)
-    inst = Instance.from_sides([(1, 1)] * 6, BoxSpec(1, 6))
-    for i in range(5):
-        strips = [Placement(0, k, 1, k + 1) for k in range(6)]
-        strips[i] = Placement(0, i + 1, 1, i + 2)
-        layout = Layout(tuple(strips))
-        assert verify_layout(inst, layout, tol=0).overlap_violations == (((i + 1, i + 2), 1.0),)
-        assert verify_exact(inst, layout) is False
+    for n, indices in to_move.items():
+        inst = Instance.from_sides([(1, 1)] * n, BoxSpec(1, n))
+        tiling = Layout(tuple(Placement(0, k, 1, k + 1) for k in range(n)))
+        assert verify_layout(inst, tiling, tol=0).passed and verify_exact(inst, tiling)
+        assert corner_cancellation(tiling, inst.box)
+        for i in indices:
+            strips = list(tiling.placements)
+            strips[i] = Placement(0, i + 1, 1, i + 2)
+            layout = Layout(tuple(strips))
+            assert verify_layout(inst, layout, tol=0).overlap_violations == (((i + 1, i + 2), 1.0),)
+            assert verify_exact(inst, layout) is False
+            assert corner_cancellation(layout, inst.box) is False
 
 
 # -- Corner cancellation ------------------------------------------------------
 
 
 def test_corner_cancellation_on_perfect_layouts(squared32, small_corpus):
-    for inst, layout in [squared32, *small_corpus]:
+    # The last is a dissection at benchmark scale: 1000 rectangles.
+    big = gen_guillotine(3, 999, BoxSpec(40000.0, 30000.0))
+    for inst, layout in [squared32, *small_corpus, big]:
         assert corner_cancellation(layout, inst.box)
+        assert verify_layout(inst, layout).passed
 
 
 def test_corner_cancellation_exact_mode(squared32):
