@@ -1,19 +1,27 @@
 """The gap-fill search that builds every start of a solve.
 
-A solve makes one Search from its moment system and mode.  Its shapes
-(_shapes) are one list for all the solve's fills: every rectangle upright
-and, in rotatable mode, turned where that is another shape, so a fill
-chooses every turn.  Search.fill is a depth-first search, in an order the
-caller draws and within a budget of placements the caller passes (the
-driver passes GAP_BUDGET), for a tiling that fills the lowest gap of the
-skyline first.  After its first backtrack a fill keeps only the shapes
-that lie in a sum of shape widths of unplaced rectangles matching the gap,
-read from one table of the shapes' width sums that the Search builds at
+A solve makes two Searches from its moment system and mode, one a frame.
+The given frame sees the box as A x B and each rectangle as w x h; the
+transposed frame sees the box as B x A and each rectangle as h x w, so a
+tiling of one frame is a tiling of the other with x and y swapped.  Each
+frame's shapes (_shapes, seen in that frame) are one list for all the
+solve's fills in it: every rectangle upright and, in rotatable mode,
+turned where that is another shape, so a fill chooses every turn.
+Search.fill is a depth-first search, in an order the caller draws and
+within a budget of placements the caller passes (the driver passes
+GAP_BUDGET), for a tiling that fills the lowest gap of its frame's
+skyline first; every exact tiling has a complete fill in either frame.
+After its first backtrack a fill keeps only the shapes that lie in a sum
+of shape widths of unplaced rectangles matching the gap, read from one
+table of the frame's width sums (widths along the frame's box width: the
+given widths up to A, or the heights up to B) that the Search builds at
 most once, on the first backtrack of any of its fills (_width_sums; past
 WIDTH_SUMS_CAP sums or 64 shapes there is none: the search is unpruned).
 
 A fill ends in one of three ways (Fill): tiled, its whole tree searched
-without a tiling, or its budget spent.  Only a tiling makes a start.
+without a tiling, or its budget spent.  Only a tiling makes a start, and
+it is reported in the given frame, where LM, the moment system and the
+verifier work.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from . import moments as mo
 from .verify import DEFAULT_TOL
 
 GAP_BUDGET = 300  # placements a gap-fill start tries before it stops searching
-WIDTH_SUMS_CAP = 2**17  # sums past which a solve's gap fills run unpruned
+WIDTH_SUMS_CAP = 2**19  # sums past which a solve's gap fills run unpruned
 
 
 def _shapes(sys: mo.MomentSystem, mode: str) -> list[tuple[int, float, float]]:
@@ -44,10 +52,10 @@ def _shapes(sys: mo.MomentSystem, mode: str) -> list[tuple[int, float, float]]:
 
 
 class _WidthSums:
-    """Every sum of shape widths up to the box width, each rectangle left
-    out or in it as one of its shapes (_shapes).  Two flat arrays sorted by
-    sum, read through memoryviews: sums and used (bit k set when shape k is
-    in the sum).  Built by _width_sums."""
+    """Every sum of shape widths up to a frame's box width, each rectangle
+    left out or in it as one of its shapes (_shapes).  Two flat arrays
+    sorted by sum, read through memoryviews: sums and used (bit k set when
+    shape k is in the sum).  Built by _width_sums."""
 
     def __init__(self, sums: np.ndarray, used: np.ndarray, tol: float):
         self.sums, self.used, self.tol = memoryview(sums), memoryview(used), tol
@@ -65,11 +73,12 @@ class _WidthSums:
         return allowed
 
 
-def _width_sums(sys: mo.MomentSystem, shapes: list) -> _WidthSums | None:
-    """The width sums of shapes (_shapes); None when the table would hold
-    more than WIDTH_SUMS_CAP sums or there are more than 64 shapes (a
-    bitmask is one machine word: 32 bits up to 32 shapes, else 64).  Sums
-    up to the box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Each
+def _width_sums(shapes: list, width: float, n: int) -> _WidthSums | None:
+    """The width sums of the shapes (i, w, h) of n rectangles, as a frame
+    sees them (Search.shapes); None when the table would hold more than
+    WIDTH_SUMS_CAP sums or there are more than 64 shapes (a bitmask is one
+    machine word: 32 bits up to 32 shapes, else 64).  Sums up to the
+    frame's box width plus tol = (n + 1) * DEFAULT_TOL are kept.  Each
     rectangle in index order joins, as each of its shapes, every sum so far
     that stays within that bound, so a sum adds its members in index order,
     and a step holds no more than the old sums, the new ones, one shifted
@@ -77,10 +86,10 @@ def _width_sums(sys: mo.MomentSystem, shapes: list) -> _WidthSums | None:
     if len(shapes) > 64:
         return None
     word = np.uint32 if len(shapes) <= 32 else np.uint64
-    tol = (sys.n_rects + 1) * DEFAULT_TOL
-    limit = sys.box_w + tol
+    tol = (n + 1) * DEFAULT_TOL
+    limit = width + tol
     sums, used = np.zeros(1), np.zeros(1, dtype=word)
-    ways = [[] for _ in range(sys.n_rects)]  # each rectangle's (width, bit)
+    ways = [[] for _ in range(n)]  # each rectangle's (width, bit)
     for k, (i, w, _) in enumerate(shapes):
         ways[i].append((w, word(1 << k)))
     for options in ways:
@@ -100,9 +109,10 @@ def _width_sums(sys: mo.MomentSystem, shapes: list) -> _WidthSums | None:
 
 class Fill(NamedTuple):
     """How a gap fill ended.  path holds the placements (i, x, y, w, h) of
-    the tiling it reached, else None; nodes counts the placements it made;
-    emptied says its stack emptied, so its whole tree held no tiling.  A
-    fill with no path that did not empty spent its budget."""
+    the tiling it reached, in the given frame, else None; nodes counts the
+    placements it made; emptied says its stack emptied, so its whole tree
+    held no tiling.  A fill with no path that did not empty spent its
+    budget."""
 
     path: list | None
     nodes: int
@@ -110,28 +120,37 @@ class Fill(NamedTuple):
 
 
 class Search:
-    """One solve's gap-fill search: the system's shapes (_shapes) in the
-    solve's mode, and their width sums (_width_sums), built at most once,
-    when the first of its fills backtracks."""
+    """One frame of a solve's gap-fill search: the system's shapes
+    (_shapes) in the solve's mode as the frame sees them, each (i, w, h)
+    given or (i, h, w) transposed, the frame's box (width, height), and the
+    shapes' width sums along that width (_width_sums), built at most once,
+    when the first of its fills backtracks.  Shape k is the same rectangle
+    in the same orientation in either frame."""
 
-    def __init__(self, sys: mo.MomentSystem, mode: str):
-        self.sys, self.shapes = sys, _shapes(sys, mode)
+    def __init__(self, sys: mo.MomentSystem, mode: str, transposed: bool = False):
+        shapes, box = _shapes(sys, mode), (sys.box_w, sys.box_h)
+        if transposed:
+            shapes, box = [(i, h, w) for i, w, h in shapes], box[::-1]
+        self.sys, self.transposed, self.shapes, self.box = sys, transposed, shapes, box
 
     @functools.cached_property
     def width_sums(self) -> _WidthSums | None:
-        return _width_sums(self.sys, self.shapes)
+        return _width_sums(self.shapes, self.box[0], self.sys.n_rects)
 
     def fill(self, order: list, budget: int) -> Fill:
-        """Depth-first search for a tiling of the system's box by its
+        """Depth-first search for a tiling of the frame's box by its
         rectangles, order being the indices into shapes the search tries
-        them in.  A node fills the lowest, then leftmost, segment of the
-        skyline (the top outline of the rectangles placed so far).  Its
+        them in.  Every side, edge and segment below is the frame's: in the
+        transposed frame a segment runs along the box's given height.  A
+        node fills the lowest, then leftmost, segment of the skyline (the
+        top outline of the rectangles placed so far).  Its
         children are the shapes of unplaced rectangles whose width fits the
         segment and whose top stays in the box, those that fill its width
         first, each group in order, skipping a (w, h) already tried there:
         equal shapes are interchangeable.  Widths fit and tops merge within
         DEFAULT_TOL.  Every tiling has a rectangle at the lowest, leftmost
-        uncovered point, so the search is complete for exact tilings; a
+        uncovered point, so the search is complete for exact tilings in
+        either frame (a tiling of one is a tiling of the other); a
         layout verify_layout accepts, with overlaps and gaps within its
         tolerance, may have no complete fill.  A pass lists children once
         per (segment width, height, placed shapes), for every node with that
@@ -154,9 +173,11 @@ class Search:
         whether the table was built before it or not.
 
         The search stops at a tiling, when its stack empties, or after
-        budget placements, counted over both passes (Fill)."""
-        sys, shapes = self.sys, self.shapes
-        tol, n, a, b = DEFAULT_TOL, sys.n_rects, sys.box_w, sys.box_h
+        budget placements, counted over both passes (Fill).  A tiling's
+        placements are mapped back to the given frame, each (i, x, y, w, h)
+        of the transposed frame becoming (i, y, x, h, w)."""
+        shapes, (a, b) = self.shapes, self.box
+        tol, n = DEFAULT_TOL, self.sys.n_rects
         blocks = [0] * n  # each rectangle's shape bits, set in bits once it is placed
         for k, (i, _, _) in enumerate(shapes):
             blocks[i] |= 1 << k
@@ -225,6 +246,8 @@ class Search:
             bits |= blocks[i]
             path.append((i, x, y, w, h))
             if len(path) == n:
+                if self.transposed:
+                    path = [(i, y, x, h, w) for i, x, y, w, h in path]
                 return Fill(path, nodes, False)
             stack.append(children())
         return Fill(None, nodes, not stack)

@@ -17,12 +17,17 @@ default tolerance, the one `momentpack verify` uses, and no start after the
 winner is built.  So more starts never change a verified answer.
 
 Each start is a gap fill (search.py), in an order seeded by the solve's
-seed and the start's index (_start_vector).  Only a fill that places every
-rectangle makes a start; with no start the report is exhausted with reason
-"fill".  LM moves the rectangles of a start, two unknowns each, in the
-orientation its fill chose, never their sides.  So the construction wins
-exact tilings: a start that tiles the box as drawn verifies before any LM
-step (iterations_total 0).  The moment system decides the rest: an
+seed and the start's index (_start_vector), in one of two frames
+(_searches): start k searches frame k mod 2, the frame whose width is the
+shorter box side first, the given frame first in a square box.  Each
+frame's search is complete for exact tilings, and a fill's tiling comes
+back in the given frame, where LM, the moment system and the verifier
+work.  Only a fill that places every rectangle makes a start; with no
+start the report is exhausted with reason "fill".  LM moves the
+rectangles of a start, two unknowns each, in the orientation its fill
+chose, never their sides.  So the construction wins exact tilings: a
+start that tiles the box as drawn verifies before any LM step
+(iterations_total 0).  The moment system decides the rest: an
 instance that tiles only within the verifier's tolerance, whose moment
 system keeps a residual floor above RESIDUAL_TOL, is reported from a start
 that stopped there.  A report's final_residual_inf is the max |r| that
@@ -133,17 +138,27 @@ class SolveReport:
 # -- Initialization ----------------------------------------------------------
 
 
+def _searches(sys: mo.MomentSystem, mode: str) -> tuple[search.Search, search.Search]:
+    """The solve's two frames of gap-fill search, in the order its starts
+    take them: start k fills in the Search at k mod 2.  The frame whose
+    width is the shorter box side comes first (the transposed one when the
+    box is wider than high); a square box starts in the given frame."""
+    wide = sys.box_w > sys.box_h
+    return search.Search(sys, mode, wide), search.Search(sys, mode, not wide)
+
+
 def _start_vector(
     gap_search: search.Search, seed: int, start_index: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """A gap fill (search.Search.fill) of the solve's shapes, in an order
-    drawn from a generator seeded by seed and start_index, within budget
-    placements.  Returns the lower corners of the tiling it reached, the
-    system's unknowns, and the (n, 2) sides each rectangle is placed with:
-    its given pair or that pair swapped; None when the fill ends without a
-    tiling.  Plain Python floats in a fixed order, so a start is the same
-    bytes on every run.  gap_search is the solve's one Search, shared by
-    all its starts."""
+    """A gap fill (search.Search.fill) of the solve's shapes in the frame of
+    gap_search, in an order drawn from a generator seeded by seed and
+    start_index, within budget placements.  Returns the lower corners of the
+    tiling it reached, the system's unknowns, and the (n, 2) sides each
+    rectangle is placed with: its given pair or that pair swapped; None when
+    the fill ends without a tiling.  Plain Python floats in a fixed order,
+    so a start is the same bytes on every run.  gap_search is the solve's
+    Search of the start's frame (_searches), shared by all the starts in
+    that frame."""
     rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
     order = rng.permutation(len(gap_search.shapes)).tolist()
     path = gap_search.fill(order, budget).path
@@ -253,21 +268,21 @@ def solve_multistart(
     mode: str = mo.FIXED,
 ) -> SolveReport:
     """Deterministic multistart over gap-fill starts (_start_vector), each
-    drawn from a generator seeded by cfg.seed and its index.  A start counts
-    as a success only when the layout it stopped at, converged or not,
-    passes geometric verification.  Starts are tried one at a time, in
-    index order, and the first that verifies wins: start k is built (a gap
-    fill that reaches no tiling is no start, and is skipped), handed once to
-    solve_single, which judges it as drawn if its max |r| is not finite or
-    within RESIDUAL_TOL and else descends it, and verified once.  No start
-    after the winner is built.  Without a winner the report carries the
-    lowest (final max |r|, start index); with no start at all it is
-    exhausted, reason "fill".  The arguments are checked first, so a bad
-    mode or max_order raises ValueError for every instance.  An instance
-    that no layout could pass verify_layout with is then rejected before
-    any solving: by its area (area_can_pass, reason "area"), or by a
-    rectangle that fits the box in no allowed orientation (fit_can_pass,
-    reason "fit")."""
+    drawn from a generator seeded by cfg.seed and its index, start k in
+    frame k mod 2 (_searches).  A start counts as a success only when the
+    layout it stopped at, converged or not, passes geometric verification.
+    Starts are tried one at a time, in index order, and the first that
+    verifies wins: start k is built (a gap fill that reaches no tiling is no
+    start, and is skipped), handed once to solve_single, which judges it as
+    drawn if its max |r| is not finite or within RESIDUAL_TOL and else
+    descends it, and verified once.  No start after the winner is built.
+    Without a winner the report carries the lowest (final max |r|, start
+    index); with no start at all it is exhausted, reason "fill".  The
+    arguments are checked first, so a bad mode or max_order raises
+    ValueError for every instance.  An instance that no layout could pass
+    verify_layout with is then rejected before any solving: by its area
+    (area_can_pass, reason "area"), or by a rectangle that fits the box in
+    no allowed orientation (fit_can_pass, reason "fit")."""
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     if mode not in mo._MODES:
@@ -281,9 +296,9 @@ def solve_multistart(
     status, layout, final, iterations, start = "exhausted", None, float("inf"), 0, -1
     if reason is None:
         tried, converged = False, False
-        gap_search = search.Search(sys, mode)  # one for every start
+        searches = _searches(sys, mode)  # one a frame, each shared by its starts
         for k in range(cfg.restarts):
-            built = _start_vector(gap_search, cfg.seed, k, search.GAP_BUDGET)
+            built = _start_vector(searches[k % 2], cfg.seed, k, search.GAP_BUDGET)
             if built is None:
                 continue
             v, s = built
