@@ -7,16 +7,26 @@ tiling of one frame is a tiling of the other with x and y swapped.  Each
 frame's shapes (_shapes, seen in that frame) are one list for all the
 solve's fills in it: every rectangle upright and, in rotatable mode,
 turned where that is another shape, so a fill chooses every turn.
-Search.fill is a depth-first search, in an order the caller draws and
-within a budget of placements the caller passes (the driver passes
-GAP_BUDGET), for a tiling that fills the lowest gap of its frame's
-skyline first; every exact tiling has a complete fill in either frame.
+Search.fill is a depth-first search, in an order and within a budget of
+placements that the caller passes (solve_multistart passes GAP_BUDGET,
+and orders each frame's first start largest first), for a tiling that
+fills the lowest gap of its frame's skyline first; every exact tiling
+has a complete fill in either frame.
 After its first backtrack a fill keeps only the shapes that lie in a sum
 of shape widths of unplaced rectangles matching the gap, read from one
 table of the frame's width sums (widths along the frame's box width: the
 given widths up to A, or the heights up to B) that the Search builds at
 most once, on the first backtrack of any of its fills (_width_sums; past
 WIDTH_SUMS_CAP sums or 64 shapes there is none: the search is unpruned).
+
+Each Search also keeps a record of dead states for all its fills: a
+skyline and set of placed shapes below which a fill has searched every
+child without a tiling (after Zobrist 1970's transposition table, with
+exact keys).  A fill that reaches a recorded state takes that placement
+back at once.  The record skips only subtrees that hold no tiling, so a
+fill that tiles returns the path it would return in a fresh Search; only
+its count of placements depends on the frame's earlier fills, and can
+only be lower.
 
 A fill ends in one of three ways (Fill): tiled, its whole tree searched
 without a tiling, or its budget spent.  Only a tiling makes a start, and
@@ -37,6 +47,7 @@ from .verify import DEFAULT_TOL
 
 GAP_BUDGET = 300  # placements a gap-fill start tries before it stops searching
 WIDTH_SUMS_CAP = 2**19  # sums past which a solve's gap fills run unpruned
+DEAD_MIN = 8  # placements a dead state's subtree took before a Search records it
 
 
 def _shapes(sys: mo.MomentSystem, mode: str) -> list[tuple[int, float, float]]:
@@ -124,14 +135,18 @@ class Search:
     (_shapes) in the solve's mode as the frame sees them, each (i, w, h)
     given or (i, h, w) transposed, the frame's box (width, height), and the
     shapes' width sums along that width (_width_sums), built at most once,
-    when the first of its fills backtracks.  Shape k is the same rectangle
-    in the same orientation in either frame."""
+    when the first of its fills backtracks, and the record of dead states
+    its fills share (dead: for each bitmask of placed shapes, the skylines
+    (edges, tops) that lead to no tiling with those shapes placed, as
+    tuples of floats, compared exactly).  Shape k is the same rectangle in
+    the same orientation in either frame."""
 
     def __init__(self, sys: mo.MomentSystem, mode: str, transposed: bool = False):
         shapes, box = _shapes(sys, mode), (sys.box_w, sys.box_h)
         if transposed:
             shapes, box = [(i, h, w) for i, w, h in shapes], box[::-1]
         self.sys, self.transposed, self.shapes, self.box = sys, transposed, shapes, box
+        self.dead: dict[int, set] = {}
 
     @functools.cached_property
     def width_sums(self) -> _WidthSums | None:
@@ -172,20 +187,45 @@ class Search:
         on its first descent builds no table, and a fill is the same
         whether the table was built before it or not.
 
+        Dead states: a node whose children have all been tried leads to no
+        tiling, in either pass (a pruned child leads to none), and its
+        state, the skyline's edges and tops and the placed shapes, holds
+        all the node's subtree depends on.  When that subtree took at least
+        DEAD_MIN placements, or the node is the empty box, the state joins
+        the Search's record (dead), which every later node of this and
+        later fills in the frame looks up: a node at a recorded state has
+        no children, so the placement that reached it is taken back at
+        once, and reaching it is a backtrack (the first one starts the
+        pruned pass).  Of equal shapes only one is tried at a node, but
+        swapping two equal rectangles maps tilings to tilings, so a dead
+        state has no tiling under any order.  Skipping only subtrees with no
+        tiling, a fill that tiles returns the path a fill in a fresh Search
+        returns, in no more placements; a fill whose stack empties leaves
+        the empty box recorded, and every later fill in the frame empties.
+        So a fill's path and ending, within the budget a fresh Search needs,
+        do not depend on the fills before it, and its count of placements
+        does; with a budget that a fresh Search spends, an earlier fill can
+        let a later one reach its tiling.
+
         The search stops at a tiling, when its stack empties, or after
         budget placements, counted over both passes (Fill).  A tiling's
         placements are mapped back to the given frame, each (i, x, y, w, h)
         of the transposed frame becoming (i, y, x, h, w)."""
-        shapes, (a, b) = self.shapes, self.box
+        shapes, (a, b), dead = self.shapes, self.box, self.dead
         tol, n = DEFAULT_TOL, self.sys.n_rects
         blocks = [0] * n  # each rectangle's shape bits, set in bits once it is placed
         for k, (i, _, _) in enumerate(shapes):
             blocks[i] |= 1 << k
-        xs, tops = [0.0, a], [0.0]  # segment j spans xs[j] to xs[j + 1]
+        xs, tops = (0.0, a), (0.0,)  # segment j spans xs[j] to xs[j + 1]
         bits, path, undo = 0, [], []
         sums, first, lookups = None, True, {}
 
-        def children() -> tuple[int, Iterator]:
+        def children(count: int) -> tuple[int, Iterator, int]:
+            # A node: its segment, its children and the placements made
+            # before it.  A recorded dead state has no children.
+            skylines = dead.get(bits)
+            if skylines is not None and (xs, tops) in skylines:
+                return 0, iter(()), count
             y = min(tops)
             j = tops.index(y)
             gap = xs[j + 1] - xs[j]
@@ -194,7 +234,7 @@ class Search:
             if kids is None:
                 allowed = -1 if sums is None else sums.allows(gap, bits)
                 kids = lookups[key] = fitting(allowed, gap, y)
-            return j, iter(kids)
+            return j, iter(kids), count
 
         def fitting(allowed: int, gap: float, y: float) -> list:
             # The children among the shapes in the bitmask allowed (-1: all).
@@ -209,22 +249,23 @@ class Search:
                 (exact if w >= narrow else rest).append(shape)
             return exact + rest
 
-        stack, nodes = [children()], 0
+        stack, nodes = [children(0)], 0
         while stack and nodes < budget:
-            j, todo = stack[-1]
+            j, todo, since = stack[-1]
             child = next(todo, None)
-            if child is None:  # every child tried: take back the placement made here
+            if child is None:  # every child tried: no tiling below this node
+                if nodes - since >= DEAD_MIN or len(stack) == 1:
+                    dead.setdefault(bits, set()).add((xs, tops))
                 if first:  # the first backtrack: start again, pruned
                     sums, first = self.width_sums, False
                     if sums is not None:
-                        xs, tops, bits, path, undo, lookups = [0.0, a], [0.0], 0, [], [], {}
-                        stack = [children()]
+                        xs, tops, bits, path, undo, lookups = (0.0, a), (0.0,), 0, [], [], {}
+                        stack = [children(nodes)]
                         continue
                 stack.pop()
-                if path:
+                if path:  # take back the placement made here
                     bits ^= blocks[path.pop()[0]]
-                    lo, count, old_xs, old_tops = undo.pop()
-                    xs[lo : lo + count], tops[lo : lo + count] = old_xs, old_tops
+                    xs, tops = undo.pop()
                 continue
             nodes += 1
             i, w, h = child
@@ -235,19 +276,20 @@ class Search:
             t = y + h
             left = j > 0 and abs(tops[j - 1] - t) <= tol
             lo, hi = (j - 1 if left else j), j + 1
-            new_xs, new_tops = [xs[lo]], [tops[lo] if left else t]
+            top = tops[lo] if left else t
             if w < xs[hi] - x - tol:
-                new_xs.append(x + w)
-                new_tops.append(y)
-            elif hi < len(tops) and abs(tops[hi] - t) <= tol:
-                hi += 1
-            undo.append((lo, len(new_xs), xs[lo:hi], tops[lo:hi]))
-            xs[lo:hi], tops[lo:hi] = new_xs, new_tops
+                new_xs, new_tops = (xs[lo], x + w), (top, y)
+            else:
+                new_xs, new_tops = (xs[lo],), (top,)
+                if hi < len(tops) and abs(tops[hi] - t) <= tol:
+                    hi += 1
+            undo.append((xs, tops))
+            xs, tops = xs[:lo] + new_xs + xs[hi:], tops[:lo] + new_tops + tops[hi:]
             bits |= blocks[i]
             path.append((i, x, y, w, h))
             if len(path) == n:
                 if self.transposed:
                     path = [(i, y, x, h, w) for i, x, y, w, h in path]
                 return Fill(path, nodes, False)
-            stack.append(children())
+            stack.append(children(nodes))
         return Fill(None, nodes, not stack)

@@ -16,22 +16,27 @@ is handed once, as it stopped, converged or not, to verify_layout at its
 default tolerance, the one `momentpack verify` uses, and no start after the
 winner is built.  So more starts never change a verified answer.
 
-Each start is a gap fill (search.py), in an order seeded by the solve's
-seed and the start's index (_start_vector), in one of two frames
-(_searches): start k searches frame k mod 2, the frame whose width is the
-shorter box side first, the given frame first in a square box.  Each
-frame's search is complete for exact tilings, and a fill's tiling comes
-back in the given frame, where LM, the moment system and the verifier
-work.  Only a fill that places every rectangle makes a start; with no
-start the report is exhausted with reason "fill".  LM moves the
-rectangles of a start, two unknowns each, in the orientation its fill
-chose, never their sides.  So the construction wins exact tilings: a
-start that tiles the box as drawn verifies before any LM step
-(iterations_total 0).  The moment system decides the rest: an
-instance that tiles only within the verifier's tolerance, whose moment
-system keeps a residual floor above RESIDUAL_TOL, is reported from a start
-that stopped there.  A report's final_residual_inf is the max |r| that
-judged its start.  Reports are bitwise deterministic for fixed arguments.
+Each start is a gap fill (search.py) in one of two frames (_searches):
+start k searches frame k mod 2, the frame whose width is the shorter box
+side first, the given frame first in a square box.  Each frame's first
+start (k = 0 or 1) tries the shapes largest area first, after the
+decreasing orders of Baker, Coffman & Rivest 1980; every later start in
+an order seeded by the solve's seed and the start's index
+(_start_vector).  Each frame's search is complete for exact tilings.
+Its fills share one record of dead states, so a start can reach its
+tiling in fewer placements than a fresh search would, but never another
+tiling.  A fill's tiling comes back in the given frame, where LM, the
+moment system and the verifier work.  Only a fill that places every
+rectangle makes a start; with no start the report is exhausted with
+reason "fill".  LM moves the rectangles of a start, two unknowns each,
+in the orientation its fill chose, never their sides.  So the
+construction wins exact tilings: a start that tiles the box as drawn
+verifies before any LM step (iterations_total 0).  The moment system
+decides the rest: an instance that tiles only within the verifier's
+tolerance, whose moment system keeps a residual floor above
+RESIDUAL_TOL, is reported from a start that stopped there.  A report's
+final_residual_inf is the max |r| that judged its start.  Reports are
+bitwise deterministic for fixed arguments.
 
 The stop rule is one set of module constants, read at call time.  A start
 runs from lambda LAMBDA0 and stops for one of three reasons: max |r| <=
@@ -151,16 +156,25 @@ def _start_vector(
     gap_search: search.Search, seed: int, start_index: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """A gap fill (search.Search.fill) of the solve's shapes in the frame of
-    gap_search, in an order drawn from a generator seeded by seed and
-    start_index, within budget placements.  Returns the lower corners of the
-    tiling it reached, the system's unknowns, and the (n, 2) sides each
-    rectangle is placed with: its given pair or that pair swapped; None when
-    the fill ends without a tiling.  Plain Python floats in a fixed order,
-    so a start is the same bytes on every run.  gap_search is the solve's
-    Search of the start's frame (_searches), shared by all the starts in
-    that frame."""
-    rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
-    order = rng.permutation(len(gap_search.shapes)).tolist()
+    gap_search, within budget placements.  The frame's first start
+    (start_index 0 or 1) tries the shapes by area, largest first, ties in
+    shape order, and draws no generator; a later one tries them in an order
+    drawn from a generator seeded by seed and start_index.  Returns the
+    lower corners of the tiling it reached, the system's unknowns, and the
+    (n, 2) sides each rectangle is placed with: its given pair or that pair
+    swapped; None when the fill ends without a tiling.  Plain Python floats
+    in a fixed order, so a start is the same bytes on every run.
+    gap_search is the solve's Search of the start's frame (_searches),
+    shared by all the starts in that frame: its record of dead states, left
+    by the frame's earlier starts, can only let the fill reach its tiling
+    in fewer placements, so within the budget a fresh Search needs the
+    start does not depend on them."""
+    shapes = gap_search.shapes
+    if start_index < 2:  # the frame's first start: largest area first
+        order = sorted(range(len(shapes)), key=lambda k: -shapes[k][1] * shapes[k][2])
+    else:
+        rng = np.random.default_rng(seed * _SEED_STRIDE + start_index)
+        order = rng.permutation(len(shapes)).tolist()
     path = gap_search.fill(order, budget).path
     if path is None:
         return None
@@ -268,14 +282,15 @@ def solve_multistart(
     mode: str = mo.FIXED,
 ) -> SolveReport:
     """Deterministic multistart over gap-fill starts (_start_vector), each
-    drawn from a generator seeded by cfg.seed and its index, start k in
-    frame k mod 2 (_searches).  A start counts as a success only when the
-    layout it stopped at, converged or not, passes geometric verification.
-    Starts are tried one at a time, in index order, and the first that
-    verifies wins: start k is built (a gap fill that reaches no tiling is no
-    start, and is skipped), handed once to solve_single, which judges it as
-    drawn if its max |r| is not finite or within RESIDUAL_TOL and else
-    descends it, and verified once.  No start after the winner is built.
+    frame's first largest first and each later one drawn from a generator
+    seeded by cfg.seed and its index, start k in frame k mod 2 (_searches).
+    A start counts as a success only when the layout it stopped at,
+    converged or not, passes geometric verification.  Starts are tried
+    one at a time, in index order, and the first that verifies wins: start
+    k is built (a gap fill that reaches no tiling is no start, and is
+    skipped), handed once to solve_single, which judges it as drawn if its
+    max |r| is not finite or within RESIDUAL_TOL and else descends it, and
+    verified once.  No start after the winner is built.
     Without a winner the report carries the lowest (final max |r|, start
     index); with no start at all it is exhausted, reason "fill".  The
     arguments are checked first, so a bad mode or max_order raises

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import types
@@ -653,6 +654,30 @@ def test_a_call_after_other_flags_prints_what_a_fresh_process_prints(capsys, tmp
         text=True,
     )
     assert in_process == ((proc.returncode, proc.stdout, proc.stderr), layout_path.read_text())
+
+
+def test_solve_prints_the_same_bytes_under_any_hash_seed(tmp_path):
+    # A ladder question (a 20-rectangle dissection of the 10x8 box, fixed
+    # mode, 2 starts, the dissection's seed) whose fills reach states the
+    # search has recorded dead: the record is hash sets keyed by the placed
+    # rectangles and the skyline, and a solve must not depend on their
+    # order.  Processes under two hash seeds print the same bytes and write
+    # the same layout.
+    inst, _ = gen_guillotine(16, 19, BoxSpec(10, 8))
+    inst_path = tmp_path / "ladder.json"
+    inst_path.write_text(serialize_instance(inst) + "\n")
+    runs = []
+    for hash_seed in ("0", "1"):
+        layout_path = tmp_path / f"layout{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentpack", "solve", str(inst_path), "--mode", "fixed",
+             "--restarts", "2", "--seed", "16", "--out", str(layout_path)],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        runs.append((proc.returncode, proc.stdout, proc.stderr, layout_path.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and strict_loads(runs[0][1])["status"] == "converged_verified"
 
 
 def test_a_usage_error_leaves_the_parser_working(capsys, tmp_path):

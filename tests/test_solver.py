@@ -265,6 +265,18 @@ def reference_gap_fill(gap_search, order, budget):
     return search.Fill(path, first + nodes, emptied)
 
 
+def assert_fill_is_the_reference(result, ref, finished=None):
+    """A fill of the search, which skips the states its Search has recorded
+    dead, ends as the record-free reference fill ref: the same path and
+    ending, in no more placements.  Where ref spent its budget and result,
+    having skipped dead subtrees, did not, result ends as finished(), the
+    reference given the budget to finish."""
+    if ref.path is None and not ref.emptied and (result.path is not None or result.emptied):
+        ref = finished()
+    assert (result.path, result.emptied) == (ref.path, ref.emptied)
+    assert result.nodes <= ref.nodes
+
+
 def built_starts(sys, mode, seed, indices, budget=search.GAP_BUDGET):
     """The starts of the given indices, built as solve_multistart builds
     them: from one search.Search a frame (solver._searches), start k from
@@ -523,8 +535,8 @@ def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(mode):
     # rectangles, with a budget that lets both searches finish: the pruned
     # search places every rectangle exactly when the unpruned one does, and
     # then the same way, since it skips only children that lead to no tiling;
-    # else both search their whole tree.  Each fill ends as the reference's
-    # to the node.
+    # else both search their whole tree.  Each fill ends as the reference's,
+    # which records no dead state, in no more placements.
     budget = 10**6
     tiled = untiled = 0
     for seed in range(12):
@@ -538,7 +550,8 @@ def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(mode):
             sys = mo.build_system(inst)
             for k in range(4):
                 result, _ = gap_fill_result(sys, mode, seed, k, budget=budget)
-                assert result == gap_fill_result(sys, mode, seed, k, reference_gap_fill, budget)[0]
+                ref, _ = gap_fill_result(sys, mode, seed, k, reference_gap_fill, budget)
+                assert_fill_is_the_reference(result, ref)
                 ref, _ = gap_fill_result(sys, mode, seed, k, unpruned_gap_fill, budget)
                 assert result.path == ref.path
                 assert result.emptied == ref.emptied == (ref.path is None)
@@ -548,27 +561,72 @@ def test_pruned_gap_fill_tiles_exactly_when_the_unpruned_one_does(mode):
 
 def test_kept_child_lists_change_no_fill():
     # The search keeps each node's child list for a pass and drops the lists
-    # at its restart; the reference lists them anew at every node.  At the
-    # default budget, where a placement spent on a child the table rules out
-    # can cost a start its tiling, every fill ends as the reference's, path,
-    # nodes and ending, bit for bit: fixed-mode dissections and near-tilings
-    # of N = 20 (seeds 0-5) and rotatable dissections of N = 20 (seeds
-    # 12-23), four starts each, two in each frame.
+    # at its restart; the reference lists them anew at every node and
+    # records no dead state.  At the default budget, where a placement spent
+    # on a child the table rules out can cost a start its tiling, every fill
+    # ends as the reference's, path and ending bit for bit, in no more
+    # placements: fixed-mode dissections and near-tilings of N = 20 (seeds
+    # 0-5) and rotatable dissections of N = 20 (seeds 12-23), four starts
+    # each, two in each frame.  Three fills tile within the budget that the
+    # reference spends; each tiles as the reference does given 10^6.
     box = BoxSpec(10.0, 8.0)
     cases = [(gen_guillotine(seed, 19, box)[0], mo.ROTATABLE, seed) for seed in range(12, 24)]
     for seed in range(6):
         for inst in (gen_guillotine(seed, 19, box)[0], near_guillotine(seed, 19, box)[0]):
             cases.append((inst, mo.FIXED, seed))
-    tiled = untiled = 0
+    tiled = untiled = ahead = 0
     for inst, mode, seed in cases:
         sys = mo.build_system(inst)
         for k in range(4):
             result, start = gap_fill_result(sys, mode, seed, k)
             ref, ref_start = gap_fill_result(sys, mode, seed, k, reference_gap_fill)
-            assert result == ref
-            assert start_bytes(start) == start_bytes(ref_start)
+            finished = lambda: gap_fill_result(sys, mode, seed, k, reference_gap_fill, 10**6)[0]
+            assert_fill_is_the_reference(result, ref, finished)
+            if result.path == ref.path:
+                assert start_bytes(start) == start_bytes(ref_start)
+            else:
+                ahead += 1
             tiled, untiled = tiled + (ref.path is not None), untiled + (ref.path is None)
-    assert tiled > 30 and untiled > 30
+    assert tiled > 30 and untiled > 30 and ahead == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cuts=st.integers(0, 7),
+    kind=st.sampled_from(["plain", "turned", "near"]),
+    box=st.sampled_from([BoxSpec(10.0, 8.0), BoxSpec(3.0, 7.5)]),
+    mode=st.sampled_from([mo.FIXED, mo.ROTATABLE]),
+    transposed=st.booleans(),
+    budget=st.sampled_from([20, search.GAP_BUDGET, 10**6]),
+    data=st.data(),
+)
+def test_fills_sharing_a_record_end_as_fresh_ones(
+    seed, cuts, kind, box, mode, transposed, budget, data
+):
+    # A sequence of fills in drawn orders on one Search, so each fill
+    # skips the dead states its predecessors recorded, against the same
+    # fills by the record-free reference: small dissections, with
+    # rectangle 0 turned (often no tiling in fixed mode) and
+    # near-tilings, both modes, both frames.  Each ends as the reference,
+    # path and ending, in no more placements.  A fill that empties proves
+    # the frame holds no tiling, so every later fill empties too.
+    inst = (near_guillotine if kind == "near" else gen_guillotine)(seed, cuts, box)[0]
+    if kind == "turned":
+        sides = [(r.width, r.height) for r in inst.rects]
+        sides[0] = sides[0][::-1]
+        inst = Instance.from_sides(sides, box)
+    inst = Instance(inst.rects, inst.box, rotation_allowed=mode == mo.ROTATABLE)
+    sys = mo.build_system(inst)
+    shared, fresh = (search.Search(sys, mode, transposed) for _ in range(2))
+    orders = data.draw(st.lists(st.permutations(range(len(shared.shapes))), min_size=1, max_size=6))
+    emptied = False
+    for order in orders:
+        result = shared.fill(order, budget)
+        ref = reference_gap_fill(fresh, order, budget)
+        assert_fill_is_the_reference(result, ref, lambda: reference_gap_fill(fresh, order, 10**6))
+        assert result.emptied or not emptied
+        emptied = result.emptied
 
 
 def test_starts_do_not_depend_on_what_was_solved_before():
@@ -844,8 +902,10 @@ def test_a_layout_within_tolerance_can_have_no_complete_fill(monkeypatch):
     # that leaves a 2e-7 gap at the right wall pass verify_layout at
     # DEFAULT_TOL with no area gap, in both modes; yet every start's fill of
     # these sides searches its whole tree without a tiling, in either frame,
-    # well within the default budget: in 11 nodes in the given frame and 114
-    # in the transposed one in fixed mode, 125 in both in rotatable.
+    # well within the default budget: the first start of each frame in 11
+    # nodes in the given frame and 114 in the transposed one in fixed mode,
+    # 125 and 127 in rotatable.  Each frame's record then holds the empty
+    # box, so every later start empties at once, in no placement.
     # So an exhausted "fill" report is no proof of infeasibility: a solve
     # must not call this instance infeasible until the verifier and the
     # search share one tolerance model (ROADMAP, "One tolerance model").
@@ -853,7 +913,7 @@ def test_a_layout_within_tolerance_can_have_no_complete_fill(monkeypatch):
     corners = [(0.0, 0.0), (0.3 - 0.9e-7, 0.0), (0.6 - 1.8e-7, 0.0), (0.0, 0.5), (0.55, 0.5)]
     layout = Layout(tuple(Placement(x, y, x + w, y + h) for (x, y), (w, h) in zip(corners, sides)))
     fills = record_fills(monkeypatch)
-    for mode, nodes in ((mo.FIXED, {11, 114}), (mo.ROTATABLE, {125})):
+    for mode, nodes in ((mo.FIXED, [11, 114]), (mo.ROTATABLE, [125, 127])):
         inst = Instance.from_sides(sides, BoxSpec(1, 1), rotation_allowed=mode == mo.ROTATABLE)
         result = verify_layout(inst, layout, tol=DEFAULT_TOL)
         assert result.passed and result.area_gap == 0.0, mode
@@ -861,15 +921,16 @@ def test_a_layout_within_tolerance_can_have_no_complete_fill(monkeypatch):
         report = solve_multistart(inst, SolveConfig(restarts=8), mode=mode)
         assert report.status == "exhausted" and report.reason == "fill", mode
         assert len(fills) == 8 and all(f.path is None and f.emptied for f in fills), mode
-        assert {f.nodes for f in fills} == nodes, mode
+        assert [f.nodes for f in fills] == nodes + [0] * 6, mode
 
 
 def test_a_dissection_with_one_rectangle_turned_searches_every_whole_tree(monkeypatch):
     # `gen guillotine --seed 7 --cuts 5 --box 10 8` with rectangle 4
     # turned.  In fixed mode no upright layout tiles it, and each of 16
-    # starts searches its whole tree far within the budget: the even starts
-    # in the transposed frame, the box's shorter side its width, in 45-48
-    # nodes, the odd ones in the given frame in 16-19.  Every start
+    # starts searches its whole tree far within the budget: start 0 in the
+    # transposed frame, the box's shorter side its width, in 47 nodes, start
+    # 1 in the given frame in 17.  Each frame's record then holds the empty
+    # box, so every later start empties in no placement.  Every start
     # backtracks, and the solve builds the width-sum table of each frame
     # once.
     inst, _ = gen_guillotine(7, 5, BoxSpec(10.0, 8.0))
@@ -881,8 +942,7 @@ def test_a_dissection_with_one_rectangle_turned_searches_every_whole_tree(monkey
     report = solve_multistart(turned, SolveConfig(restarts=16), mode=mo.FIXED)
     assert report.status == "exhausted" and report.reason == "fill"
     assert len(fills) == 16 and all(f.path is None and f.emptied for f in fills)
-    assert {f.nodes for f in fills[::2]} <= set(range(45, 49))
-    assert {f.nodes for f in fills[1::2]} <= set(range(16, 20))
+    assert [f.nodes for f in fills] == [47, 17] + [0] * 14
     assert len(tables) == 2
 
 
@@ -911,11 +971,29 @@ def test_a_ladder_dissection_of_twenty_spends_the_budget(monkeypatch):
     # benchmark's ladder solves it (fixed mode, 2 starts, the dissection's
     # seed): neither start tiles or searches its whole tree; each spends
     # the whole budget, and the report is exhausted with reason "fill".
-    inst, _ = gen_guillotine(16, 19, BoxSpec(10, 8))
+    # Of seeds 0-199, only 6, 111, 139, 178 and 183 do so.
+    inst, _ = gen_guillotine(6, 19, BoxSpec(10, 8))
     fills = record_fills(monkeypatch)
-    report = solve_multistart(inst, SolveConfig(restarts=2, seed=16), mode=mo.FIXED)
+    report = solve_multistart(inst, SolveConfig(restarts=2, seed=6), mode=mo.FIXED)
     assert report.status == "exhausted" and report.reason == "fill"
     assert fills == [search.Fill(None, search.GAP_BUDGET, False)] * 2
+
+
+def test_ladder_dissections_of_twenty_tile_within_two_starts():
+    # Dissections of the 10x8 box into 20 rectangles, seeds 0-47, solved as
+    # the benchmark's ladder solves them (fixed mode, 2 starts, the
+    # dissection's seed): each frame's first start tries the largest shapes
+    # first, and each skips the states its frame's record holds.  All but
+    # seed 6 tile as drawn.  With random first orders and no record, 40 of
+    # the 48 did, missing seeds 16, 22, 29, 37, 39, 40, 43 and 44.
+    verified = []
+    for seed in range(48):
+        inst, _ = gen_guillotine(seed, 19, BoxSpec(10, 8))
+        report = solve_multistart(inst, SolveConfig(restarts=2, seed=seed), mode=mo.FIXED)
+        if report.status == "converged_verified":
+            assert report.iterations_total == 0
+            verified.append(seed)
+    assert len(verified) >= 47
 
 
 def test_multistart_rotatable_mode():
@@ -1486,10 +1564,10 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
     # Each built start is handed once to solve_single, which evaluates its
     # max |r| once, at x0, and the report carries the value that judged its
     # start: the one at x0 for a start that wins as drawn, after one cost
-    # and no step, its descent's for a winner that took LM steps.  Start 3
+    # and no step, its descent's for a winner that took LM steps.  Start 2
     # of this N = 20 dissection is the first to tile as drawn, and the gap
-    # fills of starts 0-2 reach no tiling, so they are not built; start 0 of
-    # the near-tiling descends and wins.
+    # fills of starts 0 and 1 reach no tiling, so they are not built; start
+    # 0 of the near-tiling descends and wins.
     values = []
     residual = mo.residual
 
@@ -1506,10 +1584,10 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
         return descents[-1]
 
     monkeypatch.setattr(solver, "solve_single", recording_single)
-    inst, _ = gen_guillotine(51, 19, BoxSpec(10.0, 8.0))
-    report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=5, seed=51))
+    inst, _ = gen_guillotine(111, 19, BoxSpec(10.0, 8.0))
+    report = solve_multistart(inst, SolveConfig(restarts=4, max_iters=5, seed=111))
     assert report.status == "converged_verified" and report.iterations_total == 0
-    assert report.start_index == 3 and len(values) == len(descents) == 1
+    assert report.start_index == 2 and len(values) == len(descents) == 1
     [(_, costs, r_max)] = descents
     assert len(costs) == 1 and r_max == values[-1]
     assert report.final_residual_inf == values[-1] <= solver.RESIDUAL_TOL
@@ -1525,19 +1603,19 @@ def test_final_residual_is_the_one_that_judged_the_winner(monkeypatch):
 
 
 def test_incomplete_fills_never_descend(monkeypatch):
-    # The gap fills of starts 0, 4 and 5 of this near-tiling of N = 15
-    # reach no tiling within search.GAP_BUDGET (found by a search over
-    # near_guillotine seeds); starts 1-3, 6 and 7 do.  Start 1 is the first
+    # The gap fills of starts 0 and 6 of this near-tiling of N = 15 reach
+    # no tiling within search.GAP_BUDGET (found by a search over
+    # near_guillotine seeds); starts 1-5 and 7 do.  Start 1 is the first
     # start built and the only one handed to solve_single; it wins after LM
     # steps, and the report names it by its own index.  With no complete
     # fill no start is handed to it.
     descended = record_calls(monkeypatch, solver, "solve_single")
-    inst, _ = near_guillotine(15, 14, BoxSpec(10.0, 8.0))
+    inst, _ = near_guillotine(210, 14, BoxSpec(10.0, 8.0))
     cfg = SolveConfig(restarts=8)
     sys = mo.build_system(inst)
     starts = built_starts(sys, mo.FIXED, cfg.seed, range(cfg.restarts))
     complete = [k for k, start in enumerate(starts) if start is not None]
-    assert complete == [1, 2, 3, 6, 7]
+    assert complete == [1, 2, 3, 4, 5, 7]
     report = solve_multistart(inst, cfg, mode=mo.FIXED)
     [(_, x0, _, sides)] = descended
     assert x0.tobytes() == starts[1][0].tobytes() and sides.tobytes() == starts[1][1].tobytes()
@@ -1573,11 +1651,11 @@ def test_more_starts_never_change_a_verified_report(monkeypatch):
         assert_report_is(reports[1], reports[0])
     # The dominoes tile the box only within the verifier's tolerance, so
     # the moment residual cannot fall below about 1e-8, far above the
-    # convergence bound 1e-10.  Start 0 stops there after 4 LM steps, where
+    # convergence bound 1e-10.  Start 0 stops there after 3 LM steps, where
     # no step lowers its cost, and its layout must still verify with its
     # corners cancelling.
     report = solve_multistart(dominoes, SolveConfig(restarts=8), mode=mo.FIXED)
-    assert (report.start_index, report.iterations_total) == (0, 4)
+    assert (report.start_index, report.iterations_total) == (0, 3)
     assert corner_cancellation(report.best_layout, dominoes.box)
 
 
