@@ -234,8 +234,8 @@ def jacobian(sys: MomentSystem, vars: np.ndarray, sides: np.ndarray | None = Non
 
 def _corner_array(layout: Layout) -> np.ndarray:
     """The placements as an (n, 4) float64 array, rows x_lo, y_lo, x_hi,
-    y_hi: the one place a layout becomes floats.  Each number converts as
-    float() converts it, raising the same OverflowError."""
+    y_hi.  Each number converts as float() converts it, raising the same
+    OverflowError."""
     rows = [(p.x_lo, p.y_lo, p.x_hi, p.y_hi) for p in layout.placements]
     return np.array(rows, dtype=float).reshape(-1, 4)
 

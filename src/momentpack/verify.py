@@ -6,15 +6,23 @@ total area per rectangle, then the interior-disjointness of every pair.
 tol has one meaning: every per-rectangle and per-pair test compares a
 length (overhang, side error, penetration depth min(ow, oh) of a pair)
 with eps = tol * scale, scale = max(A, B); only the total area gap is
-compared with tol * A * B.  The checks run over numpy arrays, one row of
-numbers per rectangle.  Pairs come from a sort and sweep on x (Bentley &
-Wood 1980): placements are taken in x_lo order, and each is tested only
-against the later ones whose x_lo lies below its x_hi, since no other pair
-can overlap in x.  searchsorted finds where each placement's run of
-candidates ends; the candidates are then numbered and tested in blocks of
-_BLOCK pairs, so memory stays O(n + _BLOCK).  A tiling by n full-width
-strips still tests all n(n-1)/2 pairs; guillotine-like layouts test a few
-per rectangle.
+compared with tol * A * B.  It reads the layout as one list of Python
+numbers, in _numbers's order, and has two cores, chosen by size, that give
+the same report bit for bit.  A layout of at most _SMALL rectangles runs
+the row core, over tuples of Python numbers, one per rectangle; a larger
+one runs the array core, over numpy arrays, one row of numbers per
+rectangle.  _SMALL = 48 is where the two cost the same on guillotine
+dissections (about 55 us a verify_layout call): below it numpy's fixed
+cost per call outweighs the row core's Python work per rectangle and pair.
+Both find pairs by a sort and sweep on x (Bentley & Wood 1980): placements
+are taken in x_lo order, and each is tested only against the later ones
+whose x_lo lies below its x_hi, since no other pair can overlap in x.  The
+row core walks each placement's run of candidates to its end; the array
+core finds where each run ends with searchsorted, then numbers the
+candidates and tests them in blocks of _BLOCK pairs, so memory stays
+O(n + _BLOCK).  A tiling by n full-width strips still tests all n(n-1)/2
+pairs (at n = 48 the row core takes about 80 us there, the array core
+50); guillotine-like layouts test a few per rectangle.
 
 * verify_layout: the core over floats; reports every violation it finds,
   naming each rectangle (and its placement) by its 1-based position,
@@ -25,11 +33,12 @@ per rectangle.
   boundary contact is legal and interior overlap is not.  These tests are
   invariant under a positive scale, so instances._exact converts every
   number to a Python int or a Fraction first, and the checks then run over
-  ints on the common grid (the lcm of all denominators).  The largest
-  value they compute is the total placed area, so with every grid value
-  at most M in size they run on int64 arrays when (4n + 1) * M**2 < 2**63,
-  and otherwise on object arrays of Python ints, which never overflow.
-  The sweep stops at its first block that holds an overlap.
+  ints on the common grid (the lcm of all denominators).  The row core
+  computes on Python ints.  In the array core the largest value computed
+  is the total placed area, so with every grid value at most M in size it
+  runs on int64 arrays when (4n + 1) * M**2 < 2**63, and otherwise on
+  object arrays of Python ints, which never overflow.  The sweep stops at
+  its first overlap; the array core at its first block that holds one.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
   other two corners.  _snap snaps the x values, then the y values, each
@@ -42,9 +51,10 @@ per rectangle.
   next, spans more than eps.
 
 _snap is the package's one coordinate-clustering helper (the public
-snap_layout uses it too), _side_error its one side test, and
-moments._corner_array the one float view of a layout that every float
-check reads.
+snap_layout uses it too), and _side_error its one side test (the row core
+states it as comparisons on each side).  Every float check converts each
+number as float() does: verify_layout through _numbers, the others through
+moments._corner_array.
 
 moment_residual_of_layout bridges back to the equation side: the largest
 normalized residual of the truncated moment system evaluated at the layout,
@@ -73,7 +83,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-7
-_BLOCK = 2**15  # candidate pairs the sweep tests at once: memory O(n + _BLOCK)
+_BLOCK = 2**15  # candidate pairs the array sweep tests at once: memory O(n + _BLOCK)
+_SMALL = 48  # layouts of at most this many rectangles run the row core
 
 
 @dataclass(frozen=True)
@@ -110,22 +121,97 @@ def _side_error(dx, dy, w, h, rotation_allowed: bool):
     return np.minimum(err, np.maximum(abs(dx - h), abs(dy - w))) if rotation_allowed else err
 
 
-def _check(inst: Instance, a, b, boxes: np.ndarray, sides: np.ndarray, tol: float):
-    """Run the checks shared by verify_layout and verify_exact over a (4, n)
-    array of placements, rows x_lo, y_lo, x_hi, y_hi, and a (2, n) array of
-    rect sides, rows w, h: both float64, both int64 when no intermediate can
-    overflow it, or both object arrays of Python ints.
+def _check(inst: Instance, nums: list, tol: float):
+    """Run the checks shared by verify_layout and verify_exact over nums:
+    the box sides, then each placement's x_lo, y_lo, x_hi, y_hi, then each
+    rect's w, h, all Python floats (verify_layout) or all Python ints on
+    the common grid (verify_exact).  Layouts of at most _SMALL rectangles
+    run the row core, _rows, and larger ones the array core, _arrays: the
+    same checks and the same report, bit for bit.
 
     Returns (containment, sizes, area_gap, area_ok, overlaps): the violation
     rows of the O(n) checks in placement order, keyed by 1-based position,
     the total area minus the box area and whether it is within tol, and a
-    lazy iterator over the blocks of the sweep (see _overlaps).
+    lazy iterator over the overlapping pairs (i, j, area), i and j 0-based
+    positions in either order, which the sweep computes as it is read.
 
     Overhang, side error and penetration min(ow, oh) are lengths judged
     against eps = tol * scale; size rows carry the symmetric residuals
     |dx+dy - (w+h)| and |dx*dy - w*h|, overlap rows the area ow * oh.
     """
-    eps = tol * max(a, b)
+    a, b = nums[:2]
+    core = _rows if inst.n_rects <= _SMALL else _arrays
+    containment, sizes, area_gap, overlaps = core(inst, nums, tol * max(a, b))
+    return containment, sizes, area_gap, bool(abs(area_gap) <= tol * a * b), overlaps
+
+
+def _rows(inst: Instance, nums: list, eps):
+    """The row core: the checks over tuples of Python numbers, one per
+    rectangle.  It states each test of a length against eps as plain
+    comparisons, with no numpy call: overhang > eps when some wall is
+    passed by more than eps, and _side_error > eps when, in each allowed
+    orientation, some side is off by more than eps.  area_gap sums the
+    float products with np.sum, in numpy's pairwise order as the array core
+    does, and ints with sum, exactly."""
+    n = inst.n_rects
+    a, b = nums[:2]
+    turn = inst.rotation_allowed
+    corners = iter(nums[2 : 2 + 4 * n])
+    boxes = list(zip(corners, corners, corners, corners))
+    sides = iter(nums[2 + 4 * n :])
+    containment, sizes, areas = [], [], []
+    for k, (x0, y0, x1, y1), w, h in zip(range(1, n + 1), boxes, sides, sides):
+        if x0 < -eps or y0 < -eps or x1 - a > eps or y1 - b > eps:
+            containment.append((k, max(-x0, -y0, x1 - a, y1 - b)))
+        dx, dy = x1 - x0, y1 - y0
+        if (abs(dx - w) > eps or abs(dy - h) > eps) and (
+            not turn or abs(dx - h) > eps or abs(dy - w) > eps
+        ):
+            sizes.append((k, abs(dx + dy - (w + h)), abs(dx * dy - w * h)))
+        areas.append(dx * dy)
+    area_gap = (np.sum(areas) if type(a) is float else sum(areas)) - a * b
+    return containment, sizes, area_gap, _row_overlaps(boxes, eps)
+
+
+def _row_overlaps(boxes: list, eps):
+    """The sort and sweep on x over rows: in x_lo order, each placement s is
+    tested against the later ones t up to the first whose x_lo is at or
+    past its x_hi.  Then x_lo_t >= x_lo_s, so ow = min(x_hi) - x_lo_t, and
+    oh is computed only when ow > eps.  min and max are written as
+    conditional expressions, which pick the same operand and cost less."""
+    order = sorted(range(len(boxes)), key=[box[0] for box in boxes].__getitem__)
+    swept = [boxes[k] for k in order]
+    n = len(swept)
+    for s, (x0, y0, x1, y1) in enumerate(swept):
+        for t in range(s + 1, n):
+            u0, v0, u1, v1 = swept[t]
+            if u0 >= x1:
+                break
+            ow = (x1 if x1 <= u1 else u1) - u0
+            if ow > eps:
+                oh = (y1 if y1 <= v1 else v1) - (y0 if y0 >= v0 else v0)
+                if oh > eps:
+                    yield order[s], order[t], ow * oh
+
+
+def _arrays(inst: Instance, nums: list, eps):
+    """The array core: the checks over numpy arrays, a (4, n) array of
+    placements, rows x_lo, y_lo, x_hi, y_hi, and a (2, n) array of rect
+    sides, rows w, h, with n > _SMALL >= 0.  Floats run on float64.  Ints run on int64 when no
+    intermediate can overflow it: the largest is the area sum, n placed
+    areas, each at most (2M)**2 with every value at most M in size, less
+    the box area, at most M**2.  Past 2**63 they run on object arrays of
+    Python ints, which never overflow."""
+    n = inst.n_rects
+    a, b = nums[:2]
+    if type(a) is float:
+        dtype = float
+    else:
+        big = max(max(nums), -min(nums))
+        dtype = np.int64 if (4 * n + 1) * big * big < 2**63 else object
+    values = np.array(nums, dtype=dtype)
+    boxes = values[2 : 2 + 4 * n].reshape(-1, 4).T
+    sides = values[2 + 4 * n :].reshape(-1, 2).T
     lo, hi = boxes[:2], boxes[2:]
     overhang = np.concatenate((-lo, hi - [[a], [b]])).max(axis=0, initial=0)
     out = (overhang > eps).nonzero()[0]
@@ -137,14 +223,14 @@ def _check(inst: Instance, a, b, boxes: np.ndarray, sides: np.ndarray, tol: floa
         for k, (dx, dy, w, h) in zip(bad.tolist(), np.concatenate((d, sides))[:, bad].T.tolist())
     ]
     area_gap = np.sum(d[0] * d[1]) - a * b
-    area_ok = bool(abs(area_gap) <= tol * a * b)
-    return containment, sizes, area_gap, area_ok, _overlaps(boxes, eps)
+    pairs = (zip(*(v.tolist() for v in block)) for block in _overlaps(boxes, eps))
+    return containment, sizes, area_gap, itertools.chain.from_iterable(pairs)
 
 
 def _overlaps(boxes: np.ndarray, eps):
-    """Sort and sweep on x: yield, block by block, the pairs whose
-    penetration exceeds eps, as arrays of 0-based positions i and j and of
-    their areas ow * oh.
+    """The sort and sweep on x over arrays: yield, block by block, the pairs
+    whose penetration exceeds eps, as arrays of 0-based positions i and j
+    and of their areas ow * oh.
 
     In x_lo order, once x_lo_t >= x_hi_s, ow <= 0 for t and every later t,
     so position s is tested against s + 1, ... up to the first such t,
@@ -158,7 +244,7 @@ def _overlaps(boxes: np.ndarray, eps):
     counts = np.maximum(swept[0].searchsorted(swept[2]) - rank, 0)
     stops = counts.cumsum()
     shift = stops - counts - rank  # candidate k is the pair (s, k - shift[s])
-    total = int(stops[-1]) if n else 0
+    total = int(stops[-1])
     for first in range(0, total, _BLOCK):
         k = np.arange(first, min(first + _BLOCK, total))
         s = stops.searchsorted(k, side="right")
@@ -228,29 +314,32 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
+def _numbers(inst: Instance, layout: Layout) -> list:
+    """Every number the verifiers read, in the order they convert them: the
+    box sides, then each placement's corners, then each rect's sides."""
+    nums = [inst.box.width, inst.box.height]
+    for p in layout.placements:
+        nums += (p.x_lo, p.y_lo, p.x_hi, p.y_hi)
+    for r in inst.rects:
+        nums += (r.width, r.height)
+    return nums
+
+
 def verify_layout(
     inst: Instance, layout: Layout, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Check containment, pairwise interior-disjointness, side fidelity, and
     total area against the box in floats, reporting every violation."""
     _check_tol(tol)
-    # Box, placements, then rect sides: the first that fits no float raises.
     _check_placement_count(inst, layout)
-    a = float(inst.box.width)
-    b = float(inst.box.height)
-    boxes = mo._corner_array(layout).T
-    sides = np.array([(r.width, r.height) for r in inst.rects], dtype=float).reshape(-1, 2).T
-    # Python floats overflow to inf silently, and so do these arrays; np.sum
+    # Python floats overflow to inf silently, and so do numpy's; np.sum
     # sums floats pairwise, so area_gap keeps its bits.
     with np.errstate(over="ignore", invalid="ignore"):
-        containment, sizes, area_gap, area_ok, sweep = _check(inst, a, b, boxes, sides, tol)
-        overlaps = tuple(
-            sorted(
-                ((min(i, j) + 1, max(i, j) + 1), area)
-                for block in sweep
-                for i, j, area in zip(*(v.tolist() for v in block))
-            )
-        )
+        # Box, placements, then rect sides: the first that fits no float
+        # raises.  No name holds the list, so the sweep runs without it.
+        nums = map(float, _numbers(inst, layout))
+        containment, sizes, area_gap, area_ok, sweep = _check(inst, list(nums), tol)
+        overlaps = tuple(sorted(((min(i, j) + 1, max(i, j) + 1), area) for i, j, area in sweep))
     return VerificationReport(
         passed=not containment and not overlaps and not sizes and area_ok,
         containment_violations=tuple(containment),
@@ -272,29 +361,14 @@ def verify_exact(inst: Instance, layout: Layout) -> bool:
     """
     # Box, placements, then rect sides: the first bad number names the error.
     _check_placement_count(inst, layout)
-    n = len(layout.placements)
-    nums = [inst.box.width, inst.box.height]
-    nums += itertools.chain.from_iterable(
-        (p.x_lo, p.y_lo, p.x_hi, p.y_hi) for p in layout.placements
-    )
-    nums += itertools.chain.from_iterable((r.width, r.height) for r in inst.rects)
+    nums = _numbers(inst, layout)
     # Every tol-0 test is invariant under a positive scale, so run them over
     # ints on the common grid of all denominators.
     if not all(type(v) is int for v in nums):
-        nums = _on_grid(nums, n)
-    # The largest intermediate is the area sum: n placed areas, each at most
-    # (2M)**2, less the box area, at most M**2.  Below 2**63 int64 holds
-    # every one; past it, object arrays of Python ints, which never overflow.
-    big = max(max(nums), -min(nums))
-    exact = np.array(nums, dtype=np.int64 if (4 * n + 1) * big * big < 2**63 else object)
-    a, b = nums[:2]
-    boxes = exact[2 : 2 + 4 * n].reshape(-1, 4).T
-    sides = exact[2 + 4 * n :].reshape(-1, 2).T
-    containment, sizes, _, area_ok, sweep = _check(inst, a, b, boxes, sides, 0)
-    # Stop at the first failure: before the sweep, or at its first block
-    # that holds an overlap.
-    failed = containment or sizes or not area_ok
-    return not failed and not any(len(areas) for _, _, areas in sweep)
+        nums = _on_grid(nums, inst.n_rects)
+    containment, sizes, _, area_ok, sweep = _check(inst, nums, 0)
+    # Stop at the first failure: before the sweep, or at its first overlap.
+    return not (containment or sizes or not area_ok) and next(sweep, None) is None
 
 
 def _snap(corners: np.ndarray, sides: tuple[float, float], eps: float) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 
 from momentpack import BoxSpec, Instance, gen_guillotine, squared_rectangle_32x33
 from momentpack import moments as mo
+from momentpack import verify
 
 # Boxes cycled through when building guillotine corpora; mixed aspect ratios
 # so normalization (scale = max side) is exercised off the unit square.
@@ -69,6 +70,16 @@ def turned_back(inst, turn, max_order=None):
     given = [(r.height, r.width) if t else (r.width, r.height) for r, t in zip(inst.rects, turn)]
     sys = mo.build_system(Instance.from_sides(given, inst.box), max_order)
     return sys, np.where(np.asarray(turn)[:, None], sys.sides[:, ::-1], sys.sides)
+
+
+def check_cores(patch: pytest.MonkeyPatch):
+    """Patch verify._SMALL through patch so that every layout with at least
+    one rectangle runs the array core, then every layout the row core:
+    yields the core's name once for each, and patch undoes the change.  A
+    loop over it keeps the test's id."""
+    for core, small in (("arrays", 0), ("rows", 10**9)):
+        patch.setattr(verify, "_SMALL", small)
+        yield core
 
 
 @pytest.fixture(scope="session")

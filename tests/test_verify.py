@@ -38,6 +38,8 @@ from momentpack import verify
 from momentpack.solver import SNAP_FRACTION
 from momentpack.verify import DEFAULT_TOL, VerificationReport
 
+from conftest import check_cores
+
 
 def two_dominoes():
     inst = Instance.from_sides([(1, 2), (1, 2)], BoxSpec(2, 2))
@@ -313,13 +315,14 @@ def test_verify_exact_rejects_non_rational_floats():
         verify_exact(inst, Layout((Placement(0, 0, 0.5, 1),)))
 
 
-def test_verify_exact_checks_every_number_before_any_check():
+def test_verify_exact_checks_every_number_before_any_check(monkeypatch):
     # Rect 1 is placed 2 x 1 against its 1 x 1 sides, so it fails first;
     # rect 2's non-rational side must still raise, not read as a failure.
     inst = Instance.from_sides([(1, 1), (0.5, 2)], BoxSpec(2, 1), False)
     layout = Layout((Placement(0, 0, 2, 1), Placement(1, 0, 2, 1)))
-    with pytest.raises(ValueError, match="rect 2 width: non-rational"):
-        verify_exact(inst, layout)
+    for _ in check_cores(monkeypatch):
+        with pytest.raises(ValueError, match="rect 2 width: non-rational"):
+            verify_exact(inst, layout)
 
 
 def test_verify_exact_accepts_integer_valued_floats():
@@ -417,25 +420,27 @@ def test_verify_exact_is_verify_layout_at_zero_tol(pick, edits):
     assert verify_exact(inst, edited) == verify_layout(inst, edited, tol=0).passed
 
 
-def test_verify_exact_sums_areas_past_int64():
+def test_verify_exact_sums_areas_past_int64(monkeypatch):
     # Two 2**31 squares fill a 2**32 x 2**31 box; their areas sum to 2**63,
     # one past the int64 range.
     s = 2**31
     inst = Instance.from_sides([(s, s), (s, s)], BoxSpec(2 * s, s))
     layout = Layout((Placement(0, 0, s, s), Placement(s, 0, 2 * s, s)))
-    assert verify_exact(inst, layout) is True
+    for _ in check_cores(monkeypatch):
+        assert verify_exact(inst, layout) is True
 
 
-def test_verify_exact_checks_integers_past_two_to_the_64():
+def test_verify_exact_checks_integers_past_two_to_the_64(monkeypatch):
     # Three 2**70 x 1 strips tile a (2**70, 3) box: every coordinate past
     # x = 0 is beyond int64, and no float holds 2**70 + 1.  Moving one strip
     # right by one unit pushes it out of the box.
     s = 2**70
     inst = Instance.from_sides([(s, 1)] * 3, BoxSpec(s, 3))
     strips = [Placement(0, k, s, k + 1) for k in range(3)]
-    assert verify_exact(inst, Layout(tuple(strips))) is True
-    strips[1] = Placement(1, 1, s + 1, 2)
-    assert verify_exact(inst, Layout(tuple(strips))) is False
+    moved = [*strips[:1], Placement(1, 1, s + 1, 2), *strips[2:]]
+    for _ in check_cores(monkeypatch):
+        assert verify_exact(inst, Layout(tuple(strips))) is True
+        assert verify_exact(inst, Layout(tuple(moved))) is False
 
 
 def test_empty_instance_fails_by_area():
@@ -490,7 +495,8 @@ def scaled(inst, layout, k):
 def test_verify_exact_int64_and_python_int_checks_agree(pick, move):
     # A tiling, or a copy with one coordinate moved by one grid unit, has
     # the same tol-0 verdict at any positive scale: times 2**40 it is far
-    # past the int64 bound, so the verdict there comes from Python ints.
+    # past the int64 bound, so the verdict there comes from Python ints,
+    # on either core.
     inst, layout = INTEGER_LAYOUTS[pick]
     if move is not None:
         index, corner, sign = move
@@ -502,14 +508,16 @@ def test_verify_exact_int64_and_python_int_checks_agree(pick, move):
         layout = Layout(tuple(placements))
     big = scaled(inst, layout, 2**40)
     assert on_int64(inst, layout) and not on_int64(*big)
-    verdict = verify_exact(inst, layout)
-    assert verdict is verify_exact(*big) is verify_layout(inst, layout, tol=0).passed
-    if move is None:
-        assert verdict is True
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in check_cores(patch):
+            verdict = verify_exact(inst, layout)
+            assert verdict is verify_exact(*big) is verify_layout(inst, layout, tol=0).passed
+            if move is None:
+                assert verdict is True
 
 
 @pytest.mark.parametrize("past", [0, 1])
-def test_verify_exact_at_the_int64_bound(past):
+def test_verify_exact_at_the_int64_bound(monkeypatch, past):
     # Two rectangles side by side fill an M x 3 box, with M the largest M
     # for which 9 * M**2 < 2**63 (near 2**30), or one more.  Sliding the
     # right one left by one unit overlaps the left one by a 1 x 3 strip,
@@ -519,34 +527,38 @@ def test_verify_exact_at_the_int64_bound(past):
     inst = Instance.from_sides([(k, 3), (m - k, 3)], BoxSpec(m, 3), False)
     tiling = Layout((Placement(0, 0, k, 3), Placement(k, 0, m, 3)))
     assert on_int64(inst, tiling) is not past
-    assert verify_exact(inst, tiling) is True
     slid = Layout((Placement(0, 0, k, 3), Placement(k - 1, 0, m - 1, 3)))
-    assert verify_exact(inst, slid) is False
     short = Instance.from_sides([(k - 1, 3), (m - k, 3)], BoxSpec(m, 3), False)
-    assert verify_exact(short, Layout((Placement(0, 0, k - 1, 3), Placement(k, 0, m, 3)))) is False
+    gap = Layout((Placement(0, 0, k - 1, 3), Placement(k, 0, m, 3)))
+    for _ in check_cores(monkeypatch):
+        assert verify_exact(inst, tiling) is True
+        assert verify_exact(inst, slid) is False
+        assert verify_exact(short, gap) is False
 
 
-def test_verify_exact_sees_a_gap_int64_would_wrap_to_zero():
+def test_verify_exact_sees_a_gap_int64_would_wrap_to_zero(monkeypatch):
     # One 2**32 square in a 2**33 x 2**32 box leaves a gap of 2**64 cells,
     # which is 0 modulo 2**64: only exact integers see it.
     s = 2**32
     inst = Instance.from_sides([(s, s)], BoxSpec(2 * s, s))
-    assert verify_exact(inst, Layout((Placement(0, 0, s, s),))) is False
+    for _ in check_cores(monkeypatch):
+        assert verify_exact(inst, Layout((Placement(0, 0, s, s),))) is False
 
 
-def test_verify_exact_names_the_first_bad_number_by_its_place():
-    inst = Instance.from_sides([(1, 1), (1, 0.5)], BoxSpec(2, 1))
-    layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 1)))
-    with pytest.raises(ValueError, match=r"^rect 2 height: non-rational input 0\.5; use ints"):
-        verify_exact(inst, layout)
-    inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(2, 1.5))
-    with pytest.raises(ValueError, match=r"^box height: non-rational input 1\.5; use ints"):
-        verify_exact(inst, Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 0.5))))
-    inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(2, 1))
-    layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, np.float32(1.5))))
-    with pytest.raises(ValueError) as info:
-        verify_exact(inst, layout)
-    assert str(info.value) == "placement 2: expected a rational number, got np.float32(1.5)"
+def test_verify_exact_names_the_first_bad_number_by_its_place(monkeypatch):
+    for _ in check_cores(monkeypatch):
+        inst = Instance.from_sides([(1, 1), (1, 0.5)], BoxSpec(2, 1))
+        layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 1)))
+        with pytest.raises(ValueError, match=r"^rect 2 height: non-rational input 0\.5; use ints"):
+            verify_exact(inst, layout)
+        inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(2, 1.5))
+        with pytest.raises(ValueError, match=r"^box height: non-rational input 1\.5; use ints"):
+            verify_exact(inst, Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, 0.5))))
+        inst = Instance.from_sides([(1, 1), (1, 1)], BoxSpec(2, 1))
+        layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, np.float32(1.5))))
+        with pytest.raises(ValueError) as info:
+            verify_exact(inst, layout)
+        assert str(info.value) == "placement 2: expected a rational number, got np.float32(1.5)"
 
 
 # -- Every kind of exact number ---------------------------------------------
@@ -639,13 +651,14 @@ def test_verify_exact_reads_whole_numpy_floats_of_every_width():
     assert verify_exact(inst, stacked) is False
 
 
-def test_verify_exact_never_computes_on_numpy_integers():
+def test_verify_exact_never_computes_on_numpy_integers(monkeypatch):
     # One 2**32 square in a 2**33 x 2**32 box leaves a gap of 2**64 cells.
     # Given as numpy integers, the numbers must still be checked as Python
     # ints: on int64 the bound and the gap would both wrap.
     s = np.int64(2**32)
     inst = Instance.from_sides([(s, s)], BoxSpec(2 * s, s))
-    assert verify_exact(inst, Layout((Placement(*np.array([0, 0, s, s])),))) is False
+    for _ in check_cores(monkeypatch):
+        assert verify_exact(inst, Layout((Placement(*np.array([0, 0, s, s])),))) is False
 
 
 def all_pairs_check(inst, layout, tol, num, total):
@@ -744,10 +757,13 @@ def sweep_layouts(draw):
 @given(case=sweep_layouts())
 def test_swept_checks_match_all_pairs_reference(case):
     inst, layout = case
-    for tol in (0, DEFAULT_TOL, 1e-4):
-        expected = all_pairs_check(inst, layout, tol, float, np.sum)
-        assert verify_layout(inst, layout, tol=tol) == expected
-    assert verify_exact(inst, layout) == all_pairs_check(inst, layout, 0, Fraction, sum).passed
+    exact = all_pairs_check(inst, layout, 0, Fraction, sum).passed
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in check_cores(patch):
+            for tol in (0, DEFAULT_TOL, 1e-4):
+                expected = all_pairs_check(inst, layout, tol, float, np.sum)
+                assert verify_layout(inst, layout, tol=tol) == expected
+            assert verify_exact(inst, layout) == exact
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -755,15 +771,52 @@ def test_swept_checks_match_all_pairs_reference(case):
 @given(case=sweep_layouts())
 def test_blocked_sweep_matches_all_pairs_reference(block, case):
     # Blocks of 1 or 3 candidate pairs split one rectangle's candidates
-    # across blocks, and verify_exact stops at the first block with a hit.
+    # across blocks of the array sweep, and verify_exact stops at the first
+    # block with a hit; the row sweep has no blocks and must agree too.
     inst, layout = case
+    exact = all_pairs_check(inst, layout, 0, Fraction, sum).passed
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_BLOCK", block)
-        for tol in (0, DEFAULT_TOL, 1e-4):
-            expected = all_pairs_check(inst, layout, tol, float, np.sum)
-            assert verify_layout(inst, layout, tol=tol) == expected
-        exact = verify_exact(inst, layout)
-    assert exact == all_pairs_check(inst, layout, 0, Fraction, sum).passed
+        for _ in check_cores(patch):
+            for tol in (0, DEFAULT_TOL, 1e-4):
+                expected = all_pairs_check(inst, layout, tol, float, np.sum)
+                assert verify_layout(inst, layout, tol=tol) == expected
+            assert verify_exact(inst, layout) == exact
+
+
+@pytest.mark.parametrize("n", [verify._SMALL, verify._SMALL + 1])
+def test_both_cores_give_one_report_at_the_size_rule(monkeypatch, n):
+    # A dissection of n rectangles runs the row core at n = _SMALL and the
+    # array core one past it.  As drawn in floats, rounded to integers, and
+    # with one corner of each rectangle pushed out by 1, every report must
+    # be the same bit for bit (repr tells -0.0 and numpy floats apart) and
+    # every exact verdict the same, also times 2**40, past int64.
+    box = BoxSpec(4000, 3000)
+    inst, drawn = gen_guillotine(n, n - 1, box)
+    rounded = tuple(Placement(*(round(v) for v in p.as_tuple())) for p in drawn.placements)
+    whole = Instance.from_sides([(p.dx, p.dy) for p in rounded], box, n % 2 == 0)
+    rng = random.Random(n)
+    pushed = []
+    for p in rounded:
+        corners = list(p.as_tuple())
+        which = rng.randrange(4)
+        corners[which] += 1 if which >= 2 else -1
+        pushed.append(Placement(*corners))
+    cases = [(inst, drawn), (whole, Layout(rounded)), (whole, Layout(tuple(pushed)))]
+    rows = verify._rows
+    ran = []
+    monkeypatch.setattr(verify, "_rows", lambda *args: ran.append(n) or rows(*args))
+
+    def outcomes():
+        reports = [repr(verify_layout(*case, tol=tol)) for case in cases for tol in (0, DEFAULT_TOL)]
+        verdicts = [verify_exact(*case) for case in cases[1:]]
+        return reports, verdicts + [verify_exact(*scaled(*case, 2**40)) for case in cases[1:]]
+
+    assert outcomes()[1] == [True, False, True, False]
+    assert bool(ran) is (n <= verify._SMALL)
+    got = outcomes()
+    for _ in check_cores(monkeypatch):
+        assert outcomes() == got
 
 
 @pytest.mark.parametrize("block", [1, 3, verify._BLOCK])
@@ -1114,7 +1167,7 @@ def test_moment_residual_checks_the_count_before_converting():
         moment_residual_of_layout(inst, layout)
 
 
-def test_float_verifier_converts_box_then_placements_then_sides():
+def test_float_verifier_converts_box_then_placements_then_sides(monkeypatch):
     # float() words its overflow by type: the first number that fits no
     # float names the error, so the order shows in the text.
     huge_int, huge_fraction = 10**400, Fraction(10**400, 3)
@@ -1125,10 +1178,12 @@ def test_float_verifier_converts_box_then_placements_then_sides():
         texts[value] = str(exc.value)
     assert texts[huge_int] != texts[huge_fraction]
     placed = Layout((Placement(0, 0, huge_fraction, 1),))
-    for inst, first in [
+    cases = [
         (Instance.from_sides([(1, 1)], BoxSpec(huge_int, 1)), huge_int),
         (Instance.from_sides([(huge_int, 1)], BoxSpec(1, 1)), huge_fraction),
-    ]:
-        with pytest.raises(OverflowError) as exc:
-            verify_layout(inst, placed)
-        assert str(exc.value) == texts[first]
+    ]
+    for _ in check_cores(monkeypatch):
+        for inst, first in cases:
+            with pytest.raises(OverflowError) as exc:
+                verify_layout(inst, placed)
+            assert str(exc.value) == texts[first]
