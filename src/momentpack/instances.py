@@ -187,10 +187,13 @@ class Placement:
         _check_finite(self.y_lo, "y_lo")
         _check_finite(self.x_hi, "x_hi")
         _check_finite(self.y_hi, "y_hi")
-        if self.x_hi < self.x_lo or self.y_hi < self.y_lo:
-            raise ValueError(
-                f"placement corners out of order: {self.as_tuple()!r}"
-            )
+        try:
+            out_of_order = self.x_hi < self.x_lo or self.y_hi < self.y_lo
+        except TypeError:  # numpy's longdouble does not compare with a Fraction
+            x_lo, y_lo, x_hi, y_hi = map(_exact, self.as_tuple())
+            out_of_order = x_hi < x_lo or y_hi < y_lo
+        if out_of_order:
+            raise ValueError(f"placement corners out of order: {self.as_tuple()!r}")
 
     def as_tuple(self) -> tuple[Number, Number, Number, Number]:
         return (self.x_lo, self.y_lo, self.x_hi, self.y_hi)

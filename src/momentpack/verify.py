@@ -7,13 +7,13 @@ tol has one meaning: every per-rectangle and per-pair test compares a
 length (overhang, side error, penetration depth min(ow, oh) of a pair)
 with eps = tol * scale, scale = max(A, B); only the total area gap is
 compared with tol * A * B.  It reads the layout as one list of Python
-numbers, in _numbers's order, and has two cores, chosen by size, that give
-the same report bit for bit.  A layout of at most _SMALL rectangles runs
-the row core, over tuples of Python numbers, one per rectangle; a larger
-one runs the array core, over numpy arrays, one row of numbers per
-rectangle.  _SMALL = 48 is where the two cost the same on guillotine
-dissections (about 55 us a verify_layout call): below it numpy's fixed
-cost per call outweighs the row core's Python work per rectangle and pair.
+numbers, in _numbers's order, and has two cores that give the same report
+bit for bit.  A layout of at most _SMALL rectangles, or an exact check past
+float64 (see verify_exact), runs the row core, over Python numbers, one
+tuple per rectangle; any other runs the array core, over a float64 array.
+_SMALL = 48 is where the two cost the same on guillotine dissections
+(about 55 us a verify_layout call): below it numpy's fixed cost per call
+outweighs the row core's Python work per rectangle and pair.
 Both find pairs by a sort and sweep on x (Bentley & Wood 1980): placements
 are taken in x_lo order, and each is tested only against the later ones
 whose x_lo lies below its x_hi, since no other pair can overlap in x.  The
@@ -33,12 +33,13 @@ pairs (at n = 48 the row core takes about 80 us there, the array core
   boundary contact is legal and interior overlap is not.  These tests are
   invariant under a positive scale, so instances._exact converts every
   number to a Python int or a Fraction first, and the checks then run over
-  ints on the common grid (the lcm of all denominators).  The row core
-  computes on Python ints.  In the array core the largest value computed
-  is the total placed area, so with every grid value at most M in size it
-  runs on int64 arrays when (4n + 1) * M**2 < 2**63, and otherwise on
-  object arrays of Python ints, which never overflow.  The sweep stops at
-  its first overlap; the array core at its first block that holds one.
+  ints on the common grid (the lcm of all denominators).  With every grid
+  value at most M in size, no value computed exceeds the total placed area,
+  n areas of at most (2M)**2, less the box area, at most M**2.  float64
+  holds every integer below 2**53 (Goldberg 1991), so the array core is
+  exact when (4n + 1) * M**2 < 2**53; past it the row core runs, on Python
+  ints, which never overflow.  The sweep stops at its first overlap; the
+  array core at its first block that holds one.
 * corner_cancellation: sign bookkeeping on the corner multiset.  Each
   placement contributes +1 at (x_lo, y_lo) and (x_hi, y_hi) and -1 at the
   other two corners.  _snap snaps the x values, then the y values, each
@@ -125,9 +126,10 @@ def _check(inst: Instance, nums: list, tol: float):
     """Run the checks shared by verify_layout and verify_exact over nums:
     the box sides, then each placement's x_lo, y_lo, x_hi, y_hi, then each
     rect's w, h, all Python floats (verify_layout) or all Python ints on
-    the common grid (verify_exact).  Layouts of at most _SMALL rectangles
-    run the row core, _rows, and larger ones the array core, _arrays: the
-    same checks and the same report, bit for bit.
+    the common grid (verify_exact).  One rule picks the core: the array
+    core, _arrays, when n > _SMALL and the numbers are floats, or ints with
+    (4n + 1) * M**2 < 2**53, M the largest magnitude; else the row core,
+    _rows.  Both give the same report, bit for bit.
 
     Returns (containment, sizes, area_gap, area_ok, overlaps): the violation
     rows of the O(n) checks in placement order, keyed by 1-based position,
@@ -140,7 +142,9 @@ def _check(inst: Instance, nums: list, tol: float):
     |dx+dy - (w+h)| and |dx*dy - w*h|, overlap rows the area ow * oh.
     """
     a, b = nums[:2]
-    core = _rows if inst.n_rects <= _SMALL else _arrays
+    n = inst.n_rects
+    arrays = n > _SMALL and (type(a) is float or (4 * n + 1) * max(map(abs, nums)) ** 2 < 2**53)
+    core = _arrays if arrays else _rows
     containment, sizes, area_gap, overlaps = core(inst, nums, tol * max(a, b))
     return containment, sizes, area_gap, bool(abs(area_gap) <= tol * a * b), overlaps
 
@@ -195,21 +199,13 @@ def _row_overlaps(boxes: list, eps):
 
 
 def _arrays(inst: Instance, nums: list, eps):
-    """The array core: the checks over numpy arrays, a (4, n) array of
-    placements, rows x_lo, y_lo, x_hi, y_hi, and a (2, n) array of rect
-    sides, rows w, h, with n > _SMALL >= 0.  Floats run on float64.  Ints run on int64 when no
-    intermediate can overflow it: the largest is the area sum, n placed
-    areas, each at most (2M)**2 with every value at most M in size, less
-    the box area, at most M**2.  Past 2**63 they run on object arrays of
-    Python ints, which never overflow."""
+    """The array core: the checks over one float64 array of nums, read as
+    (4, n) placements, rows x_lo, y_lo, x_hi, y_hi, and (2, n) rect sides,
+    rows w, h, n > _SMALL >= 0.  _check sends ints here only when every
+    value computed is below (4n + 1) * M**2 < 2**53, so float64 is exact."""
     n = inst.n_rects
     a, b = nums[:2]
-    if type(a) is float:
-        dtype = float
-    else:
-        big = max(max(nums), -min(nums))
-        dtype = np.int64 if (4 * n + 1) * big * big < 2**63 else object
-    values = np.array(nums, dtype=dtype)
+    values = np.array(nums, dtype=float)
     boxes = values[2 : 2 + 4 * n].reshape(-1, 4).T
     sides = values[2 + 4 * n :].reshape(-1, 2).T
     lo, hi = boxes[:2], boxes[2:]

@@ -76,7 +76,10 @@ def check_cores(patch: pytest.MonkeyPatch):
     """Patch verify._SMALL through patch so that every layout with at least
     one rectangle runs the array core, then every layout the row core:
     yields the core's name once for each, and patch undoes the change.  A
-    loop over it keeps the test's id."""
+    loop over it keeps the test's id.  At _SMALL = 0 two kinds of layout
+    still run the row core: one with no rectangles, and an exact check
+    past the float64 bound, (4n + 1) * M**2 >= 2**53 with M the largest
+    magnitude on the common grid."""
     for core, small in (("arrays", 0), ("rows", 10**9)):
         patch.setattr(verify, "_SMALL", small)
         yield core

@@ -121,6 +121,15 @@ def test_placement_corners_ordered():
     p = Placement(0, 0, 2, 3)
     assert (p.dx, p.dy, p.area) == (2, 3, 6)
     assert (p.cx, p.cy) == (1, 1.5)
+    # numpy will not compare a longdouble with a Fraction, so such corners
+    # compare through the exact rule: a whole longdouble is in order or not,
+    # any other raises ValueError.
+    mixed = Placement(np.longdouble(0), 0, Fraction(1), 1)
+    assert verify_exact(Instance.from_sides([(1, 1)], BoxSpec(1, 1)), Layout((mixed,)))
+    with pytest.raises(ValueError, match="out of order"):
+        Placement(np.longdouble(2), 0, Fraction(1), 1)
+    with pytest.raises(ValueError, match="^expected a rational number, got "):
+        Placement(np.longdouble(0.5), 0, Fraction(1), 1)
 
 
 def test_instance_area_sum_exact_with_fractions():
@@ -159,6 +168,8 @@ def test_instance_roundtrip_mixed_number_kinds():
 def test_instance_rotation_defaults_true():
     inst = parse_instance('{"box": [2, 2], "rects": [[1, 2]]}')
     assert inst.rotation_allowed is True
+    with pytest.raises(ValueError, match="^rotation_allowed must be a bool$"):
+        Instance(inst.rects, inst.box, rotation_allowed=1)
 
 
 def test_whole_fractions_serialize_as_ints():
@@ -235,6 +246,7 @@ def test_parse_instance_rejects_malformed(text):
             'instance "rotation" must be true or false',
         ),
         ('{"box": [0, 1], "rects": [[NaN, 1]]}', "box: sides must be positive, got 0 x 1"),
+        ('{"box": [1, 1], "rects": {}}', 'instance "rects" must be a list of [w, h] pairs'),
     ],
 )
 def test_parse_instance_errors_name_the_rect_or_the_box(text, message):

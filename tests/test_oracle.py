@@ -122,7 +122,7 @@ def test_oracle_accepts_integer_valued_floats():
     [
         ([(1.5, 2)], (2, 2), "rect 1 width must be a positive integer, got 1.5"),
         ([(2, Fraction(3, 2))], (2, 2), "rect 1 height must be a positive integer, got Fraction(3, 2)"),
-        ([(1, 2), (np.float32(2.5), 1)], (2, 2), "rect 2 width must be a positive integer, got np.float32(2.5)"),
+        ([(1, 2), (np.float32(2.5), 1)], (2, 2), f"rect 2 width must be a positive integer, got {np.float32(2.5)!r}"),
         ([(1, 2)], (1.5, 2), "box width must be a positive integer, got 1.5"),
         ([(1, 1)], (5, 13), f"cell budget exceeded: 5x13 box has more than {CELL_BUDGET} cells"),
     ],

@@ -469,14 +469,24 @@ def test_verify_exact_on_a_fine_rational_grid(move):
     assert verify_exact(inst, layout) is (move is None)
 
 
-def on_int64(inst, layout):
-    """Whether verify_exact checks an integer layout on int64: the total
-    placed area, its largest intermediate, is then provably in range."""
-    nums = [inst.box.width, inst.box.height]
-    nums += [v for p in layout.placements for v in p.as_tuple()]
-    nums += [v for r in inst.rects for v in (r.width, r.height)]
-    big = max(abs(v) for v in nums)
-    return (4 * len(layout) + 1) * big * big < 2**63
+def on_float64(inst, layout):
+    """Whether float64 is exact for verify_exact on an integer layout: every
+    value the checks compute, the total placed area the largest, is then
+    below 2**53.  Past it the row core runs at any _SMALL."""
+    big = max(abs(v) for v in numbers_in_order(inst, layout))
+    return (4 * len(layout) + 1) * big * big < 2**53
+
+
+def record_cores(patch, ran):
+    """Patch verify's two cores through patch so that each appends its name,
+    "arrays" or "rows" as check_cores yields them, to ran when it runs."""
+    for name in ("arrays", "rows"):
+
+        def spy(*args, name=name, core=getattr(verify, f"_{name}")):
+            ran.append(name)
+            return core(*args)
+
+        patch.setattr(verify, f"_{name}", spy)
 
 
 def scaled(inst, layout, k):
@@ -492,11 +502,11 @@ def scaled(inst, layout, k):
     pick=st.integers(0, len(INTEGER_LAYOUTS) - 1),
     move=st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from([-1, 1])),
 )
-def test_verify_exact_int64_and_python_int_checks_agree(pick, move):
+def test_verify_exact_float64_and_python_int_checks_agree(pick, move):
     # A tiling, or a copy with one coordinate moved by one grid unit, has
     # the same tol-0 verdict at any positive scale: times 2**40 it is far
-    # past the int64 bound, so the verdict there comes from Python ints,
-    # on either core.
+    # past the float64 bound, so the verdict there comes from Python ints,
+    # whatever _SMALL is.
     inst, layout = INTEGER_LAYOUTS[pick]
     if move is not None:
         index, corner, sign = move
@@ -507,7 +517,7 @@ def test_verify_exact_int64_and_python_int_checks_agree(pick, move):
         placements[i] = Placement(*corners)
         layout = Layout(tuple(placements))
     big = scaled(inst, layout, 2**40)
-    assert on_int64(inst, layout) and not on_int64(*big)
+    assert on_float64(inst, layout) and not on_float64(*big)
     with pytest.MonkeyPatch.context() as patch:
         for _ in check_cores(patch):
             verdict = verify_exact(inst, layout)
@@ -517,23 +527,44 @@ def test_verify_exact_int64_and_python_int_checks_agree(pick, move):
 
 
 @pytest.mark.parametrize("past", [0, 1])
-def test_verify_exact_at_the_int64_bound(monkeypatch, past):
+def test_verify_exact_at_the_float64_bound(monkeypatch, past):
     # Two rectangles side by side fill an M x 3 box, with M the largest M
-    # for which 9 * M**2 < 2**63 (near 2**30), or one more.  Sliding the
+    # for which 9 * M**2 < 2**53 (near 2**25), or one more.  Sliding the
     # right one left by one unit overlaps the left one by a 1 x 3 strip,
-    # which only the sweep sees; a short left side leaves a gap.
-    m = math.isqrt((2**63 - 1) // 9) + past
+    # which only the sweep sees; a short left side leaves a gap.  With
+    # _SMALL = 0 the first runs the array core, the second the row core.
+    m = math.isqrt((2**53 - 1) // 9) + past
     k = m // 2
     inst = Instance.from_sides([(k, 3), (m - k, 3)], BoxSpec(m, 3), False)
     tiling = Layout((Placement(0, 0, k, 3), Placement(k, 0, m, 3)))
-    assert on_int64(inst, tiling) is not past
+    assert on_float64(inst, tiling) is not past
     slid = Layout((Placement(0, 0, k, 3), Placement(k - 1, 0, m - 1, 3)))
     short = Instance.from_sides([(k - 1, 3), (m - k, 3)], BoxSpec(m, 3), False)
     gap = Layout((Placement(0, 0, k - 1, 3), Placement(k, 0, m, 3)))
-    for _ in check_cores(monkeypatch):
+    ran = []
+    record_cores(monkeypatch, ran)
+    for core in check_cores(monkeypatch):
+        ran.clear()
         assert verify_exact(inst, tiling) is True
         assert verify_exact(inst, slid) is False
         assert verify_exact(short, gap) is False
+        assert ran == ["rows" if past else core] * 3
+
+
+def test_verify_exact_sees_a_gap_float64_rounds_away(monkeypatch):
+    # A = 2**27 + 1, B = 2**28 + 1.  An A x (B - 1) rectangle and an
+    # (A - 1) x 1 one on top of it leave one unit cell of the A x B box
+    # empty.  Their areas sum to A * B - 1, which rounds to the same float
+    # as A * B, so the float verifier sees no gap even at tol 0; the exact
+    # check, past the float64 bound, must.
+    a, b = 2**27 + 1, 2**28 + 1
+    inst = Instance.from_sides([(a, b - 1), (a - 1, 1)], BoxSpec(a, b))
+    layout = Layout((Placement(0, 0, a, b - 1), Placement(0, b - 1, a - 1, b)))
+    report = verify_layout(inst, layout, tol=0)
+    assert report.passed and report.area_gap == 0.0
+    assert not on_float64(inst, layout)
+    for _ in check_cores(monkeypatch):
+        assert verify_exact(inst, layout) is False
 
 
 def test_verify_exact_sees_a_gap_int64_would_wrap_to_zero(monkeypatch):
@@ -558,7 +589,7 @@ def test_verify_exact_names_the_first_bad_number_by_its_place(monkeypatch):
         layout = Layout((Placement(0, 0, 1, 1), Placement(1, 0, 2, np.float32(1.5))))
         with pytest.raises(ValueError) as info:
             verify_exact(inst, layout)
-        assert str(info.value) == "placement 2: expected a rational number, got np.float32(1.5)"
+        assert str(info.value) == f"placement 2: expected a rational number, got {np.float32(1.5)!r}"
 
 
 # -- Every kind of exact number ---------------------------------------------
@@ -593,9 +624,9 @@ def rebuilt(inst, layout, nums):
 )
 def test_verify_exact_and_the_json_writers_read_every_exact_kind_alike(pick, scale, move, data):
     # Each number is drawn, on its own, as an int, a whole float, a Fraction
-    # or a numpy integer.  Times 2**40 the layout is past the int64 bound,
-    # so both check paths run; a copy may have one coordinate moved by one
-    # grid unit.
+    # or a numpy integer.  Times 2**40 the layout is past the float64
+    # bound, so it runs the row core; a copy may have one coordinate moved
+    # by one grid unit.
     inst, layout = scaled(*INTEGER_LAYOUTS[pick], scale)
     if move is not None:
         index, corner, sign = move
@@ -605,7 +636,7 @@ def test_verify_exact_and_the_json_writers_read_every_exact_kind_alike(pick, sca
         corners[corner] += sign  # every side is >= 1, so the corners stay in order
         placements[i] = Placement(*corners)
         layout = Layout(tuple(placements))
-    assert on_int64(inst, layout) is (scale == 1)
+    assert on_float64(inst, layout) is (scale == 1)
     nums = numbers_in_order(inst, layout)
     kinds = data.draw(st.lists(st.sampled_from(WHOLE_KINDS), min_size=len(nums), max_size=len(nums)))
     mixed_inst, mixed_layout = rebuilt(inst, layout, [kind(v) for kind, v in zip(kinds, nums)])
@@ -787,10 +818,11 @@ def test_blocked_sweep_matches_all_pairs_reference(block, case):
 @pytest.mark.parametrize("n", [verify._SMALL, verify._SMALL + 1])
 def test_both_cores_give_one_report_at_the_size_rule(monkeypatch, n):
     # A dissection of n rectangles runs the row core at n = _SMALL and the
-    # array core one past it.  As drawn in floats, rounded to integers, and
-    # with one corner of each rectangle pushed out by 1, every report must
-    # be the same bit for bit (repr tells -0.0 and numpy floats apart) and
-    # every exact verdict the same, also times 2**40, past int64.
+    # array core one past it, but for exact checks past the float64 bound.
+    # As drawn in floats, rounded to integers, and with one corner of each
+    # rectangle pushed out by 1, every report must be the same bit for bit
+    # (repr tells -0.0 and numpy floats apart) and every exact verdict the
+    # same, also times 2**40, past the float64 bound.
     box = BoxSpec(4000, 3000)
     inst, drawn = gen_guillotine(n, n - 1, box)
     rounded = tuple(Placement(*(round(v) for v in p.as_tuple())) for p in drawn.placements)
@@ -803,9 +835,8 @@ def test_both_cores_give_one_report_at_the_size_rule(monkeypatch, n):
         corners[which] += 1 if which >= 2 else -1
         pushed.append(Placement(*corners))
     cases = [(inst, drawn), (whole, Layout(rounded)), (whole, Layout(tuple(pushed)))]
-    rows = verify._rows
     ran = []
-    monkeypatch.setattr(verify, "_rows", lambda *args: ran.append(n) or rows(*args))
+    record_cores(monkeypatch, ran)
 
     def outcomes():
         reports = [repr(verify_layout(*case, tol=tol)) for case in cases for tol in (0, DEFAULT_TOL)]
@@ -813,7 +844,9 @@ def test_both_cores_give_one_report_at_the_size_rule(monkeypatch, n):
         return reports, verdicts + [verify_exact(*scaled(*case, 2**40)) for case in cases[1:]]
 
     assert outcomes()[1] == [True, False, True, False]
-    assert bool(ran) is (n <= verify._SMALL)
+    # Six float reports, two exact verdicts, then two times 2**40: one past
+    # _SMALL only those last two still run the row core.
+    assert ran == (["rows"] * 10 if n <= verify._SMALL else ["arrays"] * 8 + ["rows"] * 2)
     got = outcomes()
     for _ in check_cores(monkeypatch):
         assert outcomes() == got
